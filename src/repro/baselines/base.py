@@ -48,6 +48,10 @@ class StorageScheduler(abc.ABC):
         if self.pipeline is not None:
             raise RuntimeError("scheduler already attached to a pipeline")
         self.pipeline = pipeline
+        #: The owning pipeline's simulator.  A plain attribute bound
+        #: here (policies read it several times per IO); it does not
+        #: exist before attachment.
+        self.sim = pipeline.sim
 
     def register_tenant(self, tenant_id: str, weight: float = 1.0) -> None:
         """Declare a tenant before its first IO arrives."""
@@ -87,12 +91,6 @@ class StorageScheduler(abc.ABC):
     # ------------------------------------------------------------------
     # Helpers for subclasses
     # ------------------------------------------------------------------
-    @property
-    def sim(self):
-        if self.pipeline is None:
-            raise RuntimeError("scheduler is not attached")
-        return self.pipeline.sim
-
     def submit_to_device(self, request: FabricRequest) -> None:
         if self.pipeline is None:
             raise RuntimeError("scheduler is not attached")

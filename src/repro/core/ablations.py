@@ -48,6 +48,8 @@ class FixedThresholdMonitor(LatencyMonitor):
             state = CongestionState.CONGESTION_AVOIDANCE
         else:
             state = CongestionState.UNDERUTILIZED
+        if state is not self.state:
+            self.transitions += 1
         self.state = state
         self.signals[state] += 1
         return state
@@ -85,7 +87,7 @@ class SingleTokenBucket(DualTokenBucket):
         self.write_tokens = pool
 
     def consume(self, op: IoOp, nbytes: int) -> None:
-        if not self.can_consume(op, nbytes):
+        if self.read_tokens < nbytes:
             raise ValueError("insufficient tokens")
         self.read_tokens -= nbytes
         self.write_tokens = self.read_tokens

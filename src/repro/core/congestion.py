@@ -25,8 +25,9 @@ from repro.core.config import GimbalParams
 from repro.metrics.ewma import Ewma
 
 
-class CongestionState(enum.Enum):
-    """The four states of Section 3.3, ordered by increasing load."""
+class CongestionState(enum.IntEnum):
+    """The four states of Section 3.3, ordered (and comparable) by
+    increasing load."""
 
     UNDERUTILIZED = 0
     CONGESTION_AVOIDANCE = 1

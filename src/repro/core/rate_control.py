@@ -41,20 +41,21 @@ class CompletionRateMeter:
         self._bytes_in_window = 0
 
     def record(self, now_us: float, nbytes: int) -> None:
-        self._events.append((now_us, nbytes))
+        events = self._events
+        events.append((now_us, nbytes))
         self._bytes_in_window += nbytes
-        self._evict(now_us)
+        # The event just added is inside the window, so eviction stops
+        # before the deque runs empty.
+        horizon = now_us - self.window_us
+        while events[0][0] < horizon:
+            self._bytes_in_window -= events.popleft()[1]
 
     def rate_bytes_per_us(self, now_us: float) -> float:
-        self._evict(now_us)
-        return self._bytes_in_window / self.window_us
-
-    def _evict(self, now_us: float) -> None:
-        horizon = now_us - self.window_us
         events = self._events
+        horizon = now_us - self.window_us
         while events and events[0][0] < horizon:
-            _, nbytes = events.popleft()
-            self._bytes_in_window -= nbytes
+            self._bytes_in_window -= events.popleft()[1]
+        return self._bytes_in_window / self.window_us
 
 
 class DualTokenBucket:
@@ -88,23 +89,16 @@ class DualTokenBucket:
             self.read_tokens = min(self.read_tokens, self.max_tokens)
             self.write_tokens = self.max_tokens
 
-    def tokens_for(self, op: IoOp) -> float:
+    def consume(self, op: IoOp, nbytes: int) -> None:
         # Trims ride the write path (dataset management); reads have
         # their own bucket.
-        return self.read_tokens if op.is_read else self.write_tokens
-
-    def can_consume(self, op: IoOp, nbytes: int) -> bool:
-        if self.tokens_for(op) >= nbytes:
-            return True
-        self.denials += 1
-        return False
-
-    def consume(self, op: IoOp, nbytes: int) -> None:
-        if not self.can_consume(op, nbytes):
-            raise ValueError("insufficient tokens")
-        if op.is_read:
+        if op is IoOp.READ:
+            if self.read_tokens < nbytes:
+                raise ValueError("insufficient tokens")
             self.read_tokens -= nbytes
         else:
+            if self.write_tokens < nbytes:
+                raise ValueError("insufficient tokens")
             self.write_tokens -= nbytes
 
     def discard(self) -> None:
@@ -148,22 +142,27 @@ class RateController:
             overall_state = state
         self.meter.record(now_us, nbytes)
         self.clamp_meter.record(now_us, nbytes)
+        # The paper adjusts the rate "by the IO completion size"; rates
+        # here are bytes/us, so the size is normalised by the completion
+        # window to give a rate delta of the same flavour (one window's
+        # worth of that IO).
+        step = nbytes / params.completion_rate_window_us
         if state is CongestionState.OVERLOADED:
             # Snap below the device's measured service rate and kill
             # any buffered burst; incremental steps cannot converge
             # when the workload mix shifted under us.
             self.target_rate = self.meter.rate_bytes_per_us(now_us)
             self.bucket.discard()
-            self.target_rate -= self._step(nbytes)
+            self.target_rate -= step
         elif state is CongestionState.CONGESTED:
-            self.target_rate -= self._step(nbytes)
+            self.target_rate -= step
         elif state is CongestionState.CONGESTION_AVOIDANCE:
-            self.target_rate += self._step(nbytes)
+            self.target_rate += step
         else:  # UNDERUTILIZED: probe aggressively.
-            self.target_rate += params.beta * self._step(nbytes)
+            self.target_rate += params.beta * step
         # Keep the target tethered to reality: at most ``headroom`` x
         # the measured completion rate (see GimbalParams for rationale).
-        if overall_state.value >= CongestionState.CONGESTION_AVOIDANCE.value:
+        if overall_state >= CongestionState.CONGESTION_AVOIDANCE:
             measured = self.clamp_meter.rate_bytes_per_us(now_us)
             if measured > 0:
                 self.target_rate = min(
@@ -172,19 +171,6 @@ class RateController:
         self.target_rate = min(
             max(self.target_rate, params.min_rate_bytes_per_us), params.max_rate_bytes_per_us
         )
-
-    def _step(self, nbytes: int) -> float:
-        """Per-completion rate increment.
-
-        The paper adjusts the rate "by the IO completion size"; rates
-        here are bytes/us, so the size is normalised by the completion
-        window to give a rate delta of the same flavour (one window's
-        worth of that IO).
-        """
-        return nbytes / self.params.completion_rate_window_us
-
-    def refresh_bucket(self, now_us: float, write_cost: float) -> None:
-        self.bucket.update(now_us, self.target_rate, write_cost)
 
     def register_metrics(self, registry, prefix: str) -> None:
         """Expose the pacing engine's live state as pull gauges."""

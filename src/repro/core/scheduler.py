@@ -25,6 +25,7 @@ from repro.core.config import GimbalParams
 from repro.core.rate_control import DualTokenBucket
 from repro.core.virtual_slot import SlotManager
 from repro.fabric.request import FabricRequest
+from repro.ssd.commands import IoOp
 
 
 class GimbalTenant:
@@ -37,74 +38,75 @@ class GimbalTenant:
         self.deficit = 0.0
         self.in_active = False
         self.deferred = False
-        self._queues: Dict[int, Deque[FabricRequest]] = {}
-        # Weighted-round-robin state across priority queues:
-        # [priority, remaining_serves], rebuilt when the set of
-        # non-empty priorities changes.
-        self._wrr: List[List[int]] = []
-        self._wrr_index = 0
         self.pending = 0
+        #: The request :meth:`pop` returns next, or None; kept current
+        #: by push/pop so the DRR pump reads it without a call.
+        self.head: Optional[FabricRequest] = None
+        # Weighted round-robin across priority levels, highest first:
+        # ``[priority, serves_left, queue]`` per level ever seen.  The
+        # round restarts whenever a level turns empty or non-empty.
+        self._levels: Dict[int, list] = {}
+        self._wrr: List[list] = []
+        self._wrr_index = 0
 
     # ------------------------------------------------------------------
     # Queue operations
     # ------------------------------------------------------------------
     def push(self, request: FabricRequest) -> None:
-        queue = self._queues.get(request.priority)
-        if queue is None:
-            queue = deque()
-            self._queues[request.priority] = queue
-            self._rebuild_wrr()
+        level = self._levels.get(request.priority)
+        if level is None:
+            level = self._levels[request.priority] = [request.priority, 0, deque()]
+            self._wrr = sorted(self._levels.values(), key=lambda entry: -entry[0])
+        queue = level[2]
         queue.append(request)
         self.pending += 1
+        if len(queue) == 1:
+            self._select(restart=True)
 
     def peek(self) -> Optional[FabricRequest]:
         """The request :meth:`pop` would return, without removing it."""
-        priority = self._select_priority()
-        if priority is None:
-            return None
-        return self._queues[priority][0]
+        return self.head
 
     def pop(self) -> FabricRequest:
-        priority = self._select_priority()
-        if priority is None:
+        request = self.head
+        if request is None:
             raise IndexError("tenant has no pending requests")
-        queue = self._queues[priority]
-        request = queue.popleft()
+        level = self._wrr[self._wrr_index]
+        queue = level[2]
+        queue.popleft()
         self.pending -= 1
-        self._advance_wrr(priority)
-        if not queue:
-            del self._queues[priority]
-            self._rebuild_wrr()
+        level[1] -= 1
+        if queue and level[1] > 0:
+            self.head = queue[0]
+        elif self.pending:
+            self._wrr_index += 1
+            self._select(restart=not queue)
+        else:
+            # Drained: the next push restarts the round anyway.
+            self.head = None
         return request
 
-    # ------------------------------------------------------------------
-    # Weighted round-robin across priority queues
-    # ------------------------------------------------------------------
-    def _rebuild_wrr(self) -> None:
-        self._wrr = [
-            [priority, priority + 1] for priority in sorted(self._queues, reverse=True)
-        ]
-        self._wrr_index = 0
+    def _select(self, restart: bool) -> None:
+        """Move to the next level with serves left and work queued.
 
-    def _select_priority(self) -> Optional[int]:
-        if not self._wrr:
-            return None
-        for _ in range(2 * len(self._wrr)):
-            if self._wrr_index >= len(self._wrr):
+        ``restart`` begins a fresh round from the highest priority (the
+        set of non-empty levels just changed); a round also restarts by
+        itself once every level has used its ``priority + 1`` serves.
+        """
+        wrr = self._wrr
+        if restart:
+            self._wrr_index = len(wrr)
+        for _ in range(2 * len(wrr)):
+            if self._wrr_index >= len(wrr):
                 self._wrr_index = 0
-                for entry in self._wrr:
-                    entry[1] = entry[0] + 1
-            entry = self._wrr[self._wrr_index]
-            if entry[1] > 0 and self._queues.get(entry[0]):
-                return entry[0]
+                for level in wrr:
+                    level[1] = level[0] + 1
+            level = wrr[self._wrr_index]
+            if level[1] > 0 and level[2]:
+                self.head = level[2][0]
+                return
             self._wrr_index += 1
-        return None
-
-    def _advance_wrr(self, priority: int) -> None:
-        if self._wrr_index < len(self._wrr) and self._wrr[self._wrr_index][0] == priority:
-            self._wrr[self._wrr_index][1] -= 1
-            if self._wrr[self._wrr_index][1] <= 0:
-                self._wrr_index += 1
+        self.head = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -163,25 +165,27 @@ class DrrSlotScheduler:
     def enqueue(self, tenant: GimbalTenant, request: FabricRequest) -> None:
         tenant.push(request)
         if not tenant.in_active and not tenant.deferred:
-            self._activate(tenant)
-
-    def _activate(self, tenant: GimbalTenant) -> None:
-        tenant.in_active = True
-        tenant.deferred = False
-        self.active.append(tenant)
+            tenant.in_active = True
+            self.active.append(tenant)
 
     def on_slot_freed(self, tenant: GimbalTenant) -> None:
         """A virtual slot drained; a deferred tenant may rejoin."""
-        if tenant.deferred and tenant.slots.can_open(self.slot_limit):
-            self._activate(tenant)
+        if tenant.deferred and tenant.slots.slots_in_use < self.slot_limit:
+            tenant.deferred = False
+            tenant.in_active = True
+            self.active.append(tenant)
 
     def pump(
         self,
-        weighted_size: Callable[[FabricRequest], float],
+        write_cost: float,
         bucket: DualTokenBucket,
         submit: Callable[..., None],
     ) -> PumpResult:
         """Run Algorithm 2 until out of work, slots everywhere, or tokens.
+
+        The serviceable unit is the cost-weighted IO size: writes pay
+        ``write_cost`` per byte; trims are metadata-only and charged one
+        page regardless of range length (and ride the write bucket).
 
         Termination: every full rotation of the active list adds one
         quantum to each tenant's deficit, so a head-of-queue IO whose
@@ -189,25 +193,32 @@ class DrrSlotScheduler:
         tenants without slots leave the list.
         """
         active = self.active
+        quantum = self.params.quantum_bytes
         while active:
             tenant = active[0]
-            request = tenant.peek()
+            request = tenant.head
             if request is None:
                 active.popleft()
                 tenant.in_active = False
                 continue
-            weighted = weighted_size(request)
-            token_bytes = 4096 if request.op.is_trim else request.size_bytes
+            op = request.op
+            if op is IoOp.TRIM:
+                token_bytes = 4096
+                weighted = 4096.0
+            else:
+                token_bytes = request.npages * 4096
+                weighted = write_cost * token_bytes if op is IoOp.WRITE else float(token_bytes)
             if tenant.deficit < weighted:
                 # Weighted DRR: a tenant's quantum scales with its
                 # share weight, so weight-2 tenants accumulate service
                 # twice as fast.
-                tenant.deficit += self.params.quantum_bytes * tenant.weight
+                tenant.deficit += quantum * tenant.weight
                 active.rotate(-1)
                 continue
-            if not bucket.can_consume(request.op, token_bytes):
-                deficit = token_bytes - bucket.tokens_for(request.op)
-                return ("tokens", request.op, deficit)
+            tokens = bucket.read_tokens if op is IoOp.READ else bucket.write_tokens
+            if tokens < token_bytes:
+                bucket.denials += 1
+                return ("tokens", op, token_bytes - tokens)
             slot = tenant.slots.try_place(weighted, self.slot_limit)
             if slot is None:
                 # Out of virtual slots: defer with deficit zeroed
@@ -219,7 +230,7 @@ class DrrSlotScheduler:
                 self.deferrals += 1
                 continue
             tenant.pop()
-            bucket.consume(request.op, token_bytes)
+            bucket.consume(op, token_bytes)
             tenant.deficit -= weighted
             submit(request, tenant, slot)
         return ("idle", None, None)

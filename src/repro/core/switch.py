@@ -86,29 +86,42 @@ class GimbalScheduler(StorageScheduler):
         super().unregister_tenant(tenant_id)
         self.drr.remove_tenant(tenant_id)
 
+    def attach(self, pipeline) -> None:
+        super().attach(pipeline)
+        # Resolved here, not in __init__: ablation constructors swap
+        # ``monitors`` after ours has run.
+        self._read_monitor = self.monitors[IoOp.READ]
+        self._write_monitor = self.monitors[IoOp.WRITE]
+
     def enqueue(self, request: FabricRequest) -> None:
-        tenant = self.drr.tenants.get(request.tenant_id)
+        drr = self.drr
+        tenant = drr.tenants.get(request.tenant_id)
         if tenant is None:
-            tenant = self.drr.add_tenant(request.tenant_id)
-        self.drr.enqueue(tenant, request)
+            tenant = drr.add_tenant(request.tenant_id)
+        drr.enqueue(tenant, request)
         self._pump()
 
     def notify_completion(self, request: FabricRequest) -> None:
-        now = self.sim.now
-        if not request.op.is_trim:
+        sim = self.sim
+        now = sim.now
+        op = request.op
+        if op is not IoOp.TRIM:
             # Trims are metadata-only: they carry no congestion signal.
-            latency = request.device_latency_us
-            state = self.monitors[request.op].observe(latency)
-            tracer = self.sim.tracer
+            if op is IoOp.READ:
+                monitor, other = self._read_monitor, self._write_monitor
+            else:
+                monitor, other = self._write_monitor, self._read_monitor
+            state = monitor.observe(request.t_device_complete - request.t_device_submit)
+            tracer = sim.tracer
             if tracer is not None:
-                self._trace_monitor(tracer, now, request.op, state)
-            self.rate.on_completion(
-                now, request.op, request.size_bytes, state, self.congestion_state
-            )
-        if request.op.is_write:
-            self.write_cost.observe_write_latency(
-                now, self.monitors[IoOp.WRITE].ewma_latency_us
-            )
+                self._trace_monitor(tracer, now, op, monitor, state)
+            # The headroom clamp keys off the more loaded monitor.
+            overall = other.state
+            if state > overall:
+                overall = state
+            self.rate.on_completion(now, op, request.npages * 4096, state, overall)
+            if op is IoOp.WRITE:
+                self.write_cost.observe_write_latency(now, monitor.ewma.value)
         tenant, slot = self._inflight_slots.pop(request.request_id)
         if tenant.slots.on_completion(slot):
             self.drr.on_slot_freed(tenant)
@@ -132,56 +145,45 @@ class GimbalScheduler(StorageScheduler):
             "read_headroom_mbps": rate_mbps * write_cost / (1.0 + write_cost),
             "write_headroom_mbps": rate_mbps / (1.0 + write_cost),
             "write_cost": write_cost,
-            "read_state": self.monitors[IoOp.READ].state.name,
-            "write_state": self.monitors[IoOp.WRITE].state.name,
+            "read_state": self._read_monitor.state._name_,
+            "write_state": self._write_monitor.state._name_,
         }
 
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _weighted_size(self, request: FabricRequest) -> float:
-        """Cost-weighted IO size: writes pay the current write cost;
-        trims are metadata-only and charged one page regardless of
-        range length."""
-        if request.op.is_write:
-            return self.write_cost.cost * request.size_bytes
-        if request.op.is_trim:
-            return 4096.0
-        return float(request.size_bytes)
-
     def _submit(self, request: FabricRequest, tenant: GimbalTenant, slot: VirtualSlot) -> None:
         self._inflight_slots[request.request_id] = (tenant, slot)
-        self.submit_to_device(request)
+        self.pipeline.device_submit(request)
 
     def _pump(self) -> None:
-        self.rate.refresh_bucket(self.sim.now, self.write_cost.cost)
-        outcome, op, token_deficit = self.drr.pump(
-            self._weighted_size, self.rate.bucket, self._submit
-        )
-        if outcome == "tokens":
-            tracer = self.sim.tracer
-            if tracer is not None:
-                tracer.emit(
-                    TraceType.BUCKET_DENY,
-                    self.sim.now,
-                    self._component_name,
-                    io=op.name,
-                    deficit_bytes=token_deficit,
-                )
-            self._schedule_refill_wakeup(op, token_deficit)
-
-    def _schedule_refill_wakeup(self, op: IoOp, token_deficit: float) -> None:
-        """Wake the pump when the blocking bucket will have refilled."""
+        sim = self.sim
+        rate = self.rate
         write_cost = self.write_cost.cost
-        if op.is_read:
-            share = self.rate.target_rate * write_cost / (1.0 + write_cost)
+        bucket = rate.bucket
+        bucket.update(sim.now, rate.target_rate, write_cost)
+        outcome, op, token_deficit = self.drr.pump(write_cost, bucket, self._submit)
+        if outcome != "tokens":
+            return
+        tracer = sim.tracer
+        if tracer is not None:
+            tracer.emit(
+                TraceType.BUCKET_DENY,
+                sim.now,
+                self._component_name,
+                io=op.name,
+                deficit_bytes=token_deficit,
+            )
+        # Wake the pump when the blocking bucket will have refilled.
+        if op is IoOp.READ:
+            share = rate.target_rate * write_cost / (1.0 + write_cost)
         else:
-            share = self.rate.target_rate / (1.0 + write_cost)
+            share = rate.target_rate / (1.0 + write_cost)
         share = max(share, self.params.min_rate_bytes_per_us / (1.0 + write_cost))
         delay = min(max(token_deficit / share, 1.0), 50_000.0)
         if self._refill_wakeup is not None:
             self._refill_wakeup.cancel()
-        self._refill_wakeup = self.sim.schedule(delay, self._on_refill_wakeup)
+        self._refill_wakeup = sim.schedule(delay, self._on_refill_wakeup)
 
     def _on_refill_wakeup(self) -> None:
         self._refill_wakeup = None
@@ -199,10 +201,7 @@ class GimbalScheduler(StorageScheduler):
     @property
     def congestion_state(self) -> CongestionState:
         """The more loaded of the two monitors (for dashboards/tests)."""
-        return max(
-            (monitor.state for monitor in self.monitors.values()),
-            key=lambda state: state.value,
-        )
+        return max(monitor.state for monitor in self.monitors.values())
 
     # ------------------------------------------------------------------
     # Observability
@@ -212,9 +211,10 @@ class GimbalScheduler(StorageScheduler):
         pipeline = self.pipeline
         return f"switch.{pipeline.name}" if pipeline is not None else "switch"
 
-    def _trace_monitor(self, tracer, now: float, op: IoOp, state: CongestionState) -> None:
+    def _trace_monitor(
+        self, tracer, now: float, op: IoOp, monitor: LatencyMonitor, state: CongestionState
+    ) -> None:
         """Journal state transitions and threshold moves for one monitor."""
-        monitor = self.monitors[op]
         previous = self._traced_state[op]
         if state is not previous:
             self._traced_state[op] = state

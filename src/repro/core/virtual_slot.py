@@ -71,19 +71,16 @@ class SlotManager:
     def slots_in_use(self) -> int:
         return len(self._in_use)
 
-    def can_open(self, limit: int) -> bool:
-        return self.slots_in_use < limit
-
     def try_place(self, weighted_size: float, limit: int) -> Optional[VirtualSlot]:
         """Place one IO of ``weighted_size`` into a slot, or defer."""
         if weighted_size <= 0:
             raise ValueError("weighted size must be positive")
-        if self.current is None or self.current.is_full:
-            if not self.can_open(limit):
-                return None
-            self.current = VirtualSlot(self.slot_bytes)
-            self._in_use.append(self.current)
         slot = self.current
+        if slot is None or slot.is_full:
+            if len(self._in_use) >= limit:
+                return None
+            slot = self.current = VirtualSlot(self.slot_bytes)
+            self._in_use.append(slot)
         slot.add(weighted_size)
         return slot
 

@@ -51,4 +51,8 @@ def jain_index(allocations: Sequence[float]) -> float:
         # All-zero, or denormals whose squares underflow to zero:
         # treat as equal shares.
         return 1.0
-    return total * total / (len(values) * square_sum)
+    # Squares of denormals (around 1e-159) lose bits, which can push the
+    # quotient a few 1e-7 outside the index's range; in-range values
+    # pass through the clamp untouched.
+    count = len(values)
+    return min(1.0, max(1.0 / count, total * total / (count * square_sum)))

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import DrrSlotScheduler, GimbalParams, GimbalTenant
 from repro.core.rate_control import DualTokenBucket
@@ -70,6 +72,74 @@ class TestGimbalTenant:
             assert peeked is popped
 
 
+class _RebuildingWrr:
+    """Reference model of the per-tenant priority queues: the textbook
+    formulation that rebuilds the round-robin table whenever a level
+    turns empty or non-empty and re-selects on every peek and pop.
+    :class:`GimbalTenant` must serve requests in exactly this order."""
+
+    def __init__(self):
+        self.queues = {}
+        self.wrr = []
+        self.index = 0
+
+    def _rebuild(self):
+        self.wrr = [[priority, priority + 1] for priority in sorted(self.queues, reverse=True)]
+        self.index = 0
+
+    def push(self, request):
+        if request.priority not in self.queues:
+            self.queues[request.priority] = []
+            self._rebuild()
+        self.queues[request.priority].append(request)
+
+    def _select(self):
+        for _ in range(2 * len(self.wrr)):
+            if self.index >= len(self.wrr):
+                self.index = 0
+                for entry in self.wrr:
+                    entry[1] = entry[0] + 1
+            entry = self.wrr[self.index]
+            if entry[1] > 0 and self.queues.get(entry[0]):
+                return entry[0]
+            self.index += 1
+        return None
+
+    def peek(self):
+        priority = self._select()
+        return None if priority is None else self.queues[priority][0]
+
+    def pop(self):
+        priority = self._select()
+        request = self.queues[priority].pop(0)
+        self.wrr[self.index][1] -= 1
+        if self.wrr[self.index][1] <= 0:
+            self.index += 1
+        if not self.queues[priority]:
+            del self.queues[priority]
+            self._rebuild()
+        return request
+
+
+class TestGimbalTenantMatchesReference:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.one_of(st.integers(0, 3), st.just("pop"), st.just("peek")), max_size=80))
+    def test_same_service_order_as_rebuilding_wrr(self, steps):
+        tenant = GimbalTenant("t", 1.0, 128 * 1024)
+        reference = _RebuildingWrr()
+        for step in steps:
+            if step == "peek":
+                assert tenant.peek() is reference.peek()
+            elif step == "pop":
+                if tenant.pending:
+                    assert tenant.pop() is reference.pop()
+            else:
+                request = make_request("t", priority=step)
+                tenant.push(request)
+                reference.push(request)
+            assert tenant.head is reference.peek()
+
+
 class TestDrrSlotScheduler:
     @pytest.fixture
     def params(self):
@@ -79,7 +149,7 @@ class TestDrrSlotScheduler:
     def drr(self, params):
         return DrrSlotScheduler(params)
 
-    def _pump_all(self, drr, params, weighted=None):
+    def _pump_all(self, drr, params, write_cost=1.0):
         submitted = []
         bucket = full_bucket(params)
 
@@ -88,8 +158,7 @@ class TestDrrSlotScheduler:
             bucket.read_tokens = bucket.max_tokens
             bucket.write_tokens = bucket.max_tokens
 
-        weight_fn = weighted or (lambda request: float(request.size_bytes))
-        drr.pump(weight_fn, bucket, refill_submit)
+        drr.pump(write_cost, bucket, refill_submit)
         return submitted
 
     def test_slot_limit_shrinks_with_tenants(self, drr, params):
@@ -146,11 +215,6 @@ class TestDrrSlotScheduler:
             drr.enqueue(reader, make_request("r", op=IoOp.READ))
             drr.enqueue(writer, make_request("w", op=IoOp.WRITE))
 
-        def weighted(request):
-            if request.op.is_write:
-                return 3.0 * request.size_bytes
-            return float(request.size_bytes)
-
         submitted = []
         bucket = full_bucket(params)
 
@@ -164,7 +228,7 @@ class TestDrrSlotScheduler:
                     drr.on_slot_freed(tenant)
                     break
 
-        drr.pump(weighted, bucket, submit)
+        drr.pump(3.0, bucket, submit)
         window = submitted[:16]
         reads = sum(1 for r in window if r.op.is_read)
         writes = sum(1 for r in window if r.op.is_write)
@@ -175,9 +239,7 @@ class TestDrrSlotScheduler:
         drr.enqueue(tenant, make_request("a"))
         bucket = DualTokenBucket(params)
         bucket.discard()
-        outcome, op, deficit = drr.pump(
-            lambda request: float(request.size_bytes), bucket, lambda *a: None
-        )
+        outcome, op, deficit = drr.pump(1.0, bucket, lambda *a: None)
         assert outcome == "tokens"
         assert op is IoOp.READ
         assert deficit == pytest.approx(128 * 1024)
@@ -187,7 +249,7 @@ class TestDrrSlotScheduler:
         drr.enqueue(tenant, make_request("a"))
         bucket = full_bucket(params)
         before = bucket.read_tokens
-        drr.pump(lambda request: float(request.size_bytes), bucket, lambda *a: None)
+        drr.pump(1.0, bucket, lambda *a: None)
         assert bucket.read_tokens == before - 128 * 1024
 
     def test_weighted_tenant_gets_proportional_share(self, drr, params):
@@ -209,7 +271,7 @@ class TestDrrSlotScheduler:
                     drr.on_slot_freed(tenant)
                     break
 
-        drr.pump(lambda request: float(request.size_bytes), bucket, submit)
+        drr.pump(1.0, bucket, submit)
         window = submitted[:32]
         heavy_count = sum(1 for r in window if r.tenant_id == "heavy")
         light_count = len(window) - heavy_count
@@ -228,7 +290,7 @@ class TestDrrSlotScheduler:
         drr.enqueue(tenant, make_request("a", op=_IoOp.TRIM, npages=64))
         bucket = full_bucket(params)
         before = bucket.write_tokens
-        drr.pump(lambda request: 4096.0, bucket, lambda *a: None)
+        drr.pump(9.0, bucket, lambda *a: None)
         assert before - bucket.write_tokens == 4096
 
     def test_idempotent_tenant_registration(self, drr):
@@ -237,7 +299,96 @@ class TestDrrSlotScheduler:
         assert first is second
 
     def test_empty_pump_is_idle(self, drr, params):
-        outcome, _, _ = drr.pump(
-            lambda request: float(request.size_bytes), full_bucket(params), lambda *a: None
-        )
+        outcome, _, _ = drr.pump(1.0, full_bucket(params), lambda *a: None)
         assert outcome == "idle"
+
+
+# ----------------------------------------------------------------------
+# Conservation properties (ROADMAP item 3): hold inside a single run
+# ----------------------------------------------------------------------
+_TENANTS = ("a", "b", "c")
+_STEP = st.one_of(
+    st.tuples(
+        st.just("enqueue"),
+        st.integers(0, len(_TENANTS) - 1),
+        st.sampled_from([IoOp.READ, IoOp.WRITE, IoOp.TRIM]),
+        st.sampled_from([1, 2, 8, 32]),
+        st.integers(0, 2),
+    ),
+    st.tuples(st.just("complete"), st.integers(0, 63)),
+    st.tuples(st.just("refill"), st.integers(0, 64)),
+)
+
+
+class TestConservation:
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(_STEP, max_size=120), st.sampled_from([1.0, 2.5, 9.0]))
+    def test_tokens_slots_and_requests_are_conserved(self, steps, write_cost):
+        params = GimbalParams()
+        drr = DrrSlotScheduler(params)
+        tenants = [drr.add_tenant(name) for name in _TENANTS]
+        bucket = DualTokenBucket(params)
+        granted = {IoOp.READ: bucket.read_tokens, IoOp.WRITE: bucket.write_tokens}
+        enqueued, submitted, inflight = [], [], []
+
+        def submit(request, tenant, slot):
+            submitted.append(request)
+            inflight.append((tenant, slot))
+
+        def refill(pages):
+            for op, pool in ((IoOp.READ, "read_tokens"), (IoOp.WRITE, "write_tokens")):
+                room = bucket.max_tokens - getattr(bucket, pool)
+                added = min(4096.0 * pages, room)
+                setattr(bucket, pool, getattr(bucket, pool) + added)
+                granted[op] += added
+
+        def complete(index):
+            tenant, slot = inflight.pop(index % len(inflight))
+            if tenant.slots.on_completion(slot):
+                drr.on_slot_freed(tenant)
+
+        def check_invariants():
+            for tenant in tenants:
+                assert tenant.slots.slots_in_use <= drr.slot_limit
+                if tenant.deferred:
+                    assert tenant.deficit == 0.0 and not tenant.in_active
+                assert tenant.in_active == (tenant in drr.active)
+            assert bucket.read_tokens >= 0.0 and bucket.write_tokens >= 0.0
+
+        for step in steps:
+            if step[0] == "enqueue":
+                _, who, op, npages, priority = step
+                request = make_request(_TENANTS[who], op=op, npages=npages, priority=priority)
+                enqueued.append(request)
+                drr.enqueue(tenants[who], request)
+            elif step[0] == "complete":
+                if inflight:
+                    complete(step[1])
+            else:
+                refill(step[1])
+            drr.pump(write_cost, bucket, submit)
+            check_invariants()
+        # Drain: with tokens and completions always forthcoming, nothing
+        # may stay queued, deferred or in flight.
+        for _ in range(10 * len(enqueued) + 10):
+            if len(submitted) == len(enqueued) and not inflight:
+                break
+            refill(64)
+            if inflight:
+                complete(0)
+            drr.pump(write_cost, bucket, submit)
+            check_invariants()
+        assert sorted(map(id, submitted)) == sorted(map(id, enqueued))
+        assert all(tenant.pending == 0 and tenant.peek() is None for tenant in tenants)
+        assert all(tenant.slots.outstanding_ios == 0 for tenant in tenants)
+        # Tokens spent = tokens the admitted IOs were charged, per pool
+        # (trims ride the write pool at one page); 4 KiB multiples are
+        # exact in binary floating point.
+        charged = {IoOp.READ: 0, IoOp.WRITE: 0}
+        for request in submitted:
+            if request.op is IoOp.READ:
+                charged[IoOp.READ] += request.size_bytes
+            else:
+                charged[IoOp.WRITE] += 4096 if request.op is IoOp.TRIM else request.size_bytes
+        assert granted[IoOp.READ] - bucket.read_tokens == charged[IoOp.READ]
+        assert granted[IoOp.WRITE] - bucket.write_tokens == charged[IoOp.WRITE]

@@ -11,8 +11,11 @@ import them, so the test always runs exactly what the files record.
 
 from __future__ import annotations
 
+import hashlib
 import json
+import struct
 from pathlib import Path
+from unittest import mock
 
 DATA_DIR = Path(__file__).resolve().parent / "data"
 
@@ -30,6 +33,87 @@ GOLDEN_CONFIGS = {
 }
 
 
+#: The decision-identity rig (``tests/core/test_switch_identity.py``):
+#: a seeded Gimbal testbed small enough for tier-1, with 4 KiB and
+#: 128 KiB tenants on both sides of a fragmented device, so tokens,
+#: deficits and virtual slots all bind and both monitors visit all four
+#: congestion states (overload discards included) within the run.
+SWITCH_IDENTITY_CONFIG = {
+    "seed": 7,
+    "condition": "fragmented",
+    "reader_pages": [1, 1, 32, 32],
+    "writer_pages": [1, 1, 32, 32],
+    "region_pages": 1600,
+    "run_us": 60_000.0,
+}
+
+
+def switch_identity_digest() -> dict:
+    """Hash every admission decision and rate/cost move of one run.
+
+    ``decisions`` covers the ordered ``(now, tenant, op, lba)`` stream
+    at ``SsdPipeline.device_submit``; ``trajectory`` covers
+    ``(now, rate.target_rate, write_cost.cost)`` sampled after every
+    device completion.  Floats are hashed by their IEEE-754 bytes, so
+    one flipped bit in the switch's arithmetic changes the digest.
+    """
+    from repro.fabric.pipeline import SsdPipeline
+    from repro.harness.experiments.common import read_spec, write_spec
+    from repro.harness.testbed import Testbed, TestbedConfig
+
+    config = SWITCH_IDENTITY_CONFIG
+    decisions = hashlib.sha256()
+    trajectory = hashlib.sha256()
+    counts = {"submits": 0, "completions": 0}
+    device_submit = SsdPipeline.device_submit
+    device_completed = SsdPipeline._device_completed
+
+    def recording_submit(pipeline, request):
+        counts["submits"] += 1
+        decisions.update(struct.pack("<d", pipeline.sim.now))
+        decisions.update(
+            f"{request.tenant_id}|{request.op.value}|{request.lba};".encode("ascii")
+        )
+        device_submit(pipeline, request)
+
+    def recording_completed(pipeline, command):
+        device_completed(pipeline, command)
+        counts["completions"] += 1
+        switch = pipeline.scheduler
+        trajectory.update(
+            struct.pack(
+                "<ddd", pipeline.sim.now, switch.rate.target_rate, switch.write_cost.cost
+            )
+        )
+
+    # Patched on the class, before the testbed exists, so a switch that
+    # caches the bound method at attach time is still observed.
+    with mock.patch.object(SsdPipeline, "device_submit", recording_submit), mock.patch.object(
+        SsdPipeline, "_device_completed", recording_completed
+    ):
+        testbed = Testbed(
+            TestbedConfig(scheme="gimbal", condition=config["condition"], seed=config["seed"])
+        )
+        for index, pages in enumerate(config["reader_pages"]):
+            testbed.add_worker(read_spec(f"r{index}", pages), region_pages=config["region_pages"])
+        for index, pages in enumerate(config["writer_pages"]):
+            testbed.add_worker(write_spec(f"w{index}", pages), region_pages=config["region_pages"])
+        for worker in testbed.workers:
+            worker.start()
+        testbed.sim.run(until_us=config["run_us"])
+    return {
+        "decisions": decisions.hexdigest(),
+        "trajectory": trajectory.hexdigest(),
+        **counts,
+    }
+
+
+def _write(name: str, payload: dict) -> None:
+    path = DATA_DIR / f"{name}.json"
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    print(f"wrote {path}")
+
+
 def main() -> None:
     from repro.harness.experiments import fig02_unloaded_latency as fig02
     from repro.harness.experiments import fig07_fairness as fig07
@@ -38,10 +122,8 @@ def main() -> None:
     modules = {"fig02": fig02, "fig07": fig07, "table1": table1}
     DATA_DIR.mkdir(parents=True, exist_ok=True)
     for name, kwargs in GOLDEN_CONFIGS.items():
-        results = modules[name].run(**kwargs)
-        path = DATA_DIR / f"{name}.json"
-        path.write_text(json.dumps(results, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-        print(f"wrote {path}")
+        _write(name, modules[name].run(**kwargs))
+    _write("switch_identity", switch_identity_digest())
 
 
 if __name__ == "__main__":

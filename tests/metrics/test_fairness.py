@@ -57,6 +57,17 @@ class TestJainIndex:
         with pytest.raises(ValueError):
             jain_index([1.0, -1.0])
 
+    def test_denormal_squares_stay_in_range(self):
+        """Regression (the hypothesis flake at the 1.27e-159 scale):
+        squares near 1.6e-318 are denormal and lose bits; unclamped,
+        this pair scored 1.0000008."""
+        assert jain_index([1.2467063021822544e-159, 1.245386582305009e-159]) == 1.0
+
+    def test_in_range_values_keep_their_bits(self):
+        """The range clamp must not perturb ordinary results."""
+        shares = [0.1, 0.2, 0.3]
+        assert jain_index(shares) == sum(shares) ** 2 / (3 * sum(v * v for v in shares))
+
     @given(st.lists(st.floats(min_value=0.0, max_value=1e6), min_size=1, max_size=50))
     def test_bounded_between_one_over_n_and_one(self, allocations):
         """Property: 1/n <= Jain <= 1 for any non-negative allocation."""
