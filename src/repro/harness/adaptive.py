@@ -39,7 +39,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.harness.cache import CacheSpec, Uncacheable, point_fingerprint, resolve_cache
+from repro.harness.cache import CacheSpec, resolve_cache
 from repro.harness.parallel import SweepPoint, WorkerPool, point_seed, run_sweep, sweep_axes
 from repro.harness.surrogate import (
     DEFAULT_EXCLUDE,
@@ -330,13 +330,9 @@ def explore(
     extra_training: List[Tuple[Dict[str, Any], Dict[str, float]]] = []
     if bootstrap and store is not None:
         probe = space.point(0, combos[0])
-        try:
-            _, _, code_fp = point_fingerprint(
-                probe.fn, probe.kwargs, store.schema_version, roots=store.roots
-            )
-        except Uncacheable:
-            code_fp = None
-        if code_fp is not None:
+        keyed = store.key(probe)
+        if keyed is not None:
+            code_fp = keyed[2]
             fn_name = f"{probe.fn.__module__}:{probe.fn.__qualname__}"
             for record in journal_records(store, fn=fn_name, code_fingerprint=code_fp):
                 outputs = record.get("outputs")

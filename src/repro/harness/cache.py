@@ -16,11 +16,16 @@ on disk, keyed by a fingerprint of
 * the result-schema version.
 
 Editing ``src/repro/core/scheduler.py`` therefore invalidates exactly
-the points whose drivers transitively import it; sweeps that never
-touch the scheduler stay warm.  Imports are discovered statically (via
-``ast``) so the fingerprint never depends on import order or runtime
-state, and per-module source hashes are memoised on ``(path, mtime,
-size)`` so a warm lookup costs stat calls, not file reads.
+the points whose drivers transitively import it.  With today's package
+``__init__`` files that is every figure: each registered driver's
+closure is 102-103 of ``src/repro``'s 107 modules (all but ``rack``
+share one code fingerprint), so only an edit to ``cli.py``,
+``__main__.py``, ``orchestrator.py``, ``obs/report.py`` or ``rack.py``
+leaves a figure warm.  Imports are discovered statically (via ``ast``)
+so the fingerprint never depends on import order or runtime state.
+Source hashes and import sets are memoised per ``(path, mtime, size)``
+and the closure's digest per point function, so a process parses each
+file once and a lookup costs one ``stat`` pass over the closure.
 
 Entries are JSON files named ``<fingerprint>.json`` under the cache
 root (default ``.repro-cache/``).  Writes go to a unique temporary file
@@ -101,6 +106,11 @@ _import_memo: Dict[Tuple[str, int, int], FrozenSet[str]] = {}
 # module name -> (source path or None, is_package); resolution is
 # stable for the life of the process.
 _module_file_memo: Dict[str, Tuple[Optional[str], bool]] = {}
+# (module name, roots) -> ([(path, source hash)] of the closure, digest).
+_closure_memo: Dict[Tuple[str, FrozenSet[str]], Tuple[List[Tuple[str, Optional[str]]], str]] = {}
+
+# Imports are statements, so only statement lists can hold them.
+_STATEMENT_LISTS = ("body", "orelse", "finalbody", "handlers", "cases")
 
 
 def clear_fingerprint_caches() -> None:
@@ -108,6 +118,7 @@ def clear_fingerprint_caches() -> None:
     _source_hash_memo.clear()
     _import_memo.clear()
     _module_file_memo.clear()
+    _closure_memo.clear()
 
 
 def _file_state(path: str) -> Optional[Tuple[str, int, int]]:
@@ -177,27 +188,34 @@ def _imports_of(path: str, package: str) -> FrozenSet[str]:
     except (OSError, SyntaxError):
         _import_memo[state] = frozenset()
         return frozenset()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                names.add(alias.name)
-        elif isinstance(node, ast.ImportFrom):
-            if node.level == 0:
-                base = node.module or ""
-            else:
-                parts = package.split(".") if package else []
-                if node.level - 1 > len(parts):
+    blocks = [tree.body]
+    while blocks:
+        for node in blocks.pop():
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    names.add(alias.name)
+            elif isinstance(node, ast.ImportFrom):
+                if node.level == 0:
+                    base = node.module or ""
+                else:
+                    parts = package.split(".") if package else []
+                    if node.level - 1 > len(parts):
+                        continue
+                    kept = parts[: len(parts) - (node.level - 1)]
+                    base = ".".join(kept)
+                    if node.module:
+                        base = f"{base}.{node.module}" if base else node.module
+                if not base:
                     continue
-                kept = parts[: len(parts) - (node.level - 1)]
-                base = ".".join(kept)
-                if node.module:
-                    base = f"{base}.{node.module}" if base else node.module
-            if not base:
-                continue
-            names.add(base)
-            for alias in node.names:
-                if alias.name != "*":
-                    names.add(f"{base}.{alias.name}")
+                names.add(base)
+                for alias in node.names:
+                    if alias.name != "*":
+                        names.add(f"{base}.{alias.name}")
+            else:
+                for field_name in _STATEMENT_LISTS:
+                    block = getattr(node, field_name, None)
+                    if block:
+                        blocks.append(block)
     frozen = frozenset(names)
     _import_memo[state] = frozen
     return frozen
@@ -242,20 +260,33 @@ def code_fingerprint(fn: Callable[..., Any], roots: Optional[Set[str]] = None) -
     ``roots`` limits which top-level packages are followed; by default
     the instrumented ``repro`` package plus ``fn``'s own top-level
     package (so test-local point functions fingerprint correctly too).
+
+    The closure is walked once per ``(module, roots)``; later calls
+    re-hash nothing and re-walk nothing while every file of that closure
+    still has the source hash the walk saw (one ``stat`` per file).  The
+    closure is a function of those files' contents, so any edit, deletion
+    or new import inside it shows up as a changed hash and a fresh walk.
     """
     module = getattr(fn, "__module__", "") or ""
     if roots is None:
         roots = {"repro"}
         if module:
             roots.add(module.partition(".")[0])
-    sources = transitive_sources(module, frozenset(roots))
+    key = (module, frozenset(roots))
+    memo = _closure_memo.get(key)
+    if memo is not None and all(_source_hash(path) == sha for path, sha in memo[0]):
+        return memo[1]
+    sources = transitive_sources(module, key[1])
     digest = hashlib.sha256()
     for name in sorted(sources):
         digest.update(name.encode("utf-8"))
         digest.update(b"\x00")
         digest.update((sources[name] or "missing").encode("utf-8"))
         digest.update(b"\n")
-    return digest.hexdigest()
+    fingerprint = digest.hexdigest()
+    files = [(_module_file(name)[0], sha) for name, sha in sources.items()]
+    _closure_memo[key] = (files, fingerprint)
+    return fingerprint
 
 
 def point_fingerprint(
@@ -337,7 +368,12 @@ class ResultCache:
         self._tmp_serial = 0
 
     # -- keying --------------------------------------------------------
-    def _fingerprint(self, point) -> Optional[Tuple[str, Dict[str, Any], str]]:
+    def key(self, point) -> Optional[Tuple[str, Dict[str, Any], str]]:
+        """``point``'s :func:`point_fingerprint` triple, or None when it
+        is uncacheable.  A sweep computes it once, before the point
+        runs, and hands it to :meth:`lookup` and :meth:`store`: results
+        are filed under the code that was on disk when they were asked
+        for, not whatever is there once they have been computed."""
         try:
             return point_fingerprint(
                 point.fn, point.kwargs, self.schema_version, roots=self.roots
@@ -349,9 +385,9 @@ class ResultCache:
         return self.root / f"{fingerprint}.json"
 
     # -- lookup / store ------------------------------------------------
-    def lookup(self, point) -> Tuple[bool, Any]:
+    def lookup(self, point, key=None) -> Tuple[bool, Any]:
         """Return ``(hit, result)``; a miss returns ``(False, None)``."""
-        keyed = self._fingerprint(point)
+        keyed = key or self.key(point)
         if keyed is None:
             self.stats.uncacheable += 1
             return False, None
@@ -378,7 +414,7 @@ class ResultCache:
             pass
         return True, entry["result"]
 
-    def store(self, point, result: Any, elapsed_s: float) -> Any:
+    def store(self, point, result: Any, elapsed_s: float, key=None) -> Any:
         """Persist one computed result; returns the value the sweep
         should merge.
 
@@ -388,7 +424,7 @@ class ResultCache:
         byte-identical.  Unserialisable results are passed through
         untouched (and simply never cached).
         """
-        keyed = self._fingerprint(point)
+        keyed = key or self.key(point)
         if keyed is None:
             self.stats.uncacheable += 1
             return result

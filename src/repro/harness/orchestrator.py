@@ -52,7 +52,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.harness.cache import CacheSpec, ResultCache, Uncacheable, point_fingerprint, resolve_cache
+from repro.harness.cache import CacheSpec, ResultCache, resolve_cache
 from repro.harness.parallel import SweepPoint, WorkerPool, _clamp_jobs, _execute_point_timed
 from repro.obs import bump
 from repro.sim.shard import EFFECTIVE_JOBS_ENV
@@ -281,20 +281,13 @@ class CostModel:
                 continue
         return surrogates
 
-    def predict(self, point: SweepPoint, experiment: Optional[str] = None) -> float:
-        """Predicted seconds for ``point`` (never raises)."""
+    def predict(self, point: SweepPoint, experiment: Optional[str] = None, key=None) -> float:
+        """Predicted seconds for ``point`` (never raises).  ``key`` is
+        the point's :meth:`ResultCache.key` when the caller has it."""
         if self.by_fingerprint and self._store is not None:
-            try:
-                fingerprint, _, _ = point_fingerprint(
-                    point.fn,
-                    point.kwargs,
-                    self._store.schema_version,
-                    roots=self._store.roots,
-                )
-            except Uncacheable:
-                fingerprint = None
-            if fingerprint is not None:
-                exact = self.by_fingerprint.get(fingerprint)
+            keyed = key or self._store.key(point)
+            if keyed is not None:
+                exact = self.by_fingerprint.get(keyed[0])
                 if exact is not None:
                     self.tier_hits["exact"] += 1
                     return exact
@@ -444,7 +437,7 @@ class _ExpState:
     """Parent-side bookkeeping for one experiment's in-flight points."""
 
     __slots__ = (
-        "spec", "module", "sweep", "results", "points_by_index",
+        "spec", "module", "sweep", "results", "points_by_index", "keys",
         "pending", "hits", "computed", "started_at", "finished_at", "result",
     )
 
@@ -454,6 +447,7 @@ class _ExpState:
         self.sweep = sweep
         self.results: Dict[int, Any] = {}
         self.points_by_index = {point.index: point for point in sweep.points}
+        self.keys: Dict[int, Any] = {}  # missed point index -> ResultCache.key from its lookup
         self.pending = 0
         self.hits = 0
         self.computed = 0
@@ -502,7 +496,7 @@ def run_suite(
     started = time.perf_counter()
     store = resolve_cache(cache)
     stats_before = store.stats.snapshot() if store is not None else None
-    model = cost_model or CostModel.from_cache(store, priors=priors)
+    model = cost_model  # else built from the cache when the first point misses
 
     own_pool = False
     if pool is None:
@@ -535,7 +529,7 @@ def run_suite(
         nonlocal stolen_idle_s
         point = state.points_by_index[index]
         if store is not None:
-            value = store.store(point, value, elapsed)
+            value = store.store(point, value, elapsed, state.keys[index])
         state.results[index] = value
         state.pending -= 1
         state.computed += 1
@@ -583,8 +577,10 @@ def run_suite(
             tasks: List[_Task] = []
             for point in sweep.points:
                 points_total += 1
+                key = None
                 if store is not None:
-                    hit, value = store.lookup(point)
+                    key = store.key(point)
+                    hit, value = store.lookup(point, key)
                     if hit:
                         state.results[point.index] = value
                         state.hits += 1
@@ -592,7 +588,10 @@ def run_suite(
                         bump("suite.cache_hits")
                         bump("suite.points_done")
                         continue
-                tasks.append(_Task(exp_ord, point, model.predict(point, spec.name)))
+                if model is None:
+                    model = CostModel.from_cache(store, priors=priors)
+                state.keys[point.index] = key
+                tasks.append(_Task(exp_ord, point, model.predict(point, spec.name, key)))
             state.pending = len(tasks)
             if not tasks:
                 state.finalize()

@@ -266,17 +266,20 @@ def run_sweep(
     else:
         before = store.stats.snapshot()
         pending = []
+        keys: Dict[int, Any] = {}  # pending point index -> key taken before it runs
         for point in points:
-            hit, value = store.lookup(point)
+            key = store.key(point)
+            hit, value = store.lookup(point, key)
             if hit:
                 results[point.index] = value
             else:
                 pending.append(point)
+                keys[point.index] = key
     if pending:
         by_index = {point.index: point for point in pending}
         for index, elapsed, value in _execute_pending(pending, jobs, executor):
             if store is not None:
-                value = store.store(by_index[index], value, elapsed)
+                value = store.store(by_index[index], value, elapsed, keys[index])
             results[index] = value
     if store is not None and before is not None:
         delta = store.stats.delta_since(before)

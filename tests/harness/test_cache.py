@@ -2,18 +2,28 @@
 
 from __future__ import annotations
 
+import ast
+import hashlib
+import importlib.util
 import json
 import os
+import sys
+import textwrap
 import time
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro import obs
 from repro.harness.cache import (
+    SCHEMA_VERSION,
     CacheStats,
     ResultCache,
     Uncacheable,
+    _imports_of,
     canonical_value,
+    clear_fingerprint_caches,
     code_fingerprint,
     configure,
     point_fingerprint,
@@ -108,6 +118,253 @@ class TestFingerprints:
         assert "repro.sim.engine" in sources
         # And a function outside that closure fingerprints differently.
         assert code_fingerprint(fig02._point) != code_fingerprint(point_fn)
+
+
+# ----------------------------------------------------------------------
+# Reference model: the fingerprint algorithm as it stood before the
+# statement-level scan and the closure memo (``ast.walk`` over every
+# node, a full closure walk and a re-read of every file per call).
+# Production must return exactly these values, or every existing cache
+# directory goes cold.
+# ----------------------------------------------------------------------
+def _reference_imports(path, package):
+    names = set()
+    with open(path, "rb") as handle:
+        tree = ast.parse(handle.read())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                names.add(alias.name)
+        elif isinstance(node, ast.ImportFrom):
+            if node.level == 0:
+                base = node.module or ""
+            else:
+                parts = package.split(".") if package else []
+                if node.level - 1 > len(parts):
+                    continue
+                kept = parts[: len(parts) - (node.level - 1)]
+                base = ".".join(kept)
+                if node.module:
+                    base = f"{base}.{node.module}" if base else node.module
+            if not base:
+                continue
+            names.add(base)
+            for alias in node.names:
+                if alias.name != "*":
+                    names.add(f"{base}.{alias.name}")
+    return frozenset(names)
+
+
+def _reference_code_fingerprint(module_name, roots):
+    def parents(name):
+        parts = name.split(".")
+        return [".".join(parts[:i]) for i in range(1, len(parts))]
+
+    seen = {}
+    queue = [module_name] + parents(module_name)
+    while queue:
+        name = queue.pop()
+        if name in seen or name.partition(".")[0] not in roots:
+            continue
+        try:
+            spec = importlib.util.find_spec(name)
+        except (ImportError, AttributeError, ValueError):
+            spec = None
+        if spec is None or spec.origin is None or not spec.origin.endswith(".py"):
+            continue
+        seen[name] = hashlib.sha256(Path(spec.origin).read_bytes()).hexdigest()
+        package = name if spec.submodule_search_locations else name.rpartition(".")[0]
+        for imported in _reference_imports(spec.origin, package):
+            if imported.partition(".")[0] in roots and imported not in seen:
+                queue.append(imported)
+                queue.extend(parent for parent in parents(imported) if parent not in seen)
+    digest = hashlib.sha256()
+    for name in sorted(seen):
+        digest.update(f"{name}\x00{seen[name]}\n".encode("utf-8"))
+    return digest.hexdigest()
+
+
+NESTED_IMPORTS = textwrap.dedent(
+    """
+    import top_a, top_b.sub as alias
+    from . import rel_one
+    from .. import rel_two
+    from ... import rel_three
+    from .... import too_deep
+    from .sibling import name_a, name_b
+    from ..uncle.cousin import name_c
+    from star_pkg import *
+    from plain_pkg.mod import thing
+
+    def fn():
+        import in_def
+        def inner():
+            from in_inner_def import x
+        return [lambda: 0 for _ in ()]
+
+    async def afn():
+        import in_async_def
+        async with ctx() as c:
+            import in_async_with
+        async for _ in it():
+            import in_async_for
+        else:
+            import in_async_for_else
+
+    class K:
+        import in_class
+        def method(self):
+            import in_method
+
+    if cond:
+        import in_if
+    elif other:
+        import in_elif
+    else:
+        import in_else
+
+    for _ in ():
+        import in_for
+    else:
+        import in_for_else
+
+    while cond:
+        import in_while
+    else:
+        import in_while_else
+
+    with ctx():
+        import in_with
+
+    try:
+        import in_try
+    except ValueError:
+        import in_except
+    except (KeyError, OSError) as exc:
+        import in_except_as
+    else:
+        import in_try_else
+    finally:
+        import in_finally
+
+    match value:
+        case 1:
+            import in_case
+        case [x, y] if x:
+            import in_guarded_case
+        case _:
+            if deep:
+                with ctx():
+                    from in_deep_case import z
+    """
+)
+if sys.version_info >= (3, 11):  # ``except*`` does not parse before 3.11
+    NESTED_IMPORTS += textwrap.dedent(
+        """
+        try:
+            import in_try_star
+        except* ValueError:
+            import in_except_star
+        """
+    )
+
+
+class TestImportScan:
+    """The statement-level scan finds what ``ast.walk`` finds."""
+
+    def test_every_repro_source_file(self):
+        src = Path(repro.__file__).resolve().parent
+        files = sorted(src.rglob("*.py"))
+        assert len(files) > 100
+        found = 0
+        for path in files:
+            relative = path.relative_to(src.parent).with_suffix("")
+            package = ".".join(relative.parts[:-1])
+            expected = _reference_imports(str(path), package)
+            assert _imports_of(str(path), package) == expected, path
+            found += len(expected)
+        assert found > 1000  # the comparison is not between empty sets
+
+    def test_imports_nested_in_every_statement_kind(self, tmp_path):
+        path = tmp_path / "nested.py"
+        path.write_text(NESTED_IMPORTS, encoding="utf-8")
+        package = "pkg.sub.leaf"
+        found = _imports_of(str(path), package)
+        assert found == _reference_imports(str(path), package)
+        nested = {line.split()[1] for line in NESTED_IMPORTS.splitlines() if " in_" in line}
+        assert len(nested) >= 24 and nested <= found
+        assert {
+            "top_a", "top_b.sub", "star_pkg", "plain_pkg.mod", "plain_pkg.mod.thing",
+            "pkg.sub.leaf.rel_one", "pkg.sub.rel_two", "pkg.rel_three",
+            "pkg.sub.leaf.sibling.name_a", "pkg.sub.uncle.cousin.name_c",
+        } <= found  # fmt: skip
+        assert not any("too_deep" in name or name.endswith("*") for name in found)
+
+
+class TestMatchesReferenceAlgorithm:
+    """Unchanged sources keep their fingerprints: old caches stay warm."""
+
+    @pytest.mark.parametrize(
+        "module_name",
+        [
+            "repro.harness.experiments.fig02_unloaded_latency",
+            "repro.harness.experiments.fig14_read_ratio",
+            "repro.harness.experiments.rack",
+            "repro.kv.lsm",
+        ],
+    )
+    def test_code_fingerprint_of_repro_modules(self, module_name):
+        class _Fn:
+            __module__ = module_name
+
+        expected = _reference_code_fingerprint(module_name, {"repro"})
+        assert code_fingerprint(_Fn) == expected  # cold walk
+        assert code_fingerprint(_Fn) == expected  # served by the closure memo
+        clear_fingerprint_caches()
+        assert code_fingerprint(_Fn) == expected
+
+    def test_test_local_point_function_and_explicit_roots(self):
+        assert code_fingerprint(point_fn) == _reference_code_fingerprint(
+            __name__, {"repro", "tests"}
+        )
+        assert code_fingerprint(point_fn, roots={"tests"}) == _reference_code_fingerprint(
+            __name__, {"tests"}
+        )
+
+    def test_point_fingerprint_key_material(self):
+        kwargs = {"x": 3, "seed": 11, "shape": (4, 8)}
+        fingerprint, canonical, code_fp = point_fingerprint(point_fn, kwargs)
+        assert code_fp == _reference_code_fingerprint(__name__, {"repro", "tests"})
+        assert canonical == {"seed": 11, "shape": [4, 8], "x": 3}
+        material = json.dumps(
+            {
+                "schema": SCHEMA_VERSION,
+                "fn": f"{__name__}:point_fn",
+                "kwargs": canonical,
+                "code": code_fp,
+            },
+            sort_keys=True,
+            separators=(",", ":"),
+        )
+        assert fingerprint == hashlib.sha256(material.encode("utf-8")).hexdigest()
+
+
+class TestKeyPassing:
+    def test_lookup_and_store_use_the_key_they_are_given(self, tmp_path):
+        cache = ResultCache(tmp_path / "cache")
+        point = make_point(point_fn, x=1)
+        other = make_point(point_fn, x=2)
+        key = cache.key(point)
+        assert key == point_fingerprint(point_fn, {"x": 1})
+        cache.store(other, {"x": "filed under point's key"}, elapsed_s=0.0, key=key)
+        assert cache.lookup(point) == (True, {"x": "filed under point's key"})
+        assert cache.lookup(other, key) == (True, {"x": "filed under point's key"})
+        assert cache.lookup(other) == (False, None)
+
+    def test_uncacheable_point_has_no_key(self, tmp_path):
+        cache = ResultCache(tmp_path / "cache")
+        assert cache.key(make_point(point_fn, x=object())) is None
+        assert cache.key(make_point(lambda x: x, x=1)) is None
 
 
 class TestResultCache:

@@ -9,6 +9,8 @@ baseline ``run_suite_serial``.
 from __future__ import annotations
 
 import json
+import os
+import shutil
 
 import pytest
 from hypothesis import given, settings
@@ -261,6 +263,87 @@ class TestRunSuite:
         assert _canonical(suite.results) == _canonical(serial)
 
 
+class TestLazyCostModel:
+    """``run_suite`` builds its cost model when the first point misses."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """The models ``CostModel.from_cache`` builds during one test,
+        with a tally of ``ResultCache.entries`` scans."""
+
+        class _Built(list):
+            scans = 0
+
+        models = _Built()
+        real_from_cache = CostModel.from_cache.__func__
+        real_entries = ResultCache.entries
+
+        def from_cache(cls, *args, **kwargs):
+            models.append(real_from_cache(cls, *args, **kwargs))
+            return models[-1]
+
+        def entries(self):
+            models.scans += 1
+            return real_entries(self)
+
+        monkeypatch.setattr(CostModel, "from_cache", classmethod(from_cache))
+        monkeypatch.setattr(ResultCache, "entries", entries)
+        return models
+
+    def test_fully_warm_suite_builds_no_model_and_scans_no_entries(self, tmp_path, built):
+        run_suite([ALPHA, BETA], jobs=1, cache=tmp_path / "cache")
+        assert len(built) == 1
+        del built[:]
+        built.scans = 0
+        warm = run_suite([ALPHA, BETA], jobs=1, cache=tmp_path / "cache")
+        assert warm.cache_hits == warm.points_total == 8
+        assert built == [] and built.scans == 0
+
+    def test_one_miss_builds_the_model_once(self, tmp_path, built):
+        store = ResultCache(tmp_path / "cache")
+        run_suite([ALPHA, BETA], jobs=1, cache=store)
+        os.unlink(store.entries()[0]["path"])
+        del built[:]
+        suite = run_suite([ALPHA, BETA], jobs=1, cache=store)
+        assert suite.cache_hits == suite.points_total - 1
+        assert len(built) == 1
+        assert sum(built[0].tier_hits.values()) == 1
+
+    def test_supplied_model_is_used_as_is(self, tmp_path, built):
+        model = _SyntheticCosts([1.0])
+        run_suite([ALPHA], jobs=1, cache=tmp_path / "cache", cost_model=model)
+        assert built == [] and model._next == 5
+
+    def test_same_predictions_order_and_results_as_a_model_built_up_front(self, tmp_path, built):
+        """Partly warm cache, so tiers differ between points: the lazily
+        built model must answer as one built before expansion did."""
+        bigger = ExperimentSpec(name="alpha", module_path=ALPHA.module_path, kwargs={"n": 8, "scale": 3})
+        run_suite([ALPHA], jobs=1, cache=tmp_path / "lazy")
+        shutil.copytree(tmp_path / "lazy", tmp_path / "eager")
+        del built[:]
+
+        def run(cache_dir, **kwargs):
+            order = []
+            suite = run_suite(
+                [bigger, BETA], jobs=1, cache=cache_dir, batch_max=2,
+                progress=lambda event, payload: event == "point"
+                and order.append((payload["experiment"], payload["label"])),
+                **kwargs,
+            )  # fmt: skip
+            return suite, order
+
+        lazy, lazy_order = run(tmp_path / "lazy")
+        [lazy_model] = built
+        eager_model = CostModel.from_cache(ResultCache(tmp_path / "eager"))
+        eager, eager_order = run(tmp_path / "eager", cost_model=eager_model)
+
+        assert lazy_model.tier_hits == eager_model.tier_hits
+        assert lazy_model.tier_hits["by_fn"] == 3 and lazy_model.tier_hits["default"] == 3
+        assert lazy_order == eager_order and len(lazy_order) == 6
+        assert _canonical(lazy.results) == _canonical(eager.results)
+        assert (lazy.cache_hits, lazy.batches) == (eager.cache_hits, eager.batches) == (5, 1)
+
+
 class _SyntheticCosts(CostModel):
     """Assign drawn costs to points by expansion order (stable per run)."""
 
@@ -269,7 +352,7 @@ class _SyntheticCosts(CostModel):
         self._costs = list(costs)
         self._next = 0
 
-    def predict(self, point, experiment=None):
+    def predict(self, point, experiment=None, key=None):
         cost = self._costs[self._next % len(self._costs)]
         self._next += 1
         return cost
