@@ -22,17 +22,22 @@ parameters) and restored into fresh devices -- the mapping arrays are
 plain lists, so a restore is just a handful of list copies.  The
 fidelity knobs (mapping-cache capacity, wear configuration) are part
 of the key because conditioning genuinely diverges across them: cache
-residency, retirement and wear-level migrations all differ.
+residency, retirement and wear-level migrations all differ.  Only the
+few most recently used states are kept: a sweep that ages every point
+under its own seed stores snapshots it never reads back.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Dict, Tuple
+from typing import Callable, Dict, Tuple
 
 from repro.sim.rng import derive_seed
 from repro.ssd.device import SsdDevice
+from repro.ssd.ftl import Ftl
 
+#: Snapshots kept, most recently used last (each is a few MB).
+_MAX_SNAPSHOTS = 5
 _snapshot_cache: Dict[Tuple, dict] = {}
 
 
@@ -41,8 +46,35 @@ def clear_conditioning_cache() -> None:
     _snapshot_cache.clear()
 
 
-def _cache_key(device: SsdDevice, kind: str, *params) -> Tuple:
-    return (device.geometry, device.ftl.fidelity_key(), kind) + params
+def _condition(device: SsdDevice, build: Callable[[Ftl], None], kind: str, *params) -> None:
+    """Restore the cached state for this target, or ``build`` and cache it."""
+    ftl = device.ftl
+    key = (device.geometry, ftl.fidelity_key(), kind) + params
+    snap = _snapshot_cache.pop(key, None)
+    if snap is None:
+        build(ftl)
+        snap = ftl.snapshot()
+        if len(_snapshot_cache) >= _MAX_SNAPSHOTS:
+            del _snapshot_cache[next(iter(_snapshot_cache))]
+    else:
+        ftl.restore(snap)
+    _snapshot_cache[key] = snap
+    # Reset timing and *measurement* state, keep the layout:
+    # preconditioning traffic must not pollute the measured write
+    # amplification (or mapping-cache hit rates).
+    device.reset_time_state()
+    ftl.reset_measurement()
+
+
+def _fill_then_overwrite(ftl: Ftl, overwrite_factor: float, seed: int, stream: str) -> None:
+    """Sequential fill, then ``overwrite_factor`` capacities of random 4 KiB overwrites."""
+    write_page = ftl.write_page
+    exported = len(ftl.page_map)
+    for lpn in range(exported):
+        write_page(lpn)
+    randrange = random.Random(derive_seed(seed, stream)).randrange
+    for _ in range(int(exported * overwrite_factor)):
+        write_page(randrange(exported))
 
 
 def precondition_clean(device: SsdDevice) -> None:
@@ -53,18 +85,14 @@ def precondition_clean(device: SsdDevice) -> None:
     victims are fully invalid and write amplification stays at ~1 --
     matching a device preconditioned with large sequential writes.
     """
-    key = _cache_key(device, "clean")
-    snap = _snapshot_cache.get(key)
-    if snap is None:
-        ftl = device.ftl
+
+    def build(ftl: Ftl) -> None:
+        write_page = ftl.write_page
         for _ in range(2):
-            for lpn in range(device.geometry.exported_pages):
-                ftl.write_page(lpn)
-        snap = ftl.snapshot()
-        _snapshot_cache[key] = snap
-    else:
-        device.ftl.restore(snap)
-    _settle(device)
+            for lpn in range(len(ftl.page_map)):
+                write_page(lpn)
+
+    _condition(device, build, "clean")
 
 
 def precondition_fragmented(
@@ -78,21 +106,11 @@ def precondition_fragmented(
     """
     if overwrite_factor < 0:
         raise ValueError("overwrite factor must be non-negative")
-    key = _cache_key(device, "fragmented", overwrite_factor, seed)
-    snap = _snapshot_cache.get(key)
-    if snap is None:
-        ftl = device.ftl
-        exported = device.geometry.exported_pages
-        for lpn in range(exported):
-            ftl.write_page(lpn)
-        rng = random.Random(derive_seed(seed, "precondition:fragmented"))
-        for _ in range(int(exported * overwrite_factor)):
-            ftl.write_page(rng.randrange(exported))
-        snap = ftl.snapshot()
-        _snapshot_cache[key] = snap
-    else:
-        device.ftl.restore(snap)
-    _settle(device)
+
+    def build(ftl: Ftl) -> None:
+        _fill_then_overwrite(ftl, overwrite_factor, seed, "precondition:fragmented")
+
+    _condition(device, build, "fragmented", overwrite_factor, seed)
 
 
 def age_device(
@@ -126,16 +144,9 @@ def age_device(
         raise ValueError("age must be in [0, 1)")
     if wear_skew < 0:
         raise ValueError("wear_skew must be non-negative")
-    key = _cache_key(device, "aged", age, wear_skew, overwrite_factor, seed)
-    snap = _snapshot_cache.get(key)
-    ftl = device.ftl
-    if snap is None:
-        exported = device.geometry.exported_pages
-        for lpn in range(exported):
-            ftl.write_page(lpn)
-        rng = random.Random(derive_seed(seed, "precondition:aged"))
-        for _ in range(int(exported * overwrite_factor)):
-            ftl.write_page(rng.randrange(exported))
+
+    def build(ftl: Ftl) -> None:
+        _fill_then_overwrite(ftl, overwrite_factor, seed, "precondition:aged")
         endurance = 3000
         if ftl.wear is not None and ftl.wear.endurance_cycles is not None:
             endurance = ftl.wear.endurance_cycles
@@ -146,17 +157,5 @@ def age_device(
             factor = max(0.0, wear_rng.gauss(1.0, wear_skew))
             deltas.append(int(mean_target * factor))
         ftl.advance_wear(deltas)
-        snap = ftl.snapshot()
-        _snapshot_cache[key] = snap
-    else:
-        ftl.restore(snap)
-    _settle(device)
 
-
-def _settle(device: SsdDevice) -> None:
-    """Reset timing and *measurement* state; keep the FTL layout."""
-    device.reset_time_state()
-    # Preconditioning traffic must not pollute the measured write
-    # amplification (or mapping-cache hit rates), so the FTL's
-    # measurement counters restart here too.
-    device.ftl.reset_measurement()
+    _condition(device, build, "aged", age, wear_skew, overwrite_factor, seed)

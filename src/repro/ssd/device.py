@@ -349,7 +349,8 @@ class SsdDevice:
         wr_horizon = self._wr_horizon
         fg_horizon = self._fg_horizon
         write_page = self.ftl.write_page
-        channel_of_page = self.geometry.channel_of_page
+        pages_per_block = self._pages_per_block
+        num_channels = self._num_channels
         map_cache = self._map_cache
         tracer = self.sim.tracer
         lpns = range(cmd.lpn, cmd.lpn + cmd.npages)
@@ -363,7 +364,7 @@ class SsdDevice:
         last_program_done = admit_time
         for lpn in lpns:
             ppn, work = write_page(lpn)
-            channel = channel_of_page(ppn)
+            channel = ppn // pages_per_block % num_channels
             if map_cache is not None:
                 # Translation updates (host write + any GC relocations)
                 # drain like GC: background channel debt, charged to

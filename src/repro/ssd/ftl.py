@@ -62,6 +62,18 @@ class GcWork:
         return not (self.relocation_reads or self.relocation_programs or self.erases)
 
 
+class _NoGcWork(GcWork):
+    """What a write that took no new block returns: shared, so read-only."""
+
+    empty = True
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError("the shared empty GcWork is read-only")
+
+
+_NO_GC_WORK = object.__new__(_NoGcWork)  # not __init__, which assigns: fields read the defaults
+
+
 @dataclass
 class FtlStats:
     """Lifetime program/erase accounting; write amplification derives from it."""
@@ -160,6 +172,8 @@ class Ftl:
         self.gc_high_water = gc_high_water
         self.geometry = geometry
         g = geometry
+        self._pages_per_block = g.pages_per_block
+        self._num_channels = g.num_channels
         self.page_map: List[int] = [_UNMAPPED] * g.exported_pages
         self._rmap: List[int] = [_UNMAPPED] * g.total_pages
         self._valid_count: List[int] = [0] * g.total_blocks
@@ -233,24 +247,51 @@ class Ftl:
         that had to run on the destination channel to make room.  The
         caller charges that work to the channel's timeline.
         """
-        if not 0 <= lpn < len(self.page_map):
+        page_map = self.page_map
+        if not 0 <= lpn < len(page_map):
             raise ValueError(f"LPN {lpn} outside exported range")
-        work = GcWork()
         if self.map_cache is not None:
             self._map_access(lpn, dirty=True)
-        self._invalidate(lpn)
+        pages_per_block = self._pages_per_block
+        # The old copy dies before GC can run, or GC would relocate it.
+        old_ppn = page_map[lpn]
+        if old_ppn != _UNMAPPED:
+            page_map[lpn] = _UNMAPPED
+            self._rmap[old_ppn] = _UNMAPPED
+            self._valid_count[old_ppn // pages_per_block] -= 1
         channel = self._next_host_channel
-        self._next_host_channel = (channel + 1) % self.geometry.num_channels
-        ppn = self._append(channel, _HOST_STREAM, work)
-        self._map(lpn, ppn)
+        self._next_host_channel = (channel + 1) % self._num_channels
+        slots = self._open[channel]
+        slot = slots[_HOST_STREAM]
+        work = _NO_GC_WORK
+        if slot is None:
+            work = GcWork()
+            slot = (self._take_free_block(channel, work, allow_gc=True), 0)
+        block_id, offset = slot
+        ppn = block_id * pages_per_block + offset
+        offset += 1
+        if offset == pages_per_block:
+            self._closed[channel].append(block_id)
+            slots[_HOST_STREAM] = None
+        else:
+            slots[_HOST_STREAM] = (block_id, offset)
+        page_map[lpn] = ppn
+        self._rmap[ppn] = lpn
+        self._valid_count[block_id] += 1
         self.stats.host_programs += 1
         return ppn, work
 
     def trim_page(self, lpn: int) -> None:
         """Discard the mapping for ``lpn`` (dataset delete / blob free)."""
+        if not 0 <= lpn < len(self.page_map):
+            raise ValueError(f"LPN {lpn} outside exported range")
         if self.map_cache is not None:
             self._map_access(lpn, dirty=True)
-        self._invalidate(lpn)
+        old_ppn = self.page_map[lpn]
+        if old_ppn != _UNMAPPED:
+            self.page_map[lpn] = _UNMAPPED
+            self._rmap[old_ppn] = _UNMAPPED
+            self._valid_count[old_ppn // self._pages_per_block] -= 1
 
     # ------------------------------------------------------------------
     # Mapping-cache traffic
@@ -279,35 +320,6 @@ class Ftl:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _map(self, lpn: int, ppn: int) -> None:
-        self.page_map[lpn] = ppn
-        self._rmap[ppn] = lpn
-        self._valid_count[self.geometry.block_of_page(ppn)] += 1
-
-    def _invalidate(self, lpn: int) -> None:
-        old_ppn = self.page_map[lpn]
-        if old_ppn == _UNMAPPED:
-            return
-        self.page_map[lpn] = _UNMAPPED
-        self._rmap[old_ppn] = _UNMAPPED
-        self._valid_count[self.geometry.block_of_page(old_ppn)] -= 1
-
-    def _append(self, channel: int, stream: int, work: GcWork) -> int:
-        """Claim the next physical page of the channel's open block."""
-        slot = self._open[channel][stream]
-        if slot is None:
-            block_id = self._take_free_block(channel, work, allow_gc=stream == _HOST_STREAM)
-            slot = (block_id, 0)
-        block_id, offset = slot
-        ppn = block_id * self.geometry.pages_per_block + offset
-        offset += 1
-        if offset == self.geometry.pages_per_block:
-            self._closed[channel].append(block_id)
-            self._open[channel][stream] = None
-        else:
-            self._open[channel][stream] = (block_id, offset)
-        return ppn
-
     def _take_free_block(self, channel: int, work: GcWork, allow_gc: bool) -> int:
         free = self._free[channel]
         if allow_gc and len(free) <= self.gc_low_water:
@@ -371,31 +383,48 @@ class Ftl:
     def _relocate_block(self, victim: int, channel: int, work: GcWork, wl: bool = False) -> None:
         """Relocate every valid page off ``victim`` and erase it.
 
-        ``wl=True`` books the programs as static-wear-levelling work
-        instead of GC work; the NAND operations are identical.
+        The live LPNs move, in victim order, one slice per destination
+        block.  ``wl=True`` books the programs as static-wear-levelling
+        work instead of GC work; the NAND operations are identical.
         """
-        base = victim * self.geometry.pages_per_block
-        for offset in range(self.geometry.pages_per_block):
-            ppn = base + offset
-            lpn = self._rmap[ppn]
-            if lpn == _UNMAPPED:
-                continue
-            new_ppn = self._append(channel, _GC_STREAM, work)
-            # Remap in place; _invalidate is not used because the
-            # old slot must be cleared regardless of map state.
-            self._rmap[ppn] = _UNMAPPED
-            self._valid_count[victim] -= 1
-            self.page_map[lpn] = new_ppn
-            self._rmap[new_ppn] = lpn
-            self._valid_count[self.geometry.block_of_page(new_ppn)] += 1
-            work.relocation_reads += 1
-            work.relocation_programs += 1
-            if wl:
-                self.stats.wl_programs += 1
+        pages_per_block = self._pages_per_block
+        rmap = self._rmap
+        page_map = self.page_map
+        base = victim * pages_per_block
+        lpns = [lpn for lpn in rmap[base : base + pages_per_block] if lpn != _UNMAPPED]
+        rmap[base : base + pages_per_block] = [_UNMAPPED] * pages_per_block
+        moved = len(lpns)
+        self._valid_count[victim] -= moved
+        slots = self._open[channel]
+        start = 0
+        while start < moved:
+            slot = slots[_GC_STREAM]
+            if slot is None:
+                slot = (self._take_free_block(channel, work, allow_gc=False), 0)
+            block_id, offset = slot
+            chunk = lpns[start : start + pages_per_block - offset]
+            count = len(chunk)
+            ppn = block_id * pages_per_block + offset
+            rmap[ppn : ppn + count] = chunk
+            for ppn, lpn in enumerate(chunk, ppn):
+                page_map[lpn] = ppn
+            self._valid_count[block_id] += count
+            offset += count
+            if offset == pages_per_block:
+                self._closed[channel].append(block_id)
+                slots[_GC_STREAM] = None
             else:
-                self.stats.gc_programs += 1
-            if self.map_cache is not None:
-                # Relocation rewrites the translation entry too.
+                slots[_GC_STREAM] = (block_id, offset)
+            start += count
+        work.relocation_reads += moved
+        work.relocation_programs += moved
+        if wl:
+            self.stats.wl_programs += moved
+        else:
+            self.stats.gc_programs += moved
+        if self.map_cache is not None:
+            # Relocation rewrites each translation entry too.
+            for lpn in lpns:
                 self._map_access(lpn, dirty=True)
         assert self._valid_count[victim] == 0, "victim still holds valid pages"
         work.erases += 1
@@ -637,7 +666,7 @@ class Ftl:
             if lpn != _UNMAPPED:
                 if self.page_map[lpn] != ppn:
                     raise AssertionError(f"rmap mismatch: ppn={ppn} lpn={lpn}")
-                counted[self.geometry.block_of_page(ppn)] += 1
+                counted[ppn // self._pages_per_block] += 1
         if counted != self._valid_count:
             raise AssertionError("valid counts inconsistent with reverse map")
         # Pool accounting: every block is in exactly one of the

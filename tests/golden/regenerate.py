@@ -108,6 +108,72 @@ def switch_identity_digest() -> dict:
     }
 
 
+def conditioning_digest() -> dict:
+    """Hash the complete FTL state each conditioning routine leaves.
+
+    One sha256 per conditioned device over every field of
+    ``Ftl.snapshot()`` (mapping, reverse map, valid counts, block
+    pools, open slots, wear, stats, pending map traffic, the mapping
+    cache's state), with the lifetime program/erase counts alongside
+    so a mismatch says which way the layout moved.  The snapshot is
+    taken from the conditioning cache's entry, i.e. before conditioning
+    zeroes the counters.  The last rig is the ``aging`` experiment's
+    device: spare blocks to retire, a DFTL cache small enough to thrash
+    and an endurance limit the aged wear clamps against.
+    """
+    from repro.harness.experiments import aging
+    from repro.sim import Simulator
+    from repro.ssd import (
+        SsdDevice,
+        SsdGeometry,
+        age_device,
+        clear_conditioning_cache,
+        precondition_clean,
+        precondition_fragmented,
+        profile_by_name,
+    )
+    from repro.ssd.conditioning import _snapshot_cache
+
+    profile = profile_by_name("dct983")
+    rigs = {
+        "clean": (precondition_clean, {}, SsdGeometry(), profile),
+        "fragmented": (precondition_fragmented, {}, SsdGeometry(), profile),
+        "aged": (age_device, {"age": 0.5}, SsdGeometry(), profile),
+        "aged_dftl_endurance": (
+            age_device,
+            {"age": 0.5},
+            aging._aged_geometry(),
+            profile.with_overrides(
+                map_cache_pages=8,
+                endurance_cycles=aging.ENDURANCE_CYCLES,
+                static_wear_threshold=aging.STATIC_WL_THRESHOLD,
+            ),
+        ),
+    }
+    digests = {}
+    for name, (condition, kwargs, geometry, rig_profile) in rigs.items():
+        clear_conditioning_cache()
+        condition(SsdDevice(Simulator(), profile=rig_profile, geometry=geometry), **kwargs)
+        (snap,) = _snapshot_cache.values()
+        stats = snap["stats"]
+        state = dict(snap, stats=vars(stats))
+        if snap["map_cache"] is not None:
+            # Residency order is LRU state: hash it as a sequence.
+            resident = list(snap["map_cache"]["resident"].items())
+            state["map_cache"] = dict(snap["map_cache"], resident=resident)
+        digests[name] = {
+            "state": hashlib.sha256(
+                json.dumps(state, sort_keys=True).encode("ascii")
+            ).hexdigest(),
+            "host_programs": stats.host_programs,
+            "gc_programs": stats.gc_programs,
+            "wl_programs": stats.wl_programs,
+            "erases": stats.erases,
+        }
+    clear_conditioning_cache()
+    return digests
+
+
 def _write(name: str, payload: dict) -> None:
     path = DATA_DIR / f"{name}.json"
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
@@ -124,6 +190,7 @@ def main() -> None:
     for name, kwargs in GOLDEN_CONFIGS.items():
         _write(name, modules[name].run(**kwargs))
     _write("switch_identity", switch_identity_digest())
+    _write("conditioning_identity", conditioning_digest())
 
 
 if __name__ == "__main__":

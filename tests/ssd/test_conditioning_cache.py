@@ -23,7 +23,7 @@ from repro.ssd import (
     precondition_fragmented,
     profile_by_name,
 )
-from repro.ssd.conditioning import _snapshot_cache
+from repro.ssd.conditioning import _MAX_SNAPSHOTS, _snapshot_cache
 
 GEOMETRY = SsdGeometry(
     num_channels=2, blocks_per_channel=14, pages_per_block=32, overprovision=0.4
@@ -93,6 +93,32 @@ class TestKeySeparation:
         assert len(_snapshot_cache) == 1
         assert second.ftl.page_map == first.ftl.page_map
         assert second.ftl._erase_counts == first.ftl._erase_counts
+
+
+class TestCacheIsBounded:
+    def test_per_point_aged_keys_do_not_accumulate(self):
+        """A sweep that ages every point with its own seed stores
+        snapshots it never reads back; only the newest few may stay."""
+        for seed in range(_MAX_SNAPSHOTS + 3):
+            age_device(make_device(), age=0.5, seed=seed)
+        assert len(_snapshot_cache) == _MAX_SNAPSHOTS
+        newest = {key[-1] for key in _snapshot_cache}
+        assert newest == set(range(3, _MAX_SNAPSHOTS + 3))
+
+    def test_entries_in_use_survive_a_stream_of_one_shot_keys(self):
+        """Eviction is by recency of *use*: the clean and fragmented
+        states every other point restores outlive the aged one-offs."""
+        precondition_clean(make_device())
+        precondition_fragmented(make_device())
+        stored = dict(_snapshot_cache)
+        for seed in range(3 * _MAX_SNAPSHOTS):
+            age_device(make_device(), age=0.5, seed=seed)
+            precondition_clean(make_device())
+            precondition_fragmented(make_device())
+        assert len(_snapshot_cache) == _MAX_SNAPSHOTS
+        # The very snapshots stored at the start: never evicted, never rebuilt.
+        for key, snap in stored.items():
+            assert _snapshot_cache[key] is snap
 
 
 class TestRestoredStateIsIsolated:

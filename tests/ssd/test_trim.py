@@ -85,6 +85,21 @@ class TestDeviceTrim:
         assert steady_wa(trim_first=True) < steady_wa(trim_first=False)
 
 
+class TestFtlTrimRange:
+    def test_out_of_range_trim_is_rejected_not_wrapped(self):
+        """``trim_page(-1)`` used to index from the end of the map and
+        silently unmap the last exported page."""
+        device = SsdDevice(Simulator())
+        ftl = device.ftl
+        exported = device.exported_pages
+        ftl.write_page(exported - 1)
+        for lpn in (-1, exported):
+            with pytest.raises(ValueError, match="outside exported range"):
+                ftl.trim_page(lpn)
+        assert ftl.lookup(exported - 1) != -1
+        ftl.check_invariants()
+
+
 class TestFabricTrim:
     def test_trim_end_to_end(self, sim):
         from repro.baselines import FifoScheduler
