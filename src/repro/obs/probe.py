@@ -9,8 +9,11 @@ the event loop itself:
 * wall-clock per simulated second (how expensive the model is to run,
   the number the performance acceptance gates track).
 
-The kernel only touches the probe behind a ``probe is not None``
-guard, so an unprobed simulator pays a single None check per event.
+Scheduling calls never touch the probe, and an unprobed run takes a
+drain loop with no probe branch in it.  A probed run loop counts each
+fire and samples the queue depth ahead of every pop (and once at
+exit); depth only grows between those samples, so the high-water mark
+equals the deepest the queue got after any single push.
 """
 
 from __future__ import annotations

@@ -106,12 +106,12 @@ class BatchPopulation:
         if time_us < sim.now:
             raise SimulationError(f"Cannot add at t={time_us} before now={sim.now}")
         sim._seq = seq = sim._seq + 1
-        sim._live += 1
         sim.batch_adds += 1
         if time_us < sim._ceiling:
             sim.batch_undercuts += 1
             heappush(sim._heap, [time_us, seq, self.fn, args, None])
         else:
+            sim._offheap += 1
             sim._stage_t.append(time_us)
             sim._stage_s.append(seq)
             sim._stage_pid.append(-1)
@@ -152,7 +152,6 @@ class BatchBulkPopulation:
                 f"t={time_us} below floor {self.floor} (FCFS contract)"
             )
         sim._seq = seq = sim._seq + 1
-        sim._live += 1
         sim.batch_adds += 1
         if time_us < sim._ceiling:
             sim.batch_undercuts += 1
@@ -160,6 +159,7 @@ class BatchBulkPopulation:
                 sim._heap, [time_us, seq, self._fire_one, (time_us, payload), None]
             )
         else:
+            sim._offheap += 1
             sim._stage_t.append(time_us)
             sim._stage_s.append(seq)
             sim._stage_pid.append(self.pid)
@@ -189,11 +189,11 @@ class BatchBulkPopulation:
             )
         seq0 = sim._seq
         sim._seq = seq0 + count
-        sim._live += count
         sim.batch_adds += count
         if tmin < sim._ceiling:
             sim._stage_bulk_undercut(self, times, seq0, payloads)
         else:
+            sim._offheap += count
             sim._chunks.append((times, seq0 + 1, self.pid, payloads))
             if tmin < sim._stage_min:
                 sim._stage_min = tmin
@@ -310,6 +310,7 @@ class BatchSimulator(Simulator):
         self.batch_undercuts += under.size
         keep = np.flatnonzero(times >= ceiling)
         if keep.size:
+            self._offheap += keep.size
             kept_times = times[keep]
             kept_seqs = keep.astype(np.int64) + (seq0 + 1)
             kept_payloads = np.empty(keep.size, dtype=object)
@@ -461,6 +462,7 @@ class BatchSimulator(Simulator):
             if backlog < _MIN_BULK_SEGMENT:
                 if backlog:
                     self._flush_to_heap()
+                    self._offheap -= backlog
                 return False
         if pool_t is None or self._pool_pos >= pool_t.shape[0]:
             if not self._stage_t and not self._chunks:
@@ -550,37 +552,6 @@ class BatchSimulator(Simulator):
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def step(self) -> bool:
-        """Execute the next pending event (batch or heap)."""
-        if self._running:
-            raise SimulationError("Simulator.step() is not reentrant")
-        self._running = True
-        try:
-            return self._advance(None, 1, self.probe) > 0
-        finally:
-            self._running = False
-
-    def run(
-        self, until_us: Optional[float] = None, max_events: Optional[int] = None
-    ) -> float:
-        """Run until all work drains, ``until_us``, or ``max_events``."""
-        if self._running:
-            raise SimulationError("Simulator.run() is not reentrant")
-        self._running = True
-        probe = self.probe
-        fired = 0
-        if probe is not None:
-            probe.begin_run(self.now)
-        try:
-            fired = self._advance(until_us, max_events, probe)
-            if until_us is not None and self.now < until_us:
-                self.now = until_us
-        finally:
-            self._running = False
-            if probe is not None:
-                probe.end_run(self.now, fired)
-        return self.now
-
     def next_event_time(self) -> Optional[float]:
         """Earliest live event across heap, staged/pooled batches, and
         the active window's unconsumed segments.
@@ -593,6 +564,7 @@ class BatchSimulator(Simulator):
         """
         heap = self._heap
         while heap and heap[0][2] is None:
+            self._note_depth()
             heappop(heap)
             self._dead -= 1
         nxt = heap[0][0] if heap else _INF
@@ -618,18 +590,17 @@ class BatchSimulator(Simulator):
         return None if nxt == _INF else float(nxt)
 
     def _drain_fast(self, until_us: Optional[float]) -> None:
-        # run() dispatches here on the base class; route everything
-        # through the batch-aware loop instead.
+        # The base run() takes its hot loop when there is no probe and
+        # no event cap; here every run goes through the batch-aware one.
         self._advance(until_us, None, None)
-
-    def _drain_counted(self, until_us: Optional[float], max_events: int) -> None:
-        self._advance(until_us, max_events, None)
 
     def _advance(
         self, until_us: Optional[float], max_events: Optional[int], probe
     ) -> int:
         """The merged main loop: windows of batch work interleaved with
-        the heap.  Returns the number of events fired."""
+        the heap.  Returns the number of events fired.  As in the base
+        loop, handle-less heap entries fire bare, and a probe samples
+        the queue depth (heap plus ``_offheap``) ahead of every pop."""
         heap = self._heap
         free = self._free
         refcount = getrefcount
@@ -638,6 +609,8 @@ class BatchSimulator(Simulator):
         fired = 0
         segments = self._segments
         while remaining > 0:
+            if probe is not None:
+                self._note_depth()
             if self._seg_idx >= len(segments):
                 # No active window: decide between the heap and a cut.
                 while heap and heap[0][2] is None:
@@ -651,24 +624,22 @@ class BatchSimulator(Simulator):
                         break
                     heappop(heap)
                     fn = entry[2]
-                    args = entry[3]
-                    entry[2] = None
-                    entry[3] = None
-                    self._live -= 1
                     if time_us > self.now:
                         self.now = time_us
                     if probe is not None:
                         probe.count_fire(fn)
-                    fn(*args)
-                    event = entry[4]
-                    if (
-                        event is not None
-                        and refcount(event) == 3
-                        and len(free) < _FREE_LIST_CAP
-                    ):
-                        free.append(event)
                     fired += 1
                     remaining -= 1
+                    event = entry[4]
+                    if event is None:
+                        fn(*entry[3])
+                        continue
+                    args = entry[3]
+                    entry[2] = None
+                    entry[3] = None
+                    fn(*args)
+                    if refcount(event) == 3 and len(free) < _FREE_LIST_CAP:
+                        free.append(event)
                     continue
                 if nxt == _INF:
                     break
@@ -682,31 +653,25 @@ class BatchSimulator(Simulator):
                 self._cut_window()
                 continue
             seg = segments[self._seg_idx]
+            if seg[1] >= len(seg[2]):
+                self._seg_idx += 1
+                continue
             if seg[0] == _ARRAY:
                 count = self._deliver_bulk(seg, until, remaining, probe)
                 if seg[0] == _LIST:
                     # Demoted to a list segment: the per-event merged
                     # loop takes over from the same position.
                     continue
-                if count:
-                    fired += count
-                    remaining -= count
-                    if seg[1] >= seg[2].shape[0]:
-                        self._seg_idx += 1
-                    continue
-                # Nothing deliverable and no demotion: only `until`
-                # inside the segment stops us here.
+            else:
+                count = self._run_list_segment(seg, until, remaining, probe)
+            if count == 0:
+                # A live segment that fires nothing: only `until` does
+                # that (the budget is the outer loop's check).
                 break
-            count = self._run_list_segment(seg, until, remaining, probe)
             fired += count
             remaining -= count
-            if seg[1] >= len(seg[2]):
-                self._seg_idx += 1
-                continue
-            # Stopped early: only until can do that (budget handled by
-            # the outer remaining check).
-            if count == 0 and remaining > 0:
-                break
+        if probe is not None:
+            self._note_depth()
         return fired
 
     def _deliver_bulk(self, seg, until: float, budget: int, probe) -> int:
@@ -750,7 +715,10 @@ class BatchSimulator(Simulator):
         region_pid = seg[4][cursor:limit]
         region_p = seg[5][cursor:limit]
         count = limit - cursor
-        self._live -= count
+        # Consumed before delivery, so a raising callback cannot make
+        # the region fire twice.
+        seg[1] = limit
+        self._offheap -= count
         region_end = float(region_t[-1])
         if region_end > self.now:
             self.now = region_end
@@ -778,7 +746,6 @@ class BatchSimulator(Simulator):
                     for _ in range(int(mask.sum())):
                         count_fire(fn)
                 pop.fn(group_t, region_p[mask])
-        seg[1] = limit
         self.batch_bulk_fired += count
         return count
 
@@ -797,6 +764,8 @@ class BatchSimulator(Simulator):
         total = len(run_t)
         fired = 0
         while index < total and fired < budget:
+            if probe is not None:
+                self._note_depth()
             time_us = run_t[index]
             if heap:
                 entry = heap[0]
@@ -810,31 +779,32 @@ class BatchSimulator(Simulator):
                         break
                     heappop(heap)
                     fn = entry[2]
-                    args = entry[3]
-                    entry[2] = None
-                    entry[3] = None
-                    self._live -= 1
                     if htime > self.now:
                         self.now = htime
                     if probe is not None:
                         probe.count_fire(fn)
-                    fn(*args)
-                    event = entry[4]
-                    if (
-                        event is not None
-                        and refcount(event) == 3
-                        and len(free) < _FREE_LIST_CAP
-                    ):
-                        free.append(event)
                     fired += 1
+                    event = entry[4]
+                    if event is None:
+                        fn(*entry[3])
+                        continue
+                    args = entry[3]
+                    entry[2] = None
+                    entry[3] = None
+                    fn(*args)
+                    if refcount(event) == 3 and len(free) < _FREE_LIST_CAP:
+                        free.append(event)
                     continue
             if time_us > until:
                 break
             if time_us > self.now:
                 self.now = time_us
-            self._live -= 1
+            self._offheap -= 1
             payload = run_p[index]
             index += 1
+            # Stored before the callback: if it raises, the entries
+            # fired so far must not fire again.
+            seg[1] = index
             if run_pid is None or run_pid[index - 1] < 0:
                 fn, args = payload
                 if probe is not None:
@@ -850,7 +820,6 @@ class BatchSimulator(Simulator):
                 self.batch_scalar_fired -= 1
             self.batch_scalar_fired += 1
             fired += 1
-        seg[1] = index
         return fired
 
     # ------------------------------------------------------------------
@@ -871,17 +840,9 @@ class BatchSimulator(Simulator):
 
     @property
     def batch_pending(self) -> int:
-        """Entries currently staged/pooled in batch structures (O(1)
-        for the staged part, O(1) pool arithmetic)."""
-        staged = len(self._stage_t) + sum(c[0].shape[0] for c in self._chunks)
-        pooled = 0
-        if self._pool_t is not None:
-            pooled = self._pool_t.shape[0] - self._pool_pos
-        in_window = 0
-        for seg in self._segments[self._seg_idx :]:
-            length = seg[2].shape[0] if seg[0] == _ARRAY else len(seg[2])
-            in_window += length - seg[1]
-        return staged + pooled + in_window
+        """Entries currently staged, pooled or in the active window --
+        everything this backend holds outside the heap.  O(1)."""
+        return self._offheap
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -22,8 +22,10 @@ lists, not :class:`Event` objects, so sift comparisons run at C speed
 (``seq`` is unique, so ``fn`` is never compared).  Fired handles whose
 callers kept no reference are recycled through a free list, and the
 drain loop used when no probe is attached binds its hot state to
-locals.  Cancelled entries are removed lazily on pop; when more than
-half the heap is dead the heap is compacted in place.
+locals.  Entries scheduled without a handle (``at_``, populations)
+cannot be cancelled, so the loops fire them bare: no fired-mark, no
+recycling check.  Cancelled entries are removed lazily on pop; when
+more than half the heap is dead the heap is compacted in place.
 """
 
 from __future__ import annotations
@@ -102,12 +104,11 @@ class Event:
             return
         entry[2] = None
         entry[3] = None
-        # Keep the owning simulator's live-event counter exact so
-        # ``Simulator.pending`` stays O(1); the dead entry itself is
-        # removed lazily (or by compaction, below).
-        sim._live -= 1
+        # ``Simulator.pending`` is queued entries minus ``_dead``; the
+        # dead entry itself is removed lazily (or by compaction, below).
         sim._dead += 1
-        if sim._dead >= _COMPACT_MIN_DEAD and sim._dead * 2 > len(sim._heap):
+        queued = len(sim._heap) + sim._offheap
+        if sim._dead >= _COMPACT_MIN_DEAD and sim._dead * 2 > queued:
             sim._compact()
 
     def __lt__(self, other: "Event") -> bool:
@@ -306,10 +307,6 @@ class _HeapPopulation:
             raise SimulationError(f"Cannot add at t={time_us} before now={sim.now}")
         sim._seq = seq = sim._seq + 1
         heappush(sim._heap, [time_us, seq, self.fn, args, None])
-        sim._live += 1
-        probe = sim.probe
-        if probe is not None and len(sim._heap) > probe.heap_high_water:
-            probe.heap_high_water = len(sim._heap)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"_HeapPopulation({self.label or self.fn!r})"
@@ -351,7 +348,6 @@ class _HeapBulkPopulation:
         heap = sim._heap
         fire = self._fire_one
         seq = sim._seq
-        count = 0
         for time_us, payload in zip(times, payloads):
             time_us = float(time_us)
             if time_us < floor:
@@ -361,9 +357,7 @@ class _HeapBulkPopulation:
                 )
             seq += 1
             heappush(heap, [time_us, seq, fire, (time_us, payload), None])
-            count += 1
         sim._seq = seq
-        sim._live += count
 
     def _fire_one(self, time_us: float, payload: Any) -> None:
         self.floor = time_us
@@ -381,8 +375,8 @@ class Simulator:
         "_heap",
         "_seq",
         "_running",
-        "_live",
         "_dead",
+        "_offheap",
         "_free",
         "tracer",
         "probe",
@@ -394,14 +388,16 @@ class Simulator:
         self._heap: list = []
         self._seq = 0
         self._running = False
-        self._live = 0
-        #: Cancelled entries still sitting in the heap (lazy deletion).
+        #: Cancelled entries still queued (lazy deletion).
         self._dead = 0
+        #: Entries queued outside ``_heap``: the run a sorted drain has
+        #: detached (the batch backend counts its staged work here).
+        self._offheap = 0
         #: Recycled Event handles (with their entry lists) awaiting reuse.
         self._free: list = []
         #: Optional observability hooks (see :mod:`repro.obs`).  Both
-        #: default to None and every call site guards on that, so a
-        #: simulator without observers pays only a None check.
+        #: default to None.  Scheduling never looks at them; the probe
+        #: is fed by the general run loop only.
         self.tracer = None
         self.probe = None
         # Imported here, not at module top, so the kernel has no hard
@@ -435,11 +431,7 @@ class Simulator:
             event = Event(time_us, seq, fn, args)
             event._sim = self
             entry = event._entry
-        self._live += 1
         heappush(self._heap, entry)
-        probe = self.probe
-        if probe is not None and len(self._heap) > probe.heap_high_water:
-            probe.heap_high_water = len(self._heap)
         return event
 
     def at(self, time_us: float, fn: Callable[..., Any], *args: Any) -> Event:
@@ -461,11 +453,7 @@ class Simulator:
             event = Event(time_us, seq, fn, args)
             event._sim = self
             entry = event._entry
-        self._live += 1
         heappush(self._heap, entry)
-        probe = self.probe
-        if probe is not None and len(self._heap) > probe.heap_high_water:
-            probe.heap_high_water = len(self._heap)
         return event
 
     def at_(self, time_us: float, fn: Callable[..., Any], *args: Any) -> None:
@@ -473,10 +461,10 @@ class Simulator:
         cancelled.
 
         The datapath schedules five events per IO and never cancels
-        any of them; skipping the Event-handle bookkeeping (free-list
-        pop here, refcount probe and free-list push at fire time --
-        ``entry[4] is None`` fails the recycling check's refcount test
-        naturally) takes a measurable slice off every hot event.
+        any of them.  With no handle there is nothing a late cancel
+        could reach, so the entry skips the Event bookkeeping at both
+        ends: no free-list pop here, and the run loops fire it bare
+        (no fired-mark, no refcount check, no free-list push).
         Firing order is identical to :meth:`at`: the same sequence
         counter breaks timestamp ties.
         """
@@ -484,10 +472,6 @@ class Simulator:
             raise SimulationError(f"Cannot schedule at t={time_us} before now={self.now}")
         self._seq = seq = self._seq + 1
         heappush(self._heap, [time_us, seq, fn, args, None])
-        self._live += 1
-        probe = self.probe
-        if probe is not None and len(self._heap) > probe.heap_high_water:
-            probe.heap_high_water = len(self._heap)
 
     def population(
         self, fn: Callable[..., Any], *, bulk: bool = False, label: Optional[str] = None
@@ -540,29 +524,7 @@ class Simulator:
             raise SimulationError("Simulator.step() is not reentrant")
         self._running = True
         try:
-            heap = self._heap
-            while heap:
-                entry = heappop(heap)
-                fn = entry[2]
-                if fn is None:
-                    self._dead -= 1
-                    continue
-                args = entry[3]
-                # Mark fired *before* the callback so a late cancel (or
-                # a cancel after a callback exception) is a no-op.
-                entry[2] = None
-                entry[3] = None
-                self._live -= 1
-                self.now = entry[0]
-                probe = self.probe
-                if probe is not None:
-                    probe.count_fire(fn)
-                fn(*args)
-                event = entry[4]
-                if getrefcount(event) == 3 and len(self._free) < _FREE_LIST_CAP:
-                    self._free.append(event)
-                return True
-            return False
+            return self._advance(None, 1, self.probe) > 0
         finally:
             self._running = False
 
@@ -572,7 +534,9 @@ class Simulator:
         Events scheduled exactly at ``until_us`` do execute.  On return
         the clock is advanced to ``until_us`` when a deadline was given
         (even if the heap drained earlier), matching wall-clock style
-        measurement windows.
+        measurement windows -- unless ``max_events`` stopped the run
+        with a live event at or before the deadline still queued: the
+        clock never passes an event that has yet to fire.
         """
         if self._running:
             raise SimulationError("Simulator.run() is not reentrant")
@@ -582,48 +546,69 @@ class Simulator:
         if probe is not None:
             probe.begin_run(self.now)
         try:
-            if probe is None:
-                if max_events is None:
-                    self._drain_fast(until_us)
-                else:
-                    self._drain_counted(until_us, max_events)
+            if probe is None and max_events is None:
+                self._drain_fast(until_us)
             else:
-                heap = self._heap
-                free = self._free
-                while heap:
-                    if max_events is not None and fired >= max_events:
-                        break
-                    entry = heap[0]
-                    fn = entry[2]
-                    if fn is None:
-                        heappop(heap)
-                        self._dead -= 1
-                        continue
-                    if until_us is not None and entry[0] > until_us:
-                        break
-                    heappop(heap)
-                    args = entry[3]
-                    entry[2] = None
-                    entry[3] = None
-                    self._live -= 1
-                    self.now = entry[0]
-                    probe.count_fire(fn)
-                    fn(*args)
-                    event = entry[4]
-                    if getrefcount(event) == 3 and len(free) < _FREE_LIST_CAP:
-                        free.append(event)
-                    fired += 1
+                fired = self._advance(until_us, max_events, probe)
             # Advance to the deadline inside the try (not in the
             # finally) so a callback exception leaves the clock at the
             # failing event while the probe still accounts the full
             # window on success.
             if until_us is not None and self.now < until_us:
-                self.now = until_us
+                # Only an event cap can leave due work behind.
+                due = None if max_events is None else self.next_event_time()
+                if due is None or due > until_us:
+                    self.now = until_us
         finally:
             self._running = False
             if probe is not None:
                 probe.end_run(self.now, fired)
         return self.now
+
+    def _advance(
+        self, until_us: Optional[float], max_events: Optional[int], probe
+    ) -> int:
+        """The general loop: deadline, event cap, optional probe.
+
+        Returns the number of events fired.  The probe's heap
+        high-water mark is sampled here rather than reported by the
+        scheduling calls: depth only grows between one pop and the
+        next, so a sample at the top of every iteration (and one at
+        exit) sees every peak a per-push check would.
+        """
+        heap = self._heap
+        free = self._free
+        until = _INF if until_us is None else until_us
+        budget = _INF if max_events is None else max_events
+        fired = 0
+        while True:
+            if probe is not None and len(heap) > probe.heap_high_water:
+                probe.heap_high_water = len(heap)
+            if not heap or fired >= budget:
+                return fired
+            entry = heap[0]
+            fn = entry[2]
+            if fn is None:
+                heappop(heap)
+                self._dead -= 1
+                continue
+            if entry[0] > until:
+                return fired
+            heappop(heap)
+            self.now = entry[0]
+            if probe is not None:
+                probe.count_fire(fn)
+            fired += 1
+            event = entry[4]
+            if event is None:
+                fn(*entry[3])
+                continue
+            args = entry[3]
+            entry[2] = None
+            entry[3] = None
+            fn(*args)
+            if getrefcount(event) == 3 and len(free) < _FREE_LIST_CAP:
+                free.append(event)
 
     def _drain_fast(self, until_us: Optional[float]) -> None:
         """The hot loop: no probe, no event cap, locals bound."""
@@ -647,13 +632,19 @@ class Simulator:
             if time_us > until:
                 break
             heappop(heap)
+            self.now = time_us
+            event = entry[4]
+            if event is None:
+                # No handle (at_, populations): nothing can cancel the
+                # entry late or alias it, so it fires bare.
+                fn(*entry[3])
+                continue
             args = entry[3]
+            # Mark fired *before* the callback so a late cancel (or a
+            # cancel after a callback exception) is a no-op.
             entry[2] = None
             entry[3] = None
-            self._live -= 1
-            self.now = time_us
             fn(*args)
-            event = entry[4]
             # Recycle the handle only when the scheduler's caller kept
             # no reference (the three counted refs are the entry's
             # back-pointer, the local, and getrefcount's argument), so
@@ -672,122 +663,97 @@ class Simulator:
         ``(time, seq)`` list comparison, so firing order is identical
         to the heap path.  If callbacks refill the heap past the
         threshold, the next outer iteration sorts again.
+
+        ``_offheap`` counts the unconsumed part of the run, which keeps
+        ``pending`` exact inside callbacks; if a callback raises, the
+        rest of the run goes back on the heap.
         """
         heap = self._heap
         free = self._free
         refcount = getrefcount
-        while len(heap) >= _SORT_DRAIN_MIN:
-            # Two stable single-key passes instead of one lexicographic
-            # list-compare sort: homogeneous int/float keys hit
-            # timsort's specialized unsafe compares (~6x faster than
-            # comparing the entry lists), and stability makes the
-            # seq-then-time pair exactly equivalent to (time, seq).
-            run = list(heap)
-            run.sort(key=_KEY_SEQ)
-            run.sort(key=_KEY_TIME)
-            # In place: cancel() inside a callback may trigger
-            # _compact(), which mutates self._heap -- it must see the
-            # (emptied) live heap, not the detached run.
-            heap[:] = []
-            index = 0
-            count = len(run)
-            while index < count:
-                entry = run[index]
-                fn = entry[2]
-                if fn is None:
-                    # A _compact() mid-run resets _dead but only purges
-                    # self._heap; dead entries in the detached run must
-                    # not drive the counter negative.
-                    if self._dead > 0:
+        run: list = []
+        index = 0
+        try:
+            while len(heap) >= _SORT_DRAIN_MIN:
+                # Two stable single-key passes instead of one
+                # lexicographic list-compare sort: homogeneous int/float
+                # keys hit timsort's specialized unsafe compares (~6x
+                # faster than comparing the entry lists), and stability
+                # makes the seq-then-time pair exactly equivalent to
+                # (time, seq).
+                run = list(heap)
+                run.sort(key=_KEY_SEQ)
+                run.sort(key=_KEY_TIME)
+                # In place: cancel() inside a callback may trigger
+                # _compact(), which mutates self._heap -- it must see
+                # the (emptied) live heap, not the detached run.
+                heap[:] = []
+                index = 0
+                count = self._offheap = len(run)
+                while index < count:
+                    entry = run[index]
+                    # A newly scheduled event that precedes this run
+                    # entry goes first (seq is unique, so the list
+                    # compare never reaches fn).
+                    if heap and heap[0] < entry:
+                        entry = heappop(heap)
+                    else:
+                        index += 1
+                        self._offheap = count - index
+                    fn = entry[2]
+                    if fn is None:
                         self._dead -= 1
-                    index += 1
-                    continue
-                # Newly scheduled events that precede this run entry
-                # (seq is unique, so the list compare never reaches fn).
-                while heap and heap[0] < entry:
-                    hentry = heappop(heap)
-                    hfn = hentry[2]
-                    if hfn is None:
-                        if self._dead > 0:
-                            self._dead -= 1
                         continue
-                    hargs = hentry[3]
-                    hentry[2] = None
-                    hentry[3] = None
-                    self._live -= 1
-                    self.now = hentry[0]
-                    hfn(*hargs)
-                    hevent = hentry[4]
-                    if (
-                        hevent is not None
-                        and refcount(hevent) == 3
-                        and len(free) < _FREE_LIST_CAP
-                    ):
-                        free.append(hevent)
-                args = entry[3]
-                entry[2] = None
-                entry[3] = None
-                self._live -= 1
-                self.now = entry[0]
-                fn(*args)
-                event = entry[4]
-                if (
-                    event is not None
-                    and refcount(event) == 3
-                    and len(free) < _FREE_LIST_CAP
-                ):
-                    free.append(event)
-                index += 1
+                    self.now = entry[0]
+                    event = entry[4]
+                    if event is None:
+                        fn(*entry[3])
+                        continue
+                    args = entry[3]
+                    entry[2] = None
+                    entry[3] = None
+                    fn(*args)
+                    if refcount(event) == 3 and len(free) < _FREE_LIST_CAP:
+                        free.append(event)
+        finally:
+            if self._offheap:
+                heap.extend(run[index:])
+                heapify(heap)
+                self._offheap = 0
         if heap:
             # Small residue: the regular loop (the dispatch check in
             # _drain_fast now fails, so this cannot recurse).
             self._drain_fast(None)
 
-    def _drain_counted(self, until_us: Optional[float], max_events: int) -> None:
-        """Like :meth:`_drain_fast` but stops after ``max_events`` fires."""
-        heap = self._heap
-        free = self._free
-        refcount = getrefcount
-        until = _INF if until_us is None else until_us
-        remaining = max_events
-        while heap and remaining > 0:
-            entry = heap[0]
-            fn = entry[2]
-            if fn is None:
-                heappop(heap)
-                self._dead -= 1
-                continue
-            time_us = entry[0]
-            if time_us > until:
-                break
-            heappop(heap)
-            args = entry[3]
-            entry[2] = None
-            entry[3] = None
-            self._live -= 1
-            self.now = time_us
-            fn(*args)
-            event = entry[4]
-            if refcount(event) == 3 and len(free) < _FREE_LIST_CAP:
-                free.append(event)
-            remaining -= 1
+    def _note_depth(self) -> None:
+        """Sample the queue depth into the probe ahead of a shrink the
+        run loop does not see (compaction, a prune between runs)."""
+        probe = self.probe
+        if probe is not None:
+            depth = len(self._heap) + self._offheap
+            if depth > probe.heap_high_water:
+                probe.heap_high_water = depth
 
     def _compact(self) -> None:
         """Drop cancelled entries and re-heapify, in place.
 
         In place matters: the drain loops alias ``self._heap`` in a
         local, so compaction triggered by a ``cancel()`` inside a
-        running callback must mutate the same list object.
+        running callback must mutate the same list object.  Only the
+        heap is purged; cancelled entries in a detached sorted run stay
+        counted in ``_dead`` until the run reaches them.
         """
+        self._note_depth()
         heap = self._heap
+        before = len(heap)
         heap[:] = [entry for entry in heap if entry[2] is not None]
         heapify(heap)
-        self._dead = 0
+        self._dead -= before - len(heap)
 
     @property
     def pending(self) -> int:
         """Number of not-yet-cancelled events still queued.  O(1)."""
-        return self._live
+        return len(self._heap) + self._offheap - self._dead
 
     def next_event_time(self) -> Optional[float]:
         """Timestamp of the earliest live event, or None when idle.
@@ -801,6 +767,7 @@ class Simulator:
         while heap:
             entry = heap[0]
             if entry[2] is None:
+                self._note_depth()
                 heappop(heap)
                 self._dead -= 1
                 continue

@@ -83,9 +83,6 @@ class FioWorker:
         #: paper's latency figures report.
         self.read_latency = LatencyHistogram()
         self.write_latency = LatencyHistogram()
-        #: Including client-side queueing (fio's slat + clat).
-        self.read_e2e_latency = LatencyHistogram()
-        self.write_e2e_latency = LatencyHistogram()
         #: Device-internal service latency only.
         self.device_read_latency = LatencyHistogram()
         self.device_write_latency = LatencyHistogram()
@@ -128,8 +125,6 @@ class FioWorker:
         self.throughput.start(self.sim.now)
         self.read_latency = LatencyHistogram()
         self.write_latency = LatencyHistogram()
-        self.read_e2e_latency = LatencyHistogram()
-        self.write_e2e_latency = LatencyHistogram()
         self.device_read_latency = LatencyHistogram()
         self.device_write_latency = LatencyHistogram()
 
@@ -179,16 +174,13 @@ class FioWorker:
         # (and repeated attribute loads) are pure overhead.
         complete = request.t_client_complete
         inflight_us = complete - request.t_wire_submit
-        e2e_us = complete - request.t_client_submit
         device_us = request.t_device_complete - request.t_device_submit
         self.throughput.record(complete, self._io_bytes)
         if request.op is IoOp.READ:
             self.read_latency.record(inflight_us)
-            self.read_e2e_latency.record(e2e_us)
             self.device_read_latency.record(device_us)
         else:
             self.write_latency.record(inflight_us)
-            self.write_e2e_latency.record(e2e_us)
             self.device_write_latency.record(device_us)
         self._issue()
 

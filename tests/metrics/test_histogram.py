@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.metrics import LatencyHistogram
@@ -151,3 +152,140 @@ class TestMergeConfiguration:
         b.record(10.0)
         a.merge(b)
         assert a.count == 1
+
+
+class MemoisedHistogram(LatencyHistogram):
+    """Reference model: ``record`` as it stood before the memo was
+    removed -- a bounded value -> bucket-index dict in front of
+    ``_bucket_index``, dropped whole when full."""
+
+    _INDEX_CACHE_CAP = 32768
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._index_cache = {}
+
+    def _bucket_index(self, value: float) -> int:
+        if value <= self.min_value:
+            return 0
+        index = int(math.log(value / self.min_value) / self._log_growth) + 1
+        return min(index, self._num_buckets - 1)
+
+    def record(self, value: float) -> None:
+        if value < 0:
+            raise ValueError(f"negative latency: {value}")
+        cache = self._index_cache
+        index = cache.get(value)
+        if index is None:
+            index = self._bucket_index(value)
+            if len(cache) >= self._INDEX_CACHE_CAP:
+                cache.clear()
+            cache[value] = index
+        self._counts[index] += 1
+        self.count += 1
+        self.total += value
+        if value < self.min:
+            self.min = value
+        if value > self.max:
+            self.max = value
+
+
+class TinyMemoHistogram(MemoisedHistogram):
+    """The same reference with a memo small enough to overflow."""
+
+    _INDEX_CACHE_CAP = 4
+
+
+CONFIGS = [
+    {},
+    {"min_value": 0.5, "max_value": 2e4, "growth": 1.1},
+    {"min_value": 3.0, "max_value": 50.0, "growth": 1.005},
+]
+
+
+@st.composite
+def sample_streams(draw):
+    """A configuration plus a stream that leans on the awkward values:
+    at or under ``min_value``, at or over ``max_value``, exact bucket
+    boundaries ``min_value * growth**k``, and heavy repeats."""
+    config = draw(st.sampled_from(CONFIGS))
+    shape = LatencyHistogram(**config)
+    low, high, growth = shape.min_value, shape.max_value, shape.growth
+    boundary = st.integers(min_value=0, max_value=shape._num_buckets + 2).map(
+        lambda k: low * growth**k
+    )
+    value = st.one_of(
+        st.floats(min_value=0.0, max_value=low),
+        st.floats(min_value=high, max_value=high * 1e3),
+        st.floats(min_value=low, max_value=high),
+        boundary,
+        boundary.map(lambda v: math.nextafter(v, math.inf)),
+        boundary.map(lambda v: math.nextafter(v, 0.0)),
+        st.sampled_from([0.0, low, high, 75.2, 75.2, 75.2, 91.0625]),
+    )
+    stream = draw(st.lists(value, max_size=200))
+    repeats = draw(st.integers(min_value=1, max_value=4))
+    return config, stream * repeats
+
+
+def observable(histogram):
+    return (
+        histogram._counts,
+        histogram.count,
+        histogram.total,
+        histogram.min,
+        histogram.max,
+        histogram.summary(),
+        histogram.nonzero_buckets(),
+    )
+
+
+class TestMatchesMemoisedReference:
+    """The inline index computation bins every sample exactly as the
+    memoised ``record`` it replaced: identical buckets, count, total,
+    min, max, percentiles -- before and after ``merge``."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(first=sample_streams(), second_seed=st.integers(0, 2**16))
+    @pytest.mark.parametrize("reference", [MemoisedHistogram, TinyMemoHistogram])
+    def test_streams_bin_identically(self, reference, first, second_seed):
+        config, stream = first
+        live, model = LatencyHistogram(**config), reference(**config)
+        for value in stream:
+            live.record(value)
+            model.record(value)
+        assert observable(live) == observable(model)
+        # A second, shuffled pass through both, merged into the first.
+        shuffled = list(stream)
+        random.Random(second_seed).shuffle(shuffled)
+        live_other, model_other = LatencyHistogram(**config), reference(**config)
+        for value in shuffled[: len(shuffled) // 2 + 1]:
+            live_other.record(value)
+            model_other.record(value)
+        live.merge(live_other)
+        model.merge(model_other)
+        assert observable(live) == observable(model)
+
+    @pytest.mark.parametrize("config", CONFIGS)
+    def test_every_bucket_boundary(self, config):
+        live, model = LatencyHistogram(**config), MemoisedHistogram(**config)
+        for k in range(live._num_buckets + 3):
+            edge = live.min_value * live.growth**k
+            for value in (math.nextafter(edge, 0.0), edge, math.nextafter(edge, math.inf)):
+                live.record(value)
+                model.record(value)
+        assert observable(live) == observable(model)
+
+    @pytest.mark.parametrize("factory", [LatencyHistogram, MemoisedHistogram])
+    def test_negative_values_rejected_by_both(self, factory):
+        histogram = factory()
+        histogram.record(5.0)
+        with pytest.raises(ValueError):
+            histogram.record(-0.001)
+        assert histogram.count == 1
+
+    def test_no_memo_left_on_the_histogram(self):
+        histogram = LatencyHistogram()
+        histogram.record(12.5)
+        assert not hasattr(histogram, "_index_cache")
+        assert not hasattr(histogram, "_bucket_index")

@@ -56,9 +56,40 @@ class TestHeapHighWater:
         sim, probe = probed_sim()
         for delay in (1.0, 2.0, 3.0, 4.0, 5.0):
             sim.schedule(delay, lambda: None)
-        assert probe.heap_high_water == 5
+        # The probe samples depth from the run loop, not from the
+        # scheduling calls, so the mark is read after run().
         sim.run()
         assert probe.heap_high_water == 5  # peak, not current
+
+    def test_peak_pruned_between_runs_is_still_seen(self):
+        sim, probe = probed_sim()
+        events = [sim.schedule(delay, lambda: None) for delay in (1.0, 2.0, 3.0, 4.0, 5.0)]
+        events[0].cancel()
+        # Pops the dead head: the queue is one shallower before any
+        # run loop has looked at it.
+        assert sim.next_event_time() == 2.0
+        sim.run()
+        assert probe.heap_high_water == 5
+
+    def test_peak_before_compaction_is_still_seen(self):
+        sim, probe = probed_sim()
+        events = [sim.schedule(1.0 + index, lambda: None) for index in range(2000)]
+        for event in events[:1500]:
+            event.cancel()
+        assert len(sim._heap) < 2000  # compacted
+        sim.run()
+        assert probe.heap_high_water == 2000
+
+    def test_pushes_from_callbacks_are_seen(self):
+        sim, probe = probed_sim()
+
+        def fan_out():
+            for delay in (1.0, 2.0, 3.0):
+                sim.at_(sim.now + delay, lambda: None)
+
+        sim.schedule(1.0, fan_out)
+        sim.run()
+        assert probe.heap_high_water == 3
 
 
 class TestRunAccounting:

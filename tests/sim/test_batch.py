@@ -89,7 +89,35 @@ def _fill(pop, times, payloads):
     pop.add_many(np.asarray(times, dtype=float), list(payloads))
 
 
+def _held_outside_heap(sim) -> int:
+    """Walk the staging lists, chunks, pool and window segments: the
+    count ``batch_pending`` keeps incrementally."""
+    staged = len(sim._stage_t) + sum(chunk[0].shape[0] for chunk in sim._chunks)
+    pooled = 0 if sim._pool_t is None else sim._pool_t.shape[0] - sim._pool_pos
+    in_window = sum(len(seg[2]) - seg[1] for seg in sim._segments[sim._seg_idx :])
+    return staged + pooled + in_window
+
+
 class TestBatchSimulator:
+    def test_batch_pending_matches_a_walk_of_the_structures(self):
+        sim = BatchSimulator()
+        scalar = sim.population(lambda tag: None)
+        bulk = sim.population(lambda times, payloads: None, bulk=True)
+        for index in range(3 * _MIN_BULK_SEGMENT):
+            scalar.add(1.0 + index, index)
+        _fill(bulk, [2.5 + index for index in range(5000)], range(5000))
+        handle = sim.at(40.0, lambda: None)
+        assert sim.batch_pending == _held_outside_heap(sim) == 5000 + 3 * _MIN_BULK_SEGMENT
+        for until_us, cap in ((30.0, None), (90.0, 17), (400.0, None), (4000.0, 900)):
+            sim.run(until_us=until_us, max_events=cap)
+            # A window is open and partly consumed at most of these stops.
+            assert sim.batch_pending == _held_outside_heap(sim)
+            assert sim.pending == sim.batch_pending + len(sim._heap) - sim._dead
+            handle.cancel()
+        sim.run()
+        assert sim.batch_pending == _held_outside_heap(sim) == 0
+        assert sim.pending == 0
+
     def test_pending_and_clock(self):
         sim = BatchSimulator()
         fired = []

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.sim import Simulator
+from repro.sim import Simulator, make_simulator
 from repro.sim.engine import SimulationError
 
 
@@ -553,5 +553,289 @@ class TestPendingCounter:
         sim.run(max_events=5)
         ground_truth = sum(1 for e in sim._heap if e[2] is not None)
         assert sim.pending == ground_truth
+        sim.run()
+        assert sim.pending == 0
+
+
+# ----------------------------------------------------------------------
+# Both kernel backends: bookkeeping the run loops derive or skip
+# ----------------------------------------------------------------------
+@pytest.fixture(params=["reference", "batch"])
+def kernel(request):
+    """A fresh simulator of each backend (batch needs numpy)."""
+    if request.param == "batch":
+        pytest.importorskip("numpy", reason="batch backend requires numpy")
+    return make_simulator(request.param)
+
+
+class TestCappedDeadlineRun:
+    """Regression: ``run(until_us, max_events)`` stopped by the cap used
+    to jump the clock to the deadline past events still due, so the
+    next run moved time backwards (reference) or fired an old event at
+    the new time (batch)."""
+
+    def test_cap_does_not_jump_past_due_events(self, kernel):
+        sim = kernel
+        fired = []
+        sim.schedule(10.0, lambda: fired.append(("a", sim.now)))
+        sim.at_(20.0, lambda: fired.append(("b", sim.now)))
+        assert sim.run(until_us=100.0, max_events=1) == 10.0
+        assert fired == [("a", 10.0)]
+        assert sim.pending == 1
+        assert sim.run() == 20.0
+        assert fired == [("a", 10.0), ("b", 20.0)]
+
+    def test_cap_with_population_entries(self, kernel):
+        sim = kernel
+        fired = []
+        pop = sim.population(lambda tag: fired.append((tag, sim.now)))
+        for index in range(100):
+            pop.add(10.0 + index, index)
+        sim.run(until_us=1000.0, max_events=3)
+        assert sim.now == 12.0
+        sim.run(until_us=1000.0, max_events=3)
+        assert fired == [(index, 10.0 + index) for index in range(6)]
+        assert sim.now == 15.0
+
+    def test_cap_reached_with_nothing_due_still_advances(self, kernel):
+        sim = kernel
+        sim.at_(10.0, lambda: None)
+        sim.at_(200.0, lambda: None)
+        assert sim.run(until_us=100.0, max_events=1) == 100.0
+        assert sim.pending == 1
+
+    def test_cancelled_due_event_does_not_hold_the_clock(self, kernel):
+        sim = kernel
+        sim.at_(10.0, lambda: None)
+        ghost = sim.at(20.0, lambda: None)
+        ghost.cancel()
+        assert sim.run(until_us=100.0, max_events=1) == 100.0
+        assert sim.pending == 0
+
+    def test_zero_cap_holds_the_clock(self, kernel):
+        sim = kernel
+        sim.at_(10.0, lambda: None)
+        assert sim.run(until_us=100.0, max_events=0) == 0.0
+        assert sim.run(until_us=100.0) == 100.0
+
+
+class _Ledger:
+    """Test-side ground truth for ``pending``: the ids scheduled and
+    neither fired nor cancelled, kept without looking at the kernel."""
+
+    def __init__(self, sim):
+        self.sim = sim
+        self.outstanding = set()
+        self.handles = {}
+        self.fired = []
+        self.checks = 0
+        self.pop = sim.population(self._fire)
+        self._next_id = 0
+
+    def _fire(self, ident, action=None):
+        self.outstanding.discard(ident)
+        self.handles.pop(ident, None)
+        self.fired.append(ident)
+        self.check()
+        if action is not None:
+            action(ident)
+            self.check()
+
+    def check(self):
+        assert self.sim.pending == len(self.outstanding)
+        self.checks += 1
+
+    def push(self, kind, time_us, action=None):
+        ident = self._next_id
+        self._next_id += 1
+        self.outstanding.add(ident)
+        if kind == "at":
+            self.handles[ident] = self.sim.at(time_us, self._fire, ident, action)
+        elif kind == "schedule":
+            self.handles[ident] = self.sim.schedule(
+                time_us - self.sim.now, self._fire, ident, action
+            )
+        elif kind == "at_":
+            self.sim.at_(time_us, self._fire, ident, action)
+        else:
+            self.pop.add(time_us, ident, action)
+        return ident
+
+    def cancel(self, ident):
+        handle = self.handles.pop(ident, None)
+        if handle is not None:
+            handle.cancel()
+            self.outstanding.discard(ident)
+
+
+KINDS = ("at", "schedule", "at_", "pop")
+
+
+class TestPendingInsideCallbacks:
+    """``pending`` is derived from what is queued, not counted per
+    event; it must still be exact wherever a callback reads it."""
+
+    def test_plain_drain(self, kernel):
+        ledger = _Ledger(kernel)
+
+        def follow_up(ident):
+            ledger.push(KINDS[ident % 4], kernel.now + 1.5 + ident % 3)
+            ledger.cancel(ident + 7)
+
+        for index in range(300):
+            ledger.push(KINDS[index % 4], 1.0 + (index * 7) % 50, follow_up)
+        ledger.check()
+        kernel.run(until_us=20.0)
+        ledger.check()
+        kernel.run()
+        assert ledger.checks > 600
+        assert kernel.pending == 0 and not ledger.outstanding
+
+    def test_deep_sorted_drain(self, kernel):
+        ledger = _Ledger(kernel)
+        detached = []
+
+        def busy(ident):
+            detached.append(kernel._offheap)
+            # Something that fires before the next run entry, a cancel
+            # of that very next entry, and a cancel further out.
+            ledger.push(KINDS[ident % 4], kernel.now + 0.25)
+            ledger.cancel(ident + 1)
+            ledger.cancel(ident + 40)
+
+        for index in range(6000):
+            action = busy if index % 10 == 0 else None
+            ledger.push(KINDS[index % 4], 1.0 + index, action)
+        kernel.run()
+        assert max(detached) > 0  # the run really was off the heap
+        assert kernel.pending == 0 and not ledger.outstanding
+        assert kernel._dead == 0 and kernel._offheap == 0
+
+    def test_across_cancel_triggered_compaction(self, kernel, monkeypatch):
+        compactions = []
+        original = type(kernel)._compact
+
+        def spying_compact(self):
+            compactions.append(self.pending)
+            original(self)
+            assert self.pending == compactions[-1]
+
+        monkeypatch.setattr(type(kernel), "_compact", spying_compact)
+        ledger = _Ledger(kernel)
+
+        def purge(ident):
+            for victim in range(100, 1900):
+                ledger.cancel(victim)
+                if victim % 300 == 0:
+                    ledger.check()
+
+        ledger.push("at_", 0.5, purge)
+        for index in range(1, 2000):
+            ledger.push("at" if index >= 100 else KINDS[index % 4], 10.0 + index)
+        kernel.run(until_us=5.0)
+        assert compactions  # compaction ran inside the callback
+        ledger.check()
+        kernel.run()
+        assert kernel.pending == 0 and kernel._dead == 0
+
+    def test_compaction_during_sorted_drain(self, kernel, monkeypatch):
+        compactions = []
+        original = type(kernel)._compact
+
+        def spying_compact(self):
+            compactions.append(1)
+            original(self)
+
+        monkeypatch.setattr(type(kernel), "_compact", spying_compact)
+        ledger = _Ledger(kernel)
+
+        def purge(ident):
+            # Victims sit partly in the detached run, partly (the
+            # late-scheduled ones) on the live heap.
+            late = [ledger.push("at", 9000.0 + offset) for offset in range(700)]
+            for victim in list(range(1000, 5500)) + late[:650]:
+                ledger.cancel(victim)
+            ledger.check()
+
+        for index in range(6000):
+            ledger.push("at", 1.0 + index, purge if index == 5 else None)
+        kernel.run()
+        assert compactions
+        assert kernel.pending == 0 and not ledger.outstanding
+        assert kernel._dead == 0 and kernel._offheap == 0
+
+
+class TestRaisingCallbacks:
+    def test_handleless_raise_leaves_pending_exact(self, kernel):
+        sim = kernel
+        fired = []
+
+        def boom():
+            raise ValueError("bang")
+
+        pop = sim.population(fired.append)
+        sim.at_(1.0, fired.append, "before")
+        sim.at_(2.0, boom)
+        sim.at_(3.0, fired.append, "after")
+        pop.add(4.0, "pop")
+        with pytest.raises(ValueError):
+            sim.run()
+        assert sim.now == 2.0
+        assert sim.pending == 2
+        sim.run()
+        assert fired == ["before", "after", "pop"]
+        assert sim.pending == 0
+
+    def test_raise_in_population_entry(self, kernel):
+        sim = kernel
+        fired = []
+
+        def complete(tag):
+            if tag == 70:
+                raise ValueError("bang")
+            fired.append(tag)
+
+        pop = sim.population(complete)
+        for index in range(200):
+            pop.add(1.0 + index, index)
+        with pytest.raises(ValueError):
+            sim.run()
+        assert sim.pending == 129
+        sim.run()
+        assert fired == [index for index in range(200) if index != 70]
+        assert sim.pending == 0
+
+    def test_raise_mid_sorted_drain_keeps_the_rest_of_the_run(self, kernel):
+        sim = kernel
+        fired = []
+
+        def complete(tag):
+            if tag == 2500:
+                raise ValueError("bang")
+            fired.append(tag)
+
+        for index in range(5000):
+            sim.at_(1.0 + index, complete, index)
+        with pytest.raises(ValueError):
+            sim.run()
+        assert sim.pending == 2499
+        assert sim.run() == 5000.0
+        assert fired == [index for index in range(5000) if index != 2500]
+        assert sim.pending == 0
+
+    def test_handle_bearing_raise_still_makes_late_cancel_a_noop(self, kernel):
+        sim = kernel
+
+        def boom():
+            raise ValueError("bang")
+
+        handle = sim.schedule(1.0, boom)
+        sim.schedule(2.0, lambda: None)
+        with pytest.raises(ValueError):
+            sim.run()
+        assert sim.pending == 1
+        handle.cancel()
+        assert sim.pending == 1
+        assert sim._dead == 0
         sim.run()
         assert sim.pending == 0
