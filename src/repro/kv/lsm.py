@@ -360,7 +360,10 @@ class LsmTree:
         self.stats.gets += 1
         if key in self.memtable or (self.immutable is not None and key in self.immutable):
             self.stats.memtable_hits += 1
-            self.sim.schedule(self.config.mem_read_us, on_done, True)
+            # Nobody keeps (or could cancel) an in-memory completion, so
+            # it is scheduled without a handle, like the datapath's.
+            sim = self.sim
+            sim.at_(sim.now + self.config.mem_read_us, on_done, True)
             return
         candidates = self._candidate_tables(key)
         self._probe(key, candidates, 0, on_done)
@@ -399,7 +402,8 @@ class LsmTree:
                 priority=1,
             )
             return
-        self.sim.schedule(self.config.mem_read_us, on_done, False)
+        sim = self.sim
+        sim.at_(sim.now + self.config.mem_read_us, on_done, False)
 
     # ------------------------------------------------------------------
     # Range scans (YCSB-E)
@@ -434,7 +438,8 @@ class LsmTree:
                 touched_tables.append((table, first, last))
         result = sorted(candidates)[:count]
         if not result:
-            self.sim.schedule(self.config.mem_read_us, on_done, [])
+            sim = self.sim
+            sim.at_(sim.now + self.config.mem_read_us, on_done, [])
             return
         # Read the page span each contributing table covers.
         pending = {"count": 0}
@@ -462,7 +467,8 @@ class LsmTree:
             self.store.read(table.file, first_page, npages, one_done)
         started["all"] = True
         if pending["count"] == 0:
-            self.sim.schedule(self.config.mem_read_us, on_done, result)
+            sim = self.sim
+            sim.at_(sim.now + self.config.mem_read_us, on_done, result)
 
     # ------------------------------------------------------------------
     # Introspection

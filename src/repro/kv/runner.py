@@ -93,26 +93,28 @@ class YcsbRunner:
         if not self.running:
             return
         op, key = self.generator.next_op()
-        start = self.sim.now
-        if op is YcsbOp.READ:
-            self.tree.get(key, lambda found: self._op_done(start, self.read_latency))
-        elif op in (YcsbOp.UPDATE, YcsbOp.INSERT):
-            self.tree.put(key, lambda: self._op_done(start, self.update_latency))
-        elif op is YcsbOp.SCAN:
-            length = self.generator.next_scan_length()
-            self.tree.scan(key, length, lambda keys: self._op_done(start, self.read_latency))
-        else:  # read-modify-write: a get whose completion chains a put.
-            self.tree.get(
-                key,
-                lambda found: self.tree.put(
-                    key, lambda: self._op_done(start, self.update_latency)
-                ),
-            )
+        sim = self.sim
+        start = sim.now
+        is_read = op is YcsbOp.READ or op is YcsbOp.SCAN
 
-    def _op_done(self, start: float, histogram: LatencyHistogram) -> None:
-        histogram.record(self.sim.now - start)
-        self.ops.record(self.sim.now, 1)
-        self._next_op()
+        def done(_result=None) -> None:
+            # The histogram is looked up now, not when the op was
+            # issued: begin_measurement swaps both while the first ops
+            # are in flight.
+            now = sim.now
+            (self.read_latency if is_read else self.update_latency).record(now - start)
+            self.ops.record(now, 1)
+            self._next_op()
+
+        if op is YcsbOp.READ:
+            self.tree.get(key, done)
+        elif op is YcsbOp.SCAN:
+            self.tree.scan(key, self.generator.next_scan_length(), done)
+        elif op is YcsbOp.READ_MODIFY_WRITE:
+            # A get whose completion chains the put.
+            self.tree.get(key, lambda found: self.tree.put(key, done))
+        else:  # update / insert
+            self.tree.put(key, done)
 
     # ------------------------------------------------------------------
     # Results

@@ -13,9 +13,14 @@ Shards advance in lock-stepped conservative windows:
    window ``(clock, m + L]`` where ``L`` is the *lookahead*: the
    minimum cross-shard fabric latency (per-message NIC ingress floor +
    wire propagation).
-3. Each shard injects its inbound messages (sorted by the canonical
-   ``(due, send, src, seq)`` key) and runs its kernel to the shared
-   horizon, collecting any messages it emits into an outbox.
+3. Each shard with something due in the window -- an inbound message,
+   or an event at or before the horizon -- injects its messages (sorted
+   by the canonical ``(due, send, src, seq)`` key) and runs its kernel
+   to the shared horizon, collecting any messages it emits into an
+   outbox.  A shard with nothing due is not stepped: no event and no
+   message can reach it before its next step, so only its clock would
+   move, and that is caught up when :meth:`ShardExecutor.run_until`
+   returns.
 4. Outboxes are routed at the barrier and the loop repeats until every
    shard is idle and no messages are in flight.
 
@@ -32,10 +37,13 @@ Determinism: the horizon sequence is a pure function of event
 timestamps and message delivery times, both of which are independent
 of how shards are scheduled onto processes.  Single-process round-robin
 execution (``mode="inline"``) is therefore byte-identical to
-multi-process execution (``mode="processes"``), and -- because shards
-never share simulator state -- results are also invariant to the
-number of shards the same topology is partitioned into.  CI gates both
-properties (see ``tests/harness/test_sharded_rack.py``).
+multi-process execution (``mode="processes"``) of the same plan; CI
+gates that at fixed shard counts (``tests/harness/test_sharded_rack.py``,
+the ``shard-identity`` job).  Results are *not* invariant to the shard
+count: the boundary charges fabric latency for control messages that
+are instant calls unsharded, and the perf ledger recorded that sharded
+and unsharded ``kv-rack`` runs count and steer operations differently
+(ROADMAP item 2 owns finding the cause and the keep-or-delete verdict).
 """
 
 from __future__ import annotations
@@ -69,7 +77,12 @@ class ShardProtocolError(RuntimeError):
 
 
 class ShardWorkerError(RuntimeError):
-    """A shard worker process raised during a window step."""
+    """A shard worker process raised, or died, during a window step."""
+
+    #: The shard that failed; set where the error is raised (an instance
+    #: attribute, not a constructor argument, so the error still pickles
+    #: out of a sweep worker).
+    shard_id: Optional[int] = None
 
 
 @dataclass(slots=True)
@@ -93,6 +106,14 @@ class ShardMessage:
 
 def _message_key(msg: ShardMessage):
     return (msg.due_us, msg.send_us, msg.src, msg.seq)
+
+
+#: The inbox of a shard stepped with nothing inbound.  Shared and
+#: immutable on purpose: local channels run their step lazily in
+#: ``wait``, so handing one the executor's live pending list would
+#: inject a message routed to it later in the same round one window
+#: early.
+_NO_MESSAGES: Sequence[ShardMessage] = ()
 
 
 # ----------------------------------------------------------------------
@@ -275,7 +296,7 @@ class _LocalChannel:
     def next_event_time(self) -> Optional[float]:
         return self.kernel.sim.next_event_time()
 
-    def post(self, horizon_us: float, inbound: List[ShardMessage]) -> None:
+    def post(self, horizon_us: float, inbound: Sequence[ShardMessage]) -> None:
         self._posted = (horizon_us, inbound)
 
     def wait(self):
@@ -367,38 +388,57 @@ class _ProcessChannel:
         if not self._conn.poll(0):
             self._conn.poll(None)
             self.barrier_stall_s += time.perf_counter() - t0
-        status, value = self._conn.recv()
+        try:
+            status, value = self._conn.recv()
+        except (EOFError, OSError) as exc:
+            raise self._failure(f"worker exited without replying ({exc!r})") from exc
         if status != "ok":
-            raise ShardWorkerError(
-                f"shard {self.shard_id} worker failed:\n{value}"
-            )
+            raise self._failure(value)
         return value
 
+    def _send(self, command: tuple) -> None:
+        try:
+            self._conn.send(command)
+        except OSError as exc:
+            raise self._failure(f"worker is gone ({exc!r})") from exc
+
+    def _failure(self, detail: str) -> ShardWorkerError:
+        error = ShardWorkerError(f"shard {self.shard_id} worker failed:\n{detail}")
+        error.shard_id = self.shard_id
+        return error
+
     def next_event_time(self) -> Optional[float]:
-        self._conn.send(("next",))
+        self._send(("next",))
         return self._recv()
 
-    def post(self, horizon_us: float, inbound: List[ShardMessage]) -> None:
-        self._conn.send(("step", horizon_us, inbound))
+    def post(self, horizon_us: float, inbound: Sequence[ShardMessage]) -> None:
+        self._send(("step", horizon_us, inbound))
 
     def wait(self):
         return self._recv()
 
     def stats(self) -> Dict[str, Any]:
-        self._conn.send(("stats",))
+        self._send(("stats",))
         return self._recv()
 
-    def close(self) -> None:
+    def close(self, abort: bool = False) -> None:
+        """Stop and join the worker.  Never raises.
+
+        ``abort`` skips the stop handshake: after a failed window a
+        healthy worker may be blocked sending a step result nobody will
+        read, so it would never see the request.
+        """
         if self._process is None:
             return
-        try:
-            self._conn.send(("stop",))
-        except OSError:
-            pass
-        self._process.join(timeout=10.0)
-        if self._process.is_alive():  # pragma: no cover - hang backstop
+        if not abort:
+            try:
+                self._conn.send(("stop",))
+            except OSError:  # worker already gone
+                pass
+            self._process.join(timeout=10.0)
+        if self._process.is_alive():
             self._process.terminate()
-            self._process.join()
+        self._process.join()
         self._conn.close()
         self._process = None
 
@@ -425,9 +465,16 @@ class ShardExecutor:
         self.barrier_stall_s = 0.0
         self.shard_events: List[int] = []
         self._pending: List[List[ShardMessage]] = []
+        #: Per shard: its earliest pending event, exact between steps
+        #: (inside ``run_until`` only a step can touch a shard's heap;
+        #: :meth:`_refresh_next` re-polls at entry).
         self._next_t: List[Optional[float]] = []
+        #: Per shard: its clock after its last step.
+        self._clock: List[float] = []
         self._profile_dir = os.environ.get(SHARD_PROFILE_ENV) or None
         self._closed = False
+        #: The shard whose worker failed; the executor is unusable after.
+        self._failed: Optional[int] = None
 
     # -- topology construction ----------------------------------------
     def add_local(self, kernel: ShardKernel) -> int:
@@ -436,21 +483,19 @@ class ShardExecutor:
             raise ValueError(
                 f"kernel shard_id {kernel.shard_id} != slot {shard_id}"
             )
-        self.channels.append(_LocalChannel(shard_id, kernel, self._profile_dir))
-        self._pending.append([])
-        self._next_t.append(None)
-        self.shard_events.append(0)
-        return shard_id
+        return self._add(_LocalChannel(shard_id, kernel, self._profile_dir))
 
     def add_process(self, factory, spec) -> int:
         shard_id = len(self.channels)
-        self.channels.append(
-            _ProcessChannel(shard_id, factory, spec, self._profile_dir)
-        )
+        return self._add(_ProcessChannel(shard_id, factory, spec, self._profile_dir))
+
+    def _add(self, channel) -> int:
+        self.channels.append(channel)
         self._pending.append([])
         self._next_t.append(None)
+        self._clock.append(0.0)
         self.shard_events.append(0)
-        return shard_id
+        return channel.shard_id
 
     @property
     def shards(self) -> int:
@@ -467,7 +512,7 @@ class ShardExecutor:
         channels = self.channels
         for index, channel in enumerate(channels):
             if isinstance(channel, _ProcessChannel):
-                channel._conn.send(("next",))
+                channel._send(("next",))
         for index, channel in enumerate(channels):
             self._next_t[index] = (
                 channel._recv()
@@ -492,21 +537,33 @@ class ShardExecutor:
         With a target, every shard's clock lands exactly on the target
         (mirroring ``Simulator.run(until_us=...)`` semantics); without
         one, the loop runs until every shard is idle and no messages
-        are in flight.
+        are in flight, and every clock lands on the last horizon.
         """
-        self._collect_local_outboxes()
-        self._refresh_next()
-        lookahead = self.lookahead_us
-        while True:
-            earliest = self._earliest()
-            if earliest is None or (target_us is not None and earliest > target_us):
-                if target_us is not None:
-                    self._round(target_us)
-                return
-            horizon = earliest + lookahead
-            if target_us is not None and horizon > target_us:
-                horizon = target_us
-            self._round(horizon)
+        if self._failed is not None:
+            raise self.channels[self._failed]._failure(
+                "in an earlier window; this executor cannot advance any further"
+            )
+        try:
+            self._collect_local_outboxes()
+            self._refresh_next()
+            lookahead = self.lookahead_us
+            horizon = None
+            while True:
+                earliest = self._earliest()
+                if earliest is None or (target_us is not None and earliest > target_us):
+                    if target_us is not None:
+                        horizon = target_us
+                        self._round(horizon)
+                    if horizon is not None:
+                        self._catch_up(horizon)
+                    return
+                horizon = earliest + lookahead
+                if target_us is not None and horizon > target_us:
+                    horizon = target_us
+                self._round(horizon)
+        except ShardWorkerError as exc:
+            self._failed = exc.shard_id
+            raise
 
     def run(self) -> None:
         """Run to global quiescence (no events, no in-flight messages)."""
@@ -541,37 +598,66 @@ class ShardExecutor:
                     self._route(index, outbox)
 
     def _round(self, horizon_us: float) -> None:
-        channels = self.channels
+        """One window: step the shards that have something due in it."""
         pending = self._pending
-        inboxes = pending[:]
-        for index in range(len(pending)):
-            pending[index] = []
-        for index, channel in enumerate(channels):
-            inbox = inboxes[index]
-            if len(inbox) > 1:
-                inbox.sort(key=_message_key)
+        next_ts = self._next_t
+        stepped = []
+        for index, channel in enumerate(self.channels):
+            inbox = pending[index]
+            if inbox:
+                pending[index] = []
+                if len(inbox) > 1:
+                    inbox.sort(key=_message_key)
+            else:
+                next_t = next_ts[index]
+                if next_t is None or next_t > horizon_us:
+                    continue
+                inbox = _NO_MESSAGES
             channel.post(horizon_us, inbox)
+            stepped.append((index, channel))
         events = self.shard_events
-        for index, channel in enumerate(channels):
-            outbox, next_t, fired, _now = channel.wait()
-            self._next_t[index] = next_t
-            events[index] = fired
-            self._route(index, outbox)
+        clock = self._clock
+        for index, channel in stepped:
+            outbox, next_ts[index], events[index], clock[index] = channel.wait()
+            if outbox:
+                self._route(index, outbox)
         self.windows += 1
+
+    def _catch_up(self, horizon_us: float) -> None:
+        """Bring the shards skipped since their last step to the horizon
+        the run ended on, so on return from :meth:`run_until` every
+        shard's clock reads what it would had it been stepped in every
+        window.  Nothing can fire (a skipped shard has nothing due) and
+        no window is counted."""
+        for index, channel in enumerate(self.channels):
+            if self._clock[index] < horizon_us:
+                channel.post(horizon_us, _NO_MESSAGES)
+                _outbox, _next_t, _fired, self._clock[index] = channel.wait()
 
     # -- teardown / reporting ------------------------------------------
     def finish(self) -> Dict[str, Any]:
         """Collect per-shard stats and stop workers.  Idempotent."""
         if self._closed:
             return self.report()
-        per_shard = [channel.stats() for channel in self.channels]
-        for index, stats in enumerate(per_shard):
-            self.shard_events[index] = stats["events_fired"]
-        for channel in self.channels:
-            if isinstance(channel, _ProcessChannel):
-                self.barrier_stall_s += channel.barrier_stall_s
-            channel.close()
         self._closed = True
+        for index, channel in enumerate(self.channels):
+            if isinstance(channel, _LocalChannel):
+                self.shard_events[index] = channel.stats()["events_fired"]
+                channel.close()
+                continue
+            # Best effort: every worker is stopped and joined whatever
+            # state its peers are in.  After a failed window no worker
+            # is asked (a healthy one may still hold an unread step
+            # reply), and one that cannot answer is gone: either way the
+            # shard keeps the count of its last completed step.
+            gone = self._failed is not None
+            if not gone:
+                try:
+                    self.shard_events[index] = channel.stats()["events_fired"]
+                except ShardWorkerError:
+                    gone = True
+            self.barrier_stall_s += channel.barrier_stall_s
+            channel.close(abort=gone)
         return self.report()
 
     def report(self) -> Dict[str, Any]:

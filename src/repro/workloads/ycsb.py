@@ -22,17 +22,25 @@ from typing import Dict, Tuple
 #: FNV-style constant used by YCSB's key scrambling.
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
+_MASK64 = 0xFFFFFFFFFFFFFFFF
+#: ``_FNV_PRIME ** k mod 2**64``: what ``k`` zero octets do to the hash
+#: (``x ^ 0 == x``, so each such round is one multiply by the prime).
+_FNV_ZERO_OCTETS = tuple(pow(_FNV_PRIME, k, 1 << 64) for k in range(9))
 
 
 def fnv_hash64(value: int) -> int:
-    """YCSB's 64-bit FNV-1a over the integer's bytes."""
+    """YCSB's 64-bit FNV-1a over the integer's eight low octets.
+
+    Octets are hashed while any are non-zero; the zero octets above a
+    small value's last non-zero one are folded into a single multiply.
+    """
     result = _FNV_OFFSET
-    for _ in range(8):
-        octet = value & 0xFF
+    left = 8
+    while value and left:
+        result = ((result ^ (value & 0xFF)) * _FNV_PRIME) & _MASK64
         value >>= 8
-        result ^= octet
-        result = (result * _FNV_PRIME) & 0xFFFFFFFFFFFFFFFF
-    return result
+        left -= 1
+    return (result * _FNV_ZERO_OCTETS[left]) & _MASK64
 
 
 class ZipfianGenerator:
@@ -61,9 +69,18 @@ class ZipfianGenerator:
         self._zetan = self._zeta(item_count, theta)
         self._zeta2 = self._zeta(2, theta)
         self._alpha = 1.0 / (1.0 - theta)
-        self._eta = (1.0 - (2.0 / item_count) ** (1.0 - theta)) / (
-            1.0 - self._zeta2 / self._zetan
-        )
+        if item_count > 2:
+            # u * zetan in [1, this) is rank 1.
+            self._rank1_below = 1.0 + 0.5 ** theta
+            self._eta = (1.0 - (2.0 / item_count) ** (1.0 - theta)) / (
+                1.0 - self._zeta2 / self._zetan
+            )
+        else:
+            # Ranks 0 and 1 are the whole range, so the general branch
+            # is never taken; its eta would divide by 1 - zeta(2)/zeta(n),
+            # which is 0 at n = 2.
+            self._rank1_below = math.inf
+            self._eta = 0.0
 
     @staticmethod
     def _zeta(n: int, theta: float) -> float:
@@ -75,12 +92,21 @@ class ZipfianGenerator:
         uz = u * self._zetan
         if uz < 1.0:
             return 0
-        if uz < 1.0 + 0.5 ** self.theta:
+        if uz < self._rank1_below:
             return 1
         return int(self.item_count * (self._eta * u - self._eta + 1.0) ** self._alpha)
 
     def next(self) -> int:
-        rank = self.next_rank()
+        """The next item: :meth:`next_rank` inline (this is the per-op
+        key draw), then YCSB's scrambling."""
+        u = self.rng.random()
+        uz = u * self._zetan
+        if uz < 1.0:
+            rank = 0
+        elif uz < self._rank1_below:
+            rank = 1
+        else:
+            rank = int(self.item_count * (self._eta * u - self._eta + 1.0) ** self._alpha)
         if not self.scrambled:
             return rank
         return fnv_hash64(rank) % self.item_count
@@ -156,10 +182,14 @@ class YcsbWorkloadGenerator:
         spec = self.spec
         roll = self.rng.random()
         if roll < spec.read:
-            return (YcsbOp.READ, self._read_key())
+            if spec.distribution == "latest":
+                # Workload D: skew toward the most recent inserts.
+                offset = self.zipf.next_rank()
+                return (YcsbOp.READ, max(0, self._insert_cursor - 1 - offset))
+            return (YcsbOp.READ, self.zipf.next())
         roll -= spec.read
         if roll < spec.update:
-            return (YcsbOp.UPDATE, self._zipf_key())
+            return (YcsbOp.UPDATE, self.zipf.next())
         roll -= spec.update
         if roll < spec.insert:
             key = self._insert_cursor
@@ -167,20 +197,9 @@ class YcsbWorkloadGenerator:
             return (YcsbOp.INSERT, key)
         roll -= spec.insert
         if roll < spec.scan:
-            return (YcsbOp.SCAN, self._zipf_key())
-        return (YcsbOp.READ_MODIFY_WRITE, self._zipf_key())
+            return (YcsbOp.SCAN, self.zipf.next())
+        return (YcsbOp.READ_MODIFY_WRITE, self.zipf.next())
 
     def next_scan_length(self) -> int:
         """Uniform scan length in [1, scan_max_length] (workload E)."""
         return self.rng.randint(1, self.spec.scan_max_length)
-
-    def _zipf_key(self) -> int:
-        return self.zipf.next() % self.record_count
-
-    def _read_key(self) -> int:
-        if self.spec.distribution == "latest":
-            # Workload D: skew toward the most recent inserts.
-            offset = self.zipf.next_rank()
-            key = self._insert_cursor - 1 - offset
-            return max(0, key)
-        return self._zipf_key()

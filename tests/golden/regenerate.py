@@ -174,6 +174,119 @@ def conditioning_digest() -> dict:
     return digests
 
 
+#: The KV op-path identity rig (``tests/kv/test_kv_identity.py``): a
+#: hand-written churn schedule small enough for tier-1 that still
+#: enters every completion shape of the closed-loop YCSB path --
+#: memtable hits, table reads and definite misses (A, C), latest-biased
+#: reads over a growing key space (D), scans (E) and get-then-put
+#: chains (F) -- with arrivals and departures overlapping so
+#: ``begin_measurement`` swaps histograms under in-flight operations.
+KV_IDENTITY_CONFIG = {
+    "seed": 13,
+    "num_jbofs": 2,
+    "ssds_per_jbof": 2,
+    #: (name, workload, record_count, concurrency, arrival_us, lifetime_us)
+    "tenants": [
+        ("t0", "A", 384, 4, 0.0, 24_000.0),
+        ("t1", "C", 320, 4, 3_000.0, 10_000.0),
+        ("t2", "D", 128, 2, 6_000.0, 20_000.0),
+        ("t3", "E", 96, 2, 9_000.0, 14_000.0),
+        ("t4", "F", 288, 2, 12_000.0, 22_000.0),
+        ("t5", "C", 96, 8, 15_000.0, 2_000.0),
+    ],
+    #: Executions hashed: the plain event loop and two inline shards.
+    "legs": {"unsharded": None, "shards2": 2},
+}
+
+
+def kv_identity_digest() -> dict:
+    """Hash every KV operation and every recorded latency of one churn.
+
+    Per execution leg: ``ops`` covers the ordered
+    ``(now, tree, "get"|"put"|"scan", key)`` stream entering
+    :class:`~repro.kv.lsm.LsmTree` (load phase, client operations and
+    read-modify-write chains alike); ``results`` covers, per tenant in
+    arrival order, both latency histograms bucket by bucket with their
+    exact float totals, ``kops`` and the LSM counters.  Floats are
+    hashed by their IEEE-754 bytes, so a key drawn from a different
+    random number, an operation completing one event early or a
+    latency landing in the wrong histogram changes the digest.
+    """
+    from repro.harness.kvcluster import KvClusterConfig
+    from repro.workloads.population import TenantSpec
+
+    config = KV_IDENTITY_CONFIG
+    specs = [
+        TenantSpec(name, f"class-{workload}", workload, records, concurrency, arrival, lifetime)
+        for name, workload, records, concurrency, arrival, lifetime in config["tenants"]
+    ]
+    cluster_config = KvClusterConfig(
+        scheme="gimbal",
+        condition="clean",
+        num_jbofs=config["num_jbofs"],
+        ssds_per_jbof=config["ssds_per_jbof"],
+        seed=config["seed"],
+    )
+    return {
+        leg: _kv_identity_leg(cluster_config, specs, shards)
+        for leg, shards in config["legs"].items()
+    }
+
+
+def _kv_identity_leg(cluster_config, specs, shards) -> dict:
+    """One execution of the identity churn, hashed (see above)."""
+    from repro.harness.kvcluster import KvCluster
+    from repro.kv.lsm import LsmTree
+
+    ops = hashlib.sha256()
+    counts = {"get": 0, "put": 0, "scan": 0}
+    runners = []
+
+    def recording(op):
+        method = getattr(LsmTree, op)
+
+        def wrapper(tree, key, *args):
+            counts[op] += 1
+            ops.update(struct.pack("<d", tree.sim.now))
+            ops.update(f"{tree.name}|{op}|{key};".encode("ascii"))
+            return method(tree, key, *args)
+
+        return mock.patch.object(LsmTree, op, wrapper)
+
+    add_instance = KvCluster.add_instance
+
+    def recording_add_instance(cluster, *args, **kwargs):
+        runner = add_instance(cluster, *args, **kwargs)
+        runners.append(runner)  # the cluster drops it on departure
+        return runner
+
+    # Patched on the class, before the cluster exists, so a runner that
+    # caches a bound method is still observed.
+    with recording("get"), recording("put"), recording("scan"), mock.patch.object(
+        KvCluster, "add_instance", recording_add_instance
+    ):
+        cluster = KvCluster(cluster_config, shards=shards, shard_mode="inline")
+        outcome = cluster.run_population(specs)
+    results = hashlib.sha256()
+    for runner, tenant in zip(runners, outcome["tenants"]):
+        assert runner.tree.name == tenant["name"]
+        results.update(f"{tenant['name']}|{tenant['workload']};".encode("ascii"))
+        for histogram in (runner.read_latency, runner.update_latency):
+            results.update(struct.pack("<d", histogram.total))
+            results.update(json.dumps(histogram._counts).encode("ascii"))
+        results.update(struct.pack("<d", tenant["kops"]))
+        results.update(json.dumps(tenant["lsm"], sort_keys=True).encode("ascii"))
+    return {
+        "ops": ops.hexdigest(),
+        "results": results.hexdigest(),
+        **counts,
+        "measured_reads": sum(runner.read_latency.count for runner in runners),
+        "measured_updates": sum(runner.update_latency.count for runner in runners),
+        "drained_us": outcome["drained_us"],
+        "shard": outcome.get("shard"),
+    }
+
+
 def _write(name: str, payload: dict) -> None:
     path = DATA_DIR / f"{name}.json"
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
@@ -191,6 +304,7 @@ def main() -> None:
         _write(name, modules[name].run(**kwargs))
     _write("switch_identity", switch_identity_digest())
     _write("conditioning_identity", conditioning_digest())
+    _write("kv_identity", kv_identity_digest())
 
 
 if __name__ == "__main__":
