@@ -62,23 +62,37 @@ class LatencyMonitor:
         periods cannot push it below the congestion-free floor.
         """
         params = self.params
-        ewma = self.ewma.update(latency_us)
-        if ewma > params.thresh_max_us:
-            self.threshold = params.thresh_max_us
-            state = CongestionState.OVERLOADED
-        elif ewma > self.threshold:
-            self.threshold = (self.threshold + params.thresh_max_us) / 2.0
-            state = CongestionState.CONGESTED
-        elif ewma > params.thresh_min_us:
-            self.threshold -= params.alpha_t * (self.threshold - ewma)
-            state = CongestionState.CONGESTION_AVOIDANCE
+        thresh_min = params.thresh_min_us
+        thresh_max = params.thresh_max_us
+        # ``Ewma.update``, folded in.
+        average = self.ewma
+        ewma = average._value
+        if ewma is None:
+            ewma = float(latency_us)
         else:
-            self.threshold -= params.alpha_t * (self.threshold - ewma)
-            state = CongestionState.UNDERUTILIZED
-        self.threshold = min(max(self.threshold, params.thresh_min_us), params.thresh_max_us)
+            ewma += average.alpha * (latency_us - ewma)
+        average._value = ewma
+        threshold = self.threshold
+        if ewma > thresh_max:
+            threshold = thresh_max
+            state = CongestionState.OVERLOADED
+        elif ewma > threshold:
+            threshold = (threshold + thresh_max) / 2.0
+            state = CongestionState.CONGESTED
+        else:
+            threshold -= params.alpha_t * (threshold - ewma)
+            if ewma > thresh_min:
+                state = CongestionState.CONGESTION_AVOIDANCE
+            else:
+                state = CongestionState.UNDERUTILIZED
+        if threshold < thresh_min:
+            threshold = thresh_min
+        elif threshold > thresh_max:
+            threshold = thresh_max
+        self.threshold = threshold
         if state is not self.state:
             self.transitions += 1
-        self.state = state
+            self.state = state
         self.signals[state] += 1
         return state
 

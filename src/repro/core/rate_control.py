@@ -78,16 +78,20 @@ class DualTokenBucket:
         if elapsed <= 0:
             return
         available = target_rate * elapsed
-        self.read_tokens += available * (write_cost / (1.0 + write_cost))
-        self.write_tokens += available * (1.0 / (1.0 + write_cost))
+        max_tokens = self.max_tokens
+        read_tokens = self.read_tokens + available * (write_cost / (1.0 + write_cost))
+        write_tokens = self.write_tokens + available * (1.0 / (1.0 + write_cost))
         # Overflow spills to the sibling bucket, then truncates.
-        if self.read_tokens > self.max_tokens:
-            self.write_tokens += self.read_tokens - self.max_tokens
-            self.read_tokens = self.max_tokens
-        if self.write_tokens > self.max_tokens:
-            self.read_tokens += self.write_tokens - self.max_tokens
-            self.read_tokens = min(self.read_tokens, self.max_tokens)
-            self.write_tokens = self.max_tokens
+        if read_tokens > max_tokens:
+            write_tokens += read_tokens - max_tokens
+            read_tokens = max_tokens
+        if write_tokens > max_tokens:
+            read_tokens += write_tokens - max_tokens
+            if read_tokens > max_tokens:
+                read_tokens = max_tokens
+            write_tokens = max_tokens
+        self.read_tokens = read_tokens
+        self.write_tokens = write_tokens
 
     def consume(self, op: IoOp, nbytes: int) -> None:
         # Trims ride the write path (dataset management); reads have
@@ -140,8 +144,19 @@ class RateController:
         params = self.params
         if overall_state is None:
             overall_state = state
-        self.meter.record(now_us, nbytes)
-        self.clamp_meter.record(now_us, nbytes)
+        # ``record`` on both meters, sharing the one sample; each window
+        # is evicted here, so the rates below read it as is.
+        sample = (now_us, nbytes)
+        meter = self.meter
+        clamp_meter = self.clamp_meter
+        for each in (meter, clamp_meter):
+            events = each._events
+            events.append(sample)
+            in_window = each._bytes_in_window + nbytes
+            horizon = now_us - each.window_us
+            while events[0][0] < horizon:
+                in_window -= events.popleft()[1]
+            each._bytes_in_window = in_window
         # The paper adjusts the rate "by the IO completion size"; rates
         # here are bytes/us, so the size is normalised by the completion
         # window to give a rate delta of the same flavour (one window's
@@ -151,26 +166,27 @@ class RateController:
             # Snap below the device's measured service rate and kill
             # any buffered burst; incremental steps cannot converge
             # when the workload mix shifted under us.
-            self.target_rate = self.meter.rate_bytes_per_us(now_us)
             self.bucket.discard()
-            self.target_rate -= step
+            target = meter._bytes_in_window / meter.window_us - step
         elif state is CongestionState.CONGESTED:
-            self.target_rate -= step
+            target = self.target_rate - step
         elif state is CongestionState.CONGESTION_AVOIDANCE:
-            self.target_rate += step
+            target = self.target_rate + step
         else:  # UNDERUTILIZED: probe aggressively.
-            self.target_rate += params.beta * step
+            target = self.target_rate + params.beta * step
         # Keep the target tethered to reality: at most ``headroom`` x
         # the measured completion rate (see GimbalParams for rationale).
         if overall_state >= CongestionState.CONGESTION_AVOIDANCE:
-            measured = self.clamp_meter.rate_bytes_per_us(now_us)
+            measured = clamp_meter._bytes_in_window / clamp_meter.window_us
             if measured > 0:
-                self.target_rate = min(
-                    self.target_rate, measured * params.completion_headroom
-                )
-        self.target_rate = min(
-            max(self.target_rate, params.min_rate_bytes_per_us), params.max_rate_bytes_per_us
-        )
+                ceiling = measured * params.completion_headroom
+                if ceiling < target:
+                    target = ceiling
+        if target < params.min_rate_bytes_per_us:
+            target = params.min_rate_bytes_per_us
+        elif target > params.max_rate_bytes_per_us:
+            target = params.max_rate_bytes_per_us
+        self.target_rate = target
 
     def register_metrics(self, registry, prefix: str) -> None:
         """Expose the pacing engine's live state as pull gauges."""

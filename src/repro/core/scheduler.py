@@ -23,7 +23,7 @@ from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.core.config import GimbalParams
 from repro.core.rate_control import DualTokenBucket
-from repro.core.virtual_slot import SlotManager
+from repro.core.virtual_slot import SlotManager, VirtualSlot
 from repro.fabric.request import FabricRequest
 from repro.ssd.commands import IoOp
 
@@ -61,7 +61,14 @@ class GimbalTenant:
         queue.append(request)
         self.pending += 1
         if len(queue) == 1:
-            self._select(restart=True)
+            if len(self._wrr) == 1 and level[0] >= 0:
+                # One level is not a round-robin: the restarted round
+                # lands where it stands (what ``_select`` would leave).
+                self.head = request
+                self._wrr_index = 0
+                level[1] = level[0] + 1
+            else:
+                self._select(restart=True)
 
     def peek(self) -> Optional[FabricRequest]:
         """The request :meth:`pop` would return, without removing it."""
@@ -79,8 +86,12 @@ class GimbalTenant:
         if queue and level[1] > 0:
             self.head = queue[0]
         elif self.pending:
-            self._wrr_index += 1
-            self._select(restart=not queue)
+            if len(self._wrr) == 1:
+                self.head = queue[0]
+                level[1] = level[0] + 1
+            else:
+                self._wrr_index += 1
+                self._select(restart=not queue)
         else:
             # Drained: the next push restarts the round anyway.
             self.head = None
@@ -111,13 +122,8 @@ class GimbalTenant:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"GimbalTenant({self.tenant_id}, pending={self.pending}, "
-            f"deficit={self.deficit:.0f}, slots={self.slots.slots_in_use})"
+            f"deficit={self.deficit:.0f}, slots={len(self.slots.in_use)})"
         )
-
-
-#: Pump outcome: ("idle", ...) all work drained/deferred, or
-#: ("tokens", op, deficit_bytes) blocked on the token bucket.
-PumpResult = Tuple[str, Optional[object], Optional[float]]
 
 
 class DrrSlotScheduler:
@@ -162,30 +168,20 @@ class DrrSlotScheduler:
     # ------------------------------------------------------------------
     # Scheduling
     # ------------------------------------------------------------------
-    def enqueue(self, tenant: GimbalTenant, request: FabricRequest) -> None:
-        tenant.push(request)
-        if not tenant.in_active and not tenant.deferred:
-            tenant.in_active = True
-            self.active.append(tenant)
-
-    def on_slot_freed(self, tenant: GimbalTenant) -> None:
-        """A virtual slot drained; a deferred tenant may rejoin."""
-        if tenant.deferred and tenant.slots.slots_in_use < self.slot_limit:
-            tenant.deferred = False
-            tenant.in_active = True
-            self.active.append(tenant)
-
     def pump(
         self,
         write_cost: float,
         bucket: DualTokenBucket,
-        submit: Callable[..., None],
-    ) -> PumpResult:
-        """Run Algorithm 2 until out of work, slots everywhere, or tokens.
+        submit: Callable[[FabricRequest], None],
+    ) -> Optional[Tuple[IoOp, float]]:
+        """Run Algorithm 2 until out of work, slots everywhere, or tokens:
+        returns None, or ``(op, deficit_bytes)`` when the bucket blocked.
 
         The serviceable unit is the cost-weighted IO size: writes pay
         ``write_cost`` per byte; trims are metadata-only and charged one
         page regardless of range length (and ride the write bucket).
+        An admitted request goes to ``submit`` carrying its virtual
+        slot as ``request._slot``.
 
         Termination: every full rotation of the active list adds one
         quantum to each tenant's deficit, so a head-of-queue IO whose
@@ -218,19 +214,29 @@ class DrrSlotScheduler:
             tokens = bucket.read_tokens if op is IoOp.READ else bucket.write_tokens
             if tokens < token_bytes:
                 bucket.denials += 1
-                return ("tokens", op, token_bytes - tokens)
-            slot = tenant.slots.try_place(weighted, self.slot_limit)
-            if slot is None:
-                # Out of virtual slots: defer with deficit zeroed
-                # (Algorithm 2 / Section 3.5).
-                tenant.deficit = 0.0
-                active.popleft()
-                tenant.in_active = False
-                tenant.deferred = True
-                self.deferrals += 1
-                continue
+                return op, token_bytes - tokens
+            slots = tenant.slots
+            slot = slots.current
+            if slot is None or slot.is_full:
+                in_use = slots.in_use
+                if len(in_use) >= self.slot_limit:
+                    # Out of virtual slots: defer with deficit zeroed
+                    # (Algorithm 2 / Section 3.5).
+                    tenant.deficit = 0.0
+                    active.popleft()
+                    tenant.in_active = False
+                    tenant.deferred = True
+                    self.deferrals += 1
+                    continue
+                slot = slots.current = VirtualSlot(tenant)
+                in_use.append(slot)
+            slot.submits += 1
+            slot.weighted_bytes += weighted
+            if slot.weighted_bytes >= slots.slot_bytes:
+                slot.is_full = True
             tenant.pop()
             bucket.consume(op, token_bytes)
             tenant.deficit -= weighted
-            submit(request, tenant, slot)
-        return ("idle", None, None)
+            request._slot = slot
+            submit(request)
+        return None

@@ -26,13 +26,28 @@ from repro.baselines.base import StorageScheduler
 from repro.core.config import GimbalParams
 from repro.core.congestion import CongestionState, LatencyMonitor
 from repro.core.rate_control import RateController
-from repro.core.scheduler import DrrSlotScheduler, GimbalTenant
-from repro.core.virtual_slot import VirtualSlot
+from repro.core.scheduler import DrrSlotScheduler
 from repro.core.write_cost import WriteCostEstimator
 from repro.fabric.request import FabricRequest
 from repro.obs.trace import TraceType
 from repro.sim.units import MBPS
 from repro.ssd.commands import IoOp
+
+
+def expand_view(snapshot: tuple) -> dict:
+    """Section 3.7's managed view (current headroom and cost) from the
+    ``(target_rate, write_cost, read_state, write_state)`` snapshot a
+    response carries."""
+    target_rate, write_cost, read_state, write_state = snapshot
+    rate_mbps = target_rate / MBPS
+    return {
+        "target_rate_mbps": rate_mbps,
+        "read_headroom_mbps": rate_mbps * write_cost / (1.0 + write_cost),
+        "write_headroom_mbps": rate_mbps / (1.0 + write_cost),
+        "write_cost": write_cost,
+        "read_state": read_state._name_,
+        "write_state": write_state._name_,
+    }
 
 
 class GimbalScheduler(StorageScheduler):
@@ -55,7 +70,6 @@ class GimbalScheduler(StorageScheduler):
         self.rate = RateController(self.params)
         self.write_cost = WriteCostEstimator(self.params)
         self.drr = DrrSlotScheduler(self.params)
-        self._inflight_slots: Dict[int, tuple] = {}
         self._refill_wakeup = None
         # Tracing state: last observed congestion state and (rounded)
         # threshold per monitor, so the journal records transitions and
@@ -98,7 +112,10 @@ class GimbalScheduler(StorageScheduler):
         tenant = drr.tenants.get(request.tenant_id)
         if tenant is None:
             tenant = drr.add_tenant(request.tenant_id)
-        drr.enqueue(tenant, request)
+        tenant.push(request)
+        if not tenant.in_active and not tenant.deferred:
+            tenant.in_active = True
+            drr.active.append(tenant)
         self._pump()
 
     def notify_completion(self, request: FabricRequest) -> None:
@@ -111,7 +128,7 @@ class GimbalScheduler(StorageScheduler):
                 monitor, other = self._read_monitor, self._write_monitor
             else:
                 monitor, other = self._write_monitor, self._read_monitor
-            state = monitor.observe(request.t_device_complete - request.t_device_submit)
+            state = monitor.observe(request.complete_time - request.submit_time)
             tracer = sim.tracer
             if tracer is not None:
                 self._trace_monitor(tracer, now, op, monitor, state)
@@ -122,9 +139,26 @@ class GimbalScheduler(StorageScheduler):
             self.rate.on_completion(now, op, request.npages * 4096, state, overall)
             if op is IoOp.WRITE:
                 self.write_cost.observe_write_latency(now, monitor.ewma.value)
-        tenant, slot = self._inflight_slots.pop(request.request_id)
-        if tenant.slots.on_completion(slot):
-            self.drr.on_slot_freed(tenant)
+        slot = request._slot
+        request._slot = None
+        completions = slot.completions = slot.completions + 1
+        if completions >= slot.submits:
+            if completions > slot.submits:
+                raise RuntimeError("more completions than submissions in slot")
+            if slot.is_full:
+                # Every IO of a closed slot is back: the slot frees, and
+                # a tenant parked for slots may rejoin the round.
+                tenant = slot.tenant
+                slots = tenant.slots
+                slots.in_use.remove(slot)
+                if slot is slots.current:
+                    slots.current = None
+                slots.last_drained_io_count = completions
+                drr = self.drr
+                if tenant.deferred and len(slots.in_use) < drr.slot_limit:
+                    tenant.deferred = False
+                    tenant.in_active = True
+                    drr.active.append(tenant)
         self._pump()
 
     def credit_for(self, tenant_id: str) -> int:
@@ -136,35 +170,35 @@ class GimbalScheduler(StorageScheduler):
         per_slot = tenant.slots.last_drained_io_count or self.params.initial_slot_io_count
         return max(1, self.drr.slot_limit * per_slot)
 
+    def view_snapshot(self) -> tuple:
+        return (
+            self.rate.target_rate,
+            self.write_cost.cost,
+            self._read_monitor.state,
+            self._write_monitor.state,
+        )
+
     def virtual_view(self) -> dict:
-        """Section 3.7's managed view: current headroom and cost."""
-        write_cost = self.write_cost.cost
-        rate_mbps = self.rate.target_rate / MBPS
-        return {
-            "target_rate_mbps": rate_mbps,
-            "read_headroom_mbps": rate_mbps * write_cost / (1.0 + write_cost),
-            "write_headroom_mbps": rate_mbps / (1.0 + write_cost),
-            "write_cost": write_cost,
-            "read_state": self._read_monitor.state._name_,
-            "write_state": self._write_monitor.state._name_,
-        }
+        return expand_view(self.view_snapshot())
 
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _submit(self, request: FabricRequest, tenant: GimbalTenant, slot: VirtualSlot) -> None:
-        self._inflight_slots[request.request_id] = (tenant, slot)
-        self.pipeline.device_submit(request)
-
     def _pump(self) -> None:
         sim = self.sim
         rate = self.rate
         write_cost = self.write_cost.cost
         bucket = rate.bucket
         bucket.update(sim.now, rate.target_rate, write_cost)
-        outcome, op, token_deficit = self.drr.pump(write_cost, bucket, self._submit)
-        if outcome != "tokens":
+        drr = self.drr
+        if not drr.active:
             return
+        # ``device_submit`` is resolved per pump, not bound at attach:
+        # it is hooked on the pipeline instance afterwards.
+        blocked = drr.pump(write_cost, bucket, self.pipeline.device_submit)
+        if blocked is None:
+            return
+        op, token_deficit = blocked
         tracer = sim.tracer
         if tracer is not None:
             tracer.emit(
@@ -245,7 +279,10 @@ class GimbalScheduler(StorageScheduler):
         prefix = prefix or self._component_name
         registry.gauge(f"{prefix}.target_rate_mbps", lambda: self.rate.target_rate / MBPS)
         registry.gauge(f"{prefix}.write_cost", lambda: self.write_cost.cost)
-        registry.gauge(f"{prefix}.inflight", lambda: len(self._inflight_slots))
+        registry.gauge(
+            f"{prefix}.inflight",
+            lambda: sum(tenant.slots.outstanding_ios for tenant in self.drr.tenants.values()),
+        )
         registry.gauge(f"{prefix}.active_tenants", lambda: len(self.drr.active))
         registry.gauge(f"{prefix}.slot_limit", lambda: self.drr.slot_limit)
         registry.gauge(f"{prefix}.slot_deferrals", lambda: self.drr.deferrals)

@@ -16,45 +16,30 @@ from typing import List, Optional
 
 
 class VirtualSlot:
-    """One group of in-flight IOs, at most ``slot_bytes`` weighted bytes."""
+    """One group of in-flight IOs, closed at ``slot_bytes`` weighted bytes.
 
-    __slots__ = ("slot_bytes", "submits", "completions", "weighted_bytes", "is_full")
+    Plain state: the DRR pump fills it and stamps it on the admitted
+    request (``_slot``), the switch's completion handler drains it and
+    finds the owning tenant here.
+    """
 
-    def __init__(self, slot_bytes: int):
-        self.slot_bytes = slot_bytes
+    __slots__ = ("tenant", "submits", "completions", "weighted_bytes", "is_full")
+
+    def __init__(self, tenant):
+        self.tenant = tenant
         self.submits = 0
         self.completions = 0
         self.weighted_bytes = 0.0
         self.is_full = False
 
-    def add(self, weighted_size: float) -> None:
-        """Account one submitted IO; closes the slot when it fills."""
-        if self.is_full:
-            raise RuntimeError("cannot add to a closed slot")
-        self.submits += 1
-        self.weighted_bytes += weighted_size
-        if self.weighted_bytes >= self.slot_bytes:
-            self.is_full = True
-
-    def complete_one(self) -> bool:
-        """Account one completion; True when the whole slot just freed."""
-        self.completions += 1
-        if self.completions > self.submits:
-            raise RuntimeError("more completions than submissions in slot")
-        return self.is_full and self.completions == self.submits
-
-    @property
-    def drained(self) -> bool:
-        return self.is_full and self.completions == self.submits
-
 
 class SlotManager:
     """Per-tenant slot accounting (Algorithm 2's bookkeeping).
 
-    A tenant may hold at most ``limit`` slots that are *in use* (the
-    open slot plus closed-but-incomplete ones).  ``try_place`` either
-    returns the slot an IO was placed into or None, meaning the tenant
-    must defer until a slot drains.
+    A tenant may hold at most ``drr.slot_limit`` slots *in use* (the
+    open one plus closed-but-incomplete ones).  The pump places an IO
+    into ``current`` or opens a slot under the limit, else defers the
+    tenant; the completion handler frees a closed slot once it is empty.
     """
 
     def __init__(self, slot_bytes: int):
@@ -62,42 +47,15 @@ class SlotManager:
             raise ValueError("slot size must be positive")
         self.slot_bytes = slot_bytes
         self.current: Optional[VirtualSlot] = None
-        self._in_use: List[VirtualSlot] = []
+        self.in_use: List[VirtualSlot] = []
         #: IO count of the most recently drained slot; feeds the credit
         #: computation (Section 3.6).
         self.last_drained_io_count = 0
 
     @property
-    def slots_in_use(self) -> int:
-        return len(self._in_use)
-
-    def try_place(self, weighted_size: float, limit: int) -> Optional[VirtualSlot]:
-        """Place one IO of ``weighted_size`` into a slot, or defer."""
-        if weighted_size <= 0:
-            raise ValueError("weighted size must be positive")
-        slot = self.current
-        if slot is None or slot.is_full:
-            if len(self._in_use) >= limit:
-                return None
-            slot = self.current = VirtualSlot(self.slot_bytes)
-            self._in_use.append(slot)
-        slot.add(weighted_size)
-        return slot
-
-    @property
     def outstanding_ios(self) -> int:
         """Submitted-but-uncompleted IOs across all in-use slots."""
-        return sum(slot.submits - slot.completions for slot in self._in_use)
-
-    def on_completion(self, slot: VirtualSlot) -> bool:
-        """Register a completion; True when ``slot`` drained and freed."""
-        if slot.complete_one():
-            self._in_use.remove(slot)
-            if slot is self.current:
-                self.current = None
-            self.last_drained_io_count = slot.submits
-            return True
-        return False
+        return sum(slot.submits - slot.completions for slot in self.in_use)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"SlotManager(in_use={self.slots_in_use}, last_drained={self.last_drained_io_count})"
+        return f"SlotManager(in_use={len(self.in_use)}, last_drained={self.last_drained_io_count})"

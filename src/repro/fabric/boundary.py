@@ -153,8 +153,8 @@ class CoordinatorFabric:
         request = session._parked.pop(request_id)
         request.t_target_arrival = t_target_arrival
         request.t_sched_enqueue = t_sched_enqueue
-        request.t_device_submit = t_device_submit
-        request.t_device_complete = t_device_complete
+        request.submit_time = t_device_submit
+        request.complete_time = t_device_complete
         request.credit_grant = credit_grant
         request.virtual_view = virtual_view
         session.deliver_completion(request)
@@ -316,8 +316,8 @@ class JbofShardHost:
                 request.request_id,
                 request.t_target_arrival,
                 request.t_sched_enqueue,
-                request.t_device_submit,
-                request.t_device_complete,
+                request.submit_time,
+                request.complete_time,
                 request.credit_grant,
                 request.virtual_view,
             ),

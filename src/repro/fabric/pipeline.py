@@ -19,9 +19,8 @@ of construction-time inputs only, so they are precomputed into
 per-pipeline constants (and a per-size-class table for reads) rather
 than re-derived per capsule; schedulers that inherit the base-class
 no-op hooks are detected once so the steady state skips those calls
-entirely; and the per-IO ``DeviceCommand`` is drawn from the free-list
-pool in :mod:`repro.ssd.commands` because the pipeline is the last
-consumer of it.
+entirely; and the request itself is what the device receives and
+stamps -- there is no second per-IO carrier.
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ from repro.fabric.smartnic import CpuCostModel, NicCore
 from repro.nvme.namespace import Namespace
 from repro.obs.trace import TraceType
 from repro.sim.engine import Simulator
-from repro.ssd.commands import IoOp, acquire_command, release_command
+from repro.ssd.commands import IoOp
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.baselines.base import StorageScheduler
@@ -108,11 +107,11 @@ class SsdPipeline:
         # for them: the flags below are resolved once per pipeline.
         self._sched_notifies = _overrides_base(scheduler, "notify_completion")
         self._sched_grants_credit = _overrides_base(scheduler, "credit_for")
-        self._sched_has_view = _overrides_base(scheduler, "virtual_view")
+        self._sched_has_view = _overrides_base(scheduler, "view_snapshot")
         #: Pass-through schedulers (vanilla FIFO) admit every request
-        #: the moment it is enqueued, so the enqueue timestamp, the
-        #: scheduler hop and the device submission collapse into one
-        #: handler (:meth:`_direct_device_submit`).
+        #: the moment it is enqueued, so the scheduler hop is skipped:
+        #: :meth:`device_submit` runs as the event handler and stamps
+        #: the enqueue time itself.
         self._sched_passthrough = getattr(scheduler, "passthrough_enqueue", False)
         # Core-booking accounting is inlined at the two per-IO booking
         # sites; the per-tag [total_us, events] records are fetched
@@ -228,7 +227,7 @@ class SsdPipeline:
         if request.op is IoOp.WRITE:
             sim.at_(done, self._fetch_write_data, request)
         elif self._sched_passthrough:
-            sim.at_(done, self._direct_device_submit, request)
+            sim.at_(done, self.device_submit, request)
         else:
             sim.at_(done, self._scheduler_enqueue, request)
 
@@ -241,7 +240,7 @@ class SsdPipeline:
         # Data-path handling (DMA completion, buffer management).
         done = self.core.book(self._per_page_us * request.npages, "datapath")
         if self._sched_passthrough:
-            self.sim.at_(done, self._direct_device_submit, request)
+            self.sim.at_(done, self.device_submit, request)
         else:
             self.sim.at_(done, self._scheduler_enqueue, request)
 
@@ -249,42 +248,15 @@ class SsdPipeline:
         request.t_sched_enqueue = self.sim.now
         self.scheduler.enqueue(request)
 
-    def _direct_device_submit(self, request: FabricRequest) -> None:
-        """Steps 2-3 fused for pass-through schedulers: the request is
-        enqueued and admitted in the same instant, so the scheduler hop
-        carries no information and the device submission runs here."""
-        sim = self.sim
-        now = sim.now
-        request.t_sched_enqueue = now
-        request.t_device_submit = now
-        tracer = sim.tracer
-        if tracer is not None:
-            tracer.emit(
-                TraceType.IO_DISPATCH,
-                now,
-                self.name,
-                tenant=request.tenant_id,
-                op=request.op.name,
-                queued_us=0.0,
-            )
-        if self._namespaces:
-            namespace = self._namespaces.get(request.tenant_id)
-            if namespace is not None:
-                lpn = namespace.translate(request.lba, request.npages)
-            else:
-                lpn = request.lba
-        else:
-            lpn = request.lba
-        command = acquire_command(request.op, lpn, request.npages, request)
-        self.device.submit(command, self._device_completed)
-
     # ------------------------------------------------------------------
     # Device boundary (called by the scheduler)
     # ------------------------------------------------------------------
     def device_submit(self, request: FabricRequest) -> None:
         """Step 3: the scheduler admits this IO to the SSD now."""
         sim = self.sim
-        request.t_device_submit = sim.now
+        if request.t_sched_enqueue is None:
+            # Pass-through: enqueued and admitted in the same instant.
+            request.t_sched_enqueue = sim.now
         tracer = sim.tracer
         if tracer is not None:
             tracer.emit(
@@ -297,18 +269,14 @@ class SsdPipeline:
             )
         namespace = self._namespaces.get(request.tenant_id)
         if namespace is not None:
-            lpn = namespace.translate(request.lba, request.npages)
+            request.lpn = namespace.translate(request.lba, request.npages)
         else:
-            lpn = request.lba
-        command = acquire_command(request.op, lpn, request.npages, request)
-        self.device.submit(command, self._device_completed)
+            request.lpn = request.lba
+        self.device.submit(request, self._device_completed)
 
-    def _device_completed(self, command) -> None:
+    def _device_completed(self, request: FabricRequest) -> None:
         """Step 4: completion-path processing, then the response."""
-        request: FabricRequest = command.tag
-        release_command(command)
         sim = self.sim
-        request.t_device_complete = sim.now
         tracer = sim.tracer
         if tracer is not None:
             tracer.emit(
@@ -365,7 +333,7 @@ class SsdPipeline:
                     credit=request.credit_grant,
                 )
         if self._sched_has_view:
-            request.virtual_view = self.scheduler.virtual_view()
+            request.virtual_view = self.scheduler.view_snapshot()
         op = request.op
         stats = self.stats
         if op is IoOp.READ:

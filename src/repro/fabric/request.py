@@ -6,6 +6,10 @@ per-tenant priority queues), every timestamp the latency figures
 report, and -- on the way back -- the credit grant that Gimbal
 piggybacks in the NVMe-oF completion's first reservation field
 (Section 3.6).
+
+It is the only per-IO carrier: the pipeline hands the request itself
+to ``device.submit`` (see :mod:`repro.ssd.commands` for what a device
+reads and stamps) and the scheduler parks its cookie on it.
 """
 
 from __future__ import annotations
@@ -50,16 +54,21 @@ class FabricRequest:
     t_wire_submit: Optional[float] = None
     t_target_arrival: Optional[float] = None
     t_sched_enqueue: Optional[float] = None
-    t_device_submit: Optional[float] = None
-    t_device_complete: Optional[float] = None
     t_client_complete: Optional[float] = None
+
+    # -- device-command face --
+    #: ``lba`` after namespace translation, set by the pipeline.
+    lpn: Optional[int] = None
+    #: Stamped by the device alone (``t_device_submit`` / ``_complete``).
+    submit_time: Optional[float] = None
+    complete_time: Optional[float] = None
 
     #: Credit grant piggybacked on the completion (Gimbal's flow
     #: control); 0 means "no credit information".
     credit_grant: int = 0
-    #: Snapshot of the per-SSD virtual view at completion time
-    #: (read/write headroom in MB/s), if the scheduler exposes one.
-    virtual_view: Optional[dict] = None
+    #: The scheduler's ``view_snapshot()`` at completion time, if it
+    #: exposes one (Gimbal: see :func:`repro.core.switch.expand_view`).
+    virtual_view: Optional[tuple] = None
 
     # -- transport plumbing (owned by the fabric layers, not callers) --
     #: Reply route installed by the pipeline while the IO is in flight.
@@ -67,6 +76,9 @@ class FabricRequest:
     #: Application completion callback carried alongside the request so
     #: the session's wire path needs no per-IO closure.
     _on_complete: Any = field(default=None, repr=False, compare=False)
+    #: The scheduler's cookie (Gimbal: the virtual slot holding this
+    #: IO) between admission and device completion.
+    _slot: Any = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.lba < 0 or self.npages <= 0:
@@ -77,18 +89,19 @@ class FabricRequest:
         return self.npages * 4096
 
     @property
-    def device_latency_us(self) -> float:
-        """Time spent inside the SSD (what Gimbal's monitors observe)."""
-        if self.t_device_submit is None or self.t_device_complete is None:
-            raise ValueError("request has not completed device execution")
-        return self.t_device_complete - self.t_device_submit
+    def t_device_submit(self) -> Optional[float]:
+        return self.submit_time
 
     @property
-    def target_latency_us(self) -> float:
-        """Arrival at the target to device completion (queueing + service)."""
-        if self.t_target_arrival is None or self.t_device_complete is None:
-            raise ValueError("request has not completed at the target")
-        return self.t_device_complete - self.t_target_arrival
+    def t_device_complete(self) -> Optional[float]:
+        return self.complete_time
+
+    @property
+    def device_latency_us(self) -> float:
+        """Time spent inside the SSD (what Gimbal's monitors observe)."""
+        if self.submit_time is None or self.complete_time is None:
+            raise ValueError("request has not completed device execution")
+        return self.complete_time - self.submit_time
 
     @property
     def e2e_latency_us(self) -> float:
@@ -167,9 +180,10 @@ def acquire_request(
     request.t_wire_submit = None
     request.t_target_arrival = None
     request.t_sched_enqueue = None
-    request.t_device_submit = None
-    request.t_device_complete = None
     request.t_client_complete = None
+    request.lpn = None
+    request.submit_time = None
+    request.complete_time = None
     request.credit_grant = 0
     request.virtual_view = None
     return request
@@ -180,11 +194,13 @@ def release_request(request: FabricRequest) -> None:
 
     Clears the reference-bearing fields immediately (so a pooled
     request never pins an application context graph) and parks the
-    object for the next :func:`acquire_request`.
+    object for the next :func:`acquire_request`.  Refused while the
+    target still owns the request (reply route or scheduler cookie
+    attached): recycling it would hand a live IO to the next caller.
     """
+    if request._reply is not None or request._slot is not None:
+        raise RuntimeError(f"{request!r} released while the target still owns it")
     request.context = None
-    request.virtual_view = None
-    request._reply = None
     request._on_complete = None
     if len(_free_requests) < _FREE_REQUEST_CAP:
         _free_requests.append(request)

@@ -507,12 +507,14 @@ class KvCluster:
             self.sim.schedule(max(0.0, spec.arrival_us - self.sim.now), launch, spec)
         self._advance()
         if self.instances:
+            self.finish_shards()
             raise RuntimeError(
                 f"{len(self.instances)} instances still resident after the "
                 "population drained"
             )
         missing = [spec.name for spec in specs if spec.name not in results]
         if missing:
+            self.finish_shards()
             raise RuntimeError(f"{len(missing)} tenants never departed: {missing[:5]}")
         post_available = self.global_allocator.total_available_megas
         out = {
@@ -578,7 +580,12 @@ class KvCluster:
         """Advance the rack: the plain event loop unsharded, the
         conservative window protocol when sharded."""
         if self.shard_executor is not None:
-            self.shard_executor.run_until(until_us)
+            try:
+                self.shard_executor.run_until(until_us)
+            except BaseException:
+                # No caller will get a result to ``finish_shards()`` on.
+                self.finish_shards()
+                raise
         elif until_us is None:
             self.sim.run()
         else:
@@ -626,6 +633,7 @@ class KvCluster:
             runner.load(one_loaded)
         self._advance()
         if remaining["count"]:
+            self.finish_shards()
             raise RuntimeError(f"{remaining['count']} instances did not finish loading")
 
     def run(self, warmup_us: float, measure_us: float) -> Dict[str, object]:

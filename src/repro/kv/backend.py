@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
+from repro.core.switch import expand_view
 from repro.fabric.initiator import TenantSession
 from repro.fabric.request import FabricRequest
 from repro.ssd.commands import IoOp
@@ -31,12 +32,18 @@ class RemoteBackend:
         #: Last credit amount granted by the target (0 = unknown).
         self.credit = 0
         #: Last per-SSD virtual view snapshot (None = not exposed).
-        self.virtual_view: Optional[dict] = None
+        self._view_snapshot: Optional[tuple] = None
         self.reads = 0
         self.writes = 0
         self.trims = 0
         self.read_bytes = 0
         self.write_bytes = 0
+
+    @property
+    def virtual_view(self) -> Optional[dict]:
+        """The target's latest virtual view, expanded on access."""
+        snapshot = self._view_snapshot
+        return None if snapshot is None else expand_view(snapshot)
 
     @property
     def outstanding(self) -> int:
@@ -78,7 +85,7 @@ class RemoteBackend:
             if request.credit_grant > 0:
                 self.credit = request.credit_grant
             if request.virtual_view is not None:
-                self.virtual_view = request.virtual_view
+                self._view_snapshot = request.virtual_view
             on_complete(request)
 
         return observe

@@ -475,6 +475,8 @@ class ShardExecutor:
         self._closed = False
         #: The shard whose worker failed; the executor is unusable after.
         self._failed: Optional[int] = None
+        #: A window did not run to its end (whoever raised).
+        self._torn = False
 
     # -- topology construction ----------------------------------------
     def add_local(self, kernel: ShardKernel) -> int:
@@ -561,8 +563,12 @@ class ShardExecutor:
                 if target_us is not None and horizon > target_us:
                     horizon = target_us
                 self._round(horizon)
-        except ShardWorkerError as exc:
-            self._failed = exc.shard_id
+        except BaseException as exc:
+            # A worker failed, a coordinator callback raised or the run
+            # was interrupted: steps may be out with no reply read.
+            self._torn = True
+            if isinstance(exc, ShardWorkerError):
+                self._failed = exc.shard_id
             raise
 
     def run(self) -> None:
@@ -646,11 +652,11 @@ class ShardExecutor:
                 channel.close()
                 continue
             # Best effort: every worker is stopped and joined whatever
-            # state its peers are in.  After a failed window no worker
+            # state its peers are in.  After a torn window no worker
             # is asked (a healthy one may still hold an unread step
             # reply), and one that cannot answer is gone: either way the
             # shard keeps the count of its last completed step.
-            gone = self._failed is not None
+            gone = self._torn
             if not gone:
                 try:
                     self.shard_events[index] = channel.stats()["events_fired"]

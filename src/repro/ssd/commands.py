@@ -3,6 +3,12 @@
 Logical addressing is page-granular (4 KiB logical blocks): ``lpn`` is
 a logical page number and ``npages`` the transfer length.  All the
 paper's workloads use 4 KiB-aligned sizes, so nothing finer is needed.
+
+A device reads a command's ``op``, ``lpn``, ``npages`` (``size_bytes``)
+and stamps ``submit_time`` / ``complete_time``.  :class:`DeviceCommand`
+is that face alone, for code that drives a device directly; the fabric
+datapath submits its :class:`~repro.fabric.request.FabricRequest` as
+is -- one carrier per IO, no pool here.
 """
 
 from __future__ import annotations
@@ -10,7 +16,7 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, List, Optional
+from typing import Any, Optional
 
 
 class IoOp(enum.Enum):
@@ -42,11 +48,9 @@ _command_ids = itertools.count(1)
 class DeviceCommand:
     """One read or write command against an SSD.
 
-    ``tag`` is an opaque caller cookie (the fabric layer stores its
-    request context there).  ``submit_time``/``complete_time`` are
-    stamped by the device and are what the latency monitors consume.
-    Slotted: one is allocated per device IO, so the dict-free layout
-    matters on the hot path.
+    ``tag`` is an opaque caller cookie.  ``submit_time``/``complete_time``
+    are stamped by the device.  Slotted: direct drivers allocate one per
+    device IO.
     """
 
     op: IoOp
@@ -80,48 +84,3 @@ class DeviceCommand:
             f"DeviceCommand(#{self.command_id} {self.op.value} "
             f"lpn={self.lpn} npages={self.npages})"
         )
-
-
-# ----------------------------------------------------------------------
-# Command free-list pool
-# ----------------------------------------------------------------------
-# The fabric pipeline creates exactly one DeviceCommand per admitted IO
-# and is the last consumer of it (the completion handler extracts the
-# tagged request and drops the command), so it owns the full lifecycle
-# and can recycle unconditionally.  Callers that construct
-# ``DeviceCommand`` directly are unaffected.
-_free_commands: List[DeviceCommand] = []
-_FREE_COMMAND_CAP = 4096
-
-
-def acquire_command(op: IoOp, lpn: int, npages: int, tag: Any = None) -> DeviceCommand:
-    """Pooled constructor, field-for-field equivalent to
-    ``DeviceCommand(op, lpn, npages, tag)`` with a fresh command id."""
-    free = _free_commands
-    if not free:
-        return DeviceCommand(op, lpn, npages, tag)
-    if lpn < 0:
-        raise ValueError(f"negative LPN: {lpn}")
-    if npages <= 0:
-        raise ValueError(f"non-positive transfer length: {npages}")
-    cmd = free.pop()
-    cmd.op = op
-    cmd.lpn = lpn
-    cmd.npages = npages
-    cmd.tag = tag
-    cmd.command_id = next(_command_ids)
-    cmd.submit_time = None
-    cmd.complete_time = None
-    return cmd
-
-
-def release_command(cmd: DeviceCommand) -> None:
-    """Return a command whose completion handler has finished with it."""
-    cmd.tag = None
-    if len(_free_commands) < _FREE_COMMAND_CAP:
-        _free_commands.append(cmd)
-
-
-def command_pool_size() -> int:
-    """Current free-list depth (test/diagnostic hook)."""
-    return len(_free_commands)

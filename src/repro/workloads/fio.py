@@ -174,7 +174,7 @@ class FioWorker:
         # (and repeated attribute loads) are pure overhead.
         complete = request.t_client_complete
         inflight_us = complete - request.t_wire_submit
-        device_us = request.t_device_complete - request.t_device_submit
+        device_us = request.complete_time - request.submit_time
         self.throughput.record(complete, self._io_bytes)
         if request.op is IoOp.READ:
             self.read_latency.record(inflight_us)

@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import CongestionState, GimbalParams
+from repro.core import CongestionState, GimbalParams, LatencyMonitor
 from repro.core.rate_control import CompletionRateMeter, DualTokenBucket, RateController
 from repro.ssd.commands import IoOp
+from tests.core.reference import ReferenceLatencyMonitor, ReferenceRateController
 
 
 @pytest.fixture
@@ -182,3 +183,101 @@ class TestRateController:
                 float(t), IoOp.READ, 131072, CongestionState.UNDERUTILIZED
             )
         assert controller.target_rate > before
+
+
+# ----------------------------------------------------------------------
+# The flattened completion path against its reference model
+# ----------------------------------------------------------------------
+_WINDOW_US = GimbalParams().completion_rate_window_us  # the clamp meter's is 4x
+_COMPLETION = st.tuples(
+    # Bursts at one instant, ordinary spacing, and gaps that empty the
+    # snap window only, then both windows.
+    st.one_of(
+        st.just(0.0),
+        st.floats(0.01, 500.0),
+        st.floats(_WINDOW_US, 4.0 * _WINDOW_US),
+        st.floats(4.0 * _WINDOW_US, 20.0 * _WINDOW_US),
+    ),
+    # Latencies on both sides of thresh_min (250), the moving threshold
+    # and thresh_max (1500).
+    st.one_of(
+        st.floats(1.0, 250.0),
+        st.floats(250.0, 1500.0),
+        st.floats(1500.0, 50_000.0),
+    ),
+    st.sampled_from([1, 2, 4, 8, 16, 32]),  # 4 KiB - 128 KiB
+    st.sampled_from([IoOp.READ, IoOp.WRITE]),
+)
+
+
+class _CompletionPath:
+    """Monitors + controller wired as ``GimbalScheduler.notify_completion``
+    wires them."""
+
+    def __init__(self, monitor_type, controller_type):
+        params = GimbalParams()
+        self.monitors = {IoOp.READ: monitor_type(params), IoOp.WRITE: monitor_type(params)}
+        self.controller = controller_type(params)
+
+    def complete(self, now_us, latency_us, npages, op):
+        monitor = self.monitors[op]
+        other = self.monitors[IoOp.WRITE if op is IoOp.READ else IoOp.READ]
+        state = monitor.observe(latency_us)
+        self.controller.on_completion(now_us, op, npages * 4096, state, max(state, other.state))
+        return state
+
+    def fingerprint(self):
+        controller = self.controller
+        return (
+            controller.target_rate,
+            controller.meter._bytes_in_window,
+            controller.clamp_meter._bytes_in_window,
+            len(controller.meter._events),
+            len(controller.clamp_meter._events),
+            controller.bucket.discards,
+            controller.bucket.read_tokens,
+            controller.bucket.write_tokens,
+        ) + tuple(
+            (m.threshold, m.ewma.value, m.ewma.initialized, m.state, m.transitions, m.signals)
+            for m in self.monitors.values()
+        )
+
+
+class TestCompletionPathMatchesReference:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(_COMPLETION, max_size=150))
+    def test_bit_identical_after_every_completion(self, completions):
+        live = _CompletionPath(LatencyMonitor, RateController)
+        reference = _CompletionPath(ReferenceLatencyMonitor, ReferenceRateController)
+        now_us = 0.0
+        for gap_us, latency_us, npages, op in completions:
+            now_us += gap_us
+            assert live.complete(now_us, latency_us, npages, op) is reference.complete(
+                now_us, latency_us, npages, op
+            )
+            assert live.fingerprint() == reference.fingerprint()
+
+    def test_a_stream_through_all_four_states(self):
+        """The property above is only as good as the states its streams
+        reach; this fixed one provably visits all four, the headroom
+        clamp, the overload snap and both rate bounds."""
+        live = _CompletionPath(LatencyMonitor, RateController)
+        reference = _CompletionPath(ReferenceLatencyMonitor, ReferenceRateController)
+        params = live.controller.params
+        seen, rates = set(), set()
+        now_us = 0.0
+        latencies = [60.0] * 300 + [400.0] * 40 + [900.0, 1400.0] * 20 + [5000.0] * 60 + [30.0] * 4000
+        for index, latency_us in enumerate(latencies):
+            if latency_us == 5000.0 and index % 2:
+                now_us += 1.5 * _WINDOW_US  # a trickle: the snap lands on the floor
+            else:
+                now_us += 0.0 if index % 7 == 0 else 35.0
+            op = IoOp.WRITE if index % 3 == 0 else IoOp.READ
+            state = live.complete(now_us, latency_us, 1 + index % 32, op)
+            assert state is reference.complete(now_us, latency_us, 1 + index % 32, op)
+            assert live.fingerprint() == reference.fingerprint()
+            seen.add(state)
+            rates.add(live.controller.target_rate)
+        assert seen == set(CongestionState)
+        assert live.controller.bucket.discards > 0
+        assert params.min_rate_bytes_per_us in rates and params.max_rate_bytes_per_us in rates

@@ -10,6 +10,8 @@ from repro.core import DrrSlotScheduler, GimbalParams, GimbalTenant
 from repro.core.rate_control import DualTokenBucket
 from repro.fabric.request import FabricRequest
 from repro.ssd.commands import IoOp
+from tests.core.reference import LiveSwitch
+from tests.core.reference import reference_enqueue as enqueue
 
 KB128 = 32  # pages
 
@@ -139,6 +141,34 @@ class TestGimbalTenantMatchesReference:
                 reference.push(request)
             assert tenant.head is reference.peek()
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(0, 3),
+        st.lists(st.sampled_from(["push", "pop", "peek"]), max_size=40),
+        st.lists(st.one_of(st.integers(0, 3), st.just("pop"), st.just("peek")), max_size=60),
+    )
+    def test_single_level_tenant_that_gains_a_second_level(self, first, alone, mixed):
+        """A tenant with one priority level skips the round-robin walk;
+        what it leaves behind must be what the walk would have left, so
+        that a second level appearing mid-stream (with the first drained,
+        mid-burst or out of serves) continues in the reference's order."""
+        tenant = GimbalTenant("t", 1.0, 128 * 1024)
+        reference = _RebuildingWrr()
+        steps = [first if step == "push" else step for step in alone] + mixed
+        for step in steps:
+            if step == "peek":
+                assert tenant.peek() is reference.peek()
+            elif step == "pop":
+                if tenant.pending:
+                    assert tenant.pop() is reference.pop()
+            else:
+                request = make_request("t", priority=step)
+                tenant.push(request)
+                reference.push(request)
+            assert tenant.head is reference.peek()
+        while tenant.pending:
+            assert tenant.pop() is reference.pop()
+
 
 class TestDrrSlotScheduler:
     @pytest.fixture
@@ -153,7 +183,7 @@ class TestDrrSlotScheduler:
         submitted = []
         bucket = full_bucket(params)
 
-        def refill_submit(request, tenant, slot):
+        def refill_submit(request):
             submitted.append(request)
             bucket.read_tokens = bucket.max_tokens
             bucket.write_tokens = bucket.max_tokens
@@ -171,31 +201,32 @@ class TestDrrSlotScheduler:
     def test_single_tenant_submits_up_to_slots(self, drr, params):
         tenant = drr.add_tenant("a")
         for _ in range(20):
-            drr.enqueue(tenant, make_request("a"))
+            enqueue(drr, tenant, make_request("a"))
         submitted = self._pump_all(drr, params)
         # 128 KiB IOs: one per slot, slot_threshold slots.
         assert len(submitted) == params.slot_threshold
         assert tenant.deferred
 
-    def test_deferred_tenant_resumes_on_slot_drain(self, drr, params):
-        tenant = drr.add_tenant("a")
+    def test_deferred_tenant_resumes_on_slot_drain(self, params):
+        live = LiveSwitch(["a"], write_cost=1.0)
+        tenant = live.scheduler.drr.tenants["a"]
         for _ in range(params.slot_threshold + 1):
-            drr.enqueue(tenant, make_request("a"))
-        submitted = self._pump_all(drr, params)
-        slot = tenant.slots._in_use[0]
-        for _ in range(slot.submits):
-            if tenant.slots.on_completion(slot):
-                drr.on_slot_freed(tenant)
-        assert tenant.in_active
-        more = self._pump_all(drr, params)
-        assert len(more) == 1
+            live.scheduler.enqueue(make_request("a"))
+        assert len(live.admitted) == params.slot_threshold
+        assert tenant.deferred
+        # 128 KiB IOs fill a slot each: the first completion drains one,
+        # the tenant rejoins and the completion's own pump admits the IO
+        # that was waiting.
+        live.scheduler.notify_completion(live.admitted[0])
+        assert not tenant.deferred
+        assert len(live.admitted) == params.slot_threshold + 1
 
     def test_two_tenants_share_equally(self, drr, params):
         a = drr.add_tenant("a")
         b = drr.add_tenant("b")
         for _ in range(10):
-            drr.enqueue(a, make_request("a"))
-            drr.enqueue(b, make_request("b"))
+            enqueue(drr, a, make_request("a"))
+            enqueue(drr, b, make_request("b"))
         submitted = self._pump_all(drr, params)
         by_tenant = {"a": 0, "b": 0}
         for request in submitted:
@@ -206,27 +237,23 @@ class TestDrrSlotScheduler:
         """A cost-3 write is served once per ~3 reads (the paper's
         example: three round-robin rounds per weighted 128 KiB write).
 
-        Completions are applied instantly so virtual slots never bind
-        and the deficit accounting is the only limiter.
+        The slot limit is out of reach so virtual slots never bind and
+        the deficit accounting is the only limiter.
         """
         reader = drr.add_tenant("r")
         writer = drr.add_tenant("w")
+        drr.slot_limit = 1 << 30
         for _ in range(30):
-            drr.enqueue(reader, make_request("r", op=IoOp.READ))
-            drr.enqueue(writer, make_request("w", op=IoOp.WRITE))
+            enqueue(drr, reader, make_request("r", op=IoOp.READ))
+            enqueue(drr, writer, make_request("w", op=IoOp.WRITE))
 
         submitted = []
         bucket = full_bucket(params)
 
-        def submit(request, tenant, slot):
+        def submit(request):
             submitted.append(request)
             bucket.read_tokens = bucket.max_tokens
             bucket.write_tokens = bucket.max_tokens
-            # Instant completion: free the slot immediately.
-            for _ in range(slot.submits - slot.completions):
-                if tenant.slots.on_completion(slot):
-                    drr.on_slot_freed(tenant)
-                    break
 
         drr.pump(3.0, bucket, submit)
         window = submitted[:16]
@@ -236,40 +263,36 @@ class TestDrrSlotScheduler:
 
     def test_token_shortage_reported(self, drr, params):
         tenant = drr.add_tenant("a")
-        drr.enqueue(tenant, make_request("a"))
+        enqueue(drr, tenant, make_request("a"))
         bucket = DualTokenBucket(params)
         bucket.discard()
-        outcome, op, deficit = drr.pump(1.0, bucket, lambda *a: None)
-        assert outcome == "tokens"
+        op, deficit = drr.pump(1.0, bucket, lambda request: None)
         assert op is IoOp.READ
         assert deficit == pytest.approx(128 * 1024)
 
     def test_tokens_consumed_on_submit(self, drr, params):
         tenant = drr.add_tenant("a")
-        drr.enqueue(tenant, make_request("a"))
+        enqueue(drr, tenant, make_request("a"))
         bucket = full_bucket(params)
         before = bucket.read_tokens
-        drr.pump(1.0, bucket, lambda *a: None)
+        drr.pump(1.0, bucket, lambda request: None)
         assert bucket.read_tokens == before - 128 * 1024
 
     def test_weighted_tenant_gets_proportional_share(self, drr, params):
         """Weighted DRR: a weight-3 tenant accrues quantum 3x as fast."""
         heavy = drr.add_tenant("heavy", weight=3.0)
         light = drr.add_tenant("light", weight=1.0)
+        drr.slot_limit = 1 << 30
         for _ in range(40):
-            drr.enqueue(heavy, make_request("heavy"))
-            drr.enqueue(light, make_request("light"))
+            enqueue(drr, heavy, make_request("heavy"))
+            enqueue(drr, light, make_request("light"))
         submitted = []
         bucket = full_bucket(params)
 
-        def submit(request, tenant, slot):
+        def submit(request):
             submitted.append(request)
             bucket.read_tokens = bucket.max_tokens
             bucket.write_tokens = bucket.max_tokens
-            for _ in range(slot.submits - slot.completions):
-                if tenant.slots.on_completion(slot):
-                    drr.on_slot_freed(tenant)
-                    break
 
         drr.pump(1.0, bucket, submit)
         window = submitted[:32]
@@ -287,10 +310,10 @@ class TestDrrSlotScheduler:
         from repro.ssd.commands import IoOp as _IoOp
 
         tenant = drr.add_tenant("a")
-        drr.enqueue(tenant, make_request("a", op=_IoOp.TRIM, npages=64))
+        enqueue(drr, tenant, make_request("a", op=_IoOp.TRIM, npages=64))
         bucket = full_bucket(params)
         before = bucket.write_tokens
-        drr.pump(9.0, bucket, lambda *a: None)
+        drr.pump(9.0, bucket, lambda request: None)
         assert before - bucket.write_tokens == 4096
 
     def test_idempotent_tenant_registration(self, drr):
@@ -299,8 +322,7 @@ class TestDrrSlotScheduler:
         assert first is second
 
     def test_empty_pump_is_idle(self, drr, params):
-        outcome, _, _ = drr.pump(1.0, full_bucket(params), lambda *a: None)
-        assert outcome == "idle"
+        assert drr.pump(1.0, full_bucket(params), lambda request: None) is None
 
 
 # ----------------------------------------------------------------------
@@ -324,16 +346,23 @@ class TestConservation:
     @settings(max_examples=60, deadline=None)
     @given(st.lists(_STEP, max_size=120), st.sampled_from([1.0, 2.5, 9.0]))
     def test_tokens_slots_and_requests_are_conserved(self, steps, write_cost):
-        params = GimbalParams()
-        drr = DrrSlotScheduler(params)
-        tenants = [drr.add_tenant(name) for name in _TENANTS]
-        bucket = DualTokenBucket(params)
+        # Enqueues and completions enter through the live switch (each
+        # pumps on its way out); the explicit pumps below are the ones a
+        # refill makes necessary.
+        live = LiveSwitch(_TENANTS, write_cost)
+        scheduler = live.scheduler
+        drr = scheduler.drr
+        tenants = [drr.tenants[name] for name in _TENANTS]
+        bucket = scheduler.rate.bucket
         granted = {IoOp.READ: bucket.read_tokens, IoOp.WRITE: bucket.write_tokens}
         enqueued, submitted, inflight = [], [], []
 
-        def submit(request, tenant, slot):
+        def submit(request):
+            request.submit_time, request.complete_time = 0.0, 100.0
             submitted.append(request)
-            inflight.append((tenant, slot))
+            inflight.append(request)
+
+        live.device_submit = submit  # no refill: tokens are metered below
 
         def refill(pages):
             for op, pool in ((IoOp.READ, "read_tokens"), (IoOp.WRITE, "write_tokens")):
@@ -343,24 +372,24 @@ class TestConservation:
                 granted[op] += added
 
         def complete(index):
-            tenant, slot = inflight.pop(index % len(inflight))
-            if tenant.slots.on_completion(slot):
-                drr.on_slot_freed(tenant)
+            scheduler.notify_completion(inflight.pop(index % len(inflight)))
 
         def check_invariants():
             for tenant in tenants:
-                assert tenant.slots.slots_in_use <= drr.slot_limit
+                assert len(tenant.slots.in_use) <= drr.slot_limit
                 if tenant.deferred:
                     assert tenant.deficit == 0.0 and not tenant.in_active
                 assert tenant.in_active == (tenant in drr.active)
             assert bucket.read_tokens >= 0.0 and bucket.write_tokens >= 0.0
+            assert all(request._slot.tenant.tenant_id == request.tenant_id for request in inflight)
+            assert sum(tenant.slots.outstanding_ios for tenant in tenants) == len(inflight)
 
         for step in steps:
             if step[0] == "enqueue":
                 _, who, op, npages, priority = step
                 request = make_request(_TENANTS[who], op=op, npages=npages, priority=priority)
                 enqueued.append(request)
-                drr.enqueue(tenants[who], request)
+                scheduler.enqueue(request)
             elif step[0] == "complete":
                 if inflight:
                     complete(step[1])

@@ -1,12 +1,14 @@
 """Free-list pool correctness: no state leaks, no behavioural change.
 
-The datapath fast path recycles :class:`FabricRequest` and
-:class:`DeviceCommand` objects through module-level free lists.  Two
-properties keep that safe:
+The datapath recycles :class:`FabricRequest` objects -- the one per-IO
+carrier, which is also what the device receives -- through a
+module-level free list.  Three properties keep that safe:
 
 * a recycled object is field-for-field identical to a freshly
   constructed one -- nothing from its previous life (timestamps,
-  credit grants, reply routes, caller cookies) survives reacquisition;
+  credit grants, device stamps, caller cookies) survives reacquisition;
+* a request the target still owns (it holds a reply route or a
+  scheduler slot) cannot be released;
 * a run with recycling enabled produces byte-identical results to the
   same run with recycling disabled, so pooling is purely an allocation
   optimisation.
@@ -16,6 +18,7 @@ from __future__ import annotations
 
 import json
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -26,20 +29,12 @@ from repro.fabric.request import (
     request_pool_size,
 )
 from repro.harness.testbed import Testbed, TestbedConfig
-from repro.ssd.commands import (
-    DeviceCommand,
-    IoOp,
-    acquire_command,
-    command_pool_size,
-    release_command,
-)
+from repro.ssd.commands import IoOp
 from repro.workloads import FioSpec
+from tests.core.test_switch import build_gimbal_rig
 
 _REQUEST_FIELDS = [
     slot for slot in FabricRequest.__slots__ if slot != "request_id"
-]
-_COMMAND_FIELDS = [
-    slot for slot in DeviceCommand.__slots__ if slot != "command_id"
 ]
 
 _ops = st.sampled_from([IoOp.READ, IoOp.WRITE, IoOp.TRIM])
@@ -49,19 +44,16 @@ _priorities = st.integers(min_value=-4, max_value=4)
 
 
 def _dirty_request(request: FabricRequest) -> None:
-    """Simulate a full life: stamp every mutable field a real IO touches."""
-    request.t_client_submit = 1.0
-    request.t_wire_submit = 2.0
-    request.t_target_arrival = 3.0
-    request.t_sched_enqueue = 4.0
-    request.t_device_submit = 5.0
-    request.t_device_complete = 6.0
-    request.t_client_complete = 7.0
-    request.credit_grant = 12345
-    request.virtual_view = {"read_mbps": 1.0}
-    request._reply = object()
-    request._on_complete = lambda _request: None
-    request.context = {"cookie": object()}
+    """Simulate a full life: every slot holds something no fresh request
+    has, so a reset forgotten in ``acquire_request`` shows whatever the
+    pool held before this test ran."""
+    for name in FabricRequest.__slots__:
+        setattr(request, name, object())
+    # The target lets go of a request before its session releases it:
+    # ``_send_response`` clears the reply route, ``notify_completion``
+    # the scheduler's slot cookie.
+    request._reply = None
+    request._slot = None
 
 
 @given(
@@ -96,44 +88,36 @@ def test_recycled_request_identical_to_fresh(tenant, op, lba, npages, priority):
     release_request(recycled)
 
 
-@given(op=_ops, lpn=_lbas, npages=_npages)
-@settings(max_examples=200, deadline=None)
-def test_recycled_command_identical_to_fresh(op, lpn, npages):
-    victim = acquire_command(IoOp.WRITE, 99, 5, tag=object())
-    victim.submit_time = 1.0
-    victim.complete_time = 2.0
-    release_command(victim)
-    assert command_pool_size() >= 1
-
-    recycled = acquire_command(op, lpn, npages)
-    assert recycled is victim
-    fresh = DeviceCommand(op, lpn, npages)
-    for name in _COMMAND_FIELDS:
-        assert getattr(recycled, name) == getattr(fresh, name), (
-            f"field {name!r} leaked across command reuse"
-        )
-    assert recycled.command_id < fresh.command_id
-    release_command(recycled)
-
-
 def test_pool_validation_matches_constructor():
-    # The pooled constructors re-validate arguments even when skipping
+    # The pooled constructor re-validates arguments even when skipping
     # __post_init__, so a recycled acquire rejects exactly what a fresh
     # construction would.
     release_request(acquire_request("t", IoOp.READ, 0, 1))
-    release_command(acquire_command(IoOp.READ, 0, 1))
     for lba, npages in ((-1, 1), (0, 0), (0, -2)):
-        try:
+        with pytest.raises(ValueError):
             acquire_request("t", IoOp.READ, lba, npages)
-            raise AssertionError("invalid IO range accepted")
-        except ValueError:
-            pass
-    for lpn, npages in ((-1, 1), (0, 0)):
-        try:
-            acquire_command(IoOp.READ, lpn, npages)
-            raise AssertionError("invalid command accepted")
-        except ValueError:
-            pass
+
+
+def test_release_while_the_target_owns_the_request_is_refused(sim):
+    """Use-after-release, the loud way: between ``device_submit`` and the
+    response a request holds its reply route and (under Gimbal) its
+    virtual slot, and recycling it then would hand a live IO to the
+    next ``acquire_request``."""
+    _scheduler, (session, _) = build_gimbal_rig(sim)
+    done = []
+    request = session.submit(IoOp.READ, 0, 1, on_complete=done.append)
+    while request.submit_time is None:
+        assert sim.step()
+    assert not done and request._slot is not None and request._reply is not None
+    parked = request_pool_size()
+    with pytest.raises(RuntimeError, match=f"#{request.request_id} "):
+        release_request(request)
+    assert request_pool_size() == parked
+    # The IO itself is unharmed, and once it is back it releases cleanly.
+    sim.run()
+    assert done == [request]
+    release_request(request)
+    assert request_pool_size() == parked + 1
 
 
 def _interference_run(recycle: bool) -> str:
@@ -150,6 +134,11 @@ def _interference_run(recycle: bool) -> str:
     for worker in (reader, writer):
         worker.session.recycle_requests = recycle
     results = testbed.run(warmup_us=20_000.0, measure_us=60_000.0)
+    # Every completed request went through release_request's ownership
+    # check (a refusal would have raised out of the run).
+    assert all(worker.session.completed > 0 for worker in (reader, writer))
+    if recycle:
+        assert request_pool_size() > 0
     return json.dumps(results, sort_keys=True, default=repr)
 
 

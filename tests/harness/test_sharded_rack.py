@@ -11,13 +11,16 @@ simulator state.
 from __future__ import annotations
 
 import json
+import multiprocessing
+import time
 
 import pytest
 
 from repro.harness.experiments import rack
 from repro.harness.kvcluster import KvCluster, KvClusterConfig
 from repro.sim.engine import KERNEL_BACKEND_ENV
-from repro.sim.shard import EFFECTIVE_JOBS_ENV
+from repro.sim.shard import EFFECTIVE_JOBS_ENV, ShardWorkerError
+from repro.ssd import SsdDevice
 from repro.workloads.population import TenantPopulation
 
 
@@ -107,6 +110,66 @@ class TestShardOutcome:
     def test_unsharded_outcome_has_no_shard_key(self):
         outcome = KvCluster(_config()).run_population(_specs())
         assert "shard" not in outcome
+
+
+class TestFailedAdvanceStopsWorkers:
+    """A population that dies mid-run must not leave ``repro-shard-N``
+    processes behind: nobody gets a result to call ``finish_shards()``
+    on, and a ``--jobs`` pool worker runs many points in one life."""
+
+    def _expect(self, error, match):
+        def children():
+            return {child.pid for child in multiprocessing.active_children()}
+
+        before = children()
+        cluster = KvCluster(_config(), shards=2, shard_mode="processes")
+        workers = children() - before
+        assert len(workers) == 2
+        started = time.monotonic()
+        with pytest.raises(error, match=match) as raised:
+            cluster.run_population(_specs())
+        assert not children() & workers
+        assert time.monotonic() - started < 60.0
+        assert cluster.finish_shards()["windows"] > 0  # idempotent afterwards
+        return raised.value
+
+    def test_worker_that_raises_mid_population(self, monkeypatch):
+        submit = SsdDevice.submit
+        calls = []
+
+        def failing_submit(self, cmd, on_complete):
+            # Workers are forked from this process, patch included; each
+            # counts its own device's commands.
+            calls.append(cmd)
+            if len(calls) > 200:
+                raise RuntimeError("deliberate device failure")
+            submit(self, cmd, on_complete)
+
+        monkeypatch.setattr(SsdDevice, "submit", failing_submit)
+        error = self._expect(ShardWorkerError, "deliberate device failure")
+        assert error.shard_id in (1, 2)
+        assert not calls  # the coordinator hosts no device
+
+    def test_coordinator_callback_that_raises(self, monkeypatch):
+        """Not a worker failure: the workers are healthy and may hold a
+        step reply nobody read, so they are stopped without being asked
+        for anything."""
+
+        def failing_depart(self, name, on_done=None, poll_us=None):
+            raise KeyError("deliberate departure failure")
+
+        monkeypatch.setattr(KvCluster, "depart_instance", failing_depart)
+        self._expect(KeyError, "deliberate departure failure")
+
+    def test_population_that_strands_tenants(self, monkeypatch):
+        """The advance itself succeeds (every client stopped, the rack
+        drained) but nobody left: still no worker may outlive the error."""
+
+        def stop_but_stay(self, name, on_done=None, poll_us=None):
+            self.instances[name].runner.stop()
+
+        monkeypatch.setattr(KvCluster, "depart_instance", stop_but_stay)
+        self._expect(RuntimeError, "instances still resident")
 
 
 class TestRackDriver:

@@ -19,8 +19,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, replace
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
+from repro.fabric.request import FabricRequest
 from repro.ssd import (
     DeviceCommand,
     IoOp,
@@ -130,6 +131,18 @@ def generate_workload(
     return schedule
 
 
+def as_device_command(item: ReplayOp) -> DeviceCommand:
+    return DeviceCommand(item.op, item.lpn, item.npages)
+
+
+def as_fabric_request(item: ReplayOp) -> FabricRequest:
+    """The carrier the fabric datapath submits: the request itself, its
+    ``lpn`` set the way the pipeline sets it at admission."""
+    request = FabricRequest(tenant_id="t", op=item.op, lba=item.lpn, npages=item.npages)
+    request.lpn = item.lpn
+    return request
+
+
 def replay(
     schedule: List[ReplayOp],
     *,
@@ -137,6 +150,7 @@ def replay(
     profile_name: str = "dct983",
     profile_overrides: Optional[dict] = None,
     condition: str = "fragmented",
+    carrier: Callable[[ReplayOp], object] = as_device_command,
 ) -> ReplayResult:
     """Run one schedule through a freshly built device, capture everything."""
     sim = make_simulator()
@@ -154,12 +168,14 @@ def replay(
     completions: List[Tuple[int, str, int, int, float, float]] = []
 
     def submit(item: ReplayOp) -> None:
-        def done(cmd: DeviceCommand, item: ReplayOp = item) -> None:
+        def done(cmd, item: ReplayOp = item) -> None:
+            # The device's two stamps are the event times themselves.
+            assert (cmd.submit_time, cmd.complete_time) == (item.submit_us, sim.now)
             completions.append(
                 (item.index, item.op.value, item.lpn, item.npages, item.submit_us, sim.now)
             )
 
-        device.submit(DeviceCommand(item.op, item.lpn, item.npages), done)
+        device.submit(carrier(item), done)
 
     for item in schedule:
         sim.at_(item.submit_us, submit, item)

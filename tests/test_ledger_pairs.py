@@ -1,0 +1,49 @@
+"""The claim rule of ``tools/ledger_pairs.py`` (the ledger README's)."""
+
+from __future__ import annotations
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_SPEC = importlib.util.spec_from_file_location(
+    "ledger_pairs", Path(__file__).resolve().parents[1] / "tools" / "ledger_pairs.py"
+)
+ledger_pairs = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(ledger_pairs)
+
+PARENT = [30.6, 30.0, 31.4, 30.2, 30.9, 29.9, 31.0, 30.5, 30.4, 30.7]
+
+
+def test_clear_gain_is_claimed():
+    verdict = ledger_pairs.judge(PARENT, [value - 4.0 for value in PARENT])
+    assert verdict["wins"] == 10 and verdict["claimed"]
+    assert verdict["gain_pct"] == pytest.approx(100.0 * 4.0 / verdict["parent_median"])
+    assert verdict["parent_q1"] < verdict["parent_median"] < verdict["parent_q3"]
+
+
+def test_nine_of_ten_is_enough_eight_is_not():
+    change = [value - 4.0 for value in PARENT]
+    change[0] = PARENT[0] + 1.0
+    assert ledger_pairs.judge(PARENT, change)["claimed"]
+    change[1] = PARENT[1] + 1.0
+    assert not ledger_pairs.judge(PARENT, change)["claimed"]
+
+
+def test_a_tie_counts_for_neither_side():
+    change = [value - 4.0 for value in PARENT]
+    change[0], change[1] = PARENT[0], PARENT[1]
+    verdict = ledger_pairs.judge(PARENT, change)
+    assert verdict["wins"] == 8 and not verdict["claimed"]
+
+
+def test_medians_inside_the_parents_quartile_spread_are_no_claim():
+    verdict = ledger_pairs.judge(PARENT, [value - 0.1 for value in PARENT])
+    assert verdict["wins"] == 10 and not verdict["claimed"]
+
+
+def test_fewer_than_ten_pairs_cannot_claim():
+    assert not ledger_pairs.judge(PARENT[:9], [value - 4.0 for value in PARENT[:9]])["claimed"]
+    with pytest.raises(ValueError):
+        ledger_pairs.judge(PARENT, PARENT[:9])

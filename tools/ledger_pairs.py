@@ -1,0 +1,143 @@
+#!/usr/bin/env python3
+"""Alternating parent/change pairs of the perf ledger, and the verdict.
+
+::
+
+    python tools/ledger_pairs.py PARENT_TREE CHANGE_TREE --workload mt-mixed \\
+        [--workload ...] [--seed 42] [--pairs 10] [--seconds 10]
+
+Runs ``benchmarks/ledger/run.py`` in the two checkouts in turn (the
+parent first in odd pairs, the change first in even ones, each run in
+its own tree with its own ``--out``), and prints for every workload
+each reading of ``norm_wall``, both medians, the parent's quartiles, the
+pairs won and the verdict of ``benchmarks/ledger/README.md``: a gain is
+claimed when the change wins at least nine tenths of the pairs (ties
+count for neither side) and the medians are apart by more than the
+parent's own quartile spread.
+
+A host-only change must leave the simulation alone, so the exit code is
+1 when a simulated metric, ``failed_share`` or ``sim_drift`` differs
+between any two runs (both sides use one seed); the verdict itself is
+information, not an exit code.  Stdlib only; nothing is imported from
+either tree.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import Dict, List, Sequence, Tuple
+
+#: Deterministic per seed: one run that disagrees with another is drift.
+EXACT = (
+    "sim_ops_per_s",
+    "sim_read_tail_us",
+    "sim_fairness",
+    "anchor_err_pct",
+    "failed_share",
+    "sim_drift",
+)
+TIMED = "norm_wall"  # lower is better
+
+
+def judge(parent: Sequence[float], change: Sequence[float]) -> Dict[str, float]:
+    """The claim rule over paired readings of a lower-is-better metric."""
+    if len(parent) != len(change) or not parent:
+        raise ValueError("need the same, non-zero number of readings per side")
+    wins = sum(1 for p, c in zip(parent, change) if c < p)
+    if len(parent) > 1:
+        q1, _, q3 = statistics.quantiles(parent, n=4, method="inclusive")
+    else:
+        q1 = q3 = parent[0]
+    parent_median = statistics.median(parent)
+    change_median = statistics.median(change)
+    gain = parent_median - change_median
+    return {
+        "pairs": len(parent),
+        "wins": wins,
+        "parent_median": parent_median,
+        "change_median": change_median,
+        "parent_q1": q1,
+        "parent_q3": q3,
+        "gain_pct": 100.0 * gain / parent_median,
+        # Fewer than ten pairs cannot carry a claim, whatever they read.
+        "claimed": len(parent) >= 10 and wins >= 0.9 * len(parent) and gain > q3 - q1,
+    }
+
+
+def run_ledger(tree: Path, workloads: List[str], seed: int, seconds: float) -> Dict[str, dict]:
+    """One ``run.py`` invocation in ``tree``; the records it wrote."""
+    with tempfile.TemporaryDirectory(prefix="ledger-pairs-") as out:
+        command = [sys.executable, "benchmarks/ledger/run.py", "--seed", str(seed)]
+        command += ["--seconds", str(seconds), "--out", out]
+        for workload in workloads:
+            command += ["--workload", workload]
+        done = subprocess.run(command, cwd=tree, capture_output=True, text=True)
+        if done.returncode != 0:
+            sys.stderr.write(done.stdout + done.stderr)
+            raise SystemExit(f"run.py failed in {tree} (exit {done.returncode})")
+        return {
+            workload: json.loads((Path(out) / f"{workload}.json").read_text())
+            for workload in workloads
+        }
+
+
+def main(argv: Sequence[str]) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent", type=Path, help="checkout of the parent commit")
+    parser.add_argument("change", type=Path, help="checkout of the change")
+    parser.add_argument("--workload", action="append", required=True)
+    parser.add_argument("--seed", type=int, default=42)
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seconds", type=float, default=10.0)
+    args = parser.parse_args(argv)
+
+    sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    readings: Dict[Tuple[str, str], List[float]] = {}
+    exact: Dict[Tuple[str, str], set] = {}
+    for pair in range(1, args.pairs + 1):
+        order = ("parent", "change") if pair % 2 else ("change", "parent")
+        for side in order:
+            records = run_ledger(sides[side], args.workload, args.seed, args.seconds)
+            for workload, record in records.items():
+                metrics = record["metrics"]
+                readings.setdefault((workload, side), []).append(metrics[TIMED]["value"])
+                for name in EXACT:
+                    exact.setdefault((workload, name), set()).add((side, metrics[name]["value"]))
+        for workload in args.workload:
+            parent, change = readings[workload, "parent"][-1], readings[workload, "change"][-1]
+            print(
+                f"pair {pair:2d} ({order[0]} first) {workload} {TIMED}: "
+                f"parent {parent:.2f} change {change:.2f} cu"
+                f"{'  win' if change < parent else ''}",
+                flush=True,
+            )
+
+    drifted = False
+    for workload in args.workload:
+        verdict = judge(readings[workload, "parent"], readings[workload, "change"])
+        print(
+            f"{workload} {TIMED} seed {args.seed}: parent median "
+            f"{verdict['parent_median']:.2f} (quartiles {verdict['parent_q1']:.2f}-"
+            f"{verdict['parent_q3']:.2f}), change median {verdict['change_median']:.2f}, "
+            f"{verdict['gain_pct']:+.1f} % gain, {verdict['wins']}/{verdict['pairs']} wins: "
+            f"{'gain claimed' if verdict['claimed'] else 'no claim'}"
+        )
+        for name in EXACT:
+            values = {value for _, value in exact[workload, name]}
+            if len(values) > 1:
+                drifted = True
+                seen = sorted(exact[workload, name], key=repr)
+                print(f"{workload} {name} DIFFERS between runs: {seen}")
+    if not drifted:
+        print(f"simulated metrics, failed_share and sim_drift identical in all {2 * args.pairs} runs")
+    return 1 if drifted else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
