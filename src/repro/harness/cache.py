@@ -21,11 +21,17 @@ the points whose drivers transitively import it.  With today's package
 closure is 102-103 of ``src/repro``'s 107 modules (all but ``rack``
 share one code fingerprint), so only an edit to ``cli.py``,
 ``__main__.py``, ``orchestrator.py``, ``obs/report.py`` or ``rack.py``
-leaves a figure warm.  Imports are discovered statically (via ``ast``)
-so the fingerprint never depends on import order or runtime state.
-Source hashes and import sets are memoised per ``(path, mtime, size)``
-and the closure's digest per point function, so a process parses each
-file once and a lookup costs one ``stat`` pass over the closure.
+leaves a figure warm.  Imports are discovered statically, so the
+fingerprint never depends on import order or runtime state, and without
+a parse: a keyword scan takes every whole-word ``import`` in the text as
+a candidate, a superset of what the parser finds (a docstring that reads
+like an import adds a name; one that resolves to a module costs a
+spurious recompute, never a stale hit), and a file with a syntax error
+still contributes its imports.  A file's hash and scan are memoised per
+path and the closure's digest per point function, so a process reads
+each file once and a lookup costs one ``stat`` pass over the closure.
+A point function whose own module has no resolvable source (a script
+run as ``__main__``) is uncacheable: no edit could change its key.
 
 Entries are JSON files named ``<fingerprint>.json`` under the cache
 root (default ``.repro-cache/``).  Writes go to a unique temporary file
@@ -42,11 +48,13 @@ optionally ``REPRO_CACHE_DIR``) in the environment.
 
 from __future__ import annotations
 
-import ast
 import hashlib
+import importlib.util
 import json
 import os
+import re
 import time
+import unicodedata
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Any, Callable, Dict, FrozenSet, List, Optional, Set, Tuple, Union
@@ -98,50 +106,88 @@ def canonical_value(value: Any) -> Any:
 # ----------------------------------------------------------------------
 # Code fingerprinting
 # ----------------------------------------------------------------------
-# (path, mtime_ns, size) -> sha256 hexdigest of the file's bytes.
-_source_hash_memo: Dict[Tuple[str, int, int], str] = {}
-# (path, mtime_ns, size) -> frozenset of absolute module names the
-# file's import statements mention (unfiltered).
-_import_memo: Dict[Tuple[str, int, int], FrozenSet[str]] = {}
+# path -> (mtime_ns, size, sha256 hexdigest of the bytes, scanned
+# imports): one read serves hash and scan, and an edit replaces the
+# file's record, so the table is bounded by the number of files.
+_source_memo: Dict[str, Tuple[int, int, str, FrozenSet[Tuple[str, str]]]] = {}
 # module name -> (source path or None, is_package); resolution is
 # stable for the life of the process.
 _module_file_memo: Dict[str, Tuple[Optional[str], bool]] = {}
 # (module name, roots) -> ([(path, source hash)] of the closure, digest).
 _closure_memo: Dict[Tuple[str, FrozenSet[str]], Tuple[List[Tuple[str, Optional[str]]], str]] = {}
 
-# Imports are statements, so only statement lists can hold them.
-_STATEMENT_LISTS = ("body", "orelse", "finalbody", "handlers", "cases")
+# ``import`` is a hard keyword and no import statement holds a string,
+# so every real one has the whole word outside any.  Its left boundary
+# is tested behind the literal: a leading ``\b`` searches 20x slower.
+_IMPORT_KEYWORD = re.compile(r"import\b(?<!\wimport)")
+# The last ``from`` on the logical line with no statement boundary
+# (``;`` or ``:``) between it and the keyword.
+_FROM_CLAUSE = re.compile(r".*\bfrom\b([^;:]*)$")
+# After the keyword: a parenthesised list up to the first ``)`` outside
+# a comment, or names up to a comment, a ``;`` or the end of the line.
+_IMPORT_TAIL = re.compile(r"[ \t\f\r]*\(((?:[^#)]+|#[^\r\n]*)*)|([^#;\n]*)")
+_COMMENT = re.compile(r"#[^\r\n]*")
 
 
 def clear_fingerprint_caches() -> None:
-    """Drop the per-process memo tables (used by tests)."""
-    _source_hash_memo.clear()
-    _import_memo.clear()
+    """Drop every memo table of the closure walk: what tests do between
+    cases, and the perf ledger to make a warm pass pay a fresh process's walk."""
+    _source_memo.clear()
     _module_file_memo.clear()
     _closure_memo.clear()
 
 
-def _file_state(path: str) -> Optional[Tuple[str, int, int]]:
+def _identifier(words: List[str]) -> str:
+    """Join the tokens of a dotted name as the parser would read it."""
+    name = "".join(words)
+    return name if name.isascii() else unicodedata.normalize("NFKC", name)
+
+
+def _scan_imports(text: str) -> FrozenSet[Tuple[str, str]]:
+    """``(module, name)`` per imported name in ``text``, unresolved:
+    ``module`` is ``""`` for a plain ``import name`` and keeps the dots
+    of a relative ``from``; ``name`` is ``""`` for ``*``.  Import-like
+    text in strings and comments adds pairs; no real import is missed.
+    """
+    # Backslash-newline joins lines.  ``decode_source`` left no "\r", so
+    # it marks the joins: a comment still ends there, and a ``from``
+    # clause spanning one may be a comment's tail (kept both ways).
+    text = text.replace("\\\n", "\r")
+    found: Set[Tuple[str, str]] = set()
+    for keyword in _IMPORT_KEYWORD.finditer(text):
+        start, end = keyword.span()
+        clause = _FROM_CLAUSE.match(text, text.rfind("\n", 0, start) + 1, start)
+        modules = [_identifier(clause.group(1).split())] if clause else [""]
+        if clause and "\r" in clause.group(1):
+            modules.append("")
+        listed, plain = _IMPORT_TAIL.match(text, end).groups()
+        for item in (plain if listed is None else _COMMENT.sub(" ", listed)).split(","):
+            words = item.split()
+            name = _identifier(words[: words.index("as")] if "as" in words else words)
+            if name:
+                found.update((module, name.strip("*")) for module in modules)
+    return frozenset(found)
+
+
+def _source(path: str) -> Tuple[Optional[str], FrozenSet[Tuple[str, str]]]:
+    """``(sha256, scanned imports)`` of the file at ``path``: one
+    ``stat`` per call, one read and decode per version of the file.
+    An undecodable file has a hash and no imports, an unreadable one neither."""
     try:
         stat = os.stat(path)
-    except OSError:
-        return None
-    return (path, stat.st_mtime_ns, stat.st_size)
-
-
-def _source_hash(path: str) -> Optional[str]:
-    state = _file_state(path)
-    if state is None:
-        return None
-    cached = _source_hash_memo.get(state)
-    if cached is None:
-        try:
+        record = _source_memo.get(path)
+        if record is None or record[0] != stat.st_mtime_ns or record[1] != stat.st_size:
             with open(path, "rb") as handle:
-                cached = hashlib.sha256(handle.read()).hexdigest()
-        except OSError:
-            return None
-        _source_hash_memo[state] = cached
-    return cached
+                data = handle.read()
+            try:
+                imports = _scan_imports(importlib.util.decode_source(data))
+            except (SyntaxError, UnicodeDecodeError, LookupError):  # bad bytes, cookie, codec
+                imports = frozenset()
+            record = (stat.st_mtime_ns, stat.st_size, hashlib.sha256(data).hexdigest(), imports)
+            _source_memo[path] = record
+    except OSError:
+        return None, frozenset()
+    return record[2], record[3]
 
 
 def _module_file(name: str) -> Tuple[Optional[str], bool]:
@@ -153,8 +199,6 @@ def _module_file(name: str) -> Tuple[Optional[str], bool]:
     cached = _module_file_memo.get(name)
     if cached is not None:
         return cached
-    import importlib.util
-
     try:
         spec = importlib.util.find_spec(name)
     except (ImportError, AttributeError, ValueError):
@@ -167,58 +211,29 @@ def _module_file(name: str) -> Tuple[Optional[str], bool]:
     return result
 
 
-def _imports_of(path: str, package: str) -> FrozenSet[str]:
-    """Absolute module names mentioned by ``path``'s import statements.
+def _absolute_names(imports: FrozenSet[Tuple[str, str]], package: str) -> Set[str]:
+    """Absolute module names the scanned ``imports`` mention.
 
     ``from X import y`` contributes both ``X`` and ``X.y`` (``y`` may be
     a submodule or a mere attribute; non-modules are filtered out later
     by :func:`_module_file`).  Relative imports are resolved against
     ``package``.
     """
-    state = _file_state(path)
-    if state is None:
-        return frozenset()
-    cached = _import_memo.get(state)
-    if cached is not None:
-        return cached
+    parts = package.split(".") if package else []
     names: Set[str] = set()
-    try:
-        with open(path, "rb") as handle:
-            tree = ast.parse(handle.read())
-    except (OSError, SyntaxError):
-        _import_memo[state] = frozenset()
-        return frozenset()
-    blocks = [tree.body]
-    while blocks:
-        for node in blocks.pop():
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    names.add(alias.name)
-            elif isinstance(node, ast.ImportFrom):
-                if node.level == 0:
-                    base = node.module or ""
-                else:
-                    parts = package.split(".") if package else []
-                    if node.level - 1 > len(parts):
-                        continue
-                    kept = parts[: len(parts) - (node.level - 1)]
-                    base = ".".join(kept)
-                    if node.module:
-                        base = f"{base}.{node.module}" if base else node.module
-                if not base:
-                    continue
-                names.add(base)
-                for alias in node.names:
-                    if alias.name != "*":
-                        names.add(f"{base}.{alias.name}")
-            else:
-                for field_name in _STATEMENT_LISTS:
-                    block = getattr(node, field_name, None)
-                    if block:
-                        blocks.append(block)
-    frozen = frozenset(names)
-    _import_memo[state] = frozen
-    return frozen
+    for module, name in imports:
+        level = len(module) - len(module.lstrip("."))
+        if level:
+            if level - 1 > len(parts):
+                continue
+            kept = parts[: len(parts) - (level - 1)]
+            module = ".".join(kept + [module[level:]] if module[level:] else kept)
+            if not module:
+                continue
+        names.add(module or name)
+        if module and name:
+            names.add(f"{module}.{name}")
+    return names
 
 
 def _parents_of(name: str) -> List[str]:
@@ -241,9 +256,9 @@ def transitive_sources(
         path, is_package = _module_file(name)
         if path is None:
             continue
-        seen[name] = _source_hash(path)
+        seen[name], imports = _source(path)
         package = name if is_package else name.rpartition(".")[0]
-        for imported in _imports_of(path, package):
+        for imported in _absolute_names(imports, package):
             if imported.partition(".")[0] not in roots:
                 continue
             if imported not in seen:
@@ -274,7 +289,7 @@ def code_fingerprint(fn: Callable[..., Any], roots: Optional[Set[str]] = None) -
             roots.add(module.partition(".")[0])
     key = (module, frozenset(roots))
     memo = _closure_memo.get(key)
-    if memo is not None and all(_source_hash(path) == sha for path, sha in memo[0]):
+    if memo is not None and all(_source(path)[0] == sha for path, sha in memo[0]):
         return memo[1]
     sources = transitive_sources(module, key[1])
     digest = hashlib.sha256()
@@ -305,6 +320,9 @@ def point_fingerprint(
     qualname = getattr(fn, "__qualname__", None)
     if not module or not qualname or "<locals>" in qualname:
         raise Uncacheable(f"{fn!r} is not a module-level function")
+    outside = roots is not None and module.partition(".")[0] not in roots
+    if outside or _module_file(module)[0] is None:  # fn's own body would be in no closure
+        raise Uncacheable(f"{fn!r}: module {module!r} has no source inside the fingerprinted roots")
     canonical = canonical_value(kwargs)
     code_fp = code_fingerprint(fn, roots=roots)
     key_material = json.dumps(
@@ -393,26 +411,24 @@ class ResultCache:
             return False, None
         fingerprint, _, _ = keyed
         path = self._entry_path(fingerprint)
-        try:
+        try:  # anything but a well-formed entry for this key is a miss
             data = path.read_bytes()
             entry = json.loads(data)
-        except (OSError, ValueError):
-            self.stats.misses += 1
-            return False, None
-        if (
-            entry.get("schema") != self.schema_version
-            or entry.get("fingerprint") != fingerprint
-        ):
+            valid = entry["schema"] == self.schema_version and entry["fingerprint"] == fingerprint
+            result, saved_s = entry["result"], float(entry.get("elapsed_s", 0.0))
+        except (OSError, ValueError, TypeError, LookupError):
+            valid = False
+        if not valid:
             self.stats.misses += 1
             return False, None
         self.stats.hits += 1
         self.stats.bytes_read += len(data)
-        self.stats.seconds_saved += float(entry.get("elapsed_s", 0.0))
+        self.stats.seconds_saved += saved_s
         try:
             os.utime(path)  # refresh the mtime-LRU position
         except OSError:
             pass
-        return True, entry["result"]
+        return True, result
 
     def store(self, point, result: Any, elapsed_s: float, key=None) -> Any:
         """Persist one computed result; returns the value the sweep

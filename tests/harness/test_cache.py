@@ -3,16 +3,24 @@
 from __future__ import annotations
 
 import ast
+import builtins
+import functools
 import hashlib
 import importlib.util
 import json
 import os
+import subprocess
 import sys
+import sysconfig
+import tempfile
 import textwrap
 import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import repro
 from repro import obs
@@ -21,17 +29,21 @@ from repro.harness.cache import (
     CacheStats,
     ResultCache,
     Uncacheable,
-    _imports_of,
+    _absolute_names,
+    _source,
     canonical_value,
     clear_fingerprint_caches,
     code_fingerprint,
     configure,
     point_fingerprint,
     resolve_cache,
+    transitive_sources,
 )
+from repro.harness.orchestrator import suite_experiments
 from repro.harness.parallel import Sweep, SweepPoint, run_sweep
 
 CALLS = []
+REPO = Path(repro.__file__).resolve().parents[2]
 
 
 def point_fn(x, seed=0):
@@ -66,6 +78,11 @@ def _reset():
 
 def make_point(fn, index=0, label="p", **kwargs):
     return SweepPoint(index=index, label=label, fn=fn, kwargs=kwargs)
+
+
+def _imports_of(path, package):
+    """What the closure walk reads out of ``path``: scan, then resolve."""
+    return _absolute_names(_source(str(path))[1], package)
 
 
 class TestCanonicalisation:
@@ -107,9 +124,52 @@ class TestFingerprints:
         with pytest.raises(Uncacheable):
             point_fingerprint(lambda x: x, {"x": 1})
 
+    def test_function_without_module_source_is_uncacheable(self):
+        """Its body would be in no closure: no edit could change the key."""
+
+        class _Fn:
+            __module__ = "no_such_module_anywhere"
+            __qualname__ = "point"
+
+        with pytest.raises(Uncacheable):
+            point_fingerprint(_Fn, {"x": 1})
+        with pytest.raises(Uncacheable):  # roots that leave the function's package out
+            point_fingerprint(point_fn, {"x": 1}, roots={"repro"})
+        # The digest itself stays available (the ledger manifest takes it).
+        assert code_fingerprint(_Fn) == hashlib.sha256().hexdigest()
+
+    def test_edited_main_script_recomputes(self, tmp_path):
+        """A point function defined in a script run as ``__main__`` used
+        to be keyed under the fingerprint of nothing: the second run of
+        an edited script was served the first run's result."""
+        script = tmp_path / "script.py"
+        template = textwrap.dedent(
+            """
+            from repro.harness.cache import ResultCache
+            from repro.harness.parallel import SweepPoint, run_sweep
+
+            def point(x):
+                return {{"value": x * {scale}}}
+
+            if __name__ == "__main__":
+                cache = ResultCache({cache!r})
+                [row] = run_sweep([SweepPoint(0, "p", point, {{"x": 2}})], cache=cache, name="main")
+                print(row["value"], cache.stats.hits, cache.stats.uncacheable > 0)
+            """
+        )
+        env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+        outputs = []
+        for scale in (10, 100):
+            script.write_text(template.format(scale=scale, cache=str(tmp_path / "cache")), encoding="utf-8")
+            done = subprocess.run(
+                [sys.executable, str(script)], env=env, capture_output=True, text=True, timeout=120
+            )
+            assert done.returncode == 0, done.stderr
+            outputs.append(done.stdout.split())
+        assert outputs == [["20", "0", "True"], ["200", "0", "True"]]
+
     def test_code_fingerprint_covers_repro_closure(self):
         from repro.harness.experiments import fig02_unloaded_latency as fig02
-        from repro.harness.cache import transitive_sources
 
         # The driver's closure reaches the simulation core: editing the
         # SSD timing model must invalidate figure sweeps.
@@ -122,10 +182,12 @@ class TestFingerprints:
 
 # ----------------------------------------------------------------------
 # Reference model: the fingerprint algorithm as it stood before the
-# statement-level scan and the closure memo (``ast.walk`` over every
-# node, a full closure walk and a re-read of every file per call).
-# Production must return exactly these values, or every existing cache
-# directory goes cold.
+# keyword scan and the closure memo (``ast.parse`` and ``ast.walk`` over
+# every node, a full closure walk and a re-read of every file per call).
+# Production finds every import the parse finds, plus candidates from
+# import-like text in strings and comments that must resolve to nothing
+# new: it has to return exactly these fingerprints, or every existing
+# cache directory goes cold.
 # ----------------------------------------------------------------------
 def _reference_imports(path, package):
     names = set()
@@ -155,7 +217,26 @@ def _reference_imports(path, package):
     return frozenset(names)
 
 
-def _reference_code_fingerprint(module_name, roots):
+@functools.lru_cache(maxsize=None)
+def _reference_module_imports(origin, package):
+    """Importable modules do not change under a test run: the 24
+    reference closures share their ~100 parses."""
+    return _reference_imports(origin, package)
+
+
+def _resolves(name):
+    """Spec of the module ``name`` if it has Python source, else None
+    (as the walk decides it)."""
+    try:
+        spec = importlib.util.find_spec(name)
+    except (ImportError, AttributeError, ValueError):
+        return None
+    if spec is None or spec.origin is None or not spec.origin.endswith(".py"):
+        return None
+    return spec
+
+
+def _reference_closure(module_name, roots):
     def parents(name):
         parts = name.split(".")
         return [".".join(parts[:i]) for i in range(1, len(parts))]
@@ -166,18 +247,20 @@ def _reference_code_fingerprint(module_name, roots):
         name = queue.pop()
         if name in seen or name.partition(".")[0] not in roots:
             continue
-        try:
-            spec = importlib.util.find_spec(name)
-        except (ImportError, AttributeError, ValueError):
-            spec = None
-        if spec is None or spec.origin is None or not spec.origin.endswith(".py"):
+        spec = _resolves(name)
+        if spec is None:
             continue
         seen[name] = hashlib.sha256(Path(spec.origin).read_bytes()).hexdigest()
         package = name if spec.submodule_search_locations else name.rpartition(".")[0]
-        for imported in _reference_imports(spec.origin, package):
+        for imported in _reference_module_imports(spec.origin, package):
             if imported.partition(".")[0] in roots and imported not in seen:
                 queue.append(imported)
                 queue.extend(parent for parent in parents(imported) if parent not in seen)
+    return seen
+
+
+def _reference_code_fingerprint(module_name, roots):
+    seen = _reference_closure(module_name, roots)
     digest = hashlib.sha256()
     for name in sorted(seen):
         digest.update(f"{name}\x00{seen[name]}\n".encode("utf-8"))
@@ -269,28 +352,80 @@ if sys.version_info >= (3, 11):  # ``except*`` does not parse before 3.11
     )
 
 
+#: Packages of the running interpreter's stdlib scanned beside its top
+#: level: ~350 files, a few seconds of reference parsing.
+STDLIB_PACKAGES = ("asyncio", "concurrent", "email", "importlib", "json", "multiprocessing", "unittest", "xml")
+
+
+def _scan_vs_reference(files, package_of):
+    """Compare scan and parse over ``files``; ``(checked, rejected,
+    reference names, {path: names only the scan found})``.  Fails on
+    the first file where the parse finds a name the scan does not."""
+    checked = rejected = names = 0
+    added = {}
+    for path in files:
+        package = package_of(path)
+        try:
+            expected = _reference_imports(str(path), package)
+        except (SyntaxError, ValueError):  # not Python the parser accepts
+            rejected += 1
+            continue
+        found = _imports_of(path, package)
+        assert expected <= found, (path, sorted(expected - found))
+        checked += 1
+        names += len(expected)
+        if found != expected:
+            added[path] = found - expected
+    return checked, rejected, names, added
+
+
 class TestImportScan:
-    """The statement-level scan finds what ``ast.walk`` finds."""
+    """The keyword scan finds everything ``ast.walk`` finds."""
 
     def test_every_repro_source_file(self):
-        src = Path(repro.__file__).resolve().parent
-        files = sorted(src.rglob("*.py"))
-        assert len(files) > 100
-        found = 0
-        for path in files:
-            relative = path.relative_to(src.parent).with_suffix("")
-            package = ".".join(relative.parts[:-1])
-            expected = _reference_imports(str(path), package)
-            assert _imports_of(str(path), package) == expected, path
-            found += len(expected)
-        assert found > 1000  # the comparison is not between empty sets
+        """Superset on every file of the repo; inside ``src/repro`` what
+        the scan adds (import-like text in docstrings) reaches no module
+        the parse does not reach."""
+        files = sorted(
+            path
+            for top in ("src", "tests", "benchmarks", "tools", "examples")
+            for path in (REPO / top).rglob("*.py")
+        )
+        src = REPO / "src"
+
+        def package_of(path):
+            base = src if src in path.parents else REPO
+            return ".".join(path.relative_to(base).parts[:-1])
+
+        checked, rejected, names, added = _scan_vs_reference(files, package_of)
+        assert checked > 240 and rejected == 0
+        assert names > 2500  # the comparison is not between empty sets
+        in_src = {path: extra for path, extra in added.items() if src in path.parents}
+        assert sum(map(len, in_src.values())) < 40, in_src  # today 21: decoys stay rare
+        for path, extra in in_src.items():
+            reached = {name for name in extra if name.partition(".")[0] == "repro" and _resolves(name)}
+            if reached:  # today two, both parent packages of the module they sit in
+                module = ".".join(path.relative_to(src).with_suffix("").parts)
+                assert reached <= set(_reference_closure(module, {"repro"})), (path, reached)
+
+    def test_stdlib_corpus(self):
+        """Code nobody here wrote: the interpreter's own library."""
+        stdlib = Path(sysconfig.get_paths()["stdlib"])
+        files = sorted(stdlib.glob("*.py"))
+        for package in STDLIB_PACKAGES:
+            files += sorted((stdlib / package).rglob("*.py"))
+        checked, rejected, names, _ = _scan_vs_reference(
+            files, lambda path: ".".join(path.relative_to(stdlib).parts[:-1])
+        )
+        assert checked > 250 and names > 2500
+        assert rejected <= 5  # a stdlib may keep a few deliberately broken files
 
     def test_imports_nested_in_every_statement_kind(self, tmp_path):
         path = tmp_path / "nested.py"
         path.write_text(NESTED_IMPORTS, encoding="utf-8")
         package = "pkg.sub.leaf"
-        found = _imports_of(str(path), package)
-        assert found == _reference_imports(str(path), package)
+        found = _imports_of(path, package)
+        assert found == _reference_imports(str(path), package)  # no decoys in there
         nested = {line.split()[1] for line in NESTED_IMPORTS.splitlines() if " in_" in line}
         assert len(nested) >= 24 and nested <= found
         assert {
@@ -300,18 +435,283 @@ class TestImportScan:
         } <= found  # fmt: skip
         assert not any("too_deep" in name or name.endswith("*") for name in found)
 
+    def _assert_superset(self, tmp_path, source, package="pkg.sub"):
+        path = tmp_path / "case.py"
+        path.write_bytes(source if isinstance(source, bytes) else source.encode("utf-8"))
+        clear_fingerprint_caches()  # one path, several sources
+        expected = _reference_imports(str(path), package)
+        found = _imports_of(path, package)
+        assert expected and expected <= found, sorted(expected - found)
+        return found
+
+    def test_no_blank_between_dots_and_import(self, tmp_path):
+        """Hazard 1 (scipy ships it): ``from .import x`` is legal."""
+        found = self._assert_superset(
+            tmp_path, "from .import arffread\nfrom..import up\nfrom.mod import(name)\n"
+        )
+        assert {"pkg.sub.arffread", "pkg.up", "pkg.sub.mod.name"} <= found
+
+    def test_commented_out_open_paren_does_not_swallow_the_next_import(self, tmp_path):
+        """Hazard 2 (chardet ships it): a decoy's tail may run on as far
+        as it likes, the scan resumes right after the decoy's keyword."""
+        found = self._assert_superset(
+            tmp_path,
+            textwrap.dedent(
+                """
+                # from .langhungarianmodel import (Latin2HungarianModel,
+                #                                  Win1250HungarianModel)
+                from .langrussianmodel import (
+                    Koi8rModel,  # the (first) one
+                    Win1251CyrillicModel,
+                )
+                s = "import ("; from .after_string import kept
+                '''
+                import (never_closed,
+                '''
+                import after_docstring
+                """
+            ),
+        )
+        assert {
+            "pkg.sub.langrussianmodel.Koi8rModel", "pkg.sub.langrussianmodel.Win1251CyrillicModel",
+            "pkg.sub.after_string.kept", "after_docstring",
+        } <= found  # fmt: skip
+
+    def test_backslash_joins_code_lines_but_not_comment_lines(self, tmp_path):
+        found = self._assert_superset(
+            tmp_path,
+            textwrap.dedent(
+                """
+                from joined \\
+                    import one, \\
+                    two as alias
+                import three, \\
+                    four
+                # copied from somewhere \\
+                import five
+                # see: from docs \\
+                from six import seven
+                from eight import (nine,  # not a continuation \\
+                    ten, \\
+                    eleven)
+                import twelve  # nor this \\
+                import thirteen
+                """
+            ),
+        )
+        assert {
+            "joined.one", "joined.two", "three", "four", "five", "six.seven",
+            "eight.nine", "eight.ten", "eight.eleven", "twelve", "thirteen",
+        } <= found  # fmt: skip
+
+    def test_source_is_decoded_like_the_parser_decodes_it(self, tmp_path):
+        """BOM, PEP 263 cookie, universal newlines, NFKC identifiers.  (One
+        known gap, the stdlib's own: ``decode_source`` -- like
+        ``tokenize.open`` -- cannot find a non-UTF-8 cookie in a file whose
+        *only* line ends are lone CRs, which the C tokenizer can; such a
+        file scans as undecodable, so the cookie line here ends in LF.)"""
+        bom = b"\xef\xbb\xbfimport caf\xc3\xa9\r\nfrom \xef\xac\x81le import \xc2\xb5s\r\n"
+        assert {"caf\u00e9", "file.\u03bcs"} <= self._assert_superset(tmp_path, bom)  # NFKC: fi, Greek mu
+        cookie = b"# -*- coding: latin-1 -*-\nimport caf\xe9\rfrom . import na\xefve\r"  # lone CRs
+        assert {"caf\u00e9", "pkg.sub.na\u00efve"} <= self._assert_superset(tmp_path, cookie)
+
+    def test_undecodable_file_has_no_imports_but_a_syntax_error_keeps_them(self, tmp_path):
+        broken = tmp_path / "broken.py"
+        broken.write_text("import kept_a\ndef oops(:\n    from .rel import kept_b\n", encoding="utf-8")
+        assert {"kept_a", "pkg.rel.kept_b"} <= _imports_of(broken, "pkg")
+        undecodable = {
+            "bytes.py": b"import lost\n\xff\xfe",
+            "cookie.py": b"# coding: nope\nimport lost\n",
+            "codec.py": b"# coding: hex\nimport lost\n",  # a codec, not a text encoding
+        }
+        for name, data in undecodable.items():
+            (tmp_path / name).write_bytes(data)
+            assert _imports_of(tmp_path / name, "pkg") == set()
+            assert _source(str(tmp_path / name))[0] == hashlib.sha256(data).hexdigest()
+        assert _source(str(tmp_path / "absent.py")) == (None, frozenset())
+
+    def test_cold_fingerprint_compiles_nothing_and_reads_each_file_once(self, monkeypatch):
+        from repro.harness.experiments import fig02_unloaded_latency as fig02
+
+        expected = code_fingerprint(fig02._point)  # imports whatever resolution imports
+        clear_fingerprint_caches()
+        compiled, opened = [], Counter()
+        real_compile, real_open = builtins.compile, builtins.open
+
+        def counting_compile(source, filename, *args, **kwargs):
+            compiled.append(filename)
+            return real_compile(source, filename, *args, **kwargs)
+
+        def counting_open(file, *args, **kwargs):
+            opened[str(file)] += 1
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "compile", counting_compile)
+        monkeypatch.setattr(builtins, "open", counting_open)
+        try:
+            assert code_fingerprint(fig02._point) == expected
+        finally:
+            monkeypatch.undo()
+        assert compiled == []
+        closure = transitive_sources(fig02.__name__, frozenset({"repro"}))
+        assert len(closure) > 90
+        assert opened == Counter(importlib.util.find_spec(name).origin for name in closure)
+
+
+# ----------------------------------------------------------------------
+# The scan against the parse under hypothesis: random import statements,
+# in every spelling the grammar allows, amid text that only looks like
+# one.  Every generated module must parse (the generator is wrong
+# otherwise) and every name the parse finds must be found.
+# ----------------------------------------------------------------------
+ASCII_NAMES = ["alpha", "beta_2", "_g", "x", "importer", "from_here", "as_is"]
+LATIN1_NAMES = ["na\u00efve", "\u00b5s", "caf\u00e9"]  # MICRO SIGN normalises to Greek mu
+WIDE_NAMES = ["\ufb01le", "\u212b", "\u53d8\u91cf"]  # ligature fi -> "fi", ANGSTROM SIGN -> U+00C5
+
+DECOY_LINES = [
+    "from decoy import hidden", "import (", "from .decoy import (a,", "import decoy as", "from",
+    "yield from gen", "raise X from Y", "from decoy import a, b)", "import", ") import (",
+]  # fmt: skip
+COMMENTS = ["", "  # plain", "  # ) closes nothing", "  # ( import decoy", "  # from decoy import (z", "  # tail \\"]
+
+#: ``{0}`` is the import under test: joined by ``;``, as the body of a
+#: one-line compound statement, and nested in every statement kind of
+#: ``NESTED_IMPORTS``.
+NESTS = [
+    "{0}\n",
+    "x = 1; {0}\n",
+    "{0}; y = 2\n",
+    "if cond: {0}\n",
+    "if cond: pass\nelse: {0}\n",
+    "try: {0}\nexcept ImportError: {0}\nfinally: {0}\n",
+    "class K: {0}\n",
+    "def fn(): {0}\n",
+    "while cond: {0}\n",
+    "for _ in (): {0}\n",
+    "with ctx: {0}\n",
+    "def fn():\n    {0}\n    def inner():\n        {0}\n    return [lambda: 0 for _ in ()]\n",
+    "async def afn():\n    {0}\n    async with ctx() as c:\n        {0}\n"
+    "    async for _ in it():\n        {0}\n    else:\n        {0}\n",
+    "class K:\n    {0}\n    def method(self):\n        {0}\n",
+    "if cond:\n\t{0}\n",
+    "if cond:\n    {0}\nelif other:\n    {0}\nelse:\n    {0}\n",
+    "for _ in ():\n    {0}\nelse:\n    {0}\n",
+    "while cond:\n    {0}\nelse:\n    {0}\n",
+    "with ctx():\n    {0}\n",
+    "try:\n    {0}\nexcept ValueError:\n    {0}\nexcept (KeyError, OSError) as exc:\n    {0}\n"
+    "else:\n    {0}\nfinally:\n    {0}\n",
+    "match value:\n    case 1:\n        {0}\n    case [x, y] if x:\n        {0}\n"
+    "    case _:\n        if deep:\n            with ctx():\n                {0}\n",
+]
+if sys.version_info >= (3, 11):
+    NESTS.append("try:\n    {0}\nexcept* ValueError:\n    {0}\n")
+
+DECOYS = [
+    "'''\n{0}\n'''\n",
+    'x = """{0}"""\n',
+    "y = f'''{{x!r}} {0} {{y}}'''\n",
+    's = f"""\n{0}\n"""\n',
+]
+
+#: A string (``{0}`` is a decoy line) ahead of a real import on one line.
+SAME_LINE_DECOYS = ["s = {0!r}", "s = f'{{d[\"{0}\"]}} {0}'"]
+if sys.version_info >= (3, 12):  # PEP 701: the same quotes may nest
+    SAME_LINE_DECOYS.append('s = f"{{d["{0}"]}}"')
+
+gap = st.sampled_from([" ", "  ", "\t", " \f", " \\\n    ", "\\\n"])  # between two words
+maybe_gap = st.sampled_from(["", "", " ", "\t", " \\\n  "])  # beside punctuation
+
+
+@st.composite
+def import_statements(draw, names):
+    """One import statement as text (possibly several physical lines)."""
+    name = st.sampled_from(names)
+
+    def dotted():
+        dot = draw(st.sampled_from([".", ".", ".", " . "]))
+        return dot.join(draw(st.lists(name, min_size=1, max_size=3)))
+
+    def aliased(target):
+        if draw(st.booleans()):
+            return target
+        return f"{target}{draw(gap)}as{draw(gap)}{draw(name)}"
+
+    if draw(st.booleans()):  # import a.b as c, d
+        items = [aliased(dotted()) for _ in range(draw(st.integers(1, 3)))]
+        return f"import{draw(gap)}" + f"{draw(maybe_gap)},{draw(maybe_gap)}".join(items)
+    level = draw(st.integers(0, 3))
+    dots = draw(st.sampled_from(["", " "])).join("." * level)
+    module = dotted() if level == 0 or draw(st.booleans()) else ""
+    head = f"from{draw(maybe_gap if level else gap)}{dots}{draw(maybe_gap)}{module}"
+    head += draw(gap if module else maybe_gap) + "import"
+    if draw(st.integers(0, 5)) == 0:
+        return f"{head}{draw(maybe_gap)}*"
+    items = [aliased(draw(name)) for _ in range(draw(st.integers(1, 4)))]
+    if draw(st.booleans()):
+        return head + draw(gap) + f"{draw(maybe_gap)},{draw(maybe_gap)}".join(items)
+    body = draw(st.sampled_from(["", "\n    "]))
+    for index, item in enumerate(items):  # one per line, commented, trailing comma
+        last = index == len(items) - 1
+        body += item + ("," if not last or draw(st.booleans()) else "")
+        body += draw(st.sampled_from(COMMENTS)) + "\n" + draw(st.sampled_from(["", "    ", "\t"]))
+    return f"{head}{draw(maybe_gap)}({body})"
+
+
+@st.composite
+def modules(draw):
+    """``(source bytes, package)``: statements and decoys, encoded."""
+    encoding = draw(st.sampled_from(["utf-8", "utf-8-sig", "latin-1"]))
+    names = ASCII_NAMES + LATIN1_NAMES + ([] if encoding == "latin-1" else WIDE_NAMES)
+    statement = import_statements(names)
+    chunks = []
+    for _ in range(draw(st.integers(1, 5))):
+        kind = draw(st.integers(0, 9))
+        if kind <= 4:  # a real import, nested somewhere
+            chunks.append(draw(st.sampled_from(NESTS)).format(draw(statement)))
+        elif kind == 5:  # a decoy string sharing the real import's line
+            decoy = draw(st.sampled_from(SAME_LINE_DECOYS)).format(draw(st.sampled_from(DECOY_LINES)))
+            chunks.append(f"{decoy}; {draw(statement)}\n")
+        elif kind <= 7:  # import-like text in a (possibly f-) string
+            text = draw(st.one_of(st.sampled_from(DECOY_LINES), statement))
+            chunks.append(draw(st.sampled_from(DECOYS)).format(text))
+        else:  # ... or commented out, the comment perhaps ending in a backslash
+            text = draw(st.one_of(st.sampled_from(DECOY_LINES), statement))
+            tail = draw(st.sampled_from(["", " \\"]))
+            chunks.append("".join(f"# {line}{tail}\n" for line in text.split("\n")))
+    chunks.append(draw(statement) + "\n")  # always one real import after the last decoy
+    source = "".join(chunks)
+    if draw(st.booleans()):
+        source = source.replace("\n", "\r\n")
+    data = source.encode(encoding)
+    if encoding == "latin-1":
+        data = b"# -*- coding: latin-1 -*-\n" + data
+    return data, draw(st.sampled_from(["", "pkg", "pkg.sub.leaf"]))
+
+
+class TestImportScanProperties:
+    @given(module=modules())
+    @settings(
+        max_examples=600,
+        deadline=None,
+        derandomize=True,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    def test_scan_finds_every_import_the_parser_finds(self, module):
+        data, package = module
+        with tempfile.TemporaryDirectory() as scratch:
+            path = Path(scratch) / "generated.py"
+            path.write_bytes(data)
+            expected = _reference_imports(str(path), package)  # raises if the generator is wrong
+            found = _imports_of(path, package)
+        clear_fingerprint_caches()  # the next example may reuse the path
+        assert expected <= found, (data, sorted(expected - found))
+
 
 class TestMatchesReferenceAlgorithm:
     """Unchanged sources keep their fingerprints: old caches stay warm."""
 
     @pytest.mark.parametrize(
-        "module_name",
-        [
-            "repro.harness.experiments.fig02_unloaded_latency",
-            "repro.harness.experiments.fig14_read_ratio",
-            "repro.harness.experiments.rack",
-            "repro.kv.lsm",
-        ],
+        "module_name", [spec.module_path for spec in suite_experiments()] + ["repro.kv.lsm"]
     )
     def test_code_fingerprint_of_repro_modules(self, module_name):
         class _Fn:
@@ -415,6 +815,36 @@ class TestResultCache:
             handle.write("{ torn")
         hit, _ = cache.lookup(point)
         assert not hit
+
+    @pytest.mark.parametrize(
+        "mangle",
+        [
+            lambda entry: None,
+            lambda entry: [],
+            lambda entry: 3,
+            lambda entry: "text",
+            lambda entry: {k: v for k, v in entry.items() if k != "result"},
+            lambda entry: {**entry, "elapsed_s": "soon"},
+            lambda entry: {**entry, "elapsed_s": None},
+            lambda entry: {**entry, "elapsed_s": [1.0]},
+        ],
+        ids=["null", "list", "number", "string", "no-result", "elapsed-text", "elapsed-null", "elapsed-list"],
+    )
+    def test_malformed_entry_is_a_miss_and_is_overwritten(self, tmp_path, mangle):
+        """Valid JSON that is not a whole entry -- right schema and
+        fingerprint included -- counts as one miss and nothing else."""
+        cache = ResultCache(tmp_path / "cache")
+        point = make_point(point_fn, x=1, seed=0)
+        cache.store(point, point_fn(1), elapsed_s=0.5)
+        [entry] = cache.entries()
+        good = json.loads(Path(entry["path"]).read_text(encoding="utf-8"))
+        Path(entry["path"]).write_text(json.dumps(mangle(good)), encoding="utf-8")
+        before = cache.stats.snapshot()
+        assert cache.lookup(point) == (False, None)
+        delta = cache.stats.delta_since(before)
+        assert delta.pop("misses") == 1 and not any(delta.values()), delta
+        cache.store(point, point_fn(1), elapsed_s=0.5)
+        assert cache.lookup(point) == (True, {"x": 1, "seed": 0, "value": 2.5})
 
     def test_clear(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
