@@ -4,7 +4,7 @@ Times the same experiment subset twice:
 
 * **serial-experiment baseline** -- :func:`run_suite_serial`: each
   driver's ``run()`` executes to completion before the next starts,
-  fanning its own sweep across a fresh per-sweep executor (the
+  fanning its own sweep across a pool of its own (the
   pre-orchestrator behaviour);
 * **orchestrated** -- :func:`run_suite`: every experiment's points on
   one shared persistent pool, cost-model LPT dispatch, streaming

@@ -76,6 +76,26 @@ def _add_shards_args(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _add_cache_args(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--cache",
+        action="store_true",
+        help="reuse cached sweep-point results and cache fresh ones "
+        "(content-addressed; invalidated by code or parameter changes)",
+    )
+    parser.add_argument(
+        "--no-cache",
+        action="store_true",
+        help="disable the result cache even if REPRO_CACHE is set",
+    )
+    parser.add_argument(
+        "--cache-dir",
+        metavar="DIR",
+        default=None,
+        help="cache directory (default .repro-cache; implies --cache)",
+    )
+
+
 def _inject_shards(
     args: argparse.Namespace, run_params, kwargs: dict, name: str
 ) -> None:
@@ -175,25 +195,12 @@ def cmd_run(args: argparse.Namespace) -> int:
         return 2
     module, quick_kwargs = _load(name)
     kwargs = dict(quick_kwargs) if args.quick else {}
-    run_params = inspect.signature(module.run).parameters
+    # Every registered driver's run() takes jobs/cache/pool (pinned by
+    # tests/test_cli.py); only --shards is driver-specific.
     if args.jobs != 1:
-        if "jobs" in run_params:
-            kwargs["jobs"] = args.jobs
-        else:
-            print(
-                f"note: {name} does not support --jobs; running serially",
-                file=sys.stderr,
-            )
-    _inject_shards(args, run_params, kwargs, name)
-    cache = _cache_from_args(args)
-    if "cache" in run_params:
-        kwargs["cache"] = cache
-    elif cache not in (None, False):
-        print(
-            f"note: {name} does not support --cache; running uncached",
-            file=sys.stderr,
-        )
-        cache = None
+        kwargs["jobs"] = args.jobs
+    _inject_shards(args, inspect.signature(module.run).parameters, kwargs, name)
+    cache = kwargs["cache"] = _cache_from_args(args)
 
     def report_cache() -> None:
         store = cache if cache not in (None, False) else None
@@ -407,7 +414,6 @@ def cmd_explore(args: argparse.Namespace) -> int:
         target_error=args.target_error,
         jobs=args.jobs,
         cache=_cache_from_args(args),
-        backend=args.backend,
         bootstrap=not args.no_bootstrap,
         progress=progress if not args.quiet else None,
     )
@@ -415,8 +421,7 @@ def cmd_explore(args: argparse.Namespace) -> int:
     print(
         f"explored {report['space']}: {report['simulated']}/{report['grid_points']} "
         f"grid points simulated ({100 * report['fraction_simulated']:.1f}%), "
-        f"{report['rounds']} rounds, backend={report['backend']}, "
-        f"stopped on {report['stopped_on']}"
+        f"{report['rounds']} rounds, stopped on {report['stopped_on']}"
     )
     for target, stats in sorted(report["heldout"].items()):
         print(
@@ -783,23 +788,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="print registry counters and kernel probe stats after the run",
     )
-    run_parser.add_argument(
-        "--cache",
-        action="store_true",
-        help="reuse cached sweep-point results and cache fresh ones "
-        "(content-addressed; invalidated by code or parameter changes)",
-    )
-    run_parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="disable the result cache even if REPRO_CACHE is set",
-    )
-    run_parser.add_argument(
-        "--cache-dir",
-        metavar="DIR",
-        default=None,
-        help="cache directory (default .repro-cache; implies --cache)",
-    )
+    _add_cache_args(run_parser)
     _add_shards_args(run_parser)
     _add_kernel_backend_arg(run_parser)
     run_parser.set_defaults(fn=cmd_run)
@@ -842,22 +831,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="dump the suite report and every experiment's results as JSON",
     )
-    suite_parser.add_argument(
-        "--cache",
-        action="store_true",
-        help="reuse cached sweep-point results and cache fresh ones",
-    )
-    suite_parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="disable the result cache even if REPRO_CACHE is set",
-    )
-    suite_parser.add_argument(
-        "--cache-dir",
-        metavar="DIR",
-        default=None,
-        help="cache directory (default .repro-cache; implies --cache)",
-    )
+    _add_cache_args(suite_parser)
     _add_shards_args(suite_parser)
     _add_kernel_backend_arg(suite_parser)
     suite_parser.set_defaults(fn=cmd_suite)
@@ -940,13 +914,6 @@ def build_parser() -> argparse.ArgumentParser:
         "under E (default 0.05)",
     )
     explore_parser.add_argument(
-        "--backend",
-        choices=["auto", "tree", "knn"],
-        default="auto",
-        help="surrogate backend: numpy bagged trees ('tree'), pure-Python "
-        "k-NN ('knn'), or 'auto' (trees when numpy is available)",
-    )
-    explore_parser.add_argument(
         "--no-bootstrap",
         action="store_true",
         help="ignore existing journal records; train only on points "
@@ -967,18 +934,7 @@ def build_parser() -> argparse.ArgumentParser:
     explore_parser.add_argument(
         "--quiet", action="store_true", help="suppress per-batch progress"
     )
-    explore_parser.add_argument(
-        "--cache", action="store_true",
-        help="reuse cached sweep-point results and cache fresh ones",
-    )
-    explore_parser.add_argument(
-        "--no-cache", action="store_true",
-        help="disable the result cache even if REPRO_CACHE is set",
-    )
-    explore_parser.add_argument(
-        "--cache-dir", metavar="DIR", default=None,
-        help="cache directory (default .repro-cache; implies --cache)",
-    )
+    _add_cache_args(explore_parser)
     _add_kernel_backend_arg(explore_parser)
     explore_parser.set_defaults(fn=cmd_explore)
 

@@ -21,7 +21,7 @@ from repro.harness.parallel import (
     sweep_axes,
 )
 from repro.harness.report import format_series, format_table
-from repro.harness.surrogate import SurrogateSet, have_numpy, make_surrogate
+from repro.harness.surrogate import SurrogateSet
 from repro.harness.testbed import SCHEMES, Testbed, TestbedConfig
 
 __all__ = [
@@ -30,8 +30,6 @@ __all__ = [
     "explore",
     "find_crossovers",
     "SurrogateSet",
-    "make_surrogate",
-    "have_numpy",
     "Testbed",
     "TestbedConfig",
     "SCHEMES",

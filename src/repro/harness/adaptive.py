@@ -11,7 +11,7 @@ accelerator:
 2. score every grid point with a surrogate model
    (:mod:`repro.harness.surrogate`) trained on the points simulated so
    far -- optionally warm-started from the cache journal's records of
-   *previous* runs -- plus an ensemble-disagreement uncertainty;
+   *previous* runs -- plus a neighbourhood-disagreement uncertainty;
 3. simulate only the points near predicted crossovers/cliffs and in
    high-uncertainty regions, dispatching through the ordinary
    :func:`~repro.harness.parallel.run_sweep` path so per-point seeds,
@@ -41,17 +41,12 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.harness.cache import CacheSpec, resolve_cache
 from repro.harness.parallel import SweepPoint, WorkerPool, point_seed, run_sweep, sweep_axes
-from repro.harness.surrogate import (
-    DEFAULT_EXCLUDE,
-    SurrogateSet,
-    flatten_numeric,
-    journal_records,
-)
+from repro.harness.surrogate import SurrogateSet, flatten_numeric, journal_records
 from repro.obs import bump
 from repro.sim.rng import derive_seed
 
 #: Acquisition weights: proximity to a predicted crossover/cliff vs
-#: ensemble disagreement.  Both terms are normalized, so the exact
+#: neighbourhood disagreement.  Both terms are normalized, so the exact
 #: split matters less than having both.
 CROSSOVER_WEIGHT = 0.6
 UNCERTAINTY_WEIGHT = 0.4
@@ -241,7 +236,6 @@ class ExploreResult:
     grid_points: int
     simulated_labels: List[str]
     rounds: int
-    backend: str
     budget_points: int
     heldout: Dict[str, Dict[str, float]]
     crossovers: List[Dict[str, Any]]
@@ -267,7 +261,6 @@ class ExploreResult:
             "fraction_simulated": round(self.fraction_simulated, 4),
             "budget_points": self.budget_points,
             "rounds": self.rounds,
-            "backend": self.backend,
             "stopped_on": self.stopped_on,
             "heldout": self.heldout,
             "crossovers": self.crossovers,
@@ -291,7 +284,6 @@ def explore(
     jobs: int = 1,
     cache: CacheSpec = None,
     pool: Optional[WorkerPool] = None,
-    backend: str = "auto",
     bootstrap: bool = True,
     max_rounds: int = 12,
     progress: Optional[Callable[[str, Dict[str, Any]], None]] = None,
@@ -304,14 +296,14 @@ def explore(
     ``jobs``/``cache``/``pool`` pass straight through to
     :func:`~repro.harness.parallel.run_sweep`, so cached points replay
     from disk and computed points write back -- an exploration warms
-    the same cache a sweep would.  ``backend`` picks the surrogate
-    (``auto``/``tree``/``knn``); ``bootstrap`` seeds training with the
-    cache journal's records of this point function under the current
-    code fingerprint.
+    the same cache a sweep would.  ``bootstrap`` seeds training with
+    the cache journal's records of this point function under the
+    current code fingerprint.
 
     The loop is a pure function of (space, arguments, journal
-    contents): initial design and batch selection use seeded RNG and
-    deterministic tie-breaking, never the wall clock.
+    contents): the initial design uses seeded RNG, the surrogate has
+    no random state, and batch selection breaks ties deterministically
+    -- never the wall clock.
     """
     started = time.perf_counter()
     combos = space.combos()
@@ -345,7 +337,6 @@ def explore(
     heldout_pairs: Dict[str, List[Tuple[float, float]]] = {t: [] for t in space.targets}
     pending_preds: List[Tuple[str, float, int]] = []  # (target, prediction, combo index)
     surrogate: Optional[SurrogateSet] = None
-    resolved_backend = backend
     rounds = 0
     stopped_on = "budget"
 
@@ -353,13 +344,9 @@ def explore(
         records = extra_training + [
             (combos[index], observed[index]) for index in sorted(observed)
         ]
-        return SurrogateSet.fit(
-            records, space.targets, seed=derive_seed(space.root_seed, "explore:model"),
-            backend=backend, exclude=DEFAULT_EXCLUDE,
-        )
+        return SurrogateSet.fit(records, space.targets)
 
     def simulate(indices: List[int]) -> None:
-        nonlocal surrogate, resolved_backend
         points = [space.point(pos, combos[index]) for pos, index in enumerate(indices)]
         # Held-out bookkeeping: predictions are recorded before the
         # batch runs, so the error is always out-of-sample.
@@ -409,7 +396,6 @@ def explore(
     # -- adaptive refinement -------------------------------------------
     while len(observed) < budget_points and rounds < max_rounds:
         surrogate = train()
-        resolved_backend = surrogate.backend
         predictions = surrogate.predict(combos)
         scores = _acquisition(space, combos, predictions, observed)
         remaining = budget_points - len(observed)
@@ -430,7 +416,6 @@ def explore(
 
     # -- final model + crossovers --------------------------------------
     surrogate = train()
-    resolved_backend = surrogate.backend
     predictions = surrogate.predict(combos)
     predicted_means = {
         target: list(means) for target, (means, _) in predictions.items()
@@ -473,7 +458,6 @@ def explore(
             space.label(combos[index]) for index in sorted(observed)
         ],
         rounds=rounds,
-        backend=resolved_backend,
         budget_points=budget_points,
         heldout=errors,
         crossovers=crossovers,
@@ -499,10 +483,10 @@ def _acquisition(
     between two simulated points whose *actual* signals disagree in
     sign -- the crossover is provably in there; midpoints of wide
     brackets score highest), **crossover proximity** (the surrogate
-    predicts a small signal magnitude nearby), and **ensemble
-    disagreement** (the models can't agree, so the region is
-    under-sampled).  Deterministic: pure arithmetic over predictions
-    and observations, ties break on grid index.
+    predicts a small signal magnitude nearby), and **neighbourhood
+    disagreement** (the nearest simulated points can't agree, so the
+    region is under-sampled).  Deterministic: pure arithmetic over
+    predictions and observations, ties break on grid index.
     """
     spec = space.crossover
     candidates = [index for index in range(len(combos)) if index not in observed]

@@ -199,10 +199,18 @@ def _module_file(name: str) -> Tuple[Optional[str], bool]:
     cached = _module_file_memo.get(name)
     if cached is not None:
         return cached
-    try:
-        spec = importlib.util.find_spec(name)
-    except (ImportError, AttributeError, ValueError):
+    parent = name.rpartition(".")[0]
+    parent_path, parent_is_package = _module_file(parent) if parent else (None, False)
+    if parent_path is not None and not parent_is_package:
+        # ``from a.b import C`` with ``a.b`` a plain module: ``C`` is an
+        # attribute.  ``find_spec`` would *import* ``a.b`` to say so --
+        # and with it whatever a lazily imported module drags in.
         spec = None
+    else:
+        try:
+            spec = importlib.util.find_spec(name)
+        except (ImportError, AttributeError, ValueError):
+            spec = None
     if spec is None or spec.origin is None or not spec.origin.endswith(".py"):
         result: Tuple[Optional[str], bool] = (None, False)
     else:

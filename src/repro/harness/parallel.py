@@ -1,12 +1,40 @@
-"""Deterministic parallel sweep runner.
+"""Deterministic sweep runner: one loop for a sweep, a suite, an exploration.
 
 Every paper figure is a *sweep*: a list of independent simulation
 points (one testbed stood up per combination of scheme, condition,
 IO shape, ...), each fully determined by its inputs and its RNG seed.
-That independence is what this module exploits: points fan out across
-a :class:`concurrent.futures.ProcessPoolExecutor` and the results are
+That independence is what this module exploits: points may run in this
+process or fan out across a :class:`WorkerPool`, and the results are
 merged back **in declared point order**, so a parallel run produces
 output byte-identical to the serial run.
+
+:func:`run_groups` is the only place points are keyed, looked up in
+the result cache, executed, stored and journaled.  It takes
+``(name, points, finalize)`` groups: :func:`run_sweep` (and so every
+driver's ``run()`` and every :func:`~repro.harness.adaptive.explore`
+batch) is a suite of one group,
+:func:`repro.harness.orchestrator.run_suite` one group per experiment.
+Two executors sit behind it, chosen from the worker count alone: this
+process, or a :class:`WorkerPool` (lent by the caller, or created for
+the call when ``jobs > 1``).
+
+* **Cost-model scheduling** -- each missed point's runtime is predicted
+  by a :class:`CostModel` fed from the result cache's journaled
+  per-point elapsed times, and ready points dispatch
+  longest-processing-time-first.  Cheap points are chunked into batches
+  so a worker round-trip amortizes its IPC over several points.  With
+  no cache there is no history: every point costs the flat default and
+  dispatch is declaration order, unbatched.
+* **Streaming execution** -- groups are expanded one after another
+  while the pool is already computing earlier ones, completions are
+  consumed via :func:`concurrent.futures.as_completed` (a failed point
+  cancels its unstarted siblings), and each group is finalized the
+  moment its last point lands.
+* **One journal** -- every call appends one run line (hits, misses,
+  worker counts, the :meth:`SuiteResult.report` fields including the
+  cost model's ``tier_hits``) to the cache directory's
+  ``journal.jsonl`` and mirrors ``cache.*`` into the active
+  observability session.
 
 Determinism contract
 --------------------
@@ -24,9 +52,8 @@ Determinism contract
   :meth:`IntervalSeries.merge() <repro.metrics.throughput.IntervalSeries.merge>` and
   :meth:`PercentileTimeline.merge() <repro.metrics.timeline.PercentileTimeline.merge>`.
 
-``jobs <= 1`` runs the points serially in-process (no executor, no
-pickling), which is also the fallback the experiment drivers default
-to, so single-threaded behaviour is unchanged.
+``jobs <= 1`` runs the points in-process (no executor, no pickling),
+which is also what the experiment drivers default to.
 """
 
 from __future__ import annotations
@@ -39,6 +66,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.harness.cache import CacheSpec, ResultCache, resolve_cache
+from repro.harness.surrogate import SurrogateSet, journal_records
 from repro.metrics import IntervalSeries, LatencyHistogram, PercentileTimeline
 from repro.obs import bump
 from repro.sim.rng import derive_seed
@@ -68,58 +96,12 @@ def point_seed(root_seed: int, label: str) -> int:
     return derive_seed(root_seed, f"sweep-point:{label}")
 
 
-def _execute_point(point: SweepPoint):
-    """Module-level trampoline so points pickle by reference."""
-    return point.index, point.execute()
-
-
 def _execute_point_timed(point: SweepPoint) -> Tuple[int, float, Any]:
-    """Like :func:`_execute_point`, but also reports wall time so the
-    cache can record how many seconds a future hit will save."""
+    """Run one point, reporting wall time so the cache can record how
+    many seconds a future hit will save."""
     start = time.perf_counter()
     value = point.execute()
     return point.index, time.perf_counter() - start, value
-
-
-def _consume(futures: List) -> List[Tuple[int, float, Any]]:
-    """Drain futures in *completion* order, failing fast.
-
-    The merge is index-keyed, so completion order is fine -- and a
-    point that crashes (or a worker that dies) surfaces as soon as its
-    future settles instead of queueing behind every earlier-submitted
-    future.  Unstarted siblings are cancelled on the way out so the
-    caller is not left feeding a doomed sweep.
-    """
-    results: List[Tuple[int, float, Any]] = []
-    try:
-        for future in as_completed(futures):
-            results.append(future.result())
-    except BaseException:
-        for future in futures:
-            future.cancel()
-        raise
-    return results
-
-
-def _execute_pending(
-    pending: Sequence[SweepPoint],
-    jobs: int,
-    executor: Optional[ProcessPoolExecutor],
-) -> List[Tuple[int, float, Any]]:
-    if jobs <= 1 and executor is None:
-        return [_execute_point_timed(point) for point in pending]
-    if executor is not None:
-        return _consume(
-            [executor.submit(_execute_point_timed, point) for point in pending]
-        )
-    with ProcessPoolExecutor(
-        max_workers=min(jobs, max(1, len(pending))),
-        initializer=_warm_worker,
-        initargs=(jobs,),
-    ) as pool:
-        # Consume inside the with-block so worker crashes surface here
-        # rather than as a BrokenProcessPool on exit.
-        return _consume([pool.submit(_execute_point_timed, point) for point in pending])
 
 
 def _clamp_jobs(jobs: int) -> int:
@@ -164,11 +146,10 @@ def _warm_worker(
 class WorkerPool:
     """A persistent process pool shared across sweeps.
 
-    ``run_sweep`` creates (and tears down) a fresh
-    :class:`~concurrent.futures.ProcessPoolExecutor` per sweep when
-    given only ``jobs``; a :class:`WorkerPool` is the suite-scale
-    alternative -- workers are created once, warmed with the
-    experiment imports, and reused by every sweep handed the pool::
+    Given only ``jobs > 1``, a sweep or suite creates one of these for
+    the call and tears it down afterwards; lending one is the
+    suite-scale alternative -- workers are created once, warmed with
+    the experiment imports, and reused by every sweep handed the pool::
 
         with WorkerPool(jobs=8) as pool:
             rows_a = sweep_a.run(pool=pool)
@@ -213,26 +194,476 @@ class WorkerPool:
         return f"WorkerPool(jobs={self.jobs}, {state})"
 
 
+#: Points predicted to cost no more than this many seconds are batched.
+DEFAULT_BATCH_COST_S = 0.25
+
+#: Upper bound on how many cheap points share one worker round-trip.
+DEFAULT_BATCH_MAX = 8
+
+#: Cost assumed for a point whose function has no journaled timing.
+DEFAULT_POINT_COST_S = 2.0
+
+
+# ----------------------------------------------------------------------
+# Cost model
+# ----------------------------------------------------------------------
+class CostModel:
+    """Predict a sweep point's runtime from journaled cache timings.
+
+    Every point the cache stores appends a journal record with the
+    seconds it took to compute (``elapsed_s``) -- a record that, unlike
+    the entry file, survives code edits and pruning; that is exactly
+    the signal LPT scheduling needs.  Prediction degrades through
+    three tiers:
+
+    1. a per-function surrogate model
+       (:class:`~repro.harness.surrogate.SurrogateSet`) trained on
+       those records, which interpolates runtime across *parameter
+       values* (a qd=64 point near journaled qd=48 and qd=96 points
+       gets a kwargs-aware estimate, not the fn-wide mean);
+    2. mean recorded time of the same point function;
+    3. a flat default.
+
+    (A point whose exact fingerprint has an entry is a cache *hit* and
+    is never predicted, so there is no exact-match tier.)  Built
+    defensively: an absent, empty, or corrupt journal never raises
+    here -- it just pushes predictions down the tiers.  ``tier_hits``
+    counts which tier answered each prediction.
+    """
+
+    #: Fewer journal records than this and the surrogate tier is skipped
+    #: for that function (too little signal to beat the per-fn mean).
+    SURROGATE_MIN_RECORDS = 8
+
+    #: Newest journal records kept per function.
+    SURROGATE_MAX_RECORDS = 512
+
+    def __init__(
+        self,
+        by_fn: Optional[Dict[str, float]] = None,
+        default_s: float = DEFAULT_POINT_COST_S,
+        surrogates: Optional[Dict[str, Any]] = None,
+    ):
+        self.by_fn = by_fn or {}
+        self.default_s = default_s
+        self.surrogates = surrogates or {}
+        self.tier_hits = {"surrogate": 0, "by_fn": 0, "default": 0}
+
+    @classmethod
+    def from_cache(
+        cls, store: Optional[ResultCache], default_s: float = DEFAULT_POINT_COST_S
+    ) -> "CostModel":
+        """Per-fn means and surrogates from ``store``'s journal point
+        records (an empty model when there is no store)."""
+        per_fn: Dict[str, List[Tuple[Dict[str, Any], Dict[str, float]]]] = {}
+        for record in journal_records(store) if store is not None else ():
+            fn = record.get("fn")
+            elapsed = record.get("elapsed_s")
+            if isinstance(fn, str) and isinstance(elapsed, (int, float)) and elapsed >= 0:
+                per_fn.setdefault(fn, []).append(
+                    (record["kwargs"], {"elapsed_s": float(elapsed)})
+                )
+        by_fn: Dict[str, float] = {}
+        surrogates: Dict[str, Any] = {}
+        for fn, records in per_fn.items():
+            records = records[-cls.SURROGATE_MAX_RECORDS:]
+            by_fn[fn] = sum(outputs["elapsed_s"] for _, outputs in records) / len(records)
+            if len(records) >= cls.SURROGATE_MIN_RECORDS:
+                try:
+                    surrogates[fn] = SurrogateSet.fit(records, targets=("elapsed_s",))
+                except Exception:
+                    continue  # this function answers from its mean
+        return cls(by_fn=by_fn, default_s=default_s, surrogates=surrogates)
+
+    def predict(self, point: SweepPoint) -> float:
+        """Predicted seconds for ``point`` (never raises)."""
+        fn_name = f"{getattr(point.fn, '__module__', '?')}:{getattr(point.fn, '__qualname__', '?')}"
+        surrogate = self.surrogates.get(fn_name)
+        if surrogate is not None:
+            try:
+                means, _ = surrogate.predict([point.kwargs])["elapsed_s"]
+                predicted = float(means[0])
+                if predicted == predicted and predicted != float("inf"):
+                    self.tier_hits["surrogate"] += 1
+                    return max(0.0, predicted)
+            except Exception:
+                pass
+        by_fn = self.by_fn.get(fn_name)
+        if by_fn is not None:
+            self.tier_hits["by_fn"] += 1
+            return by_fn
+        self.tier_hits["default"] += 1
+        return self.default_s
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return (
+            f"CostModel(fns={len(self.by_fn)}, surrogates={len(self.surrogates)}, "
+            f"default={self.default_s}s)"
+        )
+
+
+# ----------------------------------------------------------------------
+# Dispatch planning
+# ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class _Task:
+    """One schedulable point: (experiment ordinal, point, predicted cost)."""
+
+    exp: int
+    point: SweepPoint
+    cost: float
+
+
+def plan_dispatch(
+    tasks: Sequence[_Task],
+    batch_cost_s: float = DEFAULT_BATCH_COST_S,
+    batch_max: int = DEFAULT_BATCH_MAX,
+) -> List[List[_Task]]:
+    """Order tasks LPT and chunk the cheap ones into batches.
+
+    Returns dispatch *units* (each a list of tasks executed by one
+    worker round-trip), sorted most-expensive-first.  Expensive points
+    stay singletons; points predicted under ``batch_cost_s`` are
+    grouped -- still in LPT order -- into units of up to ``batch_max``
+    so the per-task IPC overhead amortizes.  The plan is a pure
+    function of (tasks, costs): ties break on declaration order, so
+    planning is deterministic even though execution is not ordered.
+    """
+    ordered = sorted(tasks, key=lambda task: (-task.cost, task.exp, task.point.index))
+    units: List[List[_Task]] = []
+    batch: List[_Task] = []
+    for task in ordered:
+        if task.cost > batch_cost_s or batch_max <= 1:
+            units.append([task])
+            continue
+        batch.append(task)
+        if len(batch) >= batch_max:
+            units.append(batch)
+            batch = []
+    if batch:
+        units.append(batch)
+    units.sort(key=lambda unit: (-sum(t.cost for t in unit), unit[0].exp, unit[0].point.index))
+    return units
+
+
+def _execute_unit(tasks: List[Tuple[int, SweepPoint]]) -> List[Tuple[int, int, float, Any]]:
+    """Worker-side trampoline: run one dispatch unit's points in order.
+
+    Module-level so units pickle by reference; returns per-point
+    ``(experiment ordinal, point index, elapsed seconds, value)`` so
+    the parent can merge and write back the cache without ambiguity.
+    """
+    out: List[Tuple[int, int, float, Any]] = []
+    for exp, point in tasks:
+        index, elapsed, value = _execute_point_timed(point)
+        out.append((exp, index, elapsed, value))
+    return out
+
+
+# ----------------------------------------------------------------------
+# The loop
+# ----------------------------------------------------------------------
+@dataclass
+class ExperimentRun:
+    """Outcome of one group (experiment) inside a run."""
+
+    name: str
+    result: Any
+    points: int
+    cache_hits: int
+    computed: int
+    wall_s: float
+
+
+@dataclass
+class SuiteResult:
+    """Everything a run produced, in declared group order."""
+
+    experiments: List[ExperimentRun]
+    wall_s: float
+    jobs: int
+    points_total: int
+    cache_hits: int
+    batches: int
+    stolen_idle_s: float
+    tier_hits: Dict[str, int]
+
+    @property
+    def results(self) -> Dict[str, Any]:
+        return {run.name: run.result for run in self.experiments}
+
+    def report(self) -> Dict[str, Any]:
+        return {
+            "jobs": self.jobs,
+            "wall_s": round(self.wall_s, 3),
+            "experiments": len(self.experiments),
+            "points_total": self.points_total,
+            "cache_hits": self.cache_hits,
+            "batches": self.batches,
+            "stolen_idle_s": round(self.stolen_idle_s, 3),
+            "tier_hits": self.tier_hits,
+            "per_experiment": [
+                {
+                    "name": run.name,
+                    "points": run.points,
+                    "cache_hits": run.cache_hits,
+                    "computed": run.computed,
+                    "wall_s": round(run.wall_s, 3),
+                }
+                for run in self.experiments
+            ],
+        }
+
+
+#: One unit of work for :func:`run_groups`: a name, the points to run,
+#: and the reducer that turns their results (declared point order) into
+#: the group's result.
+Group = Tuple[str, Sequence[SweepPoint], Callable[[List[Any]], Any]]
+
+
+class _GroupState:
+    """Parent-side bookkeeping for one group's in-flight points."""
+
+    __slots__ = (
+        "name", "points", "reduce", "results", "points_by_index", "keys",
+        "pending", "hits", "computed", "started_at", "finished_at", "result",
+    )
+
+    def __init__(self, group: Group):
+        self.name, points, self.reduce = group
+        self.points = list(points)
+        self.results: Dict[int, Any] = {}
+        self.points_by_index = {point.index: point for point in self.points}
+        self.keys: Dict[int, Any] = {}  # missed point index -> ResultCache.key from its lookup
+        self.pending = 0
+        self.hits = 0
+        self.computed = 0
+        self.started_at = time.perf_counter()
+        self.finished_at: Optional[float] = None
+        self.result: Any = None
+
+    def finalize(self) -> None:
+        self.result = self.reduce([self.results[point.index] for point in self.points])
+        self.finished_at = time.perf_counter()
+
+    @property
+    def done(self) -> bool:
+        return self.finished_at is not None
+
+
+def run_groups(
+    groups: Iterable[Group],
+    name: Optional[str],
+    jobs_requested: int,
+    jobs: int,
+    cache: CacheSpec = None,
+    pool: Optional[WorkerPool] = None,
+    cost_model: Optional[CostModel] = None,
+    batch_cost_s: float = DEFAULT_BATCH_COST_S,
+    batch_max: int = DEFAULT_BATCH_MAX,
+    progress: Optional[Callable[[str, Dict[str, Any]], None]] = None,
+) -> SuiteResult:
+    """Key, look up, run, store and journal every point of ``groups``.
+
+    ``groups`` may be a generator: each group is expanded, looked up
+    and dispatched before the next one is asked for.  ``jobs`` is the
+    effective worker count and ``jobs_requested`` what the caller asked
+    for (:func:`_resolve_jobs`; both land in the journal).  ``jobs <=
+    1`` runs every missed point in this process; otherwise points go
+    to ``pool``, or to a pool created for the call and torn down
+    afterwards.  Lookups happen before dispatch, each
+    point's :meth:`ResultCache.key` is taken before it runs, computed
+    values are merged as read back from their JSON round-trip, and each
+    group's merge respects declared point order -- so results do not
+    depend on the executor, the plan, or the cache's temperature.
+
+    ``cost_model`` substitutes the model the plan is drawn from (else
+    one is built from the cache when the first point misses).
+    ``progress`` (when given) receives ``(event, payload)`` pairs:
+    ``point`` per computed point, ``experiment`` per finalized group,
+    ``suite`` once at the end.  ``name`` labels the run's journal line.
+    """
+    started = time.perf_counter()
+    store = resolve_cache(cache)
+    stats_before = store.stats.snapshot() if store is not None else None
+    model = cost_model  # else built from the cache when the first point misses
+
+    own_pool = pool is None and jobs > 1
+    if own_pool:
+        pool = WorkerPool(jobs)
+    elif jobs <= 1:
+        # One worker buys no parallelism, only per-unit pickling and IPC
+        # round-trips: a lent one-worker pool is left untouched (its
+        # lazy executor is never spawned by us and never closed).
+        pool = None
+
+    states: List[_GroupState] = []
+    futures: List[Any] = []
+    points_total = 0
+    cache_hits = 0
+    batches = 0
+    stolen_idle_s = 0.0
+
+    def emit(event: str, payload: Dict[str, Any]) -> None:
+        if progress is not None:
+            progress(event, payload)
+
+    def finish(state: _GroupState) -> None:
+        state.finalize()
+        bump("suite.experiments_done")
+        emit(
+            "experiment",
+            {
+                "experiment": state.name,
+                "points": len(state.points),
+                "cache_hits": state.hits,
+                "wall_s": state.finished_at - state.started_at,
+            },
+        )
+
+    def account(exp_ord: int, index: int, elapsed: float, value: Any) -> None:
+        nonlocal stolen_idle_s
+        state = states[exp_ord]
+        point = state.points_by_index[index]
+        if store is not None:
+            value = store.store(point, value, elapsed, state.keys[index])
+        state.results[index] = value
+        state.pending -= 1
+        state.computed += 1
+        bump("suite.points_done")
+        # Work on a later group while an earlier one is still in flight
+        # is time the one-group-at-a-time baseline would have spent
+        # with those cores idle.
+        if any(not earlier.done for earlier in states[:exp_ord]):
+            stolen_idle_s += elapsed
+        emit(
+            "point",
+            {
+                "experiment": state.name,
+                "label": point.label,
+                "elapsed_s": elapsed,
+                "remaining": state.pending,
+            },
+        )
+        if state.pending == 0:
+            finish(state)
+
+    try:
+        # -- expansion, cache lookup, dispatch (streaming) -------------
+        for exp_ord, group in enumerate(groups):
+            state = _GroupState(group)
+            states.append(state)
+            tasks: List[_Task] = []
+            for point in state.points:
+                points_total += 1
+                key = None
+                if store is not None:
+                    key = store.key(point)
+                    hit, value = store.lookup(point, key)
+                    if hit:
+                        state.results[point.index] = value
+                        state.hits += 1
+                        cache_hits += 1
+                        bump("suite.cache_hits")
+                        bump("suite.points_done")
+                        continue
+                if model is None:
+                    model = CostModel.from_cache(store)
+                state.keys[point.index] = key
+                tasks.append(_Task(exp_ord, point, model.predict(point)))
+            state.pending = len(tasks)
+            if not tasks:
+                finish(state)
+                continue
+            units = plan_dispatch(tasks, batch_cost_s=batch_cost_s, batch_max=batch_max)
+            batches += sum(1 for unit in units if len(unit) > 1)
+            for unit in units:
+                if pool is not None:
+                    # Submitting is non-blocking, so expanding and looking
+                    # up group k+1 overlaps computing group k.
+                    futures.append(
+                        pool.submit(_execute_unit, [(task.exp, task.point) for task in unit])
+                    )
+                else:
+                    for task in unit:
+                        account(exp_ord, *_execute_point_timed(task.point))
+        bump("suite.points_total", points_total)
+
+        # -- consumption: completion order, so a failure surfaces as
+        # soon as its future settles, not behind slower siblings -------
+        for future in as_completed(futures):
+            for row in future.result():
+                account(*row)
+    except BaseException:
+        for future in futures:
+            future.cancel()  # unstarted siblings of a doomed run
+        raise
+    finally:
+        if own_pool:
+            pool.close(cancel_pending=True)
+
+    bump("suite.stolen_idle_sec", stolen_idle_s)
+    if model is None:  # every point hit: nothing was ever predicted
+        model = CostModel()
+    result = SuiteResult(
+        experiments=[
+            ExperimentRun(
+                name=state.name,
+                result=state.result,
+                points=len(state.points),
+                cache_hits=state.hits,
+                computed=state.computed,
+                wall_s=(state.finished_at or started) - state.started_at,
+            )
+            for state in states
+        ],
+        wall_s=time.perf_counter() - started,
+        jobs=jobs,
+        points_total=points_total,
+        cache_hits=cache_hits,
+        batches=batches,
+        stolen_idle_s=stolen_idle_s,
+        tier_hits=dict(model.tier_hits),
+    )
+    report = result.report()
+    emit("suite", report)
+    if store is not None:
+        store.record_run(
+            name,
+            {
+                **report,
+                **store.stats.delta_since(stats_before),
+                "jobs_requested": jobs_requested,
+                "jobs_effective": jobs,
+            },
+        )
+    return result
+
+
+def _resolve_jobs(jobs: int, pool: Optional[WorkerPool]) -> Tuple[int, int]:
+    """``(requested, effective)`` worker counts for one run: a lent
+    pool's size wins over ``jobs``; the effective count is clamped to
+    the machine (see :func:`_clamp_jobs`)."""
+    requested = pool.jobs if pool is not None else jobs
+    return requested, _clamp_jobs(requested)
+
+
 def run_sweep(
     points: Sequence[SweepPoint],
     jobs: int = 1,
-    executor: Optional[ProcessPoolExecutor] = None,
     cache: CacheSpec = None,
     name: Optional[str] = None,
     pool: Optional[WorkerPool] = None,
 ) -> List[Any]:
     """Execute ``points`` and return their results in point order.
 
-    ``jobs`` is the worker-process count; values <= 1 run serially
-    in-process, and values above ``os.cpu_count()`` are clamped to it
-    (see :func:`_clamp_jobs`).  The returned list always lines up with
-    ``points`` by index, regardless of completion order.
-
-    ``pool`` hands the sweep a persistent :class:`WorkerPool` whose
-    executor is reused instead of standing up (and tearing down) a
-    fresh per-sweep executor -- the suite orchestrator's path.  When
-    neither ``pool`` nor ``executor`` is given and ``jobs > 1``, the
-    per-sweep executor remains the fallback.
+    ``jobs`` is the worker-process count; values <= 1 run in-process,
+    and values above ``os.cpu_count()`` are clamped to it (see
+    :func:`_clamp_jobs`).  ``pool`` lends a persistent
+    :class:`WorkerPool` (its size then replaces ``jobs``); without one,
+    ``jobs > 1`` creates a pool for this call.  The returned list
+    always lines up with ``points`` by index, regardless of completion
+    order.
 
     ``cache`` selects the result cache: ``None`` uses the ambient
     configuration (:func:`repro.harness.cache.active_cache`, off unless
@@ -244,49 +675,18 @@ def run_sweep(
     byte-identical results.
     """
     points = list(points)
-    indices = [p.index for p in points]
-    if len(set(indices)) != len(indices):
+    if len({point.index for point in points}) != len(points):
         raise ValueError("sweep points must have unique indices")
-    if pool is not None and executor is None:
-        if pool.jobs <= 1:
-            # Degenerate one-worker pool: a worker round-trip buys no
-            # parallelism, only pickling and IPC.  Run in-process (the
-            # pool's lazy executor is never even spawned).
-            jobs = 1
-        else:
-            executor = pool.executor
-            jobs = pool.jobs
-    jobs_requested = jobs
-    jobs = _clamp_jobs(jobs)
-    store: Optional[ResultCache] = resolve_cache(cache)
-    results: Dict[int, Any] = {}
-    if store is None:
-        pending = points
-        before = None
-    else:
-        before = store.stats.snapshot()
-        pending = []
-        keys: Dict[int, Any] = {}  # pending point index -> key taken before it runs
-        for point in points:
-            key = store.key(point)
-            hit, value = store.lookup(point, key)
-            if hit:
-                results[point.index] = value
-            else:
-                pending.append(point)
-                keys[point.index] = key
-    if pending:
-        by_index = {point.index: point for point in pending}
-        for index, elapsed, value in _execute_pending(pending, jobs, executor):
-            if store is not None:
-                value = store.store(by_index[index], value, elapsed, keys[index])
-            results[index] = value
-    if store is not None and before is not None:
-        delta = store.stats.delta_since(before)
-        delta["jobs_requested"] = jobs_requested
-        delta["jobs_effective"] = jobs
-        store.record_run(name, delta)
-    return [results[point.index] for point in points]
+    requested, effective = _resolve_jobs(jobs, pool)
+    suite = run_groups(
+        [(name or "", points, list)],
+        name,
+        jobs_requested=requested,
+        jobs=effective,
+        cache=cache,
+        pool=pool,
+    )
+    return suite.experiments[0].result
 
 
 class Sweep:

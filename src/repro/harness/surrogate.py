@@ -6,48 +6,33 @@ numeric leaves of its result, and the seconds it took to compute.
 "Performance Modeling of Data Storage Systems using Generative Models"
 (PAPERS.md) shows that cheap learned models predict storage-system
 performance with useful accuracy; this module turns the journal into
-exactly that -- a deterministic, dependency-light regressor from point
-kwargs to point outputs, with an uncertainty estimate.
+exactly that -- a deterministic regressor from point kwargs to point
+outputs, with an uncertainty estimate.
 
-Two interchangeable backends sit behind :func:`make_surrogate`:
-
-* ``tree`` -- bagged depth-limited regression trees built on numpy
-  (the ``.[fast]`` extra, same dependency story as the batch kernel
-  backend).  The ensemble mean is the prediction; ensemble
-  disagreement (std across trees) is the uncertainty.
-* ``knn`` -- a pure-Python distance-weighted nearest-neighbour
-  regressor, always available.  The neighbourhood's weighted spread is
-  the uncertainty.
-
-Both are trained *deterministically*: bootstrap resampling draws from
-:class:`random.Random` seeded by the caller (never the wall clock),
-splits break ties by declaration order, and neighbours sort by
-``(distance, index)``.  The same records and seed always produce the
-same model and bit-equal predictions -- the adaptive sweep engine
-(:mod:`repro.harness.adaptive`) and its byte-identity gates rely on
-this.
+There is one model, :class:`KnnSurrogate`: a pure-Python
+distance-weighted nearest-neighbour regressor whose neighbourhood's
+weighted spread is the uncertainty.  It runs on every supported
+install -- nothing in :mod:`repro.harness` imports numpy, which is the
+batch kernel's optional dependency only -- and it has no random state:
+neighbours sort by ``(distance, index)``, so the same records always
+produce bit-equal predictions.  The adaptive sweep engine
+(:mod:`repro.harness.adaptive`), the suite cost model
+(:class:`repro.harness.parallel.CostModel`) and their byte-identity
+gates rely on this.
 
 Feature encoding is derived from the records themselves (equivalently,
 from the declarative ``sweep()`` axes that produced them): numeric
-kwargs pass through as floats, non-numeric kwargs one-hot encode over
-the sorted vocabulary seen at fit time.  The per-point ``seed`` kwarg
-is excluded -- it is derived from the label, so it would memorize
-points rather than generalize across them.
+kwargs are centred on their training mean and scaled by their spread,
+non-numeric kwargs one-hot encode over the sorted vocabulary seen at
+fit time.  The per-point ``seed`` kwarg is excluded -- it is derived
+from the label, so it would memorize points rather than generalize
+across them.
 """
 
 from __future__ import annotations
 
 import math
-import random
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
-
-try:  # same optional dependency as repro.sim.batch
-    import numpy as _np
-
-    _HAVE_NUMPY = True
-except ImportError:  # pragma: no cover - exercised via monkeypatch
-    _np = None
-    _HAVE_NUMPY = False
 
 #: Kwargs never used as features: per-point seeds are label-derived
 #: (memorization, not signal) and shard knobs change execution, not
@@ -57,12 +42,6 @@ DEFAULT_EXCLUDE = ("seed", "shards", "shard_mode")
 #: Cap on numeric leaves extracted from one result (deterministic:
 #: the lexicographically first paths survive).
 FLATTEN_LIMIT = 80
-
-SURROGATE_BACKENDS = ("auto", "tree", "knn")
-
-
-def have_numpy() -> bool:
-    return _HAVE_NUMPY
 
 
 # ----------------------------------------------------------------------
@@ -113,7 +92,9 @@ class FeatureCodec:
     int/float) or a block of one-hot features over the sorted
     vocabulary of observed values.  Unseen categorical values encode
     as all-zeros; missing keys encode as the key's training mean (so
-    prediction never raises).
+    prediction never raises).  Numeric features are centred on that
+    mean and divided by the training spread, so no axis dominates a
+    distance merely by its unit.
     """
 
     def __init__(
@@ -157,25 +138,20 @@ class FeatureCodec:
                 categorical[key] = sorted({_cat(v) for v in values})
         return cls(numeric, categorical, means, scales)
 
-    def encode(self, kwargs: Mapping[str, Any], scaled: bool = False) -> List[float]:
+    def encode(self, kwargs: Mapping[str, Any]) -> List[float]:
         row: List[float] = []
         for key in self.numeric:
             value = kwargs.get(key)
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 value = self.means[key]
-            value = float(value)
-            if scaled:
-                value = (value - self.means[key]) / self.scales[key]
-            row.append(value)
+            row.append((float(value) - self.means[key]) / self.scales[key])
         for key, vocab in self.categorical.items():
             seen = _cat(kwargs.get(key))
             row.extend(1.0 if seen == entry else 0.0 for entry in vocab)
         return row
 
-    def encode_many(
-        self, kwargs_list: Sequence[Mapping[str, Any]], scaled: bool = False
-    ) -> List[List[float]]:
-        return [self.encode(kwargs, scaled=scaled) for kwargs in kwargs_list]
+    def encode_many(self, kwargs_list: Sequence[Mapping[str, Any]]) -> List[List[float]]:
+        return [self.encode(kwargs) for kwargs in kwargs_list]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"FeatureCodec(numeric={self.numeric}, categorical={sorted(self.categorical)})"
@@ -189,154 +165,12 @@ def _cat(value: Any) -> str:
 
 
 # ----------------------------------------------------------------------
-# Tree backend (numpy)
-# ----------------------------------------------------------------------
-class _Stump:
-    """One depth-limited regression tree stored as flat parallel lists."""
-
-    __slots__ = ("feature", "threshold", "left", "right", "value")
-
-    def __init__(self):
-        # Node arrays: internal nodes carry (feature, threshold, child
-        # ids); leaves carry value with feature == -1.
-        self.feature: List[int] = []
-        self.threshold: List[float] = []
-        self.left: List[int] = []
-        self.right: List[int] = []
-        self.value: List[float] = []
-
-    def _add(self) -> int:
-        self.feature.append(-1)
-        self.threshold.append(0.0)
-        self.left.append(-1)
-        self.right.append(-1)
-        self.value.append(0.0)
-        return len(self.feature) - 1
-
-
-class TreeSurrogate:
-    """Bagged regression trees (numpy), ensemble std as uncertainty."""
-
-    backend = "tree"
-
-    def __init__(
-        self,
-        seed: int = 0,
-        n_trees: int = 16,
-        max_depth: int = 6,
-        min_leaf: int = 2,
-    ):
-        if not _HAVE_NUMPY:
-            raise RuntimeError("TreeSurrogate requires numpy (the [fast] extra)")
-        self.seed = seed
-        self.n_trees = n_trees
-        self.max_depth = max_depth
-        self.min_leaf = min_leaf
-        self._trees: List[_Stump] = []
-        self._fallback = 0.0
-
-    def fit(self, X: Sequence[Sequence[float]], y: Sequence[float]) -> "TreeSurrogate":
-        xs = _np.asarray(X, dtype=_np.float64)
-        ys = _np.asarray(y, dtype=_np.float64)
-        n = len(ys)
-        self._trees = []
-        self._fallback = float(ys.mean()) if n else 0.0
-        if n == 0:
-            return self
-        # Bootstrap indices come from Python's Random: stable across
-        # numpy versions, so the model is a pure function of
-        # (records, seed).
-        rng = random.Random(self.seed)
-        for _ in range(self.n_trees):
-            indices = [rng.randrange(n) for _ in range(n)]
-            tree = _Stump()
-            self._grow(tree, xs[indices], ys[indices], depth=0)
-            self._trees.append(tree)
-        return self
-
-    def _grow(self, tree: _Stump, xs, ys, depth: int) -> int:
-        node = tree._add()
-        if depth >= self.max_depth or len(ys) < 2 * self.min_leaf or _np.ptp(ys) == 0.0:
-            tree.value[node] = float(ys.mean())
-            return node
-        best = self._best_split(xs, ys)
-        if best is None:
-            tree.value[node] = float(ys.mean())
-            return node
-        feature, threshold = best
-        mask = xs[:, feature] <= threshold
-        tree.feature[node] = feature
-        tree.threshold[node] = threshold
-        tree.left[node] = self._grow(tree, xs[mask], ys[mask], depth + 1)
-        tree.right[node] = self._grow(tree, xs[~mask], ys[~mask], depth + 1)
-        return node
-
-    def _best_split(self, xs, ys) -> Optional[Tuple[int, float]]:
-        """Best (feature, threshold) by SSE reduction; ties keep the
-        first candidate in (feature, threshold) order, so growth is
-        deterministic."""
-        n = len(ys)
-        best_score = None
-        best: Optional[Tuple[int, float]] = None
-        total = ys.sum()
-        for feature in range(xs.shape[1]):
-            column = xs[:, feature]
-            order = _np.argsort(column, kind="stable")
-            sorted_x = column[order]
-            sorted_y = ys[order]
-            prefix = _np.cumsum(sorted_y)
-            # Valid split positions: between distinct x values with at
-            # least min_leaf samples on each side.
-            distinct = sorted_x[:-1] != sorted_x[1:]
-            counts = _np.arange(1, n)
-            valid = distinct & (counts >= self.min_leaf) & ((n - counts) >= self.min_leaf)
-            if not valid.any():
-                continue
-            left_sum = prefix[:-1]
-            left_n = counts
-            right_sum = total - left_sum
-            right_n = n - counts
-            # Maximizing sum(mean^2 * n) over the two sides minimizes SSE.
-            score = left_sum**2 / left_n + right_sum**2 / right_n
-            score = _np.where(valid, score, -_np.inf)
-            pos = int(score.argmax())
-            if score[pos] == -_np.inf:
-                continue
-            if best_score is None or float(score[pos]) > best_score + 1e-12:
-                best_score = float(score[pos])
-                best = (feature, float((sorted_x[pos] + sorted_x[pos + 1]) / 2.0))
-        return best
-
-    def _predict_one(self, tree: _Stump, row: Sequence[float]) -> float:
-        node = 0
-        while tree.feature[node] >= 0:
-            node = tree.left[node] if row[tree.feature[node]] <= tree.threshold[node] else tree.right[node]
-        return tree.value[node]
-
-    def predict(self, X: Sequence[Sequence[float]]) -> Tuple[List[float], List[float]]:
-        if not self._trees:
-            return [self._fallback] * len(X), [0.0] * len(X)
-        means: List[float] = []
-        stds: List[float] = []
-        for row in X:
-            votes = [self._predict_one(tree, row) for tree in self._trees]
-            mean = sum(votes) / len(votes)
-            var = sum((v - mean) ** 2 for v in votes) / len(votes)
-            means.append(mean)
-            stds.append(math.sqrt(var))
-        return means, stds
-
-
-# ----------------------------------------------------------------------
-# Nearest-neighbour backend (pure Python)
+# Nearest-neighbour model
 # ----------------------------------------------------------------------
 class KnnSurrogate:
-    """Distance-weighted k-NN regressor; always available."""
+    """Distance-weighted k-NN regressor (pure Python, no random state)."""
 
-    backend = "knn"
-
-    def __init__(self, seed: int = 0, k: int = 5):
-        self.seed = seed  # accepted for interface symmetry; k-NN has no RNG
+    def __init__(self, k: int = 5):
         self.k = k
         self._X: List[List[float]] = []
         self._y: List[float] = []
@@ -387,37 +221,21 @@ class KnnSurrogate:
         return means, stds
 
 
-def make_surrogate(seed: int = 0, backend: str = "auto", **kwargs: Any):
-    """Construct a surrogate model: numpy trees when available, else k-NN.
-
-    ``backend`` forces a choice (``tree`` raises without numpy, which
-    is what ``auto`` exists to avoid).
-    """
-    if backend not in SURROGATE_BACKENDS:
-        raise ValueError(f"unknown surrogate backend {backend!r}; pick from {SURROGATE_BACKENDS}")
-    if backend == "tree" or (backend == "auto" and _HAVE_NUMPY):
-        return TreeSurrogate(seed=seed, **kwargs)
-    return KnnSurrogate(seed=seed)
-
-
 # ----------------------------------------------------------------------
 # Per-target model sets
 # ----------------------------------------------------------------------
 class SurrogateSet:
     """One codec plus one fitted model per target output path."""
 
-    def __init__(self, codec: FeatureCodec, models: Dict[str, Any], backend: str):
+    def __init__(self, codec: FeatureCodec, models: Dict[str, KnnSurrogate]):
         self.codec = codec
         self.models = models
-        self.backend = backend
 
     @classmethod
     def fit(
         cls,
         records: Sequence[Tuple[Mapping[str, Any], Mapping[str, float]]],
         targets: Sequence[str],
-        seed: int = 0,
-        backend: str = "auto",
         exclude: Sequence[str] = DEFAULT_EXCLUDE,
     ) -> "SurrogateSet":
         """Train on ``(kwargs, outputs)`` pairs, one model per target.
@@ -426,32 +244,24 @@ class SurrogateSet:
         only; a target with no usable records predicts ``(0, 0)``.
         """
         codec = FeatureCodec.from_records([kwargs for kwargs, _ in records], exclude=exclude)
-        models: Dict[str, Any] = {}
-        resolved = None
+        models: Dict[str, KnnSurrogate] = {}
         for target in targets:
             usable = [
                 (kwargs, outputs[target])
                 for kwargs, outputs in records
                 if isinstance(outputs.get(target), (int, float))
             ]
-            model = make_surrogate(seed=seed, backend=backend)
-            scaled = model.backend == "knn"
-            model.fit(
-                codec.encode_many([kwargs for kwargs, _ in usable], scaled=scaled),
+            models[target] = KnnSurrogate().fit(
+                codec.encode_many([kwargs for kwargs, _ in usable]),
                 [y for _, y in usable],
             )
-            models[target] = model
-            resolved = model.backend
-        return cls(codec, models, resolved or ("tree" if _HAVE_NUMPY else "knn"))
+        return cls(codec, models)
 
     def predict(
         self, kwargs_list: Sequence[Mapping[str, Any]]
     ) -> Dict[str, Tuple[List[float], List[float]]]:
-        out: Dict[str, Tuple[List[float], List[float]]] = {}
-        for target, model in self.models.items():
-            rows = self.codec.encode_many(kwargs_list, scaled=model.backend == "knn")
-            out[target] = model.predict(rows)
-        return out
+        rows = self.codec.encode_many(kwargs_list)
+        return {target: model.predict(rows) for target, model in self.models.items()}
 
 
 # ----------------------------------------------------------------------

@@ -1,5 +1,5 @@
 """Regenerate ``BASELINE_EXPLORE.json`` -- the frozen ground truth the
-explore perf gate compares adaptive runs against.
+explore fidelity gate (``test_explore_gate.py``) compares adaptive runs against.
 
 Runs the fig04 interference exploration grid *exhaustively* (every
 point, no surrogate) and freezes the crossovers
@@ -8,7 +8,7 @@ actual signals.  The simulation is deterministic and machine
 independent, so the file only needs regenerating when the simulator's
 physics, the driver's grid, or the crossover definition changes:
 
-    PYTHONPATH=src python benchmarks/perf/regenerate_explore.py
+    PYTHONPATH=src python tests/harness/regenerate_explore.py
 
 ``error_bound`` is the held-out relative-RMSE ceiling the gate holds
 adaptive runs to; raise it only with a written justification in the

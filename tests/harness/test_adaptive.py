@@ -179,13 +179,6 @@ class TestExplore:
         for label, value in zip(result.simulated_labels, direct):
             assert pickle.dumps(result.results[label]) == pickle.dumps(value)
 
-    def test_knn_backend(self):
-        result = explore(
-            explore_space(), budget=0.4, target_error=0.01, cache=False, backend="knn"
-        )
-        assert result.backend == "knn"
-        assert any(c["group"]["y"] == 2.0 for c in result.crossovers)
-
     def test_progress_events_emitted(self):
         events = []
         explore(

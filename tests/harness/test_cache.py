@@ -530,6 +530,20 @@ class TestImportScan:
             assert _source(str(tmp_path / name))[0] == hashlib.sha256(data).hexdigest()
         assert _source(str(tmp_path / "absent.py")) == (None, frozenset())
 
+    def test_fingerprinting_imports_no_module_to_resolve_its_attributes(self):
+        """``from repro.sim.batch import BatchSimulator`` sits in a lazy
+        branch nobody on the reference kernel takes.  Resolving the
+        candidate ``repro.sim.batch.BatchSimulator`` must not import
+        ``repro.sim.batch`` (and numpy with it) into every process that
+        merely keys a point."""
+        probe = (
+            "import sys; from repro.harness.cache import code_fingerprint; "
+            "from repro.harness.experiments import fig02_unloaded_latency as fig02; "
+            "code_fingerprint(fig02._point); "
+            "sys.exit('repro.sim.batch' in sys.modules)"
+        )
+        assert subprocess.run([sys.executable, "-c", probe], timeout=120).returncode == 0
+
     def test_cold_fingerprint_compiles_nothing_and_reads_each_file_once(self, monkeypatch):
         from repro.harness.experiments import fig02_unloaded_latency as fig02
 

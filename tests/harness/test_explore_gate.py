@@ -1,4 +1,4 @@
-"""Adaptive exploration benchmark and fidelity gate.
+"""Adaptive exploration fidelity gate.
 
 The surrogate-guided engine (:mod:`repro.harness.adaptive`) exists to
 answer grid-scale questions at a fraction of the grid's cost.  This
@@ -20,33 +20,23 @@ gate pins down all three halves of that claim against
   ``run_sweep`` (the engine reuses per-point seeds, labels and the
   ordinary dispatch path; this catches any drift).
 
-Both surrogate backends are gated: the numpy bagged-tree model when
-numpy is importable, and the pure-Python k-NN fallback always -- so a
-numpy-less environment exercises (and must pass with) the fallback
-alone.  The run is deterministic end to end, which is what makes exact
-crossover-set comparison safe to assert in CI.
-
-``BENCH_explore.json`` at the repo root records the raw numbers.
+There is one surrogate (pure-Python k-NN), so there is one
+configuration to gate, and it is the one every install runs.  The run
+is deterministic end to end, which is what makes exact crossover-set
+comparison safe to assert in tier-1.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import pickle
-import time
 from pathlib import Path
 
 from repro.harness.adaptive import explore
 from repro.harness.experiments.fig04_interference import explore_space
 from repro.harness.parallel import run_sweep
-from repro.harness.surrogate import have_numpy
 
-REPO_ROOT = Path(__file__).resolve().parents[2]
 BASELINE_PATH = Path(__file__).resolve().parent / "BASELINE_EXPLORE.json"
-OUTPUT_PATH = REPO_ROOT / "BENCH_explore.json"
-
-QUICK = os.environ.get("REPRO_PERF_QUICK", "") not in ("", "0")
 
 
 def _axis_interval(axis_values, lo, hi):
@@ -59,22 +49,20 @@ def _axis_interval(axis_values, lo, hi):
     )
 
 
-def _check_backend(baseline, backend):
+def test_adaptive_explore_recovers_frozen_crossovers():
+    baseline = json.loads(BASELINE_PATH.read_text(encoding="utf-8"))
     space = explore_space()
-    started = time.perf_counter()
     result = explore(
         space,
         budget=baseline["budget"],
         target_error=0.02,
         cache=False,
         bootstrap=False,
-        backend=backend,
     )
-    wall_s = time.perf_counter() - started
 
     # Cost half: the budget is the whole point.
     assert result.fraction_simulated <= baseline["budget"] + 1e-9, (
-        f"{backend}: simulated {result.simulated_count}/{result.grid_points} "
+        f"simulated {result.simulated_count}/{result.grid_points} "
         f"= {result.fraction_simulated:.1%}, over the {baseline['budget']:.0%} budget"
     )
 
@@ -85,13 +73,13 @@ def _check_backend(baseline, backend):
     for frozen in baseline["crossovers"]:
         key = tuple(sorted(frozen["group"].items()))
         assert key in by_group, (
-            f"{backend}: frozen crossover in group {frozen['group']} "
+            f"frozen crossover in group {frozen['group']} "
             f"(~{frozen['estimate']}) was not recovered"
         )
         lo, hi = _axis_interval(axis_values, frozen["lo"], frozen["hi"])
         estimate = by_group[key]["estimate"]
         assert lo <= estimate <= hi, (
-            f"{backend}: group {frozen['group']} estimate {estimate} outside "
+            f"group {frozen['group']} estimate {estimate} outside "
             f"tolerance [{lo}, {hi}] around frozen {frozen['estimate']}"
         )
     # Fidelity half 2: no spurious observed crossovers in flat groups.
@@ -99,13 +87,13 @@ def _check_backend(baseline, backend):
         tuple(sorted(c["group"].items())) for c in baseline["crossovers"]
     }
     spurious = [c for c in observed if tuple(sorted(c["group"].items())) not in frozen_groups]
-    assert not spurious, f"{backend}: spurious observed crossovers: {spurious}"
+    assert not spurious, f"spurious observed crossovers: {spurious}"
 
     # Fidelity half 3: honest held-out error under the declared bound.
-    assert result.heldout, f"{backend}: no held-out predictions were recorded"
+    assert result.heldout, "no held-out predictions were recorded"
     for target, stats in result.heldout.items():
         assert stats["rel_rmse"] <= baseline["error_bound"], (
-            f"{backend}: held-out relative RMSE for {target} is "
+            f"held-out relative RMSE for {target} is "
             f"{stats['rel_rmse']:.3f}, over the declared {baseline['error_bound']}"
         )
 
@@ -120,50 +108,6 @@ def _check_backend(baseline, backend):
     direct = run_sweep(points, jobs=1, cache=False)
     for label, value in zip(sample, direct):
         assert pickle.dumps(result.results[label]) == pickle.dumps(value), (
-            f"{backend}: point {label!r} differs between the adaptive engine "
+            f"point {label!r} differs between the adaptive engine "
             "and a direct run_sweep execution"
         )
-
-    return {
-        "backend": result.backend,
-        "wall_s": round(wall_s, 3),
-        "simulated": result.simulated_count,
-        "grid_points": result.grid_points,
-        "fraction_simulated": round(result.fraction_simulated, 4),
-        "rounds": result.rounds,
-        "stopped_on": result.stopped_on,
-        "heldout": result.heldout,
-        "crossovers": [
-            {k: c[k] for k in ("group", "lo", "hi", "estimate", "observed")}
-            for c in result.crossovers
-        ],
-    }
-
-
-def test_adaptive_explore_recovers_frozen_crossovers():
-    baseline = json.loads(BASELINE_PATH.read_text(encoding="utf-8"))
-    backends = ["knn"]
-    if have_numpy():
-        backends.insert(0, "tree")
-
-    runs = [_check_backend(baseline, backend) for backend in backends]
-
-    report = {
-        "suite": "explore",
-        "quick": QUICK,
-        "space": baseline["space"],
-        "grid_points": baseline["grid_points"],
-        "budget": baseline["budget"],
-        "error_bound": baseline["error_bound"],
-        "full_grid_wall_s": baseline["full_grid_wall_s"],
-        "numpy_available": have_numpy(),
-        "frozen_crossovers": len(baseline["crossovers"]),
-        "runs": runs,
-    }
-    OUTPUT_PATH.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
-
-    # The efficiency headline: screening the grid adaptively must beat
-    # exhausting it. Wall-clock scales with simulated fraction, so the
-    # budget assertion above is the gate; this just records the ratio.
-    for run in runs:
-        assert run["simulated"] < baseline["grid_points"]

@@ -1,9 +1,10 @@
-"""Tests for the suite orchestrator: cost model, dispatch plan, runner.
+"""Tests for the dispatch loop: cost model, dispatch plan, runner.
 
-The load-bearing contract: ``run_suite`` may schedule points in any
-order it likes (LPT, batched, streamed across experiments), but every
+The load-bearing contract: the loop may schedule points in any order
+it likes (LPT, batched, streamed across experiments), but every
 experiment's result must stay byte-identical to the serial-experiment
-baseline ``run_suite_serial``.
+baseline ``run_suite_serial`` -- whether it is entered as a suite
+(``run_suite``) or as a suite of one (``run_sweep``).
 """
 
 from __future__ import annotations
@@ -11,6 +12,8 @@ from __future__ import annotations
 import json
 import os
 import shutil
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -19,18 +22,21 @@ from hypothesis import strategies as st
 from repro import obs
 from repro.harness.cache import ResultCache
 from repro.harness.orchestrator import (
-    DEFAULT_POINT_COST_S,
-    SUITE_JOURNAL_NAME,
-    CostModel,
     ExperimentSpec,
     _accepted_kwargs,
-    _Task,
-    plan_dispatch,
     run_suite,
     run_suite_serial,
     suite_experiments,
 )
-from repro.harness.parallel import SweepPoint, WorkerPool
+from repro.harness.parallel import (
+    DEFAULT_POINT_COST_S,
+    CostModel,
+    SweepPoint,
+    WorkerPool,
+    _Task,
+    plan_dispatch,
+    run_sweep,
+)
 from tests.harness.fake_experiments import _calc, _negate
 
 ALPHA = ExperimentSpec(
@@ -80,41 +86,60 @@ class TestCostModel:
         model = CostModel.from_cache(ResultCache(tmp_path / "cache"))
         assert model.predict(self.POINT) == DEFAULT_POINT_COST_S
 
-    def test_prior_beats_default(self, tmp_path):
-        model = CostModel.from_cache(
-            ResultCache(tmp_path / "cache"), priors={"alpha": 0.5}
-        )
-        assert model.predict(self.POINT, experiment="alpha") == 0.5
-        assert model.predict(self.POINT, experiment="other") == DEFAULT_POINT_COST_S
-
-    def test_exact_fingerprint_beats_fn_mean(self, tmp_path):
+    def test_fn_mean_answers_for_a_journaled_fn(self, tmp_path):
         store = ResultCache(tmp_path / "cache")
         store.store(self.POINT, {"value": 0}, elapsed_s=3.25)
         other = SweepPoint(index=1, label="v=9", fn=_calc, kwargs={"value": 9})
         store.store(other, {"value": 9}, elapsed_s=1.25)
-        model = CostModel.from_cache(store, priors={"alpha": 99.0})
-        # Same fn+kwargs: the recorded time itself.
-        assert model.predict(self.POINT, experiment="alpha") == pytest.approx(3.25)
-        # Same fn, new kwargs: mean of the fn's recorded times.
+        model = CostModel.from_cache(store)
+        # Same fn, any kwargs: mean of the fn's journaled times.  (The
+        # journaled point itself would be a cache hit, never predicted.)
         fresh = SweepPoint(index=2, label="v=5", fn=_calc, kwargs={"value": 5})
-        assert model.predict(fresh, experiment="alpha") == pytest.approx((3.25 + 1.25) / 2)
-        # Different fn entirely: falls through to the prior.
+        assert model.predict(fresh) == pytest.approx((3.25 + 1.25) / 2)
+        assert model.predict(self.POINT) == pytest.approx((3.25 + 1.25) / 2)
+        # Different fn entirely: falls through to the default.
         alien = SweepPoint(index=3, label="n=1", fn=_negate, kwargs={"value": 1})
-        assert model.predict(alien, experiment="alpha") == 99.0
+        assert model.predict(alien) == DEFAULT_POINT_COST_S
+        assert model.tier_hits == {"surrogate": 0, "by_fn": 2, "default": 1}
+
+    def test_fn_mean_keeps_the_newest_records(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(CostModel, "SURROGATE_MAX_RECORDS", 2)
+        store = ResultCache(tmp_path / "cache")
+        for i, elapsed in enumerate((100.0, 1.0, 3.0)):
+            point = SweepPoint(index=i, label=f"v={i}", fn=_calc, kwargs={"value": i})
+            store.store(point, {"value": i}, elapsed_s=elapsed)
+        assert CostModel.from_cache(store).predict(self.POINT) == pytest.approx(2.0)
 
     def test_corrupt_journal_entries_degrade_gracefully(self, tmp_path):
         store = ResultCache(tmp_path / "cache")
         store.store(self.POINT, {"value": 0}, elapsed_s=2.0)
-        # Corrupt one entry file, drop garbage JSON beside the rest.
+        # Corrupt the entry file, drop garbage JSON beside it, and tear
+        # the journal's tail: the model reads only the journal, and
+        # only its well-formed lines.
         entry_files = list(store.root.glob("*.json"))
         entry_files[0].write_text("{not json", encoding="utf-8")
         (store.root / ("f" * 64 + ".json")).write_text('{"no": "fingerprint"}')
+        with open(store.root / "journal.jsonl", "a", encoding="utf-8") as handle:
+            handle.write('{"type": "point", "fn": 7, "kwargs": {}, "elapsed_s": 1}\n{"type": "poi')
         model = CostModel.from_cache(store)  # must not raise
-        assert model.predict(self.POINT) == DEFAULT_POINT_COST_S
+        assert model.predict(self.POINT) == pytest.approx(2.0)
+        assert model.tier_hits["by_fn"] == 1
 
     def test_entries_blowing_up_never_raises(self, tmp_path):
+        """The model never scans the entry files: timings come from the
+        journal's point records, which outlive the entries."""
+
         class _Hostile(ResultCache):
             def entries(self):
+                raise RuntimeError("disk on fire")
+
+        store = _Hostile(tmp_path / "cache")
+        store.store(self.POINT, {"value": 0}, elapsed_s=2.0)
+        assert CostModel.from_cache(store).predict(self.POINT) == pytest.approx(2.0)
+
+    def test_journal_blowing_up_never_raises(self, tmp_path):
+        class _Hostile(ResultCache):
+            def read_journal(self):
                 raise RuntimeError("disk on fire")
 
         model = CostModel.from_cache(_Hostile(tmp_path / "cache"))
@@ -202,6 +227,9 @@ class TestRunSuite:
         assert warm.cache_hits == warm.points_total
 
     def test_report_and_journal(self, tmp_path):
+        """A suite run is one ``"sweep"`` line in the cache's own
+        journal -- what ``repro cache stats`` lists -- and its cache
+        traffic reaches the capturing obs session."""
         cache_dir = tmp_path / "cache"
         with obs.capture() as session:
             suite = run_suite([ALPHA], jobs=1, cache=cache_dir)
@@ -210,12 +238,28 @@ class TestRunSuite:
         assert report["points_total"] == 5
         assert report["per_experiment"][0]["name"] == "alpha"
         assert "stolen_idle_s" in report and "batches" in report
+        assert report["tier_hits"] == {"surrogate": 0, "by_fn": 0, "default": 5}
         assert session.registry.counter("suite.points_done").value == 5
-        journal = (cache_dir / SUITE_JOURNAL_NAME).read_text().splitlines()
-        assert len(journal) == 1
-        record = json.loads(journal[0])
+        assert session.registry.counter("cache.misses").value == 5
+        assert session.registry.counter("cache.hits").value == 0
+        assert not (cache_dir / "suite.jsonl").exists()
+        [record] = [r for r in ResultCache(cache_dir).read_journal() if "sweep" in r]
+        assert record["sweep"] == "suite"
+        assert (record["hits"], record["misses"], record["writes"]) == (0, 5, 5)
         assert record["points_total"] == 5
-        assert record["cache"]["misses"] == 5
+        assert record["tier_hits"] == report["tier_hits"]
+        assert record["jobs_requested"] == record["jobs_effective"] == 1
+
+    def test_default_jobs_is_the_cpu_count_and_not_a_clamp(self, monkeypatch):
+        import repro.harness.parallel as parallel_mod
+
+        monkeypatch.setattr(parallel_mod.os, "cpu_count", lambda: 1)
+        with obs.capture() as session:
+            default = run_suite([ALPHA], cache=False)
+            assert session.registry.counter("sweep.jobs_clamped").value == 0
+            explicit = run_suite([ALPHA], jobs=64, cache=False)
+            assert session.registry.counter("sweep.jobs_clamped").value == 1
+        assert default.jobs == explicit.jobs == 1
 
     def test_progress_events_stream(self):
         events = []
@@ -304,10 +348,12 @@ class TestLazyCostModel:
         run_suite([ALPHA, BETA], jobs=1, cache=store)
         os.unlink(store.entries()[0]["path"])
         del built[:]
+        built.scans = 0
         suite = run_suite([ALPHA, BETA], jobs=1, cache=store)
         assert suite.cache_hits == suite.points_total - 1
-        assert len(built) == 1
+        assert len(built) == 1 and built.scans == 0
         assert sum(built[0].tier_hits.values()) == 1
+        assert suite.tier_hits == built[0].tier_hits
 
     def test_supplied_model_is_used_as_is(self, tmp_path, built):
         model = _SyntheticCosts([1.0])
@@ -352,7 +398,7 @@ class _SyntheticCosts(CostModel):
         self._costs = list(costs)
         self._next = 0
 
-    def predict(self, point, experiment=None, key=None):
+    def predict(self, point):
         cost = self._costs[self._next % len(self._costs)]
         self._next += 1
         return cost
@@ -409,8 +455,42 @@ class TestSchedulingNeverChangesResults:
         suite = run_suite([ALPHA, BETA], pool=self.POOL, cache=False, batch_max=batch_max)
         assert _canonical(suite.results) == self._reference()
 
+    @settings(max_examples=5, deadline=None)
+    @given(n=st.integers(min_value=1, max_value=12), warm=st.booleans())
+    def test_sweep_and_suite_entry_points_agree(self, n, warm):
+        """One loop behind every entry point: a sweep in-process, on a
+        pool of its own, on a lent pool, and as a one-experiment suite
+        merge equal results -- cold (flat default cost, declaration
+        order, no batching) and over a warm journal (entries pruned, so
+        every point misses with a journaled cost small enough to
+        batch)."""
+        from tests.harness.fake_experiments import sweep
+
+        points = sweep(n=n, scale=3).points
+        spec = ExperimentSpec("alpha", ALPHA.module_path, {"n": n, "scale": 3})
+        reference = run_sweep(points, jobs=1, cache=False)
+        with tempfile.TemporaryDirectory() as scratch, WorkerPool(2) as pool:
+
+            def cache(tag):
+                if not warm:
+                    return False
+                store = ResultCache(Path(scratch) / tag)
+                run_sweep(points, cache=store)
+                store.prune(max_entries=0)
+                return store
+
+            assert run_sweep(points, jobs=1, cache=cache("serial")) == reference
+            assert run_sweep(points, jobs=2, cache=cache("jobs")) == reference
+            assert run_sweep(points, pool=pool, cache=cache("pool")) == reference
+            suite = run_suite([spec], jobs=1, cache=cache("suite"))
+        assert suite.results["alpha"]["rows"] == reference
+        assert suite.cache_hits == 0
+        assert (suite.tier_hits["default"] == 0) == warm
+        assert (suite.batches > 0) == (warm and n > 1)
+
+
 class TestCostModelSurrogateTier:
-    """Tier 2: a per-fn surrogate over journal records answers unseen
+    """Tier 1: a per-fn surrogate over journal records answers unseen
     kwargs; every failure mode degrades to the tiers below, never
     raises."""
 
@@ -433,10 +513,6 @@ class TestCostModelSurrogateTier:
         assert model.tier_hits["surrogate"] == 1
         assert model.tier_hits["by_fn"] == 0
         assert predicted >= 0.0
-        # An exact replay still short-circuits at tier 1.
-        exact = SweepPoint(index=0, label="v=0", fn=_calc, kwargs={"value": 0})
-        model.predict(exact)
-        assert model.tier_hits["exact"] == 1
 
     def test_surrogate_tracks_kwargs_scaling(self, tmp_path):
         # elapsed grows with value; the flat per-fn mean cannot see that.
@@ -451,20 +527,6 @@ class TestCostModelSurrogateTier:
         fresh = SweepPoint(index=77, label="v=77", fn=_calc, kwargs={"value": 77})
         model.predict(fresh)
         assert model.tier_hits["by_fn"] == 1
-
-    def test_surrogate_flag_disables_training(self, tmp_path):
-        model = CostModel.from_cache(self._warm(tmp_path), surrogate=False)
-        assert model.surrogates == {}
-
-    def test_numpyless_training_uses_knn_fallback(self, tmp_path, monkeypatch):
-        from repro.harness import surrogate as surrogate_mod
-
-        monkeypatch.setattr(surrogate_mod, "_HAVE_NUMPY", False)
-        model = CostModel.from_cache(self._warm(tmp_path))
-        assert model.surrogates[self._fn_name()].backend == "knn"
-        fresh = SweepPoint(index=50, label="v=50", fn=_calc, kwargs={"value": 50})
-        assert model.predict(fresh) >= 0.0
-        assert model.tier_hits["surrogate"] == 1
 
     def test_hostile_surrogate_degrades_to_fn_mean(self):
         class _Hostile:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
@@ -77,7 +76,7 @@ class TestRunSweep:
         with pytest.raises(RuntimeError, match="point 7 exploded"):
             run_sweep(points, jobs=2)
 
-    def test_poisoned_point_surfaces_before_slow_siblings(self):
+    def test_poisoned_point_surfaces_before_slow_siblings(self, monkeypatch):
         """Satellite (a): a failing point must not queue behind a slow one.
 
         A slow point is submitted *first*; with completion-order
@@ -85,6 +84,11 @@ class TestRunSweep:
         sibling is still sleeping, instead of after it finishes (which
         is what submission-order iteration did).
         """
+        import repro.harness.parallel as parallel_mod
+
+        # Two workers even on a one-core box (where the clamp would
+        # otherwise run both points in-process, slow one first).
+        monkeypatch.setattr(parallel_mod.os, "cpu_count", lambda: 2)
         slow_s = 2.5
         points = [
             SweepPoint(
@@ -93,7 +97,7 @@ class TestRunSweep:
             ),
             SweepPoint(index=1, label="poisoned", fn=_boom, kwargs={"value": 13}),
         ]
-        with ProcessPoolExecutor(max_workers=2) as executor:
+        with WorkerPool(2) as pool:
             # Warm both workers so spawn cost stays out of the timing.
             run_sweep(
                 [
@@ -101,11 +105,11 @@ class TestRunSweep:
                                kwargs={"value": i, "sleep_s": 0.2})
                     for i in range(2)
                 ],
-                executor=executor,
+                pool=pool,
             )
             started = time.perf_counter()
             with pytest.raises(RuntimeError, match="point 13 exploded"):
-                run_sweep(points, executor=executor)
+                run_sweep(points, pool=pool)
             elapsed = time.perf_counter() - started
         assert elapsed < slow_s, (
             f"error took {elapsed:.2f}s to surface -- it waited out the slow point"

@@ -31,12 +31,16 @@ class TestCliRun:
         assert "Figure 15" in capsys.readouterr().out
 
     def test_every_experiment_is_importable(self):
+        """...and speaks the whole driver protocol, which is what lets
+        ``repro run`` pass ``--jobs``/``--cache`` without asking."""
         import importlib
+        import inspect
 
         for name, (module_path, quick_kwargs) in EXPERIMENTS.items():
             module = importlib.import_module(module_path)
-            assert hasattr(module, "run"), name
-            assert hasattr(module, "summarize"), name
+            for attr in ("sweep", "finalize", "run", "summarize"):
+                assert callable(getattr(module, attr, None)), (name, attr)
+            assert {"jobs", "cache", "pool"} <= set(inspect.signature(module.run).parameters), name
 
 
 class TestCliAliases:
@@ -117,6 +121,19 @@ class TestCliCache:
         assert "cleared" in capsys.readouterr().out
         assert main(["cache", "stats", "--cache-dir", cache_dir, "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["entries"] == 0
+
+    def test_suite_run_is_listed_by_cache_stats(self, tmp_path, capsys):
+        import json
+
+        cache_dir = str(tmp_path / "cache")
+        assert main(["suite", "--quick", "--quiet", "-e", "table2", "--jobs", "1",
+                     "--cache-dir", cache_dir]) == 0  # fmt: skip
+        capsys.readouterr()
+        assert main(["cache", "stats", "--cache-dir", cache_dir, "--json"]) == 0
+        [run] = json.loads(capsys.readouterr().out)["runs"]
+        assert run["sweep"] == "suite" and run["misses"] == run["points_total"] > 0
+        assert main(["cache", "stats", "--cache-dir", cache_dir]) == 0
+        assert "last 1 runs:\n  suite" in capsys.readouterr().out
 
     def test_cache_prune_respects_entry_budget(self, tmp_path, capsys):
         cache_dir = str(tmp_path / "cache")
