@@ -11,8 +11,8 @@ paper's qualitative shape (who wins, roughly by how much), making the
 suite a regression harness for the reproduction itself.
 
 ``--jobs N`` fans each experiment's sweep points across N worker
-processes (drivers whose ``run()`` accepts ``jobs``); results are
-identical to a serial run, only wall-clock changes.
+processes; results are identical to a serial run, only wall-clock
+changes.
 
 ``--cache`` / ``--cache-dir DIR`` reuse sweep-point results from the
 content-addressed result cache (:mod:`repro.harness.cache`), so a
@@ -23,8 +23,6 @@ printed rows are byte-identical.
 """
 
 from __future__ import annotations
-
-import inspect
 
 import pytest
 
@@ -37,8 +35,7 @@ def pytest_addoption(parser):
         "--jobs",
         type=int,
         default=1,
-        help="worker processes per experiment sweep (deterministic; "
-        "ignored by drivers without sweep support)",
+        help="worker processes per experiment sweep (deterministic)",
     )
     parser.addoption(
         "--cache",
@@ -99,10 +96,10 @@ def pytest_configure(config):
 
 
 def run_once(benchmark, fn, *args, **kwargs):
-    """Run an experiment exactly once under pytest-benchmark timing."""
-    parameters = inspect.signature(fn).parameters
-    if _JOBS != 1 and "jobs" in parameters:
+    """Run an experiment driver's ``run`` exactly once under
+    pytest-benchmark timing (every driver takes ``jobs``/``cache``)."""
+    if _JOBS != 1:
         kwargs.setdefault("jobs", _JOBS)
-    if _CACHE is not None and "cache" in parameters:
+    if _CACHE is not None:
         kwargs.setdefault("cache", _CACHE)
     return benchmark.pedantic(fn, args=args, kwargs=kwargs, rounds=1, iterations=1)

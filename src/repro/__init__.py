@@ -16,7 +16,7 @@ The package layout mirrors the system inventory in DESIGN.md:
 ``repro.ssd``
     The SSD device model and device profiles.
 ``repro.nvme``
-    NVMe command/queue abstractions on top of an SSD device.
+    NVMe namespaces: per-tenant LBA windows onto an SSD device.
 ``repro.fabric``
     Network, RDMA-shaped transport, NVMe-oF initiator/target, SmartNIC.
 ``repro.core``

@@ -96,9 +96,7 @@ def _add_cache_args(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _inject_shards(
-    args: argparse.Namespace, run_params, kwargs: dict, name: str
-) -> None:
+def _inject_shards(args: argparse.Namespace, module, kwargs: dict, name: str) -> None:
     """Thread ``--shards`` into a driver as an explicit kwarg.
 
     The shard count must reach :class:`KvCluster` as a real point
@@ -106,15 +104,16 @@ def _inject_shards(
     fingerprints it; drivers without sharded topologies simply don't
     take the kwarg.
     """
+    from repro.harness.parallel import accepted_kwargs
+
     shards = resolve_shards(getattr(args, "shards", None))
     if not shards:
         return
-    if "shards" not in run_params:
+    accepted = accepted_kwargs(module.sweep, {"shards": shards, "shard_mode": args.shard_mode})
+    if "shards" not in accepted:
         print(f"note: {name} does not support --shards; ignoring", file=sys.stderr)
         return
-    kwargs["shards"] = shards
-    if "shard_mode" in run_params:
-        kwargs["shard_mode"] = args.shard_mode
+    kwargs.update(accepted)
 
 #: experiment name -> (module path, quick-mode kwargs).
 EXPERIMENTS: Dict[str, Tuple[str, dict]] = {
@@ -187,19 +186,17 @@ def _cache_from_args(args: argparse.Namespace):
 
 def cmd_run(args: argparse.Namespace) -> int:
     _apply_kernel_backend(args)
-    import inspect
-
     name = _resolve_experiment(args.experiment)
     if name is None:
         print(f"unknown experiment {args.experiment!r}; try: python -m repro list", file=sys.stderr)
         return 2
     module, quick_kwargs = _load(name)
     kwargs = dict(quick_kwargs) if args.quick else {}
-    # Every registered driver's run() takes jobs/cache/pool (pinned by
-    # tests/test_cli.py); only --shards is driver-specific.
+    # Every driver's run() is derived_run(sweep, finalize), so it takes
+    # jobs/cache/pool; only --shards is driver-specific.
     if args.jobs != 1:
         kwargs["jobs"] = args.jobs
-    _inject_shards(args, inspect.signature(module.run).parameters, kwargs, name)
+    _inject_shards(args, module, kwargs, name)
     cache = kwargs["cache"] = _cache_from_args(args)
 
     def report_cache() -> None:
@@ -264,7 +261,7 @@ def cmd_suite(args: argparse.Namespace) -> int:
     shards = resolve_shards(getattr(args, "shards", None))
     if shards:
         # Drivers that take no `shards` kwarg filter it out through
-        # _accepted_kwargs; the ones that do get it fingerprinted like
+        # split_kwargs; the ones that do get it fingerprinted like
         # any other point parameter.
         for spec in specs:
             spec.kwargs["shards"] = shards
@@ -349,6 +346,8 @@ def _parse_grid_values(text: str):
         if len(parts) != 3:
             raise ValueError(f"range axis must be lo:hi:n, got {text!r}")
         lo, hi, n = scalar(parts[0]), scalar(parts[1]), int(parts[2])
+        if isinstance(lo, str) or isinstance(hi, str):
+            raise ValueError(f"range endpoints must be numbers, got {text!r}")
         if n < 2:
             raise ValueError(f"range axis needs n >= 2, got {n}")
         step = (hi - lo) / (n - 1)
@@ -358,7 +357,10 @@ def _parse_grid_values(text: str):
         ):
             return [int(v) for v in values]
         return [round(float(v), 10) for v in values]
-    return [scalar(token) for token in text.split(",") if token.strip()]
+    values = [scalar(token) for token in text.split(",") if token.strip()]
+    if not values:
+        raise ValueError("axis needs at least one value")
+    return values
 
 
 def cmd_explore(args: argparse.Namespace) -> int:
@@ -389,7 +391,7 @@ def cmd_explore(args: argparse.Namespace) -> int:
     for override in args.grid or []:
         axis, _, values = override.partition("=")
         axis = axis.strip()
-        if not values or axis not in space.axes:
+        if axis not in space.axes:
             print(
                 f"--grid axis {axis!r} is not one of {sorted(space.axes)}",
                 file=sys.stderr,
@@ -557,7 +559,6 @@ def cmd_profile(args: argparse.Namespace) -> int:
     """
     _apply_kernel_backend(args)
     import cProfile
-    import inspect
     import pstats
 
     name = _resolve_experiment(args.experiment)
@@ -566,8 +567,10 @@ def cmd_profile(args: argparse.Namespace) -> int:
         return 2
     module, quick_kwargs = _load(name)
     kwargs = dict(quick_kwargs) if not args.full else {}
-    run_params = inspect.signature(module.run).parameters
-    _inject_shards(args, run_params, kwargs, name)
+    # Never the result cache (ambient REPRO_CACHE included): a warm hit
+    # would profile a lookup, not the experiment.
+    kwargs["cache"] = False
+    _inject_shards(args, module, kwargs, name)
 
     if "shards" in kwargs:
         return _profile_sharded(args, module, kwargs)

@@ -12,10 +12,7 @@ from repro.harness.cache import ResultCache, resolve_cache
 from repro.harness.parallel import (
     Sweep,
     SweepPoint,
-    merge_histograms,
-    merge_interval_series,
     merge_rows,
-    merge_timelines,
     point_seed,
     run_sweep,
     sweep_axes,
@@ -43,7 +40,4 @@ __all__ = [
     "sweep_axes",
     "point_seed",
     "merge_rows",
-    "merge_histograms",
-    "merge_interval_series",
-    "merge_timelines",
 ]

@@ -15,7 +15,14 @@ from __future__ import annotations
 from typing import Dict
 
 from repro.core.ablations import ABLATIONS
-from repro.harness.experiments.common import Sweep, merge_rows, read_spec, run_workers, write_spec
+from repro.harness.experiments.common import (
+    Sweep,
+    derived_run,
+    merge_rows,
+    read_spec,
+    run_workers,
+    write_spec,
+)
 from repro.harness.report import format_table
 from repro.harness.testbed import TestbedConfig
 from repro.metrics.histogram import LatencyHistogram
@@ -97,23 +104,7 @@ def finalize(results) -> Dict[str, object]:
     return {"experiment": "ablations", "rows": merge_rows(results)}
 
 
-def run(
-    measure_us: float = 900_000.0,
-    warmup_us: float = 500_000.0,
-    workers: int = 8,
-    variants=DEFAULT_VARIANTS,
-    jobs: int = 1,
-    cache=None,
-    pool=None,
-) -> Dict[str, object]:
-    return finalize(
-        sweep(
-            measure_us=measure_us,
-            warmup_us=warmup_us,
-            workers=workers,
-            variants=variants,
-        ).run(jobs=jobs, cache=cache, pool=pool)
-    )
+run = derived_run(sweep, finalize)
 
 
 def summarize(results: Dict[str, object]) -> str:
@@ -126,11 +117,3 @@ def summarize(results: Dict[str, object]) -> str:
         table_rows,
         title="Ablations: Gimbal with one mechanism disabled at a time",
     )
-
-
-def main() -> None:  # pragma: no cover
-    print(summarize(run()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -33,6 +33,7 @@ from repro.harness.experiments.common import (
     DEFAULT_WARMUP_US,
     Sweep,
     TestbedConfig,
+    derived_run,
     merge_rows,
     read_spec,
     write_spec,
@@ -199,35 +200,7 @@ def finalize(results) -> Dict[str, object]:
     return {"figure": "aging", "rows": rows}
 
 
-def run(
-    schemes=("gimbal", "vanilla"),
-    ages=(0.0, 0.8),
-    cache_sizes=(None, 8),
-    skews=(0.6,),
-    readers: int = 2,
-    writers: int = 4,
-    region_pages: int = 2048,
-    warmup_us: float = DEFAULT_WARMUP_US,
-    measure_us: float = DEFAULT_MEASURE_US,
-    root_seed: int = 42,
-    jobs: int = 1,
-    cache=None,
-    pool=None,
-) -> Dict[str, object]:
-    return finalize(
-        sweep(
-            schemes=schemes,
-            ages=ages,
-            cache_sizes=cache_sizes,
-            skews=skews,
-            readers=readers,
-            writers=writers,
-            region_pages=region_pages,
-            warmup_us=warmup_us,
-            measure_us=measure_us,
-            root_seed=root_seed,
-        ).run(jobs=jobs, cache=cache, pool=pool)
-    )
+run = derived_run(sweep, finalize)
 
 
 def summarize(results: Dict[str, object]) -> str:
@@ -265,11 +238,3 @@ def summarize(results: Dict[str, object]) -> str:
         table_rows,
         title="Aging: schemes on worn devices with a DFTL mapping cache",
     )
-
-
-def main() -> None:  # pragma: no cover
-    print(summarize(run()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

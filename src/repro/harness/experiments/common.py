@@ -8,6 +8,7 @@ from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Tuple
 from repro.harness.cache import CacheSpec, ResultCache, resolve_cache  # noqa: F401
 from repro.harness.parallel import (
     Sweep,
+    derived_run,  # noqa: F401
     merge_rows,  # noqa: F401
     point_seed,  # noqa: F401
     run_sweep,  # noqa: F401

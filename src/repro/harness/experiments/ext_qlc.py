@@ -18,7 +18,14 @@ from __future__ import annotations
 from typing import Dict
 
 from repro.core import GimbalParams
-from repro.harness.experiments.common import Sweep, merge_rows, read_spec, run_workers, write_spec
+from repro.harness.experiments.common import (
+    Sweep,
+    derived_run,
+    merge_rows,
+    read_spec,
+    run_workers,
+    write_spec,
+)
 from repro.harness.report import format_table
 from repro.harness.testbed import TestbedConfig
 from repro.metrics.histogram import LatencyHistogram
@@ -86,23 +93,7 @@ def finalize(results) -> Dict[str, object]:
     return {"experiment": "qlc-extension", "rows": merge_rows(results)}
 
 
-def run(
-    measure_us: float = 900_000.0,
-    warmup_us: float = 500_000.0,
-    workers_per_class: int = 8,
-    schemes=("gimbal", "vanilla", "flashfq"),
-    jobs: int = 1,
-    cache=None,
-    pool=None,
-) -> Dict[str, object]:
-    return finalize(
-        sweep(
-            measure_us=measure_us,
-            warmup_us=warmup_us,
-            workers_per_class=workers_per_class,
-            schemes=schemes,
-        ).run(jobs=jobs, cache=cache, pool=pool)
-    )
+run = derived_run(sweep, finalize)
 
 
 def summarize(results: Dict[str, object]) -> str:
@@ -115,11 +106,3 @@ def summarize(results: Dict[str, object]) -> str:
         table_rows,
         title="QLC extension: fragmented 4KB mixed R/W on QLC NAND",
     )
-
-
-def main() -> None:  # pragma: no cover
-    print(summarize(run()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Dict
 
 from repro.fabric.smartnic import SERVER_CPU, SMARTNIC_CPU
-from repro.harness.experiments.common import build_sweep, merge_rows, run_workers
+from repro.harness.experiments.common import build_sweep, derived_run, merge_rows, run_workers
 from repro.harness.report import format_table
 from repro.harness.testbed import TestbedConfig
 from repro.workloads import FioSpec
@@ -66,18 +66,7 @@ def finalize(results) -> Dict[str, object]:
     return {"figure": "2", "rows": merge_rows(results)}
 
 
-def run(
-    measure_us: float = 300_000.0,
-    jobs: int = 1,
-    root_seed: int = 42,
-    cache=None,
-    pool=None,
-) -> Dict[str, object]:
-    return finalize(
-        sweep(measure_us=measure_us, root_seed=root_seed).run(
-            jobs=jobs, cache=cache, pool=pool
-        )
-    )
+run = derived_run(sweep, finalize)
 
 
 def summarize(results: Dict[str, object]) -> str:
@@ -90,11 +79,3 @@ def summarize(results: Dict[str, object]) -> str:
         table_rows,
         title="Figure 2: unloaded latency vs IO size (server vs SmartNIC)",
     )
-
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    print(summarize(run()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

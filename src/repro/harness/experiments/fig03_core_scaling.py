@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Dict
 
 from repro.fabric.smartnic import SERVER_CPU, SMARTNIC_CPU
-from repro.harness.experiments.common import Sweep, merge_rows
+from repro.harness.experiments.common import Sweep, derived_run, merge_rows
 from repro.harness.report import format_table
 from repro.harness.testbed import Testbed, TestbedConfig
 from repro.workloads import FioSpec
@@ -79,18 +79,7 @@ def finalize(results) -> Dict[str, object]:
     return {"figure": "3", "rows": merge_rows(results)}
 
 
-def run(
-    measure_us: float = 300_000.0,
-    core_counts=CORE_COUNTS,
-    jobs: int = 1,
-    cache=None,
-    pool=None,
-) -> Dict[str, object]:
-    return finalize(
-        sweep(measure_us=measure_us, core_counts=core_counts).run(
-            jobs=jobs, cache=cache, pool=pool
-        )
-    )
+run = derived_run(sweep, finalize)
 
 
 def summarize(results: Dict[str, object]) -> str:
@@ -102,11 +91,3 @@ def summarize(results: Dict[str, object]) -> str:
         table_rows,
         title="Figure 3: 4KB throughput vs core count (4 SSDs)",
     )
-
-
-def main() -> None:  # pragma: no cover
-    print(summarize(run()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

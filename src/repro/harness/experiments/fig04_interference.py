@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Dict
 
-from repro.harness.experiments.common import build_sweep, merge_rows, run_workers
+from repro.harness.experiments.common import build_sweep, derived_run, merge_rows, run_workers
 from repro.harness.report import format_table
 from repro.harness.testbed import TestbedConfig
 from repro.workloads import FioSpec
@@ -134,20 +134,7 @@ def finalize(results, condition: str = "clean") -> Dict[str, object]:
     return {"figure": "4", "condition": condition, "rows": merge_rows(results)}
 
 
-def run(
-    measure_us: float = 600_000.0,
-    condition: str = "clean",
-    jobs: int = 1,
-    root_seed: int = 42,
-    cache=None,
-    pool=None,
-) -> Dict[str, object]:
-    return finalize(
-        sweep(measure_us=measure_us, condition=condition, root_seed=root_seed).run(
-            jobs=jobs, cache=cache, pool=pool
-        ),
-        condition=condition,
-    )
+run = derived_run(sweep, finalize)
 
 
 def summarize(results: Dict[str, object]) -> str:
@@ -160,11 +147,3 @@ def summarize(results: Dict[str, object]) -> str:
         table_rows,
         title="Figure 4: interference against a 4KB-RD-QD32 victim (vanilla target)",
     )
-
-
-def main() -> None:  # pragma: no cover
-    print(summarize(run()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

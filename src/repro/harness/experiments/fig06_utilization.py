@@ -13,7 +13,14 @@ from __future__ import annotations
 
 from typing import Dict
 
-from repro.harness.experiments.common import Sweep, merge_rows, read_spec, run_workers, write_spec
+from repro.harness.experiments.common import (
+    Sweep,
+    derived_run,
+    merge_rows,
+    read_spec,
+    run_workers,
+    write_spec,
+)
 from repro.harness.report import format_table
 from repro.harness.testbed import SCHEMES, TestbedConfig
 
@@ -87,23 +94,7 @@ def finalize(results) -> Dict[str, object]:
     return {"figure": "6", "rows": merge_rows(results)}
 
 
-def run(
-    measure_us: float = 1_000_000.0,
-    warmup_us: float = 500_000.0,
-    schemes=SCHEMES,
-    num_workers: int = NUM_WORKERS,
-    jobs: int = 1,
-    cache=None,
-    pool=None,
-) -> Dict[str, object]:
-    return finalize(
-        sweep(
-            measure_us=measure_us,
-            warmup_us=warmup_us,
-            schemes=schemes,
-            num_workers=num_workers,
-        ).run(jobs=jobs, cache=cache, pool=pool)
-    )
+run = derived_run(sweep, finalize)
 
 
 def summarize(results: Dict[str, object]) -> str:
@@ -117,11 +108,3 @@ def summarize(results: Dict[str, object]) -> str:
         title="Figure 6: utilisation with 16 identical workers "
         "(C=clean 128KB, F=fragmented 4KB)",
     )
-
-
-def main() -> None:  # pragma: no cover
-    print(summarize(run()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -19,6 +19,7 @@ from typing import Dict, List, Optional
 
 from repro.harness.experiments.common import (
     Sweep,
+    derived_run,
     f_utils_for,
     merge_rows,
     read_spec,
@@ -128,27 +129,7 @@ def finalize(results) -> Dict[str, object]:
     return {"figure": "7", "rows": merge_rows(results)}
 
 
-def run(
-    measure_us: float = 1_500_000.0,
-    warmup_us: float = 700_000.0,
-    schemes=SCHEMES,
-    workers_per_class: int = 16,
-    jobs: int = 1,
-    root_seed: int = 42,
-    standalone_measure_us: Optional[float] = None,
-    cache=None,
-    pool=None,
-) -> Dict[str, object]:
-    return finalize(
-        sweep(
-            measure_us=measure_us,
-            warmup_us=warmup_us,
-            schemes=schemes,
-            workers_per_class=workers_per_class,
-            root_seed=root_seed,
-            standalone_measure_us=standalone_measure_us,
-        ).run(jobs=jobs, cache=cache, pool=pool)
-    )
+run = derived_run(sweep, finalize)
 
 
 def summarize(results: Dict[str, object]) -> str:
@@ -167,11 +148,3 @@ def summarize(results: Dict[str, object]) -> str:
         table_rows,
         title="Figure 7: fairness (a=clean sizes, b=clean R/W 128KB, c=frag R/W 4KB)",
     )
-
-
-def main() -> None:  # pragma: no cover
-    print(summarize(run()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

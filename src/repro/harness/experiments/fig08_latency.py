@@ -12,7 +12,14 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-from repro.harness.experiments.common import Sweep, merge_rows, read_spec, run_workers, write_spec
+from repro.harness.experiments.common import (
+    Sweep,
+    derived_run,
+    merge_rows,
+    read_spec,
+    run_workers,
+    write_spec,
+)
 from repro.harness.report import format_table
 from repro.harness.testbed import SCHEMES, TestbedConfig
 from repro.metrics.histogram import LatencyHistogram
@@ -87,23 +94,7 @@ def finalize(results) -> Dict[str, object]:
     return {"figure": "8", "rows": merge_rows(results)}
 
 
-def run(
-    measure_us: float = 1_500_000.0,
-    warmup_us: float = 700_000.0,
-    schemes=SCHEMES,
-    workers_per_class: int = 16,
-    jobs: int = 1,
-    cache=None,
-    pool=None,
-) -> Dict[str, object]:
-    return finalize(
-        sweep(
-            measure_us=measure_us,
-            warmup_us=warmup_us,
-            schemes=schemes,
-            workers_per_class=workers_per_class,
-        ).run(jobs=jobs, cache=cache, pool=pool)
-    )
+run = derived_run(sweep, finalize)
 
 
 def summarize(results: Dict[str, object]) -> str:
@@ -116,11 +107,3 @@ def summarize(results: Dict[str, object]) -> str:
         table_rows,
         title="Figure 8: latency under mixed read/write (16+16 workers)",
     )
-
-
-def main() -> None:  # pragma: no cover
-    print(summarize(run()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Dict
 
-from repro.harness.experiments.common import Sweep
+from repro.harness.experiments.common import Sweep, derived_run
 from repro.harness.report import format_series
 from repro.harness.testbed import Testbed, TestbedConfig
 from repro.metrics.throughput import IntervalSeries
@@ -130,25 +130,7 @@ def finalize(results) -> Dict[str, object]:
     return results[0]
 
 
-def run(
-    phase_us: float = 500_000.0,
-    sample_window_us: float = 100_000.0,
-    num_readers: int = 8,
-    num_writers: int = 8,
-    condition: str = "fragmented",
-    jobs: int = 1,
-    cache=None,
-    pool=None,
-) -> Dict[str, object]:
-    return finalize(
-        sweep(
-            phase_us=phase_us,
-            sample_window_us=sample_window_us,
-            num_readers=num_readers,
-            num_writers=num_writers,
-            condition=condition,
-        ).run(jobs=jobs, cache=cache, pool=pool)
-    )
+run = derived_run(sweep, finalize)
 
 
 def summarize(results: Dict[str, object]) -> str:
@@ -159,11 +141,3 @@ def summarize(results: Dict[str, object]) -> str:
         format_series("estimated write cost", results["write_cost_series"][:40]),
     ]
     return "\n".join(parts)
-
-
-def main() -> None:  # pragma: no cover
-    print(summarize(run()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

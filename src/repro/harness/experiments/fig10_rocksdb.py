@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Dict
 
-from repro.harness.experiments.common import Sweep, merge_rows
+from repro.harness.experiments.common import Sweep, derived_run, merge_rows
 from repro.harness.kvcluster import KvCluster, KvClusterConfig
 from repro.harness.report import format_table
 
@@ -80,19 +80,7 @@ def finalize(results) -> Dict[str, object]:
     return {"figure": "10", "rows": merge_rows(results)}
 
 
-def run(
-    schemes=("gimbal", "reflex", "parda", "flashfq"),
-    workloads=WORKLOADS,
-    jobs: int = 1,
-    cache=None,
-    pool=None,
-    **kwargs,
-) -> Dict[str, object]:
-    return finalize(
-        sweep(schemes=schemes, workloads=workloads, **kwargs).run(
-            jobs=jobs, cache=cache, pool=pool
-        )
-    )
+run = derived_run(sweep, finalize)
 
 
 def summarize(results: Dict[str, object]) -> str:
@@ -105,11 +93,3 @@ def summarize(results: Dict[str, object]) -> str:
         table_rows,
         title="Figure 10: RocksDB/YCSB across schemes (fragmented SSDs)",
     )
-
-
-def main() -> None:  # pragma: no cover
-    print(summarize(run()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Dict, Sequence
 
-from repro.harness.experiments.common import Sweep, merge_rows
+from repro.harness.experiments.common import Sweep, derived_run, merge_rows
 from repro.harness.experiments.fig10_rocksdb import run_one
 from repro.harness.report import format_table
 
@@ -55,19 +55,7 @@ def finalize(results) -> Dict[str, object]:
     return {"figure": "11+12", "rows": merge_rows(results)}
 
 
-def run(
-    workloads: Sequence[str] = ("A", "C", "F"),
-    instance_counts: Sequence[int] = DEFAULT_SWEEP,
-    jobs: int = 1,
-    cache=None,
-    pool=None,
-    **kwargs,
-) -> Dict[str, object]:
-    return finalize(
-        sweep(workloads=workloads, instance_counts=instance_counts, **kwargs).run(
-            jobs=jobs, cache=cache, pool=pool
-        )
-    )
+run = derived_run(sweep, finalize)
 
 
 def summarize(results: Dict[str, object]) -> str:
@@ -80,11 +68,3 @@ def summarize(results: Dict[str, object]) -> str:
         table_rows,
         title="Figures 11/12: scaling the number of DB instances (Gimbal)",
     )
-
-
-def main() -> None:  # pragma: no cover
-    print(summarize(run()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Dict
 
-from repro.harness.experiments.common import Sweep, merge_rows
+from repro.harness.experiments.common import Sweep, derived_run, merge_rows
 from repro.harness.kvcluster import KvCluster, KvClusterConfig
 from repro.harness.report import format_table
 
@@ -86,25 +86,7 @@ def finalize(results) -> Dict[str, object]:
     return {"figure": "13", "rows": merge_rows(results)}
 
 
-def run(
-    workloads=("A", "B", "C", "D", "F"),
-    instances: int = 8,
-    record_count: int = 2048,
-    warmup_us: float = 300_000.0,
-    measure_us: float = 700_000.0,
-    jobs: int = 1,
-    cache=None,
-    pool=None,
-) -> Dict[str, object]:
-    return finalize(
-        sweep(
-            workloads=workloads,
-            instances=instances,
-            record_count=record_count,
-            warmup_us=warmup_us,
-            measure_us=measure_us,
-        ).run(jobs=jobs, cache=cache, pool=pool)
-    )
+run = derived_run(sweep, finalize)
 
 
 def summarize(results: Dict[str, object]) -> str:
@@ -117,11 +99,3 @@ def summarize(results: Dict[str, object]) -> str:
         table_rows,
         title="Figure 13: virtual-view optimisations (vanilla / +FC / +FC+LB)",
     )
-
-
-def main() -> None:  # pragma: no cover
-    print(summarize(run()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

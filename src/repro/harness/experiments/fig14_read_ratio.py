@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from typing import Dict
 
-from repro.harness.experiments.common import build_sweep, merge_rows
+from repro.harness.experiments.common import build_sweep, derived_run, merge_rows
 from repro.harness.report import format_table
 from repro.sim import make_simulator
 from repro.ssd import DeviceCommand, IoOp, SsdDevice, precondition_clean, precondition_fragmented
@@ -97,23 +97,7 @@ def finalize(results) -> Dict[str, object]:
     return {"figure": "14", "rows": merge_rows(results)}
 
 
-def run(
-    duration_us: float = 500_000.0,
-    queue_depth: int = 32,
-    read_ratios=READ_RATIOS,
-    jobs: int = 1,
-    root_seed: int = 42,
-    cache=None,
-    pool=None,
-) -> Dict[str, object]:
-    return finalize(
-        sweep(
-            duration_us=duration_us,
-            queue_depth=queue_depth,
-            read_ratios=read_ratios,
-            root_seed=root_seed,
-        ).run(jobs=jobs, cache=cache, pool=pool)
-    )
+run = derived_run(sweep, finalize)
 
 
 def summarize(results: Dict[str, object]) -> str:
@@ -132,11 +116,3 @@ def summarize(results: Dict[str, object]) -> str:
         table_rows,
         title="Figure 14: 4KB performance vs read ratio (clean vs fragmented)",
     )
-
-
-def main() -> None:  # pragma: no cover
-    print(summarize(run()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from typing import Dict
 
-from repro.harness.experiments.common import Sweep, merge_rows
+from repro.harness.experiments.common import Sweep, derived_run, merge_rows
 from repro.harness.report import format_table
 from repro.sim import make_simulator
 from repro.ssd import DeviceCommand, IoOp, SsdDevice, precondition_clean, precondition_fragmented
@@ -91,18 +91,7 @@ def finalize(results) -> Dict[str, object]:
     return {"figure": "15", "rows": merge_rows(results)}
 
 
-def run(
-    duration_us: float = 300_000.0,
-    io_sizes_kb=IO_SIZES_KB,
-    jobs: int = 1,
-    cache=None,
-    pool=None,
-) -> Dict[str, object]:
-    return finalize(
-        sweep(duration_us=duration_us, io_sizes_kb=io_sizes_kb).run(
-            jobs=jobs, cache=cache, pool=pool
-        )
-    )
+run = derived_run(sweep, finalize)
 
 
 def summarize(results: Dict[str, object]) -> str:
@@ -114,11 +103,3 @@ def summarize(results: Dict[str, object]) -> str:
         table_rows,
         title="Figure 15: random read latency under four scenarios",
     )
-
-
-def main() -> None:  # pragma: no cover
-    print(summarize(run()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Dict
 
-from repro.harness.experiments.common import build_sweep, merge_rows
+from repro.harness.experiments.common import build_sweep, derived_run, merge_rows
 from repro.harness.report import format_table
 from repro.harness.testbed import Testbed, TestbedConfig
 from repro.workloads import FioSpec
@@ -83,19 +83,7 @@ def finalize(results) -> Dict[str, object]:
     return {"figure": "16", "rows": merge_rows(results)}
 
 
-def run(
-    measure_us: float = 300_000.0,
-    added_costs=ADDED_COSTS_US,
-    jobs: int = 1,
-    root_seed: int = 42,
-    cache=None,
-    pool=None,
-) -> Dict[str, object]:
-    return finalize(
-        sweep(measure_us=measure_us, added_costs=added_costs, root_seed=root_seed).run(
-            jobs=jobs, cache=cache, pool=pool
-        )
-    )
+run = derived_run(sweep, finalize)
 
 
 def summarize(results: Dict[str, object]) -> str:
@@ -107,11 +95,3 @@ def summarize(results: Dict[str, object]) -> str:
         table_rows,
         title="Figure 16: JBOF bandwidth vs added per-IO processing cost",
     )
-
-
-def main() -> None:  # pragma: no cover
-    print(summarize(run()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

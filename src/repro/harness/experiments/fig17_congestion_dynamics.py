@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Dict
 
-from repro.harness.experiments.common import Sweep
+from repro.harness.experiments.common import Sweep, derived_run
 from repro.harness.report import format_series
 from repro.harness.testbed import Testbed, TestbedConfig
 from repro.metrics.throughput import IntervalSeries
@@ -93,19 +93,7 @@ def finalize(results) -> Dict[str, object]:
     return results[0]
 
 
-def run(
-    phase_us: float = 500_000.0,
-    sample_window_us: float = 50_000.0,
-    steps: int = 6,
-    jobs: int = 1,
-    cache=None,
-    pool=None,
-) -> Dict[str, object]:
-    return finalize(
-        sweep(phase_us=phase_us, sample_window_us=sample_window_us, steps=steps).run(
-            jobs=jobs, cache=cache, pool=pool
-        )
-    )
+run = derived_run(sweep, finalize)
 
 
 def summarize(results: Dict[str, object]) -> str:
@@ -117,11 +105,3 @@ def summarize(results: Dict[str, object]) -> str:
             format_series("aggregate bandwidth (MB/s)", results["bandwidth_mbps"][:40]),
         ]
     )
-
-
-def main() -> None:  # pragma: no cover
-    print(summarize(run()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-from repro.harness.experiments.common import Sweep, run_workers
+from repro.harness.experiments.common import Sweep, derived_run, run_workers
 from repro.harness.report import format_table
 from repro.harness.testbed import TestbedConfig
 from repro.workloads import FioSpec
@@ -184,10 +184,7 @@ def finalize(results) -> Dict[str, object]:
     }
 
 
-def run(
-    measure_us: float = 400_000.0, jobs: int = 1, cache=None, pool=None
-) -> Dict[str, object]:
-    return finalize(sweep(measure_us=measure_us).run(jobs=jobs, cache=cache, pool=pool))
+run = derived_run(sweep, finalize)
 
 
 def summarize(results: Dict[str, object]) -> str:
@@ -214,11 +211,3 @@ def summarize(results: Dict[str, object]) -> str:
         ),
     ]
     return "\n\n".join(parts)
-
-
-def main() -> None:  # pragma: no cover
-    print(summarize(run()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Dict
 
-from repro.harness.experiments.common import Sweep, merge_rows
+from repro.harness.experiments.common import Sweep, derived_run, merge_rows
 from repro.harness.kvcluster import KvCluster, KvClusterConfig
 from repro.harness.report import format_table
 from repro.metrics import jain_index
@@ -204,37 +204,7 @@ def finalize(results) -> Dict[str, object]:
     return out
 
 
-def run(
-    schemes=("gimbal", "vanilla"),
-    rack=(4,),
-    churns=(0.8,),
-    skews=(0.9,),
-    tenants: int = 200,
-    ssds_per_jbof: int = 4,
-    horizon_us: float = 600_000.0,
-    condition: str = "clean",
-    root_seed: int = 42,
-    shards: int = 0,
-    shard_mode: str = "auto",
-    jobs: int = 1,
-    cache=None,
-    pool=None,
-) -> Dict[str, object]:
-    return finalize(
-        sweep(
-            schemes=schemes,
-            rack=rack,
-            churns=churns,
-            skews=skews,
-            tenants=tenants,
-            ssds_per_jbof=ssds_per_jbof,
-            horizon_us=horizon_us,
-            condition=condition,
-            root_seed=root_seed,
-            shards=shards,
-            shard_mode=shard_mode,
-        ).run(jobs=jobs, cache=cache, pool=pool)
-    )
+run = derived_run(sweep, finalize)
 
 
 def summarize(results: Dict[str, object]) -> str:
@@ -267,11 +237,3 @@ def summarize(results: Dict[str, object]) -> str:
         table_rows,
         title="Rack-scale churn: tenant population over a multi-JBOF rack",
     )
-
-
-def main() -> None:  # pragma: no cover
-    print(summarize(run()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

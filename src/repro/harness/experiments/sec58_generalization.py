@@ -15,6 +15,7 @@ from typing import Dict
 from repro.core.config import P3600_PARAMS
 from repro.harness.experiments.common import (
     Sweep,
+    derived_run,
     f_utils_for,
     merge_rows,
     read_spec,
@@ -90,21 +91,7 @@ def finalize(results) -> Dict[str, object]:
     return {"section": "5.8", "rows": merge_rows(results)}
 
 
-def run(
-    measure_us: float = 1_200_000.0,
-    warmup_us: float = 600_000.0,
-    workers_per_class: int = 8,
-    jobs: int = 1,
-    cache=None,
-    pool=None,
-) -> Dict[str, object]:
-    return finalize(
-        sweep(
-            measure_us=measure_us,
-            warmup_us=warmup_us,
-            workers_per_class=workers_per_class,
-        ).run(jobs=jobs, cache=cache, pool=pool)
-    )
+run = derived_run(sweep, finalize)
 
 
 def summarize(results: Dict[str, object]) -> str:
@@ -117,11 +104,3 @@ def summarize(results: Dict[str, object]) -> str:
         table_rows,
         title="Section 5.8: Gimbal on the Intel P3600 profile (Thresh_max = 3ms)",
     )
-
-
-def main() -> None:  # pragma: no cover
-    print(summarize(run()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-from repro.harness.experiments.common import Sweep
+from repro.harness.experiments.common import Sweep, derived_run
 from repro.harness.report import format_table
 from repro.harness.testbed import Testbed, TestbedConfig
 from repro.workloads import FioSpec
@@ -132,18 +132,7 @@ def finalize(results) -> Dict[str, object]:
     return {"table": "1", "cycles": cycle_rows, "null_iops": iops_rows}
 
 
-def run(
-    measure_us: float = 200_000.0,
-    jobs: int = 1,
-    root_seed: int = 42,
-    cache=None,
-    pool=None,
-) -> Dict[str, object]:
-    return finalize(
-        sweep(measure_us=measure_us, root_seed=root_seed).run(
-            jobs=jobs, cache=cache, pool=pool
-        )
-    )
+run = derived_run(sweep, finalize)
 
 
 def summarize(results: Dict[str, object]) -> str:
@@ -166,11 +155,3 @@ def summarize(results: Dict[str, object]) -> str:
         ),
     ]
     return "\n\n".join(parts)
-
-
-def main() -> None:  # pragma: no cover
-    print(summarize(run()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-from repro.harness.experiments.common import Sweep
+from repro.harness.experiments.common import Sweep, derived_run
 from repro.harness.report import format_table
 
 #: scheme -> (BW estimation, IO cost & WR tax, fair queueing, flow control)
@@ -57,8 +57,7 @@ def finalize(results) -> Dict[str, object]:
     return results[0]
 
 
-def run(jobs: int = 1, cache=None, pool=None) -> Dict[str, object]:
-    return finalize(sweep().run(jobs=jobs, cache=cache, pool=pool))
+run = derived_run(sweep, finalize)
 
 
 def summarize(results: Dict[str, object]) -> str:
@@ -71,11 +70,3 @@ def summarize(results: Dict[str, object]) -> str:
         table_rows,
         title="Table 2: multi-tenancy mechanism comparison",
     )
-
-
-def main() -> None:  # pragma: no cover
-    print(summarize(run()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -27,11 +27,14 @@ declared point order, so an orchestrated suite is byte-identical to
 through each driver's own ``run()``, one driver at a time
 (``benchmarks/perf/test_suite_perf.py`` gates exactly that).
 
-Drivers participate by exposing the declarative protocol::
+Drivers participate by exposing the declarative protocol -- three
+functions, from which ``run`` is derived once
+(:func:`repro.harness.parallel.derived_run`)::
 
     def sweep(**kwargs) -> Sweep        # declare the points
     def finalize(results, **kwargs)     # merge ordered results
-    def run(..., jobs=1, cache=None, pool=None)  # == finalize(sweep().run())
+    def summarize(result) -> str        # print the paper's rows
+    run = derived_run(sweep, finalize)  # run(jobs=1, cache=None, pool=None, **kwargs)
 
 ``python -m repro suite`` is the CLI entry point.
 """
@@ -39,12 +42,11 @@ Drivers participate by exposing the declarative protocol::
 from __future__ import annotations
 
 import importlib
-import inspect
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence
 
 from repro.harness.cache import CacheSpec
 from repro.harness.parallel import (
@@ -56,6 +58,7 @@ from repro.harness.parallel import (
     WorkerPool,
     _resolve_jobs,
     run_groups,
+    split_kwargs,
 )
 from repro.sim.shard import EFFECTIVE_JOBS_ENV
 
@@ -130,20 +133,6 @@ def suite_experiments(
     return specs
 
 
-def _accepted_kwargs(fn: Callable[..., Any], kwargs: Mapping[str, Any]) -> Dict[str, Any]:
-    """Filter ``kwargs`` down to the parameters ``fn`` accepts.
-
-    Driver ``sweep``/``finalize`` signatures list only the knobs they
-    use; the suite hands every driver the same registry kwargs and
-    lets each take what it understands (a ``**kwargs`` catch-all
-    accepts everything).
-    """
-    params = inspect.signature(fn).parameters
-    if any(p.kind is inspect.Parameter.VAR_KEYWORD for p in params.values()):
-        return dict(kwargs)
-    return {key: value for key, value in kwargs.items() if key in params}
-
-
 def run_suite(
     specs: Sequence[ExperimentSpec],
     jobs: Optional[int] = None,
@@ -180,10 +169,13 @@ def run_suite(
                     f"experiment {spec.name!r} ({spec.module_path}) does not expose "
                     "the declarative sweep()/finalize() protocol"
                 )
-            sweep = sweep_fn(**_accepted_kwargs(sweep_fn, spec.kwargs))
-            finalize = module.finalize
-            yield spec.name, sweep.points, partial(
-                finalize, **_accepted_kwargs(finalize, spec.kwargs)
+            # Lenient on purpose: every driver is handed the same registry
+            # kwargs and takes what it understands.
+            sweep_kwargs, finalize_kwargs, _ = split_kwargs(
+                sweep_fn, module.finalize, spec.kwargs
+            )
+            yield spec.name, sweep_fn(**sweep_kwargs).points, partial(
+                module.finalize, **finalize_kwargs
             )
 
     if jobs is None or jobs <= 0:
@@ -221,12 +213,10 @@ def run_suite_serial(
     with _advertise_jobs(jobs):
         for spec in specs:
             module = spec.load()
-            run_fn = module.run
-            kwargs = _accepted_kwargs(run_fn, spec.kwargs)
-            params = inspect.signature(run_fn).parameters
-            if "jobs" in params:
-                kwargs["jobs"] = jobs
-            if "cache" in params:
-                kwargs["cache"] = cache
-            results[spec.name] = run_fn(**kwargs)
+            sweep_kwargs, finalize_kwargs, _ = split_kwargs(
+                module.sweep, module.finalize, spec.kwargs
+            )
+            results[spec.name] = module.run(
+                jobs=jobs, cache=cache, **{**sweep_kwargs, **finalize_kwargs}
+            )
     return results

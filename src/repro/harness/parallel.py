@@ -48,9 +48,8 @@ Determinism contract
   across processes, Python versions and point orderings.
 * Merging happens in point-declaration order using order-free
   reducers: list results concatenate, and metric objects fold with
-  :meth:`LatencyHistogram.merge() <repro.metrics.histogram.LatencyHistogram.merge>`,
-  :meth:`IntervalSeries.merge() <repro.metrics.throughput.IntervalSeries.merge>` and
-  :meth:`PercentileTimeline.merge() <repro.metrics.timeline.PercentileTimeline.merge>`.
+  :meth:`LatencyHistogram.merge() <repro.metrics.histogram.LatencyHistogram.merge>` and
+  :meth:`IntervalSeries.merge() <repro.metrics.throughput.IntervalSeries.merge>`.
 
 ``jobs <= 1`` runs the points in-process (no executor, no pickling),
 which is also what the experiment drivers default to.
@@ -58,6 +57,7 @@ which is also what the experiment drivers default to.
 
 from __future__ import annotations
 
+import inspect
 import itertools
 import os
 import time
@@ -67,7 +67,6 @@ from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Seque
 
 from repro.harness.cache import CacheSpec, ResultCache, resolve_cache
 from repro.harness.surrogate import SurrogateSet, journal_records
-from repro.metrics import IntervalSeries, LatencyHistogram, PercentileTimeline
 from repro.obs import bump
 from repro.sim.rng import derive_seed
 from repro.sim.shard import EFFECTIVE_JOBS_ENV
@@ -747,6 +746,60 @@ class Sweep:
         return f"Sweep({self.name!r}, points={len(self._points)})"
 
 
+# ----------------------------------------------------------------------
+# The driver protocol: sweep() + finalize() (+ summarize()); run() derived
+# ----------------------------------------------------------------------
+def accepted_kwargs(fn: Callable[..., Any], kwargs: Mapping[str, Any]) -> Dict[str, Any]:
+    """Filter ``kwargs`` down to the parameters ``fn`` accepts (a
+    ``**kwargs`` catch-all accepts everything)."""
+    params = inspect.signature(fn).parameters
+    if any(p.kind is inspect.Parameter.VAR_KEYWORD for p in params.values()):
+        return dict(kwargs)
+    return {key: value for key, value in kwargs.items() if key in params}
+
+
+def split_kwargs(
+    sweep: Callable[..., "Sweep"], finalize: Callable[..., Any], kwargs: Mapping[str, Any]
+) -> Tuple[Dict[str, Any], Dict[str, Any], List[str]]:
+    """Split ``kwargs`` between a driver's ``sweep()`` and ``finalize()``.
+
+    Driver signatures list only the knobs they use, so the signatures
+    decide: returns ``(sweep_kwargs, finalize_kwargs, unknown)`` where
+    ``unknown`` names the keywords neither function takes.  A suite
+    hands every driver the same registry kwargs and ignores ``unknown``
+    (each driver takes what it understands); a driver's own ``run()``
+    refuses them.
+    """
+    sweep_kwargs = accepted_kwargs(sweep, kwargs)
+    finalize_kwargs = accepted_kwargs(finalize, kwargs)
+    unknown = [key for key in kwargs if key not in sweep_kwargs and key not in finalize_kwargs]
+    return sweep_kwargs, finalize_kwargs, unknown
+
+
+def derived_run(sweep: Callable[..., "Sweep"], finalize: Callable[..., Any]) -> Callable[..., Any]:
+    """A driver's ``run()``: ``finalize(sweep(...).run(jobs, cache, pool))``.
+
+    Every keyword other than ``jobs``/``cache``/``pool`` goes to
+    whichever of ``sweep``/``finalize`` declares it (both, if both do),
+    with their defaults; one neither declares is a ``TypeError`` before
+    any point is built.
+    """
+
+    def run(
+        jobs: int = 1, cache: CacheSpec = None, pool: Optional[WorkerPool] = None, **kwargs: Any
+    ) -> Any:
+        sweep_kwargs, finalize_kwargs, unknown = split_kwargs(sweep, finalize, kwargs)
+        if unknown:
+            raise TypeError(
+                f"{sweep.__module__}.run() got unexpected keyword argument(s) "
+                + ", ".join(repr(key) for key in unknown)
+            )
+        results = sweep(**sweep_kwargs).run(jobs=jobs, cache=cache, pool=pool)
+        return finalize(results, **finalize_kwargs)
+
+    return run
+
+
 def sweep_axes(axes: Mapping[str, Iterable[Any]]) -> List[Dict[str, Any]]:
     """Expand named axes into the cartesian product of point kwargs.
 
@@ -776,41 +829,3 @@ def merge_rows(results: Iterable[Any]) -> List[Any]:
         else:
             rows.append(result)
     return rows
-
-
-def merge_histograms(shards: Iterable[LatencyHistogram]) -> LatencyHistogram:
-    """Fold per-shard latency histograms into one (first shard's config)."""
-    merged: Optional[LatencyHistogram] = None
-    for shard in shards:
-        if merged is None:
-            merged = LatencyHistogram(shard.min_value, shard.max_value, shard.growth)
-        merged.merge(shard)
-    if merged is None:
-        raise ValueError("no histograms to merge")
-    return merged
-
-
-def merge_interval_series(shards: Iterable[IntervalSeries]) -> IntervalSeries:
-    """Fold per-shard interval series into one (sum/mean modes)."""
-    merged: Optional[IntervalSeries] = None
-    for shard in shards:
-        if merged is None:
-            merged = IntervalSeries(shard.window_us, shard.mode)
-        merged.merge(shard)
-    if merged is None:
-        raise ValueError("no series to merge")
-    return merged
-
-
-def merge_timelines(shards: Iterable[PercentileTimeline]) -> PercentileTimeline:
-    """Fold per-shard percentile timelines into one."""
-    merged: Optional[PercentileTimeline] = None
-    for shard in shards:
-        if merged is None:
-            merged = PercentileTimeline(
-                shard.window_us, shard.min_value, shard.max_value
-            )
-        merged.merge(shard)
-    if merged is None:
-        raise ValueError("no timelines to merge")
-    return merged

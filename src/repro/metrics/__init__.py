@@ -9,14 +9,12 @@ from repro.metrics.ewma import Ewma
 from repro.metrics.fairness import f_util, jain_index, utilization_deviation
 from repro.metrics.histogram import LatencyHistogram
 from repro.metrics.throughput import IntervalSeries, ThroughputMonitor
-from repro.metrics.timeline import PercentileTimeline
 
 __all__ = [
     "Ewma",
     "LatencyHistogram",
     "ThroughputMonitor",
     "IntervalSeries",
-    "PercentileTimeline",
     "f_util",
     "jain_index",
     "utilization_deviation",

@@ -1,38 +1,14 @@
-"""NVMe abstractions: commands, namespaces, queue pairs, controller.
+"""NVMe namespaces.
 
 The paper's tenants attach to NVMe namespaces over NVMe-oF
 (Section 2.3 notes that namespaces give independent *addressing* but
 no physical isolation -- requests to different namespaces still
 interfere inside the device, which is exactly what the simulated FTL
-reproduces).  This package provides the spec-shaped layer:
-
-* :class:`~repro.nvme.commands.NvmeCommand` /
-  :class:`~repro.nvme.commands.NvmeCompletion` -- submission and
-  completion entries;
-* :class:`~repro.nvme.namespace.Namespace` -- an LBA window onto a
-  device, with bounds-checked translation;
-* :class:`~repro.nvme.queue_pair.NvmeQueuePair` -- a bounded
-  submission/completion queue pair;
-* :class:`~repro.nvme.controller.NvmeController` -- dispatches
-  commands to the backing device through their namespace.
-
-The NVMe-oF target uses namespaces for per-tenant addressing; the
-controller and queue pairs also stand alone for local-attach use.
+reproduces).  :class:`~repro.nvme.namespace.Namespace` is an LBA window
+onto a device with bounds-checked translation; the NVMe-oF target uses
+it for per-tenant addressing.
 """
 
-from repro.nvme.commands import NvmeCommand, NvmeCompletion, NvmeOpcode, NvmeStatus
-from repro.nvme.controller import NvmeController
 from repro.nvme.namespace import Namespace, NamespaceError
-from repro.nvme.queue_pair import NvmeQueuePair, QueueFullError
 
-__all__ = [
-    "NvmeCommand",
-    "NvmeCompletion",
-    "NvmeOpcode",
-    "NvmeStatus",
-    "Namespace",
-    "NamespaceError",
-    "NvmeQueuePair",
-    "QueueFullError",
-    "NvmeController",
-]
+__all__ = ["Namespace", "NamespaceError"]

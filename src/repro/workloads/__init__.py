@@ -17,8 +17,6 @@ from repro.workloads.population import (
     TenantSpec,
     peak_concurrent,
 )
-from repro.workloads.replay import ReplayWorker
-from repro.workloads.trace import TraceRecord, TraceRecorder
 from repro.workloads.ycsb import (
     YCSB_WORKLOADS,
     YcsbOp,
@@ -38,9 +36,6 @@ __all__ = [
     "AddressRegion",
     "RandomPattern",
     "SequentialPattern",
-    "ReplayWorker",
-    "TraceRecord",
-    "TraceRecorder",
     "ZipfianGenerator",
     "YcsbOp",
     "YcsbSpec",

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Dict
 
-from repro.harness.parallel import Sweep, merge_rows
+from repro.harness.parallel import Sweep, derived_run, merge_rows
 
 
 def _calc(value: int, scale: int = 1, seed: int = 0) -> dict:
@@ -38,19 +38,7 @@ def finalize(results, tag: str = "alpha") -> Dict[str, object]:
     return {"experiment": tag, "rows": merge_rows(results)}
 
 
-def run(
-    n: int = 4,
-    scale: int = 1,
-    root_seed: int = 42,
-    tag: str = "alpha",
-    jobs: int = 1,
-    cache=None,
-    pool=None,
-) -> Dict[str, object]:
-    return finalize(
-        sweep(n=n, scale=scale, root_seed=root_seed).run(jobs=jobs, cache=cache, pool=pool),
-        tag=tag,
-    )
+run = derived_run(sweep, finalize)
 
 
 def summarize(results: Dict[str, object]) -> str:

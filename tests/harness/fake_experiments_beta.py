@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Dict
 
-from repro.harness.parallel import Sweep, merge_rows
+from repro.harness.parallel import Sweep, derived_run, merge_rows
 from tests.harness.fake_experiments import _negate
 
 
@@ -20,8 +20,7 @@ def finalize(results) -> Dict[str, object]:
     return {"experiment": "beta", "rows": merge_rows(results)}
 
 
-def run(n: int = 3, root_seed: int = 7, jobs: int = 1, cache=None, pool=None):
-    return finalize(sweep(n=n, root_seed=root_seed).run(jobs=jobs, cache=cache, pool=pool))
+run = derived_run(sweep, finalize)
 
 
 def summarize(results: Dict[str, object]) -> str:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Dict
 
-from repro.harness.parallel import Sweep, merge_rows
+from repro.harness.parallel import Sweep, derived_run, merge_rows
 from tests.harness.fake_experiments import _calc, _explode
 
 
@@ -20,8 +20,7 @@ def finalize(results) -> Dict[str, object]:
     return {"experiment": "poisoned", "rows": merge_rows(results)}
 
 
-def run(n: int = 3, jobs: int = 1, cache=None, pool=None):
-    return finalize(sweep(n=n).run(jobs=jobs, cache=cache, pool=pool))
+run = derived_run(sweep, finalize)
 
 
 def summarize(results) -> str:

@@ -178,6 +178,14 @@ class TestFingerprints:
         assert "repro.sim.engine" in sources
         # And a function outside that closure fingerprints differently.
         assert code_fingerprint(fig02._point) != code_fingerprint(point_fn)
+        # No driver reaches the CLI or the suite layer (the protocol
+        # helpers live in repro.harness.parallel for that reason): a help
+        # string edit must not recompute every figure.
+        from repro.cli import EXPERIMENTS
+
+        for module_path, _ in EXPERIMENTS.values():
+            closure = set(transitive_sources(module_path, roots={"repro"}))
+            assert not closure & {"repro.cli", "repro.harness.orchestrator"}, module_path
 
 
 # ----------------------------------------------------------------------

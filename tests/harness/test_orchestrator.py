@@ -23,7 +23,6 @@ from repro import obs
 from repro.harness.cache import ResultCache
 from repro.harness.orchestrator import (
     ExperimentSpec,
-    _accepted_kwargs,
     run_suite,
     run_suite_serial,
     suite_experiments,
@@ -34,6 +33,7 @@ from repro.harness.parallel import (
     SweepPoint,
     WorkerPool,
     _Task,
+    accepted_kwargs,
     plan_dispatch,
     run_sweep,
 )
@@ -60,19 +60,19 @@ class TestAcceptedKwargs:
         def fn(a, b=1):
             return a, b
 
-        assert _accepted_kwargs(fn, {"a": 1, "b": 2, "c": 3}) == {"a": 1, "b": 2}
+        assert accepted_kwargs(fn, {"a": 1, "b": 2, "c": 3}) == {"a": 1, "b": 2}
 
     def test_var_keyword_accepts_everything(self):
         def fn(**kwargs):
             return kwargs
 
-        assert _accepted_kwargs(fn, {"a": 1, "zz": 9}) == {"a": 1, "zz": 9}
+        assert accepted_kwargs(fn, {"a": 1, "zz": 9}) == {"a": 1, "zz": 9}
 
     def test_no_matching_params_yields_empty(self):
         def fn():
             return None
 
-        assert _accepted_kwargs(fn, {"a": 1}) == {}
+        assert accepted_kwargs(fn, {"a": 1}) == {}
 
 
 class TestCostModel:

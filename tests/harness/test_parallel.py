@@ -19,13 +19,11 @@ from repro.harness.parallel import (
     Sweep,
     SweepPoint,
     WorkerPool,
-    merge_histograms,
     merge_rows,
     point_seed,
     run_sweep,
     sweep_axes,
 )
-from repro.metrics import LatencyHistogram
 
 
 # Module-level so points pickle by reference into worker processes.
@@ -233,15 +231,6 @@ class TestMergeHelpers:
             {"c": 3},
             {"d": 4},
         ]
-
-    def test_merge_histograms_equals_direct(self):
-        direct = LatencyHistogram()
-        shards = [LatencyHistogram() for _ in range(3)]
-        for index, value in enumerate([5.0, 17.0, 120.0, 900.0, 42.0, 42.0]):
-            direct.record(value)
-            shards[index % 3].record(value)
-        merged = merge_histograms(shards)
-        assert merged.summary() == direct.summary()
 
 
 class TestExperimentDeterminism:

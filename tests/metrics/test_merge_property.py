@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.metrics import IntervalSeries, LatencyHistogram, PercentileTimeline
+from repro.metrics import IntervalSeries, LatencyHistogram
 
 #: Latency-like values spanning the histograms' full dynamic range.
 values = st.floats(min_value=0.0, max_value=2e7, allow_nan=False, allow_infinity=False)
@@ -94,43 +94,6 @@ def test_interval_series_shard_merge_equals_direct(stream, n_shards, assignment,
     )
 
 
-@settings(max_examples=40, deadline=None)
-@given(
-    stream=st.lists(
-        st.tuples(
-            st.floats(min_value=0.0, max_value=5_000.0, allow_nan=False, allow_infinity=False),
-            values,
-        ),
-        min_size=1,
-        max_size=120,
-    ),
-    n_shards=st.integers(min_value=1, max_value=4),
-    assignment=st.lists(st.integers(min_value=0, max_value=3), min_size=1, max_size=16),
-)
-def test_timeline_shard_merge_equals_direct(stream, n_shards, assignment):
-    window_us = 250.0
-    direct = PercentileTimeline(window_us)
-    for when, value in stream:
-        direct.record(when, value)
-
-    merged = PercentileTimeline(window_us)
-    for shard in partition(stream, n_shards, assignment):
-        timeline = PercentileTimeline(window_us)
-        for when, value in shard:
-            timeline.record(when, value)
-        merged.merge(timeline)
-
-    assert merged.window_count == direct.window_count
-    for pct in (50.0, 99.0):
-        assert merged.series(pct) == direct.series(pct)
-    merged_means = merged.mean_series()
-    direct_means = direct.mean_series()
-    assert [t for t, _ in merged_means] == [t for t, _ in direct_means]
-    assert [v for _, v in merged_means] == pytest.approx(
-        [v for _, v in direct_means], rel=1e-12
-    )
-
-
 def test_last_mode_merge_is_refused():
     a = IntervalSeries(10.0, "last")
     b = IntervalSeries(10.0, "last")
@@ -145,7 +108,5 @@ def test_mismatched_configuration_merges_are_refused():
         IntervalSeries(10.0, "sum").merge(IntervalSeries(20.0, "sum"))
     with pytest.raises(ValueError):
         IntervalSeries(10.0, "sum").merge(IntervalSeries(10.0, "mean"))
-    with pytest.raises(ValueError):
-        PercentileTimeline(10.0).merge(PercentileTimeline(20.0))
     with pytest.raises(ValueError):
         LatencyHistogram(1.0, 1e7).merge(LatencyHistogram(1.0, 1e6))

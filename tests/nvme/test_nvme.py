@@ -1,38 +1,11 @@
-"""Tests for the NVMe layer: commands, namespaces, qpairs, controller."""
+"""Tests for NVMe namespaces, alone and behind the fabric pipeline."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.nvme import (
-    Namespace,
-    NamespaceError,
-    NvmeCommand,
-    NvmeController,
-    NvmeOpcode,
-    NvmeQueuePair,
-    NvmeStatus,
-    QueueFullError,
-)
+from repro.nvme import Namespace, NamespaceError
 from repro.ssd import NullDevice, SsdDevice, precondition_clean
-
-
-class TestCommands:
-    def test_size_bytes(self):
-        assert NvmeCommand(NvmeOpcode.READ, 1, 0, 32).size_bytes == 131072
-
-    def test_unique_cids(self):
-        a = NvmeCommand(NvmeOpcode.READ, 1, 0, 1)
-        b = NvmeCommand(NvmeOpcode.READ, 1, 0, 1)
-        assert a.cid != b.cid
-
-    def test_invalid_command_rejected(self):
-        with pytest.raises(ValueError):
-            NvmeCommand(NvmeOpcode.READ, 0, 0, 1)  # nsid 0
-        with pytest.raises(ValueError):
-            NvmeCommand(NvmeOpcode.READ, 1, -1, 1)
-        with pytest.raises(ValueError):
-            NvmeCommand(NvmeOpcode.READ, 1, 0, 0)
 
 
 class TestNamespace:
@@ -56,88 +29,6 @@ class TestNamespace:
 
     def test_size_bytes(self):
         assert Namespace(1, "s", 0, 256).size_bytes == 1 << 20
-
-
-class TestController:
-    def test_namespaces_pack_sequentially(self, sim):
-        controller = NvmeController(sim, NullDevice(sim))
-        first = controller.create_namespace(100)
-        second = controller.create_namespace(200)
-        assert first.base_lpn == 0
-        assert second.base_lpn == 100
-        assert second.nsid == 2
-
-    def test_namespace_beyond_capacity_rejected(self, sim):
-        device = SsdDevice(sim)
-        controller = NvmeController(sim, device)
-        with pytest.raises(ValueError):
-            controller.create_namespace(device.exported_pages + 1)
-
-    def test_read_write_round_trip(self, sim):
-        device = SsdDevice(sim)
-        precondition_clean(device)
-        controller = NvmeController(sim, device)
-        controller.create_namespace(1024)
-        completions = []
-        controller.execute(
-            NvmeCommand(NvmeOpcode.WRITE, 1, 10, 4), completions.append
-        )
-        controller.execute(
-            NvmeCommand(NvmeOpcode.READ, 1, 10, 4), completions.append
-        )
-        sim.run()
-        assert len(completions) == 2
-        assert all(completion.ok for completion in completions)
-        assert all(completion.latency_us > 0 for completion in completions)
-
-    def test_invalid_namespace_fails_fast(self, sim):
-        controller = NvmeController(sim, NullDevice(sim))
-        completions = []
-        controller.execute(NvmeCommand(NvmeOpcode.READ, 9, 0, 1), completions.append)
-        sim.run()
-        assert completions[0].status is NvmeStatus.INVALID_NAMESPACE
-
-    def test_lba_out_of_range_fails(self, sim):
-        controller = NvmeController(sim, NullDevice(sim))
-        controller.create_namespace(10)
-        completions = []
-        controller.execute(NvmeCommand(NvmeOpcode.READ, 1, 8, 4), completions.append)
-        sim.run()
-        assert completions[0].status is NvmeStatus.LBA_OUT_OF_RANGE
-
-    def test_flush_is_immediate(self, sim):
-        controller = NvmeController(sim, NullDevice(sim))
-        controller.create_namespace(10)
-        completions = []
-        controller.execute(NvmeCommand(NvmeOpcode.FLUSH, 1, 0, 1), completions.append)
-        sim.run()
-        assert completions[0].ok
-        assert completions[0].latency_us == 0.0
-
-
-class TestQueuePair:
-    def test_depth_enforced(self, sim):
-        controller = NvmeController(sim, SsdDevice(sim))
-        controller.create_namespace(256)
-        qpair = controller.create_queue_pair(depth=2)
-        qpair.submit(NvmeCommand(NvmeOpcode.WRITE, 1, 0, 1))
-        qpair.submit(NvmeCommand(NvmeOpcode.WRITE, 1, 1, 1))
-        with pytest.raises(QueueFullError):
-            qpair.submit(NvmeCommand(NvmeOpcode.WRITE, 1, 2, 1))
-        sim.run()
-        assert qpair.outstanding == 0
-        assert qpair.completed == 2
-
-    def test_qids_increment(self, sim):
-        controller = NvmeController(sim, NullDevice(sim))
-        a = controller.create_queue_pair()
-        b = controller.create_queue_pair()
-        assert a.qid != b.qid
-
-    def test_invalid_depth_rejected(self, sim):
-        controller = NvmeController(sim, NullDevice(sim))
-        with pytest.raises(ValueError):
-            NvmeQueuePair(controller, depth=0)
 
 
 class TestFabricNamespaceIntegration:

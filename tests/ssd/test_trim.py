@@ -137,19 +137,6 @@ class TestFabricTrim:
         sim.run()
         assert len(done) == 24
 
-    def test_nvme_deallocate_opcode(self, sim):
-        from repro.nvme import NvmeCommand, NvmeController, NvmeOpcode
-
-        device = SsdDevice(sim)
-        precondition_clean(device)
-        controller = NvmeController(sim, device)
-        controller.create_namespace(256)
-        done = []
-        controller.execute(NvmeCommand(NvmeOpcode.DEALLOCATE, 1, 0, 32), done.append)
-        sim.run()
-        assert done[0].ok
-        assert device.ftl.lookup(0) == -1
-
 
 class TestBlobstoreTrim:
     def test_delete_deallocates_blobs(self, sim):

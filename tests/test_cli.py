@@ -31,16 +31,39 @@ class TestCliRun:
         assert "Figure 15" in capsys.readouterr().out
 
     def test_every_experiment_is_importable(self):
-        """...and speaks the whole driver protocol, which is what lets
-        ``repro run`` pass ``--jobs``/``--cache`` without asking."""
+        """...and speaks the whole driver protocol: ``sweep``/``finalize``/
+        ``summarize`` written by hand, ``run`` derived from the first two
+        in one place -- which is what lets ``repro run`` pass
+        ``--jobs``/``--cache`` without asking, and keeps ``repro run X``
+        and ``repro suite -e X`` from ever disagreeing."""
         import importlib
         import inspect
+        import re
+        from pathlib import Path
 
-        for name, (module_path, quick_kwargs) in EXPERIMENTS.items():
+        from repro.harness import experiments
+        from repro.harness.orchestrator import run_suite, run_suite_serial, suite_experiments
+        from repro.harness.parallel import derived_run
+
+        derived_code = derived_run(None, None).__code__
+        for name, (module_path, _quick_kwargs) in EXPERIMENTS.items():
             module = importlib.import_module(module_path)
             for attr in ("sweep", "finalize", "run", "summarize"):
                 assert callable(getattr(module, attr, None)), (name, attr)
+            assert module.run.__code__ is derived_code, name
             assert {"jobs", "cache", "pool"} <= set(inspect.signature(module.run).parameters), name
+            # Refused by name, before a single point is built or simulated.
+            with pytest.raises(TypeError, match="no_such_kwarg"):
+                module.run(no_such_kwarg=1)
+
+        for source in Path(experiments.__file__).parent.glob("*.py"):
+            hand_written = re.findall(r"^def (?:run|main)\(", source.read_text("utf-8"), re.M)
+            assert not hand_written, (source.name, hand_written)
+
+        for spec in suite_experiments(quick=True, names=["table2", "fig02"]):
+            direct = spec.load().run(**spec.kwargs)
+            assert run_suite([spec], jobs=1, cache=False).results[spec.name] == direct
+            assert run_suite_serial([spec], cache=False)[spec.name] == direct
 
 
 class TestCliAliases:
@@ -102,6 +125,20 @@ class TestCliCache:
         monkeypatch.setenv("REPRO_CACHE", "1")
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "envcache"))
         assert main(["run", "fig02", "--quick", "--no-cache"]) == 0
+        assert not (tmp_path / "envcache").exists()
+
+    def test_profile_never_profiles_a_cache_hit(self, tmp_path, capsys, monkeypatch):
+        """``repro profile`` under an ambient ``REPRO_CACHE=1``: the second
+        run must simulate as much as the first, not look its points up."""
+        import re
+
+        monkeypatch.setenv("REPRO_CACHE", "1")
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "envcache"))
+        calls = []
+        for _ in range(2):
+            assert main(["profile", "fig15", "--quiet", "--top", "1"]) == 0
+            calls.append(int(re.search(r"(\d+) function calls", capsys.readouterr().out).group(1)))
+        assert calls[1] > 0.9 * calls[0], calls
         assert not (tmp_path / "envcache").exists()
 
     def test_cache_stats_and_clear(self, tmp_path, capsys):
@@ -248,6 +285,18 @@ class TestCliExplore:
     def test_bad_axis_values_rejected(self, capsys):
         assert main(["explore", "fig04", "--grid", "qd=1:5", "--no-cache"]) == 2
         assert "bad --grid" in capsys.readouterr().err
+
+    def test_non_numeric_range_rejected(self, capsys):
+        assert main(["explore", "fig04", "--grid", "qd=lo:hi:3", "--no-cache"]) == 2
+        err = capsys.readouterr().err
+        assert "bad --grid" in err and "numbers" in err and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("values", ["", ","])
+    def test_empty_axis_values_rejected(self, capsys, values):
+        assert main(["explore", "fig04", "--grid", f"qd={values}", "--no-cache"]) == 2
+        err = capsys.readouterr().err
+        assert "at least one value" in err and "not one of" not in err
+        assert len(err.splitlines()) == 1
 
     def test_non_explorable_experiment_rejected(self, capsys):
         assert main(["explore", "fig02", "--no-cache"]) == 2
