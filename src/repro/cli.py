@@ -455,6 +455,12 @@ def cmd_cache(args: argparse.Namespace) -> int:
 
     from repro.harness.cache import DEFAULT_CACHE_DIR, ResultCache
 
+    for limit in ("max_records", "max_mb", "max_entries"):
+        value = getattr(args, limit, None)
+        if value is not None and value < 0:
+            flag = "--" + limit.replace("_", "-")
+            print(f"{flag} must be >= 0, got {value}", file=sys.stderr)
+            return 2
     cache = ResultCache(args.cache_dir or DEFAULT_CACHE_DIR)
     if args.cache_command == "stats":
         entries = cache.entries()
@@ -641,6 +647,9 @@ def _profile_sharded(args: argparse.Namespace, module, kwargs: dict) -> int:
 
 def cmd_calibrate(args: argparse.Namespace) -> int:
     """Measure the device anchors the profiles are calibrated against."""
+    if not args.duration_ms > 0:
+        print(f"--duration-ms must be > 0, got {args.duration_ms:g}", file=sys.stderr)
+        return 2
     _apply_kernel_backend(args)
     import random
 

@@ -608,6 +608,8 @@ class ResultCache:
         racing the compaction sees either the old or the new journal,
         never a torn one.
         """
+        if max_records is not None and max_records < 0:
+            raise ValueError(f"max_records must be >= 0, got {max_records}")
         records = self.read_journal()
         newest_by_key: Dict[str, int] = {}
         for index, record in enumerate(records):
@@ -628,7 +630,7 @@ class ResultCache:
         over_cap = 0
         if max_records is not None and len(kept) > max_records:
             over_cap = len(kept) - max_records
-            kept = kept[-max_records:]
+            kept = kept[over_cap:]
         stats = {
             "records_before": len(records),
             "records_kept": len(kept),
@@ -685,6 +687,9 @@ class ResultCache:
     ) -> int:
         """Evict least-recently-used entries (by mtime; hits refresh it)
         until the cache fits both limits.  Returns the eviction count."""
+        for name, limit in (("max_bytes", max_bytes), ("max_entries", max_entries)):
+            if limit is not None and limit < 0:
+                raise ValueError(f"{name} must be >= 0, got {limit}")
         entries = sorted(self.entries(), key=lambda entry: entry["mtime"])
         total = sum(entry["size_bytes"] for entry in entries)
         count = len(entries)

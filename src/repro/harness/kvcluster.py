@@ -145,7 +145,6 @@ def build_jbof_shard(spec: Dict[str, object]) -> ShardKernel:
         sim,
         host.handle_message,
         spec["lookahead_us"],
-        probe=bool(spec.get("probe", False)),
     )
     host.bind_kernel(kernel)
     return kernel
@@ -180,7 +179,6 @@ class KvCluster:
         config: KvClusterConfig,
         shards: Optional[int] = None,
         shard_mode: str = "auto",
-        shard_probes: bool = False,
     ):
         self.config = config
         self.sim = make_simulator()
@@ -197,7 +195,7 @@ class KvCluster:
         self.shard_report: Optional[Dict[str, object]] = None
         self._coordinator: Optional[CoordinatorFabric] = None
         if shards:
-            self._build_sharded(shards, shard_mode, shard_probes)
+            self._build_sharded(shards, shard_mode)
         else:
             self._build_unsharded()
         self.runners: List[YcsbRunner] = []
@@ -241,9 +239,7 @@ class KvCluster:
                     backend_name, AddressRegion(0, device.exported_pages)
                 )
 
-    def _build_sharded(
-        self, requested: int, shard_mode: str, shard_probes: bool
-    ) -> None:
+    def _build_sharded(self, requested: int, shard_mode: str) -> None:
         """Partition the rack: coordinator shard 0 keeps every client-side
         object on ``self.sim``; JBOFs spread round-robin over shards
         1..N, each with its own simulator behind the fabric boundary
@@ -255,9 +251,7 @@ class KvCluster:
         coordinator = CoordinatorFabric(self.sim, self.network)
         self._coordinator = coordinator
         executor = ShardExecutor(lookahead)
-        kernel = ShardKernel(
-            0, self.sim, coordinator.handle_message, lookahead, probe=shard_probes
-        )
+        kernel = ShardKernel(0, self.sim, coordinator.handle_message, lookahead)
         coordinator.bind_kernel(kernel)
         executor.add_local(kernel)
         backend = os.environ.get(KERNEL_BACKEND_ENV) or None
@@ -270,7 +264,6 @@ class KvCluster:
                 "shard_id": slot + 1,
                 "lookahead_us": lookahead,
                 "kernel_backend": backend,
-                "probe": shard_probes,
             }
             if plan.mode == "processes":
                 executor.add_process(build_jbof_shard, spec)

@@ -25,7 +25,7 @@ Scheduling never changes results: every point is keyed by
 declared point order, so an orchestrated suite is byte-identical to
 :func:`run_suite_serial` -- the identity oracle, which still enters
 through each driver's own ``run()``, one driver at a time
-(``benchmarks/perf/test_suite_perf.py`` gates exactly that).
+(``tests/harness/test_orchestrator.py`` gates exactly that).
 
 Drivers participate by exposing the declarative protocol -- three
 functions, from which ``run`` is derived once

@@ -6,8 +6,7 @@ the event loop itself:
 * per-callback fire counts (which component's events dominate a run);
 * the heap-depth high-water mark (how much future the simulation keeps
   queued -- a leak in event cancellation shows up here first);
-* wall-clock per simulated second (how expensive the model is to run,
-  the number the performance acceptance gates track).
+* wall-clock per simulated second (how expensive the model is to run).
 
 Scheduling calls never touch the probe, and an unprobed run takes a
 drain loop with no probe branch in it.  A probed run loop counts each
@@ -25,19 +24,12 @@ from typing import Dict, List, Tuple
 class KernelProbe:
     """Counters the :class:`~repro.sim.engine.Simulator` feeds when attached."""
 
-    def __init__(self, detailed: bool = True) -> None:
+    def __init__(self) -> None:
         # Keyed by the callback object itself (bound methods hash and
         # compare by (instance, function) in C): the hot counting path
         # skips the __qualname__ attribute walk and aggregates to names
         # only when somebody reads :attr:`fired_by_callback`.
         self._fired_by_fn: Dict[object, int] = {}
-        #: With ``detailed=False`` the probe keeps only the totals --
-        #: the per-callback dict update is dropped from the hot path by
-        #: swapping :meth:`count_fire` for the plain counter, which is
-        #: what wall-clock rate measurements want.
-        self.detailed = detailed
-        if not detailed:
-            self.count_fire = self._count_fire_total  # type: ignore[method-assign]
         self.fired_total = 0
         self.heap_high_water = 0
         self.runs = 0
@@ -58,10 +50,6 @@ class KernelProbe:
             by_fn[fn] = 1
         else:
             by_fn[fn] = count + 1
-
-    def _count_fire_total(self, fn) -> None:
-        """Totals-only fire counter (installed when ``detailed=False``)."""
-        self.fired_total += 1
 
     @property
     def fired_by_callback(self) -> Dict[str, int]:

@@ -32,24 +32,14 @@ from __future__ import annotations
 
 import os
 from heapq import heapify, heappop, heappush
-from operator import itemgetter
 from sys import getrefcount
 from typing import Any, Callable, Generator, Optional
-
-#: Sort keys for the batch-sorted drain: single homogeneous keys let
-#: timsort use its specialized float/int compares.
-_KEY_TIME = itemgetter(0)
-_KEY_SEQ = itemgetter(1)
 
 #: Upper bound on recycled Event handles kept around between fires.
 _FREE_LIST_CAP = 8192
 #: Lazy deletion is compacted away once at least this many cancelled
 #: entries linger in the heap *and* they outnumber the live ones.
 _COMPACT_MIN_DEAD = 512
-#: A full drain (``run()`` with no deadline) of a heap at least this
-#: deep takes the batch-sorted path: one ``sorted()`` pass replaces the
-#: per-event sift-down, which dominates deep drains.
-_SORT_DRAIN_MIN = 4096
 
 _INF = float("inf")
 
@@ -312,61 +302,6 @@ class _HeapPopulation:
         return f"_HeapPopulation({self.label or self.fn!r})"
 
 
-class _HeapBulkPopulation:
-    """Reference-backend bulk population (see :meth:`Simulator.population`).
-
-    The bulk contract delivers ``fn(times, payloads)`` for a batch of
-    completions; the heap backend can only honour it one entry at a
-    time, so each entry fires as a length-1 delivery.  ``floor`` is the
-    time of the last delivered completion -- the FCFS contract requires
-    every completion registered by ``fn`` to land at or after it.
-    """
-
-    __slots__ = ("_sim", "fn", "label", "floor")
-
-    def __init__(self, sim: "Simulator", fn: Callable[..., Any], label: Optional[str]):
-        self._sim = sim
-        self.fn = fn
-        self.label = label
-        self.floor = 0.0
-
-    def add(self, time_us: float, payload: Any) -> None:
-        """Register a single pending completion."""
-        self.add_many((time_us,), (payload,))
-
-    def add_many(self, times, payloads) -> None:
-        """Register a batch of pending completions.
-
-        ``times`` and ``payloads`` are parallel sequences; entries need
-        not be sorted, but every time must be at or after :attr:`floor`.
-        """
-        sim = self._sim
-        times = times.tolist() if hasattr(times, "tolist") else times
-        if len(times) != len(payloads):
-            raise SimulationError("add_many: times and payloads lengths differ")
-        floor = self.floor
-        heap = sim._heap
-        fire = self._fire_one
-        seq = sim._seq
-        for time_us, payload in zip(times, payloads):
-            time_us = float(time_us)
-            if time_us < floor:
-                raise SimulationError(
-                    f"bulk population {self.label or self.fn!r}: completion at "
-                    f"t={time_us} below floor {floor} (FCFS contract)"
-                )
-            seq += 1
-            heappush(heap, [time_us, seq, fire, (time_us, payload), None])
-        sim._seq = seq
-
-    def _fire_one(self, time_us: float, payload: Any) -> None:
-        self.floor = time_us
-        self.fn((time_us,), (payload,))
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"_HeapBulkPopulation({self.label or self.fn!r})"
-
-
 class Simulator:
     """The event loop: a clock plus a heap of pending events."""
 
@@ -390,8 +325,8 @@ class Simulator:
         self._running = False
         #: Cancelled entries still queued (lazy deletion).
         self._dead = 0
-        #: Entries queued outside ``_heap``: the run a sorted drain has
-        #: detached (the batch backend counts its staged work here).
+        #: Entries queued outside ``_heap``: always 0 on this kernel; the
+        #: batch backend counts its staged work here.
         self._offheap = 0
         #: Recycled Event handles (with their entry lists) awaiting reuse.
         self._free: list = []
@@ -473,34 +408,20 @@ class Simulator:
         self._seq = seq = self._seq + 1
         heappush(self._heap, [time_us, seq, fn, args, None])
 
-    def population(
-        self, fn: Callable[..., Any], *, bulk: bool = False, label: Optional[str] = None
-    ):
+    def population(self, fn: Callable[..., Any], *, label: Optional[str] = None):
         """Register a homogeneous completion population.
 
         A population is a producer that schedules many never-cancelled
         completions of one callback -- NAND page completions, link
         wire-delay deliveries, closed-loop session resubmits.  Declaring
         them through this API instead of ``at_`` lets backends advance
-        the whole population in bulk; on this reference backend it is a
-        zero-cost alias for the heap path, with identical firing order.
+        the whole population in batches; on this reference backend it is
+        a zero-cost alias for the heap path, with identical firing order.
 
-        * ``bulk=False`` (default): returns an object with
-          ``add(time_us, *args)``; each entry fires ``fn(*args)`` in
-          exact ``(time, seq)`` order interleaved with the heap.
-        * ``bulk=True``: returns an object with
-          ``add_many(times, payloads)`` and scalar ``add``; the kernel
-          delivers ``fn(times, payloads)`` for batches of consecutive
-          completions.  Producers must honour the FCFS floor contract:
-          completions registered during a delivery land at or after the
-          population's ``floor`` (the last delivered time), and
-          deliveries of *different* populations inside one batch window
-          are unordered with respect to each other.  Use ``bulk`` only
-          for producers whose per-entry effects are independent across
-          populations (independent devices, links, sessions).
+        Returns an object with ``add(time_us, *args)``; each entry fires
+        ``fn(*args)`` in exact ``(time, seq)`` order interleaved with the
+        heap.
         """
-        if bulk:
-            return _HeapBulkPopulation(self, fn, label)
         return _HeapPopulation(self, fn, label)
 
     def process(self, gen: Generator[Any, Any, Any]) -> Process:
@@ -613,11 +534,6 @@ class Simulator:
     def _drain_fast(self, until_us: Optional[float]) -> None:
         """The hot loop: no probe, no event cap, locals bound."""
         heap = self._heap
-        if until_us is None and len(heap) - self._dead >= _SORT_DRAIN_MIN:
-            # Full drain of a deep backlog: one sorted() pass replaces
-            # ~log2(n) sift-down comparisons per pop.
-            self._drain_sorted()
-            return
         free = self._free
         refcount = getrefcount
         until = _INF if until_us is None else until_us
@@ -652,79 +568,6 @@ class Simulator:
             if refcount(event) == 3 and len(free) < _FREE_LIST_CAP:
                 free.append(event)
 
-    def _drain_sorted(self) -> None:
-        """Drain a deep heap to empty by sorting it into a flat run.
-
-        ``heappop`` on an n-deep heap costs ~log2(n) C-level list
-        comparisons per event; for a full drain, one timsort over the
-        same entries is much cheaper, and the run is then streamed with
-        plain indexing.  Events scheduled by callbacks land on the (now
-        shallow) heap and are merged back per event with an exact
-        ``(time, seq)`` list comparison, so firing order is identical
-        to the heap path.  If callbacks refill the heap past the
-        threshold, the next outer iteration sorts again.
-
-        ``_offheap`` counts the unconsumed part of the run, which keeps
-        ``pending`` exact inside callbacks; if a callback raises, the
-        rest of the run goes back on the heap.
-        """
-        heap = self._heap
-        free = self._free
-        refcount = getrefcount
-        run: list = []
-        index = 0
-        try:
-            while len(heap) >= _SORT_DRAIN_MIN:
-                # Two stable single-key passes instead of one
-                # lexicographic list-compare sort: homogeneous int/float
-                # keys hit timsort's specialized unsafe compares (~6x
-                # faster than comparing the entry lists), and stability
-                # makes the seq-then-time pair exactly equivalent to
-                # (time, seq).
-                run = list(heap)
-                run.sort(key=_KEY_SEQ)
-                run.sort(key=_KEY_TIME)
-                # In place: cancel() inside a callback may trigger
-                # _compact(), which mutates self._heap -- it must see
-                # the (emptied) live heap, not the detached run.
-                heap[:] = []
-                index = 0
-                count = self._offheap = len(run)
-                while index < count:
-                    entry = run[index]
-                    # A newly scheduled event that precedes this run
-                    # entry goes first (seq is unique, so the list
-                    # compare never reaches fn).
-                    if heap and heap[0] < entry:
-                        entry = heappop(heap)
-                    else:
-                        index += 1
-                        self._offheap = count - index
-                    fn = entry[2]
-                    if fn is None:
-                        self._dead -= 1
-                        continue
-                    self.now = entry[0]
-                    event = entry[4]
-                    if event is None:
-                        fn(*entry[3])
-                        continue
-                    args = entry[3]
-                    entry[2] = None
-                    entry[3] = None
-                    fn(*args)
-                    if refcount(event) == 3 and len(free) < _FREE_LIST_CAP:
-                        free.append(event)
-        finally:
-            if self._offheap:
-                heap.extend(run[index:])
-                heapify(heap)
-                self._offheap = 0
-        if heap:
-            # Small residue: the regular loop (the dispatch check in
-            # _drain_fast now fails, so this cannot recurse).
-            self._drain_fast(None)
-
     def _note_depth(self) -> None:
         """Sample the queue depth into the probe ahead of a shrink the
         run loop does not see (compaction, a prune between runs)."""
@@ -739,9 +582,7 @@ class Simulator:
 
         In place matters: the drain loops alias ``self._heap`` in a
         local, so compaction triggered by a ``cancel()`` inside a
-        running callback must mutate the same list object.  Only the
-        heap is purged; cancelled entries in a detached sorted run stay
-        counted in ``_dead`` until the run reaches them.
+        running callback must mutate the same list object.
         """
         self._note_depth()
         heap = self._heap

@@ -209,7 +209,6 @@ class ShardKernel:
         sim,
         handler: Callable[[ShardMessage], None],
         lookahead_us: float,
-        probe: bool = False,
     ) -> None:
         self.shard_id = shard_id
         self.sim = sim
@@ -217,12 +216,8 @@ class ShardKernel:
         self.lookahead_us = lookahead_us
         self.outbox: List[ShardMessage] = []
         self._seq = 0
+        #: The kernel probe an obs session attached to ``sim``, if any.
         self.probe = sim.probe
-        if probe and self.probe is None:
-            from repro.obs import KernelProbe
-
-            self.probe = KernelProbe(detailed=False)
-            sim.probe = self.probe
 
     def emit(self, dst: int, kind: str, due_us: float, payload: Any = None) -> None:
         """Queue a message for delivery on shard ``dst`` at ``due_us``.

@@ -13,6 +13,7 @@ import json
 import os
 import shutil
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -37,6 +38,7 @@ from repro.harness.parallel import (
     plan_dispatch,
     run_sweep,
 )
+from tests.golden.regenerate import GOLDEN_CONFIGS
 from tests.harness.fake_experiments import _calc, _negate
 
 ALPHA = ExperimentSpec(
@@ -567,3 +569,29 @@ class TestSingleWorkerBypass:
         serial = run_suite_serial([ALPHA, BETA], cache=False)
         assert _canonical(suite.results) == _canonical(serial)
         pool.close()
+
+    def test_single_worker_suite_costs_nothing_over_serial(self):
+        """One worker cannot win, but with the in-process bypass it must
+        not lose either: cost-model planning and streaming accounting
+        must not tax the degenerate case.  The floor is 0.95x widened by
+        the 0.75 noise tolerance a few-second window needs."""
+        specs = [
+            ExperimentSpec(
+                "fig02",
+                "repro.harness.experiments.fig02_unloaded_latency",
+                GOLDEN_CONFIGS["fig02"],
+            ),
+            ExperimentSpec("table2", "repro.harness.experiments.table2_comparison", {}),
+        ]
+        start = time.perf_counter()
+        serial = run_suite_serial(specs, jobs=1, cache=False)
+        serial_s = time.perf_counter() - start
+        start = time.perf_counter()
+        suite = run_suite(specs, jobs=1, cache=False)
+        orchestrated_s = time.perf_counter() - start
+        assert _canonical(suite.results) == _canonical(serial)
+        speedup = serial_s / max(orchestrated_s, 1e-9)
+        assert speedup >= 0.95 * 0.75, (
+            f"single-worker orchestration costs too much: {speedup:.2f}x the "
+            f"serial baseline ({orchestrated_s:.1f}s vs {serial_s:.1f}s)"
+        )

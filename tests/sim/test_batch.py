@@ -10,7 +10,7 @@ from repro.sim.engine import KERNEL_BACKEND_ENV
 np = pytest.importorskip("numpy", reason="batch backend requires numpy")
 
 from repro.sim.batch import (  # noqa: E402 - after importorskip
-    _MIN_BULK_SEGMENT,
+    _MIN_BACKLOG,
     _WINDOW,
     BatchSimulator,
 )
@@ -62,52 +62,28 @@ class TestReferencePopulation:
         with pytest.raises(SimulationError):
             pop.add(4.0)
 
-    def test_bulk_population_delivers_singly(self):
-        sim = Simulator()
-        log = []
-        pop = sim.population(
-            lambda times, payloads: log.append((tuple(times), tuple(payloads))),
-            bulk=True,
-        )
-        pop.add_many((3.0, 1.0), ("b", "a"))
-        sim.run()
-        assert log == [((1.0,), ("a",)), ((3.0,), ("b",))]
-
-    def test_bulk_floor_contract_enforced(self):
-        sim = Simulator()
-        pop = sim.population(lambda times, payloads: None, bulk=True)
-        pop.add_many((5.0,), ("x",))
-        sim.run()
-        with pytest.raises(SimulationError, match="floor"):
-            pop.add(4.0, "y")
-
 
 # ----------------------------------------------------------------------
 # Batch backend mechanics
 # ----------------------------------------------------------------------
-def _fill(pop, times, payloads):
-    pop.add_many(np.asarray(times, dtype=float), list(payloads))
-
-
 def _held_outside_heap(sim) -> int:
-    """Walk the staging lists, chunks, pool and window segments: the
-    count ``batch_pending`` keeps incrementally."""
-    staged = len(sim._stage_t) + sum(chunk[0].shape[0] for chunk in sim._chunks)
+    """Walk the staging lists, pool and window: the count
+    ``batch_pending`` keeps incrementally."""
     pooled = 0 if sim._pool_t is None else sim._pool_t.shape[0] - sim._pool_pos
-    in_window = sum(len(seg[2]) - seg[1] for seg in sim._segments[sim._seg_idx :])
-    return staged + pooled + in_window
+    return len(sim._stage_t) + pooled + len(sim._win_t) - sim._win_pos
 
 
 class TestBatchSimulator:
     def test_batch_pending_matches_a_walk_of_the_structures(self):
         sim = BatchSimulator()
-        scalar = sim.population(lambda tag: None)
-        bulk = sim.population(lambda times, payloads: None, bulk=True)
-        for index in range(3 * _MIN_BULK_SEGMENT):
-            scalar.add(1.0 + index, index)
-        _fill(bulk, [2.5 + index for index in range(5000)], range(5000))
+        first = sim.population(lambda tag: None)
+        second = sim.population(lambda tag: None)
+        for index in range(3 * _MIN_BACKLOG):
+            first.add(1.0 + index, index)
+        for index in range(5000):
+            second.add(2.5 + index, index)
         handle = sim.at(40.0, lambda: None)
-        assert sim.batch_pending == _held_outside_heap(sim) == 5000 + 3 * _MIN_BULK_SEGMENT
+        assert sim.batch_pending == _held_outside_heap(sim) == 5000 + 3 * _MIN_BACKLOG
         for until_us, cap in ((30.0, None), (90.0, 17), (400.0, None), (4000.0, 900)):
             sim.run(until_us=until_us, max_events=cap)
             # A window is open and partly consumed at most of these stops.
@@ -158,7 +134,7 @@ class TestBatchSimulator:
         sim = BatchSimulator()
         fired = []
         pop = sim.population(fired.append)
-        count = _MIN_BULK_SEGMENT - 2
+        count = _MIN_BACKLOG - 2
         for index in range(count):
             pop.add(float(index), index)
         sim.run()
@@ -215,50 +191,6 @@ class TestBatchSimulator:
         times = [t for t, _ in log]
         assert times == sorted(times)
 
-    def test_bulk_delivery_batches(self):
-        sim = BatchSimulator()
-        deliveries = []
-        pop = sim.population(
-            lambda times, payloads: deliveries.append(len(times)), bulk=True
-        )
-        _fill(pop, [float(i + 1) for i in range(500)], range(500))
-        sim.run()
-        assert sum(deliveries) == 500
-        # actually batched: far fewer deliveries than entries
-        assert len(deliveries) < 50
-
-    def test_bulk_floor_violation_raises(self):
-        sim = BatchSimulator()
-        pop = sim.population(lambda times, payloads: None, bulk=True)
-        _fill(pop, [float(i + 1) for i in range(200)], range(200))
-        sim.run()
-        assert pop.floor == 200.0
-        with pytest.raises(SimulationError, match="FCFS"):
-            pop.add_many(np.asarray([150.0]), ["late"])
-
-    def test_bulk_and_scalar_pops_interleave(self):
-        sim = BatchSimulator()
-        log = []
-        bulk = sim.population(
-            lambda times, payloads: log.extend(
-                ("bulk", float(t)) for t in times
-            ),
-            bulk=True,
-        )
-        scalar = sim.population(lambda tag: log.append(("scalar", sim.now)))
-        _fill(bulk, [float(2 * i + 2) for i in range(300)], range(300))
-        for index in range(300):
-            scalar.add(float(2 * index + 1), index)
-        sim.run()
-        # every scalar completion fired between the right bulk ones
-        positions = {}
-        for position, (kind, time_us) in enumerate(log):
-            positions[(kind, time_us)] = position
-        for index in range(299):
-            assert positions[("scalar", 2 * index + 1.0)] < positions[
-                ("bulk", 2 * index + 2.0)
-            ]
-
     def test_past_add_rejected(self):
         sim = BatchSimulator()
         pop = sim.population(lambda tag: None)
@@ -266,12 +198,6 @@ class TestBatchSimulator:
         sim.run()
         with pytest.raises(SimulationError):
             pop.add(4.0, "late")
-
-    def test_add_many_length_mismatch(self):
-        sim = BatchSimulator()
-        pop = sim.population(lambda times, payloads: None, bulk=True)
-        with pytest.raises(SimulationError, match="length"):
-            pop.add_many(np.asarray([1.0, 2.0]), ["only-one"])
 
     def test_idle_fast_forward_counts(self):
         sim = BatchSimulator()
@@ -308,15 +234,3 @@ class TestBatchSimulator:
         sim.at(1.0, reenter)
         sim.run()
         assert errors and "reentrant" in errors[0]
-
-    def test_probe_counts_bulk_fires(self):
-        from repro.obs import KernelProbe
-
-        sim = BatchSimulator()
-        sim.probe = KernelProbe()
-        pop = sim.population(lambda times, payloads: None, bulk=True, label="d")
-        _fill(pop, [float(i + 1) for i in range(300)], range(300))
-        sim.run(max_events=200)
-        assert sim.probe.fired_total == 200
-        sim.run()
-        assert sim.probe.fired_total == 300

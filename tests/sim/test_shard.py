@@ -54,13 +54,19 @@ class Bouncer:
             )
 
 
+def _probed_simulator(backend=None):
+    """A simulator with its own kernel probe attached: a ShardKernel
+    reports ``events_fired`` and window counts off ``sim.probe``."""
+    sim = make_simulator(backend)
+    sim.probe = obs.KernelProbe()
+    return sim
+
+
 def build_bouncer_shard(spec):
     """Module-level factory so worker processes can build the toy shard."""
-    sim = make_simulator(spec.get("backend"))
+    sim = _probed_simulator(spec.get("backend"))
     bouncer = Bouncer(spec["peer"])
-    kernel = ShardKernel(
-        spec["shard_id"], sim, bouncer.handle, spec["lookahead_us"], probe=True
-    )
+    kernel = ShardKernel(spec["shard_id"], sim, bouncer.handle, spec["lookahead_us"])
     bouncer.kernel = kernel
     kernel.bouncer = bouncer  # keep reachable for inline assertions
     return kernel
@@ -76,9 +82,7 @@ def build_raising_shard(spec):
     def handle(msg):
         raise RuntimeError("deliberate shard handler failure")
 
-    return ShardKernel(
-        spec["shard_id"], make_simulator(), handle, spec["lookahead_us"], probe=True
-    )
+    return ShardKernel(spec["shard_id"], _probed_simulator(), handle, spec["lookahead_us"])
 
 
 def _workers_of(executor):
@@ -566,9 +570,9 @@ class Relay:
 
 def build_relay_shard(spec):
     """Module-level factory: runs in the test process or in a worker."""
-    sim = make_simulator(spec["backend"])
+    sim = _probed_simulator(spec["backend"])
     relay = Relay(spec["shard_id"], spec["shards"], spec["hops"])
-    kernel = ShardKernel(spec["shard_id"], sim, relay.handle, LOOKAHEAD, probe=True)
+    kernel = ShardKernel(spec["shard_id"], sim, relay.handle, LOOKAHEAD)
     relay.kernel = kernel
     kernel.relay = relay
     for time_us, ttl in spec["events"]:

@@ -204,6 +204,14 @@ class TestCliCalibrate:
         assert "Device anchors" in out
         assert "4K rand read QD128" in out
 
+    def test_non_positive_duration_rejected(self, capsys):
+        # Used to die in closed_loop with a ZeroDivisionError traceback.
+        for duration in ("0", "-5"):
+            assert main(["calibrate", "--duration-ms", duration]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"--duration-ms must be > 0, got {duration}\n"
+
 
 class TestCliSimulate:
     def test_simulate_prints_tenants(self, capsys):
@@ -327,3 +335,19 @@ class TestCliCacheJournal:
         assert main(["cache", "journal", "--cache-dir", cache_dir, "--json"]) == 0
         after = json.loads(capsys.readouterr().out)
         assert after["point_records"] == summary["point_records"]
+
+    def test_negative_limits_rejected(self, tmp_path, capsys):
+        # ``--max-records -3`` used to drop the three oldest records.
+        cache_dir = str(tmp_path / "cache")
+        assert main(["run", "table2", "--quick", "--cache-dir", cache_dir]) == 0
+        journal = (tmp_path / "cache" / "journal.jsonl").read_text(encoding="utf-8")
+        capsys.readouterr()
+        for argv, message in (
+            (["journal", "--compact", "--max-records", "-3"], "--max-records must be >= 0, got -3"),
+            (["prune", "--max-mb", "-1"], "--max-mb must be >= 0, got -1.0"),
+            (["prune", "--max-entries", "-1"], "--max-entries must be >= 0, got -1"),
+        ):
+            assert main(["cache", *argv, "--cache-dir", cache_dir]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == "" and captured.err == message + "\n"
+        assert (tmp_path / "cache" / "journal.jsonl").read_text(encoding="utf-8") == journal
