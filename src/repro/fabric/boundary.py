@@ -157,6 +157,9 @@ class CoordinatorFabric:
         request.complete_time = t_device_complete
         request.credit_grant = credit_grant
         request.virtual_view = virtual_view
+        # The response has landed: what ``_send_response`` does to the
+        # replica on the JBOF shard happens to the original here.
+        request._reply = None
         session.deliver_completion(request)
 
 
@@ -248,7 +251,7 @@ class BoundarySubmitQueue:
         self.target_name = stub.name
         self.ssd_name = session.ssd_name
 
-    def add(self, when_us: float, request: FabricRequest, _deliver) -> None:
+    def add(self, when_us: float, request: FabricRequest) -> None:
         self.session._parked[request.request_id] = request
         self.coordinator.kernel.emit(
             self.shard_id,
@@ -348,10 +351,9 @@ class JbofShardHost:
                 npages=npages,
                 priority=priority,
                 request_id=request_id,
+                _reply=_never_deliver,
             )
-            self.targets[target_name].pipeline(ssd_name).handle_arrival(
-                request, _never_deliver
-            )
+            self.targets[target_name].pipeline(ssd_name).handle_arrival(request)
         elif kind == MSG_CONNECT:
             target_name, ssd_name, tenant_id, client_name, weight = payload
             ghost = GhostSession(

@@ -10,15 +10,14 @@ plain queue depth) and puts command capsules on the wire.
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, Callable, Deque, Dict, Optional
+from typing import TYPE_CHECKING, Callable, Deque, Dict, List, Optional
 
 from repro.fabric.network import Network
 from repro.fabric.policies import ClientPolicy, UnlimitedClientPolicy
 from repro.fabric.request import (
     COMMAND_CAPSULE_BYTES,
     FabricRequest,
-    acquire_request,
-    release_request,
+    next_request_id,
 )
 from repro.sim.engine import Simulator
 from repro.ssd.commands import IoOp
@@ -27,6 +26,23 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.fabric.target import NvmeOfTarget
 
 CompletionCallback = Callable[[FabricRequest], None]
+
+# Request free-list pool.  Steady-state IO allocates no objects: a
+# session that opts in (sets ``recycle_requests``) reuses a released
+# request in :meth:`TenantSession.submit` and parks it again at the end
+# of :meth:`TenantSession.deliver_completion`, after the application's
+# completion callback has run.  The contract is ownership-based, not
+# refcount-based: the releasing session asserts that no caller retains
+# the request, which is why recycling is opt-in per session -- the KV
+# store hands requests to application code that may hold them past
+# completion.
+_free_requests: List[FabricRequest] = []
+_FREE_REQUEST_CAP = 4096
+
+
+def request_pool_size() -> int:
+    """Current free-list depth (test/diagnostic hook)."""
+    return len(_free_requests)
 
 
 class NvmeOfInitiator:
@@ -90,12 +106,13 @@ class TenantSession:
         self.policy = policy
         self.queue_depth = queue_depth
         # Wire-path shortcut: command capsules are delivered straight
-        # into the owning pipeline's ``handle_arrival`` with this
-        # session's bound ``deliver_completion`` as the reply route --
-        # the per-IO work of :meth:`NvmeOfTarget.receive_command`
-        # (pipeline lookup, bound-method creation) is paid once here.
-        # ``receive_command`` remains the entry point for external
-        # callers that are not sessions.
+        # into the owning pipeline's ``handle_arrival``, carrying this
+        # session's bound ``deliver_completion`` as their reply route
+        # (``request._reply``) -- the per-IO work of
+        # :meth:`NvmeOfTarget.receive_command` (pipeline lookup,
+        # bound-method creation) is paid once here.  ``receive_command``
+        # remains the entry point for external callers that are not
+        # sessions.
         self._arrive = target.pipeline(ssd_name).handle_arrival
         self._deliver = self.deliver_completion
         # Closed-loop resubmits all land on the same arrival callback:
@@ -123,8 +140,8 @@ class TenantSession:
         self.completed = 0
         #: Opt-in request recycling: a workload that never retains a
         #: request past its completion callback (the fio workers) sets
-        #: this so steady-state IO draws from the free-list pool in
-        #: :mod:`repro.fabric.request` instead of allocating.
+        #: this so steady-state IO draws from the module's free-list
+        #: pool instead of allocating.
         self.recycle_requests = False
         # Pending IOs grouped by priority: when the policy gates
         # submission, tagged latency-sensitive IOs (higher priority)
@@ -162,22 +179,39 @@ class TenantSession:
         context=None,
     ) -> FabricRequest:
         """Queue one IO; it goes on the wire when the policy allows."""
-        if self.recycle_requests:
-            request = acquire_request(
-                self.tenant_id, op, lba, npages, priority, context
-            )
+        free = _free_requests
+        if free and self.recycle_requests:
+            # Pooled construction: field-for-field what the constructor
+            # below produces (same validation, a fresh ``request_id``),
+            # on a released instance.  The three fields assigned right
+            # after the branch need no reset here.
+            if lba < 0 or npages <= 0:
+                raise ValueError(f"invalid IO range: lba={lba} npages={npages}")
+            request = free.pop()
+            request.tenant_id = self.tenant_id
+            request.op = op
+            request.lba = lba
+            request.npages = npages
+            request.priority = priority
+            request.request_id = next_request_id()
+            request.context = context
+            request.t_wire_submit = None
+            request.t_target_arrival = None
+            request.t_sched_enqueue = None
+            request.t_client_complete = None
+            request.lpn = None
+            request.submit_time = None
+            request.complete_time = None
+            request.credit_grant = 0
+            request.virtual_view = None
         else:
             request = FabricRequest(
-                tenant_id=self.tenant_id,
-                op=op,
-                lba=lba,
-                npages=npages,
-                priority=priority,
-                context=context,
+                self.tenant_id, op, lba, npages, priority, context=context
             )
         now = self.sim.now
         request.t_client_submit = now
         request._on_complete = on_complete
+        request._reply = self._deliver
         # Closed-loop steady state: nothing queued and the window open.
         # The request goes straight on the wire without the queue
         # round-trip (append + pop), which _try_issue would perform
@@ -199,9 +233,7 @@ class TenantSession:
             port.tx_busy_until = tx_done
             port.bytes_sent += COMMAND_CAPSULE_BYTES
             port.messages_sent += 1
-            self._arrive_pop.add(
-                tx_done + self._propagation_us, request, self._deliver
-            )
+            self._arrive_pop.add(tx_done + self._propagation_us, request)
             return request
         queue = self._pending_by_priority.get(priority)
         if queue is None:
@@ -240,6 +272,7 @@ class TenantSession:
         policy = self.policy
         gated = self._policy_gates
         observes = self._policy_observes_submit
+        arrive = self._arrive_pop.add
         # The additions below mirror Network.send term-for-term (start +
         # per_message + bytes/bandwidth, then + propagation) so the two
         # issue paths and the generic send produce identical floats.
@@ -264,10 +297,17 @@ class TenantSession:
             port.tx_busy_until = tx_done
             port.bytes_sent += COMMAND_CAPSULE_BYTES
             port.messages_sent += 1
-            self._arrive_pop.add(tx_done + propagation_us, request, self._deliver)
+            arrive(tx_done + propagation_us, request)
 
     def disconnect(self) -> None:
-        """Detach from the target.  All IO must have drained first."""
+        """Detach from the target.  All IO must have drained first.
+
+        The target forgets the tenant (scheduler share, namespace), so
+        a capsule sent afterwards would run on raw LBAs under a
+        silently re-created share: from here on :meth:`submit` and a
+        second ``disconnect`` raise.  Shadowing the two methods on the
+        instance keeps the check off the live path.
+        """
         if self.inflight or self.queued:
             raise RuntimeError(
                 f"cannot disconnect {self.tenant_id!r}: "
@@ -276,6 +316,13 @@ class TenantSession:
         self.target.pipeline(self.ssd_name).unregister_tenant(self.tenant_id)
         if self in self.initiator.sessions:
             self.initiator.sessions.remove(self)
+        self.submit = self.disconnect = self._refuse_disconnected  # type: ignore[method-assign]
+
+    def _refuse_disconnected(self, *args, **kwargs):
+        raise RuntimeError(
+            f"tenant {self.tenant_id!r} is disconnected from "
+            f"{self.target.name}/{self.ssd_name}"
+        )
 
     def deliver_completion(self, request: FabricRequest) -> None:
         """Called (via the network) when the response capsule lands."""
@@ -293,7 +340,23 @@ class TenantSession:
         if self._pending_count:
             self._try_issue()
         if self.recycle_requests:
-            release_request(request)
+            # Release: the completion has fully propagated.  Refused
+            # while the target still owns the request (reply route or
+            # scheduler cookie attached) -- recycling it would hand a
+            # live IO to the next submit.  Reference-bearing fields are
+            # cleared now so a parked request never pins an application
+            # context graph or, through the device callback, a whole
+            # pipeline and its device.
+            if request._reply is not None or request._slot is not None:
+                raise RuntimeError(
+                    f"{request!r} released while the target still owns it"
+                )
+            request.context = None
+            request._on_complete = None
+            request._on_device_complete = None
+            free = _free_requests
+            if len(free) < _FREE_REQUEST_CAP:
+                free.append(request)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -59,7 +59,8 @@ class Network:
         # Wire deliveries are homogeneous timed events; registering
         # them as a population lets the batch backend advance them in
         # bulk.  The trampoline keeps the population's callback fixed
-        # while each delivery carries its own target function.
+        # while each delivery carries its own ``(target function,
+        # arguments)`` pair as the event's one payload.
         self._deliver_pop = sim.population(self._run_delivery, label="net.deliver")
 
     def port(self, name: str) -> NetworkPort:
@@ -90,10 +91,11 @@ class Network:
         src.bytes_sent += nbytes
         src.messages_sent += 1
         arrival = tx_done + self.propagation_us
-        self._deliver_pop.add(arrival, deliver, args)
+        self._deliver_pop.add(arrival, (deliver, args))
         return arrival
 
-    def _run_delivery(self, deliver: Callable[..., Any], args: tuple) -> None:
+    def _run_delivery(self, delivery: tuple) -> None:
+        deliver, args = delivery
         deliver(*args)
 
     def register_metrics(self, registry, prefix: str = "net") -> None:

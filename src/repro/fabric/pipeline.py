@@ -20,13 +20,16 @@ per-pipeline constants (and a per-size-class table for reads) rather
 than re-derived per capsule; schedulers that inherit the base-class
 no-op hooks are detected once so the steady state skips those calls
 entirely; and the request itself is what the device receives and
-stamps -- there is no second per-IO carrier.
+stamps -- there is no second per-IO carrier.  Every event the pipeline
+schedules carries the request alone (the kernel's one-payload
+``at_``); the reply route arrives on it (``request._reply``) and the
+handlers passed as callbacks are bound once at construction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, Optional
+from typing import TYPE_CHECKING, Dict, Optional
 
 from repro.fabric.network import Network, NetworkPort
 from repro.fabric.request import RESPONSE_CAPSULE_BYTES, FabricRequest
@@ -34,7 +37,7 @@ from repro.fabric.smartnic import CpuCostModel, NicCore
 from repro.nvme.namespace import Namespace
 from repro.obs.trace import TraceType
 from repro.sim.engine import Simulator
-from repro.ssd.commands import IoOp
+from repro.ssd.commands import OP_READ, OP_TRIM, OP_WRITE
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.baselines.base import StorageScheduler
@@ -113,6 +116,20 @@ class SsdPipeline:
         #: :meth:`device_submit` runs as the event handler and stamps
         #: the enqueue time itself.
         self._sched_passthrough = getattr(scheduler, "passthrough_enqueue", False)
+        # Handlers handed to ``at_`` / ``device.submit`` on every IO:
+        # each is shadowed by its own binding, so passing one costs an
+        # attribute load instead of a bound-method allocation per
+        # capsule.  A hook assigned on the instance later (tests wrap
+        # ``device_submit``) replaces the shadow and still takes effect.
+        for handler in (
+            "device_submit",
+            "_scheduler_enqueue",
+            "_fetch_write_data",
+            "_write_data_arrived",
+            "_device_completed",
+            "_send_response",
+        ):
+            setattr(self, handler, getattr(self, handler))
         # Core-booking accounting is inlined at the two per-IO booking
         # sites; the per-tag [total_us, events] records are fetched
         # lazily so an idle pipeline adds no keys to the core's table.
@@ -139,6 +156,11 @@ class SsdPipeline:
 
     @added_io_cost_us.setter
     def added_io_cost_us(self, value: float) -> None:
+        # The booking sites below inline ``NicCore.book`` minus its
+        # negative-cost refusal, so the refusal lives where the value
+        # enters.
+        if value < 0:
+            raise ValueError(f"added_io_cost_us must be non-negative, got {value}")
         self._added_io_cost_us = value
         self._rebuild_cost_tables()
 
@@ -191,30 +213,32 @@ class SsdPipeline:
     # ------------------------------------------------------------------
     # Ingress
     # ------------------------------------------------------------------
-    def handle_arrival(
-        self, request: FabricRequest, reply: Callable[[FabricRequest], None]
-    ) -> None:
-        """Step 1-2: capsule landed; run submission-path processing."""
+    def handle_arrival(self, request: FabricRequest) -> None:
+        """Step 1-2: capsule landed; run submission-path processing.
+
+        The response will go to ``request._reply``, installed by the
+        sender before the capsule went on the wire.
+        """
         sim = self.sim
-        request.t_target_arrival = sim.now
-        request._reply = reply
+        now = sim.now
+        request.t_target_arrival = now
         self._inflight_replies += 1
         tracer = sim.tracer
         if tracer is not None:
             tracer.emit(
                 TraceType.IO_SUBMIT,
-                sim.now,
+                now,
                 self.name,
                 tenant=request.tenant_id,
                 op=request.op.name,
                 bytes=request.npages * 4096,
             )
         # Inlined NicCore.book(submit_cost, "submit"): the cost is a
-        # per-pipeline constant >= 0, so only the horizon arithmetic
-        # and the accounting remain.
+        # per-pipeline constant >= 0 (the ``added_io_cost_us`` setter
+        # refuses a negative knob), so only the horizon arithmetic and
+        # the accounting remain.
         core = self.core
         cost = self._submit_cost_us
-        now = sim.now
         busy = core.busy_until
         done = (now if now > busy else busy) + cost
         core.busy_until = done
@@ -224,7 +248,7 @@ class SsdPipeline:
             record = self._submit_record = core._by_tag.setdefault("submit", [0.0, 0])
         record[0] += cost
         record[1] += 1
-        if request.op is IoOp.WRITE:
+        if request.op is OP_WRITE:
             sim.at_(done, self._fetch_write_data, request)
         elif self._sched_passthrough:
             sim.at_(done, self.device_submit, request)
@@ -234,7 +258,9 @@ class SsdPipeline:
     def _fetch_write_data(self, request: FabricRequest) -> None:
         """RDMA_READ the write payload from the client's memory."""
         client_port = self._client_ports[request.tenant_id]
-        self.network.send(client_port, request.size_bytes, self._write_data_arrived, request)
+        self.network.send(
+            client_port, request.npages * 4096, self._write_data_arrived, request
+        )
 
     def _write_data_arrived(self, request: FabricRequest) -> None:
         # Data-path handling (DMA completion, buffer management).
@@ -268,10 +294,16 @@ class SsdPipeline:
                 queued_us=sim.now - request.t_sched_enqueue,
             )
         namespace = self._namespaces.get(request.tenant_id)
-        if namespace is not None:
-            request.lpn = namespace.translate(request.lba, request.npages)
-        else:
+        if namespace is None:
             request.lpn = request.lba
+        else:
+            # ``Namespace.translate`` inline; the refusal itself stays
+            # there, so a bad range raises its NamespaceError verbatim.
+            lba = request.lba
+            npages = request.npages
+            if lba < 0 or npages <= 0 or lba + npages > namespace.npages:
+                namespace.translate(lba, npages)
+            request.lpn = namespace.base_lpn + lba
         self.device.submit(request, self._device_completed)
 
     def _device_completed(self, request: FabricRequest) -> None:
@@ -290,11 +322,12 @@ class SsdPipeline:
             )
         if self._sched_notifies:
             self.scheduler.notify_completion(request)
-        if request.op is IoOp.READ:
+        if request.op is OP_READ:
             table = self._read_complete_cost
             npages = request.npages
-            cost = table.get(npages)
-            if cost is None:
+            try:
+                cost = table[npages]
+            except KeyError:
                 cost = table[npages] = (
                     self._complete_cost_us + self._per_page_us * npages
                 )
@@ -318,46 +351,49 @@ class SsdPipeline:
 
     def _send_response(self, request: FabricRequest) -> None:
         """Step 5: RDMA_WRITE read data + response capsule with credits."""
+        sim = self.sim
+        now = sim.now
+        tenant_id = request.tenant_id
         if self._sched_grants_credit:
-            request.credit_grant = self.scheduler.credit_for(request.tenant_id)
-            tracer = self.sim.tracer
+            request.credit_grant = self.scheduler.credit_for(tenant_id)
+            tracer = sim.tracer
             if tracer is not None and request.credit_grant != self._traced_credit.get(
-                request.tenant_id
+                tenant_id
             ):
-                self._traced_credit[request.tenant_id] = request.credit_grant
+                self._traced_credit[tenant_id] = request.credit_grant
                 tracer.emit(
                     TraceType.CREDIT,
-                    self.sim.now,
+                    now,
                     self.name,
-                    tenant=request.tenant_id,
+                    tenant=tenant_id,
                     credit=request.credit_grant,
                 )
         if self._sched_has_view:
             request.virtual_view = self.scheduler.view_snapshot()
         op = request.op
         stats = self.stats
-        if op is IoOp.READ:
-            size_bytes = request.npages * 4096
+        if op is OP_READ:
+            payload_bytes = request.npages * 4096
             stats.reads += 1
-            stats.read_bytes += size_bytes
-            wire_bytes = size_bytes + RESPONSE_CAPSULE_BYTES
-            payload_bytes = size_bytes
-        elif op is IoOp.TRIM:
+            stats.read_bytes += payload_bytes
+            wire_bytes = payload_bytes + RESPONSE_CAPSULE_BYTES
+        elif op is OP_TRIM:
             # Deallocate moves no payload: counting its nominal LBA
             # range would inflate the tenant's throughput attribution.
             stats.trims += 1
             wire_bytes = RESPONSE_CAPSULE_BYTES
             payload_bytes = 0
         else:
-            size_bytes = request.npages * 4096
+            payload_bytes = request.npages * 4096
             stats.writes += 1
-            stats.write_bytes += size_bytes
+            stats.write_bytes += payload_bytes
             wire_bytes = RESPONSE_CAPSULE_BYTES
-            payload_bytes = size_bytes
         if payload_bytes:
             per_tenant = stats.by_tenant_bytes
-            tenant_id = request.tenant_id
-            per_tenant[tenant_id] = per_tenant.get(tenant_id, 0) + payload_bytes
+            try:
+                per_tenant[tenant_id] += payload_bytes
+            except KeyError:
+                per_tenant[tenant_id] = payload_bytes
         reply = request._reply
         request._reply = None
         self._inflight_replies -= 1
@@ -366,7 +402,6 @@ class SsdPipeline:
         # bytes/bandwidth, then + propagation), so response timings are
         # bit-identical to the generic path.
         port = self.port
-        now = self.sim.now
         busy = port.tx_busy_until
         start = now if now > busy else busy
         tx_done = start + self._per_message_us + wire_bytes / self._bandwidth
@@ -375,7 +410,7 @@ class SsdPipeline:
         port.messages_sent += 1
         boundary = self._reply_boundary
         if boundary is None:
-            self.sim.at_(tx_done + self._propagation_us, reply, request)
+            sim.at_(tx_done + self._propagation_us, reply, request)
         else:
             boundary(request, tx_done + self._propagation_us)
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, List, Optional
+from typing import Any, Optional
 
 from repro.ssd.commands import IoOp
 
@@ -25,7 +25,9 @@ from repro.ssd.commands import IoOp
 COMMAND_CAPSULE_BYTES = 96
 RESPONSE_CAPSULE_BYTES = 32
 
-_request_ids = itertools.count(1)
+#: Draws the next ``request_id``: one process-wide sequence shared by
+#: fresh construction and the session's pooled reuse.
+next_request_id = itertools.count(1).__next__
 
 
 @dataclass(slots=True)
@@ -42,7 +44,7 @@ class FabricRequest:
     lba: int
     npages: int
     priority: int = 0
-    request_id: int = field(default_factory=lambda: next(_request_ids))
+    request_id: int = field(default_factory=next_request_id)
     #: Opaque cookie for the submitting application (the KV store keeps
     #: its own context here).
     context: Any = None
@@ -71,11 +73,19 @@ class FabricRequest:
     virtual_view: Optional[tuple] = None
 
     # -- transport plumbing (owned by the fabric layers, not callers) --
-    #: Reply route installed by the pipeline while the IO is in flight.
+    # Every event of the round trip carries the request and nothing
+    # else (the kernel's handle-less entries hold one payload), so the
+    # callbacks of each hop ride here.
+    #: Reply route: installed by whoever puts the capsule on the wire,
+    #: cleared by the pipeline when the response goes out.  While set,
+    #: the target owns the request.
     _reply: Any = field(default=None, repr=False, compare=False)
     #: Application completion callback carried alongside the request so
     #: the session's wire path needs no per-IO closure.
     _on_complete: Any = field(default=None, repr=False, compare=False)
+    #: ``device.submit``'s ``on_complete``, parked by the device until
+    #: its completion event fires.
+    _on_device_complete: Any = field(default=None, repr=False, compare=False)
     #: The scheduler's cookie (Gimbal: the virtual slot holding this
     #: IO) between admission and device completion.
     _slot: Any = field(default=None, repr=False, compare=False)
@@ -129,83 +139,3 @@ class FabricRequest:
             f"FabricRequest(#{self.request_id} {self.tenant_id} {self.op.value} "
             f"lba={self.lba} npages={self.npages} prio={self.priority})"
         )
-
-
-# ----------------------------------------------------------------------
-# Request free-list pool
-# ----------------------------------------------------------------------
-# Steady-state IO allocates no objects: a session that opts in (sets
-# ``recycle_requests``) acquires requests here and releases them after
-# the application's completion callback has run.  The contract is
-# ownership-based, not refcount-based: a releaser asserts that no
-# caller retains the request, which is why recycling is opt-in per
-# session -- the KV store and the trace replayer hand requests to
-# application code that may hold them past completion.
-_free_requests: List[FabricRequest] = []
-_FREE_REQUEST_CAP = 4096
-
-
-def acquire_request(
-    tenant_id: str,
-    op: IoOp,
-    lba: int,
-    npages: int,
-    priority: int = 0,
-    context: Any = None,
-) -> FabricRequest:
-    """Pooled constructor: field-for-field equivalent to
-    ``FabricRequest(...)`` but reusing a released instance when one is
-    available.  A fresh ``request_id`` is drawn either way."""
-    free = _free_requests
-    if not free:
-        return FabricRequest(
-            tenant_id=tenant_id,
-            op=op,
-            lba=lba,
-            npages=npages,
-            priority=priority,
-            context=context,
-        )
-    if lba < 0 or npages <= 0:
-        raise ValueError(f"invalid IO range: lba={lba} npages={npages}")
-    request = free.pop()
-    request.tenant_id = tenant_id
-    request.op = op
-    request.lba = lba
-    request.npages = npages
-    request.priority = priority
-    request.request_id = next(_request_ids)
-    request.context = context
-    request.t_client_submit = None
-    request.t_wire_submit = None
-    request.t_target_arrival = None
-    request.t_sched_enqueue = None
-    request.t_client_complete = None
-    request.lpn = None
-    request.submit_time = None
-    request.complete_time = None
-    request.credit_grant = 0
-    request.virtual_view = None
-    return request
-
-
-def release_request(request: FabricRequest) -> None:
-    """Return a request whose completion has fully propagated.
-
-    Clears the reference-bearing fields immediately (so a pooled
-    request never pins an application context graph) and parks the
-    object for the next :func:`acquire_request`.  Refused while the
-    target still owns the request (reply route or scheduler cookie
-    attached): recycling it would hand a live IO to the next caller.
-    """
-    if request._reply is not None or request._slot is not None:
-        raise RuntimeError(f"{request!r} released while the target still owns it")
-    request.context = None
-    request._on_complete = None
-    if len(_free_requests) < _FREE_REQUEST_CAP:
-        _free_requests.append(request)
-
-
-def request_pool_size() -> int:
-    """Current free-list depth (test/diagnostic hook)."""
-    return len(_free_requests)

@@ -88,16 +88,16 @@ class NvmeOfTarget:
     ) -> None:
         """Entry point for command capsules delivered by the network.
 
-        The application callback rides on the request itself
-        (``request._on_complete``), so the reply route is the session's
-        bound ``deliver_completion`` -- no per-IO closure.  The
+        The application callback and the reply route both ride on the
+        request itself (``_on_complete``; ``_reply`` is the session's
+        bound ``deliver_completion``) -- no per-IO closure.  The
         ``on_complete`` parameter remains for callers that drive this
         entry point directly.
         """
         if on_complete is not None:
             request._on_complete = on_complete
-        pipeline = self.pipeline(session.ssd_name)
-        pipeline.handle_arrival(request, session.deliver_completion)
+        request._reply = session.deliver_completion
+        self.pipeline(session.ssd_name).handle_arrival(request)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"NvmeOfTarget({self.name}, ssds={self.ssd_names})"

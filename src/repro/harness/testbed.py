@@ -88,6 +88,10 @@ class TestbedConfig:
             raise ValueError("device_age must be in [0, 1)")
         if self.num_ssds <= 0:
             raise ValueError("need at least one SSD")
+        if self.added_io_cost_us < 0:
+            raise ValueError(
+                f"added_io_cost_us must be non-negative, got {self.added_io_cost_us}"
+            )
 
 
 class Testbed:

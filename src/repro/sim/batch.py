@@ -74,8 +74,8 @@ class BatchPopulation:
         self.fn = fn
         self.label = label
 
-    def add(self, time_us: float, *args: Any) -> None:
-        """Register one pending completion of this population."""
+    def add(self, time_us: float, payload: Any) -> None:
+        """Register one pending completion: ``fn(payload)`` at ``time_us``."""
         sim = self._sim
         if time_us < sim.now:
             raise SimulationError(f"Cannot add at t={time_us} before now={sim.now}")
@@ -83,12 +83,12 @@ class BatchPopulation:
         sim.batch_adds += 1
         if time_us < sim._ceiling:
             sim.batch_undercuts += 1
-            heappush(sim._heap, [time_us, seq, self.fn, args, None])
+            heappush(sim._heap, [time_us, seq, self.fn, payload, None])
         else:
             sim._offheap += 1
             sim._stage_t.append(time_us)
             sim._stage_s.append(seq)
-            sim._stage_p.append((self.fn, args))
+            sim._stage_p.append((self.fn, payload))
             if time_us < sim._stage_min:
                 sim._stage_min = time_us
 
@@ -96,10 +96,8 @@ class BatchPopulation:
         return f"BatchPopulation({self.label or self.fn!r})"
 
 
-
-
 def _object_column(payloads: list):
-    """Box a list of ``(fn, args)`` payloads into a 1-D object array.
+    """Box a list of ``(fn, payload)`` pairs into a 1-D object array.
 
     Elementwise fill: a slice assignment would let numpy coerce a list
     of equal-length tuples into a 2-D array.
@@ -138,7 +136,7 @@ class BatchSimulator(Simulator):
 
     def __init__(self) -> None:
         #: Staged completions, unsorted: parallel time / seq /
-        #: ``(fn, args)`` lists, and the earliest staged time.
+        #: ``(fn, payload)`` lists, and the earliest staged time.
         self._stage_t: list = []
         self._stage_s: list = []
         self._stage_p: list = []
@@ -213,16 +211,19 @@ class BatchSimulator(Simulator):
         pool_t = self._pool_t
         if pool_t is not None:
             for index in range(self._pool_pos, pool_t.shape[0]):
-                fn, args = self._pool_p[index]
+                fn, payload = self._pool_p[index]
                 heappush(
-                    heap, [float(pool_t[index]), int(self._pool_s[index]), fn, args, None]
+                    heap,
+                    [float(pool_t[index]), int(self._pool_s[index]), fn, payload, None],
                 )
             self._pool_t = None
             self._pool_s = None
             self._pool_p = None
             self._pool_pos = 0
-        for time_us, seq, (fn, args) in zip(self._stage_t, self._stage_s, self._stage_p):
-            heappush(heap, [time_us, seq, fn, args, None])
+        for time_us, seq, (fn, payload) in zip(
+            self._stage_t, self._stage_s, self._stage_p
+        ):
+            heappush(heap, [time_us, seq, fn, payload, None])
         self._stage_t = []
         self._stage_s = []
         self._stage_p = []
@@ -349,7 +350,7 @@ class BatchSimulator(Simulator):
                 remaining -= 1
                 event = entry[4]
                 if event is None:
-                    fn(*entry[3])
+                    fn(entry[3])
                     continue
                 args = entry[3]
                 entry[2] = None
@@ -405,7 +406,7 @@ class BatchSimulator(Simulator):
                     fired += 1
                     event = entry[4]
                     if event is None:
-                        fn(*entry[3])
+                        fn(entry[3])
                         continue
                     args = entry[3]
                     entry[2] = None
@@ -419,14 +420,14 @@ class BatchSimulator(Simulator):
             if time_us > self.now:
                 self.now = time_us
             self._offheap -= 1
-            fn, args = run_p[index]
+            fn, payload = run_p[index]
             index += 1
             # Stored before the callback: if it raises, the entries
             # fired so far must not fire again.
             self._win_pos = index
             if probe is not None:
                 probe.count_fire(fn)
-            fn(*args)
+            fn(payload)
             fired += 1
         return fired
 

@@ -23,9 +23,11 @@ lists, not :class:`Event` objects, so sift comparisons run at C speed
 callers kept no reference are recycled through a free list, and the
 drain loop used when no probe is attached binds its hot state to
 locals.  Entries scheduled without a handle (``at_``, populations)
-cannot be cancelled, so the loops fire them bare: no fired-mark, no
-recycling check.  Cancelled entries are removed lazily on pop; when
-more than half the heap is dead the heap is compacted in place.
+carry exactly one payload in the ``args`` position -- ``[time, seq, fn,
+payload, None]`` -- and cannot be cancelled, so the loops fire them
+bare as ``fn(payload)``: no argument tuple, no fired-mark, no recycling
+check.  Cancelled entries are removed lazily on pop; when more than
+half the heap is dead the heap is compacted in place.
 """
 
 from __future__ import annotations
@@ -278,9 +280,9 @@ class _HeapPopulation:
 
     ``add`` is exactly :meth:`Simulator.at_` minus one attribute hop:
     the population pre-binds its callback, so hot producers pay the
-    same per-event cost as today's ``sim.at_(t, fn, *args)`` while
-    declaring their homogeneity to backends that can exploit it.
-    Population entries cannot be cancelled (same contract as ``at_``).
+    same per-event cost as ``sim.at_(t, fn, payload)`` while declaring
+    their homogeneity to backends that can exploit it.  Population
+    entries cannot be cancelled (same contract as ``at_``).
     """
 
     __slots__ = ("_sim", "fn", "label")
@@ -290,13 +292,13 @@ class _HeapPopulation:
         self.fn = fn
         self.label = label
 
-    def add(self, time_us: float, *args: Any) -> None:
-        """Register one pending completion of this population."""
+    def add(self, time_us: float, payload: Any) -> None:
+        """Register one pending completion: ``fn(payload)`` at ``time_us``."""
         sim = self._sim
         if time_us < sim.now:
             raise SimulationError(f"Cannot add at t={time_us} before now={sim.now}")
         sim._seq = seq = sim._seq + 1
-        heappush(sim._heap, [time_us, seq, self.fn, args, None])
+        heappush(sim._heap, [time_us, seq, self.fn, payload, None])
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"_HeapPopulation({self.label or self.fn!r})"
@@ -319,7 +321,8 @@ class Simulator:
 
     def __init__(self) -> None:
         self.now: float = 0.0
-        #: Heap of ``[time, seq, fn, args, handle]`` entries.
+        #: Heap of ``[time, seq, fn, args, handle]`` entries (handle-less:
+        #: ``[time, seq, fn, payload, None]``).
         self._heap: list = []
         self._seq = 0
         self._running = False
@@ -391,22 +394,24 @@ class Simulator:
         heappush(self._heap, entry)
         return event
 
-    def at_(self, time_us: float, fn: Callable[..., Any], *args: Any) -> None:
-        """Like :meth:`at` but returns no handle, so it cannot be
-        cancelled.
+    def at_(self, time_us: float, fn: Callable[[Any], Any], payload: Any) -> None:
+        """Run ``fn(payload)`` at ``time_us``; returns no handle, so it
+        cannot be cancelled.
 
-        The datapath schedules five events per IO and never cancels
-        any of them.  With no handle there is nothing a late cancel
-        could reach, so the entry skips the Event bookkeeping at both
-        ends: no free-list pop here, and the run loops fire it bare
-        (no fired-mark, no refcount check, no free-list push).
-        Firing order is identical to :meth:`at`: the same sequence
-        counter breaks timestamp ties.
+        The datapath schedules five events per IO, never cancels any
+        of them, and each carries one thing (the request).  With no
+        handle there is nothing a late cancel could reach, so the entry
+        skips the Event bookkeeping at both ends: no free-list pop and
+        no argument tuple here, and the run loops fire it bare
+        (``fn(payload)``: no unpacking, no fired-mark, no refcount
+        check, no free-list push).  A callback that needs no argument
+        or several takes :meth:`at`.  Firing order is identical to
+        :meth:`at`: the same sequence counter breaks timestamp ties.
         """
         if time_us < self.now:
             raise SimulationError(f"Cannot schedule at t={time_us} before now={self.now}")
         self._seq = seq = self._seq + 1
-        heappush(self._heap, [time_us, seq, fn, args, None])
+        heappush(self._heap, [time_us, seq, fn, payload, None])
 
     def population(self, fn: Callable[..., Any], *, label: Optional[str] = None):
         """Register a homogeneous completion population.
@@ -418,9 +423,9 @@ class Simulator:
         the whole population in batches; on this reference backend it is
         a zero-cost alias for the heap path, with identical firing order.
 
-        Returns an object with ``add(time_us, *args)``; each entry fires
-        ``fn(*args)`` in exact ``(time, seq)`` order interleaved with the
-        heap.
+        Returns an object with ``add(time_us, payload)``; each entry
+        fires ``fn(payload)`` in exact ``(time, seq)`` order interleaved
+        with the heap.
         """
         return _HeapPopulation(self, fn, label)
 
@@ -522,7 +527,7 @@ class Simulator:
             fired += 1
             event = entry[4]
             if event is None:
-                fn(*entry[3])
+                fn(entry[3])
                 continue
             args = entry[3]
             entry[2] = None
@@ -551,9 +556,10 @@ class Simulator:
             self.now = time_us
             event = entry[4]
             if event is None:
-                # No handle (at_, populations): nothing can cancel the
-                # entry late or alias it, so it fires bare.
-                fn(*entry[3])
+                # No handle (at_, populations): one payload, and
+                # nothing can cancel the entry late or alias it, so it
+                # fires bare.
+                fn(entry[3])
                 continue
             args = entry[3]
             # Mark fired *before* the callback so a late cancel (or a

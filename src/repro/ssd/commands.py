@@ -4,8 +4,10 @@ Logical addressing is page-granular (4 KiB logical blocks): ``lpn`` is
 a logical page number and ``npages`` the transfer length.  All the
 paper's workloads use 4 KiB-aligned sizes, so nothing finer is needed.
 
-A device reads a command's ``op``, ``lpn``, ``npages`` (``size_bytes``)
-and stamps ``submit_time`` / ``complete_time``.  :class:`DeviceCommand`
+A device reads a command's ``op``, ``lpn``, ``npages`` (``size_bytes``),
+stamps ``submit_time`` / ``complete_time`` and parks ``submit``'s
+completion callback in ``_on_device_complete`` (its completion event
+carries the command alone).  :class:`DeviceCommand`
 is that face alone, for code that drives a device directly; the fabric
 datapath submits its :class:`~repro.fabric.request.FabricRequest` as
 is -- one carrier per IO, no pool here.
@@ -41,6 +43,12 @@ class IoOp(enum.Enum):
         return self is IoOp.TRIM
 
 
+#: The members as module globals.  Reading a member through its class
+#: (``IoOp.READ``) falls back to the enum metaclass's ``__getattr__`` on
+#: CPython 3.11 -- about 100 ns, five times per IO on the datapath --
+#: so per-IO code compares ``op is OP_READ`` instead.
+OP_READ, OP_WRITE, OP_TRIM = IoOp.READ, IoOp.WRITE, IoOp.TRIM
+
 _command_ids = itertools.count(1)
 
 
@@ -60,6 +68,7 @@ class DeviceCommand:
     command_id: int = field(default_factory=lambda: next(_command_ids))
     submit_time: Optional[float] = None
     complete_time: Optional[float] = None
+    _on_device_complete: Any = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.lpn < 0:

@@ -28,7 +28,7 @@ from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.obs.trace import TraceType
 from repro.sim.engine import Simulator
-from repro.ssd.commands import DeviceCommand, IoOp
+from repro.ssd.commands import OP_READ, OP_TRIM, DeviceCommand
 from repro.ssd.ftl import Ftl, WearConfig
 from repro.ssd.geometry import SsdGeometry
 from repro.ssd.mapping_cache import MappingCache
@@ -107,7 +107,7 @@ class SsdDevice:
         self._fg_horizon: List[float] = [0.0] * self.geometry.num_channels
         self._wr_horizon: List[float] = [0.0] * self.geometry.num_channels
         self._gc_debt_us: List[float] = [0.0] * self.geometry.num_channels
-        self._pending_writes: Deque[Tuple[DeviceCommand, CompletionCallback, float]] = deque()
+        self._pending_writes: Deque[Tuple[DeviceCommand, float]] = deque()
         # Buffer releases grouped by completion timestamp: commands
         # whose last program finishes at the same instant share one
         # drain event (and one admission pass) instead of one each.
@@ -132,7 +132,12 @@ class SsdDevice:
         return self.geometry.exported_pages
 
     def submit(self, cmd: DeviceCommand, on_complete: CompletionCallback) -> None:
-        """Accept a command; ``on_complete(cmd)`` fires at completion time."""
+        """Accept a command; ``on_complete(cmd)`` fires at completion time.
+
+        The callback is parked on the command: the completion event
+        carries the command alone.
+        """
+        cmd._on_device_complete = on_complete
         npages = cmd.npages
         if cmd.lpn + npages > self._exported_pages:
             raise ValueError(
@@ -146,7 +151,7 @@ class SsdDevice:
         self._ctrl_busy_until = ctrl_done
         op = cmd.op
         stats = self.stats
-        if op is IoOp.READ:
+        if op is OP_READ:
             stats.read_commands += 1
             stats.read_bytes += npages * 4096
             if npages == 1:
@@ -181,10 +186,10 @@ class SsdDevice:
                     fg_horizon[channel] = page_done
                     done = page_done + profile.t_sense_us
                 cmd.complete_time = done
-                self._complete_pop.add(done, cmd, on_complete)
+                self._complete_pop.add(done, cmd)
             else:
-                self._book_read(cmd, on_complete, ctrl_done)
-        elif op is IoOp.TRIM:
+                self._book_read(cmd, ctrl_done)
+        elif op is OP_TRIM:
             # Deallocate is a pure FTL-metadata operation: no channel
             # work, acknowledged once the controller processes it.
             stats.trim_commands += 1
@@ -197,13 +202,13 @@ class SsdDevice:
                 # background channel debt (the command itself still
                 # acknowledges at controller speed).
                 self._charge_map_debt(cmd.lpn % self._num_channels)
-            self._finalize(cmd, on_complete, ctrl_done)
+            self._finalize(cmd, ctrl_done)
         else:
             if npages > self.buffer.capacity:
                 raise ValueError(f"write of {npages} pages exceeds buffer capacity")
             stats.write_commands += 1
             stats.write_bytes += npages * 4096
-            self._pending_writes.append((cmd, on_complete, ctrl_done))
+            self._pending_writes.append((cmd, ctrl_done))
             self._admit_pending_writes()
 
     def reset_time_state(self) -> None:
@@ -264,7 +269,7 @@ class SsdDevice:
     # ------------------------------------------------------------------
     # Read path
     # ------------------------------------------------------------------
-    def _book_read(self, cmd: DeviceCommand, on_complete: CompletionCallback, start: float) -> None:
+    def _book_read(self, cmd: DeviceCommand, start: float) -> None:
         # Single-page reads never reach here: ``submit`` books them
         # inline.  This is the multi-page striping path.
         profile = self.profile
@@ -305,7 +310,7 @@ class SsdDevice:
             # NAND array sense is parallel across dies: it lengthens the
             # command but does not occupy the channel.
             done += profile.t_sense_us
-        self._finalize(cmd, on_complete, done)
+        self._finalize(cmd, done)
 
     # ------------------------------------------------------------------
     # Write path
@@ -323,17 +328,13 @@ class SsdDevice:
         buffer = self.buffer
         now = self.sim.now
         while pending:
-            cmd, on_complete, ready_time = pending[0]
+            cmd, ready_time = pending[0]
             if not buffer.has_space(cmd.npages):
                 return
             pending.popleft()
-            self._admit_write(
-                cmd, on_complete, ready_time if ready_time > now else now
-            )
+            self._admit_write(cmd, ready_time if ready_time > now else now)
 
-    def _admit_write(
-        self, cmd: DeviceCommand, on_complete: CompletionCallback, admit_time: float
-    ) -> None:
+    def _admit_write(self, cmd: DeviceCommand, admit_time: float) -> None:
         # Per-LPN loop below is the write hot path: hoist every
         # attribute load (profile costs, horizon lists, tracer) into
         # locals once, and keep ``lpns`` a range -- it is only ever
@@ -360,7 +361,7 @@ class SsdDevice:
         # only when the buffer is full, i.e. when the offered write
         # rate exceeds the NAND drain rate -- Section 3.4's "write rate
         # rises beyond the write buffer serving capability".
-        self._finalize(cmd, on_complete, admit_time + profile.t_buf_write_us)
+        self._finalize(cmd, admit_time + profile.t_buf_write_us)
         last_program_done = admit_time
         for lpn in lpns:
             ppn, work = write_page(lpn)
@@ -498,13 +499,13 @@ class SsdDevice:
     # ------------------------------------------------------------------
     # Completion
     # ------------------------------------------------------------------
-    def _finalize(self, cmd: DeviceCommand, on_complete: CompletionCallback, done: float) -> None:
+    def _finalize(self, cmd: DeviceCommand, done: float) -> None:
         cmd.complete_time = done
-        self._complete_pop.add(done, cmd, on_complete)
+        self._complete_pop.add(done, cmd)
 
-    def _complete(self, cmd: DeviceCommand, on_complete: CompletionCallback) -> None:
+    def _complete(self, cmd: DeviceCommand) -> None:
         self.outstanding -= 1
-        on_complete(cmd)
+        cmd._on_device_complete(cmd)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"SsdDevice({self.name}, {self.profile.name}, {self.geometry})"
@@ -525,6 +526,7 @@ class NullDevice:
         self.stats = DeviceStats()
 
     def submit(self, cmd: DeviceCommand, on_complete: CompletionCallback) -> None:
+        cmd._on_device_complete = on_complete
         cmd.submit_time = self.sim.now
         cmd.complete_time = self.sim.now
         if cmd.op.is_read:
@@ -537,11 +539,11 @@ class NullDevice:
             self.stats.write_commands += 1
             self.stats.write_bytes += cmd.size_bytes
         self.outstanding += 1
-        self.sim.at_(self.sim.now, self._complete, cmd, on_complete)
+        self.sim.at_(self.sim.now, self._complete, cmd)
 
-    def _complete(self, cmd: DeviceCommand, on_complete: CompletionCallback) -> None:
+    def _complete(self, cmd: DeviceCommand) -> None:
         self.outstanding -= 1
-        on_complete(cmd)
+        cmd._on_device_complete(cmd)
 
     @property
     def write_amplification(self) -> float:

@@ -23,7 +23,7 @@ from repro.fabric.request import FabricRequest
 from repro.metrics.histogram import LatencyHistogram
 from repro.metrics.throughput import ThroughputMonitor
 from repro.sim.units import MBPS
-from repro.ssd.commands import IoOp
+from repro.ssd.commands import OP_READ, OP_WRITE, IoOp
 from repro.workloads.patterns import AddressRegion, RandomPattern, SequentialPattern
 
 
@@ -93,12 +93,19 @@ class FioWorker:
         # Per-IO constants, resolved once.  A pure read or pure write
         # mix needs no RNG draw per IO; an unpaced worker needs no rate
         # check, so its issue path IS ``_issue_now`` (the instance
-        # attribute shadows the method).
+        # attribute shadows the method).  ``_on_complete`` is shadowed
+        # by its own binding so handing it to every submit allocates
+        # nothing; a tap assigned on the instance later still replaces
+        # it.
+        self._io_pages = spec.io_pages
         self._io_bytes = spec.io_pages * 4096
+        self._priority = spec.priority
+        self._next_lba = self._pattern.next_lba
+        self._on_complete = self._on_complete  # type: ignore[method-assign]
         if spec.read_ratio >= 1.0:
-            self._fixed_op: Optional[IoOp] = IoOp.READ
+            self._fixed_op: Optional[IoOp] = OP_READ
         elif spec.read_ratio <= 0.0:
-            self._fixed_op = IoOp.WRITE
+            self._fixed_op = OP_WRITE
         else:
             self._fixed_op = None
         if self._rate is None:
@@ -133,10 +140,10 @@ class FioWorker:
     # ------------------------------------------------------------------
     def _next_op(self) -> IoOp:
         if self.spec.read_ratio >= 1.0:
-            return IoOp.READ
+            return OP_READ
         if self.spec.read_ratio <= 0.0:
-            return IoOp.WRITE
-        return IoOp.READ if self.rng.random() < self.spec.read_ratio else IoOp.WRITE
+            return OP_WRITE
+        return OP_READ if self.rng.random() < self.spec.read_ratio else OP_WRITE
 
     def _issue(self) -> None:
         if not self.running:
@@ -147,10 +154,10 @@ class FioWorker:
                 # Reserve this IO's pacing slot, then fire unconditionally
                 # at that time (re-checking would double-defer).
                 self.sim.at(self._next_allowed_us, self._issue_now)
-                self._next_allowed_us += self.spec.io_bytes / self._rate
+                self._next_allowed_us += self._io_bytes / self._rate
                 return
             self._next_allowed_us = max(self._next_allowed_us, now) + (
-                self.spec.io_bytes / self._rate
+                self._io_bytes / self._rate
             )
         self._issue_now()
 
@@ -161,11 +168,7 @@ class FioWorker:
         if op is None:
             op = self._next_op()
         self.session.submit(
-            op,
-            self._pattern.next_lba(),
-            self.spec.io_pages,
-            self.spec.priority,
-            self._on_complete,
+            op, self._next_lba(), self._io_pages, self._priority, self._on_complete
         )
 
     def _on_complete(self, request: FabricRequest) -> None:
@@ -176,7 +179,7 @@ class FioWorker:
         inflight_us = complete - request.t_wire_submit
         device_us = request.complete_time - request.submit_time
         self.throughput.record(complete, self._io_bytes)
-        if request.op is IoOp.READ:
+        if request.op is OP_READ:
             self.read_latency.record(inflight_us)
             self.device_read_latency.record(device_us)
         else:

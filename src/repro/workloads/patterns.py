@@ -35,17 +35,24 @@ class RandomPattern:
         self.region = region
         self.io_pages = io_pages
         self.rng = rng
+        self._start = region.start
         self._slots = region.npages // io_pages
-        # ``randrange(n)`` with a single positive int argument reduces
-        # to ``_randbelow(n)`` after argument checks; binding the
-        # latter (whichever variant the Random instance selected)
-        # skips those checks per IO while consuming the identical
-        # generator sequence.  Fall back to randrange for Random-likes
-        # without the internal hook.
-        self._randbelow = getattr(rng, "_randbelow", rng.randrange)
+        # ``rng.randrange(slots)`` unrolled to the rejection loop it
+        # ends in (``Random._randbelow_with_getrandbits``): the same
+        # ``getrandbits(k)`` draws in the same order, so the address
+        # sequence is the generator's own, minus two Python frames and
+        # the argument checks per IO.
+        self._getrandbits = rng.getrandbits
+        self._bits = self._slots.bit_length()
 
     def next_lba(self) -> int:
-        return self.region.start + self._randbelow(self._slots) * self.io_pages
+        getrandbits = self._getrandbits
+        bits = self._bits
+        slots = self._slots
+        slot = getrandbits(bits)
+        while slot >= slots:
+            slot = getrandbits(bits)
+        return self._start + slot * self.io_pages
 
 
 class SequentialPattern:

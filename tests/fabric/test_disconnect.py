@@ -7,6 +7,7 @@ import pytest
 from repro.baselines import FifoScheduler, FlashFqScheduler, ReflexScheduler
 from repro.core import GimbalScheduler
 from repro.fabric import CreditClientPolicy, Network, NvmeOfInitiator, NvmeOfTarget
+from repro.nvme import Namespace
 from repro.ssd import NullDevice, SsdDevice, precondition_clean
 from repro.ssd.commands import IoOp
 
@@ -86,3 +87,53 @@ class TestDisconnect:
             session.disconnect()
         sim.run()
         session.disconnect()
+
+
+class TestAfterDisconnect:
+    """A disconnected session is closed.  The target has dropped the
+    tenant's namespace and scheduler share, so a capsule sent afterwards
+    would run on raw LBAs -- another tenant's range -- under a share the
+    scheduler silently re-creates."""
+
+    @pytest.mark.parametrize("factory", [FifoScheduler, GimbalScheduler])
+    def test_submit_after_disconnect_is_refused_before_anything_moves(self, sim, factory):
+        network = Network(sim)
+        device = NullDevice(sim)
+        target = NvmeOfTarget(sim, network, "j", {"ssd0": device}, factory)
+        initiator = NvmeOfInitiator(sim, network, "c")
+        leaver = initiator.connect(
+            "leaver", target, "ssd0", namespace=Namespace(1, "ssd0", 1000, 100)
+        )
+        stayer = initiator.connect(
+            "stayer", target, "ssd0", namespace=Namespace(2, "ssd0", 0, 100)
+        )
+        leaver.submit(IoOp.READ, 0, 1)
+        sim.run()
+        leaver.disconnect()
+        scheduler = target.pipelines["ssd0"].scheduler
+        sent = leaver.client_port.messages_sent
+        seq = sim._seq
+        done = []
+        with pytest.raises(RuntimeError, match="'leaver'.*disconnected"):
+            leaver.submit(IoOp.READ, 0, 1, on_complete=done.append)
+        sim.run()
+        # Nothing was stamped, sent, scheduled or executed ...
+        assert not done and sim._seq == seq
+        assert (leaver.submitted, leaver.inflight, leaver.queued) == (1, 0, 0)
+        assert leaver.client_port.messages_sent == sent
+        assert device.stats.read_commands == 1
+        # ... and the departed tenant did not come back at the target.
+        if factory is GimbalScheduler:
+            assert "leaver" not in scheduler.drr.tenants
+        stayer.submit(IoOp.READ, 0, 1, on_complete=done.append)
+        sim.run()
+        assert len(done) == 1 and done[0].lpn == 0
+
+    def test_second_disconnect_is_refused(self, sim):
+        _, initiator, sessions = build(sim)
+        sessions[0].disconnect()
+        with pytest.raises(RuntimeError, match="'t0'.*disconnected"):
+            sessions[0].disconnect()
+        # The first one did its job exactly once.
+        assert sessions[0] not in initiator.sessions
+        assert sessions[1] in initiator.sessions

@@ -4,7 +4,11 @@ from __future__ import annotations
 
 import pytest
 
+from repro.baselines import FifoScheduler
+from repro.fabric import Network, NvmeOfTarget
 from repro.fabric.smartnic import CYCLES_PER_US, SERVER_CPU, SMARTNIC_CPU, CpuCostModel, NicCore
+from repro.harness.testbed import TestbedConfig
+from repro.ssd import NullDevice
 
 
 class TestNicCore:
@@ -47,6 +51,33 @@ class TestNicCore:
         cycles = core.mean_cycles_by_tag()
         assert cycles["submit"] == pytest.approx(3.0 * CYCLES_PER_US)
         assert cycles["complete"] == pytest.approx(1.0 * CYCLES_PER_US)
+
+
+class TestAddedIoCostKnob:
+    """The pipeline books its per-IO costs inline, without
+    ``NicCore.book``'s negative-cost refusal, so the Figure 16 knob is
+    refused where it enters -- not a millisecond later as a kernel
+    error about scheduling in the past."""
+
+    def test_config_refuses_a_negative_knob(self):
+        with pytest.raises(ValueError, match="added_io_cost_us"):
+            TestbedConfig(added_io_cost_us=-5.0)
+        assert TestbedConfig(added_io_cost_us=0.0).added_io_cost_us == 0.0
+
+    def test_pipeline_refuses_a_negative_knob(self, sim):
+        devices = {"ssd0": NullDevice(sim)}
+        with pytest.raises(ValueError, match="added_io_cost_us"):
+            NvmeOfTarget(
+                sim, Network(sim), "j", devices, FifoScheduler, added_io_cost_us=-5.0
+            )
+        target = NvmeOfTarget(sim, Network(sim), "j", devices, FifoScheduler)
+        pipeline = target.pipelines["ssd0"]
+        before = pipeline._submit_cost_us
+        with pytest.raises(ValueError, match="added_io_cost_us"):
+            pipeline.added_io_cost_us = -0.5
+        assert (pipeline.added_io_cost_us, pipeline._submit_cost_us) == (0.0, before)
+        pipeline.added_io_cost_us = 2.0
+        assert pipeline._submit_cost_us == pytest.approx(before + 2.0)
 
 
 class TestCpuCostModel:

@@ -85,7 +85,7 @@ class TestHeapHighWater:
 
         def fan_out():
             for delay in (1.0, 2.0, 3.0):
-                sim.at_(sim.now + delay, lambda: None)
+                sim.at_(sim.now + delay, lambda _: None, None)
 
         sim.schedule(1.0, fan_out)
         sim.run()

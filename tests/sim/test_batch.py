@@ -56,11 +56,11 @@ class TestReferencePopulation:
 
     def test_past_add_rejected(self):
         sim = Simulator()
-        pop = sim.population(lambda: None)
+        pop = sim.population(lambda tag: None)
         sim.at(5.0, lambda: None)
         sim.run()
         with pytest.raises(SimulationError):
-            pop.add(4.0)
+            pop.add(4.0, "late")
 
 
 # ----------------------------------------------------------------------

@@ -578,7 +578,7 @@ class TestCappedDeadlineRun:
         sim = kernel
         fired = []
         sim.schedule(10.0, lambda: fired.append(("a", sim.now)))
-        sim.at_(20.0, lambda: fired.append(("b", sim.now)))
+        sim.at_(20.0, lambda tag: fired.append((tag, sim.now)), "b")
         assert sim.run(until_us=100.0, max_events=1) == 10.0
         assert fired == [("a", 10.0)]
         assert sim.pending == 1
@@ -599,14 +599,14 @@ class TestCappedDeadlineRun:
 
     def test_cap_reached_with_nothing_due_still_advances(self, kernel):
         sim = kernel
-        sim.at_(10.0, lambda: None)
-        sim.at_(200.0, lambda: None)
+        sim.at_(10.0, lambda _: None, None)
+        sim.at_(200.0, lambda _: None, None)
         assert sim.run(until_us=100.0, max_events=1) == 100.0
         assert sim.pending == 1
 
     def test_cancelled_due_event_does_not_hold_the_clock(self, kernel):
         sim = kernel
-        sim.at_(10.0, lambda: None)
+        sim.at_(10.0, lambda _: None, None)
         ghost = sim.at(20.0, lambda: None)
         ghost.cancel()
         assert sim.run(until_us=100.0, max_events=1) == 100.0
@@ -614,9 +614,56 @@ class TestCappedDeadlineRun:
 
     def test_zero_cap_holds_the_clock(self, kernel):
         sim = kernel
-        sim.at_(10.0, lambda: None)
+        sim.at_(10.0, lambda _: None, None)
         assert sim.run(until_us=100.0, max_events=0) == 0.0
         assert sim.run(until_us=100.0) == 100.0
+
+
+class TestOnePayloadContract:
+    """Handle-less events carry exactly one payload.  A wrong arity is
+    refused where it is written -- at the scheduling call -- never
+    later inside the drain loop, and leaves nothing queued."""
+
+    @pytest.mark.parametrize("payloads", [(), ("a", "b")], ids=["none", "two"])
+    def test_at_refuses_other_arities_at_the_call(self, kernel, payloads):
+        sim = kernel
+        with pytest.raises(TypeError):
+            sim.at_(1.0, print, *payloads)
+        assert sim.pending == 0 and sim._seq == 0
+        sim.run()
+
+    @pytest.mark.parametrize("payloads", [(), ("a", "b")], ids=["none", "two"])
+    def test_population_add_refuses_other_arities_at_the_call(self, kernel, payloads):
+        sim = kernel
+        pop = sim.population(print)
+        with pytest.raises(TypeError):
+            pop.add(1.0, *payloads)
+        assert sim.pending == 0 and sim._seq == 0
+        sim.run()
+
+    def test_the_past_is_still_refused(self, kernel):
+        sim = kernel
+        pop = sim.population(print)
+        sim.at(5.0, lambda: None)
+        sim.run()
+        with pytest.raises(SimulationError, match=r"Cannot schedule at t=4.0 before now=5.0"):
+            sim.at_(4.0, print, "late")
+        with pytest.raises(SimulationError, match=r"Cannot add at t=4.0 before now=5.0"):
+            pop.add(4.0, "late")
+        assert sim.pending == 0
+
+    def test_the_payload_arrives_as_is(self, kernel):
+        sim = kernel
+        got = []
+        pop = sim.population(got.append)
+        # A tuple is one payload, not an argument list; None is a payload.
+        sim.at_(1.0, got.append, ("x", 1))
+        pop.add(2.0, ("y", 2))
+        sim.at_(3.0, got.append, None)
+        for index in range(100):  # deep enough for the batch kernel to stage
+            pop.add(10.0 + index, (index,))
+        sim.run()
+        assert got == [("x", 1), ("y", 2), None] + [(index,) for index in range(100)]
 
 
 class _Ledger:
@@ -629,7 +676,7 @@ class _Ledger:
         self.handles = {}
         self.fired = []
         self.checks = 0
-        self.pop = sim.population(self._fire)
+        self.pop = sim.population(self._fire_payload)
         self._next_id = 0
 
     def _fire(self, ident, action=None):
@@ -640,6 +687,10 @@ class _Ledger:
         if action is not None:
             action(ident)
             self.check()
+
+    def _fire_payload(self, payload):
+        # Handle-less events carry one payload: the (ident, action) pair.
+        self._fire(*payload)
 
     def check(self):
         assert self.sim.pending == len(self.outstanding)
@@ -656,9 +707,9 @@ class _Ledger:
                 time_us - self.sim.now, self._fire, ident, action
             )
         elif kind == "at_":
-            self.sim.at_(time_us, self._fire, ident, action)
+            self.sim.at_(time_us, self._fire_payload, (ident, action))
         else:
-            self.pop.add(time_us, ident, action)
+            self.pop.add(time_us, (ident, action))
         return ident
 
     def cancel(self, ident):
@@ -767,12 +818,12 @@ class TestRaisingCallbacks:
         sim = kernel
         fired = []
 
-        def boom():
+        def boom(_):
             raise ValueError("bang")
 
         pop = sim.population(fired.append)
         sim.at_(1.0, fired.append, "before")
-        sim.at_(2.0, boom)
+        sim.at_(2.0, boom, None)
         sim.at_(3.0, fired.append, "after")
         pop.add(4.0, "pop")
         with pytest.raises(ValueError):

@@ -281,7 +281,7 @@ class TestExecutorWindows:
         executor = _toy_ring(3)
         kernels = [channel.kernel for channel in executor.channels]
         kernels[0].emit(1, "ping", HOP, 0)
-        kernels[1].sim.at_(40.0, lambda: None)
+        kernels[1].sim.at(40.0, lambda: None)
         executor.run()
         assert executor.windows == 2
         assert [kernel.sim.now for kernel in kernels] == [40.0 + LOOKAHEAD] * 3
@@ -291,7 +291,7 @@ class TestExecutorWindows:
         # The closing round at the target finds shards 0 and 2 idle.
         executor = _toy_ring(3)
         kernels = [channel.kernel for channel in executor.channels]
-        kernels[1].sim.at_(5.0, lambda: None)
+        kernels[1].sim.at(5.0, lambda: None)
         executor.run_until(20.0)
         assert [kernel.sim.now for kernel in kernels] == [20.0] * 3
         assert executor.windows == 2  # the event's window + the closing round
@@ -305,9 +305,9 @@ class TestExecutorWindows:
         # order -- and deliver it again one window later.
         executor = _toy_ring(3)
         kernels = [channel.kernel for channel in executor.channels]
-        kernels[0].sim.at_(2.0, kernels[0].emit, 1, "late", 10.0, None)
-        kernels[1].sim.at_(2.0, lambda: None)
-        kernels[2].sim.at_(1.0, kernels[2].emit, 1, "early", 10.0, None)
+        kernels[0].sim.at(2.0, kernels[0].emit, 1, "late", 10.0, None)
+        kernels[1].sim.at(2.0, lambda: None)
+        kernels[2].sim.at(1.0, kernels[2].emit, 1, "early", 10.0, None)
         executor.run()
         assert kernels[1].bouncer.log == [
             ("early", 10.0, 2, None),
@@ -482,8 +482,8 @@ class TestBackends:
     def test_next_event_time(self, backend):
         sim = make_simulator(backend)
         assert sim.next_event_time() is None
-        sim.at_(7.5, lambda: None)
-        sim.at_(3.25, lambda: None)
+        sim.at_(7.5, lambda _: None, None)
+        sim.at_(3.25, lambda _: None, None)
         assert sim.next_event_time() == 3.25
         sim.run()
         assert sim.next_event_time() is None

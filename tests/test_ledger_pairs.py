@@ -47,3 +47,16 @@ def test_fewer_than_ten_pairs_cannot_claim():
     assert not ledger_pairs.judge(PARENT[:9], [value - 4.0 for value in PARENT[:9]])["claimed"]
     with pytest.raises(ValueError):
         ledger_pairs.judge(PARENT, PARENT[:9])
+
+
+def test_bounds_are_read_from_the_contract_and_applied_by_direction():
+    bounds = ledger_pairs.read_bounds(Path(__file__).resolve().parents[1])
+    assert {"setup_s", "peak_rss_mb", "norm_wall"} <= set(bounds)
+    rss = bounds["peak_rss_mb"]  # lower is better, 10 %
+    assert not ledger_pairs.over_bound(100.0, 110.0, rss)
+    assert ledger_pairs.over_bound(100.0, 110.1, rss)
+    assert not ledger_pairs.over_bound(100.0, 50.0, rss)
+    ops = bounds["sim_ops_per_s"]  # higher is better, 10 %
+    assert ledger_pairs.over_bound(100.0, 89.0, ops)
+    assert not ledger_pairs.over_bound(100.0, 150.0, ops)
+

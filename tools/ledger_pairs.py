@@ -13,7 +13,12 @@ each reading of ``norm_wall``, both medians, the parent's quartiles, the
 pairs won and the verdict of ``benchmarks/ledger/README.md``: a gain is
 claimed when the change wins at least nine tenths of the pairs (ties
 count for neither side) and the medians are apart by more than the
-parent's own quartile spread.
+parent's own quartile spread.  It also prints each side's median
+``setup_s`` and ``peak_rss_mb`` and whether the change is ``within
+bound`` or ``OVER`` the share of the parent's median that the change
+tree's ``BENCHMARK.json`` allows (read, never written), so a run the
+pipeline would refuse for set-up time or memory says so here; the
+verdict stays on ``norm_wall``.
 
 A host-only change must leave the simulation alone, so the exit code is
 1 when a simulated metric, ``failed_share`` or ``sim_drift`` differs
@@ -43,6 +48,8 @@ EXACT = (
     "sim_drift",
 )
 TIMED = "norm_wall"  # lower is better
+#: Host metrics reported beside the verdict, against their contract bound.
+BOUNDED = ("setup_s", "peak_rss_mb")
 
 
 def judge(parent: Sequence[float], change: Sequence[float]) -> Dict[str, float]:
@@ -68,6 +75,21 @@ def judge(parent: Sequence[float], change: Sequence[float]) -> Dict[str, float]:
         # Fewer than ten pairs cannot carry a claim, whatever they read.
         "claimed": len(parent) >= 10 and wins >= 0.9 * len(parent) and gain > q3 - q1,
     }
+
+
+def over_bound(parent_median: float, change_median: float, spec: dict) -> bool:
+    """Is the change worse than the parent by more than ``spec``'s bound
+    (a share of the parent's median, in the metric's ``better`` sense)?"""
+    worse_by = change_median - parent_median
+    if spec["better"] == "higher":
+        worse_by = -worse_by
+    return worse_by > spec["bound"] * abs(parent_median)
+
+
+def read_bounds(tree: Path) -> Dict[str, dict]:
+    """``BENCHMARK.json``'s end-to-end entries by metric name."""
+    contract = json.loads((tree / "BENCHMARK.json").read_text())
+    return {entry["name"]: entry for entry in contract["end_to_end"]}
 
 
 def run_ledger(tree: Path, workloads: List[str], seed: int, seconds: float) -> Dict[str, dict]:
@@ -98,7 +120,9 @@ def main(argv: Sequence[str]) -> int:
     args = parser.parse_args(argv)
 
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    bounds = read_bounds(sides["change"])
     readings: Dict[Tuple[str, str], List[float]] = {}
+    bounded: Dict[Tuple[str, str, str], List[float]] = {}
     exact: Dict[Tuple[str, str], set] = {}
     for pair in range(1, args.pairs + 1):
         order = ("parent", "change") if pair % 2 else ("change", "parent")
@@ -107,6 +131,10 @@ def main(argv: Sequence[str]) -> int:
             for workload, record in records.items():
                 metrics = record["metrics"]
                 readings.setdefault((workload, side), []).append(metrics[TIMED]["value"])
+                for name in BOUNDED:
+                    bounded.setdefault((workload, name, side), []).append(
+                        metrics[name]["value"]
+                    )
                 for name in EXACT:
                     exact.setdefault((workload, name), set()).add((side, metrics[name]["value"]))
         for workload in args.workload:
@@ -128,6 +156,16 @@ def main(argv: Sequence[str]) -> int:
             f"{verdict['gain_pct']:+.1f} % gain, {verdict['wins']}/{verdict['pairs']} wins: "
             f"{'gain claimed' if verdict['claimed'] else 'no claim'}"
         )
+        for name in BOUNDED:
+            parent_median = statistics.median(bounded[workload, name, "parent"])
+            change_median = statistics.median(bounded[workload, name, "change"])
+            spec = bounds[name]
+            print(
+                f"{workload} {name}: parent median {parent_median:.3f}, change median "
+                f"{change_median:.3f} {spec['unit']}: "
+                f"{'OVER' if over_bound(parent_median, change_median, spec) else 'within'}"
+                f" bound ({spec['bound']:.0%} of the parent's median)"
+            )
         for name in EXACT:
             values = {value for _, value in exact[workload, name]}
             if len(values) > 1:
