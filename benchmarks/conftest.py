@@ -59,28 +59,12 @@ def pytest_addoption(parser):
         metavar="DIR",
         help="repro result-cache directory (implies --cache)",
     )
-    parser.addoption(
-        "--kernel-backend",
-        dest="repro_kernel_backend",
-        default=None,
-        choices=("reference", "batch"),
-        help="event-kernel backend the benchmarked experiments build "
-        "their simulators with (default: reference, or the ambient "
-        "REPRO_KERNEL_BACKEND)",
-    )
 
 
 @pytest.hookimpl
 def pytest_configure(config):
     global _JOBS, _CACHE
     _JOBS = config.getoption("--jobs")
-    backend = config.getoption("repro_kernel_backend")
-    if backend is not None:
-        import os
-
-        # The environment is the one channel that reaches simulators
-        # built inside suite worker processes too.
-        os.environ["REPRO_KERNEL_BACKEND"] = backend
     if config.getoption("repro_no_cache"):
         _CACHE = False
     elif config.getoption("repro_cache_dir"):

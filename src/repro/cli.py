@@ -33,27 +33,7 @@ import os
 import sys
 from typing import Dict, Optional, Tuple
 
-from repro.sim.engine import KERNEL_BACKEND_ENV, KERNEL_BACKENDS
 from repro.sim.shard import SHARD_MODES, resolve_shards
-
-
-def _add_kernel_backend_arg(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--kernel-backend",
-        choices=KERNEL_BACKENDS,
-        default=None,
-        help="event-kernel backend: 'reference' (pure Python, default) or "
-        "'batch' (numpy batch-advance; requires the [fast] extra)",
-    )
-
-
-def _apply_kernel_backend(args: argparse.Namespace) -> None:
-    """Propagate ``--kernel-backend`` through the environment so every
-    ``make_simulator()`` -- including ones in suite worker processes --
-    picks the same backend."""
-    backend = getattr(args, "kernel_backend", None)
-    if backend is not None:
-        os.environ[KERNEL_BACKEND_ENV] = backend
 
 
 def _add_shards_args(parser: argparse.ArgumentParser) -> None:
@@ -97,7 +77,7 @@ def _add_cache_args(parser: argparse.ArgumentParser) -> None:
 
 
 def _inject_shards(args: argparse.Namespace, module, kwargs: dict, name: str) -> None:
-    """Thread ``--shards`` into a driver as an explicit kwarg.
+    """Thread the resolved ``--shards`` into a driver as an explicit kwarg.
 
     The shard count must reach :class:`KvCluster` as a real point
     parameter (never ambient environment state) so the result cache
@@ -106,10 +86,11 @@ def _inject_shards(args: argparse.Namespace, module, kwargs: dict, name: str) ->
     """
     from repro.harness.parallel import accepted_kwargs
 
-    shards = resolve_shards(getattr(args, "shards", None))
-    if not shards:
+    if not args.shards:
         return
-    accepted = accepted_kwargs(module.sweep, {"shards": shards, "shard_mode": args.shard_mode})
+    accepted = accepted_kwargs(
+        module.sweep, {"shards": args.shards, "shard_mode": args.shard_mode}
+    )
     if "shards" not in accepted:
         print(f"note: {name} does not support --shards; ignoring", file=sys.stderr)
         return
@@ -185,7 +166,6 @@ def _cache_from_args(args: argparse.Namespace):
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    _apply_kernel_backend(args)
     name = _resolve_experiment(args.experiment)
     if name is None:
         print(f"unknown experiment {args.experiment!r}; try: python -m repro list", file=sys.stderr)
@@ -244,7 +224,6 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_suite(args: argparse.Namespace) -> int:
     """``repro suite`` -- regenerate the whole evaluation in one go."""
-    _apply_kernel_backend(args)
     import json
     import time
 
@@ -258,13 +237,12 @@ def cmd_suite(args: argparse.Namespace) -> int:
     except KeyError as exc:
         print(f"{exc.args[0]}; try: python -m repro list", file=sys.stderr)
         return 2
-    shards = resolve_shards(getattr(args, "shards", None))
-    if shards:
+    if args.shards:
         # Drivers that take no `shards` kwarg filter it out through
         # split_kwargs; the ones that do get it fingerprinted like
         # any other point parameter.
         for spec in specs:
-            spec.kwargs["shards"] = shards
+            spec.kwargs["shards"] = args.shards
             spec.kwargs["shard_mode"] = args.shard_mode
     cache = _cache_from_args(args)
     started = time.perf_counter()
@@ -365,7 +343,6 @@ def _parse_grid_values(text: str):
 
 def cmd_explore(args: argparse.Namespace) -> int:
     """``repro explore`` -- surrogate-guided adaptive grid exploration."""
-    _apply_kernel_backend(args)
     import json
 
     from repro.harness.adaptive import explore
@@ -563,7 +540,6 @@ def cmd_profile(args: argparse.Namespace) -> int:
     the top functions by the chosen sort key.  ``--output`` dumps the
     raw stats for ``snakeviz``/``pstats`` post-processing.
     """
-    _apply_kernel_backend(args)
     import cProfile
     import pstats
 
@@ -650,11 +626,10 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
     if not args.duration_ms > 0:
         print(f"--duration-ms must be > 0, got {args.duration_ms:g}", file=sys.stderr)
         return 2
-    _apply_kernel_backend(args)
     import random
 
     from repro.harness.report import format_table
-    from repro.sim import make_simulator
+    from repro.sim import Simulator
     from repro.ssd import (
         DeviceCommand,
         IoOp,
@@ -665,7 +640,7 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
     )
 
     def closed_loop(condition, queue_depth, op, npages, sequential=False):
-        sim = make_simulator()
+        sim = Simulator()
         device = SsdDevice(sim, profile=profile_by_name(args.profile))
         if condition == "clean":
             precondition_clean(device)
@@ -721,7 +696,12 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    _apply_kernel_backend(args)
+    if not args.seconds > 0:
+        print(f"--seconds must be > 0, got {args.seconds:g}", file=sys.stderr)
+        return 2
+    if args.queue_depth < 1:
+        print(f"--queue-depth must be >= 1, got {args.queue_depth}", file=sys.stderr)
+        return 2
     from repro.harness import Testbed, TestbedConfig
     from repro.harness.report import format_table
     from repro.workloads import FioSpec
@@ -767,6 +747,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.harness.testbed import CONDITIONS, SCHEMES
+
     parser = argparse.ArgumentParser(
         prog="python -m repro",
         description="Gimbal (SIGCOMM 2021) reproduction toolkit",
@@ -802,7 +784,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_cache_args(run_parser)
     _add_shards_args(run_parser)
-    _add_kernel_backend_arg(run_parser)
     run_parser.set_defaults(fn=cmd_run)
 
     suite_parser = sub.add_parser(
@@ -845,7 +826,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_cache_args(suite_parser)
     _add_shards_args(suite_parser)
-    _add_kernel_backend_arg(suite_parser)
     suite_parser.set_defaults(fn=cmd_suite)
 
     profile_parser = sub.add_parser(
@@ -876,25 +856,22 @@ def build_parser() -> argparse.ArgumentParser:
         "--quiet", action="store_true", help="suppress the experiment's own summary"
     )
     _add_shards_args(profile_parser)
-    _add_kernel_backend_arg(profile_parser)
     profile_parser.set_defaults(fn=cmd_profile)
 
     calibrate_parser = sub.add_parser("calibrate", help="measure device anchor numbers")
     calibrate_parser.add_argument("--profile", default="dct983", choices=["dct983", "p3600"])
     calibrate_parser.add_argument("--duration-ms", type=float, default=500.0)
-    _add_kernel_backend_arg(calibrate_parser)
     calibrate_parser.set_defaults(fn=cmd_calibrate)
 
     simulate_parser = sub.add_parser("simulate", help="ad-hoc multi-tenant run")
-    simulate_parser.add_argument("--scheme", default="gimbal")
-    simulate_parser.add_argument("--condition", default="fragmented")
+    simulate_parser.add_argument("--scheme", default="gimbal", choices=SCHEMES)
+    simulate_parser.add_argument("--condition", default="fragmented", choices=CONDITIONS)
     simulate_parser.add_argument("--readers", type=int, default=4)
     simulate_parser.add_argument("--writers", type=int, default=4)
     simulate_parser.add_argument("--io-kb", type=int, default=4, choices=[4, 8, 16, 32, 64, 128])
     simulate_parser.add_argument("--queue-depth", type=int, default=32)
     simulate_parser.add_argument("--seconds", type=float, default=1.0)
     simulate_parser.add_argument("--seed", type=int, default=42)
-    _add_kernel_backend_arg(simulate_parser)
     simulate_parser.set_defaults(fn=cmd_simulate)
 
     explore_parser = sub.add_parser(
@@ -947,7 +924,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--quiet", action="store_true", help="suppress per-batch progress"
     )
     _add_cache_args(explore_parser)
-    _add_kernel_backend_arg(explore_parser)
     explore_parser.set_defaults(fn=cmd_explore)
 
     cache_parser = sub.add_parser("cache", help="inspect or manage the sweep result cache")
@@ -994,6 +970,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[list] = None) -> int:
     args = build_parser().parse_args(argv)
+    if hasattr(args, "shards"):
+        # run, suite and profile: one shard count (--shards, else
+        # REPRO_SHARDS), and a bad one refused before anything runs.
+        try:
+            args.shards = resolve_shards(args.shards)
+        except ValueError as exc:
+            print(exc, file=sys.stderr)
+            return 2
     return args.fn(args)
 
 

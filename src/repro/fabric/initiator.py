@@ -115,9 +115,10 @@ class TenantSession:
         # sessions.
         self._arrive = target.pipeline(ssd_name).handle_arrival
         self._deliver = self.deliver_completion
-        # Closed-loop resubmits all land on the same arrival callback:
-        # a kernel population lets the batch backend advance them in
-        # bulk (the reference backend serves it from the heap).
+        # Closed-loop resubmits all land on the same arrival callback,
+        # pre-bound by the population; each carries one payload (the
+        # request).  The shard boundary swaps this object for a queue
+        # that routes arrivals across shards.
         self._arrive_pop = self.sim.population(
             self._arrive, label=f"{tenant_id}.arrive"
         )

@@ -56,10 +56,8 @@ class Network:
         self.propagation_us = propagation_us
         self.per_message_us = per_message_us
         self._ports: dict[str, NetworkPort] = {}
-        # Wire deliveries are homogeneous timed events; registering
-        # them as a population lets the batch backend advance them in
-        # bulk.  The trampoline keeps the population's callback fixed
-        # while each delivery carries its own ``(target function,
+        # Wire deliveries all land on one trampoline, pre-bound by the
+        # population; each delivery carries its own ``(target function,
         # arguments)`` pair as the event's one payload.
         self._deliver_pop = sim.population(self._run_delivery, label="net.deliver")
 

@@ -14,7 +14,7 @@ from typing import Dict
 
 from repro.harness.experiments.common import build_sweep, derived_run, merge_rows
 from repro.harness.report import format_table
-from repro.sim import make_simulator
+from repro.sim import Simulator
 from repro.ssd import DeviceCommand, IoOp, SsdDevice, precondition_clean, precondition_fragmented
 
 READ_RATIOS = (0.0, 0.2, 0.4, 0.5, 0.6, 0.8, 0.9, 0.95, 1.0)
@@ -27,7 +27,7 @@ def _closed_loop(
     duration_us: float,
     seed: int = 11,
 ):
-    sim = make_simulator()
+    sim = Simulator()
     device = SsdDevice(sim)
     if condition == "clean":
         precondition_clean(device)

@@ -14,7 +14,7 @@ from typing import Dict
 
 from repro.harness.experiments.common import Sweep, derived_run, merge_rows
 from repro.harness.report import format_table
-from repro.sim import make_simulator
+from repro.sim import Simulator
 from repro.ssd import DeviceCommand, IoOp, SsdDevice, precondition_clean, precondition_fragmented
 
 IO_SIZES_KB = (4, 8, 16, 32, 64, 128, 256)
@@ -22,7 +22,7 @@ SCENARIOS = ("vanilla", "fragmented", "70/30-rw", "qd8")
 
 
 def _scenario_latency(scenario: str, io_pages: int, duration_us: float) -> float:
-    sim = make_simulator()
+    sim = Simulator()
     device = SsdDevice(sim)
     if scenario == "fragmented":
         precondition_fragmented(device)

@@ -24,7 +24,6 @@ schedule can be executed end to end with
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
@@ -41,7 +40,6 @@ from repro.fabric.boundary import (
     JbofShardHost,
     fabric_lookahead_us,
 )
-from repro.sim.engine import KERNEL_BACKEND_ENV
 from repro.sim.shard import (
     ShardExecutor,
     ShardKernel,
@@ -58,7 +56,7 @@ from repro.kv import (
     RemoteBackend,
     YcsbRunner,
 )
-from repro.sim import RngRegistry, make_simulator
+from repro.sim import RngRegistry, Simulator
 from repro.ssd import SsdDevice, SsdGeometry, precondition_clean, precondition_fragmented
 from repro.workloads.patterns import AddressRegion
 from repro.workloads.population import TenantSpec
@@ -117,7 +115,7 @@ def build_jbof_shard(spec: Dict[str, object]) -> ShardKernel:
     calls it directly, which is what makes the two byte-identical.
     """
     config: KvClusterConfig = spec["config"]
-    sim = make_simulator(spec.get("kernel_backend"))
+    sim = Simulator()
     network = Network(sim)
     factory = _scheduler_factory_for(config.scheme)
     targets: Dict[str, NvmeOfTarget] = {}
@@ -181,7 +179,7 @@ class KvCluster:
         shard_mode: str = "auto",
     ):
         self.config = config
-        self.sim = make_simulator()
+        self.sim = Simulator()
         self.rngs = RngRegistry(config.seed)
         self.network = Network(self.sim)
         self.targets: List[NvmeOfTarget] = []
@@ -254,7 +252,6 @@ class KvCluster:
         kernel = ShardKernel(0, self.sim, coordinator.handle_message, lookahead)
         coordinator.bind_kernel(kernel)
         executor.add_local(kernel)
-        backend = os.environ.get(KERNEL_BACKEND_ENV) or None
         for slot in range(plan.shards):
             spec = {
                 "config": config,
@@ -263,7 +260,6 @@ class KvCluster:
                 ],
                 "shard_id": slot + 1,
                 "lookahead_us": lookahead,
-                "kernel_backend": backend,
             }
             if plan.mode == "processes":
                 executor.add_process(build_jbof_shard, spec)

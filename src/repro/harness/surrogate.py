@@ -12,10 +12,9 @@ outputs, with an uncertainty estimate.
 There is one model, :class:`KnnSurrogate`: a pure-Python
 distance-weighted nearest-neighbour regressor whose neighbourhood's
 weighted spread is the uncertainty.  It runs on every supported
-install -- nothing in :mod:`repro.harness` imports numpy, which is the
-batch kernel's optional dependency only -- and it has no random state:
-neighbours sort by ``(distance, index)``, so the same records always
-produce bit-equal predictions.  The adaptive sweep engine
+install -- the package has no third-party dependency -- and it has no
+random state: neighbours sort by ``(distance, index)``, so the same
+records always produce bit-equal predictions.  The adaptive sweep engine
 (:mod:`repro.harness.adaptive`), the suite cost model
 (:class:`repro.harness.parallel.CostModel`) and their byte-identity
 gates rely on this.

@@ -34,7 +34,7 @@ from repro.fabric import (
 from repro.fabric.smartnic import CpuCostModel
 from repro.nvme import Namespace
 from repro.obs import current_session
-from repro.sim import RngRegistry, make_simulator
+from repro.sim import RngRegistry, Simulator
 from repro.core.write_cost import worst_case_write_cost
 from repro.ssd import (
     NullDevice,
@@ -49,6 +49,8 @@ from repro.workloads import AddressRegion, FioSpec, FioWorker
 
 #: The multi-tenancy schemes the evaluation compares.
 SCHEMES = ("gimbal", "reflex", "parda", "flashfq", "vanilla")
+#: Device states a testbed can start from (``none``: no preconditioning).
+CONDITIONS = ("clean", "fragmented", "aged", "none")
 
 
 @dataclass
@@ -82,8 +84,8 @@ class TestbedConfig:
     def __post_init__(self) -> None:
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}; pick one of {SCHEMES}")
-        if self.condition not in ("clean", "fragmented", "aged", "none"):
-            raise ValueError("condition must be 'clean', 'fragmented', 'aged' or 'none'")
+        if self.condition not in CONDITIONS:
+            raise ValueError(f"condition must be one of {CONDITIONS}, got {self.condition!r}")
         if not 0.0 <= self.device_age < 1.0:
             raise ValueError("device_age must be in [0, 1)")
         if self.num_ssds <= 0:
@@ -101,7 +103,7 @@ class Testbed:
 
     def __init__(self, config: TestbedConfig):
         self.config = config
-        self.sim = make_simulator()
+        self.sim = Simulator()
         # Experiment drivers build testbeds internally, so observability
         # arrives ambiently: the Simulator constructor already hooked
         # itself to the active ``repro.obs.capture()`` session (if any);

@@ -62,14 +62,9 @@ class ObsSession:
     # Wiring
     # ------------------------------------------------------------------
     def attach_simulator(self, sim) -> None:
-        """Install the tracer and kernel probe on ``sim``, and pick up
-        any kernel-level metrics the backend exposes (e.g. the batch
-        backend's ``kernel.batch_*`` gauges)."""
+        """Install the tracer and kernel probe on ``sim``."""
         sim.tracer = self.tracer
         sim.probe = self.probe
-        register = getattr(sim, "register_metrics", None)
-        if register is not None:
-            register(self.registry)
 
     def register(self, component, prefix: Optional[str] = None) -> None:
         """Register a component's metrics, if it exposes any."""

@@ -28,11 +28,14 @@ payload, None]`` -- and cannot be cancelled, so the loops fire them
 bare as ``fn(payload)``: no argument tuple, no fired-mark, no recycling
 check.  Cancelled entries are removed lazily on pop; when more than
 half the heap is dead the heap is compacted in place.
+
+This is the package's one kernel: every queued entry lives in the
+heap, so :attr:`Simulator.pending` and the probe's high-water mark read
+the heap alone.
 """
 
 from __future__ import annotations
 
-import os
 from heapq import heapify, heappop, heappush
 from sys import getrefcount
 from typing import Any, Callable, Generator, Optional
@@ -99,8 +102,7 @@ class Event:
         # ``Simulator.pending`` is queued entries minus ``_dead``; the
         # dead entry itself is removed lazily (or by compaction, below).
         sim._dead += 1
-        queued = len(sim._heap) + sim._offheap
-        if sim._dead >= _COMPACT_MIN_DEAD and sim._dead * 2 > queued:
+        if sim._dead >= _COMPACT_MIN_DEAD and sim._dead * 2 > len(sim._heap):
             sim._compact()
 
     def __lt__(self, other: "Event") -> bool:
@@ -276,13 +278,14 @@ class Process:
 
 
 class _HeapPopulation:
-    """Reference-backend completion population (see :meth:`Simulator.population`).
+    """A callback pre-bound for :meth:`Simulator.at_` (see :meth:`Simulator.population`).
 
     ``add`` is exactly :meth:`Simulator.at_` minus one attribute hop:
-    the population pre-binds its callback, so hot producers pay the
-    same per-event cost as ``sim.at_(t, fn, payload)`` while declaring
-    their homogeneity to backends that can exploit it.  Population
-    entries cannot be cancelled (same contract as ``at_``).
+    the population holds its callback, so a hot producer passes only
+    the time and its one payload.  Population entries cannot be
+    cancelled (same contract as ``at_``).  The object is also a seam:
+    the rack's shard boundary swaps a session's population for a queue
+    that routes each entry across shards.
     """
 
     __slots__ = ("_sim", "fn", "label")
@@ -313,7 +316,6 @@ class Simulator:
         "_seq",
         "_running",
         "_dead",
-        "_offheap",
         "_free",
         "tracer",
         "probe",
@@ -328,9 +330,6 @@ class Simulator:
         self._running = False
         #: Cancelled entries still queued (lazy deletion).
         self._dead = 0
-        #: Entries queued outside ``_heap``: always 0 on this kernel; the
-        #: batch backend counts its staged work here.
-        self._offheap = 0
         #: Recycled Event handles (with their entry lists) awaiting reuse.
         self._free: list = []
         #: Optional observability hooks (see :mod:`repro.obs`).  Both
@@ -414,14 +413,13 @@ class Simulator:
         heappush(self._heap, [time_us, seq, fn, payload, None])
 
     def population(self, fn: Callable[..., Any], *, label: Optional[str] = None):
-        """Register a homogeneous completion population.
+        """Pre-bind ``fn`` for a producer of never-cancelled completions.
 
         A population is a producer that schedules many never-cancelled
         completions of one callback -- NAND page completions, link
-        wire-delay deliveries, closed-loop session resubmits.  Declaring
-        them through this API instead of ``at_`` lets backends advance
-        the whole population in batches; on this reference backend it is
-        a zero-cost alias for the heap path, with identical firing order.
+        wire-delay deliveries, closed-loop session resubmits.  It costs
+        what ``at_`` costs and fires in the same order; the producer
+        just stops passing ``fn`` on every call.
 
         Returns an object with ``add(time_us, payload)``; each entry
         fires ``fn(payload)`` in exact ``(time, seq)`` order interleaved
@@ -579,7 +577,7 @@ class Simulator:
         run loop does not see (compaction, a prune between runs)."""
         probe = self.probe
         if probe is not None:
-            depth = len(self._heap) + self._offheap
+            depth = len(self._heap)
             if depth > probe.heap_high_water:
                 probe.heap_high_water = depth
 
@@ -600,7 +598,7 @@ class Simulator:
     @property
     def pending(self) -> int:
         """Number of not-yet-cancelled events still queued.  O(1)."""
-        return len(self._heap) + self._offheap - self._dead
+        return len(self._heap) - self._dead
 
     def next_event_time(self) -> Optional[float]:
         """Timestamp of the earliest live event, or None when idle.
@@ -625,33 +623,5 @@ class Simulator:
         return f"Simulator(now={self.now:.3f}us, pending={self.pending})"
 
 
-#: Selectable event-kernel backends (see :func:`make_simulator`).
-KERNEL_BACKENDS = ("reference", "batch")
-
-#: Environment variable consulted when no explicit backend is passed.
-#: Set by the ``--kernel-backend`` CLI/benchmark flags; read here (not
-#: at import time) so worker processes inherit the choice.
+#: Imported by ``benchmarks/ledger/run.py`` only; ROADMAP item 1a deletes it.
 KERNEL_BACKEND_ENV = "REPRO_KERNEL_BACKEND"
-
-
-def make_simulator(backend: Optional[str] = None) -> Simulator:
-    """Build a simulator for the selected kernel backend.
-
-    ``backend`` may be ``"reference"`` (the pure-Python heap kernel,
-    the default) or ``"batch"`` (the numpy batch-advance kernel in
-    :mod:`repro.sim.batch`).  When None, the ``REPRO_KERNEL_BACKEND``
-    environment variable decides, defaulting to the reference kernel,
-    so one process-wide switch flips every harness and experiment
-    driver without threading a parameter through their signatures.
-    """
-    if backend is None:
-        backend = os.environ.get(KERNEL_BACKEND_ENV, "") or "reference"
-    if backend == "reference":
-        return Simulator()
-    if backend == "batch":
-        from repro.sim.batch import BatchSimulator
-
-        return BatchSimulator()
-    raise SimulationError(
-        f"Unknown kernel backend {backend!r}; expected one of {KERNEL_BACKENDS}"
-    )

@@ -3,7 +3,7 @@
 A rack simulation is partitioned into *shards* -- one per JBOF
 (SmartNIC + SSDs + backend state) plus a coordinator shard owning the
 initiators and population scheduling -- each running its own
-:class:`~repro.sim.engine.Simulator` (reference or batch backend).
+:class:`~repro.sim.engine.Simulator`.
 Shards advance in lock-stepped conservative windows:
 
 1. At a barrier, every shard reports the timestamp of its earliest
@@ -133,13 +133,22 @@ def resolve_shards(value: Optional[int] = None) -> Optional[int]:
     """Resolve a shard count from an explicit value or ``REPRO_SHARDS``.
 
     Returns None (unsharded) when neither is set or the count is 0.
+    A negative or non-integer count raises :class:`ValueError` naming
+    where it came from (``--shards`` or ``REPRO_SHARDS``).
     """
+    source = "--shards"
     if value is None:
         raw = os.environ.get(SHARDS_ENV, "").strip()
         if not raw:
             return None
-        value = int(raw)
-    return value if value > 0 else None
+        source = SHARDS_ENV
+        try:
+            value = int(raw)
+        except ValueError:
+            raise ValueError(f"{source} must be an integer >= 0, got {raw!r}") from None
+    if value < 0:
+        raise ValueError(f"{source} must be >= 0, got {value}")
+    return value or None
 
 
 def plan_shards(

@@ -69,10 +69,9 @@ class SsdDevice:
         self.profile = profile
         self.geometry = geometry or SsdGeometry()
         self.name = name
-        # Command completions are homogeneous timed events: register
-        # them as a kernel population so the batch backend can advance
-        # them in bulk (the reference backend serves the same API from
-        # its heap, byte-identically).
+        # Command completions all land on ``_complete``: the population
+        # pre-binds it, so each completion is one heap push carrying one
+        # payload (the command).
         self._complete_pop = sim.population(self._complete, label=f"{name}.complete")
         # Optional fidelity layers, both off unless the profile asks:
         # a DFTL mapping cache (translation-page traffic) and wear

@@ -14,7 +14,6 @@ from __future__ import annotations
 import sys
 
 from repro.harness.testbed import Testbed, TestbedConfig
-from repro.sim.engine import KERNEL_BACKEND_ENV
 from repro.workloads import FioSpec
 
 IOS = 2_000
@@ -60,9 +59,7 @@ def _count_calls(fn) -> int:
     return calls
 
 
-def test_calls_and_events_per_io_are_pinned(monkeypatch):
-    # The census is of the reference kernel, whatever the environment selects.
-    monkeypatch.setenv(KERNEL_BACKEND_ENV, "reference")
+def test_calls_and_events_per_io_are_pinned():
     testbed = Testbed(TestbedConfig(scheme="vanilla", condition="clean", seed=42))
     # 4095 slots: a 12-bit draw is rejected once in 4096 IOs.
     worker = testbed.add_worker(

@@ -538,19 +538,37 @@ class TestImportScan:
             assert _source(str(tmp_path / name))[0] == hashlib.sha256(data).hexdigest()
         assert _source(str(tmp_path / "absent.py")) == (None, frozenset())
 
-    def test_fingerprinting_imports_no_module_to_resolve_its_attributes(self):
-        """``from repro.sim.batch import BatchSimulator`` sits in a lazy
-        branch nobody on the reference kernel takes.  Resolving the
-        candidate ``repro.sim.batch.BatchSimulator`` must not import
-        ``repro.sim.batch`` (and numpy with it) into every process that
-        merely keys a point."""
-        probe = (
-            "import sys; from repro.harness.cache import code_fingerprint; "
-            "from repro.harness.experiments import fig02_unloaded_latency as fig02; "
-            "code_fingerprint(fig02._point); "
-            "sys.exit('repro.sim.batch' in sys.modules)"
+    def test_fingerprinting_imports_no_module_to_resolve_its_attributes(
+        self, tmp_path, monkeypatch
+    ):
+        """``from <pkg>.heavy import Heavy`` sits in a lazy branch the
+        point never takes.  Resolving the candidate ``<pkg>.heavy.Heavy``
+        must not import ``<pkg>.heavy`` (and whatever it drags in) into
+        every process that merely keys a point."""
+        name = f"lazypkg_{os.getpid()}_{time.monotonic_ns()}"
+        package = tmp_path / name
+        package.mkdir()
+        (package / "__init__.py").write_text("", encoding="utf-8")
+        (package / "heavy.py").write_text("class Heavy:\n    pass\n", encoding="utf-8")
+        (package / "points.py").write_text(
+            textwrap.dedent(
+                f"""
+                def point(x):
+                    if x < 0:
+                        from {name}.heavy import Heavy
+
+                        return Heavy()
+                    return x
+                """
+            ),
+            encoding="utf-8",
         )
-        assert subprocess.run([sys.executable, "-c", probe], timeout=120).returncode == 0
+        monkeypatch.syspath_prepend(str(tmp_path))
+        points = importlib.import_module(f"{name}.points")
+        code_fingerprint(points.point)
+        assert f"{name}.heavy" not in sys.modules
+        # The lazy module is still part of the closure.
+        assert f"{name}.heavy" in transitive_sources(points.__name__, frozenset({name}))
 
     def test_cold_fingerprint_compiles_nothing_and_reads_each_file_once(self, monkeypatch):
         from repro.harness.experiments import fig02_unloaded_latency as fig02

@@ -1,8 +1,7 @@
 """Property-based determinism gates for the sharded rack.
 
-Hypothesis draws random churn schedules, shard fan-outs and kernel
-backends, and asserts the two invariants the sharded layer promises
-unconditionally:
+Hypothesis draws random churn schedules and shard fan-outs, and asserts
+the two invariants the sharded layer promises unconditionally:
 
 * the same shard plan executed inline and with worker processes
   produces byte-identical outcome JSON;
@@ -24,34 +23,29 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.harness.kvcluster import KvCluster, KvClusterConfig
-from repro.sim.engine import KERNEL_BACKEND_ENV
 from repro.workloads.population import TenantPopulation
 
 
-def _outcome(shards, mode, backend, tenants, horizon_us, churn, skew, seed, monkeypatch):
-    monkeypatch.setenv(KERNEL_BACKEND_ENV, backend)
-    try:
-        cluster = KvCluster(
-            KvClusterConfig(
-                scheme="gimbal",
-                condition="clean",
-                num_jbofs=2,
-                ssds_per_jbof=2,
-                seed=11,
-            ),
-            shards=shards,
-            shard_mode=mode,
-        )
-        specs = TenantPopulation(
-            tenants=tenants,
-            horizon_us=horizon_us,
-            churn=churn,
-            skew=skew,
-            seed=seed,
-        ).generate()
-        return cluster.run_population(specs)
-    finally:
-        monkeypatch.delenv(KERNEL_BACKEND_ENV, raising=False)
+def _outcome(shards, mode, tenants, horizon_us, churn, skew, seed):
+    cluster = KvCluster(
+        KvClusterConfig(
+            scheme="gimbal",
+            condition="clean",
+            num_jbofs=2,
+            ssds_per_jbof=2,
+            seed=11,
+        ),
+        shards=shards,
+        shard_mode=mode,
+    )
+    specs = TenantPopulation(
+        tenants=tenants,
+        horizon_us=horizon_us,
+        churn=churn,
+        skew=skew,
+        seed=seed,
+    ).generate()
+    return cluster.run_population(specs)
 
 
 @settings(
@@ -65,28 +59,21 @@ def _outcome(shards, mode, backend, tenants, horizon_us, churn, skew, seed, monk
     churn=st.sampled_from([0.5, 0.8, 1.0]),
     skew=st.sampled_from([0.5, 0.9]),
     shards=st.sampled_from([1, 2]),
-    backend=st.sampled_from(["reference", "batch"]),
     seed=st.integers(min_value=1, max_value=10_000),
 )
 def test_inline_and_processes_agree_and_never_leak(
-    tenants, horizon_ms, churn, skew, shards, backend, seed
+    tenants, horizon_ms, churn, skew, shards, seed
 ):
-    monkeypatch = pytest.MonkeyPatch()
-    try:
-        params = dict(
-            shards=shards,
-            backend=backend,
-            tenants=tenants,
-            horizon_us=float(horizon_ms) * 1_000.0,
-            churn=churn,
-            skew=skew,
-            seed=seed,
-            monkeypatch=monkeypatch,
-        )
-        inline = _outcome(mode="inline", **params)
-        multiproc = _outcome(mode="processes", **params)
-    finally:
-        monkeypatch.undo()
+    params = dict(
+        shards=shards,
+        tenants=tenants,
+        horizon_us=float(horizon_ms) * 1_000.0,
+        churn=churn,
+        skew=skew,
+        seed=seed,
+    )
+    inline = _outcome(mode="inline", **params)
+    multiproc = _outcome(mode="processes", **params)
 
     assert json.dumps(inline, sort_keys=True) == json.dumps(
         multiproc, sort_keys=True

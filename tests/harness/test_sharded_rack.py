@@ -2,7 +2,7 @@
 
 The hard contract is per-plan determinism: running the same shard plan
 inline (single-process round-robin) and with worker processes must
-produce byte-identical outcome JSON, for both kernel backends.  Shard
+produce byte-identical outcome JSON.  Shard
 *count* invariance additionally holds structurally (same tenants, same
 reclamation accounting, same drain clock) because shards never share
 simulator state.
@@ -18,7 +18,6 @@ import pytest
 
 from repro.harness.experiments import rack
 from repro.harness.kvcluster import KvCluster, KvClusterConfig
-from repro.sim.engine import KERNEL_BACKEND_ENV
 from repro.sim.shard import EFFECTIVE_JOBS_ENV, ShardWorkerError
 from repro.ssd import SsdDevice
 from repro.workloads.population import TenantPopulation
@@ -46,9 +45,7 @@ def _churn(shards, mode="inline"):
 
 
 class TestPlanIdentity:
-    @pytest.mark.parametrize("backend", ["reference", "batch"])
-    def test_inline_vs_processes_byte_identical(self, backend, monkeypatch):
-        monkeypatch.setenv(KERNEL_BACKEND_ENV, backend)
+    def test_inline_vs_processes_byte_identical(self):
         inline = _churn(shards=2, mode="inline")
         multiproc = _churn(shards=2, mode="processes")
         assert json.dumps(inline, sort_keys=True) == json.dumps(

@@ -131,7 +131,7 @@ class TestKnnSpecifics:
 
     def test_harness_never_imports_numpy(self):
         """One surrogate, and it runs on every supported install: the
-        batch kernel is numpy's only customer (imported lazily)."""
+        package has no third-party dependency."""
         import subprocess
         import sys
 

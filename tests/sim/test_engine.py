@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.sim import Simulator, make_simulator
+from repro.sim import Simulator
 from repro.sim.engine import SimulationError
 
 
@@ -558,24 +558,16 @@ class TestPendingCounter:
 
 
 # ----------------------------------------------------------------------
-# Both kernel backends: bookkeeping the run loops derive or skip
+# Bookkeeping the run loops derive or skip
 # ----------------------------------------------------------------------
-@pytest.fixture(params=["reference", "batch"])
-def kernel(request):
-    """A fresh simulator of each backend (batch needs numpy)."""
-    if request.param == "batch":
-        pytest.importorskip("numpy", reason="batch backend requires numpy")
-    return make_simulator(request.param)
 
 
 class TestCappedDeadlineRun:
     """Regression: ``run(until_us, max_events)`` stopped by the cap used
     to jump the clock to the deadline past events still due, so the
-    next run moved time backwards (reference) or fired an old event at
-    the new time (batch)."""
+    next run moved time backwards."""
 
-    def test_cap_does_not_jump_past_due_events(self, kernel):
-        sim = kernel
+    def test_cap_does_not_jump_past_due_events(self, sim):
         fired = []
         sim.schedule(10.0, lambda: fired.append(("a", sim.now)))
         sim.at_(20.0, lambda tag: fired.append((tag, sim.now)), "b")
@@ -585,8 +577,7 @@ class TestCappedDeadlineRun:
         assert sim.run() == 20.0
         assert fired == [("a", 10.0), ("b", 20.0)]
 
-    def test_cap_with_population_entries(self, kernel):
-        sim = kernel
+    def test_cap_with_population_entries(self, sim):
         fired = []
         pop = sim.population(lambda tag: fired.append((tag, sim.now)))
         for index in range(100):
@@ -597,23 +588,20 @@ class TestCappedDeadlineRun:
         assert fired == [(index, 10.0 + index) for index in range(6)]
         assert sim.now == 15.0
 
-    def test_cap_reached_with_nothing_due_still_advances(self, kernel):
-        sim = kernel
+    def test_cap_reached_with_nothing_due_still_advances(self, sim):
         sim.at_(10.0, lambda _: None, None)
         sim.at_(200.0, lambda _: None, None)
         assert sim.run(until_us=100.0, max_events=1) == 100.0
         assert sim.pending == 1
 
-    def test_cancelled_due_event_does_not_hold_the_clock(self, kernel):
-        sim = kernel
+    def test_cancelled_due_event_does_not_hold_the_clock(self, sim):
         sim.at_(10.0, lambda _: None, None)
         ghost = sim.at(20.0, lambda: None)
         ghost.cancel()
         assert sim.run(until_us=100.0, max_events=1) == 100.0
         assert sim.pending == 0
 
-    def test_zero_cap_holds_the_clock(self, kernel):
-        sim = kernel
+    def test_zero_cap_holds_the_clock(self, sim):
         sim.at_(10.0, lambda _: None, None)
         assert sim.run(until_us=100.0, max_events=0) == 0.0
         assert sim.run(until_us=100.0) == 100.0
@@ -625,24 +613,21 @@ class TestOnePayloadContract:
     later inside the drain loop, and leaves nothing queued."""
 
     @pytest.mark.parametrize("payloads", [(), ("a", "b")], ids=["none", "two"])
-    def test_at_refuses_other_arities_at_the_call(self, kernel, payloads):
-        sim = kernel
+    def test_at_refuses_other_arities_at_the_call(self, sim, payloads):
         with pytest.raises(TypeError):
             sim.at_(1.0, print, *payloads)
         assert sim.pending == 0 and sim._seq == 0
         sim.run()
 
     @pytest.mark.parametrize("payloads", [(), ("a", "b")], ids=["none", "two"])
-    def test_population_add_refuses_other_arities_at_the_call(self, kernel, payloads):
-        sim = kernel
+    def test_population_add_refuses_other_arities_at_the_call(self, sim, payloads):
         pop = sim.population(print)
         with pytest.raises(TypeError):
             pop.add(1.0, *payloads)
         assert sim.pending == 0 and sim._seq == 0
         sim.run()
 
-    def test_the_past_is_still_refused(self, kernel):
-        sim = kernel
+    def test_the_past_is_still_refused(self, sim):
         pop = sim.population(print)
         sim.at(5.0, lambda: None)
         sim.run()
@@ -652,18 +637,35 @@ class TestOnePayloadContract:
             pop.add(4.0, "late")
         assert sim.pending == 0
 
-    def test_the_payload_arrives_as_is(self, kernel):
-        sim = kernel
+    def test_the_payload_arrives_as_is(self, sim):
         got = []
         pop = sim.population(got.append)
         # A tuple is one payload, not an argument list; None is a payload.
         sim.at_(1.0, got.append, ("x", 1))
         pop.add(2.0, ("y", 2))
         sim.at_(3.0, got.append, None)
-        for index in range(100):  # deep enough for the batch kernel to stage
+        for index in range(100):
             pop.add(10.0 + index, (index,))
         sim.run()
         assert got == [("x", 1), ("y", 2), None] + [(index,) for index in range(100)]
+
+
+class TestPopulation:
+    def test_orders_with_heap_events(self, sim):
+        log = []
+        pop = sim.population(lambda tag: log.append(("pop", sim.now, tag)))
+        pop.add(2.0, "a")
+        sim.at(1.0, lambda: log.append(("at", sim.now)))
+        pop.add(1.0, "tie")  # later seq than the at(): fires second
+        sim.run()
+        assert log == [("at", 1.0), ("pop", 1.0, "tie"), ("pop", 2.0, "a")]
+
+    def test_past_add_rejected(self, sim):
+        pop = sim.population(lambda tag: None)
+        sim.at(5.0, lambda: None)
+        sim.run()
+        with pytest.raises(SimulationError):
+            pop.add(4.0, "late")
 
 
 class _Ledger:
@@ -726,50 +728,50 @@ class TestPendingInsideCallbacks:
     """``pending`` is derived from what is queued, not counted per
     event; it must still be exact wherever a callback reads it."""
 
-    def test_plain_drain(self, kernel):
-        ledger = _Ledger(kernel)
+    def test_plain_drain(self, sim):
+        ledger = _Ledger(sim)
 
         def follow_up(ident):
-            ledger.push(KINDS[ident % 4], kernel.now + 1.5 + ident % 3)
+            ledger.push(KINDS[ident % 4], sim.now + 1.5 + ident % 3)
             ledger.cancel(ident + 7)
 
         for index in range(300):
             ledger.push(KINDS[index % 4], 1.0 + (index * 7) % 50, follow_up)
         ledger.check()
-        kernel.run(until_us=20.0)
+        sim.run(until_us=20.0)
         ledger.check()
-        kernel.run()
+        sim.run()
         assert ledger.checks > 600
-        assert kernel.pending == 0 and not ledger.outstanding
+        assert sim.pending == 0 and not ledger.outstanding
 
-    def test_deep_drain(self, kernel):
-        ledger = _Ledger(kernel)
+    def test_deep_drain(self, sim):
+        ledger = _Ledger(sim)
 
         def busy(ident):
             # Something that fires before the next queued entry, a
             # cancel of that very next entry, and a cancel further out.
-            ledger.push(KINDS[ident % 4], kernel.now + 0.25)
+            ledger.push(KINDS[ident % 4], sim.now + 0.25)
             ledger.cancel(ident + 1)
             ledger.cancel(ident + 40)
 
         for index in range(6000):
             action = busy if index % 10 == 0 else None
             ledger.push(KINDS[index % 4], 1.0 + index, action)
-        kernel.run()
-        assert kernel.pending == 0 and not ledger.outstanding
-        assert kernel._dead == 0 and kernel._offheap == 0
+        sim.run()
+        assert sim.pending == 0 and not ledger.outstanding
+        assert sim._dead == 0
 
-    def test_across_cancel_triggered_compaction(self, kernel, monkeypatch):
+    def test_across_cancel_triggered_compaction(self, sim, monkeypatch):
         compactions = []
-        original = type(kernel)._compact
+        original = type(sim)._compact
 
         def spying_compact(self):
             compactions.append(self.pending)
             original(self)
             assert self.pending == compactions[-1]
 
-        monkeypatch.setattr(type(kernel), "_compact", spying_compact)
-        ledger = _Ledger(kernel)
+        monkeypatch.setattr(type(sim), "_compact", spying_compact)
+        ledger = _Ledger(sim)
 
         def purge(ident):
             for victim in range(100, 1900):
@@ -780,22 +782,22 @@ class TestPendingInsideCallbacks:
         ledger.push("at_", 0.5, purge)
         for index in range(1, 2000):
             ledger.push("at" if index >= 100 else KINDS[index % 4], 10.0 + index)
-        kernel.run(until_us=5.0)
+        sim.run(until_us=5.0)
         assert compactions  # compaction ran inside the callback
         ledger.check()
-        kernel.run()
-        assert kernel.pending == 0 and kernel._dead == 0
+        sim.run()
+        assert sim.pending == 0 and sim._dead == 0
 
-    def test_compaction_during_deep_drain(self, kernel, monkeypatch):
+    def test_compaction_during_deep_drain(self, sim, monkeypatch):
         compactions = []
-        original = type(kernel)._compact
+        original = type(sim)._compact
 
         def spying_compact(self):
             compactions.append(1)
             original(self)
 
-        monkeypatch.setattr(type(kernel), "_compact", spying_compact)
-        ledger = _Ledger(kernel)
+        monkeypatch.setattr(type(sim), "_compact", spying_compact)
+        ledger = _Ledger(sim)
 
         def purge(ident):
             # Victims are partly entries queued before the drain began,
@@ -807,15 +809,14 @@ class TestPendingInsideCallbacks:
 
         for index in range(6000):
             ledger.push("at", 1.0 + index, purge if index == 5 else None)
-        kernel.run()
+        sim.run()
         assert compactions
-        assert kernel.pending == 0 and not ledger.outstanding
-        assert kernel._dead == 0 and kernel._offheap == 0
+        assert sim.pending == 0 and not ledger.outstanding
+        assert sim._dead == 0
 
 
 class TestRaisingCallbacks:
-    def test_handleless_raise_leaves_pending_exact(self, kernel):
-        sim = kernel
+    def test_handleless_raise_leaves_pending_exact(self, sim):
         fired = []
 
         def boom(_):
@@ -834,8 +835,7 @@ class TestRaisingCallbacks:
         assert fired == ["before", "after", "pop"]
         assert sim.pending == 0
 
-    def test_raise_in_population_entry(self, kernel):
-        sim = kernel
+    def test_raise_in_population_entry(self, sim):
         fired = []
 
         def complete(tag):
@@ -853,8 +853,7 @@ class TestRaisingCallbacks:
         assert fired == [index for index in range(200) if index != 70]
         assert sim.pending == 0
 
-    def test_raise_mid_deep_drain_keeps_the_rest(self, kernel):
-        sim = kernel
+    def test_raise_mid_deep_drain_keeps_the_rest(self, sim):
         fired = []
 
         def complete(tag):
@@ -871,8 +870,7 @@ class TestRaisingCallbacks:
         assert fired == [index for index in range(5000) if index != 2500]
         assert sim.pending == 0
 
-    def test_handle_bearing_raise_still_makes_late_cancel_a_noop(self, kernel):
-        sim = kernel
+    def test_handle_bearing_raise_still_makes_late_cancel_a_noop(self, sim):
 
         def boom():
             raise ValueError("bang")

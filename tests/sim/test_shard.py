@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import obs
-from repro.sim import make_simulator
+from repro.sim import Simulator
 from repro.sim.shard import (
     EFFECTIVE_JOBS_ENV,
     SHARDS_ENV,
@@ -54,17 +54,17 @@ class Bouncer:
             )
 
 
-def _probed_simulator(backend=None):
+def _probed_simulator():
     """A simulator with its own kernel probe attached: a ShardKernel
     reports ``events_fired`` and window counts off ``sim.probe``."""
-    sim = make_simulator(backend)
+    sim = Simulator()
     sim.probe = obs.KernelProbe()
     return sim
 
 
 def build_bouncer_shard(spec):
     """Module-level factory so worker processes can build the toy shard."""
-    sim = _probed_simulator(spec.get("backend"))
+    sim = _probed_simulator()
     bouncer = Bouncer(spec["peer"])
     kernel = ShardKernel(spec["shard_id"], sim, bouncer.handle, spec["lookahead_us"])
     bouncer.kernel = kernel
@@ -93,11 +93,11 @@ def _workers_of(executor):
     ]
 
 
-def _toy_pair(mode: str, backend=None):
+def _toy_pair(mode: str):
     """A two-shard ping-pong topology; shard 0 is always local."""
     executor = ShardExecutor(lookahead_us=LOOKAHEAD)
-    spec0 = {"shard_id": 0, "peer": 1, "lookahead_us": LOOKAHEAD, "backend": backend}
-    spec1 = {"shard_id": 1, "peer": 0, "lookahead_us": LOOKAHEAD, "backend": backend}
+    spec0 = {"shard_id": 0, "peer": 1, "lookahead_us": LOOKAHEAD}
+    spec1 = {"shard_id": 1, "peer": 0, "lookahead_us": LOOKAHEAD}
     executor.add_local(build_bouncer_shard(spec0))
     if mode == "processes":
         executor.add_process(build_bouncer_shard, spec1)
@@ -106,7 +106,7 @@ def _toy_pair(mode: str, backend=None):
     return executor
 
 
-def _toy_ring(count: int, backend=None):
+def _toy_ring(count: int):
     """``count`` inline bouncer shards: 0 and 1 bounce between
     themselves, every further shard replies to 0."""
     executor = ShardExecutor(lookahead_us=LOOKAHEAD)
@@ -114,7 +114,7 @@ def _toy_ring(count: int, backend=None):
         peer = 1 if shard_id == 0 else 0
         executor.add_local(
             build_bouncer_shard(
-                {"shard_id": shard_id, "peer": peer, "lookahead_us": LOOKAHEAD, "backend": backend}
+                {"shard_id": shard_id, "peer": peer, "lookahead_us": LOOKAHEAD}
             )
         )
     return executor
@@ -135,6 +135,17 @@ class TestResolveShards:
         assert resolve_shards(None) == 4
         monkeypatch.setenv(SHARDS_ENV, "0")
         assert resolve_shards(None) is None
+
+    def test_bad_counts_rejected_naming_their_source(self, monkeypatch):
+        monkeypatch.setenv(SHARDS_ENV, "2")
+        with pytest.raises(ValueError, match=r"^--shards must be >= 0, got -3$"):
+            resolve_shards(-3)
+        monkeypatch.setenv(SHARDS_ENV, "-1")
+        with pytest.raises(ValueError, match=r"^REPRO_SHARDS must be >= 0, got -1$"):
+            resolve_shards(None)
+        monkeypatch.setenv(SHARDS_ENV, "two")
+        with pytest.raises(ValueError, match=r"^REPRO_SHARDS must be an integer >= 0, got 'two'$"):
+            resolve_shards(None)
 
 
 class TestPlanShards:
@@ -186,7 +197,7 @@ class TestPlanShards:
 
 class TestShardKernel:
     def test_emit_enforces_strict_lookahead(self):
-        sim = make_simulator()
+        sim = Simulator()
         kernel = ShardKernel(0, sim, lambda msg: None, LOOKAHEAD)
         with pytest.raises(ShardProtocolError):
             kernel.emit(1, "ping", LOOKAHEAD)  # due == now + L: not strict
@@ -194,7 +205,7 @@ class TestShardKernel:
         assert len(kernel.outbox) == 1
 
     def test_emit_assigns_monotonic_seq(self):
-        sim = make_simulator()
+        sim = Simulator()
         kernel = ShardKernel(0, sim, lambda msg: None, LOOKAHEAD)
         kernel.emit(1, "a", 10.0)
         kernel.emit(1, "b", 5.0)
@@ -203,7 +214,7 @@ class TestShardKernel:
 
     def test_step_runs_handler_at_due_time(self):
         log = []
-        sim = make_simulator()
+        sim = Simulator()
         kernel = ShardKernel(0, sim, lambda msg: log.append((sim.now, msg.kind)), 1.0)
         inbound = [ShardMessage("ping", 0, 4.0, 0.0, 1, 1, None)]
         outbox, next_t, _fired, now = kernel.step(10.0, inbound)
@@ -211,6 +222,15 @@ class TestShardKernel:
         assert outbox == []
         assert next_t is None
         assert now == 10.0
+
+    def test_next_event_time(self):
+        sim = Simulator()
+        assert sim.next_event_time() is None
+        sim.at_(7.5, lambda _: None, None)
+        sim.at_(3.25, lambda _: None, None)
+        assert sim.next_event_time() == 3.25
+        sim.run()
+        assert sim.next_event_time() is None
 
 
 class TestMessageOrdering:
@@ -223,11 +243,11 @@ class TestMessageOrdering:
     def test_inbox_sorted_by_due_then_seq(self):
         executor = ShardExecutor(lookahead_us=LOOKAHEAD)
         log = []
-        sim0 = make_simulator()
+        sim0 = Simulator()
         executor.add_local(
             ShardKernel(0, sim0, lambda msg: log.append(msg.payload), LOOKAHEAD)
         )
-        sim1 = make_simulator()
+        sim1 = Simulator()
         sender = ShardKernel(1, sim1, lambda msg: None, LOOKAHEAD)
         executor.add_local(sender)
         sender.emit(0, "x", 10.0, "late")
@@ -359,7 +379,7 @@ class TestExecutorWindows:
 
     def test_add_local_validates_slot(self):
         executor = ShardExecutor(lookahead_us=LOOKAHEAD)
-        sim = make_simulator()
+        sim = Simulator()
         with pytest.raises(ValueError):
             executor.add_local(ShardKernel(3, sim, lambda msg: None, LOOKAHEAD))
 
@@ -397,7 +417,7 @@ class TestProcessChannels:
     def test_worker_build_failure_surfaces(self):
         executor = ShardExecutor(lookahead_us=LOOKAHEAD)
         executor.add_local(
-            ShardKernel(0, make_simulator(), lambda msg: None, LOOKAHEAD)
+            ShardKernel(0, Simulator(), lambda msg: None, LOOKAHEAD)
         )
         with pytest.raises(ShardWorkerError):
             executor.add_process(build_broken_shard, {})
@@ -477,27 +497,6 @@ class TestProcessChannels:
                 worker.kill()
 
 
-class TestBackends:
-    @pytest.mark.parametrize("backend", ["reference", "batch"])
-    def test_next_event_time(self, backend):
-        sim = make_simulator(backend)
-        assert sim.next_event_time() is None
-        sim.at_(7.5, lambda _: None, None)
-        sim.at_(3.25, lambda _: None, None)
-        assert sim.next_event_time() == 3.25
-        sim.run()
-        assert sim.next_event_time() is None
-
-    @pytest.mark.parametrize("backend", ["reference", "batch"])
-    def test_ping_pong_on_backend(self, backend):
-        executor = _toy_pair("inline", backend=backend)
-        executor.channels[0].kernel.emit(1, "ping", HOP, 3)
-        executor.run()
-        report = executor.finish()
-        assert report["messages"] == 4
-        assert report["windows"] == 4
-
-
 # ----------------------------------------------------------------------
 # Reference window driver
 # ----------------------------------------------------------------------
@@ -570,7 +569,7 @@ class Relay:
 
 def build_relay_shard(spec):
     """Module-level factory: runs in the test process or in a worker."""
-    sim = _probed_simulator(spec["backend"])
+    sim = _probed_simulator()
     relay = Relay(spec["shard_id"], spec["shards"], spec["hops"])
     kernel = ShardKernel(spec["shard_id"], sim, relay.handle, LOOKAHEAD)
     relay.kernel = kernel
@@ -584,7 +583,7 @@ def build_relay_shard(spec):
     return kernel
 
 
-def _drive(executor_cls, plan, backend, processes=False):
+def _drive(executor_cls, plan, processes=False):
     """Run ``plan`` under ``executor_cls``; observe after every run."""
     executor = executor_cls(lookahead_us=LOOKAHEAD)
     shards = len(plan["shards"])
@@ -594,7 +593,6 @@ def _drive(executor_cls, plan, backend, processes=False):
             "shards": shards,
             "hops": hops,
             "events": events,
-            "backend": backend,
         }
         if processes and shard_id > 0:
             executor.add_process(build_relay_shard, spec)
@@ -686,24 +684,20 @@ _FIXED_PLANS = [
 class TestSkippingDriverMatchesReference:
     """Stepping only the shards with something due is unobservable."""
 
-    @pytest.mark.parametrize("backend", ["reference", "batch"])
     @settings(max_examples=200, deadline=None)
     @given(plan=_plans())
-    def test_random_topologies(self, backend, plan):
-        assert _drive(ShardExecutor, plan, backend) == _drive(
-            StepEveryShardExecutor, plan, backend
-        )
+    def test_random_topologies(self, plan):
+        assert _drive(ShardExecutor, plan) == _drive(StepEveryShardExecutor, plan)
 
-    @pytest.mark.parametrize("backend", ["reference", "batch"])
     @pytest.mark.parametrize("plan", _FIXED_PLANS)
-    def test_fixed_plans_inline_and_through_worker_processes(self, backend, plan):
-        reference = _drive(StepEveryShardExecutor, plan, backend)
-        assert _drive(ShardExecutor, plan, backend) == reference
+    def test_fixed_plans_inline_and_through_worker_processes(self, plan):
+        reference = _drive(StepEveryShardExecutor, plan)
+        assert _drive(ShardExecutor, plan) == reference
         # Something happened, and some shard sat windows out.
         assert reference[-1]["windows"] > 5
         assert reference[-1]["messages"] > 5
-        workers = _drive(ShardExecutor, plan, backend, processes=True)
-        assert workers == _drive(StepEveryShardExecutor, plan, backend, processes=True)
+        workers = _drive(ShardExecutor, plan, processes=True)
+        assert workers == _drive(StepEveryShardExecutor, plan, processes=True)
         # Worker shards cannot see the window counter; everything else
         # they report equals the inline run.
         def without_windows(shards):

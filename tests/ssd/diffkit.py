@@ -31,7 +31,7 @@ from repro.ssd import (
     precondition_fragmented,
     profile_by_name,
 )
-from repro.sim import make_simulator
+from repro.sim import Simulator
 
 #: Default geometry for differential runs: small enough to churn
 #: through GC in a few hundred operations, enough overprovisioning for
@@ -153,7 +153,7 @@ def replay(
     carrier: Callable[[ReplayOp], object] = as_device_command,
 ) -> ReplayResult:
     """Run one schedule through a freshly built device, capture everything."""
-    sim = make_simulator()
+    sim = Simulator()
     profile = profile_by_name(profile_name)
     if profile_overrides:
         profile = profile.with_overrides(**profile_overrides)
