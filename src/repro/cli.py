@@ -13,11 +13,6 @@ Commands:
   worker pool via :mod:`repro.harness.orchestrator` (cost-model
   scheduling, streaming execution; results identical to running each
   experiment serially);
-* ``explore <experiment> [--grid axis=...] [--budget F] [--target-error E]``
-  -- surrogate-guided adaptive sweep: train a model on the result
-  cache's journal, simulate only the grid points near predicted
-  crossovers or with high model disagreement (see
-  :mod:`repro.harness.adaptive`);
 * ``cache {stats,journal,prune,clear}`` -- inspect or manage the
   sweep-point result cache that ``run --cache`` (or ``REPRO_CACHE=1``)
   populates;
@@ -166,6 +161,9 @@ def _cache_from_args(args: argparse.Namespace):
 
 
 def cmd_run(args: argparse.Namespace) -> int:
+    if args.jobs < 1:
+        print(f"--jobs must be >= 1, got {args.jobs}", file=sys.stderr)
+        return 2
     name = _resolve_experiment(args.experiment)
     if name is None:
         print(f"unknown experiment {args.experiment!r}; try: python -m repro list", file=sys.stderr)
@@ -229,6 +227,9 @@ def cmd_suite(args: argparse.Namespace) -> int:
 
     from repro.harness.orchestrator import run_suite, run_suite_serial, suite_experiments
 
+    if args.jobs < 0:
+        print(f"--jobs must be >= 0 (0 = every core), got {args.jobs}", file=sys.stderr)
+        return 2
     names = None
     if args.experiments:
         names = [name for chunk in args.experiments for name in chunk.split(",") if name]
@@ -298,131 +299,6 @@ def cmd_suite(args: argparse.Namespace) -> int:
         with open(args.json, "w", encoding="utf-8") as handle:
             json.dump(payload, handle, sort_keys=True, indent=1)
         print(f"suite results: {args.json}", file=sys.stderr)
-    return 0
-
-
-def _parse_grid_values(text: str):
-    """Parse one ``--grid`` axis: ``v1,v2,...`` or ``lo:hi:n``.
-
-    ``lo:hi:n`` expands to ``n`` evenly spaced values (integers when
-    the endpoints and step are integral, floats otherwise).
-    """
-
-    def scalar(token: str):
-        token = token.strip()
-        try:
-            return int(token)
-        except ValueError:
-            pass
-        try:
-            return float(token)
-        except ValueError:
-            return token
-
-    if ":" in text and "," not in text:
-        parts = text.split(":")
-        if len(parts) != 3:
-            raise ValueError(f"range axis must be lo:hi:n, got {text!r}")
-        lo, hi, n = scalar(parts[0]), scalar(parts[1]), int(parts[2])
-        if isinstance(lo, str) or isinstance(hi, str):
-            raise ValueError(f"range endpoints must be numbers, got {text!r}")
-        if n < 2:
-            raise ValueError(f"range axis needs n >= 2, got {n}")
-        step = (hi - lo) / (n - 1)
-        values = [lo + step * i for i in range(n)]
-        if isinstance(lo, int) and isinstance(hi, int) and all(
-            float(v).is_integer() for v in values
-        ):
-            return [int(v) for v in values]
-        return [round(float(v), 10) for v in values]
-    values = [scalar(token) for token in text.split(",") if token.strip()]
-    if not values:
-        raise ValueError("axis needs at least one value")
-    return values
-
-
-def cmd_explore(args: argparse.Namespace) -> int:
-    """``repro explore`` -- surrogate-guided adaptive grid exploration."""
-    import json
-
-    from repro.harness.adaptive import explore
-
-    name = _resolve_experiment(args.experiment)
-    if name is None:
-        print(f"unknown experiment {args.experiment!r}; try: python -m repro list", file=sys.stderr)
-        return 2
-    module, _ = _load(name)
-    space_fn = getattr(module, "explore_space", None)
-    if space_fn is None:
-        supported = sorted(
-            key for key, (module_path, _) in EXPERIMENTS.items()
-            if hasattr(__import__(module_path, fromlist=["x"]), "explore_space")
-        )
-        print(
-            f"{name} does not expose an explore_space(); try one of: "
-            + ", ".join(supported),
-            file=sys.stderr,
-        )
-        return 2
-    space = space_fn(root_seed=args.seed) if args.seed is not None else space_fn()
-    for override in args.grid or []:
-        axis, _, values = override.partition("=")
-        axis = axis.strip()
-        if axis not in space.axes:
-            print(
-                f"--grid axis {axis!r} is not one of {sorted(space.axes)}",
-                file=sys.stderr,
-            )
-            return 2
-        try:
-            space.axes[axis] = _parse_grid_values(values)
-        except ValueError as exc:
-            print(f"bad --grid {override!r}: {exc}", file=sys.stderr)
-            return 2
-
-    def progress(event: str, payload: dict) -> None:
-        if event == "batch":
-            print(
-                f"  simulated {payload['simulated']}/{payload['budget']} budget points",
-                file=sys.stderr,
-            )
-
-    result = explore(
-        space,
-        budget=args.budget,
-        target_error=args.target_error,
-        jobs=args.jobs,
-        cache=_cache_from_args(args),
-        bootstrap=not args.no_bootstrap,
-        progress=progress if not args.quiet else None,
-    )
-    report = result.report()
-    print(
-        f"explored {report['space']}: {report['simulated']}/{report['grid_points']} "
-        f"grid points simulated ({100 * report['fraction_simulated']:.1f}%), "
-        f"{report['rounds']} rounds, stopped on {report['stopped_on']}"
-    )
-    for target, stats in sorted(report["heldout"].items()):
-        print(
-            f"  held-out {target}: rmse={stats['rmse']:.4g} "
-            f"(relative {100 * stats['rel_rmse']:.1f}% of range, n={stats['count']})"
-        )
-    if space.crossover is not None:
-        if report["crossovers"]:
-            for crossover in report["crossovers"]:
-                group = ",".join(f"{k}={v}" for k, v in sorted(crossover["group"].items()))
-                confidence = "simulated" if crossover.get("observed") else "predicted"
-                print(
-                    f"  crossover [{group or 'all'}]: {crossover['along']} "
-                    f"~= {crossover['estimate']:g} "
-                    f"(between {crossover['lo']} and {crossover['hi']}, {confidence})"
-                )
-        else:
-            print("  no crossovers found on this grid")
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump(report, handle, indent=1, sort_keys=True)
-        print(f"explore report: {args.json}", file=sys.stderr)
     return 0
 
 
@@ -514,7 +390,7 @@ def cmd_cache(args: argparse.Namespace) -> int:
             return 0
         print(f"cache dir     : {cache.root}")
         print(f"sweep runs    : {len(runs)}")
-        print(f"point records : {len(points)} (surrogate training data)")
+        print(f"point records : {len(points)} (per-point timings)")
         for fn, count in sorted(by_fn.items()):
             print(f"  {fn}  x{count}")
         return 0
@@ -799,8 +675,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=0,
         metavar="N",
-        help="worker processes shared by the whole suite "
-        "(default: the machine's CPU count; results are identical either way)",
+        help="worker processes shared by the whole suite (default 0: the "
+        "machine's CPU count, one with --serial; results are identical either way)",
     )
     suite_parser.add_argument(
         "--experiments",
@@ -874,65 +750,13 @@ def build_parser() -> argparse.ArgumentParser:
     simulate_parser.add_argument("--seed", type=int, default=42)
     simulate_parser.set_defaults(fn=cmd_simulate)
 
-    explore_parser = sub.add_parser(
-        "explore",
-        help="surrogate-guided adaptive sweep over an experiment's parameter grid",
-    )
-    explore_parser.add_argument("experiment", help="e.g. fig04, rack (needs explore_space())")
-    explore_parser.add_argument(
-        "--grid",
-        action="append",
-        metavar="AXIS=V1,V2,... | AXIS=LO:HI:N",
-        help="override one grid axis (repeatable); LO:HI:N expands to N "
-        "evenly spaced values",
-    )
-    explore_parser.add_argument(
-        "--budget",
-        type=float,
-        default=0.2,
-        metavar="F",
-        help="simulation budget: a grid fraction (<= 1.0) or an absolute "
-        "point count (default 0.2 = one fifth of the grid)",
-    )
-    explore_parser.add_argument(
-        "--target-error",
-        type=float,
-        default=0.05,
-        metavar="E",
-        help="stop early once every target's held-out relative RMSE is "
-        "under E (default 0.05)",
-    )
-    explore_parser.add_argument(
-        "--no-bootstrap",
-        action="store_true",
-        help="ignore existing journal records; train only on points "
-        "simulated in this run",
-    )
-    explore_parser.add_argument(
-        "--jobs", "-j", type=int, default=1, metavar="N",
-        help="worker processes for simulated batches",
-    )
-    explore_parser.add_argument(
-        "--seed", type=int, default=None, metavar="N",
-        help="override the space's root seed",
-    )
-    explore_parser.add_argument(
-        "--json", metavar="PATH", default=None,
-        help="dump the exploration report as JSON",
-    )
-    explore_parser.add_argument(
-        "--quiet", action="store_true", help="suppress per-batch progress"
-    )
-    _add_cache_args(explore_parser)
-    explore_parser.set_defaults(fn=cmd_explore)
-
     cache_parser = sub.add_parser("cache", help="inspect or manage the sweep result cache")
     cache_sub = cache_parser.add_subparsers(dest="cache_command", required=True)
     stats_parser = cache_sub.add_parser("stats", help="entry counts, sizes and recent runs")
     stats_parser.add_argument("--cache-dir", metavar="DIR", default=None)
     stats_parser.add_argument("--json", action="store_true", help="machine-readable output")
     journal_parser = cache_sub.add_parser(
-        "journal", help="inspect or compact the per-point training journal"
+        "journal", help="inspect or compact the per-point timing journal"
     )
     journal_parser.add_argument("--cache-dir", metavar="DIR", default=None)
     journal_parser.add_argument(

@@ -7,7 +7,6 @@ under :mod:`repro.harness.experiments` each regenerate one table or
 figure of the paper and are what the benchmark suite calls.
 """
 
-from repro.harness.adaptive import CrossoverSpec, ExploreSpace, explore, find_crossovers
 from repro.harness.cache import ResultCache, resolve_cache
 from repro.harness.parallel import (
     Sweep,
@@ -18,15 +17,9 @@ from repro.harness.parallel import (
     sweep_axes,
 )
 from repro.harness.report import format_series, format_table
-from repro.harness.surrogate import SurrogateSet
 from repro.harness.testbed import SCHEMES, Testbed, TestbedConfig
 
 __all__ = [
-    "CrossoverSpec",
-    "ExploreSpace",
-    "explore",
-    "find_crossovers",
-    "SurrogateSet",
     "Testbed",
     "TestbedConfig",
     "SCHEMES",

@@ -18,16 +18,17 @@ on disk, keyed by a fingerprint of
 Editing ``src/repro/core/scheduler.py`` therefore invalidates exactly
 the points whose drivers transitively import it.  With today's package
 ``__init__`` files that is every figure: each registered driver's
-closure is 102-103 of ``src/repro``'s 107 modules (all but ``rack``
+closure is 93-94 of ``src/repro``'s 99 modules (all but ``rack``
 share one code fingerprint), so only an edit to ``cli.py``,
-``__main__.py``, ``orchestrator.py``, ``obs/report.py`` or ``rack.py``
-leaves a figure warm.  Imports are discovered statically, so the
-fingerprint never depends on import order or runtime state, and without
-a parse: a keyword scan takes every whole-word ``import`` in the text as
-a candidate, a superset of what the parser finds (a docstring that reads
-like an import adds a name; one that resolves to a module costs a
-spurious recompute, never a stale hit), and a file with a syntax error
-still contributes its imports.  A file's hash and scan are memoised per
+``__main__.py``, ``orchestrator.py``, ``surrogate.py``,
+``obs/report.py`` or ``rack.py`` leaves a figure warm.  Imports are
+discovered statically, so the fingerprint never depends on import
+order or runtime state, and without a parse: a keyword scan takes
+every whole-word ``import`` in the text as a candidate, a superset of
+what the parser finds (a docstring that reads like an import adds a
+name; one that resolves to a module costs a spurious recompute, never
+a stale hit), and a file with a syntax error still contributes its
+imports.  A file's hash and scan are memoised per
 path and the closure's digest per point function, so a process reads
 each file once and a lookup costs one ``stat`` pass over the closure.
 A point function whose own module has no resolvable source (a script
@@ -478,18 +479,14 @@ class ResultCache:
         return entry["result"]
 
     def _journal_point(self, entry: Dict[str, Any]) -> None:
-        """Append one per-point training record to the run journal.
+        """Append one per-point timing record to the run journal.
 
         Unlike the entry files -- which LRU-prune and invalidate on
         code changes -- the journal accumulates every point ever
-        computed, which is exactly the training set the surrogate
-        models (:mod:`repro.harness.surrogate`) and the cost model's
-        surrogate tier learn from.  Only the numeric leaves of the
-        result are kept (capped and sorted), so records stay small and
-        deterministic.  Best-effort like every journal write.
+        computed with the seconds it took, which is what the suite cost
+        model (:class:`repro.harness.parallel.CostModel`) predicts
+        runtimes from.  Best-effort like every journal write.
         """
-        from repro.harness.surrogate import flatten_numeric
-
         record = {
             "type": "point",
             "at": round(float(entry["saved_at"]), 3),
@@ -498,7 +495,6 @@ class ResultCache:
             "fn": entry["fn"],
             "label": entry["label"],
             "kwargs": entry["kwargs"],
-            "outputs": flatten_numeric(entry["result"]),
             "elapsed_s": entry["elapsed_s"],
         }
         try:
@@ -558,12 +554,12 @@ class ResultCache:
         """The run journal as a list of dicts (empty when absent).
 
         Two record shapes share the file: per-sweep aggregate lines
-        (:meth:`record_run`) and per-point training lines
+        (:meth:`record_run`) and per-point timing lines
         (``"type": "point"``, written by :meth:`store`).  Torn or
         corrupt lines (a crashed writer, a truncated disk) are skipped
-        rather than raised: journal consumers -- stats output, the
-        suite cost model, the surrogate trainers -- must degrade to
-        "no data", never fail a run.
+        rather than raised: journal consumers -- stats output and the
+        suite cost model -- must degrade to "no data", never fail a
+        run.
         """
         path = self.root / JOURNAL_NAME
         records = []
@@ -584,7 +580,7 @@ class ResultCache:
         return records
 
     def point_records(self) -> List[dict]:
-        """Only the per-point training records, journal order."""
+        """Only the per-point timing records, journal order."""
         return [
             record
             for record in self.read_journal()
@@ -598,8 +594,8 @@ class ResultCache:
         the same ``(fn, kwargs)`` -- the usual causes being an entry
         recomputed after LRU pruning (duplicate fingerprint) or after
         a code change (new ``code_fingerprint`` for the same point).
-        Only the newest survives, so the surrogate training set never
-        mixes measurements of different code versions of one point.
+        Only the newest survives, so the timings never mix
+        measurements of different code versions of one point.
 
         ``max_records`` then caps the total journal length, oldest
         lines first -- the journal's equivalent of :meth:`prune`'s

@@ -42,79 +42,6 @@ def _point(neighbour: str, condition: str, measure_us: float, seed: int) -> dict
     return {"neighbour": neighbour, "victim_mbps": victim_bw, "neighbour_mbps": neighbour_bw}
 
 
-def _explore_point(
-    qd: int,
-    read_ratio: float,
-    io_pages: int,
-    condition: str,
-    measure_us: float,
-    warmup_us: float,
-    seed: int,
-) -> dict:
-    """One point of the interference what-if grid.
-
-    Same victim as the figure, but the neighbour's shape is fully
-    parameterized so the adaptive engine can hunt the queue depth at
-    which the neighbour starts out-competing the victim (the
-    ``victim_mbps - neighbour_mbps`` sign flip).
-    """
-    pattern = "sequential" if read_ratio == 0.0 and io_pages >= 32 else "random"
-    neighbour = FioSpec(
-        "nbr",
-        io_pages=io_pages,
-        queue_depth=qd,
-        read_ratio=read_ratio,
-        pattern=pattern,
-    )
-    results = run_workers(
-        TestbedConfig(scheme="vanilla", condition=condition, seed=seed),
-        [VICTIM, neighbour],
-        measure_us=measure_us,
-        warmup_us=warmup_us,
-        region_pages=8192,
-    )
-    victim_bw, neighbour_bw = (w["bandwidth_mbps"] for w in results["workers"])
-    return {"victim_mbps": victim_bw, "neighbour_mbps": neighbour_bw}
-
-
-def explore_space(
-    qds=(1, 2, 3, 4, 5, 6, 8, 10, 12, 14, 16, 18, 20, 22, 24, 26, 28,
-         36, 40, 44, 48, 56, 64, 80, 96, 112, 128),
-    read_ratios=(1.0, 0.0),
-    io_pages=(1, 32),
-    condition: str = "clean",
-    measure_us: float = 4000.0,
-    warmup_us: float = 2000.0,
-    root_seed: int = 42,
-):
-    """Crossover hunt: where does the neighbour overtake the victim?
-
-    The grid crosses neighbour intensity (queue depth), direction
-    (read/write) and size (4 KiB/128 KiB); the crossover of interest
-    runs along queue depth.  QD32 is deliberately absent from the
-    default axis -- there the neighbour is the victim's mirror image
-    and the signal is a coin flip.
-    """
-    from repro.harness.adaptive import CrossoverSpec, ExploreSpace
-
-    return ExploreSpace(
-        name="fig04-interference",
-        point_fn=_explore_point,
-        axes={
-            "read_ratio": list(read_ratios),
-            "io_pages": list(io_pages),
-            "qd": list(qds),
-        },
-        fixed={
-            "condition": condition,
-            "measure_us": measure_us,
-            "warmup_us": warmup_us,
-        },
-        crossover=CrossoverSpec(along="qd", metric="victim_mbps", minus="neighbour_mbps"),
-        root_seed=root_seed,
-    )
-
-
 def sweep(
     measure_us: float = 600_000.0, condition: str = "clean", root_seed: int = 42
 ):

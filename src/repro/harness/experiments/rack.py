@@ -113,44 +113,6 @@ def _point(
     return row
 
 
-def explore_space(
-    tenant_counts=(25, 50, 75, 100, 125, 150, 175, 200),
-    churns=(0.4, 0.8),
-    jbofs: int = 4,
-    ssds_per_jbof: int = 4,
-    skew: float = 0.9,
-    horizon_us: float = 120_000.0,
-    condition: str = "clean",
-    jain_floor: float = 0.3,
-    root_seed: int = 42,
-):
-    """Capacity-planning hunt: how many tenants before fairness cliffs?
-
-    Scans tenant count per churn rate on a Gimbal-managed rack and
-    locates where Jain's index falls through ``jain_floor`` -- the
-    knee a rack operator sizes against.  Points here are expensive
-    (full churn schedules), which is exactly when surrogate screening
-    pays: the engine simulates the knee's neighbourhood, not the grid.
-    """
-    from repro.harness.adaptive import CrossoverSpec, ExploreSpace
-
-    return ExploreSpace(
-        name="rack-capacity",
-        point_fn=_point,
-        axes={"churn": list(churns), "tenants": list(tenant_counts)},
-        fixed={
-            "scheme": "gimbal",
-            "jbofs": jbofs,
-            "ssds_per_jbof": ssds_per_jbof,
-            "skew": skew,
-            "horizon_us": horizon_us,
-            "condition": condition,
-        },
-        crossover=CrossoverSpec(along="tenants", metric="jain", level=jain_floor),
-        root_seed=root_seed,
-    )
-
-
 def sweep(
     schemes=("gimbal", "vanilla"),
     rack=(4,),

@@ -1,4 +1,4 @@
-"""Deterministic sweep runner: one loop for a sweep, a suite, an exploration.
+"""Deterministic sweep runner: one loop for a sweep and for a suite.
 
 Every paper figure is a *sweep*: a list of independent simulation
 points (one testbed stood up per combination of scheme, condition,
@@ -11,8 +11,7 @@ output byte-identical to the serial run.
 :func:`run_groups` is the only place points are keyed, looked up in
 the result cache, executed, stored and journaled.  It takes
 ``(name, points, finalize)`` groups: :func:`run_sweep` (and so every
-driver's ``run()`` and every :func:`~repro.harness.adaptive.explore`
-batch) is a suite of one group,
+driver's ``run()``) is a suite of one group,
 :func:`repro.harness.orchestrator.run_suite` one group per experiment.
 Two executors sit behind it, chosen from the worker count alone: this
 process, or a :class:`WorkerPool` (lent by the caller, or created for
@@ -66,7 +65,6 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.harness.cache import CacheSpec, ResultCache, resolve_cache
-from repro.harness.surrogate import SurrogateSet, journal_records
 from repro.obs import bump
 from repro.sim.rng import derive_seed
 from repro.sim.shard import EFFECTIVE_JOBS_ENV
@@ -212,81 +210,52 @@ class CostModel:
     Every point the cache stores appends a journal record with the
     seconds it took to compute (``elapsed_s``) -- a record that, unlike
     the entry file, survives code edits and pruning; that is exactly
-    the signal LPT scheduling needs.  Prediction degrades through
-    three tiers:
-
-    1. a per-function surrogate model
-       (:class:`~repro.harness.surrogate.SurrogateSet`) trained on
-       those records, which interpolates runtime across *parameter
-       values* (a qd=64 point near journaled qd=48 and qd=96 points
-       gets a kwargs-aware estimate, not the fn-wide mean);
-    2. mean recorded time of the same point function;
-    3. a flat default.
-
-    (A point whose exact fingerprint has an entry is a cache *hit* and
-    is never predicted, so there is no exact-match tier.)  Built
-    defensively: an absent, empty, or corrupt journal never raises
-    here -- it just pushes predictions down the tiers.  ``tier_hits``
-    counts which tier answered each prediction.
+    the signal LPT scheduling needs.  Prediction has two tiers: the
+    mean recorded time of the same point function, then a flat
+    default.  (A point whose exact fingerprint has an entry is a cache
+    *hit* and is never predicted, so there is no exact-match tier.)
+    Built defensively: an absent, empty, or corrupt journal never
+    raises here -- it just leaves every prediction at the default.
+    ``tier_hits`` counts which tier answered each prediction.
     """
 
-    #: Fewer journal records than this and the surrogate tier is skipped
-    #: for that function (too little signal to beat the per-fn mean).
-    SURROGATE_MIN_RECORDS = 8
-
     #: Newest journal records kept per function.
-    SURROGATE_MAX_RECORDS = 512
+    MAX_RECORDS = 512
 
     def __init__(
         self,
         by_fn: Optional[Dict[str, float]] = None,
         default_s: float = DEFAULT_POINT_COST_S,
-        surrogates: Optional[Dict[str, Any]] = None,
     ):
         self.by_fn = by_fn or {}
         self.default_s = default_s
-        self.surrogates = surrogates or {}
-        self.tier_hits = {"surrogate": 0, "by_fn": 0, "default": 0}
+        self.tier_hits = {"by_fn": 0, "default": 0}
 
     @classmethod
     def from_cache(
         cls, store: Optional[ResultCache], default_s: float = DEFAULT_POINT_COST_S
     ) -> "CostModel":
-        """Per-fn means and surrogates from ``store``'s journal point
-        records (an empty model when there is no store)."""
-        per_fn: Dict[str, List[Tuple[Dict[str, Any], Dict[str, float]]]] = {}
-        for record in journal_records(store) if store is not None else ():
+        """Per-fn means from ``store``'s journal point records (an empty
+        model when there is no store)."""
+        try:
+            records = store.point_records() if store is not None else []
+        except Exception:
+            records = []
+        per_fn: Dict[str, List[float]] = {}
+        for record in records:
             fn = record.get("fn")
             elapsed = record.get("elapsed_s")
             if isinstance(fn, str) and isinstance(elapsed, (int, float)) and elapsed >= 0:
-                per_fn.setdefault(fn, []).append(
-                    (record["kwargs"], {"elapsed_s": float(elapsed)})
-                )
-        by_fn: Dict[str, float] = {}
-        surrogates: Dict[str, Any] = {}
-        for fn, records in per_fn.items():
-            records = records[-cls.SURROGATE_MAX_RECORDS:]
-            by_fn[fn] = sum(outputs["elapsed_s"] for _, outputs in records) / len(records)
-            if len(records) >= cls.SURROGATE_MIN_RECORDS:
-                try:
-                    surrogates[fn] = SurrogateSet.fit(records, targets=("elapsed_s",))
-                except Exception:
-                    continue  # this function answers from its mean
-        return cls(by_fn=by_fn, default_s=default_s, surrogates=surrogates)
+                per_fn.setdefault(fn, []).append(float(elapsed))
+        by_fn = {}
+        for fn, times in per_fn.items():
+            times = times[-cls.MAX_RECORDS:]
+            by_fn[fn] = sum(times) / len(times)
+        return cls(by_fn=by_fn, default_s=default_s)
 
     def predict(self, point: SweepPoint) -> float:
         """Predicted seconds for ``point`` (never raises)."""
         fn_name = f"{getattr(point.fn, '__module__', '?')}:{getattr(point.fn, '__qualname__', '?')}"
-        surrogate = self.surrogates.get(fn_name)
-        if surrogate is not None:
-            try:
-                means, _ = surrogate.predict([point.kwargs])["elapsed_s"]
-                predicted = float(means[0])
-                if predicted == predicted and predicted != float("inf"):
-                    self.tier_hits["surrogate"] += 1
-                    return max(0.0, predicted)
-            except Exception:
-                pass
         by_fn = self.by_fn.get(fn_name)
         if by_fn is not None:
             self.tier_hits["by_fn"] += 1
@@ -295,10 +264,7 @@ class CostModel:
         return self.default_s
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"CostModel(fns={len(self.by_fn)}, surrogates={len(self.surrogates)}, "
-            f"default={self.default_s}s)"
-        )
+        return f"CostModel(fns={len(self.by_fn)}, default={self.default_s}s)"
 
 
 # ----------------------------------------------------------------------
@@ -642,9 +608,9 @@ def run_groups(
 def _resolve_jobs(jobs: int, pool: Optional[WorkerPool]) -> Tuple[int, int]:
     """``(requested, effective)`` worker counts for one run: a lent
     pool's size wins over ``jobs``; the effective count is clamped to
-    the machine (see :func:`_clamp_jobs`)."""
+    the machine (see :func:`_clamp_jobs`) and is never below one."""
     requested = pool.jobs if pool is not None else jobs
-    return requested, _clamp_jobs(requested)
+    return requested, max(1, _clamp_jobs(requested))
 
 
 def run_sweep(

@@ -43,21 +43,3 @@ run = derived_run(sweep, finalize)
 
 def summarize(results: Dict[str, object]) -> str:
     return f"fake: {len(results['rows'])} rows"
-
-
-def _wave(x: float, y: float, seed: int = 0) -> dict:
-    """Two synthetic curves that cross at ``x = 1.5 * y``."""
-    return {"a": 10.0 + 2.0 * x, "b": 10.0 + 3.0 * y, "seed": seed}
-
-
-def explore_space(nx: int = 21, root_seed: int = 42):
-    """Synthetic explore space with crossovers at x=3 (y=2) and x=6 (y=4)."""
-    from repro.harness.adaptive import CrossoverSpec, ExploreSpace
-
-    return ExploreSpace(
-        name="fake-wave",
-        point_fn=_wave,
-        axes={"y": [2.0, 4.0], "x": [float(i) for i in range(nx)]},
-        crossover=CrossoverSpec(along="x", metric="a", minus="b"),
-        root_seed=root_seed,
-    )

@@ -974,7 +974,7 @@ class TestRunSweepIntegration:
         run_sweep(self._points(), cache=False)
         assert len(CALLS) == before + 4
 
-    def test_journal_records_runs(self, tmp_path):
+    def test_journal_logs_runs_and_point_timings(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
         sweep_points = self._points(3)
         run_sweep(sweep_points, cache=cache, name="alpha")
@@ -984,12 +984,13 @@ class TestRunSweepIntegration:
         assert journal[0]["misses"] == 3 and journal[0]["hits"] == 0
         assert journal[1]["hits"] == 3 and journal[1]["misses"] == 0
         assert journal[1]["seconds_saved"] >= 0.0
-        # Each computed point also journals a training record; cache
-        # hits on the second sweep do not re-journal.
+        # Each computed point also journals a timing record (and no
+        # copy of its result); cache hits on the second sweep do not
+        # re-journal.
         points = cache.point_records()
         assert len(points) == 3
         assert all(record["type"] == "point" for record in points)
-        assert all("outputs" in record and "elapsed_s" in record for record in points)
+        assert all("elapsed_s" in record and "outputs" not in record for record in points)
 
     def test_sweep_run_accepts_cache(self, tmp_path):
         sweep = Sweep("mini")

@@ -212,7 +212,7 @@ def test_cost_model_tiers_across_cold_warm_and_edited_passes(fake_pkg, tmp_path,
     ``journal.jsonl``: nothing but the flat default on an empty cache,
     no model at all on a warm pass, and -- once an edit turns entries
     into misses whose timings the journal still holds -- only the
-    surrogate (a function with enough records) and the per-fn mean."""
+    per-fn mean."""
     name, pkg = fake_pkg
     points_a = importlib.import_module(f"{name}.points_a")
     points_b = importlib.import_module(f"{name}.points_b")
@@ -237,14 +237,14 @@ def test_cost_model_tiers_across_cold_warm_and_edited_passes(fake_pkg, tmp_path,
         run_sweep(points, cache=cache, name="tiers")
         return cache.read_journal()[-1]["tier_hits"]
 
-    assert tier_hits() == {"surrogate": 0, "by_fn": 0, "default": 12}
-    assert tier_hits() == {"surrogate": 0, "by_fn": 0, "default": 0}
+    assert tier_hits() == {"by_fn": 0, "default": 12}
+    assert tier_hits() == {"by_fn": 0, "default": 0}
     assert len(built) == 1  # the warm pass never consulted a model
     for dep in ("dep_alpha.py", "dep_deep.py"):  # comment-only: same results, new code
         with open(pkg / dep, "a", encoding="utf-8") as handle:
             handle.write("# edited\n")
         _bump_mtime(pkg / dep)
-    assert tier_hits() == {"surrogate": 10, "by_fn": 2, "default": 0}
+    assert tier_hits() == {"by_fn": 12, "default": 0}
 
 
 # ----------------------------------------------------------------------

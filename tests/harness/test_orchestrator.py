@@ -102,10 +102,10 @@ class TestCostModel:
         # Different fn entirely: falls through to the default.
         alien = SweepPoint(index=3, label="n=1", fn=_negate, kwargs={"value": 1})
         assert model.predict(alien) == DEFAULT_POINT_COST_S
-        assert model.tier_hits == {"surrogate": 0, "by_fn": 2, "default": 1}
+        assert model.tier_hits == {"by_fn": 2, "default": 1}
 
     def test_fn_mean_keeps_the_newest_records(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(CostModel, "SURROGATE_MAX_RECORDS", 2)
+        monkeypatch.setattr(CostModel, "MAX_RECORDS", 2)
         store = ResultCache(tmp_path / "cache")
         for i, elapsed in enumerate((100.0, 1.0, 3.0)):
             point = SweepPoint(index=i, label=f"v={i}", fn=_calc, kwargs={"value": i})
@@ -240,7 +240,7 @@ class TestRunSuite:
         assert report["points_total"] == 5
         assert report["per_experiment"][0]["name"] == "alpha"
         assert "stolen_idle_s" in report and "batches" in report
-        assert report["tier_hits"] == {"surrogate": 0, "by_fn": 0, "default": 5}
+        assert report["tier_hits"] == {"by_fn": 0, "default": 5}
         assert session.registry.counter("suite.points_done").value == 5
         assert session.registry.counter("cache.misses").value == 5
         assert session.registry.counter("cache.hits").value == 0
@@ -489,65 +489,6 @@ class TestSchedulingNeverChangesResults:
         assert suite.cache_hits == 0
         assert (suite.tier_hits["default"] == 0) == warm
         assert (suite.batches > 0) == (warm and n > 1)
-
-
-class TestCostModelSurrogateTier:
-    """Tier 1: a per-fn surrogate over journal records answers unseen
-    kwargs; every failure mode degrades to the tiers below, never
-    raises."""
-
-    @staticmethod
-    def _warm(tmp_path, n=10):
-        store = ResultCache(tmp_path / "cache")
-        for i in range(n):
-            point = SweepPoint(index=i, label=f"v={i}", fn=_calc, kwargs={"value": i})
-            store.store(point, {"value": i}, elapsed_s=0.1 * (i + 1))
-        return store
-
-    @staticmethod
-    def _fn_name():
-        return f"{_calc.__module__}:{_calc.__qualname__}"
-
-    def test_unseen_kwargs_hit_surrogate_not_fn_mean(self, tmp_path):
-        model = CostModel.from_cache(self._warm(tmp_path))
-        fresh = SweepPoint(index=99, label="v=99", fn=_calc, kwargs={"value": 99})
-        predicted = model.predict(fresh)
-        assert model.tier_hits["surrogate"] == 1
-        assert model.tier_hits["by_fn"] == 0
-        assert predicted >= 0.0
-
-    def test_surrogate_tracks_kwargs_scaling(self, tmp_path):
-        # elapsed grows with value; the flat per-fn mean cannot see that.
-        model = CostModel.from_cache(self._warm(tmp_path, n=16))
-        lo = model.predict(SweepPoint(index=0, label="a", fn=_calc, kwargs={"value": 1.5}))
-        hi = model.predict(SweepPoint(index=1, label="b", fn=_calc, kwargs={"value": 14.5}))
-        assert hi > lo
-
-    def test_below_min_records_falls_back_to_fn_mean(self, tmp_path):
-        model = CostModel.from_cache(self._warm(tmp_path, n=4))
-        assert model.surrogates == {}
-        fresh = SweepPoint(index=77, label="v=77", fn=_calc, kwargs={"value": 77})
-        model.predict(fresh)
-        assert model.tier_hits["by_fn"] == 1
-
-    def test_hostile_surrogate_degrades_to_fn_mean(self):
-        class _Hostile:
-            def predict(self, kwargs_list):
-                raise RuntimeError("model on fire")
-
-        model = CostModel(
-            by_fn={self._fn_name(): 2.5}, surrogates={self._fn_name(): _Hostile()}
-        )
-        point = SweepPoint(index=0, label="v=0", fn=_calc, kwargs={"value": 0})
-        assert model.predict(point) == 2.5
-        assert model.tier_hits["by_fn"] == 1
-        assert model.tier_hits["surrogate"] == 0
-
-    def test_corrupt_journal_degrades_to_lower_tiers(self, tmp_path):
-        store = self._warm(tmp_path)
-        (store.root / "journal.jsonl").write_text("garbage\n", encoding="utf-8")
-        model = CostModel.from_cache(store)  # must not raise
-        assert model.surrogates == {}
 
 
 class TestSingleWorkerBypass:

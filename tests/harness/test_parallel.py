@@ -149,6 +149,18 @@ class TestJobsClamp:
         assert record["jobs_requested"] == 2
         assert record["jobs_effective"] == 2
 
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_effective_jobs_never_below_one(self, tmp_path, jobs):
+        # Used to journal a negative effective worker count.
+        from repro.harness.cache import ResultCache
+
+        cache = ResultCache(tmp_path / "cache")
+        points = [SweepPoint(index=0, label="p0", fn=_square, kwargs={"value": 3})]
+        assert run_sweep(points, jobs=jobs, cache=cache, name="floor")[0]["squared"] == 9
+        record = cache.read_journal()[-1]
+        assert record["jobs_requested"] == jobs
+        assert record["jobs"] == record["jobs_effective"] == 1
+
 
 class TestSweepBuilder:
     def test_points_get_sequential_indices_and_labels(self):
@@ -261,3 +273,16 @@ class TestExperimentDeterminism:
         base = self._canonical(fig14.run(**self.KWARGS))
         reseeded = self._canonical(fig14.run(**self.KWARGS, root_seed=43))
         assert base != reseeded
+
+
+def test_harness_never_imports_numpy():
+    """The package has no third-party dependency: importing the harness
+    and the testbed pulls in no numpy."""
+    import subprocess
+    import sys
+
+    probe = (
+        "import sys, repro.harness, repro.harness.testbed; "
+        "sys.exit('numpy' in sys.modules)"
+    )
+    assert subprocess.run([sys.executable, "-c", probe], timeout=120).returncode == 0

@@ -129,13 +129,19 @@ class TestCliCache:
 
     def test_profile_never_profiles_a_cache_hit(self, tmp_path, capsys, monkeypatch):
         """``repro profile`` under an ambient ``REPRO_CACHE=1``: the second
-        run must simulate as much as the first, not look its points up."""
+        run must simulate as much as the first, not look its points up.
+        Each profile starts without the process's conditioned-device
+        snapshots, so neither reuses work the other paid for, whatever
+        ran earlier in this process."""
         import re
+
+        from repro.ssd import clear_conditioning_cache
 
         monkeypatch.setenv("REPRO_CACHE", "1")
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "envcache"))
         calls = []
         for _ in range(2):
+            clear_conditioning_cache()
             assert main(["profile", "fig15", "--quiet", "--top", "1"]) == 0
             calls.append(int(re.search(r"(\d+) function calls", capsys.readouterr().out).group(1)))
         assert calls[1] > 0.9 * calls[0], calls
@@ -313,79 +319,31 @@ class TestCliShards:
         assert capsys.readouterr().out == "summary\nsummary\n"
 
 
-class TestParseGridValues:
-    def test_comma_list_preserves_ints(self):
-        from repro.cli import _parse_grid_values
+class TestCliJobs:
+    """A worker count below what the command accepts is refused with one
+    line before anything runs.  ``run --jobs -3`` used to run and journal
+    -3 workers; ``suite -j -4`` silently ran on every core (on one with
+    ``--serial``)."""
 
-        assert _parse_grid_values("1,2,16") == [1, 2, 16]
-        assert _parse_grid_values("0.5,1.0") == [0.5, 1.0]
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_run_needs_at_least_one_worker(self, capsys, tmp_path, jobs):
+        cache_dir = tmp_path / "cache"
+        argv = ["run", "table2", "--quick", "--jobs", jobs, "--cache-dir", str(cache_dir)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"--jobs must be >= 1, got {jobs}\n"
+        assert not cache_dir.exists()
 
-    def test_range_expansion(self):
-        from repro.cli import _parse_grid_values
-
-        assert _parse_grid_values("1:5:3") == [1, 3, 5]
-        assert _parse_grid_values("0:1:3") == [0.0, 0.5, 1.0]
-
-    def test_bad_range_rejected(self):
-        from repro.cli import _parse_grid_values
-
-        with pytest.raises(ValueError):
-            _parse_grid_values("1:5")
-        with pytest.raises(ValueError):
-            _parse_grid_values("1:5:1")
-
-
-class TestCliExplore:
-    TINY = [
-        "--grid", "qd=1,8,64",
-        "--grid", "read_ratio=1.0",
-        "--grid", "io_pages=1",
-        "--budget", "1.0",
-        "--no-cache",
-        "--quiet",
-    ]
-
-    def test_explore_tiny_grid(self, capsys):
-        assert main(["explore", "fig04", *self.TINY]) == 0
-        out = capsys.readouterr().out
-        assert "explored fig04-interference" in out
-        assert "crossover" in out
-
-    def test_explore_writes_json_report(self, tmp_path, capsys):
-        report_path = str(tmp_path / "report.json")
-        assert main(["explore", "fig04", *self.TINY, "--json", report_path]) == 0
-        report = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))
-        assert report["space"] == "fig04-interference"
-        assert report["grid_points"] == 3
-        assert report["simulated"] <= 3
-
-    def test_unknown_axis_rejected(self, capsys):
-        assert main(["explore", "fig04", "--grid", "bogus=1,2", "--no-cache"]) == 2
-        assert "not one of" in capsys.readouterr().err
-
-    def test_bad_axis_values_rejected(self, capsys):
-        assert main(["explore", "fig04", "--grid", "qd=1:5", "--no-cache"]) == 2
-        assert "bad --grid" in capsys.readouterr().err
-
-    def test_non_numeric_range_rejected(self, capsys):
-        assert main(["explore", "fig04", "--grid", "qd=lo:hi:3", "--no-cache"]) == 2
-        err = capsys.readouterr().err
-        assert "bad --grid" in err and "numbers" in err and len(err.splitlines()) == 1
-
-    @pytest.mark.parametrize("values", ["", ","])
-    def test_empty_axis_values_rejected(self, capsys, values):
-        assert main(["explore", "fig04", "--grid", f"qd={values}", "--no-cache"]) == 2
-        err = capsys.readouterr().err
-        assert "at least one value" in err and "not one of" not in err
-        assert len(err.splitlines()) == 1
-
-    def test_non_explorable_experiment_rejected(self, capsys):
-        assert main(["explore", "fig02", "--no-cache"]) == 2
-        err = capsys.readouterr().err
-        assert "explore_space" in err and "fig04" in err
-
-    def test_unknown_experiment_rejected(self, capsys):
-        assert main(["explore", "fig999"]) == 2
+    @pytest.mark.parametrize("mode", [[], ["--serial"]], ids=["orchestrated", "serial"])
+    def test_suite_refuses_a_negative_count(self, capsys, tmp_path, mode):
+        cache_dir = tmp_path / "cache"
+        argv = ["suite", "--quick", "-e", "table2", "-j", "-4", "--cache-dir", str(cache_dir)]
+        assert main(argv + mode) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "--jobs must be >= 0 (0 = every core), got -4\n"
+        assert not cache_dir.exists()
 
 
 class TestCliCacheJournal:
