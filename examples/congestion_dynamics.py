@@ -11,9 +11,9 @@ worst case once writers overwhelm it.
 Run:  python examples/congestion_dynamics.py
 """
 
-from repro.harness import Testbed, TestbedConfig
+from repro.harness.testbed import Testbed, TestbedConfig
 from repro.ssd.commands import IoOp
-from repro.workloads import FioSpec
+from repro.workloads.fio import FioSpec
 
 PHASE_US = 400_000.0
 

@@ -11,8 +11,8 @@ estimation and virtual slots restore the reader's share.
 Run:  python examples/noisy_neighbor.py
 """
 
-from repro.harness import SCHEMES, Testbed, TestbedConfig
-from repro.workloads import FioSpec
+from repro.harness.testbed import SCHEMES, Testbed, TestbedConfig
+from repro.workloads.fio import FioSpec
 
 
 def run_scheme(scheme: str):

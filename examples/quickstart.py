@@ -9,8 +9,8 @@ percentiles, and the per-SSD virtual view Gimbal exposes to clients.
 Run:  python examples/quickstart.py
 """
 
-from repro.harness import Testbed, TestbedConfig
-from repro.workloads import FioSpec
+from repro.harness.testbed import Testbed, TestbedConfig
+from repro.workloads.fio import FioSpec
 
 
 def main() -> None:

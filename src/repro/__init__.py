@@ -15,10 +15,9 @@ The package layout mirrors the system inventory in DESIGN.md:
     EWMA, latency histograms, windowed throughput, fairness metrics.
 ``repro.ssd``
     The SSD device model and device profiles.
-``repro.nvme``
-    NVMe namespaces: per-tenant LBA windows onto an SSD device.
 ``repro.fabric``
-    Network, RDMA-shaped transport, NVMe-oF initiator/target, SmartNIC.
+    Network, RDMA-shaped transport, NVMe-oF initiator/target, SmartNIC,
+    and NVMe namespaces (per-tenant LBA windows onto an SSD device).
 ``repro.core``
     The Gimbal storage switch (the paper's contribution).
 ``repro.baselines``
@@ -30,8 +29,3 @@ The package layout mirrors the system inventory in DESIGN.md:
 ``repro.harness``
     Testbed construction and the per-figure/table experiment drivers.
 """
-
-from repro.sim.engine import Simulator
-from repro.version import __version__
-
-__all__ = ["Simulator", "__version__"]

@@ -15,15 +15,3 @@ All four target-side scheduling policies share the interface in
 
 Gimbal itself lives in :mod:`repro.core`.
 """
-
-from repro.baselines.base import StorageScheduler
-from repro.baselines.fifo import FifoScheduler
-from repro.baselines.flashfq import FlashFqScheduler
-from repro.baselines.reflex import ReflexScheduler
-
-__all__ = [
-    "StorageScheduler",
-    "FifoScheduler",
-    "ReflexScheduler",
-    "FlashFqScheduler",
-]

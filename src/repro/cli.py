@@ -67,7 +67,7 @@ def _add_cache_args(parser: argparse.ArgumentParser) -> None:
         "--cache-dir",
         metavar="DIR",
         default=None,
-        help="cache directory (default .repro-cache; implies --cache)",
+        help="cache directory (default: REPRO_CACHE_DIR, else .repro-cache; implies --cache)",
     )
 
 
@@ -154,9 +154,9 @@ def _cache_from_args(args: argparse.Namespace):
     if args.no_cache:
         return False
     if args.cache or args.cache_dir:
-        from repro.harness.cache import DEFAULT_CACHE_DIR, ResultCache
+        from repro.harness.cache import ResultCache, cache_dir
 
-        return ResultCache(args.cache_dir or DEFAULT_CACHE_DIR)
+        return ResultCache(cache_dir(args.cache_dir))
     return None
 
 
@@ -193,7 +193,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         print(module.summarize(results))
         report_cache()
         return 0
-    from repro import obs
+    from repro.obs.session import capture
 
     if args.trace:
         # Fail fast on an unwritable journal path instead of after a
@@ -203,7 +203,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         except OSError as exc:
             print(f"cannot open trace journal {args.trace!r}: {exc}", file=sys.stderr)
             return 2
-    with obs.capture(trace_path=args.trace) as session:
+    with capture(trace_path=args.trace) as session:
         results = module.run(**kwargs)
         print(module.summarize(results))
         if args.stats:
@@ -306,7 +306,7 @@ def cmd_cache(args: argparse.Namespace) -> int:
     """``repro cache {stats,prune,clear}`` -- manage the result cache."""
     import json
 
-    from repro.harness.cache import DEFAULT_CACHE_DIR, ResultCache
+    from repro.harness.cache import ResultCache, cache_dir
 
     for limit in ("max_records", "max_mb", "max_entries"):
         value = getattr(args, limit, None)
@@ -314,7 +314,7 @@ def cmd_cache(args: argparse.Namespace) -> int:
             flag = "--" + limit.replace("_", "-")
             print(f"{flag} must be >= 0, got {value}", file=sys.stderr)
             return 2
-    cache = ResultCache(args.cache_dir or DEFAULT_CACHE_DIR)
+    cache = ResultCache(cache_dir(args.cache_dir))
     if args.cache_command == "stats":
         entries = cache.entries()
         total_bytes = sum(entry["size_bytes"] for entry in entries)
@@ -505,15 +505,11 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
     import random
 
     from repro.harness.report import format_table
-    from repro.sim import Simulator
-    from repro.ssd import (
-        DeviceCommand,
-        IoOp,
-        SsdDevice,
-        precondition_clean,
-        precondition_fragmented,
-        profile_by_name,
-    )
+    from repro.sim.engine import Simulator
+    from repro.ssd.commands import DeviceCommand, IoOp
+    from repro.ssd.conditioning import precondition_clean, precondition_fragmented
+    from repro.ssd.device import SsdDevice
+    from repro.ssd.profiles import profile_by_name
 
     def closed_loop(condition, queue_depth, op, npages, sequential=False):
         sim = Simulator()
@@ -578,9 +574,16 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if args.queue_depth < 1:
         print(f"--queue-depth must be >= 1, got {args.queue_depth}", file=sys.stderr)
         return 2
-    from repro.harness import Testbed, TestbedConfig
+    for flag, count in (("--readers", args.readers), ("--writers", args.writers)):
+        if count < 0:
+            print(f"{flag} must be >= 0, got {count}", file=sys.stderr)
+            return 2
+    if args.readers + args.writers == 0:
+        print("--readers and --writers are both 0: nothing to simulate", file=sys.stderr)
+        return 2
     from repro.harness.report import format_table
-    from repro.workloads import FioSpec
+    from repro.harness.testbed import Testbed, TestbedConfig
+    from repro.workloads.fio import FioSpec
 
     testbed = Testbed(
         TestbedConfig(scheme=args.scheme, condition=args.condition, seed=args.seed)

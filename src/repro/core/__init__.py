@@ -21,25 +21,5 @@ and adds the credit computation for the end-to-end flow control
 (Section 3.6) plus the per-SSD virtual view (Section 3.7).
 """
 
-from repro.core.config import GimbalParams
-from repro.core.congestion import CongestionState, LatencyMonitor
-from repro.core.rate_control import CompletionRateMeter, DualTokenBucket, RateController
-from repro.core.scheduler import DrrSlotScheduler, GimbalTenant
-from repro.core.switch import GimbalScheduler
-from repro.core.virtual_slot import SlotManager, VirtualSlot
-from repro.core.write_cost import WriteCostEstimator
-
-__all__ = [
-    "GimbalParams",
-    "CongestionState",
-    "LatencyMonitor",
-    "RateController",
-    "DualTokenBucket",
-    "CompletionRateMeter",
-    "WriteCostEstimator",
-    "VirtualSlot",
-    "SlotManager",
-    "GimbalTenant",
-    "DrrSlotScheduler",
-    "GimbalScheduler",
-]
+# benchmarks/ledger imports this through the package; ROADMAP item 1 retires it.
+from repro.core.switch import GimbalScheduler  # noqa: F401

@@ -10,38 +10,7 @@ The per-SSD pipeline accepts any *storage scheduler* implementing the
 small interface in :mod:`repro.baselines.base`; Gimbal and the three
 comparison schemes all plug in there.  Client-side flow control
 (Gimbal's credit protocol, Parda's latency-driven window) plugs into
-the initiator via :mod:`repro.fabric.policies`.
+the initiator via :mod:`repro.fabric.policies`.  Tenants address their
+SSD through :mod:`repro.fabric.namespace`: NVMe namespaces give
+independent addressing but no physical isolation (Section 2.3).
 """
-
-from repro.fabric.initiator import NvmeOfInitiator, TenantSession
-from repro.fabric.network import Network, NetworkPort
-from repro.fabric.pipeline import SsdPipeline
-from repro.fabric.policies import (
-    ClientPolicy,
-    CreditClientPolicy,
-    PardaClientPolicy,
-    UnlimitedClientPolicy,
-    WindowClientPolicy,
-)
-from repro.fabric.request import FabricRequest
-from repro.fabric.smartnic import SERVER_CPU, SMARTNIC_CPU, CpuCostModel, NicCore
-from repro.fabric.target import NvmeOfTarget
-
-__all__ = [
-    "Network",
-    "NetworkPort",
-    "FabricRequest",
-    "NicCore",
-    "CpuCostModel",
-    "SMARTNIC_CPU",
-    "SERVER_CPU",
-    "SsdPipeline",
-    "NvmeOfTarget",
-    "NvmeOfInitiator",
-    "TenantSession",
-    "ClientPolicy",
-    "UnlimitedClientPolicy",
-    "WindowClientPolicy",
-    "CreditClientPolicy",
-    "PardaClientPolicy",
-]

@@ -31,10 +31,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, Optional
 
+from repro.fabric.namespace import Namespace
 from repro.fabric.network import Network, NetworkPort
 from repro.fabric.request import RESPONSE_CAPSULE_BYTES, FabricRequest
 from repro.fabric.smartnic import CpuCostModel, NicCore
-from repro.nvme.namespace import Namespace
 from repro.obs.trace import TraceType
 from repro.sim.engine import Simulator
 from repro.ssd.commands import OP_READ, OP_TRIM, OP_WRITE

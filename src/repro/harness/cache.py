@@ -16,12 +16,16 @@ on disk, keyed by a fingerprint of
 * the result-schema version.
 
 Editing ``src/repro/core/scheduler.py`` therefore invalidates exactly
-the points whose drivers transitively import it.  With today's package
-``__init__`` files that is every figure: each registered driver's
-closure is 93-94 of ``src/repro``'s 99 modules (all but ``rack``
-share one code fingerprint), so only an edit to ``cli.py``,
-``__main__.py``, ``orchestrator.py``, ``surrogate.py``,
-``obs/report.py`` or ``rack.py`` leaves a figure warm.  Imports are
+the points whose drivers transitively import it.  Package ``__init__``
+files re-export nothing (a re-export would put the re-exported module
+in the closure of every importer of the package), so a closure is the
+code the driver reaches: 58 of ``src/repro``'s 98 modules for 18 of
+the 19 testbed drivers (59 for ``ablations``), 69-70 for the four that
+run the KV stack (fig10, fig11-12, fig13, rack).  An edit under
+``kv/`` or to ``kvcluster.py``, ``ycsb.py``, ``population.py`` or
+``fabric/boundary.py`` leaves every testbed figure warm, and an edit
+to one driver recomputes that driver alone (plus fig11-12 for fig10,
+whose point function it calls).  Imports are
 discovered statically, so the fingerprint never depends on import
 order or runtime state, and without a parse: a keyword scan takes
 every whole-word ``import`` in the text as a candidate, a superset of
@@ -35,7 +39,8 @@ A point function whose own module has no resolvable source (a script
 run as ``__main__``) is uncacheable: no edit could change its key.
 
 Entries are JSON files named ``<fingerprint>.json`` under the cache
-root (default ``.repro-cache/``).  Writes go to a unique temporary file
+root (:func:`cache_dir`: ``--cache-dir``, else ``REPRO_CACHE_DIR``,
+else ``.repro-cache/``).  Writes go to a unique temporary file
 in the same directory followed by :func:`os.replace`, so concurrent
 runs sharing a cache directory can race on the same entry and readers
 still never observe a torn file.  Hits refresh the entry's mtime, which
@@ -744,6 +749,12 @@ _env_cache: Optional[ResultCache] = None
 CacheSpec = Union[None, bool, str, Path, ResultCache]
 
 
+def cache_dir(explicit: Union[None, str, Path] = None) -> str:
+    """The one rule for where the cache lives: ``explicit`` (the CLI's
+    ``--cache-dir``), else ``REPRO_CACHE_DIR``, else ``.repro-cache``."""
+    return str(explicit or os.environ.get(ENV_DIR, "") or DEFAULT_CACHE_DIR)
+
+
 def configure(cache: CacheSpec = None) -> Optional[ResultCache]:
     """Install (or clear, with ``False``) the process-wide default cache."""
     global _configured
@@ -762,7 +773,7 @@ def active_cache() -> Optional[ResultCache]:
         return _configured
     if os.environ.get(ENV_ENABLE, "") in ("", "0"):
         return None
-    directory = os.environ.get(ENV_DIR, "") or DEFAULT_CACHE_DIR
+    directory = cache_dir()
     if _env_cache is None or str(_env_cache.root) != directory:
         _env_cache = ResultCache(directory)
     return _env_cache
@@ -775,7 +786,7 @@ def resolve_cache(cache: CacheSpec) -> Optional[ResultCache]:
     if cache is False:
         return None
     if cache is True:
-        return ResultCache(os.environ.get(ENV_DIR, "") or DEFAULT_CACHE_DIR)
+        return ResultCache(cache_dir())
     if isinstance(cache, (str, Path)):
         return ResultCache(cache)
     if isinstance(cache, ResultCache):

@@ -40,8 +40,8 @@ from repro.harness.experiments.common import (
 )
 from repro.harness.report import format_table
 from repro.harness.testbed import Testbed
-from repro.metrics import jain_index
-from repro.ssd import SsdGeometry
+from repro.metrics.fairness import jain_index
+from repro.ssd.geometry import SsdGeometry
 
 #: Per-block P/E endurance for the aged profiles.  2000 cycles (a
 #: conservative TLC rating) keeps retirement observable: at age 0.8

@@ -16,7 +16,7 @@ from repro.harness.parallel import (
 )
 from repro.harness.testbed import Testbed, TestbedConfig
 from repro.metrics.fairness import f_util
-from repro.workloads import FioSpec
+from repro.workloads.fio import FioSpec
 
 #: Default measurement windows (microseconds of simulated time).  The
 #: paper runs minutes; one simulated second is enough for steady state

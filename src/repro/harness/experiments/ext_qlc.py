@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Dict
 
-from repro.core import GimbalParams
+from repro.core.config import GimbalParams
 from repro.harness.experiments.common import (
     Sweep,
     derived_run,

@@ -14,7 +14,7 @@ from repro.fabric.smartnic import SERVER_CPU, SMARTNIC_CPU
 from repro.harness.experiments.common import build_sweep, derived_run, merge_rows, run_workers
 from repro.harness.report import format_table
 from repro.harness.testbed import TestbedConfig
-from repro.workloads import FioSpec
+from repro.workloads.fio import FioSpec
 
 #: IO sizes on the figure's x-axis, in KiB.
 IO_SIZES_KB = (4, 8, 16, 32, 128, 256)

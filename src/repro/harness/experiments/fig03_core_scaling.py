@@ -14,7 +14,7 @@ from repro.fabric.smartnic import SERVER_CPU, SMARTNIC_CPU
 from repro.harness.experiments.common import Sweep, derived_run, merge_rows
 from repro.harness.report import format_table
 from repro.harness.testbed import Testbed, TestbedConfig
-from repro.workloads import FioSpec
+from repro.workloads.fio import FioSpec
 
 CORE_COUNTS = (1, 2, 3, 4, 6, 8)
 NUM_SSDS = 4

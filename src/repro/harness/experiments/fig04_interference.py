@@ -13,7 +13,7 @@ from typing import Dict
 from repro.harness.experiments.common import build_sweep, derived_run, merge_rows, run_workers
 from repro.harness.report import format_table
 from repro.harness.testbed import TestbedConfig
-from repro.workloads import FioSpec
+from repro.workloads.fio import FioSpec
 
 #: Neighbour shapes on the figure's x-axis.
 NEIGHBOURS = (

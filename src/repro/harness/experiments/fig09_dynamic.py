@@ -19,7 +19,7 @@ from repro.harness.report import format_series
 from repro.harness.testbed import Testbed, TestbedConfig
 from repro.metrics.throughput import IntervalSeries
 from repro.ssd.commands import IoOp
-from repro.workloads import FioSpec
+from repro.workloads.fio import FioSpec
 
 
 def _point(

@@ -14,8 +14,10 @@ from typing import Dict
 
 from repro.harness.experiments.common import build_sweep, derived_run, merge_rows
 from repro.harness.report import format_table
-from repro.sim import Simulator
-from repro.ssd import DeviceCommand, IoOp, SsdDevice, precondition_clean, precondition_fragmented
+from repro.sim.engine import Simulator
+from repro.ssd.commands import DeviceCommand, IoOp
+from repro.ssd.conditioning import precondition_clean, precondition_fragmented
+from repro.ssd.device import SsdDevice
 
 READ_RATIOS = (0.0, 0.2, 0.4, 0.5, 0.6, 0.8, 0.9, 0.95, 1.0)
 

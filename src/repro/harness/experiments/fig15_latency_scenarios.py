@@ -14,8 +14,10 @@ from typing import Dict
 
 from repro.harness.experiments.common import Sweep, derived_run, merge_rows
 from repro.harness.report import format_table
-from repro.sim import Simulator
-from repro.ssd import DeviceCommand, IoOp, SsdDevice, precondition_clean, precondition_fragmented
+from repro.sim.engine import Simulator
+from repro.ssd.commands import DeviceCommand, IoOp
+from repro.ssd.conditioning import precondition_clean, precondition_fragmented
+from repro.ssd.device import SsdDevice
 
 IO_SIZES_KB = (4, 8, 16, 32, 64, 128, 256)
 SCENARIOS = ("vanilla", "fragmented", "70/30-rw", "qd8")

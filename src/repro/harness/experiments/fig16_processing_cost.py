@@ -14,7 +14,7 @@ from typing import Dict
 from repro.harness.experiments.common import build_sweep, derived_run, merge_rows
 from repro.harness.report import format_table
 from repro.harness.testbed import Testbed, TestbedConfig
-from repro.workloads import FioSpec
+from repro.workloads.fio import FioSpec
 
 ADDED_COSTS_US = (0.0, 1.0, 5.0, 10.0, 20.0, 40.0, 80.0, 160.0, 320.0)
 NUM_SSDS = 4

@@ -15,7 +15,7 @@ from repro.harness.experiments.common import Sweep, derived_run
 from repro.harness.report import format_series
 from repro.harness.testbed import Testbed, TestbedConfig
 from repro.metrics.throughput import IntervalSeries
-from repro.workloads import FioSpec
+from repro.workloads.fio import FioSpec
 
 
 def _point(

@@ -12,11 +12,11 @@ from __future__ import annotations
 from typing import Dict
 
 from repro.harness.experiments.common import Sweep, derived_run
-from repro.harness.testbed import Testbed, TestbedConfig
 from repro.harness.report import format_series
+from repro.harness.testbed import Testbed, TestbedConfig
 from repro.metrics.throughput import IntervalSeries
 from repro.ssd.commands import IoOp
-from repro.workloads import FioSpec
+from repro.workloads.fio import FioSpec
 
 
 def _point(

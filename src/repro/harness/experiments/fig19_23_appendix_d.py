@@ -18,7 +18,7 @@ from typing import Dict, List
 from repro.harness.experiments.common import Sweep, derived_run, run_workers
 from repro.harness.report import format_table
 from repro.harness.testbed import TestbedConfig
-from repro.workloads import FioSpec
+from repro.workloads.fio import FioSpec
 
 SIZES_KB = (4, 16, 64, 128, 256)
 

@@ -21,7 +21,7 @@ from typing import Dict
 from repro.harness.experiments.common import Sweep, derived_run, merge_rows
 from repro.harness.kvcluster import KvCluster, KvClusterConfig
 from repro.harness.report import format_table
-from repro.metrics import jain_index
+from repro.metrics.fairness import jain_index
 from repro.sim.rng import derive_seed
 from repro.workloads.population import TenantPopulation, peak_concurrent
 

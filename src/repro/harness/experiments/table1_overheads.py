@@ -19,7 +19,7 @@ from typing import Dict, List
 from repro.harness.experiments.common import Sweep, derived_run
 from repro.harness.report import format_table
 from repro.harness.testbed import Testbed, TestbedConfig
-from repro.workloads import FioSpec
+from repro.workloads.fio import FioSpec
 
 CYCLE_CASES = (("1 worker (QD1)", 1, 1), ("16 workers (QD32)", 32, 16))
 NULL_IOPS_CASES = (("1 core, 1 worker", 1, 1), ("4 cores, 8 workers", 4, 8))

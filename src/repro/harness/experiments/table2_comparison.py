@@ -22,8 +22,9 @@ PROPERTIES: Dict[str, tuple] = {
 
 
 def _point() -> Dict[str, object]:
-    from repro.baselines import FlashFqScheduler, ReflexScheduler
-    from repro.core import GimbalScheduler
+    from repro.baselines.flashfq import FlashFqScheduler
+    from repro.baselines.reflex import ReflexScheduler
+    from repro.core.switch import GimbalScheduler
     from repro.fabric.policies import CreditClientPolicy, PardaClientPolicy
 
     # Cross-check the matrix against the code's actual shape.

@@ -27,43 +27,30 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
-from repro.fabric import (
-    CreditClientPolicy,
-    Network,
-    NvmeOfInitiator,
-    NvmeOfTarget,
-    PardaClientPolicy,
-    UnlimitedClientPolicy,
-)
-from repro.fabric.boundary import (
-    CoordinatorFabric,
-    JbofShardHost,
-    fabric_lookahead_us,
-)
-from repro.sim.shard import (
-    ShardExecutor,
-    ShardKernel,
-    ShardPlan,
-    plan_shards,
-)
+from repro.baselines.fifo import FifoScheduler
+from repro.baselines.flashfq import FlashFqScheduler
+from repro.baselines.reflex import ReflexScheduler
+from repro.core.switch import GimbalScheduler
+from repro.fabric.boundary import CoordinatorFabric, JbofShardHost, fabric_lookahead_us
+from repro.fabric.initiator import NvmeOfInitiator
+from repro.fabric.network import Network
+from repro.fabric.policies import CreditClientPolicy, PardaClientPolicy, UnlimitedClientPolicy
+from repro.fabric.target import NvmeOfTarget
 from repro.harness.testbed import SCHEMES
-from repro.kv import (
-    Blobstore,
-    GlobalBlobAllocator,
-    LocalBlobAllocator,
-    LsmConfig,
-    LsmTree,
-    RemoteBackend,
-    YcsbRunner,
-)
-from repro.sim import RngRegistry, Simulator
-from repro.ssd import SsdDevice, SsdGeometry, precondition_clean, precondition_fragmented
+from repro.kv.allocator import GlobalBlobAllocator, LocalBlobAllocator
+from repro.kv.backend import RemoteBackend
+from repro.kv.blobstore import Blobstore
+from repro.kv.lsm import LsmConfig, LsmTree
+from repro.kv.runner import YcsbRunner
+from repro.sim.engine import Simulator
+from repro.sim.rng import RngRegistry
+from repro.sim.shard import ShardExecutor, ShardKernel, ShardPlan, plan_shards
+from repro.ssd.conditioning import precondition_clean, precondition_fragmented
+from repro.ssd.device import SsdDevice
+from repro.ssd.geometry import SsdGeometry
 from repro.workloads.patterns import AddressRegion
 from repro.workloads.population import TenantSpec
 from repro.workloads.ycsb import YCSB_WORKLOADS
-
-from repro.baselines import FifoScheduler, FlashFqScheduler, ReflexScheduler
-from repro.core import GimbalScheduler
 
 
 @dataclass

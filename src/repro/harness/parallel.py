@@ -117,27 +117,24 @@ def _clamp_jobs(jobs: int) -> int:
     return cpu_count
 
 
-def _warm_worker(
+def _init_worker(
     effective_jobs: Optional[int] = None,
 ) -> None:  # pragma: no cover - runs in worker processes
-    """Pool initializer: pre-import the heavy ``repro`` surface.
+    """Pool initializer: advertise the pool's job budget to the worker.
 
-    With the ``spawn`` start method a fresh worker pays the full
-    interpreter boot plus ``repro.*`` import cost on its first task;
-    importing here moves that cost to pool construction, where it is
-    paid once per suite instead of once per sweep.  Under ``fork`` the
-    modules are already inherited and these imports are no-ops.
+    ``effective_jobs`` reaches the worker as ``REPRO_EFFECTIVE_JOBS``,
+    so a sharded point running inside it clamps its own shard-process
+    fan-out instead of multiplying the pool's parallelism (see
+    :func:`repro.sim.shard.plan_shards`).
 
-    ``effective_jobs`` advertises the pool's job budget to the worker
-    (via ``REPRO_EFFECTIVE_JOBS``), so a sharded point running inside
-    it clamps its own shard-process fan-out instead of multiplying the
-    pool's parallelism (see :func:`repro.sim.shard.plan_shards`).
+    Nothing is imported here.  A forked worker inherits the parent's
+    modules, and unpickling a point's function imports that function's
+    module anyway.  An import here would also be a line the result
+    cache's keyword scan reads, putting every module it names in every
+    driver's fingerprint closure.
     """
     if effective_jobs is not None:
         os.environ[EFFECTIVE_JOBS_ENV] = str(effective_jobs)
-    import repro.harness.experiments  # noqa: F401
-    import repro.harness.kvcluster  # noqa: F401
-    import repro.harness.testbed  # noqa: F401
 
 
 class WorkerPool:
@@ -145,8 +142,8 @@ class WorkerPool:
 
     Given only ``jobs > 1``, a sweep or suite creates one of these for
     the call and tears it down afterwards; lending one is the
-    suite-scale alternative -- workers are created once, warmed with
-    the experiment imports, and reused by every sweep handed the pool::
+    suite-scale alternative -- workers are created once and reused by
+    every sweep handed the pool::
 
         with WorkerPool(jobs=8) as pool:
             rows_a = sweep_a.run(pool=pool)
@@ -167,7 +164,7 @@ class WorkerPool:
         if self._executor is None:
             self._executor = ProcessPoolExecutor(
                 max_workers=self.jobs,
-                initializer=_warm_worker,
+                initializer=_init_worker,
                 initargs=(self.jobs,),
             )
         return self._executor

@@ -20,32 +20,27 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
-from repro.baselines import FifoScheduler, FlashFqScheduler, ReflexScheduler
-from repro.core import GimbalParams, GimbalScheduler
-from repro.fabric import (
-    CreditClientPolicy,
-    Network,
-    NvmeOfInitiator,
-    NvmeOfTarget,
-    PardaClientPolicy,
-    SMARTNIC_CPU,
-    UnlimitedClientPolicy,
-)
-from repro.fabric.smartnic import CpuCostModel
-from repro.nvme import Namespace
-from repro.obs import current_session
-from repro.sim import RngRegistry, Simulator
+from repro.baselines.fifo import FifoScheduler
+from repro.baselines.flashfq import FlashFqScheduler
+from repro.baselines.reflex import ReflexScheduler
+from repro.core.config import GimbalParams
+from repro.core.switch import GimbalScheduler
 from repro.core.write_cost import worst_case_write_cost
-from repro.ssd import (
-    NullDevice,
-    SsdDevice,
-    SsdGeometry,
-    age_device,
-    precondition_clean,
-    precondition_fragmented,
-    profile_by_name,
-)
-from repro.workloads import AddressRegion, FioSpec, FioWorker
+from repro.fabric.initiator import NvmeOfInitiator
+from repro.fabric.namespace import Namespace
+from repro.fabric.network import Network
+from repro.fabric.policies import CreditClientPolicy, PardaClientPolicy, UnlimitedClientPolicy
+from repro.fabric.smartnic import SMARTNIC_CPU, CpuCostModel
+from repro.fabric.target import NvmeOfTarget
+from repro.obs.session import current_session
+from repro.sim.engine import Simulator
+from repro.sim.rng import RngRegistry
+from repro.ssd.conditioning import age_device, precondition_clean, precondition_fragmented
+from repro.ssd.device import NullDevice, SsdDevice
+from repro.ssd.geometry import SsdGeometry
+from repro.ssd.profiles import profile_by_name
+from repro.workloads.fio import FioSpec, FioWorker
+from repro.workloads.patterns import AddressRegion
 
 #: The multi-tenancy schemes the evaluation compares.
 SCHEMES = ("gimbal", "reflex", "parda", "flashfq", "vanilla")
@@ -106,7 +101,7 @@ class Testbed:
         self.sim = Simulator()
         # Experiment drivers build testbeds internally, so observability
         # arrives ambiently: the Simulator constructor already hooked
-        # itself to the active ``repro.obs.capture()`` session (if any);
+        # itself to the active ``repro.obs.session.capture()`` session (if any);
         # the testbed's part is registering component metrics below.
         session = current_session()
         self.rngs = RngRegistry(config.seed)

@@ -18,21 +18,3 @@ pool of NVMe-oF backends, with three Gimbal-aware optimisations:
 (memtable, sorted-run SSTables, levelled compaction, bloom-filtered
 reads), and :mod:`repro.kv.runner` drives it with YCSB workloads.
 """
-
-from repro.kv.allocator import BlobAddress, GlobalBlobAllocator, LocalBlobAllocator
-from repro.kv.backend import RemoteBackend
-from repro.kv.blobstore import BlobFile, Blobstore
-from repro.kv.lsm import LsmConfig, LsmTree
-from repro.kv.runner import YcsbRunner
-
-__all__ = [
-    "BlobAddress",
-    "GlobalBlobAllocator",
-    "LocalBlobAllocator",
-    "RemoteBackend",
-    "BlobFile",
-    "Blobstore",
-    "LsmConfig",
-    "LsmTree",
-    "YcsbRunner",
-]

@@ -5,17 +5,5 @@ observations and never touch the event loop, so they are equally usable
 from unit tests and from live pipelines.
 """
 
-from repro.metrics.ewma import Ewma
-from repro.metrics.fairness import f_util, jain_index, utilization_deviation
-from repro.metrics.histogram import LatencyHistogram
-from repro.metrics.throughput import IntervalSeries, ThroughputMonitor
-
-__all__ = [
-    "Ewma",
-    "LatencyHistogram",
-    "ThroughputMonitor",
-    "IntervalSeries",
-    "f_util",
-    "jain_index",
-    "utilization_deviation",
-]
+# benchmarks/ledger imports this through the package; ROADMAP item 1 retires it.
+from repro.metrics.fairness import jain_index  # noqa: F401

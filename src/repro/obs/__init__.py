@@ -24,10 +24,10 @@ by a None check, so an uninstrumented run executes no tracing code
 beyond that check.
 """
 
-from repro.obs.probe import KernelProbe
-from repro.obs.registry import Counter, Gauge, Registry
-from repro.obs.session import ObsSession, capture, current_session
-from repro.obs.trace import TraceBuffer, TraceType
+from repro.obs.session import current_session
+
+# benchmarks/ledger imports this through the package; ROADMAP item 1 retires it.
+from repro.obs.session import capture  # noqa: F401
 
 
 def bump(name: str, amount=1) -> None:
@@ -42,17 +42,3 @@ def bump(name: str, amount=1) -> None:
     session = current_session()
     if session is not None and amount:
         session.registry.counter(name).inc(amount)
-
-
-__all__ = [
-    "Counter",
-    "Gauge",
-    "KernelProbe",
-    "ObsSession",
-    "Registry",
-    "TraceBuffer",
-    "TraceType",
-    "bump",
-    "capture",
-    "current_session",
-]

@@ -12,9 +12,9 @@ registers its components into the session's metrics registry.
 Typical use -- exactly what ``python -m repro run <exp> --trace
 out.jsonl --stats`` does::
 
-    from repro import obs
+    from repro.obs.session import capture
 
-    with obs.capture(trace_path="out.jsonl") as session:
+    with capture(trace_path="out.jsonl") as session:
         results = fig09_dynamic.run()
     print(session.stats_report())
 """

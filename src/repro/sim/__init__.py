@@ -7,37 +7,5 @@ generator-based processes, and a registry of named, seeded random
 number streams so that every run is reproducible.
 """
 
-from repro.sim.engine import (
-    Event,
-    Process,
-    SimulationError,
-    Simulator,
-    all_of,
-    any_of,
-)
-from repro.sim.rng import RngRegistry
-from repro.sim.units import GB, GBPS, KB, MB, MBPS, MS, SEC, US, bytes_per_us, mbps
-
-#: Imported by ``benchmarks/ledger/worker.py`` only; ROADMAP item 1a deletes it.
-make_simulator = Simulator
-
-__all__ = [
-    "Event",
-    "Process",
-    "SimulationError",
-    "Simulator",
-    "all_of",
-    "any_of",
-    "make_simulator",
-    "RngRegistry",
-    "KB",
-    "MB",
-    "GB",
-    "US",
-    "MS",
-    "SEC",
-    "MBPS",
-    "GBPS",
-    "mbps",
-    "bytes_per_us",
-]
+# benchmarks/ledger imports this through the package; ROADMAP item 1 retires it.
+from repro.sim.engine import Simulator as make_simulator  # noqa: F401

@@ -21,49 +21,5 @@ is scheduled -- no per-page events -- which keeps simulated hundreds of
 KIOPS tractable in pure Python.
 """
 
-from repro.ssd.commands import DeviceCommand, IoOp
-from repro.ssd.conditioning import (
-    age_device,
-    clear_conditioning_cache,
-    precondition_clean,
-    precondition_fragmented,
-)
-from repro.ssd.device import DeviceStats, NullDevice, SsdDevice
-from repro.ssd.ftl import Ftl, FtlStats, GcWork, WearConfig, WearStats
-from repro.ssd.geometry import SsdGeometry
-from repro.ssd.mapping_cache import MappingCache
-from repro.ssd.profiles import (
-    DCT983_PROFILE,
-    NULL_PROFILE,
-    P3600_PROFILE,
-    QLC_PROFILE,
-    DeviceProfile,
-    profile_by_name,
-)
-from repro.ssd.write_buffer import WriteBuffer
-
-__all__ = [
-    "DeviceCommand",
-    "IoOp",
-    "SsdDevice",
-    "NullDevice",
-    "DeviceStats",
-    "Ftl",
-    "FtlStats",
-    "GcWork",
-    "WearConfig",
-    "WearStats",
-    "MappingCache",
-    "SsdGeometry",
-    "DeviceProfile",
-    "DCT983_PROFILE",
-    "P3600_PROFILE",
-    "QLC_PROFILE",
-    "NULL_PROFILE",
-    "profile_by_name",
-    "WriteBuffer",
-    "precondition_clean",
-    "precondition_fragmented",
-    "age_device",
-    "clear_conditioning_cache",
-]
+# benchmarks/ledger imports this through the package; ROADMAP item 1 retires it.
+from repro.ssd.device import SsdDevice  # noqa: F401

@@ -8,37 +8,5 @@ workloads (A/B/C/D/F) over a Zipfian request distribution for the
 RocksDB case study.
 """
 
-from repro.workloads.fio import FioSpec, FioWorker
-from repro.workloads.patterns import AddressRegion, RandomPattern, SequentialPattern
-from repro.workloads.population import (
-    DEFAULT_TENANT_CLASSES,
-    TenantClass,
-    TenantPopulation,
-    TenantSpec,
-    peak_concurrent,
-)
-from repro.workloads.ycsb import (
-    YCSB_WORKLOADS,
-    YcsbOp,
-    YcsbSpec,
-    YcsbWorkloadGenerator,
-    ZipfianGenerator,
-)
-
-__all__ = [
-    "DEFAULT_TENANT_CLASSES",
-    "TenantClass",
-    "TenantPopulation",
-    "TenantSpec",
-    "peak_concurrent",
-    "FioSpec",
-    "FioWorker",
-    "AddressRegion",
-    "RandomPattern",
-    "SequentialPattern",
-    "ZipfianGenerator",
-    "YcsbOp",
-    "YcsbSpec",
-    "YcsbWorkloadGenerator",
-    "YCSB_WORKLOADS",
-]
+# benchmarks/ledger imports this through the package; ROADMAP item 1 retires it.
+from repro.workloads.fio import FioSpec  # noqa: F401

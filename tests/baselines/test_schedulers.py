@@ -4,12 +4,11 @@ from __future__ import annotations
 
 import pytest
 
-from repro.baselines import FifoScheduler, FlashFqScheduler, ReflexScheduler
 from repro.baselines.base import StorageScheduler
-from repro.fabric import Network, NvmeOfInitiator, NvmeOfTarget
+from repro.baselines.fifo import FifoScheduler
+from repro.baselines.flashfq import FlashFqScheduler
+from repro.baselines.reflex import ReflexScheduler
 from repro.fabric.request import FabricRequest
-from repro.sim import Simulator
-from repro.ssd import NullDevice
 from repro.ssd.commands import IoOp
 
 

@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.sim import Simulator
-from repro.ssd import SsdGeometry
+from repro.sim.engine import Simulator
+from repro.ssd.geometry import SsdGeometry
 
 
 @pytest.fixture

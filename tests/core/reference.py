@@ -15,10 +15,11 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from repro.core import GimbalParams, GimbalScheduler
+from repro.core.config import GimbalParams
 from repro.core.congestion import CongestionState, LatencyMonitor
 from repro.core.rate_control import RateController
-from repro.sim import Simulator
+from repro.core.switch import GimbalScheduler
+from repro.sim.engine import Simulator
 
 
 class ReferenceVirtualSlot:

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import CongestionState, GimbalParams, LatencyMonitor
+from repro.core.config import GimbalParams
+from repro.core.congestion import CongestionState, LatencyMonitor
 
 
 @pytest.fixture

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import CongestionState, GimbalParams, LatencyMonitor
+from repro.core.config import GimbalParams
+from repro.core.congestion import CongestionState, LatencyMonitor
 from repro.core.rate_control import CompletionRateMeter, DualTokenBucket, RateController
 from repro.ssd.commands import IoOp
 from tests.core.reference import ReferenceLatencyMonitor, ReferenceRateController

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import DrrSlotScheduler, GimbalParams, GimbalTenant
+from repro.core.config import GimbalParams
 from repro.core.rate_control import DualTokenBucket
+from repro.core.scheduler import DrrSlotScheduler, GimbalTenant
 from repro.fabric.request import FabricRequest
 from repro.ssd.commands import IoOp
 from tests.core.reference import LiveSwitch

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import GimbalParams, GimbalScheduler
 from repro.core.ablations import (
     ABLATIONS,
     FixedThresholdGimbal,
@@ -14,10 +13,16 @@ from repro.core.ablations import (
     SingleTokenBucket,
     StaticWriteCostGimbal,
 )
-from repro.fabric import CreditClientPolicy, Network, NvmeOfInitiator, NvmeOfTarget
-from repro.sim import Simulator
-from repro.ssd import SsdDevice, precondition_clean
+from repro.core.config import GimbalParams
+from repro.core.switch import GimbalScheduler
+from repro.fabric.initiator import NvmeOfInitiator
+from repro.fabric.network import Network
+from repro.fabric.policies import CreditClientPolicy
+from repro.fabric.target import NvmeOfTarget
+from repro.sim.engine import Simulator
 from repro.ssd.commands import IoOp
+from repro.ssd.conditioning import precondition_clean
+from repro.ssd.device import SsdDevice
 
 
 def build_gimbal_rig(sim, scheduler_factory=GimbalScheduler):

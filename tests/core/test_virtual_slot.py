@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import GimbalScheduler
+from repro.core.switch import GimbalScheduler
 from repro.fabric.request import FabricRequest
 from repro.ssd.commands import IoOp
 from tests.core.reference import LiveSwitch

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import GimbalParams, WriteCostEstimator
+from repro.core.config import GimbalParams
+from repro.core.write_cost import WriteCostEstimator
 
 
 @pytest.fixture

@@ -14,7 +14,7 @@ from __future__ import annotations
 import sys
 
 from repro.harness.testbed import Testbed, TestbedConfig
-from repro.workloads import FioSpec
+from repro.workloads.fio import FioSpec
 
 IOS = 2_000
 

@@ -4,12 +4,18 @@ from __future__ import annotations
 
 import pytest
 
-from repro.baselines import FifoScheduler, FlashFqScheduler, ReflexScheduler
-from repro.core import GimbalScheduler
-from repro.fabric import CreditClientPolicy, Network, NvmeOfInitiator, NvmeOfTarget
-from repro.nvme import Namespace
-from repro.ssd import NullDevice, SsdDevice, precondition_clean
+from repro.baselines.fifo import FifoScheduler
+from repro.baselines.flashfq import FlashFqScheduler
+from repro.baselines.reflex import ReflexScheduler
+from repro.core.switch import GimbalScheduler
+from repro.fabric.initiator import NvmeOfInitiator
+from repro.fabric.namespace import Namespace
+from repro.fabric.network import Network
+from repro.fabric.policies import CreditClientPolicy
+from repro.fabric.target import NvmeOfTarget
 from repro.ssd.commands import IoOp
+from repro.ssd.conditioning import precondition_clean
+from repro.ssd.device import NullDevice, SsdDevice
 
 
 def build(sim, scheduler_factory=GimbalScheduler, tenants=2):

@@ -4,20 +4,20 @@ from __future__ import annotations
 
 import pytest
 
-from repro.baselines import FifoScheduler
-from repro.fabric import (
+from repro.baselines.fifo import FifoScheduler
+from repro.core.switch import GimbalScheduler
+from repro.fabric.initiator import NvmeOfInitiator
+from repro.fabric.network import Network
+from repro.fabric.policies import (
     CreditClientPolicy,
-    Network,
-    NvmeOfInitiator,
-    NvmeOfTarget,
     PardaClientPolicy,
     UnlimitedClientPolicy,
     WindowClientPolicy,
 )
-from repro.core import GimbalScheduler
-from repro.sim import Simulator
-from repro.ssd import NullDevice, SsdDevice, precondition_clean
+from repro.fabric.target import NvmeOfTarget
 from repro.ssd.commands import IoOp
+from repro.ssd.conditioning import precondition_clean
+from repro.ssd.device import NullDevice, SsdDevice
 
 
 def build_rig(sim, scheduler_factory=FifoScheduler, policy=None, device=None):

@@ -4,8 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.fabric import Network
-from repro.sim import Simulator
+from repro.fabric.network import Network
 
 
 @pytest.fixture

@@ -25,16 +25,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.baselines import FifoScheduler
-from repro.fabric import Network, NvmeOfInitiator, NvmeOfTarget
+from repro.baselines.fifo import FifoScheduler
 from repro.fabric import initiator as pool
-from repro.fabric.initiator import request_pool_size
+from repro.fabric.initiator import NvmeOfInitiator, request_pool_size
+from repro.fabric.network import Network
 from repro.fabric.request import FabricRequest
+from repro.fabric.target import NvmeOfTarget
 from repro.harness.testbed import Testbed, TestbedConfig
-from repro.sim import Simulator
-from repro.ssd import NullDevice
+from repro.sim.engine import Simulator
 from repro.ssd.commands import IoOp
-from repro.workloads import FioSpec
+from repro.ssd.device import NullDevice
+from repro.workloads.fio import FioSpec
 from tests.core.test_switch import build_gimbal_rig
 
 _REQUEST_FIELDS = [

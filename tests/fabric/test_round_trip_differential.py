@@ -16,20 +16,18 @@ from contextlib import nullcontext
 
 import pytest
 
-from repro.baselines import FifoScheduler
-from repro.core import GimbalScheduler
-from repro.fabric import (
-    CreditClientPolicy,
-    Network,
-    NvmeOfInitiator,
-    NvmeOfTarget,
-    WindowClientPolicy,
-)
+from repro.baselines.fifo import FifoScheduler
+from repro.core.switch import GimbalScheduler
 from repro.fabric import initiator as product_pool
-from repro.nvme import Namespace, NamespaceError
-from repro.sim import Simulator
-from repro.ssd import SsdDevice, precondition_clean
+from repro.fabric.initiator import NvmeOfInitiator
+from repro.fabric.namespace import Namespace, NamespaceError
+from repro.fabric.network import Network
+from repro.fabric.policies import CreditClientPolicy, WindowClientPolicy
+from repro.fabric.target import NvmeOfTarget
+from repro.sim.engine import Simulator
 from repro.ssd.commands import IoOp
+from repro.ssd.conditioning import precondition_clean
+from repro.ssd.device import SsdDevice
 from tests.fabric import reference
 
 STAMPS = (

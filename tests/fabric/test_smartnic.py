@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import pytest
 
-from repro.baselines import FifoScheduler
-from repro.fabric import Network, NvmeOfTarget
+from repro.baselines.fifo import FifoScheduler
+from repro.fabric.network import Network
 from repro.fabric.smartnic import CYCLES_PER_US, SERVER_CPU, SMARTNIC_CPU, CpuCostModel, NicCore
+from repro.fabric.target import NvmeOfTarget
 from repro.harness.testbed import TestbedConfig
-from repro.ssd import NullDevice
+from repro.ssd.device import NullDevice
 
 
 class TestNicCore:

@@ -7,10 +7,15 @@ Regression tests for the throughput-attribution bug where
 
 from __future__ import annotations
 
-from repro.baselines import FifoScheduler
-from repro.fabric import Network, NvmeOfInitiator, NvmeOfTarget, UnlimitedClientPolicy
-from repro.ssd import NullDevice, SsdDevice, SsdGeometry, precondition_clean
+from repro.baselines.fifo import FifoScheduler
+from repro.fabric.initiator import NvmeOfInitiator
+from repro.fabric.network import Network
+from repro.fabric.policies import UnlimitedClientPolicy
+from repro.fabric.target import NvmeOfTarget
 from repro.ssd.commands import IoOp
+from repro.ssd.conditioning import precondition_clean
+from repro.ssd.device import NullDevice, SsdDevice
+from repro.ssd.geometry import SsdGeometry
 
 
 def build_rig(sim, device=None):

@@ -122,17 +122,17 @@ def conditioning_digest() -> dict:
     and an endurance limit the aged wear clamps against.
     """
     from repro.harness.experiments import aging
-    from repro.sim import Simulator
-    from repro.ssd import (
-        SsdDevice,
-        SsdGeometry,
+    from repro.sim.engine import Simulator
+    from repro.ssd.conditioning import (
+        _snapshot_cache,
         age_device,
         clear_conditioning_cache,
         precondition_clean,
         precondition_fragmented,
-        profile_by_name,
     )
-    from repro.ssd.conditioning import _snapshot_cache
+    from repro.ssd.device import SsdDevice
+    from repro.ssd.geometry import SsdGeometry
+    from repro.ssd.profiles import profile_by_name
 
     profile = profile_by_name("dct983")
     rigs = {

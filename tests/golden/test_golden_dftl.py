@@ -22,8 +22,9 @@ import pytest
 from repro.harness.experiments import common
 from repro.harness.experiments import fig02_unloaded_latency as fig02
 from repro.harness.experiments import table1_overheads as table1
-from repro.ssd import clear_conditioning_cache, profile_by_name
 from repro.ssd import profiles as profiles_module
+from repro.ssd.conditioning import clear_conditioning_cache
+from repro.ssd.profiles import profile_by_name
 from tests.golden.regenerate import GOLDEN_CONFIGS
 from tests.golden.test_golden_figures import _assert_close, _load
 

@@ -23,7 +23,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import repro
-from repro import obs
+from repro.cli import EXPERIMENTS
 from repro.harness.cache import (
     SCHEMA_VERSION,
     CacheStats,
@@ -41,6 +41,7 @@ from repro.harness.cache import (
 )
 from repro.harness.orchestrator import suite_experiments
 from repro.harness.parallel import Sweep, SweepPoint, run_sweep
+from repro.obs.session import capture
 
 CALLS = []
 REPO = Path(repro.__file__).resolve().parents[2]
@@ -181,11 +182,83 @@ class TestFingerprints:
         # No driver reaches the CLI or the suite layer (the protocol
         # helpers live in repro.harness.parallel for that reason): a help
         # string edit must not recompute every figure.
-        from repro.cli import EXPERIMENTS
-
         for module_path, _ in EXPERIMENTS.values():
             closure = set(transitive_sources(module_path, roots={"repro"}))
             assert not closure & {"repro.cli", "repro.harness.orchestrator"}, module_path
+
+
+#: Modules only the RocksDB case study (figs 10-13) and the rack run.
+KV_STACK = (
+    "repro.kv",
+    "repro.harness.kvcluster",
+    "repro.workloads.ycsb",
+    "repro.workloads.population",
+    "repro.fabric.boundary",
+)
+KV_DRIVERS = {"fig10", "fig11-12", "fig13", "rack"}
+
+#: fig11-12's points call fig10's ``run_one``: that driver is code it runs.
+SHARED_POINTS = {
+    "repro.harness.experiments.fig11_12_scaling": {"repro.harness.experiments.fig10_rocksdb"},
+}
+
+#: The only imports a package ``__init__`` may hold: the names
+#: ``benchmarks/ledger`` imports by package path, and what ``bump`` calls.
+INIT_IMPORTS = {
+    "repro.core": {("repro.core.switch", "GimbalScheduler", None)},
+    "repro.metrics": {("repro.metrics.fairness", "jain_index", None)},
+    "repro.obs": {
+        ("repro.obs.session", "capture", None),
+        ("repro.obs.session", "current_session", None),
+    },
+    "repro.sim": {("repro.sim.engine", "Simulator", "make_simulator")},
+    "repro.ssd": {("repro.ssd.device", "SsdDevice", None)},
+    "repro.workloads": {("repro.workloads.fio", "FioSpec", None)},
+}
+
+
+class TestClosurePins:
+    """A driver's fingerprint covers the code it runs: editing a module
+    recomputes only the figures that reach it."""
+
+    @pytest.mark.parametrize("name", sorted(EXPERIMENTS))
+    def test_driver_closure_holds_no_other_driver_and_kv_only_if_it_runs_kv(self, name):
+        module_path = EXPERIMENTS[name][0]
+        closure = set(transitive_sources(module_path, frozenset({"repro"})))
+        drivers = {path for path, _ in EXPERIMENTS.values()}
+        assert closure & drivers == {module_path} | SHARED_POINTS.get(module_path, set())
+        kv = {
+            module
+            for module in closure
+            for prefix in KV_STACK
+            if module == prefix or module.startswith(prefix + ".")
+        }
+        if name in KV_DRIVERS:
+            assert "repro.kv.lsm" in kv
+        else:
+            assert not kv, sorted(kv)
+
+    def test_package_inits_reexport_nothing(self):
+        """A re-export gives a name a second import path, and gives every
+        importer of the package the re-exported module's closure.  Each
+        ``__init__`` under ``src/repro`` is its docstring plus at most
+        the allow-listed imports and ``repro.obs.bump``."""
+        inits = sorted((REPO / "src" / "repro").rglob("__init__.py"))
+        assert len(inits) >= 11
+        for init in inits:
+            package = ".".join(init.parent.relative_to(REPO / "src").parts)
+            tree = ast.parse(init.read_text(encoding="utf-8"))
+            assert ast.get_docstring(tree), init
+            imports, defs = set(), set()
+            for node in tree.body[1:]:
+                if isinstance(node, ast.ImportFrom):
+                    imports |= {(node.module, alias.name, alias.asname) for alias in node.names}
+                elif isinstance(node, ast.FunctionDef):
+                    defs.add(node.name)
+                else:
+                    pytest.fail(f"{init}:{node.lineno} is neither an import nor a def")
+            assert imports <= INIT_IMPORTS.get(package, set()), init
+            assert defs <= ({"bump"} if package == "repro.obs" else set()), init
 
 
 # ----------------------------------------------------------------------
@@ -594,7 +667,7 @@ class TestImportScan:
             monkeypatch.undo()
         assert compiled == []
         closure = transitive_sources(fig02.__name__, frozenset({"repro"}))
-        assert len(closure) > 90
+        assert {"repro.sim.engine", "repro.ssd.device", "repro.fabric.pipeline"} <= set(closure)
         assert opened == Counter(importlib.util.find_spec(name).origin for name in closure)
 
 
@@ -1029,7 +1102,7 @@ class TestObsIntegration:
             SweepPoint(index=i, label=f"x={i}", fn=point_fn, kwargs={"x": i})
             for i in range(2)
         ]
-        with obs.capture(trace=True) as session:
+        with capture(trace=True) as session:
             run_sweep(points, cache=cache, name="obs-sweep")
             run_sweep(points, cache=cache, name="obs-sweep")
         snapshot = session.registry.snapshot()

@@ -9,12 +9,14 @@ must stay warm.  ``points_edit`` edits ``dep_alpha`` *while it runs*.
 
 The second half drives :func:`code_fingerprint` directly without ever
 clearing the per-process memos between steps: the closure memo has to
-notice every kind of change on its own.
+notice every kind of change on its own.  One case there runs on the
+real drivers, with ``_source`` reporting an edit no file received.
 """
 
 from __future__ import annotations
 
 import importlib
+import importlib.util
 import os
 import sys
 import textwrap
@@ -324,6 +326,30 @@ def test_a_new_import_pulls_the_new_module_into_the_closure(fake_pkg):
     # ...and from now on an edit to the new module counts.
     _rewrite(pkg / "dep_new.py", "EXTRA = 2\n")
     assert code_fingerprint(points_a.point) not in (before, with_import)
+
+
+def test_a_kv_edit_recomputes_the_rocksdb_figure_and_not_fig02(monkeypatch):
+    """``repro/kv/lsm.py`` reads as edited (a new source hash, the file
+    untouched): fig10 runs the LSM tree and gets a new fingerprint; fig02
+    never reaches it and keeps its own."""
+    from repro.harness.experiments import fig02_unloaded_latency as fig02
+    from repro.harness.experiments import fig10_rocksdb as fig10
+
+    lsm = importlib.util.find_spec("repro.kv.lsm").origin
+    before = code_fingerprint(fig02._point), code_fingerprint(fig10.run_one)
+    real = cache_module._source
+
+    def edited(path):
+        sha, imports = real(path)
+        return ("edited" + sha if path == lsm else sha), imports
+
+    monkeypatch.setattr(cache_module, "_source", edited)
+    try:
+        assert code_fingerprint(fig02._point) == before[0]
+        assert code_fingerprint(fig10.run_one) != before[1]
+    finally:
+        monkeypatch.undo()
+        clear_fingerprint_caches()
 
 
 def test_deleting_a_closure_file_changes_the_fingerprint(fake_pkg):

@@ -151,7 +151,7 @@ class TestChurn:
         assert once() == once()
 
     def test_rack_metrics_registered(self):
-        from repro.obs import Registry
+        from repro.obs.registry import Registry
 
         cluster = small_cluster()
         registry = Registry()

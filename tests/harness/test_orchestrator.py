@@ -20,7 +20,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import obs
 from repro.harness.cache import ResultCache
 from repro.harness.orchestrator import (
     ExperimentSpec,
@@ -38,6 +37,7 @@ from repro.harness.parallel import (
     plan_dispatch,
     run_sweep,
 )
+from repro.obs.session import capture
 from tests.golden.regenerate import GOLDEN_CONFIGS
 from tests.harness.fake_experiments import _calc, _negate
 
@@ -233,7 +233,7 @@ class TestRunSuite:
         journal -- what ``repro cache stats`` lists -- and its cache
         traffic reaches the capturing obs session."""
         cache_dir = tmp_path / "cache"
-        with obs.capture() as session:
+        with capture() as session:
             suite = run_suite([ALPHA], jobs=1, cache=cache_dir)
         report = suite.report()
         assert report["experiments"] == 1
@@ -256,7 +256,7 @@ class TestRunSuite:
         import repro.harness.parallel as parallel_mod
 
         monkeypatch.setattr(parallel_mod.os, "cpu_count", lambda: 1)
-        with obs.capture() as session:
+        with capture() as session:
             default = run_suite([ALPHA], cache=False)
             assert session.registry.counter("sweep.jobs_clamped").value == 0
             explicit = run_suite([ALPHA], jobs=64, cache=False)

@@ -13,7 +13,6 @@ import time
 
 import pytest
 
-from repro import obs
 from repro.harness.experiments import fig14_read_ratio as fig14
 from repro.harness.parallel import (
     Sweep,
@@ -24,6 +23,7 @@ from repro.harness.parallel import (
     run_sweep,
     sweep_axes,
 )
+from repro.obs.session import capture
 
 
 # Module-level so points pickle by reference into worker processes.
@@ -125,7 +125,7 @@ class TestJobsClamp:
             SweepPoint(index=i, label=f"p{i}", fn=_square, kwargs={"value": i})
             for i in range(4)
         ]
-        with obs.capture() as session:
+        with capture() as session:
             results = run_sweep(points, jobs=64, cache=cache, name="clamped")
         assert [r["squared"] for r in results] == [0, 1, 4, 9]
         record = cache.read_journal()[-1]
@@ -263,7 +263,7 @@ class TestExperimentDeterminism:
 
     def test_traced_run_matches_untraced(self, tmp_path):
         untraced = self._canonical(fig14.run(**self.KWARGS))
-        with obs.capture(trace_path=str(tmp_path / "journal.jsonl")) as session:
+        with capture(trace_path=str(tmp_path / "journal.jsonl")) as session:
             traced = self._canonical(fig14.run(**self.KWARGS))
         assert traced == untraced
         # The capture actually observed the runs it claims not to perturb.

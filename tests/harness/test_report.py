@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from repro.harness import format_series, format_table
+from repro.harness.report import format_series, format_table
 
 
 class TestFormatTable:

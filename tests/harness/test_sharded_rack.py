@@ -19,7 +19,7 @@ import pytest
 from repro.harness.experiments import rack
 from repro.harness.kvcluster import KvCluster, KvClusterConfig
 from repro.sim.shard import EFFECTIVE_JOBS_ENV, ShardWorkerError
-from repro.ssd import SsdDevice
+from repro.ssd.device import SsdDevice
 from repro.workloads.population import TenantPopulation
 
 

@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.harness import SCHEMES, Testbed, TestbedConfig
+from repro.harness.testbed import SCHEMES, Testbed, TestbedConfig
 from repro.ssd.commands import IoOp
-from repro.workloads import FioSpec
+from repro.workloads.fio import FioSpec
 
 
 class TestConservation:
@@ -134,7 +134,8 @@ class TestLoadSteering:
         runner = cluster.add_instance("db0", "C", record_count=512, concurrency=4)
         cluster.load_all()
         # Hammer ssd0 with an aggressive external tenant.
-        from repro.fabric import NvmeOfInitiator, UnlimitedClientPolicy
+        from repro.fabric.initiator import NvmeOfInitiator
+        from repro.fabric.policies import UnlimitedClientPolicy
 
         bully = NvmeOfInitiator(cluster.sim, cluster.network, "bully")
         bully_session = bully.connect(

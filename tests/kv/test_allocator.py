@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.kv import BlobAddress, GlobalBlobAllocator, LocalBlobAllocator
-from repro.workloads import AddressRegion
+from repro.kv.allocator import BlobAddress, GlobalBlobAllocator, LocalBlobAllocator
+from repro.workloads.patterns import AddressRegion
 
 
 def make_global(backends=2, megas_per_backend=4, mega_pages=256, load_of=None):

@@ -4,12 +4,16 @@ from __future__ import annotations
 
 import pytest
 
-from repro.baselines import FifoScheduler
-from repro.fabric import Network, NvmeOfInitiator, NvmeOfTarget, UnlimitedClientPolicy
-from repro.kv import Blobstore, GlobalBlobAllocator, LocalBlobAllocator, RemoteBackend
-from repro.sim import Simulator
-from repro.ssd import NullDevice
-from repro.workloads import AddressRegion
+from repro.baselines.fifo import FifoScheduler
+from repro.fabric.initiator import NvmeOfInitiator
+from repro.fabric.network import Network
+from repro.fabric.policies import UnlimitedClientPolicy
+from repro.fabric.target import NvmeOfTarget
+from repro.kv.allocator import GlobalBlobAllocator, LocalBlobAllocator
+from repro.kv.backend import RemoteBackend
+from repro.kv.blobstore import Blobstore
+from repro.ssd.device import NullDevice
+from repro.workloads.patterns import AddressRegion
 
 
 def build_store(sim, num_backends=2, replicate=True, load_balance=True):
@@ -162,8 +166,8 @@ class TestIo:
 
 class TestRemoteBackend:
     def test_credit_tracked_from_completions(self, sim):
-        from repro.core import GimbalScheduler
-        from repro.fabric import CreditClientPolicy
+        from repro.core.switch import GimbalScheduler
+        from repro.fabric.policies import CreditClientPolicy
 
         network = Network(sim)
         target = NvmeOfTarget(sim, network, "j", {"s": NullDevice(sim)}, GimbalScheduler)

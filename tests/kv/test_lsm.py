@@ -6,20 +6,18 @@ import random
 
 import pytest
 
-from repro.baselines import FifoScheduler
-from repro.fabric import Network, NvmeOfInitiator, NvmeOfTarget, UnlimitedClientPolicy
-from repro.kv import (
-    Blobstore,
-    GlobalBlobAllocator,
-    LocalBlobAllocator,
-    LsmConfig,
-    LsmTree,
-    RemoteBackend,
-    YcsbRunner,
-)
-from repro.sim import Simulator
-from repro.ssd import NullDevice
-from repro.workloads import AddressRegion
+from repro.baselines.fifo import FifoScheduler
+from repro.fabric.initiator import NvmeOfInitiator
+from repro.fabric.network import Network
+from repro.fabric.policies import UnlimitedClientPolicy
+from repro.fabric.target import NvmeOfTarget
+from repro.kv.allocator import GlobalBlobAllocator, LocalBlobAllocator
+from repro.kv.backend import RemoteBackend
+from repro.kv.blobstore import Blobstore
+from repro.kv.lsm import LsmConfig, LsmTree
+from repro.kv.runner import YcsbRunner
+from repro.ssd.device import NullDevice
+from repro.workloads.patterns import AddressRegion
 from repro.workloads.ycsb import YCSB_WORKLOADS
 
 

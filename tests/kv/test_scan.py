@@ -6,7 +6,8 @@ import random
 
 import pytest
 
-from repro.kv import LsmConfig, YcsbRunner
+from repro.kv.lsm import LsmConfig
+from repro.kv.runner import YcsbRunner
 from repro.workloads.ycsb import YCSB_WORKLOADS
 from tests.kv.test_lsm import build_tree, put_sync
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.metrics import Ewma
+from repro.metrics.ewma import Ewma
 
 
 class TestEwma:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.metrics import f_util, jain_index, utilization_deviation
+from repro.metrics.fairness import f_util, jain_index, utilization_deviation
 
 
 class TestFUtil:

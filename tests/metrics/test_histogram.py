@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.metrics import LatencyHistogram
+from repro.metrics.histogram import LatencyHistogram
 
 
 class TestBasics:

@@ -13,7 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.metrics import IntervalSeries, LatencyHistogram
+from repro.metrics.histogram import LatencyHistogram
+from repro.metrics.throughput import IntervalSeries
 
 #: Latency-like values spanning the histograms' full dynamic range.
 values = st.floats(min_value=0.0, max_value=2e7, allow_nan=False, allow_infinity=False)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.metrics import IntervalSeries, ThroughputMonitor
+from repro.metrics.throughput import IntervalSeries, ThroughputMonitor
 from repro.sim.units import MB, SEC
 
 

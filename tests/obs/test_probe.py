@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
-from repro.obs import KernelProbe, Registry
-from repro.sim import Simulator
+from repro.obs.probe import KernelProbe
+from repro.obs.registry import Registry
+from repro.sim.engine import Simulator
 
 
 def probed_sim():

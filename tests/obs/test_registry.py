@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.obs import Registry
+from repro.obs.registry import Registry
 
 
 class TestCounters:

@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
-from repro import obs
-from repro.harness import Testbed, TestbedConfig
-from repro.obs import current_session
-from repro.sim import Simulator
-from repro.workloads import FioSpec
+from repro.harness.testbed import Testbed, TestbedConfig
+from repro.obs.session import capture, current_session
+from repro.obs.trace import read_jsonl
+from repro.sim.engine import Simulator
+from repro.workloads.fio import FioSpec
 
 
 class TestSessionLifecycle:
@@ -14,26 +14,26 @@ class TestSessionLifecycle:
         assert current_session() is None
 
     def test_capture_installs_and_restores(self):
-        with obs.capture() as session:
+        with capture() as session:
             assert current_session() is session
         assert current_session() is None
 
     def test_capture_restores_on_error(self):
         try:
-            with obs.capture():
+            with capture():
                 raise RuntimeError("boom")
         except RuntimeError:
             pass
         assert current_session() is None
 
     def test_sessions_nest(self):
-        with obs.capture() as outer:
-            with obs.capture() as inner:
+        with capture() as outer:
+            with capture() as inner:
                 assert current_session() is inner
             assert current_session() is outer
 
     def test_stats_only_session_has_no_tracer(self):
-        with obs.capture() as session:
+        with capture() as session:
             sim = Simulator()
             session.attach_simulator(sim)
             assert sim.tracer is None
@@ -41,7 +41,7 @@ class TestSessionLifecycle:
             assert session.trace_events_emitted == 0
 
     def test_in_memory_trace_session(self):
-        with obs.capture(trace=True) as session:
+        with capture(trace=True) as session:
             sim = Simulator()
             session.attach_simulator(sim)
             assert sim.tracer is session.tracer
@@ -66,7 +66,7 @@ class TestTestbedIntegration:
 
     def test_journal_contains_io_congestion_and_bucket_events(self, tmp_path):
         path = str(tmp_path / "journal.jsonl")
-        with obs.capture(trace_path=path) as session:
+        with capture(trace_path=path) as session:
             testbed = tiny_testbed()
             assert testbed.sim.tracer is session.tracer
             testbed.run(warmup_us=2000.0, measure_us=10000.0)
@@ -76,12 +76,12 @@ class TestTestbedIntegration:
         assert counts["io_complete"] > 0
         assert counts["congestion"] > 0
         assert counts["bucket_deny"] > 0
-        events = obs.trace.read_jsonl(path)
+        events = read_jsonl(path)
         assert len(events) == session.trace_events_emitted
         assert {"t", "ev", "comp"} <= set(events[0])
 
     def test_registry_collects_component_metrics(self):
-        with obs.capture() as session:
+        with capture() as session:
             testbed = tiny_testbed()
             testbed.run(warmup_us=2000.0, measure_us=8000.0)
             snapshot = session.registry.snapshot()
@@ -93,7 +93,7 @@ class TestTestbedIntegration:
         assert any(name.startswith("net.") for name in snapshot)
 
     def test_stats_report_renders(self):
-        with obs.capture(trace=True) as session:
+        with capture(trace=True) as session:
             testbed = tiny_testbed()
             testbed.run(warmup_us=1000.0, measure_us=5000.0)
             report = session.stats_report()
@@ -106,7 +106,7 @@ class TestTestbedIntegration:
 
         def total_bandwidth(traced):
             if traced:
-                with obs.capture(trace=True):
+                with capture(trace=True):
                     testbed = tiny_testbed()
                     results = testbed.run(warmup_us=2000.0, measure_us=10000.0)
             else:

@@ -6,8 +6,7 @@ import io
 
 import pytest
 
-from repro.obs import TraceBuffer, TraceType
-from repro.obs.trace import read_jsonl
+from repro.obs.trace import TraceBuffer, TraceType, read_jsonl
 
 
 class TestEmission:

@@ -4,8 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.sim import Simulator
-from repro.sim.engine import SimulationError
+from repro.sim.engine import SimulationError, Simulator
 
 
 class TestScheduling:
@@ -219,7 +218,7 @@ class TestDeterminism:
 
 class TestWaiterCombinators:
     def test_all_of_waits_for_everyone(self, sim):
-        from repro.sim import all_of
+        from repro.sim.engine import all_of
 
         waiters = [sim.waiter() for _ in range(3)]
         got = []
@@ -236,7 +235,7 @@ class TestWaiterCombinators:
         assert got == [(30.0, ["a", "b", "c"])]
 
     def test_all_of_empty_is_immediate(self, sim):
-        from repro.sim import all_of
+        from repro.sim.engine import all_of
 
         got = []
 
@@ -249,7 +248,7 @@ class TestWaiterCombinators:
         assert got == [[]]
 
     def test_any_of_triggers_on_first(self, sim):
-        from repro.sim import any_of
+        from repro.sim.engine import any_of
 
         waiters = [sim.waiter() for _ in range(3)]
         got = []
@@ -265,7 +264,7 @@ class TestWaiterCombinators:
         assert got == [(5.0, (1, "fast"))]
 
     def test_any_of_ignores_later_triggers(self, sim):
-        from repro.sim import any_of
+        from repro.sim.engine import any_of
 
         waiters = [sim.waiter(), sim.waiter()]
         combined = any_of(sim, waiters)
@@ -275,14 +274,14 @@ class TestWaiterCombinators:
         assert combined.triggered
 
     def test_any_of_empty_rejected(self, sim):
-        from repro.sim import any_of
+        from repro.sim.engine import any_of
         from repro.sim.engine import SimulationError as SimError
 
         with pytest.raises(SimError):
             any_of(sim, [])
 
     def test_all_of_with_pretriggered_waiter(self, sim):
-        from repro.sim import all_of
+        from repro.sim.engine import all_of
 
         ready = sim.waiter()
         ready.trigger("early")
@@ -301,7 +300,7 @@ class TestWaiterCombinators:
     def test_any_of_stops_loser_relays(self, sim):
         """Regression: losing relay processes used to stay parked on
         their waiters forever after the winner fired."""
-        from repro.sim import any_of
+        from repro.sim.engine import any_of
 
         waiters = [sim.waiter() for _ in range(3)]
         combined = any_of(sim, waiters)
@@ -317,7 +316,7 @@ class TestWaiterCombinators:
         assert combined._value == (1, "fast")
 
     def test_any_of_leaves_no_pending_events_after_winner(self, sim):
-        from repro.sim import any_of
+        from repro.sim.engine import any_of
 
         waiters = [sim.waiter() for _ in range(4)]
         any_of(sim, waiters)

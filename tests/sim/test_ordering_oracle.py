@@ -30,8 +30,8 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.obs import KernelProbe
-from repro.sim import Simulator, any_of
+from repro.obs.probe import KernelProbe
+from repro.sim.engine import Simulator, any_of
 
 
 #: Times come from a coarse grid so exact timestamp ties are common --

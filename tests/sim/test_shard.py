@@ -19,8 +19,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import obs
-from repro.sim import Simulator
+from repro.obs.probe import KernelProbe
+from repro.obs.registry import Registry
+from repro.obs.session import capture
+from repro.sim.engine import Simulator
 from repro.sim.shard import (
     EFFECTIVE_JOBS_ENV,
     SHARDS_ENV,
@@ -58,7 +60,7 @@ def _probed_simulator():
     """A simulator with its own kernel probe attached: a ShardKernel
     reports ``events_fired`` and window counts off ``sim.probe``."""
     sim = Simulator()
-    sim.probe = obs.KernelProbe()
+    sim.probe = KernelProbe()
     return sim
 
 
@@ -190,7 +192,7 @@ class TestPlanShards:
 
     def test_clamp_bumps_counter(self, monkeypatch):
         monkeypatch.setenv(EFFECTIVE_JOBS_ENV, "2")
-        with obs.capture() as session:
+        with capture() as session:
             plan_shards(4, mode="processes")
         assert session.registry.counter("sweep.shards_clamped").value == 1
 
@@ -392,7 +394,7 @@ class TestExecutorWindows:
         executor.channels[0].kernel.emit(1, "ping", HOP, 2)
         executor.run()
         executor.finish()
-        registry = obs.Registry()
+        registry = Registry()
         executor.register_metrics(registry)
         snap = registry.snapshot()
         assert snap["shard.shards"] == 2

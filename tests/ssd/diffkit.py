@@ -22,16 +22,12 @@ from dataclasses import dataclass, replace
 from typing import Callable, List, Optional, Tuple
 
 from repro.fabric.request import FabricRequest
-from repro.ssd import (
-    DeviceCommand,
-    IoOp,
-    SsdDevice,
-    SsdGeometry,
-    precondition_clean,
-    precondition_fragmented,
-    profile_by_name,
-)
-from repro.sim import Simulator
+from repro.sim.engine import Simulator
+from repro.ssd.commands import DeviceCommand, IoOp
+from repro.ssd.conditioning import precondition_clean, precondition_fragmented
+from repro.ssd.device import SsdDevice
+from repro.ssd.geometry import SsdGeometry
+from repro.ssd.profiles import profile_by_name
 
 #: Default geometry for differential runs: small enough to churn
 #: through GC in a few hundred operations, enough overprovisioning for

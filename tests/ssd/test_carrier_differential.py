@@ -15,8 +15,8 @@ from dataclasses import replace
 
 import pytest
 
-from repro.sim import Simulator
-from repro.ssd import NullDevice
+from repro.sim.engine import Simulator
+from repro.ssd.device import NullDevice
 from tests.ssd.diffkit import as_device_command, as_fabric_request, generate_workload, replay
 
 

@@ -13,17 +13,18 @@ from __future__ import annotations
 
 import pytest
 
-from repro.sim import Simulator
-from repro.ssd import (
-    SsdDevice,
-    SsdGeometry,
+from repro.sim.engine import Simulator
+from repro.ssd.conditioning import (
+    _MAX_SNAPSHOTS,
+    _snapshot_cache,
     age_device,
     clear_conditioning_cache,
     precondition_clean,
     precondition_fragmented,
-    profile_by_name,
 )
-from repro.ssd.conditioning import _MAX_SNAPSHOTS, _snapshot_cache
+from repro.ssd.device import SsdDevice
+from repro.ssd.geometry import SsdGeometry
+from repro.ssd.profiles import profile_by_name
 
 GEOMETRY = SsdGeometry(
     num_channels=2, blocks_per_channel=14, pages_per_block=32, overprovision=0.4

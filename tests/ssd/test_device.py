@@ -6,17 +6,10 @@ import random
 
 import pytest
 
-from repro.sim import Simulator
-from repro.ssd import (
-    DCT983_PROFILE,
-    DeviceCommand,
-    IoOp,
-    NullDevice,
-    SsdDevice,
-    SsdGeometry,
-    precondition_clean,
-    precondition_fragmented,
-)
+from repro.sim.engine import Simulator
+from repro.ssd.commands import DeviceCommand, IoOp
+from repro.ssd.conditioning import precondition_clean, precondition_fragmented
+from repro.ssd.device import NullDevice, SsdDevice
 
 
 def run_closed_loop(sim, device, queue_depth, op, npages, duration_us, seed=0, sequential=False):

@@ -57,8 +57,10 @@ class TestDftlInfiniteCacheIdentity:
         _assert_identical(reference, candidate)
 
     def test_infinite_cache_records_hits_without_traffic(self):
-        from repro.sim import Simulator
-        from repro.ssd import DeviceCommand, IoOp, SsdDevice, profile_by_name
+        from repro.sim.engine import Simulator
+        from repro.ssd.commands import DeviceCommand, IoOp
+        from repro.ssd.device import SsdDevice
+        from repro.ssd.profiles import profile_by_name
 
         sim = Simulator()
         profile = profile_by_name("dct983").with_overrides(map_cache_pages=INFINITE_CACHE)
@@ -117,7 +119,7 @@ class TestFidelityLayersChangeBehaviour:
         assert candidate.final_time_us >= reference.final_time_us
 
     def test_tight_endurance_retires_blocks(self):
-        from repro.ssd import SsdGeometry
+        from repro.ssd.geometry import SsdGeometry
 
         # DIFF_GEOMETRY has no spare blocks above the viability floor;
         # retirement needs real headroom to be observable.

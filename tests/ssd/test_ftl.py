@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.ssd import Ftl, SsdGeometry
-from repro.ssd.ftl import FtlError
+from repro.ssd.ftl import Ftl
+from repro.ssd.geometry import SsdGeometry
 
 
 @pytest.fixture

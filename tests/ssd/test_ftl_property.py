@@ -24,8 +24,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.ssd import Ftl, SsdGeometry
-from repro.ssd.ftl import WearConfig
+from repro.ssd.ftl import Ftl, WearConfig
+from repro.ssd.geometry import SsdGeometry
 from repro.ssd.mapping_cache import MappingCache
 
 GEOMETRY = SsdGeometry(

@@ -22,8 +22,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.ssd import Ftl, GcWork, SsdGeometry
-from repro.ssd.ftl import _GC_STREAM, _HOST_STREAM, _UNMAPPED, WearConfig
+from repro.ssd.ftl import _GC_STREAM, _HOST_STREAM, _UNMAPPED, Ftl, GcWork, WearConfig
+from repro.ssd.geometry import SsdGeometry
 from tests.ssd.test_ftl_property import CONFIGS, EXPORTED, SETTINGS
 
 

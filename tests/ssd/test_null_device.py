@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 from repro.obs.registry import Registry
-from repro.ssd import NullDevice
 from repro.ssd.commands import DeviceCommand, IoOp
+from repro.ssd.device import NullDevice
 
 
 class TestNullDeviceCompletion:

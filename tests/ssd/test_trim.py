@@ -6,14 +6,11 @@ import random
 
 import pytest
 
-from repro.sim import Simulator
-from repro.ssd import (
-    DeviceCommand,
-    IoOp,
-    SsdDevice,
-    SsdGeometry,
-    precondition_clean,
-)
+from repro.sim.engine import Simulator
+from repro.ssd.commands import DeviceCommand, IoOp
+from repro.ssd.conditioning import precondition_clean
+from repro.ssd.device import SsdDevice
+from repro.ssd.geometry import SsdGeometry
 
 
 class TestDeviceTrim:
@@ -102,8 +99,10 @@ class TestFtlTrimRange:
 
 class TestFabricTrim:
     def test_trim_end_to_end(self, sim):
-        from repro.baselines import FifoScheduler
-        from repro.fabric import Network, NvmeOfInitiator, NvmeOfTarget
+        from repro.baselines.fifo import FifoScheduler
+        from repro.fabric.initiator import NvmeOfInitiator
+        from repro.fabric.network import Network
+        from repro.fabric.target import NvmeOfTarget
 
         network = Network(sim)
         device = SsdDevice(sim)
@@ -118,8 +117,11 @@ class TestFabricTrim:
         assert target.pipelines["ssd0"].stats.trims == 1
 
     def test_trim_through_gimbal(self, sim):
-        from repro.core import GimbalScheduler
-        from repro.fabric import CreditClientPolicy, Network, NvmeOfInitiator, NvmeOfTarget
+        from repro.core.switch import GimbalScheduler
+        from repro.fabric.initiator import NvmeOfInitiator
+        from repro.fabric.network import Network
+        from repro.fabric.policies import CreditClientPolicy
+        from repro.fabric.target import NvmeOfTarget
 
         network = Network(sim)
         device = SsdDevice(sim)

@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import random
 
-from repro.ssd import Ftl, SsdGeometry
-from repro.ssd.ftl import WearStats
+from repro.ssd.ftl import Ftl, WearStats
+from repro.ssd.geometry import SsdGeometry
 
 
 def churn(ftl, geometry, passes=6, seed=0):

@@ -7,8 +7,8 @@ import random
 
 import pytest
 
-from repro.ssd import Ftl, SsdGeometry
-from repro.ssd.ftl import FtlError, WearConfig
+from repro.ssd.ftl import Ftl, FtlError, WearConfig
+from repro.ssd.geometry import SsdGeometry
 
 #: Enough spare blocks above the viability floor for retirement to
 #: actually happen (see the budget maths in Ftl._retirable_free_count).

@@ -102,7 +102,7 @@ class TestCliObservability:
         assert "kernel probe" in out
 
     def test_no_session_left_behind(self, tmp_path):
-        from repro.obs import current_session
+        from repro.obs.session import current_session
 
         path = str(tmp_path / "out.jsonl")
         main(["run", "fig15", "--quick", "--trace", path])
@@ -135,7 +135,7 @@ class TestCliCache:
         ran earlier in this process."""
         import re
 
-        from repro.ssd import clear_conditioning_cache
+        from repro.ssd.conditioning import clear_conditioning_cache
 
         monkeypatch.setenv("REPRO_CACHE", "1")
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "envcache"))
@@ -188,6 +188,27 @@ class TestCliCache:
 
         assert main(["cache", "stats", "--cache-dir", cache_dir, "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["entries"] == 2
+
+    def test_cache_flags_honour_repro_cache_dir(self, tmp_path, capsys, monkeypatch):
+        """``--cache`` without ``--cache-dir`` uses the directory that
+        ``REPRO_CACHE=1`` and ``run_sweep(cache=True)`` use:
+        ``REPRO_CACHE_DIR``, else ``.repro-cache``.  ``run``, ``suite``
+        and ``cache`` used to ignore the variable."""
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("REPRO_CACHE_DIR", "envcache")
+        assert main(["run", "table2", "--quick", "--cache"]) == 0
+        assert "(envcache)" in capsys.readouterr().err
+        assert main(["suite", "--quick", "--quiet", "-e", "table2", "--jobs", "1", "--cache"]) == 0
+        capsys.readouterr()
+        assert main(["cache", "stats", "--json"]) == 0
+        stats = json.loads(capsys.readouterr().out)
+        assert stats["cache_dir"] == "envcache" and stats["entries"] == 1
+        assert [run["sweep"] for run in stats["runs"]] == ["table2", "suite"]
+        assert main(["cache", "stats", "--cache-dir", "other", "--json"]) == 0  # the flag wins
+        assert json.loads(capsys.readouterr().out)["cache_dir"] == "other"
+        assert main(["cache", "clear"]) == 0
+        assert capsys.readouterr().out == "cleared 1 entries from envcache\n"
+        assert not (tmp_path / ".repro-cache").exists()
 
     def test_single_point_driver_caches_too(self, capsys, tmp_path):
         # Since the declarative-sweep port every driver has a sweep --
@@ -260,6 +281,21 @@ class TestCliSimulate:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"--queue-depth must be >= 1, got {depth}\n"
+
+    @pytest.mark.parametrize("flag", ["--readers", "--writers"])
+    def test_negative_worker_count_rejected(self, capsys, flag):
+        # Used to run the other flag's workers, or print an empty table
+        # titled "-3R+0W", and exit 0.
+        assert main(["simulate", flag, "-3", "--seconds", "0.01"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"{flag} must be >= 0, got -3\n"
+
+    def test_empty_mix_rejected(self, capsys):
+        assert main(["simulate", "--readers", "0", "--writers", "0", "--seconds", "0.01"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "--readers and --writers are both 0: nothing to simulate\n"
 
     @pytest.mark.parametrize("flag", ["--scheme", "--condition"])
     def test_unknown_scheme_or_condition_rejected_by_the_parser(self, capsys, flag):

@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.harness import Testbed, TestbedConfig
-from repro.workloads import FioSpec
+from repro.harness.testbed import Testbed, TestbedConfig
+from repro.workloads.fio import FioSpec
 
 
 def build(scheme="vanilla", condition="clean", **spec_kwargs):

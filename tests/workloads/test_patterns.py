@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.workloads import AddressRegion, RandomPattern, SequentialPattern
+from repro.workloads.patterns import AddressRegion, RandomPattern, SequentialPattern
 
 
 class TestAddressRegion:

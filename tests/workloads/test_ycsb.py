@@ -9,8 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.workloads import YCSB_WORKLOADS, YcsbOp, YcsbSpec, YcsbWorkloadGenerator, ZipfianGenerator
-from repro.workloads.ycsb import fnv_hash64
+from repro.workloads.ycsb import (
+    YCSB_WORKLOADS,
+    YcsbOp,
+    YcsbSpec,
+    YcsbWorkloadGenerator,
+    ZipfianGenerator,
+    fnv_hash64,
+)
 
 
 # ----------------------------------------------------------------------
