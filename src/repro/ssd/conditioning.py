@@ -14,21 +14,25 @@ Conditioning here runs *untimed*: it drives the FTL's mapping and GC
 machinery directly (so the resulting block layout and the steady-state
 write amplification are real) and then zeroes the device's timing
 horizons.  That reproduces "multiple hours" of preconditioning in well
-under a second of wall-clock time.
+under a second of wall-clock time.  Sequential passes go through
+``Ftl.write_run``, one open-block segment at a time; random overwrites
+go through ``Ftl.write_page``.
 
 Because many experiments re-condition identical devices, the resulting
-FTL state is cached per (geometry, fidelity knobs, condition,
-parameters) and restored into fresh devices -- the mapping arrays are
-plain lists, so a restore is just a handful of list copies.  The
-fidelity knobs (mapping-cache capacity, wear configuration) are part
-of the key because conditioning genuinely diverges across them: cache
-residency, retirement and wear-level migrations all differ.  Only the
+FTL state is cached per (geometry, GC watermarks, fidelity knobs,
+condition, parameters) and restored into fresh devices -- the mapping
+arrays are plain lists, so a restore is just a handful of list copies.
+The watermarks decide when GC runs, and the fidelity knobs
+(mapping-cache capacity, wear configuration) change what it does, so
+conditioning genuinely diverges across both: layout, cache residency,
+retirement and wear-level migrations all differ.  Only the
 few most recently used states are kept: a sweep that ages every point
 under its own seed stores snapshots it never reads back.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from typing import Callable, Dict, Tuple
 
@@ -49,7 +53,8 @@ def clear_conditioning_cache() -> None:
 def _condition(device: SsdDevice, build: Callable[[Ftl], None], kind: str, *params) -> None:
     """Restore the cached state for this target, or ``build`` and cache it."""
     ftl = device.ftl
-    key = (device.geometry, ftl.fidelity_key(), kind) + params
+    key = (device.geometry, ftl.gc_low_water, ftl.gc_high_water, ftl.fidelity_key(), kind)
+    key += params
     snap = _snapshot_cache.pop(key, None)
     if snap is None:
         build(ftl)
@@ -66,15 +71,27 @@ def _condition(device: SsdDevice, build: Callable[[Ftl], None], kind: str, *para
     ftl.reset_measurement()
 
 
+def _check_factor(name: str, value: float) -> None:
+    """Refuse a conditioning factor that is negative, NaN or infinite."""
+    if not (math.isfinite(value) and value >= 0):
+        raise ValueError(f"{name} must be finite and non-negative, got {value!r}")
+
+
 def _fill_then_overwrite(ftl: Ftl, overwrite_factor: float, seed: int, stream: str) -> None:
     """Sequential fill, then ``overwrite_factor`` capacities of random 4 KiB overwrites."""
-    write_page = ftl.write_page
     exported = len(ftl.page_map)
-    for lpn in range(exported):
-        write_page(lpn)
-    randrange = random.Random(derive_seed(seed, stream)).randrange
+    ftl.write_run(0, exported)
+    write_page = ftl.write_page
+    # ``randrange(exported)`` unrolled to the rejection loop it ends in
+    # (``Random._randbelow_with_getrandbits``): the same draws in the
+    # same order, as in ``RandomPattern.next_lba``.
+    getrandbits = random.Random(derive_seed(seed, stream)).getrandbits
+    bits = exported.bit_length()
     for _ in range(int(exported * overwrite_factor)):
-        write_page(randrange(exported))
+        lpn = getrandbits(bits)
+        while lpn >= exported:
+            lpn = getrandbits(bits)
+        write_page(lpn)
 
 
 def precondition_clean(device: SsdDevice) -> None:
@@ -87,10 +104,8 @@ def precondition_clean(device: SsdDevice) -> None:
     """
 
     def build(ftl: Ftl) -> None:
-        write_page = ftl.write_page
         for _ in range(2):
-            for lpn in range(len(ftl.page_map)):
-                write_page(lpn)
+            ftl.write_run(0, len(ftl.page_map))
 
     _condition(device, build, "clean")
 
@@ -104,8 +119,7 @@ def precondition_fragmented(
     random overwrite traffic; 2.0 is enough to reach the steady-state
     write amplification of greedy GC under uniform random load.
     """
-    if overwrite_factor < 0:
-        raise ValueError("overwrite factor must be non-negative")
+    _check_factor("overwrite_factor", overwrite_factor)
 
     def build(ftl: Ftl) -> None:
         _fill_then_overwrite(ftl, overwrite_factor, seed, "precondition:fragmented")
@@ -142,8 +156,8 @@ def age_device(
     """
     if not 0.0 <= age < 1.0:
         raise ValueError("age must be in [0, 1)")
-    if wear_skew < 0:
-        raise ValueError("wear_skew must be non-negative")
+    _check_factor("wear_skew", wear_skew)
+    _check_factor("overwrite_factor", overwrite_factor)
 
     def build(ftl: Ftl) -> None:
         _fill_then_overwrite(ftl, overwrite_factor, seed, "precondition:aged")

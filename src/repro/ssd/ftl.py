@@ -281,6 +281,88 @@ class Ftl:
         self.stats.host_programs += 1
         return ppn, work
 
+    def write_run(self, first_lpn: int, count: int) -> None:
+        """Write the ``count`` LPNs from ``first_lpn`` on, in order.
+
+        Leaves exactly the state that ``write_page`` called once per LPN
+        leaves, but works once per open-block segment rather than once
+        per page.  Pages take channels round-robin, so the next page
+        that finds its channel's host slot empty -- a block-open event,
+        the only place GC can run -- is known in advance.  At an event
+        the head page's old copy dies and its translation entry is
+        touched before ``_take_free_block`` runs, as in ``write_page``.
+        Up to the next event no GC runs and no LPN repeats, so the
+        segment's old copies die in one loop (read from ``page_map``
+        only now: GC may have moved them) and each channel's share lands
+        with one extended-slice store per map.  Preconditioning uses
+        this; ``SsdDevice`` keeps ``write_page``, whose per-page PPN and
+        ``GcWork`` it charges to channel time.
+        """
+        page_map = self.page_map
+        stop_lpn = first_lpn + count
+        if count < 0 or first_lpn < 0 or stop_lpn > len(page_map):
+            raise ValueError(f"run of {count} pages from LPN {first_lpn} outside exported range")
+        rmap = self._rmap
+        valid_count = self._valid_count
+        pages_per_block = self._pages_per_block
+        num_channels = self._num_channels
+        map_cache = self.map_cache
+        open_slots = self._open
+        lpn = first_lpn
+        while lpn < stop_lpn:
+            head = self._next_host_channel
+            start = lpn
+            if open_slots[head][_HOST_STREAM] is None:
+                if map_cache is not None:
+                    self._map_access(lpn, dirty=True)
+                old_ppn = page_map[lpn]
+                if old_ppn != _UNMAPPED:
+                    page_map[lpn] = _UNMAPPED
+                    rmap[old_ppn] = _UNMAPPED
+                    valid_count[old_ppn // pages_per_block] -= 1
+                # Advanced first, as in write_page, should the channel be exhausted.
+                self._next_host_channel = (head + 1) % num_channels
+                block_id = self._take_free_block(head, GcWork(), allow_gc=True)
+                open_slots[head][_HOST_STREAM] = (block_id, 0)
+                start += 1
+            # The segment ends at the next page that finds its slot empty.
+            stop = stop_lpn
+            for step in range(num_channels):
+                slot = open_slots[(head + step) % num_channels][_HOST_STREAM]
+                event = lpn + step
+                if slot is not None:
+                    event += (pages_per_block - slot[1]) * num_channels
+                if event < stop:
+                    stop = event
+            if map_cache is not None:
+                for touched in range(start, stop):
+                    self._map_access(touched, dirty=True)
+            old_ppns = page_map[start:stop]
+            if old_ppns.count(_UNMAPPED) != len(old_ppns):
+                for old_ppn in old_ppns:
+                    if old_ppn != _UNMAPPED:
+                        rmap[old_ppn] = _UNMAPPED
+                        valid_count[old_ppn // pages_per_block] -= 1
+            for step in range(min(num_channels, stop - lpn)):
+                channel = (head + step) % num_channels
+                slots = open_slots[channel]
+                block_id, offset = slots[_HOST_STREAM]
+                lpns = range(lpn + step, stop, num_channels)
+                ppn = block_id * pages_per_block + offset
+                taken = len(lpns)
+                page_map[lpn + step : stop : num_channels] = range(ppn, ppn + taken)
+                rmap[ppn : ppn + taken] = lpns
+                valid_count[block_id] += taken
+                offset += taken
+                if offset == pages_per_block:
+                    self._closed[channel].append(block_id)
+                    slots[_HOST_STREAM] = None
+                else:
+                    slots[_HOST_STREAM] = (block_id, offset)
+            self.stats.host_programs += stop - lpn
+            self._next_host_channel = (head + stop - lpn) % num_channels
+            lpn = stop
+
     def trim_page(self, lpn: int) -> None:
         """Discard the mapping for ``lpn`` (dataset delete / blob free)."""
         if not 0 <= lpn < len(self.page_map):

@@ -5,8 +5,8 @@ preconditioning into a dict lookup, which makes its *key* a
 correctness surface: if two different conditioning targets collide,
 one experiment silently runs on another experiment's device.  These
 tests pin the key down across every axis -- kind, parameters, seed,
-geometry, and the FTL fidelity knobs introduced with the DFTL cache
-and wear dynamics.
+geometry, the GC watermarks, and the FTL fidelity knobs introduced
+with the DFTL cache and wear dynamics.
 """
 
 from __future__ import annotations
@@ -85,6 +85,18 @@ class TestKeySeparation:
             make_device(endurance_cycles=50, static_wear_threshold=10)
         )
         assert len(_snapshot_cache) == 5
+
+    def test_gc_watermarks_are_part_of_the_key(self):
+        """The watermarks decide when GC runs, so a device with others
+        must condition afresh rather than restore this layout."""
+        precondition_clean(make_device())
+        restored = make_device(gc_low_water_blocks=0)
+        precondition_clean(restored)
+        assert len(_snapshot_cache) == 2
+        clear_conditioning_cache()
+        fresh = make_device(gc_low_water_blocks=0)
+        precondition_clean(fresh)
+        assert restored.ftl.snapshot() == fresh.ftl.snapshot()
 
     def test_two_aged_devices_same_params_share_one_entry(self):
         first = make_device()

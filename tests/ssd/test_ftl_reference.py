@@ -14,6 +14,9 @@ return the same physical page and the same GC work, and after every
 operation the complete state must be equal: mapping, reverse map,
 valid counts, block pools, open slots, wear, retirement, stats, pending
 translation traffic and the mapping cache (counters *and* LRU order).
+``Ftl.write_run``, the segment-at-a-time sequential write that
+conditioning uses, is held to the reference's per-page loop the same
+way.
 """
 
 from __future__ import annotations
@@ -22,9 +25,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.ssd.ftl import _GC_STREAM, _HOST_STREAM, _UNMAPPED, Ftl, GcWork, WearConfig
+from repro.ssd.ftl import _GC_STREAM, _HOST_STREAM, _UNMAPPED, Ftl, FtlError, GcWork, WearConfig
 from repro.ssd.geometry import SsdGeometry
-from tests.ssd.test_ftl_property import CONFIGS, EXPORTED, SETTINGS
+from tests.ssd.test_ftl_property import CONFIGS, EXPORTED, GEOMETRY, SETTINGS
 
 
 class ReferenceFtl(Ftl):
@@ -193,6 +196,84 @@ def test_sustained_overwrite_matches_through_gc_levelling_and_retirement(config)
         assert ftl.retired_blocks > 0
     assert _state(ftl) == _state(reference)
     ftl.check_invariants()
+
+
+#: ``write_run`` also runs where the channels do not divide the exported
+#: pages (118 over 5) and where every page opens a block.
+UNEVEN_GEOMETRY = SsdGeometry(
+    num_channels=5, blocks_per_channel=10, pages_per_block=4, overprovision=0.41
+)
+SINGLE_PAGE_GEOMETRY = SsdGeometry(
+    num_channels=3, blocks_per_channel=16, pages_per_block=1, overprovision=0.3
+)
+RUN_CONFIGS = dict(
+    CONFIGS,
+    retiring=_retiring,
+    uneven=lambda: Ftl(UNEVEN_GEOMETRY),
+    single_page=lambda: Ftl(SINGLE_PAGE_GEOMETRY),
+)
+
+
+@pytest.mark.parametrize("churned", [False, True], ids=["empty", "churned"])
+@pytest.mark.parametrize("config", sorted(RUN_CONFIGS))
+@given(data=st.data())
+@SETTINGS
+def test_write_run_matches_a_write_page_loop(config, churned, data):
+    """``write_run(first, count)`` against the reference's per-page loop,
+    between single writes and trims that leave the map partly mapped."""
+    ftl, reference = _pair(RUN_CONFIGS[config])
+    exported = len(ftl.page_map)
+    if churned:
+        _churn(ftl, reference, 2 * exported)
+    for _ in range(data.draw(st.integers(min_value=1, max_value=6), label="calls")):
+        op = data.draw(st.sampled_from(["run", "run", "write", "trim"]), label="op")
+        first = data.draw(st.integers(min_value=0, max_value=exported - 1), label="first")
+        if op == "run":
+            count = data.draw(
+                st.one_of(st.just(exported - first), st.integers(0, exported - first)),
+                label="count",
+            )
+            ftl.write_run(first, count)
+            for lpn in range(first, first + count):
+                reference.write_page(lpn)
+        elif op == "write":
+            ftl.write_page(first)
+            reference.write_page(first)
+        else:
+            ftl.trim_page(first)
+            reference.trim_page(first)
+        assert _state(ftl) == _state(reference)
+    ftl.check_invariants()
+
+
+def test_write_run_checks_its_arguments():
+    ftl = CONFIGS["dftl-tiny"]()
+    exported = len(ftl.page_map)
+    ftl.write_run(0, exported // 2)
+    before = _state(ftl)
+    ftl.write_run(3, 0)
+    ftl.write_run(exported, 0)
+    assert _state(ftl) == before
+    for first, count in ((0, -1), (-1, 2), (exported - 1, 2), (exported + 1, 0)):
+        with pytest.raises(ValueError, match="outside exported range"):
+            ftl.write_run(first, count)
+        assert _state(ftl) == before
+
+
+def test_write_run_fails_where_the_loop_fails_and_leaves_its_state():
+    """With no GC watermark a second pass exhausts a channel; the run
+    raises at the same page and leaves what the loop left."""
+    ftl = Ftl(GEOMETRY, gc_low_water=0, gc_high_water=0)
+    reference = ReferenceFtl(GEOMETRY, gc_low_water=0, gc_high_water=0)
+    exported = len(ftl.page_map)
+    with pytest.raises(FtlError):
+        for _ in range(2):
+            ftl.write_run(0, exported)
+    with pytest.raises(FtlError):
+        for _ in range(2):
+            for lpn in range(exported):
+                reference.write_page(lpn)
+    assert _state(ftl) == _state(reference)
 
 
 def test_no_gc_work_cannot_be_altered_through_a_caller():

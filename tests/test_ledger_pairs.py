@@ -60,3 +60,26 @@ def test_bounds_are_read_from_the_contract_and_applied_by_direction():
     assert ledger_pairs.over_bound(100.0, 89.0, ops)
     assert not ledger_pairs.over_bound(100.0, 150.0, ops)
 
+
+def test_setup_s_is_judged_like_norm_wall():
+    """A set-up-time claim gets the same verdict (wins, parent quartiles,
+    claimed or not) as a norm_wall one, beside the bound checks."""
+    bounds = ledger_pairs.read_bounds(Path(__file__).resolve().parents[1])
+    setup = [value / 500.0 for value in PARENT]
+    readings = {
+        ("norm_wall", "parent"): PARENT,
+        ("norm_wall", "change"): [value - 0.1 for value in PARENT],
+        ("setup_s", "parent"): setup,
+        ("setup_s", "change"): [value / 4.0 for value in setup],
+        ("peak_rss_mb", "parent"): PARENT,
+        ("peak_rss_mb", "change"): PARENT,
+    }
+    lines = ledger_pairs.report("fio-read", 42, readings, bounds)
+    judged = {line.split()[1]: line for line in lines if " seed 42: " in line}
+    assert set(judged) == {"norm_wall", "setup_s"}
+    assert judged["norm_wall"].endswith("10/10 wins: no claim")
+    assert judged["setup_s"].endswith("+75.0 % gain, 10/10 wins: gain claimed")
+    assert "quartiles" in judged["setup_s"] and " s, " in judged["setup_s"]
+    bounded = [line for line in lines if "bound (" in line]
+    assert [line.split()[1].rstrip(":") for line in bounded] == ["setup_s", "peak_rss_mb"]
+    assert all("within bound" in line for line in bounded)

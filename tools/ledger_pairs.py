@@ -9,16 +9,16 @@
 Runs ``benchmarks/ledger/run.py`` in the two checkouts in turn (the
 parent first in odd pairs, the change first in even ones, each run in
 its own tree with its own ``--out``), and prints for every workload
-each reading of ``norm_wall``, both medians, the parent's quartiles, the
-pairs won and the verdict of ``benchmarks/ledger/README.md``: a gain is
-claimed when the change wins at least nine tenths of the pairs (ties
-count for neither side) and the medians are apart by more than the
-parent's own quartile spread.  It also prints each side's median
-``setup_s`` and ``peak_rss_mb`` and whether the change is ``within
-bound`` or ``OVER`` the share of the parent's median that the change
-tree's ``BENCHMARK.json`` allows (read, never written), so a run the
-pipeline would refuse for set-up time or memory says so here; the
-verdict stays on ``norm_wall``.
+each reading of ``norm_wall`` and ``setup_s`` and, for each of the two,
+both medians, the parent's quartiles, the pairs won and the verdict of
+``benchmarks/ledger/README.md``: a gain is claimed when the change wins
+at least nine tenths of the pairs (ties count for neither side) and the
+medians are apart by more than the parent's own quartile spread.  It
+also prints each side's median ``setup_s`` and ``peak_rss_mb`` and
+whether the change is ``within bound`` or ``OVER`` the share of the
+parent's median that the change tree's ``BENCHMARK.json`` allows (read,
+never written), so a run the pipeline would refuse for set-up time or
+memory says so here.
 
 A host-only change must leave the simulation alone, so the exit code is
 1 when a simulated metric, ``failed_share`` or ``sim_drift`` differs
@@ -47,8 +47,9 @@ EXACT = (
     "failed_share",
     "sim_drift",
 )
-TIMED = "norm_wall"  # lower is better
-#: Host metrics reported beside the verdict, against their contract bound.
+#: Lower-is-better host metrics, each judged by the claim rule.
+JUDGED = ("norm_wall", "setup_s")
+#: Host metrics reported against their contract bound.
 BOUNDED = ("setup_s", "peak_rss_mb")
 
 
@@ -109,6 +110,37 @@ def run_ledger(tree: Path, workloads: List[str], seed: int, seconds: float) -> D
         }
 
 
+def report(
+    workload: str, seed: int, readings: Dict[Tuple[str, str], List[float]], bounds: Dict[str, dict]
+) -> List[str]:
+    """One workload's verdict lines: each ``JUDGED`` metric under
+    :func:`judge`, then each ``BOUNDED`` one against its bound.
+    ``readings`` maps (metric, side) to that side's readings in pair
+    order."""
+    lines = []
+    for name in JUDGED:
+        verdict = judge(readings[name, "parent"], readings[name, "change"])
+        lines.append(
+            f"{workload} {name} seed {seed}: parent median "
+            f"{verdict['parent_median']:.4g} (quartiles {verdict['parent_q1']:.4g}-"
+            f"{verdict['parent_q3']:.4g}), change median {verdict['change_median']:.4g} "
+            f"{bounds[name]['unit']}, {verdict['gain_pct']:+.1f} % gain, "
+            f"{verdict['wins']}/{verdict['pairs']} wins: "
+            f"{'gain claimed' if verdict['claimed'] else 'no claim'}"
+        )
+    for name in BOUNDED:
+        parent_median = statistics.median(readings[name, "parent"])
+        change_median = statistics.median(readings[name, "change"])
+        spec = bounds[name]
+        lines.append(
+            f"{workload} {name}: parent median {parent_median:.3f}, change median "
+            f"{change_median:.3f} {spec['unit']}: "
+            f"{'OVER' if over_bound(parent_median, change_median, spec) else 'within'}"
+            f" bound ({spec['bound']:.0%} of the parent's median)"
+        )
+    return lines
+
+
 def main(argv: Sequence[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", type=Path, help="checkout of the parent commit")
@@ -121,8 +153,7 @@ def main(argv: Sequence[str]) -> int:
 
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     bounds = read_bounds(sides["change"])
-    readings: Dict[Tuple[str, str], List[float]] = {}
-    bounded: Dict[Tuple[str, str, str], List[float]] = {}
+    readings: Dict[str, Dict[Tuple[str, str], List[float]]] = {}
     exact: Dict[Tuple[str, str], set] = {}
     for pair in range(1, args.pairs + 1):
         order = ("parent", "change") if pair % 2 else ("change", "parent")
@@ -130,42 +161,27 @@ def main(argv: Sequence[str]) -> int:
             records = run_ledger(sides[side], args.workload, args.seed, args.seconds)
             for workload, record in records.items():
                 metrics = record["metrics"]
-                readings.setdefault((workload, side), []).append(metrics[TIMED]["value"])
-                for name in BOUNDED:
-                    bounded.setdefault((workload, name, side), []).append(
+                for name in set(JUDGED + BOUNDED):
+                    readings.setdefault(workload, {}).setdefault((name, side), []).append(
                         metrics[name]["value"]
                     )
                 for name in EXACT:
                     exact.setdefault((workload, name), set()).add((side, metrics[name]["value"]))
         for workload in args.workload:
-            parent, change = readings[workload, "parent"][-1], readings[workload, "change"][-1]
-            print(
-                f"pair {pair:2d} ({order[0]} first) {workload} {TIMED}: "
-                f"parent {parent:.2f} change {change:.2f} cu"
-                f"{'  win' if change < parent else ''}",
-                flush=True,
-            )
+            for name in JUDGED:
+                parent = readings[workload][name, "parent"][-1]
+                change = readings[workload][name, "change"][-1]
+                print(
+                    f"pair {pair:2d} ({order[0]} first) {workload} {name}: "
+                    f"parent {parent:.4g} change {change:.4g} {bounds[name]['unit']}"
+                    f"{'  win' if change < parent else ''}",
+                    flush=True,
+                )
 
     drifted = False
     for workload in args.workload:
-        verdict = judge(readings[workload, "parent"], readings[workload, "change"])
-        print(
-            f"{workload} {TIMED} seed {args.seed}: parent median "
-            f"{verdict['parent_median']:.2f} (quartiles {verdict['parent_q1']:.2f}-"
-            f"{verdict['parent_q3']:.2f}), change median {verdict['change_median']:.2f}, "
-            f"{verdict['gain_pct']:+.1f} % gain, {verdict['wins']}/{verdict['pairs']} wins: "
-            f"{'gain claimed' if verdict['claimed'] else 'no claim'}"
-        )
-        for name in BOUNDED:
-            parent_median = statistics.median(bounded[workload, name, "parent"])
-            change_median = statistics.median(bounded[workload, name, "change"])
-            spec = bounds[name]
-            print(
-                f"{workload} {name}: parent median {parent_median:.3f}, change median "
-                f"{change_median:.3f} {spec['unit']}: "
-                f"{'OVER' if over_bound(parent_median, change_median, spec) else 'within'}"
-                f" bound ({spec['bound']:.0%} of the parent's median)"
-            )
+        for line in report(workload, args.seed, readings[workload], bounds):
+            print(line)
         for name in EXACT:
             values = {value for _, value in exact[workload, name]}
             if len(values) > 1:
