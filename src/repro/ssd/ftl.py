@@ -18,6 +18,7 @@ time.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field, replace
 from typing import List, Optional, Tuple
 
@@ -123,6 +124,22 @@ _UNMAPPED = -1
 _HOST_STREAM = 0
 _GC_STREAM = 1
 
+#: ``array('i', range(n))`` for the largest ``n`` asked so far.  Shared
+#: and read-only: callers slice it, never store into it.
+_IDENTITY = array("i")
+
+
+def _identity(n: int) -> array:
+    """An identity array of at least ``n`` entries (``_IDENTITY[i] == i``).
+
+    Slicing it gives the runs of page numbers ``write_run`` stores as
+    C-level copies, without creating an int object per page.
+    """
+    global _IDENTITY
+    if len(_IDENTITY) < n:
+        _IDENTITY = array("i", range(n))
+    return _IDENTITY
+
 
 class Ftl:
     """Page-mapped FTL over the geometry's block/channel layout.
@@ -174,8 +191,12 @@ class Ftl:
         g = geometry
         self._pages_per_block = g.pages_per_block
         self._num_channels = g.num_channels
-        self.page_map: List[int] = [_UNMAPPED] * g.exported_pages
-        self._rmap: List[int] = [_UNMAPPED] * g.total_pages
+        # One 4-byte machine int per page (-1: unmapped) rather than a
+        # boxed int; per-block state below stays in lists.
+        self.page_map = array("i", [_UNMAPPED]) * g.exported_pages
+        self._rmap = array("i", [_UNMAPPED]) * g.total_pages
+        #: ``pages_per_block`` unmapped entries: what a GC victim's reverse map becomes.
+        self._blank_block = array("i", [_UNMAPPED]) * g.pages_per_block
         self._valid_count: List[int] = [0] * g.total_blocks
         # Per-channel block pools.  Free lists are stacks; closed lists
         # are scanned for the min-valid victim (tens of entries).
@@ -235,7 +256,7 @@ class Ftl:
 
     @property
     def mapped_pages(self) -> int:
-        return sum(1 for ppn in self.page_map if ppn != _UNMAPPED)
+        return len(self.page_map) - self.page_map.count(_UNMAPPED)
 
     # ------------------------------------------------------------------
     # Writes
@@ -294,7 +315,8 @@ class Ftl:
         Up to the next event no GC runs and no LPN repeats, so the
         segment's old copies die in one loop (read from ``page_map``
         only now: GC may have moved them) and each channel's share lands
-        with one extended-slice store per map.  Preconditioning uses
+        with one extended-slice store per map, copied from slices of the
+        shared identity array.  Preconditioning uses
         this; ``SsdDevice`` keeps ``write_page``, whose per-page PPN and
         ``GcWork`` it charges to channel time.
         """
@@ -303,6 +325,7 @@ class Ftl:
         if count < 0 or first_lpn < 0 or stop_lpn > len(page_map):
             raise ValueError(f"run of {count} pages from LPN {first_lpn} outside exported range")
         rmap = self._rmap
+        ident = _identity(len(rmap))
         valid_count = self._valid_count
         pages_per_block = self._pages_per_block
         num_channels = self._num_channels
@@ -347,10 +370,10 @@ class Ftl:
                 channel = (head + step) % num_channels
                 slots = open_slots[channel]
                 block_id, offset = slots[_HOST_STREAM]
-                lpns = range(lpn + step, stop, num_channels)
+                lpns = ident[lpn + step : stop : num_channels]
                 ppn = block_id * pages_per_block + offset
                 taken = len(lpns)
-                page_map[lpn + step : stop : num_channels] = range(ppn, ppn + taken)
+                page_map[lpn + step : stop : num_channels] = ident[ppn : ppn + taken]
                 rmap[ppn : ppn + taken] = lpns
                 valid_count[block_id] += taken
                 offset += taken
@@ -473,8 +496,8 @@ class Ftl:
         rmap = self._rmap
         page_map = self.page_map
         base = victim * pages_per_block
-        lpns = [lpn for lpn in rmap[base : base + pages_per_block] if lpn != _UNMAPPED]
-        rmap[base : base + pages_per_block] = [_UNMAPPED] * pages_per_block
+        lpns = array("i", [lpn for lpn in rmap[base : base + pages_per_block] if lpn != _UNMAPPED])
+        rmap[base : base + pages_per_block] = self._blank_block
         moved = len(lpns)
         self._valid_count[victim] -= moved
         slots = self._open[channel]
@@ -652,15 +675,16 @@ class Ftl:
     # Snapshot / restore (conditioning cache)
     # ------------------------------------------------------------------
     def snapshot(self) -> dict:
-        """Capture the full mapping state (cheap: list copies).
+        """Capture the full mapping state (cheap: the two page maps are
+        ``array('i')`` memcpys, 4 bytes a page; the rest is per block).
 
         Used by :mod:`repro.ssd.conditioning` so that expensive
         preconditioning runs once per (geometry, condition) and later
         devices start from a restored copy.
         """
         return {
-            "page_map": self.page_map.copy(),
-            "rmap": self._rmap.copy(),
+            "page_map": array("i", self.page_map),
+            "rmap": array("i", self._rmap),
             "valid_count": self._valid_count.copy(),
             "free": [pool.copy() for pool in self._free],
             "closed": [pool.copy() for pool in self._closed],
@@ -680,10 +704,10 @@ class Ftl:
 
         Byte-exact round trip: stats, wear and mapping-cache state all
         survive (older snapshots without those keys restore with the
-        defaults).
+        defaults, and older list-format maps restore as arrays).
         """
-        self.page_map = snap["page_map"].copy()
-        self._rmap = snap["rmap"].copy()
+        self.page_map = array("i", snap["page_map"])
+        self._rmap = array("i", snap["rmap"])
         self._valid_count = snap["valid_count"].copy()
         self._free = [pool.copy() for pool in snap["free"]]
         self._closed = [pool.copy() for pool in snap["closed"]]

@@ -12,8 +12,9 @@ time -- the translation-cache thrashing signal that aged multi-tenant
 devices exhibit.
 
 The cache is purely a *traffic* model: :class:`~repro.ssd.ftl.Ftl`
-stays authoritative for the mapping content (its ``page_map`` list is
-the translation table), and the cache only decides whether touching a
+stays authoritative for the mapping content (its ``page_map`` array,
+4-byte physical page numbers like a translation page's, is the
+translation table), and the cache only decides whether touching a
 mapping costs NAND work.  That separation is what makes the
 differential-testing invariant cheap to state: with the whole table
 resident the cache can never emit traffic, so device-visible behaviour

@@ -156,7 +156,9 @@ def conditioning_digest() -> dict:
         condition(SsdDevice(Simulator(), profile=rig_profile, geometry=geometry), **kwargs)
         (snap,) = _snapshot_cache.values()
         stats = snap["stats"]
-        state = dict(snap, stats=vars(stats))
+        state = dict(
+            snap, stats=vars(stats), page_map=snap["page_map"].tolist(), rmap=snap["rmap"].tolist()
+        )
         if snap["map_cache"] is not None:
             # Residency order is LRU state: hash it as a sequence.
             resident = list(snap["map_cache"]["resident"].items())

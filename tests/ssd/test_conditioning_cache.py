@@ -11,6 +11,9 @@ with the DFTL cache and wear dynamics.
 
 from __future__ import annotations
 
+import tracemalloc
+from array import array
+
 import pytest
 
 from repro.sim.engine import Simulator
@@ -165,3 +168,24 @@ class TestRestoredStateIsIsolated:
         assert ftl.mapped_pages > 0          # ...but the layout survived
         assert ftl.wear_stats().mean_erases > 0
         assert ftl.take_map_traffic() == (0, 0)
+
+
+class TestFootprint:
+    def test_page_maps_are_flat_and_small(self):
+        """The two page maps are 4-byte machine ints, not boxed-int lists:
+        four clean devices (one build, three restores) and a fragmented
+        one, default geometry, stay under 5 MiB (boxed ints took 15)."""
+        profile = profile_by_name("dct983")
+        tracemalloc.start()
+        try:
+            devices = []
+            for condition in [precondition_clean] * 4 + [precondition_fragmented]:
+                devices.append(SsdDevice(Simulator(), profile=profile))
+                condition(devices[-1])
+            traced, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        for device in devices:
+            for pages in (device.ftl.page_map, device.ftl._rmap):
+                assert isinstance(pages, array) and pages.itemsize == 4
+        assert traced < 5 * 2**20

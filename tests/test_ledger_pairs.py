@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import importlib.util
+import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -76,10 +78,68 @@ def test_setup_s_is_judged_like_norm_wall():
     }
     lines = ledger_pairs.report("fio-read", 42, readings, bounds)
     judged = {line.split()[1]: line for line in lines if " seed 42: " in line}
-    assert set(judged) == {"norm_wall", "setup_s"}
+    assert set(judged) == {"norm_wall", "setup_s", "peak_rss_mb"}
     assert judged["norm_wall"].endswith("10/10 wins: no claim")
     assert judged["setup_s"].endswith("+75.0 % gain, 10/10 wins: gain claimed")
     assert "quartiles" in judged["setup_s"] and " s, " in judged["setup_s"]
     bounded = [line for line in lines if "bound (" in line]
     assert [line.split()[1].rstrip(":") for line in bounded] == ["setup_s", "peak_rss_mb"]
     assert all("within bound" in line for line in bounded)
+
+
+def test_peak_rss_mb_is_judged_like_norm_wall():
+    """A memory claim gets the claim rule's verdict too, and keeps its
+    bound check."""
+    bounds = ledger_pairs.read_bounds(Path(__file__).resolve().parents[1])
+    rss = [value + 20.0 for value in PARENT]
+    readings = {
+        ("norm_wall", "parent"): PARENT,
+        ("norm_wall", "change"): PARENT,
+        ("setup_s", "parent"): PARENT,
+        ("setup_s", "change"): PARENT,
+        ("peak_rss_mb", "parent"): rss,
+        ("peak_rss_mb", "change"): [value - 17.0 for value in rss],
+    }
+    lines = ledger_pairs.report("suite-replay", 42, readings, bounds)
+    (judged,) = [line for line in lines if line.startswith("suite-replay peak_rss_mb seed 42: ")]
+    assert judged.endswith("10/10 wins: gain claimed")
+    assert "quartiles" in judged and " MiB, " in judged
+    (bounded,) = [line for line in lines if line.startswith("suite-replay peak_rss_mb: ")]
+    assert "within bound" in bounded
+    readings["peak_rss_mb", "change"] = [value * 1.2 for value in rss]
+    lines = ledger_pairs.report("suite-replay", 42, readings, bounds)
+    (judged,) = [line for line in lines if line.startswith("suite-replay peak_rss_mb seed 42: ")]
+    (bounded,) = [line for line in lines if line.startswith("suite-replay peak_rss_mb: ")]
+    assert judged.endswith("0/10 wins: no claim") and "OVER bound" in bounded
+
+
+def test_each_workload_gets_its_own_run_py(monkeypatch, tmp_path):
+    """A worker's ru_maxrss starts at run.py's high-water mark, so two
+    workloads in one run.py would floor the second one's peak_rss_mb:
+    every run.py invocation carries exactly one --workload."""
+    issued = []
+
+    def fake_run(command, cwd, **_):
+        issued.append((Path(cwd).name, command))
+        out = Path(command[command.index("--out") + 1])
+        workload = command[command.index("--workload") + 1]
+        metrics = {
+            name: {"value": 1.0}
+            for name in ledger_pairs.JUDGED + ledger_pairs.BOUNDED + ledger_pairs.EXACT
+        }
+        (out / f"{workload}.json").write_text(json.dumps({"metrics": metrics}))
+        return subprocess.CompletedProcess(command, 0, "", "")
+
+    monkeypatch.setattr(ledger_pairs.subprocess, "run", fake_run)
+    repo = Path(__file__).resolve().parents[1]
+    (tmp_path / "BENCHMARK.json").write_text((repo / "BENCHMARK.json").read_text())
+    argv = [str(repo), str(tmp_path), "--workload", "fio-read", "--workload", "mt-mixed"]
+    assert ledger_pairs.main(argv + ["--pairs", "2", "--seed", "7"]) == 0
+    parent, change = repo.name, tmp_path.name
+    assert [(tree, command[command.index("--workload") + 1]) for tree, command in issued] == [
+        (parent, "fio-read"), (parent, "mt-mixed"), (change, "fio-read"), (change, "mt-mixed"),
+        (change, "fio-read"), (change, "mt-mixed"), (parent, "fio-read"), (parent, "mt-mixed"),
+    ]
+    for _, command in issued:
+        assert command.count("--workload") == 1
+        assert command[command.index("--seed") + 1] == "7"

@@ -8,10 +8,14 @@
 
 Runs ``benchmarks/ledger/run.py`` in the two checkouts in turn (the
 parent first in odd pairs, the change first in even ones, each run in
-its own tree with its own ``--out``), and prints for every workload
-each reading of ``norm_wall`` and ``setup_s`` and, for each of the two,
-both medians, the parent's quartiles, the pairs won and the verdict of
-``benchmarks/ledger/README.md``: a gain is claimed when the change wins
+its own tree with its own ``--out``), one invocation per workload: a
+worker's ``ru_maxrss`` starts at its parent's high-water mark (Linux
+keeps it across fork and exec), so a workload that followed another in
+one ``run.py`` would read ``run.py``'s grown footprint as its own
+``peak_rss_mb``.  It prints for every workload each reading of
+``norm_wall``, ``setup_s`` and ``peak_rss_mb`` and, for each of the
+three, both medians, the parent's quartiles, the pairs won and the
+verdict of ``benchmarks/ledger/README.md``: a gain is claimed when the change wins
 at least nine tenths of the pairs (ties count for neither side) and the
 medians are apart by more than the parent's own quartile spread.  It
 also prints each side's median ``setup_s`` and ``peak_rss_mb`` and
@@ -48,7 +52,7 @@ EXACT = (
     "sim_drift",
 )
 #: Lower-is-better host metrics, each judged by the claim rule.
-JUDGED = ("norm_wall", "setup_s")
+JUDGED = ("norm_wall", "setup_s", "peak_rss_mb")
 #: Host metrics reported against their contract bound.
 BOUNDED = ("setup_s", "peak_rss_mb")
 
@@ -93,21 +97,16 @@ def read_bounds(tree: Path) -> Dict[str, dict]:
     return {entry["name"]: entry for entry in contract["end_to_end"]}
 
 
-def run_ledger(tree: Path, workloads: List[str], seed: int, seconds: float) -> Dict[str, dict]:
-    """One ``run.py`` invocation in ``tree``; the records it wrote."""
+def run_ledger(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+    """One ``run.py`` invocation in ``tree`` for one workload; the record it wrote."""
     with tempfile.TemporaryDirectory(prefix="ledger-pairs-") as out:
-        command = [sys.executable, "benchmarks/ledger/run.py", "--seed", str(seed)]
-        command += ["--seconds", str(seconds), "--out", out]
-        for workload in workloads:
-            command += ["--workload", workload]
+        command = [sys.executable, "benchmarks/ledger/run.py", "--workload", workload]
+        command += ["--seed", str(seed), "--seconds", str(seconds), "--out", out]
         done = subprocess.run(command, cwd=tree, capture_output=True, text=True)
         if done.returncode != 0:
             sys.stderr.write(done.stdout + done.stderr)
             raise SystemExit(f"run.py failed in {tree} (exit {done.returncode})")
-        return {
-            workload: json.loads((Path(out) / f"{workload}.json").read_text())
-            for workload in workloads
-        }
+        return json.loads((Path(out) / f"{workload}.json").read_text())
 
 
 def report(
@@ -158,9 +157,8 @@ def main(argv: Sequence[str]) -> int:
     for pair in range(1, args.pairs + 1):
         order = ("parent", "change") if pair % 2 else ("change", "parent")
         for side in order:
-            records = run_ledger(sides[side], args.workload, args.seed, args.seconds)
-            for workload, record in records.items():
-                metrics = record["metrics"]
+            for workload in args.workload:
+                metrics = run_ledger(sides[side], workload, args.seed, args.seconds)["metrics"]
                 for name in set(JUDGED + BOUNDED):
                     readings.setdefault(workload, {}).setdefault((name, side), []).append(
                         metrics[name]["value"]
