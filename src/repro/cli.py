@@ -24,31 +24,8 @@ Commands:
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from typing import Dict, Optional, Tuple
-
-from repro.sim.shard import SHARD_MODES, resolve_shards
-
-
-def _add_shards_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        metavar="N",
-        help="partition each rack simulation into N JBOF shards advanced "
-        "in conservative time windows (0 = unsharded; default: the "
-        "REPRO_SHARDS environment variable, else unsharded)",
-    )
-    parser.add_argument(
-        "--shard-mode",
-        choices=SHARD_MODES,
-        default="auto",
-        help="how shards execute: worker 'processes', single-process "
-        "'inline' round-robin (byte-identical results), or 'auto' "
-        "(processes when multiple cores are available)",
-    )
 
 
 def _add_cache_args(parser: argparse.ArgumentParser) -> None:
@@ -70,26 +47,6 @@ def _add_cache_args(parser: argparse.ArgumentParser) -> None:
         help="cache directory (default: REPRO_CACHE_DIR, else .repro-cache; implies --cache)",
     )
 
-
-def _inject_shards(args: argparse.Namespace, module, kwargs: dict, name: str) -> None:
-    """Thread the resolved ``--shards`` into a driver as an explicit kwarg.
-
-    The shard count must reach :class:`KvCluster` as a real point
-    parameter (never ambient environment state) so the result cache
-    fingerprints it; drivers without sharded topologies simply don't
-    take the kwarg.
-    """
-    from repro.harness.parallel import accepted_kwargs
-
-    if not args.shards:
-        return
-    accepted = accepted_kwargs(
-        module.sweep, {"shards": args.shards, "shard_mode": args.shard_mode}
-    )
-    if "shards" not in accepted:
-        print(f"note: {name} does not support --shards; ignoring", file=sys.stderr)
-        return
-    kwargs.update(accepted)
 
 #: experiment name -> (module path, quick-mode kwargs).
 EXPERIMENTS: Dict[str, Tuple[str, dict]] = {
@@ -171,10 +128,9 @@ def cmd_run(args: argparse.Namespace) -> int:
     module, quick_kwargs = _load(name)
     kwargs = dict(quick_kwargs) if args.quick else {}
     # Every driver's run() is derived_run(sweep, finalize), so it takes
-    # jobs/cache/pool; only --shards is driver-specific.
+    # jobs/cache/pool.
     if args.jobs != 1:
         kwargs["jobs"] = args.jobs
-    _inject_shards(args, module, kwargs, name)
     cache = kwargs["cache"] = _cache_from_args(args)
 
     def report_cache() -> None:
@@ -238,13 +194,6 @@ def cmd_suite(args: argparse.Namespace) -> int:
     except KeyError as exc:
         print(f"{exc.args[0]}; try: python -m repro list", file=sys.stderr)
         return 2
-    if args.shards:
-        # Drivers that take no `shards` kwarg filter it out through
-        # split_kwargs; the ones that do get it fingerprinted like
-        # any other point parameter.
-        for spec in specs:
-            spec.kwargs["shards"] = args.shards
-            spec.kwargs["shard_mode"] = args.shard_mode
     cache = _cache_from_args(args)
     started = time.perf_counter()
 
@@ -428,10 +377,6 @@ def cmd_profile(args: argparse.Namespace) -> int:
     # Never the result cache (ambient REPRO_CACHE included): a warm hit
     # would profile a lookup, not the experiment.
     kwargs["cache"] = False
-    _inject_shards(args, module, kwargs, name)
-
-    if "shards" in kwargs:
-        return _profile_sharded(args, module, kwargs)
 
     profiler = cProfile.Profile()
     profiler.enable()
@@ -446,54 +391,6 @@ def cmd_profile(args: argparse.Namespace) -> int:
     if args.output:
         stats.dump_stats(args.output)
         print(f"raw profile: {args.output} (inspect with python -m pstats)", file=sys.stderr)
-    return 0
-
-
-def _profile_sharded(args: argparse.Namespace, module, kwargs: dict) -> int:
-    """``repro profile --shards N``: per-shard cProfile breakdown.
-
-    Each shard kernel (the coordinator's shard 0 included) profiles its
-    own window steps -- in its worker process when sharded across
-    processes, via the inline channel otherwise -- so only one profiler
-    is ever active per process (two concurrently enabled cProfile
-    instances raise).  Dumps are merged per shard id and printed as one
-    breakdown per shard.
-    """
-    import pstats
-    import tempfile
-
-    from repro.sim.shard import SHARD_PROFILE_ENV
-
-    shard_dir = tempfile.mkdtemp(prefix="repro-shard-profile-")
-    previous = os.environ.get(SHARD_PROFILE_ENV)
-    os.environ[SHARD_PROFILE_ENV] = shard_dir
-    try:
-        results = module.run(**kwargs)
-    finally:
-        if previous is None:
-            os.environ.pop(SHARD_PROFILE_ENV, None)
-        else:
-            os.environ[SHARD_PROFILE_ENV] = previous
-    if not args.quiet:
-        print(module.summarize(results))
-        print()
-    by_shard: Dict[str, list] = {}
-    for entry in sorted(os.listdir(shard_dir)):
-        if entry.endswith(".pstats"):
-            shard_id = entry.split(".", 1)[0]
-            by_shard.setdefault(shard_id, []).append(os.path.join(shard_dir, entry))
-    if not by_shard:
-        print("no shard profiles were produced", file=sys.stderr)
-        return 1
-    for shard_id in sorted(by_shard, key=lambda key: int(key.rsplit("-", 1)[-1])):
-        paths = by_shard[shard_id]
-        stats = pstats.Stats(paths[0], stream=sys.stdout)
-        for path in paths[1:]:
-            stats.add(path)
-        label = "coordinator" if shard_id.endswith("-0") else "JBOF shard"
-        print(f"=== {shard_id} ({label}, {len(paths)} dump(s)) ===")
-        stats.strip_dirs().sort_stats(args.sort).print_stats(args.top)
-    print(f"raw per-shard profiles: {shard_dir}", file=sys.stderr)
     return 0
 
 
@@ -662,7 +559,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="print registry counters and kernel probe stats after the run",
     )
     _add_cache_args(run_parser)
-    _add_shards_args(run_parser)
     run_parser.set_defaults(fn=cmd_run)
 
     suite_parser = sub.add_parser(
@@ -704,7 +600,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="dump the suite report and every experiment's results as JSON",
     )
     _add_cache_args(suite_parser)
-    _add_shards_args(suite_parser)
     suite_parser.set_defaults(fn=cmd_suite)
 
     profile_parser = sub.add_parser(
@@ -734,7 +629,6 @@ def build_parser() -> argparse.ArgumentParser:
     profile_parser.add_argument(
         "--quiet", action="store_true", help="suppress the experiment's own summary"
     )
-    _add_shards_args(profile_parser)
     profile_parser.set_defaults(fn=cmd_profile)
 
     calibrate_parser = sub.add_parser("calibrate", help="measure device anchor numbers")
@@ -797,14 +691,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[list] = None) -> int:
     args = build_parser().parse_args(argv)
-    if hasattr(args, "shards"):
-        # run, suite and profile: one shard count (--shards, else
-        # REPRO_SHARDS), and a bad one refused before anything runs.
-        try:
-            args.shards = resolve_shards(args.shards)
-        except ValueError as exc:
-            print(exc, file=sys.stderr)
-            return 2
     return args.fn(args)
 
 

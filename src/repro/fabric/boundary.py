@@ -342,8 +342,8 @@ class JbofShardHost:
                 priority,
             ) = payload
             # The explicit request_id keeps the replica off the global
-            # id counter, so inline and multi-process executions draw
-            # identical coordinator-side id sequences.
+            # id counter, so building it never shifts the
+            # coordinator-side id sequence.
             request = FabricRequest(
                 tenant_id=tenant_id,
                 op=op,

@@ -31,30 +31,21 @@ def run_one(
     record_count: int = 2048,
     warmup_us: float = 300_000.0,
     measure_us: float = 700_000.0,
-    shards: int = 0,
-    shard_mode: str = "auto",
 ) -> Dict[str, object]:
     cluster = KvCluster(
-        KvClusterConfig(scheme=scheme, condition="fragmented", num_jbofs=num_jbofs),
-        shards=shards or None,
-        shard_mode=shard_mode,
+        KvClusterConfig(scheme=scheme, condition="fragmented", num_jbofs=num_jbofs)
     )
     for index in range(instances):
         cluster.add_instance(f"db{index}", workload, record_count=record_count)
     cluster.load_all()
     results = cluster.run(warmup_us=warmup_us, measure_us=measure_us)
-    row = {
+    return {
         "scheme": scheme,
         "workload": workload,
         "kops": results["total_kops"],
         "read_avg_us": results["read_avg_us"],
         "read_p999_us": results["read_p999_us"],
     }
-    shard = results.get("shard")
-    if shard is not None:
-        row["shards"] = shard["shards"]
-        row["shard_windows"] = shard["windows"]
-    return row
 
 
 def sweep(

@@ -63,18 +63,8 @@ def _point(
     horizon_us: float,
     condition: str,
     seed: int,
-    shards: int = 0,
-    shard_mode: str = "auto",
 ) -> dict:
-    """One full churn schedule on one rack configuration.
-
-    ``shards > 0`` runs the rack through the conservative sharded
-    execution layer (:mod:`repro.sim.shard`).  ``shards`` is a real
-    point kwarg (not ambient state) so the result cache fingerprints
-    it; the row records only the deterministic shard fields, keeping
-    rows byte-identical between inline and multi-process executions of
-    the same plan.
-    """
+    """One full churn schedule on one rack configuration."""
     cluster = KvCluster(
         KvClusterConfig(
             scheme=scheme,
@@ -82,9 +72,7 @@ def _point(
             num_jbofs=jbofs,
             ssds_per_jbof=ssds_per_jbof,
             seed=seed,
-        ),
-        shards=shards or None,
-        shard_mode=shard_mode,
+        )
     )
     population = TenantPopulation(
         tenants=tenants,
@@ -103,13 +91,6 @@ def _point(
         "peak_planned": peak_concurrent(specs),
     }
     row.update(_aggregate(outcome))
-    shard = outcome.get("shard")
-    if shard is not None:
-        row["shards"] = shard["shards"]
-        row["shards_requested"] = shard["requested"]
-        row["shards_clamped"] = shard["clamped"]
-        row["shard_windows"] = shard["windows"]
-        row["shard_messages"] = shard["messages"]
     return row
 
 
@@ -123,8 +104,6 @@ def sweep(
     horizon_us: float = 600_000.0,
     condition: str = "clean",
     root_seed: int = 42,
-    shards: int = 0,
-    shard_mode: str = "auto",
 ):
     """One point per (scheme, rack size, churn, skew) combination."""
     sw = Sweep("rack", root_seed=root_seed)
@@ -145,8 +124,6 @@ def sweep(
                         horizon_us=horizon_us,
                         condition=condition,
                         seed=sw.seed_for(label),
-                        shards=shards,
-                        shard_mode=shard_mode,
                     )
     return sw
 
@@ -156,14 +133,7 @@ def finalize(results) -> Dict[str, object]:
     leaked = sum(row["megas_leaked"] for row in rows)
     if leaked:
         raise RuntimeError(f"rack churn leaked {leaked} mega blobs across the sweep")
-    out: Dict[str, object] = {"figure": "rack", "rows": rows}
-    # Shard fan-outs that the worker-pool budget reduced: journaled on
-    # the merged result because per-point bumps land in worker-process
-    # observability sessions, which the parent never sees.
-    clamped = sum(1 for row in rows if row.get("shards_clamped"))
-    if clamped:
-        out["shards_clamped"] = clamped
-    return out
+    return {"figure": "rack", "rows": rows}
 
 
 run = derived_run(sweep, finalize)

@@ -44,7 +44,7 @@ from repro.kv.lsm import LsmConfig, LsmTree
 from repro.kv.runner import YcsbRunner
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngRegistry
-from repro.sim.shard import ShardExecutor, ShardKernel, ShardPlan, plan_shards
+from repro.sim.shard import ShardExecutor, ShardKernel
 from repro.ssd.conditioning import precondition_clean, precondition_fragmented
 from repro.ssd.device import SsdDevice
 from repro.ssd.geometry import SsdGeometry
@@ -94,19 +94,15 @@ def _scheduler_factory_for(scheme: str):
     return FifoScheduler
 
 
-def build_jbof_shard(spec: Dict[str, object]) -> ShardKernel:
-    """Build one JBOF shard: its own simulator, network, targets.
-
-    Module-level and driven by a plain-dict spec so it pickles into a
-    shard worker process; the inline (single-process) execution path
-    calls it directly, which is what makes the two byte-identical.
-    """
-    config: KvClusterConfig = spec["config"]
+def build_jbof_shard(
+    config: KvClusterConfig, shard_id: int, jbof_indices: List[int], lookahead_us: float
+) -> ShardKernel:
+    """Build one JBOF shard: its own simulator, network, targets."""
     sim = Simulator()
     network = Network(sim)
     factory = _scheduler_factory_for(config.scheme)
     targets: Dict[str, NvmeOfTarget] = {}
-    for jbof_index in spec["jbof_indices"]:
+    for jbof_index in jbof_indices:
         devices: Dict[str, SsdDevice] = {}
         for ssd_index in range(config.ssds_per_jbof):
             device = SsdDevice(
@@ -125,12 +121,7 @@ def build_jbof_shard(spec: Dict[str, object]) -> ShardKernel:
             scheduler_factory=factory,
         )
     host = JbofShardHost(sim, network, targets)
-    kernel = ShardKernel(
-        spec["shard_id"],
-        sim,
-        host.handle_message,
-        spec["lookahead_us"],
-    )
+    kernel = ShardKernel(shard_id, sim, host.handle_message, lookahead_us)
     host.bind_kernel(kernel)
     return kernel
 
@@ -163,8 +154,13 @@ class KvCluster:
         self,
         config: KvClusterConfig,
         shards: Optional[int] = None,
-        shard_mode: str = "auto",
+        shard_mode: str = "inline",
     ):
+        # benchmarks/ledger passes shard_mode; ROADMAP item 1 retires it.
+        if shard_mode != "inline":
+            raise ValueError(f"unknown shard mode {shard_mode!r}; only 'inline' runs")
+        if shards is not None and (not isinstance(shards, int) or shards < 0):
+            raise ValueError(f"shards must be an integer >= 0, got {shards!r}")
         self.config = config
         self.sim = Simulator()
         self.rngs = RngRegistry(config.seed)
@@ -175,12 +171,13 @@ class KvCluster:
         self.global_allocator = GlobalBlobAllocator(
             mega_pages=config.mega_pages, load_of=self._ssd_load
         )
-        self.shard_plan: Optional[ShardPlan] = None
+        #: ``(requested, effective)`` shard counts of a sharded cluster.
+        self.shard_counts: Optional[tuple] = None
         self.shard_executor: Optional[ShardExecutor] = None
         self.shard_report: Optional[Dict[str, object]] = None
         self._coordinator: Optional[CoordinatorFabric] = None
         if shards:
-            self._build_sharded(shards, shard_mode)
+            self._build_sharded(shards)
         else:
             self._build_unsharded()
         self.runners: List[YcsbRunner] = []
@@ -224,14 +221,14 @@ class KvCluster:
                     backend_name, AddressRegion(0, device.exported_pages)
                 )
 
-    def _build_sharded(self, requested: int, shard_mode: str) -> None:
+    def _build_sharded(self, requested: int) -> None:
         """Partition the rack: coordinator shard 0 keeps every client-side
         object on ``self.sim``; JBOFs spread round-robin over shards
-        1..N, each with its own simulator behind the fabric boundary
-        (:mod:`repro.fabric.boundary`)."""
+        1..N (at most one per JBOF), each with its own simulator behind
+        the fabric boundary (:mod:`repro.fabric.boundary`)."""
         config = self.config
-        plan = plan_shards(requested, mode=shard_mode, max_shards=config.num_jbofs)
-        self.shard_plan = plan
+        shards = min(requested, config.num_jbofs)
+        self.shard_counts = (requested, shards)
         lookahead = fabric_lookahead_us(self.network)
         coordinator = CoordinatorFabric(self.sim, self.network)
         self._coordinator = coordinator
@@ -239,25 +236,15 @@ class KvCluster:
         kernel = ShardKernel(0, self.sim, coordinator.handle_message, lookahead)
         coordinator.bind_kernel(kernel)
         executor.add_local(kernel)
-        for slot in range(plan.shards):
-            spec = {
-                "config": config,
-                "jbof_indices": [
-                    i for i in range(config.num_jbofs) if i % plan.shards == slot
-                ],
-                "shard_id": slot + 1,
-                "lookahead_us": lookahead,
-            }
-            if plan.mode == "processes":
-                executor.add_process(build_jbof_shard, spec)
-            else:
-                executor.add_local(build_jbof_shard(spec))
+        for slot in range(shards):
+            jbofs = [i for i in range(config.num_jbofs) if i % shards == slot]
+            executor.add_local(build_jbof_shard(config, slot + 1, jbofs, lookahead))
         self.shard_executor = executor
         exported = config.geometry.exported_pages
         for jbof_index in range(config.num_jbofs):
             stub = coordinator.target_stub(
                 f"jbof{jbof_index}",
-                1 + jbof_index % plan.shards,
+                1 + jbof_index % shards,
                 [f"ssd{i}" for i in range(config.ssds_per_jbof)],
             )
             self.targets.append(stub)
@@ -559,7 +546,8 @@ class KvCluster:
             try:
                 self.shard_executor.run_until(until_us)
             except BaseException:
-                # No caller will get a result to ``finish_shards()`` on.
+                # No caller will get a result to ``finish_shards()`` on;
+                # the report still records the windows that ran.
                 self.finish_shards()
                 raise
         elif until_us is None:
@@ -568,27 +556,22 @@ class KvCluster:
             self.sim.run(until_us=until_us)
 
     def finish_shards(self) -> Optional[Dict[str, object]]:
-        """Collect shard-layer statistics and shut worker processes
-        down.  Idempotent; returns None on an unsharded cluster.  After
-        this, the cluster cannot advance further."""
+        """Collect shard-layer statistics into :attr:`shard_report`.
+        Idempotent; returns None on an unsharded cluster."""
         if self.shard_executor is None:
             return None
         self.shard_report = self.shard_executor.finish()
         return self.shard_report
 
     def _shard_outcome(self) -> Optional[Dict[str, object]]:
-        """The deterministic slice of the shard report, safe to embed
-        in result rows: identical between inline and multi-process
-        executions of the same plan (wall-clock barrier stalls and the
-        like stay in :attr:`shard_report`)."""
+        """The slice of the shard report embedded in results."""
         report = self.finish_shards()
         if report is None:
             return None
-        plan = self.shard_plan
+        requested, shards = self.shard_counts
         return {
-            "shards": plan.shards,
-            "requested": plan.requested,
-            "clamped": plan.clamped,
+            "shards": shards,
+            "requested": requested,
             "lookahead_us": report["lookahead_us"],
             "windows": report["windows"],
             "messages": report["messages"],

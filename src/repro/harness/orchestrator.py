@@ -16,9 +16,8 @@ driver's own ``run()`` enters the same loop as a suite of one
 
 What this module adds to the loop is what makes a list of drivers a
 suite: the registry (:func:`suite_experiments`), the expansion of an
-:class:`ExperimentSpec` into a group, and the suite's job budget --
-the suite owns the process's parallelism, so it advertises that budget
-to the points it runs in-process (a driver's own ``run()`` does not).
+:class:`ExperimentSpec` into a group, and the suite's job budget
+(every core by default).
 
 Scheduling never changes results: every point is keyed by
 ``(experiment, index)`` and each experiment's results are merged in
@@ -43,7 +42,6 @@ from __future__ import annotations
 
 import importlib
 import os
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence
@@ -60,28 +58,6 @@ from repro.harness.parallel import (
     run_groups,
     split_kwargs,
 )
-from repro.sim.shard import EFFECTIVE_JOBS_ENV
-
-
-@contextmanager
-def _advertise_jobs(effective_jobs: int):
-    """Expose the suite's job budget to points executed in-process.
-
-    Worker processes learn the budget from their pool initializer;
-    points running in the orchestrating process itself (serial paths)
-    read it from the environment, so a sharded point under ``repro
-    suite`` clamps its shard fan-out rather than multiplying the
-    suite's parallelism.
-    """
-    previous = os.environ.get(EFFECTIVE_JOBS_ENV)
-    os.environ[EFFECTIVE_JOBS_ENV] = str(max(1, effective_jobs))
-    try:
-        yield
-    finally:
-        if previous is None:
-            os.environ.pop(EFFECTIVE_JOBS_ENV, None)
-        else:
-            os.environ[EFFECTIVE_JOBS_ENV] = previous
 
 
 # ----------------------------------------------------------------------
@@ -152,12 +128,6 @@ def run_suite(
     run and torn down afterwards.  ``cache`` follows
     :func:`repro.harness.parallel.run_sweep` semantics, so results are
     byte-identical to the serial path.
-
-    The suite owns the process's whole job budget, so -- unlike a
-    driver's own ``run()`` -- it advertises that budget to the points
-    it executes in-process: a sharded point under ``repro suite``
-    clamps its shard fan-out instead of multiplying the suite's
-    parallelism.
     """
 
     def groups() -> Iterable[Group]:
@@ -181,19 +151,18 @@ def run_suite(
     if jobs is None or jobs <= 0:
         jobs = os.cpu_count() or 1
     requested, effective = _resolve_jobs(jobs, pool)
-    with _advertise_jobs(effective):
-        return run_groups(
-            groups(),
-            "suite",
-            jobs_requested=requested,
-            jobs=effective,
-            cache=cache,
-            pool=pool,
-            cost_model=cost_model,
-            batch_cost_s=batch_cost_s,
-            batch_max=batch_max,
-            progress=progress,
-        )
+    return run_groups(
+        groups(),
+        "suite",
+        jobs_requested=requested,
+        jobs=effective,
+        cache=cache,
+        pool=pool,
+        cost_model=cost_model,
+        batch_cost_s=batch_cost_s,
+        batch_max=batch_max,
+        progress=progress,
+    )
 
 
 def run_suite_serial(
@@ -210,13 +179,12 @@ def run_suite_serial(
     serial suites must produce equal per-experiment results.
     """
     results: Dict[str, Any] = {}
-    with _advertise_jobs(jobs):
-        for spec in specs:
-            module = spec.load()
-            sweep_kwargs, finalize_kwargs, _ = split_kwargs(
-                module.sweep, module.finalize, spec.kwargs
-            )
-            results[spec.name] = module.run(
-                jobs=jobs, cache=cache, **{**sweep_kwargs, **finalize_kwargs}
-            )
+    for spec in specs:
+        module = spec.load()
+        sweep_kwargs, finalize_kwargs, _ = split_kwargs(
+            module.sweep, module.finalize, spec.kwargs
+        )
+        results[spec.name] = module.run(
+            jobs=jobs, cache=cache, **{**sweep_kwargs, **finalize_kwargs}
+        )
     return results

@@ -67,7 +67,6 @@ from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Seque
 from repro.harness.cache import CacheSpec, ResultCache, resolve_cache
 from repro.obs import bump
 from repro.sim.rng import derive_seed
-from repro.sim.shard import EFFECTIVE_JOBS_ENV
 
 
 @dataclass(frozen=True)
@@ -117,26 +116,6 @@ def _clamp_jobs(jobs: int) -> int:
     return cpu_count
 
 
-def _init_worker(
-    effective_jobs: Optional[int] = None,
-) -> None:  # pragma: no cover - runs in worker processes
-    """Pool initializer: advertise the pool's job budget to the worker.
-
-    ``effective_jobs`` reaches the worker as ``REPRO_EFFECTIVE_JOBS``,
-    so a sharded point running inside it clamps its own shard-process
-    fan-out instead of multiplying the pool's parallelism (see
-    :func:`repro.sim.shard.plan_shards`).
-
-    Nothing is imported here.  A forked worker inherits the parent's
-    modules, and unpickling a point's function imports that function's
-    module anyway.  An import here would also be a line the result
-    cache's keyword scan reads, putting every module it names in every
-    driver's fingerprint closure.
-    """
-    if effective_jobs is not None:
-        os.environ[EFFECTIVE_JOBS_ENV] = str(effective_jobs)
-
-
 class WorkerPool:
     """A persistent process pool shared across sweeps.
 
@@ -162,11 +141,7 @@ class WorkerPool:
     @property
     def executor(self) -> ProcessPoolExecutor:
         if self._executor is None:
-            self._executor = ProcessPoolExecutor(
-                max_workers=self.jobs,
-                initializer=_init_worker,
-                initargs=(self.jobs,),
-            )
+            self._executor = ProcessPoolExecutor(max_workers=self.jobs)
         return self._executor
 
     def submit(self, fn: Callable[..., Any], *args: Any):

@@ -33,56 +33,23 @@ therefore lands strictly after the horizon, so no shard can receive an
 event in its own past.  :meth:`ShardKernel.emit` enforces the strict
 inequality at emission time.
 
-Determinism: the horizon sequence is a pure function of event
-timestamps and message delivery times, both of which are independent
-of how shards are scheduled onto processes.  Single-process round-robin
-execution (``mode="inline"``) is therefore byte-identical to
-multi-process execution (``mode="processes"``) of the same plan; CI
-gates that at fixed shard counts (``tests/harness/test_sharded_rack.py``,
-the ``shard-identity`` job).  Results are *not* invariant to the shard
-count: the boundary charges fabric latency for control messages that
-are instant calls unsharded, and the perf ledger recorded that sharded
-and unsharded ``kv-rack`` runs count and steer operations differently
-(ROADMAP item 2 owns finding the cause and the keep-or-delete verdict).
+Every shard runs in this process, stepped round-robin.  Results are
+*not* invariant to the shard count: the boundary charges fabric latency
+for control messages that are instant calls unsharded, and the perf
+ledger recorded that sharded and unsharded ``kv-rack`` runs count and
+steer operations differently (ROADMAP item 2 owns finding the cause and
+the keep-or-delete verdict).  ``docs/architecture.md`` records why
+worker-process shards cannot pay.
 """
 
 from __future__ import annotations
 
-import cProfile
-import itertools
-import os
-import time
-import traceback
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence
-
-#: ``--shards`` CLI flag mirror; consulted by experiment drivers when no
-#: explicit shard count is passed (see :func:`resolve_shards`).
-SHARDS_ENV = "REPRO_SHARDS"
-
-#: Set by :class:`repro.harness.parallel.WorkerPool` (and the suite
-#: orchestrator) to the pool's effective job budget, so sharded points
-#: running under a pool clamp their process fan-out (see
-#: :func:`plan_shards`).
-EFFECTIVE_JOBS_ENV = "REPRO_EFFECTIVE_JOBS"
-
-#: Directory for per-shard cProfile dumps (``repro profile --shards``).
-SHARD_PROFILE_ENV = "REPRO_SHARD_PROFILE"
-
-SHARD_MODES = ("auto", "inline", "processes")
 
 
 class ShardProtocolError(RuntimeError):
     """A shard violated the conservative-window contract."""
-
-
-class ShardWorkerError(RuntimeError):
-    """A shard worker process raised, or died, during a window step."""
-
-    #: The shard that failed; set where the error is raised (an instance
-    #: attribute, not a constructor argument, so the error still pickles
-    #: out of a sweep worker).
-    shard_id: Optional[int] = None
 
 
 @dataclass(slots=True)
@@ -109,96 +76,11 @@ def _message_key(msg: ShardMessage):
 
 
 #: The inbox of a shard stepped with nothing inbound.  Shared and
-#: immutable on purpose: local channels run their step lazily in
-#: ``wait``, so handing one the executor's live pending list would
+#: immutable on purpose: a round decides every shard's inbox before it
+#: steps any, so handing one the executor's live pending list would
 #: inject a message routed to it later in the same round one window
 #: early.
 _NO_MESSAGES: Sequence[ShardMessage] = ()
-
-
-# ----------------------------------------------------------------------
-# Shard plan / environment resolution
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class ShardPlan:
-    """Resolved shard fan-out for one sharded run."""
-
-    requested: int
-    shards: int
-    mode: str  # "inline" | "processes"
-    clamped: bool  # True when the worker-pool budget reduced the fan-out
-
-
-def resolve_shards(value: Optional[int] = None) -> Optional[int]:
-    """Resolve a shard count from an explicit value or ``REPRO_SHARDS``.
-
-    Returns None (unsharded) when neither is set or the count is 0.
-    A negative or non-integer count raises :class:`ValueError` naming
-    where it came from (``--shards`` or ``REPRO_SHARDS``).
-    """
-    source = "--shards"
-    if value is None:
-        raw = os.environ.get(SHARDS_ENV, "").strip()
-        if not raw:
-            return None
-        source = SHARDS_ENV
-        try:
-            value = int(raw)
-        except ValueError:
-            raise ValueError(f"{source} must be an integer >= 0, got {raw!r}") from None
-    if value < 0:
-        raise ValueError(f"{source} must be >= 0, got {value}")
-    return value or None
-
-
-def plan_shards(
-    requested: int,
-    mode: str = "auto",
-    max_shards: Optional[int] = None,
-) -> ShardPlan:
-    """Clamp a requested shard fan-out against structure and budget.
-
-    ``max_shards`` caps at the topology's JBOF count (a shard with no
-    JBOFs is pointless).  When ``REPRO_EFFECTIVE_JOBS`` is set (the
-    run is inside a :class:`~repro.harness.parallel.WorkerPool` worker
-    or under ``repro suite``), the process fan-out is clamped so that
-    this process plus its shard workers stay within the pool's job
-    budget; when the budget leaves no room for extra processes the run
-    falls back to inline mode, which shards the topology without
-    spawning anything.  Budget clamps bump the ``sweep.shards_clamped``
-    counter and are recorded on the returned plan so drivers can
-    journal them.
-    """
-    if mode not in SHARD_MODES:
-        raise ValueError(f"unknown shard mode {mode!r}; expected one of {SHARD_MODES}")
-    requested = max(1, int(requested))
-    effective = requested
-    if max_shards is not None and effective > max_shards:
-        effective = max_shards
-    if mode == "inline":
-        return ShardPlan(requested, effective, "inline", False)
-    clamped = False
-    budget_raw = os.environ.get(EFFECTIVE_JOBS_ENV, "").strip()
-    if budget_raw:
-        allowed = int(budget_raw) - 1  # this process occupies one slot
-        if allowed < 1:
-            plan = ShardPlan(requested, effective, "inline", True)
-            _bump_clamped()
-            return plan
-        if effective > allowed:
-            effective = allowed
-            clamped = True
-    if mode == "auto":
-        mode = "processes" if (os.cpu_count() or 1) > 1 else "inline"
-    if clamped:
-        _bump_clamped()
-    return ShardPlan(requested, effective, mode, clamped)
-
-
-def _bump_clamped() -> None:
-    from repro.obs import bump
-
-    bump("sweep.shards_clamped")
 
 
 # ----------------------------------------------------------------------
@@ -272,201 +154,22 @@ class ShardKernel:
 
 
 # ----------------------------------------------------------------------
-# Channels: inline vs worker-process transport for one shard
-# ----------------------------------------------------------------------
-_PROFILE_SEQ = itertools.count()
-
-
-def _profile_path(profile_dir: str, shard_id: int) -> str:
-    """A collision-free dump path: several clusters (sweep points) may
-    profile shards with the same id in one process or across worker
-    processes, and ``repro profile`` merges per-shard-id afterwards."""
-    return os.path.join(
-        profile_dir,
-        f"shard-{shard_id}.{os.getpid()}-{next(_PROFILE_SEQ)}.pstats",
-    )
-
-
-class _LocalChannel:
-    """Round-robin in-process execution of one shard."""
-
-    def __init__(self, shard_id: int, kernel: ShardKernel, profile_dir: Optional[str]):
-        self.shard_id = shard_id
-        self.kernel = kernel
-        self._posted = None
-        self._profiler = cProfile.Profile() if profile_dir else None
-        self._profile_dir = profile_dir
-
-    def next_event_time(self) -> Optional[float]:
-        return self.kernel.sim.next_event_time()
-
-    def post(self, horizon_us: float, inbound: Sequence[ShardMessage]) -> None:
-        self._posted = (horizon_us, inbound)
-
-    def wait(self):
-        horizon_us, inbound = self._posted
-        self._posted = None
-        profiler = self._profiler
-        if profiler is not None:
-            profiler.enable()
-        try:
-            return self.kernel.step(horizon_us, inbound)
-        finally:
-            if profiler is not None:
-                profiler.disable()
-
-    def stats(self) -> Dict[str, Any]:
-        return self.kernel.stats()
-
-    def close(self) -> None:
-        if self._profiler is not None:
-            self._profiler.dump_stats(
-                _profile_path(self._profile_dir, self.shard_id)
-            )
-            self._profiler = None
-
-
-def _shard_worker_main(conn, factory, spec, profile_dir) -> None:
-    """Worker-process loop: build the shard, then serve window steps."""
-    profiler = cProfile.Profile() if profile_dir else None
-    kernel = None
-    try:
-        kernel = factory(spec)
-        conn.send(("ok", None))
-        while True:
-            cmd = conn.recv()
-            op = cmd[0]
-            if op == "step":
-                if profiler is not None:
-                    profiler.enable()
-                try:
-                    result = kernel.step(cmd[1], cmd[2])
-                finally:
-                    if profiler is not None:
-                        profiler.disable()
-                conn.send(("ok", result))
-            elif op == "next":
-                conn.send(("ok", kernel.sim.next_event_time()))
-            elif op == "stats":
-                conn.send(("ok", kernel.stats()))
-            elif op == "stop":
-                break
-    except BaseException:
-        try:
-            conn.send(("error", traceback.format_exc()))
-        except OSError:  # parent already gone
-            pass
-    finally:
-        if profiler is not None and kernel is not None:
-            profiler.dump_stats(_profile_path(profile_dir, kernel.shard_id))
-        conn.close()
-
-
-class _ProcessChannel:
-    """One shard hosted in a dedicated worker process over a pipe.
-
-    Steps are posted asynchronously so all shard processes compute a
-    window concurrently; the parent's blocked time in :meth:`wait` is
-    accounted as barrier stall.
-    """
-
-    def __init__(self, shard_id: int, factory, spec, profile_dir: Optional[str]):
-        import multiprocessing
-
-        ctx = multiprocessing.get_context("fork")
-        self._conn, child_conn = ctx.Pipe(duplex=True)
-        self._process = ctx.Process(
-            target=_shard_worker_main,
-            args=(child_conn, factory, spec, profile_dir),
-            daemon=True,
-            name=f"repro-shard-{shard_id}",
-        )
-        self.shard_id = shard_id
-        self.barrier_stall_s = 0.0
-        self._process.start()
-        child_conn.close()
-        self._recv()  # build acknowledgement
-
-    def _recv(self):
-        t0 = time.perf_counter()
-        if not self._conn.poll(0):
-            self._conn.poll(None)
-            self.barrier_stall_s += time.perf_counter() - t0
-        try:
-            status, value = self._conn.recv()
-        except (EOFError, OSError) as exc:
-            raise self._failure(f"worker exited without replying ({exc!r})") from exc
-        if status != "ok":
-            raise self._failure(value)
-        return value
-
-    def _send(self, command: tuple) -> None:
-        try:
-            self._conn.send(command)
-        except OSError as exc:
-            raise self._failure(f"worker is gone ({exc!r})") from exc
-
-    def _failure(self, detail: str) -> ShardWorkerError:
-        error = ShardWorkerError(f"shard {self.shard_id} worker failed:\n{detail}")
-        error.shard_id = self.shard_id
-        return error
-
-    def next_event_time(self) -> Optional[float]:
-        self._send(("next",))
-        return self._recv()
-
-    def post(self, horizon_us: float, inbound: Sequence[ShardMessage]) -> None:
-        self._send(("step", horizon_us, inbound))
-
-    def wait(self):
-        return self._recv()
-
-    def stats(self) -> Dict[str, Any]:
-        self._send(("stats",))
-        return self._recv()
-
-    def close(self, abort: bool = False) -> None:
-        """Stop and join the worker.  Never raises.
-
-        ``abort`` skips the stop handshake: after a failed window a
-        healthy worker may be blocked sending a step result nobody will
-        read, so it would never see the request.
-        """
-        if self._process is None:
-            return
-        if not abort:
-            try:
-                self._conn.send(("stop",))
-            except OSError:  # worker already gone
-                pass
-            self._process.join(timeout=10.0)
-        if self._process.is_alive():
-            self._process.terminate()
-        self._process.join()
-        self._conn.close()
-        self._process = None
-
-
-# ----------------------------------------------------------------------
 # Window driver
 # ----------------------------------------------------------------------
 class ShardExecutor:
-    """Drives a set of shard channels through conservative windows.
+    """Steps a set of shard kernels through conservative windows.
 
-    Shard 0 is conventionally the coordinator and always runs in the
-    parent process (``add_local``); JBOF shards run either inline or in
-    worker processes (``add_process``), decided by the
-    :class:`ShardPlan`.
+    Shard 0 is conventionally the coordinator; every shard is added
+    with :meth:`add_local` in slot order.
     """
 
     def __init__(self, lookahead_us: float) -> None:
         if lookahead_us <= 0.0:
             raise ValueError(f"lookahead must be positive, got {lookahead_us}")
         self.lookahead_us = lookahead_us
-        self.channels: List[Any] = []
+        self.channels: List[ShardKernel] = []
         self.windows = 0
         self.messages = 0
-        self.barrier_stall_s = 0.0
         self.shard_events: List[int] = []
         self._pending: List[List[ShardMessage]] = []
         #: Per shard: its earliest pending event, exact between steps
@@ -475,12 +178,6 @@ class ShardExecutor:
         self._next_t: List[Optional[float]] = []
         #: Per shard: its clock after its last step.
         self._clock: List[float] = []
-        self._profile_dir = os.environ.get(SHARD_PROFILE_ENV) or None
-        self._closed = False
-        #: The shard whose worker failed; the executor is unusable after.
-        self._failed: Optional[int] = None
-        #: A window did not run to its end (whoever raised).
-        self._torn = False
 
     # -- topology construction ----------------------------------------
     def add_local(self, kernel: ShardKernel) -> int:
@@ -489,19 +186,12 @@ class ShardExecutor:
             raise ValueError(
                 f"kernel shard_id {kernel.shard_id} != slot {shard_id}"
             )
-        return self._add(_LocalChannel(shard_id, kernel, self._profile_dir))
-
-    def add_process(self, factory, spec) -> int:
-        shard_id = len(self.channels)
-        return self._add(_ProcessChannel(shard_id, factory, spec, self._profile_dir))
-
-    def _add(self, channel) -> int:
-        self.channels.append(channel)
+        self.channels.append(kernel)
         self._pending.append([])
         self._next_t.append(None)
         self._clock.append(0.0)
         self.shard_events.append(0)
-        return channel.shard_id
+        return shard_id
 
     @property
     def shards(self) -> int:
@@ -515,16 +205,7 @@ class ShardExecutor:
         new coordinator events (population launches, measurement
         deadlines) between runs.
         """
-        channels = self.channels
-        for index, channel in enumerate(channels):
-            if isinstance(channel, _ProcessChannel):
-                channel._send(("next",))
-        for index, channel in enumerate(channels):
-            self._next_t[index] = (
-                channel._recv()
-                if isinstance(channel, _ProcessChannel)
-                else channel.next_event_time()
-            )
+        self._next_t = [kernel.sim.next_event_time() for kernel in self.channels]
 
     def _earliest(self) -> Optional[float]:
         earliest: Optional[float] = None
@@ -545,35 +226,23 @@ class ShardExecutor:
         one, the loop runs until every shard is idle and no messages
         are in flight, and every clock lands on the last horizon.
         """
-        if self._failed is not None:
-            raise self.channels[self._failed]._failure(
-                "in an earlier window; this executor cannot advance any further"
-            )
-        try:
-            self._collect_local_outboxes()
-            self._refresh_next()
-            lookahead = self.lookahead_us
-            horizon = None
-            while True:
-                earliest = self._earliest()
-                if earliest is None or (target_us is not None and earliest > target_us):
-                    if target_us is not None:
-                        horizon = target_us
-                        self._round(horizon)
-                    if horizon is not None:
-                        self._catch_up(horizon)
-                    return
-                horizon = earliest + lookahead
-                if target_us is not None and horizon > target_us:
+        self._collect_outboxes()
+        self._refresh_next()
+        lookahead = self.lookahead_us
+        horizon = None
+        while True:
+            earliest = self._earliest()
+            if earliest is None or (target_us is not None and earliest > target_us):
+                if target_us is not None:
                     horizon = target_us
-                self._round(horizon)
-        except BaseException as exc:
-            # A worker failed, a coordinator callback raised or the run
-            # was interrupted: steps may be out with no reply read.
-            self._torn = True
-            if isinstance(exc, ShardWorkerError):
-                self._failed = exc.shard_id
-            raise
+                    self._round(horizon)
+                if horizon is not None:
+                    self._catch_up(horizon)
+                return
+            horizon = earliest + lookahead
+            if target_us is not None and horizon > target_us:
+                horizon = target_us
+            self._round(horizon)
 
     def run(self) -> None:
         """Run to global quiescence (no events, no in-flight messages)."""
@@ -589,31 +258,26 @@ class ShardExecutor:
             pending[msg.dst].append(msg)
             self.messages += 1
 
-    def _collect_local_outboxes(self) -> None:
+    def _collect_outboxes(self) -> None:
         """Route messages emitted outside a window step.
 
         Coordinator-side domain code runs between ``run_until`` calls
         (instance setup, population scheduling) and may emit across the
         boundary while its simulator heap stays empty, so these sends
-        would otherwise be invisible to :meth:`_earliest`.  Only local
-        channels can hold such messages; worker processes run domain
-        code exclusively inside steps.
+        would otherwise be invisible to :meth:`_earliest`.
         """
-        for index, channel in enumerate(self.channels):
-            if isinstance(channel, _LocalChannel):
-                kernel = channel.kernel
-                if kernel.outbox:
-                    outbox = kernel.outbox
-                    kernel.outbox = []
-                    self._route(index, outbox)
+        for index, kernel in enumerate(self.channels):
+            if kernel.outbox:
+                outbox = kernel.outbox
+                kernel.outbox = []
+                self._route(index, outbox)
 
     def _round(self, horizon_us: float) -> None:
         """One window: step the shards that have something due in it."""
         pending = self._pending
         next_ts = self._next_t
-        stepped = []
-        for index, channel in enumerate(self.channels):
-            inbox = pending[index]
+        due = []
+        for index, inbox in enumerate(pending):
             if inbox:
                 pending[index] = []
                 if len(inbox) > 1:
@@ -623,12 +287,14 @@ class ShardExecutor:
                 if next_t is None or next_t > horizon_us:
                     continue
                 inbox = _NO_MESSAGES
-            channel.post(horizon_us, inbox)
-            stepped.append((index, channel))
+            due.append((index, inbox))
+        kernels = self.channels
         events = self.shard_events
         clock = self._clock
-        for index, channel in stepped:
-            outbox, next_ts[index], events[index], clock[index] = channel.wait()
+        for index, inbox in due:
+            outbox, next_ts[index], events[index], clock[index] = kernels[index].step(
+                horizon_us, inbox
+            )
             if outbox:
                 self._route(index, outbox)
         self.windows += 1
@@ -639,35 +305,14 @@ class ShardExecutor:
         shard's clock reads what it would had it been stepped in every
         window.  Nothing can fire (a skipped shard has nothing due) and
         no window is counted."""
-        for index, channel in enumerate(self.channels):
+        for index, kernel in enumerate(self.channels):
             if self._clock[index] < horizon_us:
-                channel.post(horizon_us, _NO_MESSAGES)
-                _outbox, _next_t, _fired, self._clock[index] = channel.wait()
+                self._clock[index] = kernel.step(horizon_us, _NO_MESSAGES)[3]
 
-    # -- teardown / reporting ------------------------------------------
+    # -- reporting -----------------------------------------------------
     def finish(self) -> Dict[str, Any]:
-        """Collect per-shard stats and stop workers.  Idempotent."""
-        if self._closed:
-            return self.report()
-        self._closed = True
-        for index, channel in enumerate(self.channels):
-            if isinstance(channel, _LocalChannel):
-                self.shard_events[index] = channel.stats()["events_fired"]
-                channel.close()
-                continue
-            # Best effort: every worker is stopped and joined whatever
-            # state its peers are in.  After a torn window no worker
-            # is asked (a healthy one may still hold an unread step
-            # reply), and one that cannot answer is gone: either way the
-            # shard keeps the count of its last completed step.
-            gone = self._torn
-            if not gone:
-                try:
-                    self.shard_events[index] = channel.stats()["events_fired"]
-                except ShardWorkerError:
-                    gone = True
-            self.barrier_stall_s += channel.barrier_stall_s
-            channel.close(abort=gone)
+        """Collect per-shard event counts and return :meth:`report`."""
+        self.shard_events = [kernel.stats()["events_fired"] for kernel in self.channels]
         return self.report()
 
     def report(self) -> Dict[str, Any]:
@@ -676,7 +321,9 @@ class ShardExecutor:
             "lookahead_us": self.lookahead_us,
             "windows": self.windows,
             "messages": self.messages,
-            "barrier_stall_s": self.barrier_stall_s,
+            # Shards in one process never wait on one another; the perf
+            # ledger still reads the key.
+            "barrier_stall_s": 0.0,
             "events_by_shard": list(self.shard_events),
             "events_fired": sum(self.shard_events),
         }
@@ -687,13 +334,9 @@ class ShardExecutor:
         registry.gauge(f"{prefix}.lookahead_us", lambda: self.lookahead_us)
         registry.gauge(f"{prefix}.windows", lambda: self.windows)
         registry.gauge(f"{prefix}.messages", lambda: self.messages)
-        registry.gauge(f"{prefix}.barrier_stall_s", lambda: self.barrier_stall_s)
         registry.gauge(f"{prefix}.events_fired", lambda: sum(self.shard_events))
         for index in range(self.shards):
             registry.gauge(
                 f"{prefix}.events.{index}",
                 lambda index=index: self.shard_events[index],
             )
-
-    def close(self) -> None:
-        self.finish()

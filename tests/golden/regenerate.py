@@ -267,7 +267,7 @@ def _kv_identity_leg(cluster_config, specs, shards) -> dict:
     with recording("get"), recording("put"), recording("scan"), mock.patch.object(
         KvCluster, "add_instance", recording_add_instance
     ):
-        cluster = KvCluster(cluster_config, shards=shards, shard_mode="inline")
+        cluster = KvCluster(cluster_config, shards=shards)
         outcome = cluster.run_population(specs)
     results = hashlib.sha256()
     for runner, tenant in zip(runners, outcome["tenants"]):

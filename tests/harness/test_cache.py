@@ -237,6 +237,7 @@ class TestClosurePins:
             assert "repro.kv.lsm" in kv
         else:
             assert not kv, sorted(kv)
+            assert not closure & {"repro.sim.shard", "repro.fabric.boundary"}
 
     def test_package_inits_reexport_nothing(self):
         """A re-export gives a name a second import path, and gives every

@@ -1,21 +1,14 @@
 """Property-based determinism gates for the sharded rack.
 
 Hypothesis draws random churn schedules and shard fan-outs, and asserts
-the two invariants the sharded layer promises unconditionally:
-
-* the same shard plan executed inline and with worker processes
-  produces byte-identical outcome JSON;
-* every schedule drains with zero leaked mega blobs (reclamation is
-  independent of the execution layer).
+that every schedule drains with zero leaked mega blobs (reclamation is
+independent of the execution layer) on the shard count it asked for.
 
 Schedules are kept tiny (a few tenants over a few simulated
-milliseconds): each example runs the full rack stack twice, and the
-window count scales with the simulated horizon.
+milliseconds): the window count scales with the simulated horizon.
 """
 
 from __future__ import annotations
-
-import json
 
 import pytest
 
@@ -26,7 +19,7 @@ from repro.harness.kvcluster import KvCluster, KvClusterConfig
 from repro.workloads.population import TenantPopulation
 
 
-def _outcome(shards, mode, tenants, horizon_us, churn, skew, seed):
+def _outcome(shards, tenants, horizon_us, churn, skew, seed):
     cluster = KvCluster(
         KvClusterConfig(
             scheme="gimbal",
@@ -36,7 +29,6 @@ def _outcome(shards, mode, tenants, horizon_us, churn, skew, seed):
             seed=11,
         ),
         shards=shards,
-        shard_mode=mode,
     )
     specs = TenantPopulation(
         tenants=tenants,
@@ -61,10 +53,8 @@ def _outcome(shards, mode, tenants, horizon_us, churn, skew, seed):
     shards=st.sampled_from([1, 2]),
     seed=st.integers(min_value=1, max_value=10_000),
 )
-def test_inline_and_processes_agree_and_never_leak(
-    tenants, horizon_ms, churn, skew, shards, seed
-):
-    params = dict(
+def test_sharded_schedules_never_leak(tenants, horizon_ms, churn, skew, shards, seed):
+    outcome = _outcome(
         shards=shards,
         tenants=tenants,
         horizon_us=float(horizon_ms) * 1_000.0,
@@ -72,12 +62,6 @@ def test_inline_and_processes_agree_and_never_leak(
         skew=skew,
         seed=seed,
     )
-    inline = _outcome(mode="inline", **params)
-    multiproc = _outcome(mode="processes", **params)
-
-    assert json.dumps(inline, sort_keys=True) == json.dumps(
-        multiproc, sort_keys=True
-    )
-    assert inline["megas_leaked"] == 0
-    assert inline["shard"]["shards"] == shards
-    assert len(inline["tenants"]) == tenants
+    assert outcome["megas_leaked"] == 0
+    assert outcome["shard"]["shards"] == shards
+    assert len(outcome["tenants"]) == tenants

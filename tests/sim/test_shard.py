@@ -1,19 +1,14 @@
 """Unit tests for the conservative sharded execution layer.
 
 Exercises the window protocol on toy ping-pong shards (no rack stack):
-plan/budget resolution, the lookahead contract at emission, canonical
-message ordering, bounded/unbounded ``run_until`` semantics including
-the collect-outboxes-at-entry path, byte-identity between inline and
-worker-process channels, the worker-failure path, and -- against the
-step-every-shard window driver kept here as a reference model -- that
-skipping idle shards changes nothing observable.
+the lookahead contract at emission, canonical message ordering,
+bounded/unbounded ``run_until`` semantics including the
+collect-outboxes-at-entry path, and -- against the step-every-shard
+window driver kept here as a reference model -- that skipping idle
+shards changes nothing observable.
 """
 
 from __future__ import annotations
-
-import os
-import signal
-import time
 
 import pytest
 from hypothesis import given, settings
@@ -21,19 +16,13 @@ from hypothesis import strategies as st
 
 from repro.obs.probe import KernelProbe
 from repro.obs.registry import Registry
-from repro.obs.session import capture
 from repro.sim.engine import Simulator
 from repro.sim.shard import (
-    EFFECTIVE_JOBS_ENV,
-    SHARDS_ENV,
     ShardExecutor,
     ShardKernel,
     ShardMessage,
     ShardProtocolError,
-    ShardWorkerError,
     _message_key,
-    plan_shards,
-    resolve_shards,
 )
 
 LOOKAHEAD = 1.0
@@ -65,7 +54,7 @@ def _probed_simulator():
 
 
 def build_bouncer_shard(spec):
-    """Module-level factory so worker processes can build the toy shard."""
+    """Build one toy ping-pong shard from a plain-dict spec."""
     sim = _probed_simulator()
     bouncer = Bouncer(spec["peer"])
     kernel = ShardKernel(spec["shard_id"], sim, bouncer.handle, spec["lookahead_us"])
@@ -74,37 +63,11 @@ def build_bouncer_shard(spec):
     return kernel
 
 
-def build_broken_shard(spec):
-    raise RuntimeError("deliberate shard build failure")
-
-
-def build_raising_shard(spec):
-    """A shard that builds fine and raises on its first delivery."""
-
-    def handle(msg):
-        raise RuntimeError("deliberate shard handler failure")
-
-    return ShardKernel(spec["shard_id"], _probed_simulator(), handle, spec["lookahead_us"])
-
-
-def _workers_of(executor):
-    """The worker processes behind an executor's process channels
-    (taken before ``finish()``, which drops the channel's reference)."""
-    return [
-        channel._process for channel in executor.channels if hasattr(channel, "_process")
-    ]
-
-
-def _toy_pair(mode: str):
-    """A two-shard ping-pong topology; shard 0 is always local."""
+def _toy_pair():
+    """A two-shard ping-pong topology."""
     executor = ShardExecutor(lookahead_us=LOOKAHEAD)
-    spec0 = {"shard_id": 0, "peer": 1, "lookahead_us": LOOKAHEAD}
-    spec1 = {"shard_id": 1, "peer": 0, "lookahead_us": LOOKAHEAD}
-    executor.add_local(build_bouncer_shard(spec0))
-    if mode == "processes":
-        executor.add_process(build_bouncer_shard, spec1)
-    else:
-        executor.add_local(build_bouncer_shard(spec1))
+    executor.add_local(build_bouncer_shard({"shard_id": 0, "peer": 1, "lookahead_us": LOOKAHEAD}))
+    executor.add_local(build_bouncer_shard({"shard_id": 1, "peer": 0, "lookahead_us": LOOKAHEAD}))
     return executor
 
 
@@ -120,81 +83,6 @@ def _toy_ring(count: int):
             )
         )
     return executor
-
-
-class TestResolveShards:
-    def test_explicit_value_wins(self, monkeypatch):
-        monkeypatch.setenv(SHARDS_ENV, "8")
-        assert resolve_shards(3) == 3
-
-    def test_zero_means_unsharded(self, monkeypatch):
-        monkeypatch.delenv(SHARDS_ENV, raising=False)
-        assert resolve_shards(0) is None
-        assert resolve_shards(None) is None
-
-    def test_env_fallback(self, monkeypatch):
-        monkeypatch.setenv(SHARDS_ENV, "4")
-        assert resolve_shards(None) == 4
-        monkeypatch.setenv(SHARDS_ENV, "0")
-        assert resolve_shards(None) is None
-
-    def test_bad_counts_rejected_naming_their_source(self, monkeypatch):
-        monkeypatch.setenv(SHARDS_ENV, "2")
-        with pytest.raises(ValueError, match=r"^--shards must be >= 0, got -3$"):
-            resolve_shards(-3)
-        monkeypatch.setenv(SHARDS_ENV, "-1")
-        with pytest.raises(ValueError, match=r"^REPRO_SHARDS must be >= 0, got -1$"):
-            resolve_shards(None)
-        monkeypatch.setenv(SHARDS_ENV, "two")
-        with pytest.raises(ValueError, match=r"^REPRO_SHARDS must be an integer >= 0, got 'two'$"):
-            resolve_shards(None)
-
-
-class TestPlanShards:
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError):
-            plan_shards(2, mode="threads")
-
-    def test_topology_cap(self, monkeypatch):
-        monkeypatch.delenv(EFFECTIVE_JOBS_ENV, raising=False)
-        plan = plan_shards(8, mode="inline", max_shards=3)
-        assert plan.shards == 3
-        assert plan.requested == 8
-        assert not plan.clamped
-
-    def test_inline_mode_ignores_budget(self, monkeypatch):
-        monkeypatch.setenv(EFFECTIVE_JOBS_ENV, "1")
-        plan = plan_shards(4, mode="inline")
-        assert plan == plan_shards(4, mode="inline")
-        assert plan.shards == 4
-        assert plan.mode == "inline"
-        assert not plan.clamped
-
-    def test_no_budget_headroom_falls_back_inline(self, monkeypatch):
-        monkeypatch.setenv(EFFECTIVE_JOBS_ENV, "1")
-        plan = plan_shards(4, mode="processes")
-        assert plan.mode == "inline"
-        assert plan.shards == 4  # topology still sharded, just not spawned
-        assert plan.clamped
-
-    def test_budget_clamps_process_fanout(self, monkeypatch):
-        monkeypatch.setenv(EFFECTIVE_JOBS_ENV, "3")
-        plan = plan_shards(4, mode="processes")
-        assert plan.mode == "processes"
-        assert plan.shards == 2  # this process + 2 workers = budget of 3
-        assert plan.clamped
-
-    def test_budget_with_headroom_does_not_clamp(self, monkeypatch):
-        monkeypatch.setenv(EFFECTIVE_JOBS_ENV, "8")
-        plan = plan_shards(2, mode="processes")
-        assert plan.shards == 2
-        assert not plan.clamped
-
-    def test_clamp_bumps_counter(self, monkeypatch):
-        monkeypatch.setenv(EFFECTIVE_JOBS_ENV, "2")
-        with capture() as session:
-            plan_shards(4, mode="processes")
-        assert session.registry.counter("sweep.shards_clamped").value == 1
 
 
 class TestShardKernel:
@@ -261,15 +149,15 @@ class TestMessageOrdering:
 
 class TestExecutorWindows:
     def test_ping_pong_drains(self):
-        executor = _toy_pair("inline")
-        shard0 = executor.channels[0].kernel
+        executor = _toy_pair()
+        shard0 = executor.channels[0]
         shard0.emit(1, "ping", HOP, 4)
         executor.run()
         report = executor.finish()
         # initial ping + 4 bounces, one window per hop
         assert report["messages"] == 5
         assert report["windows"] == 5
-        logs = [executor.channels[i].kernel.bouncer.log for i in (0, 1)]
+        logs = [executor.channels[i].bouncer.log for i in (0, 1)]
         assert [entry[3] for entry in logs[1]] == [4, 2, 0]
         assert [entry[3] for entry in logs[0]] == [3, 1]
         assert report["events_fired"] == 5
@@ -277,31 +165,31 @@ class TestExecutorWindows:
     def test_collects_outbox_emitted_between_runs(self):
         # Domain code emits while the local heap is empty; run_until must
         # see the pending send at entry or it would return immediately.
-        executor = _toy_pair("inline")
-        shard0 = executor.channels[0].kernel
+        executor = _toy_pair()
+        shard0 = executor.channels[0]
         shard0.emit(1, "ping", HOP, 0)
         assert shard0.sim.next_event_time() is None
         executor.run()
-        assert executor.channels[1].kernel.bouncer.log == [("ping", HOP, 0, 0)]
+        assert executor.channels[1].bouncer.log == [("ping", HOP, 0, 0)]
 
     def test_bounded_run_lands_every_clock_on_target(self):
-        executor = _toy_pair("inline")
-        shard0 = executor.channels[0].kernel
+        executor = _toy_pair()
+        shard0 = executor.channels[0]
         shard0.emit(1, "ping", 100.0, 0)
         executor.run_until(20.0)
-        assert executor.channels[0].kernel.sim.now == 20.0
-        assert executor.channels[1].kernel.sim.now == 20.0
+        assert executor.channels[0].sim.now == 20.0
+        assert executor.channels[1].sim.now == 20.0
         # message still in flight, delivered by the next (unbounded) run
-        assert executor.channels[1].kernel.bouncer.log == []
+        assert executor.channels[1].bouncer.log == []
         executor.run()
-        assert executor.channels[1].kernel.bouncer.log == [("ping", 100.0, 0, 0)]
+        assert executor.channels[1].bouncer.log == [("ping", 100.0, 0, 0)]
 
     def test_drain_leaves_every_clock_on_the_last_horizon(self):
         # Shard 2 has nothing to do in any window and shard 0 nothing
         # after the first: both are skipped, and both must still read
         # the last horizon once the drain returns.
         executor = _toy_ring(3)
-        kernels = [channel.kernel for channel in executor.channels]
+        kernels = executor.channels
         kernels[0].emit(1, "ping", HOP, 0)
         kernels[1].sim.at(40.0, lambda: None)
         executor.run()
@@ -312,7 +200,7 @@ class TestExecutorWindows:
     def test_bounded_run_lands_skipped_clocks_on_target(self):
         # The closing round at the target finds shards 0 and 2 idle.
         executor = _toy_ring(3)
-        kernels = [channel.kernel for channel in executor.channels]
+        kernels = executor.channels
         kernels[1].sim.at(5.0, lambda: None)
         executor.run_until(20.0)
         assert [kernel.sim.now for kernel in kernels] == [20.0] * 3
@@ -326,7 +214,7 @@ class TestExecutorWindows:
         # sends in the same round, which sorts first in the canonical
         # order -- and deliver it again one window later.
         executor = _toy_ring(3)
-        kernels = [channel.kernel for channel in executor.channels]
+        kernels = executor.channels
         kernels[0].sim.at(2.0, kernels[0].emit, 1, "late", 10.0, None)
         kernels[1].sim.at(2.0, lambda: None)
         kernels[2].sim.at(1.0, kernels[2].emit, 1, "early", 10.0, None)
@@ -339,7 +227,7 @@ class TestExecutorWindows:
 
     def test_idle_shard_is_not_stepped(self):
         executor = _toy_ring(3)
-        kernels = [channel.kernel for channel in executor.channels]
+        kernels = executor.channels
         kernels[0].emit(1, "ping", HOP, 40)  # shards 0 and 1 bounce it
         calls = 0
         for target in (30.0, 60.0):
@@ -356,25 +244,25 @@ class TestExecutorWindows:
         assert kernels[0].probe.sim_us == kernels[0].sim.now
 
     def test_bounded_run_is_resumable_past_target(self):
-        executor = _toy_pair("inline")
-        shard0 = executor.channels[0].kernel
+        executor = _toy_pair()
+        shard0 = executor.channels[0]
         shard0.emit(1, "ping", HOP, 2)
         executor.run_until(HOP)  # exactly the first delivery
-        assert executor.channels[1].kernel.bouncer.log == [("ping", HOP, 0, 2)]
+        assert executor.channels[1].bouncer.log == [("ping", HOP, 0, 2)]
         executor.run()
-        assert len(executor.channels[0].kernel.bouncer.log) == 1
+        assert len(executor.channels[0].bouncer.log) == 1
         assert executor.finish()["messages"] == 3
 
     def test_route_rejects_invalid_destination(self):
-        executor = _toy_pair("inline")
-        shard0 = executor.channels[0].kernel
+        executor = _toy_pair()
+        shard0 = executor.channels[0]
         shard0.emit(7, "ping", HOP, 0)
         with pytest.raises(ShardProtocolError):
             executor.run()
 
     def test_route_rejects_self_send(self):
-        executor = _toy_pair("inline")
-        shard0 = executor.channels[0].kernel
+        executor = _toy_pair()
+        shard0 = executor.channels[0]
         shard0.emit(0, "ping", HOP, 0)
         with pytest.raises(ShardProtocolError):
             executor.run()
@@ -389,9 +277,18 @@ class TestExecutorWindows:
         with pytest.raises(ValueError):
             ShardExecutor(lookahead_us=0.0)
 
+    def test_finish_is_idempotent(self):
+        executor = _toy_pair()
+        executor.channels[0].emit(1, "ping", HOP, 1)
+        executor.run()
+        first = executor.finish()
+        second = executor.finish()
+        assert first == second
+        assert first["events_by_shard"] == [1, 1]
+
     def test_register_metrics_exposes_per_shard_gauges(self):
-        executor = _toy_pair("inline")
-        executor.channels[0].kernel.emit(1, "ping", HOP, 2)
+        executor = _toy_pair()
+        executor.channels[0].emit(1, "ping", HOP, 2)
         executor.run()
         executor.finish()
         registry = Registry()
@@ -404,124 +301,26 @@ class TestExecutorWindows:
         ]
 
 
-class TestProcessChannels:
-    def test_inline_and_process_reports_identical(self):
-        reports = {}
-        for mode in ("inline", "processes"):
-            executor = _toy_pair(mode)
-            executor.channels[0].kernel.emit(1, "ping", HOP, 6)
-            executor.run()
-            report = executor.finish()
-            report.pop("barrier_stall_s")  # wall clock, machine-dependent
-            reports[mode] = report
-        assert reports["inline"] == reports["processes"]
-
-    def test_worker_build_failure_surfaces(self):
-        executor = ShardExecutor(lookahead_us=LOOKAHEAD)
-        executor.add_local(
-            ShardKernel(0, Simulator(), lambda msg: None, LOOKAHEAD)
-        )
-        with pytest.raises(ShardWorkerError):
-            executor.add_process(build_broken_shard, {})
-
-    def test_finish_is_idempotent(self):
-        executor = _toy_pair("processes")
-        executor.channels[0].kernel.emit(1, "ping", HOP, 1)
-        executor.run()
-        first = executor.finish()
-        second = executor.finish()
-        assert first == second
-
-    def _failing_trio(self):
-        """Local shard 0, a worker whose handler raises, a healthy worker."""
-        executor = ShardExecutor(lookahead_us=LOOKAHEAD)
-        spec = {"peer": 0, "lookahead_us": LOOKAHEAD}
-        executor.add_local(build_bouncer_shard({**spec, "shard_id": 0, "peer": 2}))
-        executor.add_process(build_raising_shard, {**spec, "shard_id": 1})
-        executor.add_process(build_bouncer_shard, {**spec, "shard_id": 2})
-        return executor
-
-    def test_finish_after_worker_failure_stops_every_worker(self):
-        executor = self._failing_trio()
-        workers = _workers_of(executor)
-        try:
-            started = time.perf_counter()
-            shard0 = executor.channels[0].kernel
-            shard0.emit(2, "ping", HOP, 3)  # keeps the healthy worker busy
-            shard0.emit(1, "ping", 2 * HOP, 0)
-            with pytest.raises(ShardWorkerError, match="shard 1 worker failed") as raised:
-                executor.run()
-            assert "deliberate shard handler failure" in str(raised.value)
-            report = executor.finish()  # must neither raise nor hang
-            assert len(workers) == 2 and not any(w.is_alive() for w in workers)
-            assert raised.value.shard_id == 1
-            assert report["windows"] >= 1
-            assert report["events_by_shard"][2] >= 1  # last completed step
-            # The executor is spent: it says so, naming the shard.
-            with pytest.raises(ShardWorkerError, match="shard 1 worker failed") as again:
-                executor.run_until(100.0)
-            assert again.value.shard_id == 1
-            assert executor.finish() == report
-            assert time.perf_counter() - started < 8.0
-        finally:
-            for worker in workers:
-                worker.kill()
-
-    def test_killed_worker_fails_loudly_and_finish_recovers(self):
-        executor = _toy_pair("processes")
-        (worker,) = _workers_of(executor)
-        try:
-            started = time.perf_counter()
-            os.kill(worker.pid, signal.SIGKILL)
-            worker.join(timeout=5.0)
-            assert not worker.is_alive()
-            executor.channels[0].kernel.emit(1, "ping", HOP, 2)
-            with pytest.raises(ShardWorkerError, match="shard 1 worker failed"):
-                executor.run()
-            executor.finish()
-            assert time.perf_counter() - started < 8.0
-        finally:
-            worker.kill()
-
-    def test_finish_survives_a_worker_that_died_between_runs(self):
-        executor = self._failing_trio()
-        workers = _workers_of(executor)
-        try:
-            executor.channels[0].kernel.emit(2, "ping", HOP, 1)
-            executor.run()
-            os.kill(workers[0].pid, signal.SIGKILL)
-            workers[0].join(timeout=5.0)
-            report = executor.finish()
-            assert not any(w.is_alive() for w in workers)
-            assert report["events_by_shard"] == [1, 0, 1]  # the healthy peer was still asked
-        finally:
-            for worker in workers:
-                worker.kill()
-
-
 # ----------------------------------------------------------------------
 # Reference window driver
 # ----------------------------------------------------------------------
 class StepEveryShardExecutor(ShardExecutor):
     """The window driver as it was before idle shards were skipped:
-    every round posts to, waits on and routes every channel.  Kept as
+    every round steps and routes every shard.  Kept as
     the reference model the skipping driver must be indistinguishable
     from (the pattern of ``TestGimbalTenantMatchesReference``)."""
 
     def _round(self, horizon_us: float) -> None:
-        channels = self.channels
         pending = self._pending
         inboxes = pending[:]
         for index in range(len(pending)):
             pending[index] = []
-        for index, channel in enumerate(channels):
+        events = self.shard_events
+        for index, kernel in enumerate(self.channels):
             inbox = inboxes[index]
             if len(inbox) > 1:
                 inbox.sort(key=_message_key)
-            channel.post(horizon_us, inbox)
-        events = self.shard_events
-        for index, channel in enumerate(channels):
-            outbox, next_t, fired, _now = channel.wait()
+            outbox, next_t, fired, _now = kernel.step(horizon_us, inbox)
             self._next_t[index] = next_t
             events[index] = fired
             self._route(index, outbox)
@@ -545,12 +344,11 @@ class Relay:
         self.shards = shards
         self.hops = hops
         self.kernel = None
-        self.executor = None  # set on inline shards only
+        self.executor = None
         self.log = []
 
     def _note(self, kind, due_us, src, ttl) -> None:
-        window = self.executor.windows if self.executor is not None else None
-        self.log.append((kind, due_us, src, ttl, window))
+        self.log.append((kind, due_us, src, ttl, self.executor.windows))
 
     def send(self, ttl: int) -> None:
         dst = (self.shard_id + 1 + ttl % (self.shards - 1)) % self.shards
@@ -570,7 +368,7 @@ class Relay:
 
 
 def build_relay_shard(spec):
-    """Module-level factory: runs in the test process or in a worker."""
+    """Build one relay shard from a plain-dict spec."""
     sim = _probed_simulator()
     relay = Relay(spec["shard_id"], spec["shards"], spec["hops"])
     kernel = ShardKernel(spec["shard_id"], sim, relay.handle, LOOKAHEAD)
@@ -578,14 +376,10 @@ def build_relay_shard(spec):
     kernel.relay = relay
     for time_us, ttl in spec["events"]:
         sim.at_(time_us, relay.local_event, ttl)
-    plain_stats = kernel.stats
-    # The delivery log rides out on stats(), the one call that reaches
-    # a worker process.
-    kernel.stats = lambda: {**plain_stats(), "log": list(relay.log)}
     return kernel
 
 
-def _drive(executor_cls, plan, processes=False):
+def _drive(executor_cls, plan):
     """Run ``plan`` under ``executor_cls``; observe after every run."""
     executor = executor_cls(lookahead_us=LOOKAHEAD)
     shards = len(plan["shards"])
@@ -596,36 +390,28 @@ def _drive(executor_cls, plan, processes=False):
             "hops": hops,
             "events": events,
         }
-        if processes and shard_id > 0:
-            executor.add_process(build_relay_shard, spec)
-        else:
-            kernel = build_relay_shard(spec)
-            kernel.relay.executor = executor
-            executor.add_local(kernel)
-    coordinator = executor.channels[0].kernel.relay
+        kernel = build_relay_shard(spec)
+        kernel.relay.executor = executor
+        executor.add_local(kernel)
+    coordinator = executor.channels[0].relay
     observed = []
-    try:
-        for target_us, inject_ttl in plan["runs"]:
-            if inject_ttl is not None:
-                # Coordinator-side domain code acting between runs.
-                coordinator.send(inject_ttl)
-            executor.run_until(target_us)
-            observed.append(
-                {
-                    "windows": executor.windows,
-                    "messages": executor.messages,
-                    "events_by_shard": list(executor.shard_events),
-                    "shards": [
-                        (stats["log"], stats["clock_us"], stats["events_fired"])
-                        for stats in (channel.stats() for channel in executor.channels)
-                    ],
-                }
-            )
-        observed.append(executor.finish())
-    finally:
-        executor.close()
-    for observation in observed:
-        observation.pop("barrier_stall_s", None)  # wall clock
+    for target_us, inject_ttl in plan["runs"]:
+        if inject_ttl is not None:
+            # Coordinator-side domain code acting between runs.
+            coordinator.send(inject_ttl)
+        executor.run_until(target_us)
+        observed.append(
+            {
+                "windows": executor.windows,
+                "messages": executor.messages,
+                "events_by_shard": list(executor.shard_events),
+                "shards": [
+                    (list(kernel.relay.log), kernel.sim.now, kernel.stats()["events_fired"])
+                    for kernel in executor.channels
+                ],
+            }
+        )
+    observed.append(executor.finish())
     return observed
 
 
@@ -657,10 +443,9 @@ def _plans(draw):
     }
 
 
-#: Fixed plans for the worker-process legs (a fork per shard per run is
-#: too slow to draw): a busy pair beside a shard that only ever ticks,
-#: one beside a shard with nothing at all, and a five-shard fan-out
-#: resumed at targets that fall inside and between bursts.
+#: Fixed plans: a busy pair beside a shard that only ever ticks, one
+#: beside a shard with nothing at all, and a five-shard fan-out resumed
+#: at targets that fall inside and between bursts.
 _FIXED_PLANS = [
     {
         "shards": [([2.5], [(0.0, 6)]), ([1.5, 3.0], []), ([4.0], [(50.0, None), (120.0, None)])],
@@ -692,20 +477,9 @@ class TestSkippingDriverMatchesReference:
         assert _drive(ShardExecutor, plan) == _drive(StepEveryShardExecutor, plan)
 
     @pytest.mark.parametrize("plan", _FIXED_PLANS)
-    def test_fixed_plans_inline_and_through_worker_processes(self, plan):
+    def test_fixed_plans(self, plan):
         reference = _drive(StepEveryShardExecutor, plan)
         assert _drive(ShardExecutor, plan) == reference
         # Something happened, and some shard sat windows out.
         assert reference[-1]["windows"] > 5
         assert reference[-1]["messages"] > 5
-        workers = _drive(ShardExecutor, plan, processes=True)
-        assert workers == _drive(StepEveryShardExecutor, plan, processes=True)
-        # Worker shards cannot see the window counter; everything else
-        # they report equals the inline run.
-        def without_windows(shards):
-            return [([entry[:4] for entry in log], clock, fired) for log, clock, fired in shards]
-
-        for inline, forked in zip(reference[:-1], workers[:-1]):
-            assert without_windows(forked.pop("shards")) == without_windows(inline["shards"])
-            assert forked == {k: v for k, v in inline.items() if k != "shards"}
-        assert workers[-1] == reference[-1]

@@ -306,55 +306,6 @@ class TestCliSimulate:
         assert f"{flag}: invalid choice: 'bogus'" in capsys.readouterr().err
 
 
-class TestCliShards:
-    """A bad shard count is refused with one line before any point runs;
-    it used to run unsharded (negative) or die with a traceback
-    (non-integer ``REPRO_SHARDS``)."""
-
-    COMMANDS = {
-        "run": ["run", "table2", "--quick"],
-        "suite": ["suite", "--quick", "--jobs", "1", "-e", "table2", "--no-cache"],
-        "profile": ["profile", "table2"],
-    }
-
-    @pytest.mark.parametrize("command", sorted(COMMANDS))
-    def test_negative_flag_rejected(self, capsys, monkeypatch, command):
-        monkeypatch.delenv("REPRO_SHARDS", raising=False)
-        assert main(self.COMMANDS[command] + ["--shards", "-3"]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == "--shards must be >= 0, got -3\n"
-
-    @pytest.mark.parametrize("command", sorted(COMMANDS))
-    @pytest.mark.parametrize(
-        "raw, message",
-        [
-            ("-1", "REPRO_SHARDS must be >= 0, got -1"),
-            ("two", "REPRO_SHARDS must be an integer >= 0, got 'two'"),
-        ],
-        ids=["negative", "non-integer"],
-    )
-    def test_bad_environment_rejected(self, capsys, monkeypatch, command, raw, message):
-        monkeypatch.setenv("REPRO_SHARDS", raw)
-        assert main(self.COMMANDS[command]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == message + "\n"
-
-    def test_zero_still_means_unsharded(self, capsys, monkeypatch):
-        from repro.harness.experiments import rack
-
-        seen = []
-        monkeypatch.setattr(rack, "run", lambda **kwargs: seen.append(kwargs))
-        monkeypatch.setattr(rack, "summarize", lambda results: "summary")
-        monkeypatch.setenv("REPRO_SHARDS", "4")
-        assert main(["run", "rack", "--shards", "0"]) == 0
-        assert main(["run", "rack", "--shards", "2"]) == 0
-        assert "shards" not in seen[0]
-        assert seen[1]["shards"] == 2
-        assert capsys.readouterr().out == "summary\nsummary\n"
-
-
 class TestCliJobs:
     """A worker count below what the command accepts is refused with one
     line before anything runs.  ``run --jobs -3`` used to run and journal
