@@ -10,8 +10,8 @@ Commands:
 * ``simulate`` -- ad-hoc multi-tenant run: pick a scheme, a device
   condition and a worker mix, get bandwidth/latency per tenant;
 * ``suite [--quick]`` -- regenerate *every* table/figure on one shared
-  worker pool via :mod:`repro.harness.orchestrator` (cost-model
-  scheduling, streaming execution; results identical to running each
+  worker pool via :mod:`repro.harness.orchestrator` (declared-order
+  dispatch, streaming execution; results identical to running each
   experiment serially);
 * ``cache {stats,journal,prune,clear}`` -- inspect or manage the
   sweep-point result cache that ``run --cache`` (or ``REPRO_CACHE=1``)
@@ -263,6 +263,9 @@ def cmd_cache(args: argparse.Namespace) -> int:
             flag = "--" + limit.replace("_", "-")
             print(f"{flag} must be >= 0, got {value}", file=sys.stderr)
             return 2
+    if getattr(args, "max_records", None) is not None and not args.compact:
+        print("--max-records needs --compact", file=sys.stderr)
+        return 2
     cache = ResultCache(cache_dir(args.cache_dir))
     if args.cache_command == "stats":
         entries = cache.entries()

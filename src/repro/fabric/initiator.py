@@ -10,7 +10,7 @@ plain queue depth) and puts command capsules on the wire.
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, Callable, Deque, Dict, List, Optional
+from typing import TYPE_CHECKING, Callable, Deque, Dict, Optional
 
 from repro.fabric.network import Network
 from repro.fabric.policies import ClientPolicy, UnlimitedClientPolicy
@@ -26,24 +26,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.fabric.target import NvmeOfTarget
 
 CompletionCallback = Callable[[FabricRequest], None]
-
-# Request free-list pool.  Steady-state IO allocates no objects: a
-# session that opts in (sets ``recycle_requests``) reuses a released
-# request in :meth:`TenantSession.submit` and parks it again at the end
-# of :meth:`TenantSession.deliver_completion`, after the application's
-# completion callback has run.  The contract is ownership-based, not
-# refcount-based: the releasing session asserts that no caller retains
-# the request, which is why recycling is opt-in per session -- the KV
-# store hands requests to application code that may hold them past
-# completion.
-_free_requests: List[FabricRequest] = []
-_FREE_REQUEST_CAP = 4096
-
-
-def request_pool_size() -> int:
-    """Current free-list depth (test/diagnostic hook)."""
-    return len(_free_requests)
-
 
 class NvmeOfInitiator:
     """One client host: a network port plus its tenant sessions."""
@@ -139,11 +121,6 @@ class TenantSession:
         self.inflight = 0
         self.submitted = 0
         self.completed = 0
-        #: Opt-in request recycling: a workload that never retains a
-        #: request past its completion callback (the fio workers) sets
-        #: this so steady-state IO draws from the module's free-list
-        #: pool instead of allocating.
-        self.recycle_requests = False
         # Pending IOs grouped by priority: when the policy gates
         # submission, tagged latency-sensitive IOs (higher priority)
         # go on the wire before queued bulk traffic -- the client-side
@@ -180,35 +157,12 @@ class TenantSession:
         context=None,
     ) -> FabricRequest:
         """Queue one IO; it goes on the wire when the policy allows."""
-        free = _free_requests
-        if free and self.recycle_requests:
-            # Pooled construction: field-for-field what the constructor
-            # below produces (same validation, a fresh ``request_id``),
-            # on a released instance.  The three fields assigned right
-            # after the branch need no reset here.
-            if lba < 0 or npages <= 0:
-                raise ValueError(f"invalid IO range: lba={lba} npages={npages}")
-            request = free.pop()
-            request.tenant_id = self.tenant_id
-            request.op = op
-            request.lba = lba
-            request.npages = npages
-            request.priority = priority
-            request.request_id = next_request_id()
-            request.context = context
-            request.t_wire_submit = None
-            request.t_target_arrival = None
-            request.t_sched_enqueue = None
-            request.t_client_complete = None
-            request.lpn = None
-            request.submit_time = None
-            request.complete_time = None
-            request.credit_grant = 0
-            request.virtual_view = None
-        else:
-            request = FabricRequest(
-                self.tenant_id, op, lba, npages, priority, context=context
-            )
+        # All positional: a keyword argument makes the type call build a
+        # kwargs dict on every IO.  The id is the one the field's default
+        # factory would draw.
+        request = FabricRequest(
+            self.tenant_id, op, lba, npages, priority, next_request_id(), context
+        )
         now = self.sim.now
         request.t_client_submit = now
         request._on_complete = on_complete
@@ -326,7 +280,14 @@ class TenantSession:
         )
 
     def deliver_completion(self, request: FabricRequest) -> None:
-        """Called (via the network) when the response capsule lands."""
+        """Called (via the network) when the response capsule lands.
+
+        Refused while the target still owns the request (reply route or
+        scheduler cookie attached): an early or repeated completion
+        raises before any session state moves.
+        """
+        if request._reply is not None or request._slot is not None:
+            raise RuntimeError(f"{request!r} completed while the target still owns it")
         request.t_client_complete = self.sim.now
         self.inflight -= 1
         self.completed += 1
@@ -340,24 +301,6 @@ class TenantSession:
         # here and the issue loop has nothing to do.
         if self._pending_count:
             self._try_issue()
-        if self.recycle_requests:
-            # Release: the completion has fully propagated.  Refused
-            # while the target still owns the request (reply route or
-            # scheduler cookie attached) -- recycling it would hand a
-            # live IO to the next submit.  Reference-bearing fields are
-            # cleared now so a parked request never pins an application
-            # context graph or, through the device callback, a whole
-            # pipeline and its device.
-            if request._reply is not None or request._slot is not None:
-                raise RuntimeError(
-                    f"{request!r} released while the target still owns it"
-                )
-            request.context = None
-            request._on_complete = None
-            request._on_device_complete = None
-            free = _free_requests
-            if len(free) < _FREE_REQUEST_CAP:
-                free.append(request)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -25,8 +25,7 @@ from repro.ssd.commands import IoOp
 COMMAND_CAPSULE_BYTES = 96
 RESPONSE_CAPSULE_BYTES = 32
 
-#: Draws the next ``request_id``: one process-wide sequence shared by
-#: fresh construction and the session's pooled reuse.
+#: Draws the next ``request_id``: one process-wide sequence.
 next_request_id = itertools.count(1).__next__
 
 

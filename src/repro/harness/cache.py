@@ -488,9 +488,10 @@ class ResultCache:
 
         Unlike the entry files -- which LRU-prune and invalidate on
         code changes -- the journal accumulates every point ever
-        computed with the seconds it took, which is what the suite cost
-        model (:class:`repro.harness.parallel.CostModel`) predicts
-        runtimes from.  Best-effort like every journal write.
+        computed with the seconds it took: the compute time a suite
+        spent, which ``repro cache journal`` and the perf ledger's
+        ``suite-replay`` workload read back (:meth:`point_records`).
+        Best-effort like every journal write.
         """
         record = {
             "type": "point",
@@ -562,9 +563,8 @@ class ResultCache:
         (:meth:`record_run`) and per-point timing lines
         (``"type": "point"``, written by :meth:`store`).  Torn or
         corrupt lines (a crashed writer, a truncated disk) are skipped
-        rather than raised: journal consumers -- stats output and the
-        suite cost model -- must degrade to "no data", never fail a
-        run.
+        rather than raised: journal consumers (stats output, the
+        journal report) must degrade to "no data", never fail a run.
         """
         path = self.root / JOURNAL_NAME
         records = []

@@ -48,9 +48,6 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence
 
 from repro.harness.cache import CacheSpec
 from repro.harness.parallel import (
-    DEFAULT_BATCH_COST_S,
-    DEFAULT_BATCH_MAX,
-    CostModel,
     Group,
     SuiteResult,
     WorkerPool,
@@ -114,16 +111,13 @@ def run_suite(
     jobs: Optional[int] = None,
     cache: CacheSpec = None,
     pool: Optional[WorkerPool] = None,
-    cost_model: Optional[CostModel] = None,
-    batch_cost_s: float = DEFAULT_BATCH_COST_S,
-    batch_max: int = DEFAULT_BATCH_MAX,
     progress: Optional[Callable[[str, Dict[str, Any]], None]] = None,
 ) -> SuiteResult:
     """Run every experiment's sweep points as one
     :func:`~repro.harness.parallel.run_groups` call.
 
     ``jobs`` defaults to the machine's CPU count (``jobs <= 1`` runs
-    in-process, still cost-ordered, still streaming).  ``pool`` lends
+    in-process, in declared order, still streaming).  ``pool`` lends
     an existing :class:`WorkerPool`; otherwise one is created for the
     run and torn down afterwards.  ``cache`` follows
     :func:`repro.harness.parallel.run_sweep` semantics, so results are
@@ -158,9 +152,6 @@ def run_suite(
         jobs=effective,
         cache=cache,
         pool=pool,
-        cost_model=cost_model,
-        batch_cost_s=batch_cost_s,
-        batch_max=batch_max,
         progress=progress,
     )
 

@@ -17,23 +17,18 @@ Two executors sit behind it, chosen from the worker count alone: this
 process, or a :class:`WorkerPool` (lent by the caller, or created for
 the call when ``jobs > 1``).
 
-* **Cost-model scheduling** -- each missed point's runtime is predicted
-  by a :class:`CostModel` fed from the result cache's journaled
-  per-point elapsed times, and ready points dispatch
-  longest-processing-time-first.  Cheap points are chunked into batches
-  so a worker round-trip amortizes its IPC over several points.  With
-  no cache there is no history: every point costs the flat default and
-  dispatch is declaration order, unbatched.
+* **Declared order** -- missed points run in the order they were
+  declared: in this process when ``jobs <= 1``, otherwise one future
+  per point on the pool.
 * **Streaming execution** -- groups are expanded one after another
   while the pool is already computing earlier ones, completions are
   consumed via :func:`concurrent.futures.as_completed` (a failed point
   cancels its unstarted siblings), and each group is finalized the
   moment its last point lands.
 * **One journal** -- every call appends one run line (hits, misses,
-  worker counts, the :meth:`SuiteResult.report` fields including the
-  cost model's ``tier_hits``) to the cache directory's
-  ``journal.jsonl`` and mirrors ``cache.*`` into the active
-  observability session.
+  worker counts, the :meth:`SuiteResult.report` fields) to the cache
+  directory's ``journal.jsonl`` and mirrors ``cache.*`` into the
+  active observability session.
 
 Determinism contract
 --------------------
@@ -163,140 +158,6 @@ class WorkerPool:
         return f"WorkerPool(jobs={self.jobs}, {state})"
 
 
-#: Points predicted to cost no more than this many seconds are batched.
-DEFAULT_BATCH_COST_S = 0.25
-
-#: Upper bound on how many cheap points share one worker round-trip.
-DEFAULT_BATCH_MAX = 8
-
-#: Cost assumed for a point whose function has no journaled timing.
-DEFAULT_POINT_COST_S = 2.0
-
-
-# ----------------------------------------------------------------------
-# Cost model
-# ----------------------------------------------------------------------
-class CostModel:
-    """Predict a sweep point's runtime from journaled cache timings.
-
-    Every point the cache stores appends a journal record with the
-    seconds it took to compute (``elapsed_s``) -- a record that, unlike
-    the entry file, survives code edits and pruning; that is exactly
-    the signal LPT scheduling needs.  Prediction has two tiers: the
-    mean recorded time of the same point function, then a flat
-    default.  (A point whose exact fingerprint has an entry is a cache
-    *hit* and is never predicted, so there is no exact-match tier.)
-    Built defensively: an absent, empty, or corrupt journal never
-    raises here -- it just leaves every prediction at the default.
-    ``tier_hits`` counts which tier answered each prediction.
-    """
-
-    #: Newest journal records kept per function.
-    MAX_RECORDS = 512
-
-    def __init__(
-        self,
-        by_fn: Optional[Dict[str, float]] = None,
-        default_s: float = DEFAULT_POINT_COST_S,
-    ):
-        self.by_fn = by_fn or {}
-        self.default_s = default_s
-        self.tier_hits = {"by_fn": 0, "default": 0}
-
-    @classmethod
-    def from_cache(
-        cls, store: Optional[ResultCache], default_s: float = DEFAULT_POINT_COST_S
-    ) -> "CostModel":
-        """Per-fn means from ``store``'s journal point records (an empty
-        model when there is no store)."""
-        try:
-            records = store.point_records() if store is not None else []
-        except Exception:
-            records = []
-        per_fn: Dict[str, List[float]] = {}
-        for record in records:
-            fn = record.get("fn")
-            elapsed = record.get("elapsed_s")
-            if isinstance(fn, str) and isinstance(elapsed, (int, float)) and elapsed >= 0:
-                per_fn.setdefault(fn, []).append(float(elapsed))
-        by_fn = {}
-        for fn, times in per_fn.items():
-            times = times[-cls.MAX_RECORDS:]
-            by_fn[fn] = sum(times) / len(times)
-        return cls(by_fn=by_fn, default_s=default_s)
-
-    def predict(self, point: SweepPoint) -> float:
-        """Predicted seconds for ``point`` (never raises)."""
-        fn_name = f"{getattr(point.fn, '__module__', '?')}:{getattr(point.fn, '__qualname__', '?')}"
-        by_fn = self.by_fn.get(fn_name)
-        if by_fn is not None:
-            self.tier_hits["by_fn"] += 1
-            return by_fn
-        self.tier_hits["default"] += 1
-        return self.default_s
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"CostModel(fns={len(self.by_fn)}, default={self.default_s}s)"
-
-
-# ----------------------------------------------------------------------
-# Dispatch planning
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class _Task:
-    """One schedulable point: (experiment ordinal, point, predicted cost)."""
-
-    exp: int
-    point: SweepPoint
-    cost: float
-
-
-def plan_dispatch(
-    tasks: Sequence[_Task],
-    batch_cost_s: float = DEFAULT_BATCH_COST_S,
-    batch_max: int = DEFAULT_BATCH_MAX,
-) -> List[List[_Task]]:
-    """Order tasks LPT and chunk the cheap ones into batches.
-
-    Returns dispatch *units* (each a list of tasks executed by one
-    worker round-trip), sorted most-expensive-first.  Expensive points
-    stay singletons; points predicted under ``batch_cost_s`` are
-    grouped -- still in LPT order -- into units of up to ``batch_max``
-    so the per-task IPC overhead amortizes.  The plan is a pure
-    function of (tasks, costs): ties break on declaration order, so
-    planning is deterministic even though execution is not ordered.
-    """
-    ordered = sorted(tasks, key=lambda task: (-task.cost, task.exp, task.point.index))
-    units: List[List[_Task]] = []
-    batch: List[_Task] = []
-    for task in ordered:
-        if task.cost > batch_cost_s or batch_max <= 1:
-            units.append([task])
-            continue
-        batch.append(task)
-        if len(batch) >= batch_max:
-            units.append(batch)
-            batch = []
-    if batch:
-        units.append(batch)
-    units.sort(key=lambda unit: (-sum(t.cost for t in unit), unit[0].exp, unit[0].point.index))
-    return units
-
-
-def _execute_unit(tasks: List[Tuple[int, SweepPoint]]) -> List[Tuple[int, int, float, Any]]:
-    """Worker-side trampoline: run one dispatch unit's points in order.
-
-    Module-level so units pickle by reference; returns per-point
-    ``(experiment ordinal, point index, elapsed seconds, value)`` so
-    the parent can merge and write back the cache without ambiguity.
-    """
-    out: List[Tuple[int, int, float, Any]] = []
-    for exp, point in tasks:
-        index, elapsed, value = _execute_point_timed(point)
-        out.append((exp, index, elapsed, value))
-    return out
-
-
 # ----------------------------------------------------------------------
 # The loop
 # ----------------------------------------------------------------------
@@ -321,9 +182,7 @@ class SuiteResult:
     jobs: int
     points_total: int
     cache_hits: int
-    batches: int
     stolen_idle_s: float
-    tier_hits: Dict[str, int]
 
     @property
     def results(self) -> Dict[str, Any]:
@@ -336,9 +195,7 @@ class SuiteResult:
             "experiments": len(self.experiments),
             "points_total": self.points_total,
             "cache_hits": self.cache_hits,
-            "batches": self.batches,
             "stolen_idle_s": round(self.stolen_idle_s, 3),
-            "tier_hits": self.tier_hits,
             "per_experiment": [
                 {
                     "name": run.name,
@@ -395,9 +252,6 @@ def run_groups(
     jobs: int,
     cache: CacheSpec = None,
     pool: Optional[WorkerPool] = None,
-    cost_model: Optional[CostModel] = None,
-    batch_cost_s: float = DEFAULT_BATCH_COST_S,
-    batch_max: int = DEFAULT_BATCH_MAX,
     progress: Optional[Callable[[str, Dict[str, Any]], None]] = None,
 ) -> SuiteResult:
     """Key, look up, run, store and journal every point of ``groups``.
@@ -408,14 +262,13 @@ def run_groups(
     for (:func:`_resolve_jobs`; both land in the journal).  ``jobs <=
     1`` runs every missed point in this process; otherwise points go
     to ``pool``, or to a pool created for the call and torn down
-    afterwards.  Lookups happen before dispatch, each
-    point's :meth:`ResultCache.key` is taken before it runs, computed
-    values are merged as read back from their JSON round-trip, and each
-    group's merge respects declared point order -- so results do not
-    depend on the executor, the plan, or the cache's temperature.
+    afterwards.  Missed points are dispatched in declared order.
+    Lookups happen before dispatch, each point's
+    :meth:`ResultCache.key` is taken before it runs, computed values are
+    merged as read back from their JSON round-trip, and each group's
+    merge respects declared point order -- so results do not depend on
+    the executor, the completion order, or the cache's temperature.
 
-    ``cost_model`` substitutes the model the plan is drawn from (else
-    one is built from the cache when the first point misses).
     ``progress`` (when given) receives ``(event, payload)`` pairs:
     ``point`` per computed point, ``experiment`` per finalized group,
     ``suite`` once at the end.  ``name`` labels the run's journal line.
@@ -423,22 +276,21 @@ def run_groups(
     started = time.perf_counter()
     store = resolve_cache(cache)
     stats_before = store.stats.snapshot() if store is not None else None
-    model = cost_model  # else built from the cache when the first point misses
 
     own_pool = pool is None and jobs > 1
     if own_pool:
         pool = WorkerPool(jobs)
     elif jobs <= 1:
-        # One worker buys no parallelism, only per-unit pickling and IPC
+        # One worker buys no parallelism, only per-point pickling and IPC
         # round-trips: a lent one-worker pool is left untouched (its
         # lazy executor is never spawned by us and never closed).
         pool = None
 
     states: List[_GroupState] = []
-    futures: List[Any] = []
+    # future -> ordinal of the group its point belongs to
+    futures: Dict[Any, int] = {}
     points_total = 0
     cache_hits = 0
-    batches = 0
     stolen_idle_s = 0.0
 
     def emit(event: str, payload: Dict[str, Any]) -> None:
@@ -490,7 +342,7 @@ def run_groups(
         for exp_ord, group in enumerate(groups):
             state = _GroupState(group)
             states.append(state)
-            tasks: List[_Task] = []
+            missed: List[SweepPoint] = []
             for point in state.points:
                 points_total += 1
                 key = None
@@ -504,33 +356,25 @@ def run_groups(
                         bump("suite.cache_hits")
                         bump("suite.points_done")
                         continue
-                if model is None:
-                    model = CostModel.from_cache(store)
                 state.keys[point.index] = key
-                tasks.append(_Task(exp_ord, point, model.predict(point)))
-            state.pending = len(tasks)
-            if not tasks:
+                missed.append(point)
+            state.pending = len(missed)
+            if not missed:
                 finish(state)
                 continue
-            units = plan_dispatch(tasks, batch_cost_s=batch_cost_s, batch_max=batch_max)
-            batches += sum(1 for unit in units if len(unit) > 1)
-            for unit in units:
+            for point in missed:
                 if pool is not None:
                     # Submitting is non-blocking, so expanding and looking
                     # up group k+1 overlaps computing group k.
-                    futures.append(
-                        pool.submit(_execute_unit, [(task.exp, task.point) for task in unit])
-                    )
+                    futures[pool.submit(_execute_point_timed, point)] = exp_ord
                 else:
-                    for task in unit:
-                        account(exp_ord, *_execute_point_timed(task.point))
+                    account(exp_ord, *_execute_point_timed(point))
         bump("suite.points_total", points_total)
 
         # -- consumption: completion order, so a failure surfaces as
         # soon as its future settles, not behind slower siblings -------
         for future in as_completed(futures):
-            for row in future.result():
-                account(*row)
+            account(futures[future], *future.result())
     except BaseException:
         for future in futures:
             future.cancel()  # unstarted siblings of a doomed run
@@ -540,8 +384,6 @@ def run_groups(
             pool.close(cancel_pending=True)
 
     bump("suite.stolen_idle_sec", stolen_idle_s)
-    if model is None:  # every point hit: nothing was ever predicted
-        model = CostModel()
     result = SuiteResult(
         experiments=[
             ExperimentRun(
@@ -558,9 +400,7 @@ def run_groups(
         jobs=jobs,
         points_total=points_total,
         cache_hits=cache_hits,
-        batches=batches,
         stolen_idle_s=stolen_idle_s,
-        tier_hits=dict(model.tier_hits),
     )
     report = result.report()
     emit("suite", report)
@@ -647,7 +487,8 @@ class Sweep:
         Labels must be unique within the sweep: :func:`point_seed`
         derives each point's RNG seed from its label, so two points
         sharing a label would silently share a random stream (and the
-        cost model could not tell their timings apart).
+        result cache's journal would file their timings under one
+        name).
         """
         index = len(self._points)
         if label is None:

@@ -17,17 +17,17 @@ Determinism: events that fire at the same timestamp execute in the
 order they were scheduled (a monotonically increasing sequence number
 breaks ties), so a run is fully reproducible given its RNG seeds.
 
-Performance: the heap stores plain ``[time, seq, fn, args, handle]``
+Performance: the heap stores plain ``[time, seq, fn, args, True]``
 lists, not :class:`Event` objects, so sift comparisons run at C speed
-(``seq`` is unique, so ``fn`` is never compared).  Fired handles whose
-callers kept no reference are recycled through a free list, and the
-drain loop used when no probe is attached binds its hot state to
-locals.  Entries scheduled without a handle (``at_``, populations)
-carry exactly one payload in the ``args`` position -- ``[time, seq, fn,
-payload, None]`` -- and cannot be cancelled, so the loops fire them
-bare as ``fn(payload)``: no argument tuple, no fired-mark, no recycling
-check.  Cancelled entries are removed lazily on pop; when more than
-half the heap is dead the heap is compacted in place.
+(``seq`` is unique, so ``fn`` is never compared), and the drain loop
+used when no probe is attached binds its hot state to locals.  An entry
+does not point back at its handle, so a fired handle nobody holds is
+freed by refcount.  Entries scheduled without a handle (``at_``,
+populations) carry exactly one payload in the ``args`` position --
+``[time, seq, fn, payload, None]`` -- and cannot be cancelled, so the
+loops fire them bare as ``fn(payload)``: no argument tuple, no
+fired-mark.  Cancelled entries are removed lazily on pop; when more
+than half the heap is dead the heap is compacted in place.
 
 This is the package's one kernel: every queued entry lives in the
 heap, so :attr:`Simulator.pending` and the probe's high-water mark read
@@ -37,11 +37,8 @@ the heap alone.
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
-from sys import getrefcount
 from typing import Any, Callable, Generator, Optional
 
-#: Upper bound on recycled Event handles kept around between fires.
-_FREE_LIST_CAP = 8192
 #: Lazy deletion is compacted away once at least this many cancelled
 #: entries linger in the heap *and* they outnumber the live ones.
 _COMPACT_MIN_DEAD = 512
@@ -57,15 +54,15 @@ class Event:
     """A scheduled callback.  Returned by :meth:`Simulator.schedule` so it can be cancelled.
 
     The handle wraps the mutable heap entry ``[time, seq, fn, args,
-    handle]``; a ``fn`` of None in the entry marks it fired or
-    cancelled, which is what the drain loops skip on.
+    True]`` (the last slot tells the loops to fire ``fn(*args)``); a
+    ``fn`` of None in the entry marks it fired or cancelled, which is
+    what the drain loops skip on.
     """
 
     __slots__ = ("_entry", "_sim", "cancelled")
 
     def __init__(self, time: float, seq: int, fn: Callable[..., Any], args: tuple):
-        self._entry: list = [time, seq, fn, args, None]
-        self._entry[4] = self
+        self._entry: list = [time, seq, fn, args, True]
         self._sim: Optional["Simulator"] = None
         self.cancelled = False
 
@@ -298,7 +295,7 @@ class _HeapPopulation:
     def add(self, time_us: float, payload: Any) -> None:
         """Register one pending completion: ``fn(payload)`` at ``time_us``."""
         sim = self._sim
-        if time_us < sim.now:
+        if not time_us >= sim.now:
             raise SimulationError(f"Cannot add at t={time_us} before now={sim.now}")
         sim._seq = seq = sim._seq + 1
         heappush(sim._heap, [time_us, seq, self.fn, payload, None])
@@ -316,22 +313,19 @@ class Simulator:
         "_seq",
         "_running",
         "_dead",
-        "_free",
         "tracer",
         "probe",
     )
 
     def __init__(self) -> None:
         self.now: float = 0.0
-        #: Heap of ``[time, seq, fn, args, handle]`` entries (handle-less:
+        #: Heap of ``[time, seq, fn, args, True]`` entries (handle-less:
         #: ``[time, seq, fn, payload, None]``).
         self._heap: list = []
         self._seq = 0
         self._running = False
         #: Cancelled entries still queued (lazy deletion).
         self._dead = 0
-        #: Recycled Event handles (with their entry lists) awaiting reuse.
-        self._free: list = []
         #: Optional observability hooks (see :mod:`repro.obs`).  Both
         #: default to None.  Scheduling never looks at them; the probe
         #: is fed by the general run loop only.
@@ -350,47 +344,22 @@ class Simulator:
     # ------------------------------------------------------------------
     def schedule(self, delay_us: float, fn: Callable[..., Any], *args: Any) -> Event:
         """Run ``fn(*args)`` after ``delay_us`` microseconds of simulated time."""
-        if delay_us < 0:
+        if not delay_us >= 0:
             raise SimulationError(f"Cannot schedule {delay_us}us in the past")
-        time_us = self.now + delay_us
-        seq = self._seq = self._seq + 1
-        free = self._free
-        if free:
-            event = free.pop()
-            event.cancelled = False
-            event._sim = self
-            entry = event._entry
-            entry[0] = time_us
-            entry[1] = seq
-            entry[2] = fn
-            entry[3] = args
-        else:
-            event = Event(time_us, seq, fn, args)
-            event._sim = self
-            entry = event._entry
-        heappush(self._heap, entry)
+        self._seq = seq = self._seq + 1
+        event = Event(self.now + delay_us, seq, fn, args)
+        event._sim = self
+        heappush(self._heap, event._entry)
         return event
 
     def at(self, time_us: float, fn: Callable[..., Any], *args: Any) -> Event:
         """Run ``fn(*args)`` at absolute simulated time ``time_us``."""
-        if time_us < self.now:
+        if not time_us >= self.now:
             raise SimulationError(f"Cannot schedule at t={time_us} before now={self.now}")
-        seq = self._seq = self._seq + 1
-        free = self._free
-        if free:
-            event = free.pop()
-            event.cancelled = False
-            event._sim = self
-            entry = event._entry
-            entry[0] = time_us
-            entry[1] = seq
-            entry[2] = fn
-            entry[3] = args
-        else:
-            event = Event(time_us, seq, fn, args)
-            event._sim = self
-            entry = event._entry
-        heappush(self._heap, entry)
+        self._seq = seq = self._seq + 1
+        event = Event(time_us, seq, fn, args)
+        event._sim = self
+        heappush(self._heap, event._entry)
         return event
 
     def at_(self, time_us: float, fn: Callable[[Any], Any], payload: Any) -> None:
@@ -400,14 +369,15 @@ class Simulator:
         The datapath schedules five events per IO, never cancels any
         of them, and each carries one thing (the request).  With no
         handle there is nothing a late cancel could reach, so the entry
-        skips the Event bookkeeping at both ends: no free-list pop and
-        no argument tuple here, and the run loops fire it bare
-        (``fn(payload)``: no unpacking, no fired-mark, no refcount
-        check, no free-list push).  A callback that needs no argument
-        or several takes :meth:`at`.  Firing order is identical to
-        :meth:`at`: the same sequence counter breaks timestamp ties.
+        skips the Event bookkeeping at both ends: no handle and no
+        argument tuple here, and the run loops fire it bare
+        (``fn(payload)``: no unpacking, no fired-mark).  A callback that
+        needs no argument or several takes :meth:`at`.  Firing order is
+        identical to :meth:`at`: the same sequence counter breaks
+        timestamp ties.  Like every entry point, it refuses a time
+        before ``now`` -- NaN included.
         """
-        if time_us < self.now:
+        if not time_us >= self.now:
             raise SimulationError(f"Cannot schedule at t={time_us} before now={self.now}")
         self._seq = seq = self._seq + 1
         heappush(self._heap, [time_us, seq, fn, payload, None])
@@ -501,7 +471,6 @@ class Simulator:
         exit) sees every peak a per-push check would.
         """
         heap = self._heap
-        free = self._free
         until = _INF if until_us is None else until_us
         budget = _INF if max_events is None else max_events
         fired = 0
@@ -523,22 +492,17 @@ class Simulator:
             if probe is not None:
                 probe.count_fire(fn)
             fired += 1
-            event = entry[4]
-            if event is None:
+            if entry[4] is None:
                 fn(entry[3])
                 continue
             args = entry[3]
             entry[2] = None
             entry[3] = None
             fn(*args)
-            if getrefcount(event) == 3 and len(free) < _FREE_LIST_CAP:
-                free.append(event)
 
     def _drain_fast(self, until_us: Optional[float]) -> None:
         """The hot loop: no probe, no event cap, locals bound."""
         heap = self._heap
-        free = self._free
-        refcount = getrefcount
         until = _INF if until_us is None else until_us
         while heap:
             entry = heap[0]
@@ -552,11 +516,9 @@ class Simulator:
                 break
             heappop(heap)
             self.now = time_us
-            event = entry[4]
-            if event is None:
+            if entry[4] is None:
                 # No handle (at_, populations): one payload, and
-                # nothing can cancel the entry late or alias it, so it
-                # fires bare.
+                # nothing can cancel the entry late, so it fires bare.
                 fn(entry[3])
                 continue
             args = entry[3]
@@ -565,12 +527,6 @@ class Simulator:
             entry[2] = None
             entry[3] = None
             fn(*args)
-            # Recycle the handle only when the scheduler's caller kept
-            # no reference (the three counted refs are the entry's
-            # back-pointer, the local, and getrefcount's argument), so
-            # a held handle can never alias a later event.
-            if refcount(event) == 3 and len(free) < _FREE_LIST_CAP:
-                free.append(event)
 
     def _note_depth(self) -> None:
         """Sample the queue depth into the probe ahead of a shrink the

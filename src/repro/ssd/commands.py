@@ -10,7 +10,7 @@ completion callback in ``_on_device_complete`` (its completion event
 carries the command alone).  :class:`DeviceCommand`
 is that face alone, for code that drives a device directly; the fabric
 datapath submits its :class:`~repro.fabric.request.FabricRequest` as
-is -- one carrier per IO, no pool here.
+is -- one carrier per IO.
 """
 
 from __future__ import annotations

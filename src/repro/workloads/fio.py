@@ -69,10 +69,6 @@ class FioWorker:
         self.spec = spec
         self.region = region
         self.rng = rng
-        # A fio worker only ever touches a request inside its own
-        # completion callback, so its session can recycle request
-        # objects through the free-list pool.
-        session.recycle_requests = True
         if spec.pattern == "random":
             self._pattern = RandomPattern(region, spec.io_pages, rng)
         else:

@@ -8,11 +8,8 @@ as it stood in the commit before the flattening (tracer emits aside):
 * the **varargs kernel contract** -- ``at_(time, fn, *args)`` and
   ``population.add(time, *args)`` firing ``fn(*args)``
   (:class:`ReferenceSimulator`);
-* the **request pool as free functions** -- :func:`acquire_request` /
-  :func:`release_request` over this module's own free list, so pool
-  depth can be compared without sharing state with the product;
-* the **session** that calls them and sends ``(request, reply)`` pairs
-  on the wire (:class:`ReferenceSession`);
+* the **session** that sends ``(request, reply)`` pairs on the wire
+  (:class:`ReferenceSession`);
 * the **pipeline** that receives the reply route as an argument, calls
   ``Namespace.translate`` and re-binds its handlers per IO
   (:class:`ReferencePipeline`).
@@ -28,7 +25,7 @@ from __future__ import annotations
 
 from collections import deque
 from contextlib import contextmanager
-from typing import Any, Callable, List
+from typing import Any, Callable
 from unittest import mock
 
 from repro.fabric.initiator import TenantSession
@@ -37,7 +34,6 @@ from repro.fabric.request import (
     COMMAND_CAPSULE_BYTES,
     RESPONSE_CAPSULE_BYTES,
     FabricRequest,
-    next_request_id,
 )
 from repro.sim.engine import Simulator
 from repro.ssd.commands import IoOp
@@ -72,84 +68,18 @@ class ReferenceSimulator(Simulator):
 
 
 # ----------------------------------------------------------------------
-# Request pool (the former ``repro.fabric.request`` helpers)
+# Session
 # ----------------------------------------------------------------------
-_free_requests: List[FabricRequest] = []
-_FREE_REQUEST_CAP = 4096
-
-
-def acquire_request(
-    tenant_id: str,
-    op: IoOp,
-    lba: int,
-    npages: int,
-    priority: int = 0,
-    context: Any = None,
-) -> FabricRequest:
-    free = _free_requests
-    if not free:
-        return FabricRequest(
-            tenant_id=tenant_id,
+class ReferenceSession(TenantSession):
+    def submit(self, op, lba, npages, priority=0, on_complete=None, context=None):
+        request = FabricRequest(
+            tenant_id=self.tenant_id,
             op=op,
             lba=lba,
             npages=npages,
             priority=priority,
             context=context,
         )
-    if lba < 0 or npages <= 0:
-        raise ValueError(f"invalid IO range: lba={lba} npages={npages}")
-    request = free.pop()
-    request.tenant_id = tenant_id
-    request.op = op
-    request.lba = lba
-    request.npages = npages
-    request.priority = priority
-    request.request_id = next_request_id()
-    request.context = context
-    request.t_client_submit = None
-    request.t_wire_submit = None
-    request.t_target_arrival = None
-    request.t_sched_enqueue = None
-    request.t_client_complete = None
-    request.lpn = None
-    request.submit_time = None
-    request.complete_time = None
-    request.credit_grant = 0
-    request.virtual_view = None
-    return request
-
-
-def release_request(request: FabricRequest) -> None:
-    if request._reply is not None or request._slot is not None:
-        raise RuntimeError(f"{request!r} released while the target still owns it")
-    request.context = None
-    request._on_complete = None
-    if len(_free_requests) < _FREE_REQUEST_CAP:
-        _free_requests.append(request)
-
-
-def request_pool_size() -> int:
-    return len(_free_requests)
-
-
-# ----------------------------------------------------------------------
-# Session
-# ----------------------------------------------------------------------
-class ReferenceSession(TenantSession):
-    def submit(self, op, lba, npages, priority=0, on_complete=None, context=None):
-        if self.recycle_requests:
-            request = acquire_request(
-                self.tenant_id, op, lba, npages, priority, context
-            )
-        else:
-            request = FabricRequest(
-                tenant_id=self.tenant_id,
-                op=op,
-                lba=lba,
-                npages=npages,
-                priority=priority,
-                context=context,
-            )
         now = self.sim.now
         request.t_client_submit = now
         request._on_complete = on_complete
@@ -223,8 +153,6 @@ class ReferenceSession(TenantSession):
             on_complete(request)
         if self._pending_count:
             self._try_issue()
-        if self.recycle_requests:
-            release_request(request)
 
 
 # ----------------------------------------------------------------------

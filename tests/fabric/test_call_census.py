@@ -24,22 +24,23 @@ EVENTS_PER_IO = 5
 
 #: Calls per IO, by where they are made.  The region below is sized so
 #: the address draw's rejection loop all but never repeats; the ledger's
-#: 8192-page region redraws every other IO and reads 37.
+#: 8192-page region redraws every other IO and reads 36.
 #:
 #: ====================  ==  ==========================================
 #: kernel                15  5 x (heappop + heappush + at_/population add)
 #: fio worker             6  _on_complete, _issue_now, next_lba,
 #:                           getrandbits, throughput.record, submit
-#: session                4  deliver_completion; pool: list.pop, len,
-#:                           list.append (the id draw is a slot
-#:                           wrapper, which raises no profile event)
+#: session                3  deliver_completion; the request's
+#:                           __init__ and __post_init__ (the id draw is
+#:                           a slot wrapper, which raises no profile
+#:                           event)
 #: pipeline               4  handle_arrival, device_submit,
 #:                           _device_completed, _send_response
 #: device                 2  submit, _complete
 #: namespace lookup       1  dict.get
 #: latency histograms     4  2 x (record + math.log)
 #: ====================  ==  ==========================================
-CALLS_PER_IO = 36
+CALLS_PER_IO = 35
 
 
 def _count_calls(fn) -> int:
@@ -77,7 +78,7 @@ def test_calls_and_events_per_io_are_pinned():
         worker.stop()
         sim.run()
 
-    closed_loop()  # warm-up: fills the request pool, sizes the tables
+    closed_loop()  # warm-up: sizes the tables
     assert session.inflight == 0
     ios_before, events_before = session.completed, sim._seq
     calls = _count_calls(closed_loop)

@@ -18,6 +18,7 @@ from repro.fabric.target import NvmeOfTarget
 from repro.ssd.commands import IoOp
 from repro.ssd.conditioning import precondition_clean
 from repro.ssd.device import NullDevice, SsdDevice
+from tests.core.test_switch import build_gimbal_rig
 
 
 def build_rig(sim, scheduler_factory=FifoScheduler, policy=None, device=None):
@@ -99,6 +100,29 @@ class TestRequestFlow:
         network = Network(sim)
         with pytest.raises(ValueError):
             NvmeOfTarget(sim, network, "jbof", {}, FifoScheduler)
+
+    @pytest.mark.parametrize(
+        "scheduler_factory", [FifoScheduler, GimbalScheduler], ids=["vanilla", "gimbal"]
+    )
+    def test_early_completion_is_refused(self, sim, scheduler_factory):
+        """Between ``submit`` and the response a request holds its reply
+        route (and, under Gimbal, its virtual slot).  A completion
+        delivered then -- early, or the first of two -- is refused before
+        the session's counters or the application callback move, on a
+        plain session like every KV store's."""
+        _scheduler, (session, _) = build_gimbal_rig(sim, scheduler_factory)
+        done = []
+        request = session.submit(IoOp.READ, 0, 1, on_complete=done.append)
+        while request.submit_time is None:
+            assert sim.step()
+        assert request._reply is not None
+        assert (request._slot is not None) == (scheduler_factory is GimbalScheduler)
+        with pytest.raises(RuntimeError, match=f"#{request.request_id} .*still owns it"):
+            session.deliver_completion(request)
+        assert (session.inflight, session.completed, done) == (1, 0, [])
+        # The IO itself is unharmed and completes once.
+        sim.run()
+        assert (session.inflight, session.completed, done) == (0, 1, [request])
 
 
 class TestClientPolicies:

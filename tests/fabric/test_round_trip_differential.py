@@ -1,12 +1,11 @@
 """The flattened IO round trip against the one it replaced.
 
 One script of reads, writes and trims is driven through the product
-(one payload per handle-less event; pool, reply route and namespace
-check inline) and through ``tests/fabric/reference.py`` (varargs
-events, ``acquire_request`` / ``release_request``, the reply route as an
-argument, ``Namespace.translate``).  Everything a host-only change may
-not move is compared with ``==``: the seven stamps of every IO in
-completion order, ``request_id`` spacing, pool depth, the bytes each
+(one payload per handle-less event; reply route and namespace check
+inline) and through ``tests/fabric/reference.py`` (varargs events, the
+reply route as an argument, ``Namespace.translate``).  Everything a
+host-only change may not move is compared with ``==``: the seven stamps
+of every IO in completion order, ``request_id`` spacing, the bytes each
 port sent and the core's booked time.
 """
 
@@ -18,7 +17,6 @@ import pytest
 
 from repro.baselines.fifo import FifoScheduler
 from repro.core.switch import GimbalScheduler
-from repro.fabric import initiator as product_pool
 from repro.fabric.initiator import NvmeOfInitiator
 from repro.fabric.namespace import Namespace, NamespaceError
 from repro.fabric.network import Network
@@ -57,15 +55,15 @@ NAMESPACE = Namespace(nsid=1, ssd_name="ssd0", base_lpn=768, npages=1024)
 
 
 def _side(side):
-    """``(simulator, module holding the pool, context to build the rig in)``."""
+    """``(simulator, context to build the rig in)``."""
     if side == "reference":
-        return reference.ReferenceSimulator(), reference, reference.reference_fabric()
-    return Simulator(), product_pool, nullcontext()
+        return reference.ReferenceSimulator(), reference.reference_fabric()
+    return Simulator(), nullcontext()
 
 
-def _drive(side, scheduler_factory, namespace, recycle, small_geometry):
+def _drive(side, scheduler_factory, namespace, small_geometry):
     """Run :data:`SCRIPT` on one side; everything comparable, as data."""
-    sim, pool, fabric = _side(side)
+    sim, fabric = _side(side)
     device = SsdDevice(sim, geometry=small_geometry)
     precondition_clean(device)
     network = Network(sim)
@@ -79,15 +77,10 @@ def _drive(side, scheduler_factory, namespace, recycle, small_geometry):
         session = NvmeOfInitiator(sim, network, "client").connect(
             "tenant", target, "ssd0", policy=policy, namespace=namespace
         )
-    session.recycle_requests = recycle
-    # Each side owns its free list; start both empty so the depth the
-    # script leaves behind is comparable.
-    pool._free_requests.clear()
 
     completions = []
 
     def on_complete(request):
-        # A pooled request is reused after this returns: copy now.
         completions.append(
             (request.request_id, request.op, request.lba, request.lpn)
             + tuple(getattr(request, stamp) for stamp in STAMPS)
@@ -102,7 +95,6 @@ def _drive(side, scheduler_factory, namespace, recycle, small_geometry):
     pipeline = target.pipelines["ssd0"]
     return {
         "completions": [(row[0] - first_id,) + row[1:] for row in completions],
-        "pool_depth": pool.request_pool_size(),
         "client_bytes": session.client_port.bytes_sent,
         "client_messages": session.client_port.messages_sent,
         "target_bytes": target.port.bytes_sent,
@@ -116,22 +108,18 @@ def _drive(side, scheduler_factory, namespace, recycle, small_geometry):
     }
 
 
-@pytest.mark.parametrize("recycle", [False, True], ids=["unpooled", "pooled"])
 @pytest.mark.parametrize("namespace", [None, NAMESPACE], ids=["raw-lba", "namespace"])
 @pytest.mark.parametrize(
     "scheduler_factory", [FifoScheduler, GimbalScheduler], ids=["vanilla", "gimbal"]
 )
-def test_round_trip_matches_the_reference(
-    scheduler_factory, namespace, recycle, small_geometry
-):
-    expected = _drive("reference", scheduler_factory, namespace, recycle, small_geometry)
-    actual = _drive("product", scheduler_factory, namespace, recycle, small_geometry)
+def test_round_trip_matches_the_reference(scheduler_factory, namespace, small_geometry):
+    expected = _drive("reference", scheduler_factory, namespace, small_geometry)
+    actual = _drive("product", scheduler_factory, namespace, small_geometry)
     assert actual == expected
     # The script did exercise what it claims to.
     rows = actual["completions"]
     assert any(row[5] > row[4] for row in rows), "no IO waited in the client queue"
     assert {row[1] for row in rows} == {IoOp.READ, IoOp.WRITE, IoOp.TRIM}
-    assert (actual["pool_depth"] > 0) == recycle
     if namespace is not None:
         assert all(row[3] == namespace.base_lpn + row[2] for row in rows)
 
@@ -141,7 +129,7 @@ def test_round_trip_matches_the_reference(
 def test_out_of_namespace_io_raises_the_same_error(side, lba, npages, small_geometry):
     """The inline bounds check refuses what ``Namespace.translate``
     refused, with its exception and its message."""
-    sim, _, fabric = _side(side)
+    sim, fabric = _side(side)
     device = SsdDevice(sim, geometry=small_geometry)
     network = Network(sim)
     with fabric:

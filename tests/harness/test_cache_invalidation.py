@@ -26,7 +26,7 @@ import pytest
 
 import repro.harness.cache as cache_module
 from repro.harness.cache import ResultCache, clear_fingerprint_caches, code_fingerprint
-from repro.harness.parallel import CostModel, SweepPoint, run_sweep
+from repro.harness.parallel import SweepPoint, run_sweep
 
 
 @pytest.fixture
@@ -207,46 +207,6 @@ def test_source_edited_while_a_point_runs_is_not_filed_under_the_new_code(fake_p
     # The second run edited nothing, so its entry is good.
     run_sweep(point, cache=cache, name="inv")
     assert executions() == 2
-
-
-def test_cost_model_tiers_across_cold_warm_and_edited_passes(fake_pkg, tmp_path, monkeypatch):
-    """The traffic each cost-model tier sees, read off the run lines of
-    ``journal.jsonl``: nothing but the flat default on an empty cache,
-    no model at all on a warm pass, and -- once an edit turns entries
-    into misses whose timings the journal still holds -- only the
-    per-fn mean."""
-    name, pkg = fake_pkg
-    points_a = importlib.import_module(f"{name}.points_a")
-    points_b = importlib.import_module(f"{name}.points_b")
-    log = str(tmp_path / "executions.log")
-    cache = ResultCache(tmp_path / "cache")
-    points = [
-        SweepPoint(index=i, label=f"a{i}", fn=points_a.point, kwargs={"x": i, "log": log})
-        for i in range(10)
-    ] + [
-        SweepPoint(index=10 + i, label=f"b{i}", fn=points_b.point, kwargs={"x": i, "log": log})
-        for i in range(2)
-    ]
-    built = []
-    real_from_cache = CostModel.from_cache.__func__
-    monkeypatch.setattr(
-        CostModel,
-        "from_cache",
-        classmethod(lambda cls, *args: built.append(1) or real_from_cache(cls, *args)),
-    )
-
-    def tier_hits():
-        run_sweep(points, cache=cache, name="tiers")
-        return cache.read_journal()[-1]["tier_hits"]
-
-    assert tier_hits() == {"by_fn": 0, "default": 12}
-    assert tier_hits() == {"by_fn": 0, "default": 0}
-    assert len(built) == 1  # the warm pass never consulted a model
-    for dep in ("dep_alpha.py", "dep_deep.py"):  # comment-only: same results, new code
-        with open(pkg / dep, "a", encoding="utf-8") as handle:
-            handle.write("# edited\n")
-        _bump_mtime(pkg / dep)
-    assert tier_hits() == {"by_fn": 12, "default": 0}
 
 
 # ----------------------------------------------------------------------

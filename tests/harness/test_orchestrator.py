@@ -1,17 +1,15 @@
-"""Tests for the dispatch loop: cost model, dispatch plan, runner.
+"""Tests for the dispatch loop and the suite runner.
 
-The load-bearing contract: the loop may schedule points in any order
-it likes (LPT, batched, streamed across experiments), but every
-experiment's result must stay byte-identical to the serial-experiment
-baseline ``run_suite_serial`` -- whether it is entered as a suite
+The load-bearing contract: points may complete in any order (streamed
+across experiments, on a pool or in-process), but every experiment's
+result must stay byte-identical to the serial-experiment baseline
+``run_suite_serial`` -- whether it is entered as a suite
 (``run_suite``) or as a suite of one (``run_sweep``).
 """
 
 from __future__ import annotations
 
 import json
-import os
-import shutil
 import tempfile
 import time
 from pathlib import Path
@@ -27,19 +25,10 @@ from repro.harness.orchestrator import (
     run_suite_serial,
     suite_experiments,
 )
-from repro.harness.parallel import (
-    DEFAULT_POINT_COST_S,
-    CostModel,
-    SweepPoint,
-    WorkerPool,
-    _Task,
-    accepted_kwargs,
-    plan_dispatch,
-    run_sweep,
-)
+from repro.harness.parallel import SweepPoint, WorkerPool, accepted_kwargs, run_sweep
 from repro.obs.session import capture
 from tests.golden.regenerate import GOLDEN_CONFIGS
-from tests.harness.fake_experiments import _calc, _negate
+from tests.harness.fake_experiments import _negate
 
 ALPHA = ExperimentSpec(
     name="alpha", module_path="tests.harness.fake_experiments", kwargs={"n": 5, "scale": 3}
@@ -75,114 +64,6 @@ class TestAcceptedKwargs:
             return None
 
         assert accepted_kwargs(fn, {"a": 1}) == {}
-
-
-class TestCostModel:
-    POINT = SweepPoint(index=0, label="v=0", fn=_calc, kwargs={"value": 0})
-
-    def test_no_store_uses_default(self):
-        model = CostModel.from_cache(None)
-        assert model.predict(self.POINT) == DEFAULT_POINT_COST_S
-
-    def test_empty_cache_uses_default(self, tmp_path):
-        model = CostModel.from_cache(ResultCache(tmp_path / "cache"))
-        assert model.predict(self.POINT) == DEFAULT_POINT_COST_S
-
-    def test_fn_mean_answers_for_a_journaled_fn(self, tmp_path):
-        store = ResultCache(tmp_path / "cache")
-        store.store(self.POINT, {"value": 0}, elapsed_s=3.25)
-        other = SweepPoint(index=1, label="v=9", fn=_calc, kwargs={"value": 9})
-        store.store(other, {"value": 9}, elapsed_s=1.25)
-        model = CostModel.from_cache(store)
-        # Same fn, any kwargs: mean of the fn's journaled times.  (The
-        # journaled point itself would be a cache hit, never predicted.)
-        fresh = SweepPoint(index=2, label="v=5", fn=_calc, kwargs={"value": 5})
-        assert model.predict(fresh) == pytest.approx((3.25 + 1.25) / 2)
-        assert model.predict(self.POINT) == pytest.approx((3.25 + 1.25) / 2)
-        # Different fn entirely: falls through to the default.
-        alien = SweepPoint(index=3, label="n=1", fn=_negate, kwargs={"value": 1})
-        assert model.predict(alien) == DEFAULT_POINT_COST_S
-        assert model.tier_hits == {"by_fn": 2, "default": 1}
-
-    def test_fn_mean_keeps_the_newest_records(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(CostModel, "MAX_RECORDS", 2)
-        store = ResultCache(tmp_path / "cache")
-        for i, elapsed in enumerate((100.0, 1.0, 3.0)):
-            point = SweepPoint(index=i, label=f"v={i}", fn=_calc, kwargs={"value": i})
-            store.store(point, {"value": i}, elapsed_s=elapsed)
-        assert CostModel.from_cache(store).predict(self.POINT) == pytest.approx(2.0)
-
-    def test_corrupt_journal_entries_degrade_gracefully(self, tmp_path):
-        store = ResultCache(tmp_path / "cache")
-        store.store(self.POINT, {"value": 0}, elapsed_s=2.0)
-        # Corrupt the entry file, drop garbage JSON beside it, and tear
-        # the journal's tail: the model reads only the journal, and
-        # only its well-formed lines.
-        entry_files = list(store.root.glob("*.json"))
-        entry_files[0].write_text("{not json", encoding="utf-8")
-        (store.root / ("f" * 64 + ".json")).write_text('{"no": "fingerprint"}')
-        with open(store.root / "journal.jsonl", "a", encoding="utf-8") as handle:
-            handle.write('{"type": "point", "fn": 7, "kwargs": {}, "elapsed_s": 1}\n{"type": "poi')
-        model = CostModel.from_cache(store)  # must not raise
-        assert model.predict(self.POINT) == pytest.approx(2.0)
-        assert model.tier_hits["by_fn"] == 1
-
-    def test_entries_blowing_up_never_raises(self, tmp_path):
-        """The model never scans the entry files: timings come from the
-        journal's point records, which outlive the entries."""
-
-        class _Hostile(ResultCache):
-            def entries(self):
-                raise RuntimeError("disk on fire")
-
-        store = _Hostile(tmp_path / "cache")
-        store.store(self.POINT, {"value": 0}, elapsed_s=2.0)
-        assert CostModel.from_cache(store).predict(self.POINT) == pytest.approx(2.0)
-
-    def test_journal_blowing_up_never_raises(self, tmp_path):
-        class _Hostile(ResultCache):
-            def read_journal(self):
-                raise RuntimeError("disk on fire")
-
-        model = CostModel.from_cache(_Hostile(tmp_path / "cache"))
-        assert model.predict(self.POINT) == DEFAULT_POINT_COST_S
-
-    def test_negative_or_missing_elapsed_ignored(self, tmp_path):
-        store = ResultCache(tmp_path / "cache")
-        store.store(self.POINT, {"value": 0}, elapsed_s=-5.0)
-        model = CostModel.from_cache(store)
-        assert model.predict(self.POINT) == DEFAULT_POINT_COST_S
-
-
-class TestPlanDispatch:
-    @staticmethod
-    def _task(exp, index, cost):
-        point = SweepPoint(index=index, label=f"p{exp}.{index}", fn=_calc, kwargs={"value": index})
-        return _Task(exp=exp, point=point, cost=cost)
-
-    def test_expensive_points_dispatch_first_as_singletons(self):
-        tasks = [self._task(0, 0, 1.0), self._task(0, 1, 5.0), self._task(1, 0, 3.0)]
-        units = plan_dispatch(tasks, batch_cost_s=0.25)
-        assert [[t.cost for t in unit] for unit in units] == [[5.0], [3.0], [1.0]]
-
-    def test_cheap_points_batch_up_to_max(self):
-        tasks = [self._task(0, i, 0.01) for i in range(10)]
-        units = plan_dispatch(tasks, batch_cost_s=0.25, batch_max=4)
-        assert [len(unit) for unit in units] == [4, 4, 2]
-
-    def test_batch_max_one_disables_batching(self):
-        tasks = [self._task(0, i, 0.01) for i in range(3)]
-        units = plan_dispatch(tasks, batch_cost_s=0.25, batch_max=1)
-        assert [len(unit) for unit in units] == [1, 1, 1]
-
-    def test_plan_is_deterministic_under_ties(self):
-        tasks = [self._task(exp, i, 2.0) for exp in range(2) for i in range(3)]
-        first = plan_dispatch(tasks)
-        second = plan_dispatch(list(reversed(tasks)))
-        key = lambda units: [[(t.exp, t.point.index) for t in u] for u in units]
-        assert key(first) == key(second)
-        # Cost ties break on declaration order: exp ordinal, then index.
-        assert key(first)[0] == [(0, 0)]
 
 
 class TestSuiteExperiments:
@@ -239,8 +120,7 @@ class TestRunSuite:
         assert report["experiments"] == 1
         assert report["points_total"] == 5
         assert report["per_experiment"][0]["name"] == "alpha"
-        assert "stolen_idle_s" in report and "batches" in report
-        assert report["tier_hits"] == {"by_fn": 0, "default": 5}
+        assert "stolen_idle_s" in report
         assert session.registry.counter("suite.points_done").value == 5
         assert session.registry.counter("cache.misses").value == 5
         assert session.registry.counter("cache.hits").value == 0
@@ -249,7 +129,6 @@ class TestRunSuite:
         assert record["sweep"] == "suite"
         assert (record["hits"], record["misses"], record["writes"]) == (0, 5, 5)
         assert record["points_total"] == 5
-        assert record["tier_hits"] == report["tier_hits"]
         assert record["jobs_requested"] == record["jobs_effective"] == 1
 
     def test_default_jobs_is_the_cpu_count_and_not_a_clamp(self, monkeypatch):
@@ -278,6 +157,33 @@ class TestRunSuite:
         # Each experiment event fires after its last point, with its name.
         exp_names = [p["experiment"] for e, p in events if e == "experiment"]
         assert exp_names == ["alpha", "beta"]
+
+    def test_missed_points_run_in_declared_order(self, tmp_path):
+        """In-process, missed points run in the order they were
+        declared, also when the journal holds every point's timing."""
+
+        def point_order(cache):
+            order = []
+            run_suite(
+                [ALPHA, BETA],
+                jobs=1,
+                cache=cache,
+                progress=lambda event, payload: event == "point"
+                and order.append((payload["experiment"], payload["label"])),
+            )  # fmt: skip
+            return order
+
+        store = ResultCache(tmp_path / "cache")
+        declared = point_order(store)
+        assert declared == [("alpha", f"v={i}") for i in range(5)] + [
+            ("beta", f"neg={i}") for i in range(3)
+        ]
+        # A journal that says the last experiment's points are the slow
+        # ones changes nothing.
+        slow = SweepPoint(index=0, label="slow", fn=_negate, kwargs={"value": 99})
+        store.store(slow, {"value": 99}, elapsed_s=60.0)
+        store.prune(max_entries=0)  # entries gone, journal kept
+        assert point_order(store) == declared
 
     def test_legacy_module_without_sweep_rejected(self):
         with pytest.raises(TypeError, match="declarative sweep"):
@@ -309,105 +215,8 @@ class TestRunSuite:
         assert _canonical(suite.results) == _canonical(serial)
 
 
-class TestLazyCostModel:
-    """``run_suite`` builds its cost model when the first point misses."""
-
-    @pytest.fixture
-    def built(self, monkeypatch):
-        """The models ``CostModel.from_cache`` builds during one test,
-        with a tally of ``ResultCache.entries`` scans."""
-
-        class _Built(list):
-            scans = 0
-
-        models = _Built()
-        real_from_cache = CostModel.from_cache.__func__
-        real_entries = ResultCache.entries
-
-        def from_cache(cls, *args, **kwargs):
-            models.append(real_from_cache(cls, *args, **kwargs))
-            return models[-1]
-
-        def entries(self):
-            models.scans += 1
-            return real_entries(self)
-
-        monkeypatch.setattr(CostModel, "from_cache", classmethod(from_cache))
-        monkeypatch.setattr(ResultCache, "entries", entries)
-        return models
-
-    def test_fully_warm_suite_builds_no_model_and_scans_no_entries(self, tmp_path, built):
-        run_suite([ALPHA, BETA], jobs=1, cache=tmp_path / "cache")
-        assert len(built) == 1
-        del built[:]
-        built.scans = 0
-        warm = run_suite([ALPHA, BETA], jobs=1, cache=tmp_path / "cache")
-        assert warm.cache_hits == warm.points_total == 8
-        assert built == [] and built.scans == 0
-
-    def test_one_miss_builds_the_model_once(self, tmp_path, built):
-        store = ResultCache(tmp_path / "cache")
-        run_suite([ALPHA, BETA], jobs=1, cache=store)
-        os.unlink(store.entries()[0]["path"])
-        del built[:]
-        built.scans = 0
-        suite = run_suite([ALPHA, BETA], jobs=1, cache=store)
-        assert suite.cache_hits == suite.points_total - 1
-        assert len(built) == 1 and built.scans == 0
-        assert sum(built[0].tier_hits.values()) == 1
-        assert suite.tier_hits == built[0].tier_hits
-
-    def test_supplied_model_is_used_as_is(self, tmp_path, built):
-        model = _SyntheticCosts([1.0])
-        run_suite([ALPHA], jobs=1, cache=tmp_path / "cache", cost_model=model)
-        assert built == [] and model._next == 5
-
-    def test_same_predictions_order_and_results_as_a_model_built_up_front(self, tmp_path, built):
-        """Partly warm cache, so tiers differ between points: the lazily
-        built model must answer as one built before expansion did."""
-        bigger = ExperimentSpec(name="alpha", module_path=ALPHA.module_path, kwargs={"n": 8, "scale": 3})
-        run_suite([ALPHA], jobs=1, cache=tmp_path / "lazy")
-        shutil.copytree(tmp_path / "lazy", tmp_path / "eager")
-        del built[:]
-
-        def run(cache_dir, **kwargs):
-            order = []
-            suite = run_suite(
-                [bigger, BETA], jobs=1, cache=cache_dir, batch_max=2,
-                progress=lambda event, payload: event == "point"
-                and order.append((payload["experiment"], payload["label"])),
-                **kwargs,
-            )  # fmt: skip
-            return suite, order
-
-        lazy, lazy_order = run(tmp_path / "lazy")
-        [lazy_model] = built
-        eager_model = CostModel.from_cache(ResultCache(tmp_path / "eager"))
-        eager, eager_order = run(tmp_path / "eager", cost_model=eager_model)
-
-        assert lazy_model.tier_hits == eager_model.tier_hits
-        assert lazy_model.tier_hits["by_fn"] == 3 and lazy_model.tier_hits["default"] == 3
-        assert lazy_order == eager_order and len(lazy_order) == 6
-        assert _canonical(lazy.results) == _canonical(eager.results)
-        assert (lazy.cache_hits, lazy.batches) == (eager.cache_hits, eager.batches) == (5, 1)
-
-
-class _SyntheticCosts(CostModel):
-    """Assign drawn costs to points by expansion order (stable per run)."""
-
-    def __init__(self, costs):
-        super().__init__()
-        self._costs = list(costs)
-        self._next = 0
-
-    def predict(self, point):
-        cost = self._costs[self._next % len(self._costs)]
-        self._next += 1
-        return cost
-
-
 class TestSchedulingNeverChangesResults:
-    """Satellite (d): byte-identity under randomized dispatch plans."""
+    """Byte-identity across executors, pools and cache temperatures."""
 
     REFERENCE = None
 
@@ -417,34 +226,13 @@ class TestSchedulingNeverChangesResults:
             cls.REFERENCE = _canonical(run_suite_serial([ALPHA, BETA], cache=False))
         return cls.REFERENCE
 
-    @settings(max_examples=30, deadline=None)
-    @given(
-        costs=st.lists(
-            st.floats(min_value=1e-4, max_value=30.0, allow_nan=False, allow_infinity=False),
-            min_size=1,
-            max_size=8,
-        ),
-        batch_cost_s=st.floats(min_value=0.0, max_value=40.0),
-        batch_max=st.integers(min_value=1, max_value=12),
-    )
-    def test_random_costs_and_batching_preserve_results(
-        self, costs, batch_cost_s, batch_max
-    ):
-        suite = run_suite(
-            [ALPHA, BETA],
-            jobs=1,
-            cache=False,
-            cost_model=_SyntheticCosts(costs),
-            batch_cost_s=batch_cost_s,
-            batch_max=batch_max,
-        )
-        assert _canonical(suite.results) == self._reference()
-
     POOL = None
 
     @classmethod
     def setup_class(cls):
-        cls.POOL = WorkerPool(1)
+        # Two workers, so the lent pool's executor really is reused
+        # wherever the machine has the cores (one worker never spawns).
+        cls.POOL = WorkerPool(2)
 
     @classmethod
     def teardown_class(cls):
@@ -452,9 +240,9 @@ class TestSchedulingNeverChangesResults:
         cls.POOL = None
 
     @settings(max_examples=8, deadline=None)
-    @given(batch_max=st.integers(min_value=1, max_value=12))
-    def test_pool_reuse_across_examples_preserves_results(self, batch_max):
-        suite = run_suite([ALPHA, BETA], pool=self.POOL, cache=False, batch_max=batch_max)
+    @given(specs=st.permutations([ALPHA, BETA]))
+    def test_pool_reuse_across_examples_preserves_results(self, specs):
+        suite = run_suite(specs, pool=self.POOL, cache=False)
         assert _canonical(suite.results) == self._reference()
 
     @settings(max_examples=5, deadline=None)
@@ -462,10 +250,8 @@ class TestSchedulingNeverChangesResults:
     def test_sweep_and_suite_entry_points_agree(self, n, warm):
         """One loop behind every entry point: a sweep in-process, on a
         pool of its own, on a lent pool, and as a one-experiment suite
-        merge equal results -- cold (flat default cost, declaration
-        order, no batching) and over a warm journal (entries pruned, so
-        every point misses with a journaled cost small enough to
-        batch)."""
+        merge equal results -- cold, and over a warm journal (entries
+        pruned, so every point misses)."""
         from tests.harness.fake_experiments import sweep
 
         points = sweep(n=n, scale=3).points
@@ -487,8 +273,6 @@ class TestSchedulingNeverChangesResults:
             suite = run_suite([spec], jobs=1, cache=cache("suite"))
         assert suite.results["alpha"]["rows"] == reference
         assert suite.cache_hits == 0
-        assert (suite.tier_hits["default"] == 0) == warm
-        assert (suite.batches > 0) == (warm and n > 1)
 
 
 class TestSingleWorkerBypass:
@@ -513,8 +297,8 @@ class TestSingleWorkerBypass:
 
     def test_single_worker_suite_costs_nothing_over_serial(self):
         """One worker cannot win, but with the in-process bypass it must
-        not lose either: cost-model planning and streaming accounting
-        must not tax the degenerate case.  The floor is 0.95x widened by
+        not lose either: streaming accounting must not tax the
+        degenerate case.  The floor is 0.95x widened by
         the 0.75 noise tolerance a few-second window needs."""
         specs = [
             ExperimentSpec(

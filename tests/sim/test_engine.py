@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import gc
+import math
+
 import pytest
 
-from repro.sim.engine import SimulationError, Simulator
+from repro.sim.engine import Event, SimulationError, Simulator
 
 
 class TestScheduling:
@@ -432,42 +435,41 @@ class TestLazyDeletion:
         assert sim.pending == 0
 
 
-class TestFreeList:
-    def test_fired_events_are_recycled_when_unreferenced(self, sim):
-        for i in range(50):
-            sim.schedule(float(i), lambda: None)
-        sim.run()
-        assert len(sim._free) > 0
-        recycled = sim._free[-1]
-        again = sim.schedule(1.0, lambda: None)
-        assert again is recycled
+class TestHandleLifetime:
+    """A handle lives exactly as long as someone holds it: the heap entry
+    does not point back at it, and nothing recycles it."""
 
-    def test_held_handles_are_never_recycled(self, sim):
-        held = sim.schedule(1.0, lambda: None)
+    def test_cancel_after_fire_through_a_held_handle_is_a_noop(self, sim):
+        fired = []
+        held = sim.schedule(1.0, fired.append, "held")
         sim.run()
-        assert held not in sim._free
-        # A late cancel through the held handle stays a no-op.
+        sim.schedule(5.0, fired.append, "later")
+        # The late cancel reaches the fired entry only, never the event
+        # scheduled after it.
         held.cancel()
-        assert sim.pending == 0
-
-    def test_recycled_events_fire_correctly(self, sim):
-        order = []
-        for i in range(20):
-            sim.schedule(float(i), order.append, i)
-        sim.run()
-        for i in range(20):
-            sim.schedule(float(i), order.append, 100 + i)
-        sim.run()
-        assert order == list(range(20)) + [100 + i for i in range(20)]
-
-    def test_cancel_of_reused_handle_targets_new_event(self, sim):
-        sim.schedule(1.0, lambda: None)
-        sim.run()
-        assert len(sim._free) == 1
-        handle = sim.schedule(5.0, lambda: None)
         assert sim.pending == 1
-        handle.cancel()
+        sim.run()
+        assert fired == ["held", "later"]
         assert sim.pending == 0
+
+    def test_fired_unreferenced_handles_do_not_survive_the_run(self, sim):
+        def live_events():
+            return sum(1 for obj in gc.get_objects() if isinstance(obj, Event))
+
+        gc.collect()
+        before = live_events()
+        gc.disable()
+        try:
+            for i in range(50):
+                sim.schedule(float(i), lambda: None)
+            held = sim.at(100.0, lambda: None)
+            sim.run()
+            # Refcount alone frees them: no free list holds them and no
+            # entry <-> handle cycle waits for the collector.
+            assert live_events() == before + 1
+            assert held.cancelled is False
+        finally:
+            gc.enable()
 
 
 class TestReentrancy:
@@ -635,6 +637,24 @@ class TestOnePayloadContract:
         with pytest.raises(SimulationError, match=r"Cannot add at t=4.0 before now=5.0"):
             pop.add(4.0, "late")
         assert sim.pending == 0
+
+    @pytest.mark.parametrize("entry_point", ["schedule", "at", "at_", "population"])
+    def test_a_nan_time_is_refused(self, sim, entry_point):
+        """``x < bound`` is false for NaN; each guard is written so NaN
+        fails it, and nothing is queued."""
+        fired = []
+        sim.at_(1.0, fired.append, 1.0)
+        call = {
+            "schedule": lambda: sim.schedule(math.nan, fired.append, "x"),
+            "at": lambda: sim.at(math.nan, fired.append, "x"),
+            "at_": lambda: sim.at_(math.nan, fired.append, "x"),
+            "population": lambda: sim.population(fired.append).add(math.nan, "x"),
+        }[entry_point]
+        with pytest.raises(SimulationError):
+            call()
+        assert sim.pending == 1 and len(sim._heap) == 1
+        assert sim.run(until_us=10.0) == 10.0
+        assert fired == [1.0]
 
     def test_the_payload_arrives_as_is(self, sim):
         got = []

@@ -369,3 +369,17 @@ class TestCliCacheJournal:
             captured = capsys.readouterr()
             assert captured.out == "" and captured.err == message + "\n"
         assert (tmp_path / "cache" / "journal.jsonl").read_text(encoding="utf-8") == journal
+
+    def test_max_records_without_compact_is_refused(self, tmp_path, capsys):
+        # The cap only applies to a compaction: alone it is refused,
+        # not ignored, and the journal is left as it was.
+        cache_dir = str(tmp_path / "cache")
+        assert main(["run", "table2", "--quick", "--cache-dir", cache_dir]) == 0
+        journal = (tmp_path / "cache" / "journal.jsonl").read_text(encoding="utf-8")
+        capsys.readouterr()
+        argv = ["cache", "journal", "--max-records", "1", "--cache-dir", cache_dir]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "--max-records needs --compact\n"
+        assert (tmp_path / "cache" / "journal.jsonl").read_text(encoding="utf-8") == journal
