@@ -119,20 +119,6 @@ class FabricRequest:
             raise ValueError("request has not completed end to end")
         return self.t_client_complete - self.t_client_submit
 
-    @property
-    def inflight_latency_us(self) -> float:
-        """Wire-issue to completion -- fio's ``clat``.
-
-        Under a closed loop the *end-to-end* average is pinned by
-        Little's law (fixed concurrency / achieved throughput), so
-        flow-control benefits show up here: schemes that gate IOs at
-        the client keep this low while uncontrolled schemes queue the
-        same IOs inside the target and the device instead.
-        """
-        if self.t_wire_submit is None or self.t_client_complete is None:
-            raise ValueError("request has not completed")
-        return self.t_client_complete - self.t_wire_submit
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"FabricRequest(#{self.request_id} {self.tenant_id} {self.op.value} "

@@ -161,11 +161,6 @@ class NicCore:
         return done
 
     @property
-    def us_by_tag(self) -> Dict[str, float]:
-        """Core time attributed per component tag (fresh snapshot)."""
-        return {tag: record[0] for tag, record in self._by_tag.items()}
-
-    @property
     def events_by_tag(self) -> Dict[str, int]:
         """Booking counts per component tag (fresh snapshot)."""
         return {tag: record[1] for tag, record in self._by_tag.items()}

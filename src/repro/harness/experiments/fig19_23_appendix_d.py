@@ -13,7 +13,7 @@ interference on the vanilla target.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict
 
 from repro.harness.experiments.common import Sweep, derived_run, run_workers
 from repro.harness.report import format_table
@@ -112,30 +112,6 @@ def _point22_23(fig: str, bg_size_kb: int, measure_us: float) -> dict:
         "avg_us": latency["mean"],
         "p999_us": latency["p999"],
     }
-
-
-def run_fig19(measure_us: float = 400_000.0) -> List[dict]:
-    return [
-        _point19(size_kb, op, measure_us)
-        for size_kb in SIZES_KB
-        for op in ("rnd-rd", "seq-wr")
-    ]
-
-
-def run_fig20(measure_us: float = 400_000.0) -> List[dict]:
-    return [_point20(size_kb, measure_us) for size_kb in SIZES_KB]
-
-
-def run_fig21(measure_us: float = 400_000.0) -> List[dict]:
-    return [_point21(size_kb, measure_us) for size_kb in SIZES_KB]
-
-
-def run_fig22_23(measure_us: float = 400_000.0) -> List[dict]:
-    return [
-        _point22_23(fig, size_kb, measure_us)
-        for fig in ("22", "23")
-        for size_kb in (0,) + SIZES_KB
-    ]
 
 
 def sweep(measure_us: float = 400_000.0):

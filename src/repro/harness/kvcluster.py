@@ -52,6 +52,9 @@ from repro.workloads.patterns import AddressRegion
 from repro.workloads.population import TenantSpec
 from repro.workloads.ycsb import YCSB_WORKLOADS
 
+#: Device states a rack can start from (the two its builders condition).
+CONDITIONS = ("clean", "fragmented")
+
 
 @dataclass
 class KvClusterConfig:
@@ -78,6 +81,8 @@ class KvClusterConfig:
     def __post_init__(self) -> None:
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}")
+        if self.condition not in CONDITIONS:
+            raise ValueError(f"condition must be one of {CONDITIONS}, got {self.condition!r}")
         if self.num_jbofs <= 0 or self.ssds_per_jbof <= 0:
             raise ValueError("cluster must have at least one SSD")
         if self.depart_poll_us <= 0:

@@ -13,6 +13,14 @@ def small_cluster(**kwargs):
     return KvCluster(KvClusterConfig(**defaults))
 
 
+
+def test_invalid_condition_rejected():
+    # The rack conditions only clean or fragmented devices; anything else
+    # used to build unconditioned devices without a word.
+    for condition in ("aged", "none", "aegd"):
+        with pytest.raises(ValueError, match="clean.*fragmented"):
+            KvClusterConfig(condition=condition)
+
 class TestKvCluster:
     def test_invalid_scheme_rejected(self):
         with pytest.raises(ValueError):
