@@ -407,17 +407,14 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
     from repro.harness.report import format_table
     from repro.sim.engine import Simulator
     from repro.ssd.commands import DeviceCommand, IoOp
-    from repro.ssd.conditioning import precondition_clean, precondition_fragmented
+    from repro.ssd.conditioning import condition_device
     from repro.ssd.device import SsdDevice
     from repro.ssd.profiles import profile_by_name
 
     def closed_loop(condition, queue_depth, op, npages, sequential=False):
         sim = Simulator()
         device = SsdDevice(sim, profile=profile_by_name(args.profile))
-        if condition == "clean":
-            precondition_clean(device)
-        else:
-            precondition_fragmented(device)
+        condition_device(device, condition)
         rng = random.Random(0)
         state = {"bytes": 0, "ops": 0, "latency": 0.0, "next": 0}
         duration = args.duration_ms * 1000.0
@@ -526,7 +523,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    from repro.harness.testbed import CONDITIONS, SCHEMES
+    from repro.harness.testbed import SCHEMES
+    from repro.ssd.conditioning import CONDITIONS
 
     parser = argparse.ArgumentParser(
         prog="python -m repro",

@@ -21,5 +21,5 @@ and adds the credit computation for the end-to-end flow control
 (Section 3.6) plus the per-SSD virtual view (Section 3.7).
 """
 
-# benchmarks/ledger imports this through the package; ROADMAP item 1 retires it.
+# benchmarks/ledger imports this through the package; ROADMAP item 3(c) retires it.
 from repro.core.switch import GimbalScheduler  # noqa: F401

@@ -28,6 +28,7 @@ handlers passed as callbacks are bound once at construction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, Optional
 
@@ -159,8 +160,8 @@ class SsdPipeline:
         # The booking sites below inline ``NicCore.book`` minus its
         # negative-cost refusal, so the refusal lives where the value
         # enters.
-        if value < 0:
-            raise ValueError(f"added_io_cost_us must be non-negative, got {value}")
+        if not (math.isfinite(value) and value >= 0):
+            raise ValueError(f"added_io_cost_us must be finite and non-negative, got {value}")
         self._added_io_cost_us = value
         self._rebuild_cost_tables()
 

@@ -145,8 +145,8 @@ class NicCore:
 
     def book(self, cost_us: float, tag: str = "other") -> float:
         """Reserve core time; returns when the work finishes."""
-        if cost_us < 0:
-            raise ValueError("cost must be non-negative")
+        if not cost_us >= 0:  # NaN too
+            raise ValueError(f"cost must be non-negative, got {cost_us}")
         now = self.sim.now
         busy = self.busy_until
         done = (now if now > busy else busy) + cost_us

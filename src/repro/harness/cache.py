@@ -19,8 +19,8 @@ Editing ``src/repro/core/scheduler.py`` therefore invalidates exactly
 the points whose drivers transitively import it.  Package ``__init__``
 files re-export nothing (a re-export would put the re-exported module
 in the closure of every importer of the package), so a closure is the
-code the driver reaches: 58 of ``src/repro``'s 98 modules for 18 of
-the 19 testbed drivers (59 for ``ablations``), 69-70 for the four that
+code the driver reaches: 57 of ``src/repro``'s 98 modules for 18 of
+the 19 testbed drivers (58 for ``ablations``), 69-70 for the four that
 run the KV stack (fig10, fig11-12, fig13, rack).  An edit under
 ``kv/`` or to ``kvcluster.py``, ``ycsb.py``, ``population.py`` or
 ``fabric/boundary.py`` leaves every testbed figure warm, and an edit

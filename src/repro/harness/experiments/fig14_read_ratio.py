@@ -16,7 +16,7 @@ from repro.harness.experiments.common import build_sweep, derived_run, merge_row
 from repro.harness.report import format_table
 from repro.sim.engine import Simulator
 from repro.ssd.commands import DeviceCommand, IoOp
-from repro.ssd.conditioning import precondition_clean, precondition_fragmented
+from repro.ssd.conditioning import condition_device
 from repro.ssd.device import SsdDevice
 
 READ_RATIOS = (0.0, 0.2, 0.4, 0.5, 0.6, 0.8, 0.9, 0.95, 1.0)
@@ -31,10 +31,7 @@ def _closed_loop(
 ):
     sim = Simulator()
     device = SsdDevice(sim)
-    if condition == "clean":
-        precondition_clean(device)
-    else:
-        precondition_fragmented(device)
+    condition_device(device, condition)
     rng = random.Random(seed)
     exported = device.exported_pages
     state = {"read_bytes": 0, "write_bytes": 0, "ops": 0}

@@ -16,7 +16,7 @@ from repro.harness.experiments.common import Sweep, derived_run, merge_rows
 from repro.harness.report import format_table
 from repro.sim.engine import Simulator
 from repro.ssd.commands import DeviceCommand, IoOp
-from repro.ssd.conditioning import precondition_clean, precondition_fragmented
+from repro.ssd.conditioning import condition_device
 from repro.ssd.device import SsdDevice
 
 IO_SIZES_KB = (4, 8, 16, 32, 64, 128, 256)
@@ -26,10 +26,7 @@ SCENARIOS = ("vanilla", "fragmented", "70/30-rw", "qd8")
 def _scenario_latency(scenario: str, io_pages: int, duration_us: float) -> float:
     sim = Simulator()
     device = SsdDevice(sim)
-    if scenario == "fragmented":
-        precondition_fragmented(device)
-    else:
-        precondition_clean(device)
+    condition_device(device, "fragmented" if scenario == "fragmented" else "clean")
     rng = random.Random(13)
     exported = device.exported_pages
     state = {"latency": 0.0, "count": 0}

@@ -6,8 +6,8 @@ over a replicated blobstore with per-(instance, SSD) tenant sessions.
 
 Three client-side switches reproduce Figure 13's ablation:
 
-* ``flow_control`` -- sessions use the credit policy (the IO rate
-  limiter); off = unlimited submission;
+* ``flow_control`` -- gimbal sessions use the credit policy (the IO
+  rate limiter); off = unlimited submission;
 * ``load_balance`` -- reads steered to the least-loaded replica;
 * replication itself is always on (fault tolerance), as in the paper.
 
@@ -24,36 +24,36 @@ schedule can be executed end to end with
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from dataclasses import dataclass
+from typing import Callable, Dict, Iterable, List, Optional
 
-from repro.baselines.fifo import FifoScheduler
-from repro.baselines.flashfq import FlashFqScheduler
-from repro.baselines.reflex import ReflexScheduler
-from repro.core.switch import GimbalScheduler
 from repro.fabric.boundary import CoordinatorFabric, JbofShardHost, fabric_lookahead_us
 from repro.fabric.initiator import NvmeOfInitiator
 from repro.fabric.network import Network
-from repro.fabric.policies import CreditClientPolicy, PardaClientPolicy, UnlimitedClientPolicy
+from repro.fabric.policies import UnlimitedClientPolicy
 from repro.fabric.target import NvmeOfTarget
 from repro.harness.testbed import SCHEMES
 from repro.kv.allocator import GlobalBlobAllocator, LocalBlobAllocator
 from repro.kv.backend import RemoteBackend
 from repro.kv.blobstore import Blobstore
-from repro.kv.lsm import LsmConfig, LsmTree
+from repro.kv.lsm import LsmTree
 from repro.kv.runner import YcsbRunner
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngRegistry
 from repro.sim.shard import ShardExecutor, ShardKernel
-from repro.ssd.conditioning import precondition_clean, precondition_fragmented
+from repro.ssd.conditioning import condition_device
 from repro.ssd.device import SsdDevice
 from repro.ssd.geometry import SsdGeometry
 from repro.workloads.patterns import AddressRegion
 from repro.workloads.population import TenantSpec
 from repro.workloads.ycsb import YCSB_WORKLOADS
 
-#: Device states a rack can start from (the two its builders condition).
+#: The :data:`~repro.ssd.conditioning.CONDITIONS` a rack can start from.
 CONDITIONS = ("clean", "fragmented")
+#: Every rack SSD's geometry.
+GEOMETRY = SsdGeometry()
+#: Departure-protocol polling interval (simulated microseconds).
+DEPART_POLL_US = 50.0
 
 
 @dataclass
@@ -66,16 +66,11 @@ class KvClusterConfig:
     condition: str = "fragmented"
     num_jbofs: int = 3
     ssds_per_jbof: int = 4
-    geometry: SsdGeometry = field(default_factory=SsdGeometry)
-    #: Client-side credit flow control (Figure 13's "+FC").
-    flow_control: Optional[bool] = None  # None = scheme default
+    #: Client-side credit flow control (Figure 13's "+FC"); gimbal only,
+    #: None = the scheme's own policy.
+    flow_control: Optional[bool] = None
     #: Read load balancing across replicas (Figure 13's "+LB").
     load_balance: bool = True
-    mega_pages: int = 2048
-    micro_pages: int = 64
-    lsm: LsmConfig = field(default_factory=LsmConfig)
-    #: Departure-protocol polling interval (simulated microseconds).
-    depart_poll_us: float = 50.0
     seed: int = 7
 
     def __post_init__(self) -> None:
@@ -85,18 +80,34 @@ class KvClusterConfig:
             raise ValueError(f"condition must be one of {CONDITIONS}, got {self.condition!r}")
         if self.num_jbofs <= 0 or self.ssds_per_jbof <= 0:
             raise ValueError("cluster must have at least one SSD")
-        if self.depart_poll_us <= 0:
-            raise ValueError("departure poll interval must be positive")
+        if self.flow_control is not None and self.scheme != "gimbal":
+            raise ValueError(
+                f"flow_control is a gimbal toggle; scheme {self.scheme!r} "
+                "fixes its own client policy"
+            )
 
 
-def _scheduler_factory_for(scheme: str):
-    if scheme == "gimbal":
-        return GimbalScheduler
-    if scheme == "reflex":
-        return ReflexScheduler
-    if scheme == "flashfq":
-        return FlashFqScheduler
-    return FifoScheduler
+def build_targets(
+    config: KvClusterConfig, sim: Simulator, network: Network, jbof_indices: Iterable[int]
+) -> List[NvmeOfTarget]:
+    """The listed JBOFs' targets, each over freshly conditioned SSDs."""
+    targets = []
+    for jbof_index in jbof_indices:
+        devices: Dict[str, SsdDevice] = {}
+        for ssd_index in range(config.ssds_per_jbof):
+            device = SsdDevice(sim, geometry=GEOMETRY, name=f"ssd{ssd_index}")
+            condition_device(device, config.condition)
+            devices[device.name] = device
+        targets.append(
+            NvmeOfTarget(
+                sim,
+                network,
+                f"jbof{jbof_index}",
+                devices,
+                scheduler_factory=SCHEMES[config.scheme][0],
+            )
+        )
+    return targets
 
 
 def build_jbof_shard(
@@ -105,27 +116,8 @@ def build_jbof_shard(
     """Build one JBOF shard: its own simulator, network, targets."""
     sim = Simulator()
     network = Network(sim)
-    factory = _scheduler_factory_for(config.scheme)
-    targets: Dict[str, NvmeOfTarget] = {}
-    for jbof_index in jbof_indices:
-        devices: Dict[str, SsdDevice] = {}
-        for ssd_index in range(config.ssds_per_jbof):
-            device = SsdDevice(
-                sim, geometry=config.geometry, name=f"ssd{ssd_index}"
-            )
-            if config.condition == "clean":
-                precondition_clean(device)
-            elif config.condition == "fragmented":
-                precondition_fragmented(device)
-            devices[f"ssd{ssd_index}"] = device
-        targets[f"jbof{jbof_index}"] = NvmeOfTarget(
-            sim,
-            network,
-            f"jbof{jbof_index}",
-            devices,
-            scheduler_factory=factory,
-        )
-    host = JbofShardHost(sim, network, targets)
+    targets = build_targets(config, sim, network, jbof_indices)
+    host = JbofShardHost(sim, network, {target.name: target for target in targets})
     kernel = ShardKernel(shard_id, sim, host.handle_message, lookahead_us)
     host.bind_kernel(kernel)
     return kernel
@@ -173,8 +165,12 @@ class KvCluster:
         self.targets: List[NvmeOfTarget] = []
         #: backend name ("jbofX/ssdY") -> all RemoteBackends touching it.
         self._backends_by_ssd: Dict[str, List[RemoteBackend]] = {}
-        self.global_allocator = GlobalBlobAllocator(
-            mega_pages=config.mega_pages, load_of=self._ssd_load
+        self.global_allocator = GlobalBlobAllocator(load_of=self._ssd_load)
+        #: Figure 13's vanilla leg turns gimbal's credit policy off.
+        self._policy = (
+            UnlimitedClientPolicy
+            if config.flow_control is False
+            else SCHEMES[config.scheme][1]
         )
         #: ``(requested, effective)`` shard counts of a sharded cluster.
         self.shard_counts: Optional[tuple] = None
@@ -184,7 +180,14 @@ class KvCluster:
         if shards:
             self._build_sharded(shards)
         else:
-            self._build_unsharded()
+            self.targets = build_targets(config, self.sim, self.network, range(config.num_jbofs))
+        for target in self.targets:
+            for ssd_name in target.ssd_names:
+                backend_name = f"{target.name}/{ssd_name}"
+                self._backends_by_ssd[backend_name] = []
+                self.global_allocator.register_backend(
+                    backend_name, AddressRegion(0, GEOMETRY.exported_pages)
+                )
         self.runners: List[YcsbRunner] = []
         self.instances: Dict[str, KvInstance] = {}
         # Rack-lifecycle accounting (see register_metrics).
@@ -198,34 +201,6 @@ class KvCluster:
     # ------------------------------------------------------------------
     # Topology build
     # ------------------------------------------------------------------
-    def _build_unsharded(self) -> None:
-        config = self.config
-        for jbof_index in range(config.num_jbofs):
-            devices = {}
-            for ssd_index in range(config.ssds_per_jbof):
-                device = SsdDevice(
-                    self.sim, geometry=config.geometry, name=f"ssd{ssd_index}"
-                )
-                if config.condition == "clean":
-                    precondition_clean(device)
-                elif config.condition == "fragmented":
-                    precondition_fragmented(device)
-                devices[f"ssd{ssd_index}"] = device
-            target = NvmeOfTarget(
-                self.sim,
-                self.network,
-                f"jbof{jbof_index}",
-                devices,
-                scheduler_factory=self._scheduler_factory(),
-            )
-            self.targets.append(target)
-            for ssd_name, device in devices.items():
-                backend_name = f"{target.name}/{ssd_name}"
-                self._backends_by_ssd[backend_name] = []
-                self.global_allocator.register_backend(
-                    backend_name, AddressRegion(0, device.exported_pages)
-                )
-
     def _build_sharded(self, requested: int) -> None:
         """Partition the rack: coordinator shard 0 keeps every client-side
         object on ``self.sim``; JBOFs spread round-robin over shards
@@ -245,37 +220,14 @@ class KvCluster:
             jbofs = [i for i in range(config.num_jbofs) if i % shards == slot]
             executor.add_local(build_jbof_shard(config, slot + 1, jbofs, lookahead))
         self.shard_executor = executor
-        exported = config.geometry.exported_pages
         for jbof_index in range(config.num_jbofs):
-            stub = coordinator.target_stub(
-                f"jbof{jbof_index}",
-                1 + jbof_index % shards,
-                [f"ssd{i}" for i in range(config.ssds_per_jbof)],
-            )
-            self.targets.append(stub)
-            for ssd_name in stub.ssd_names:
-                backend_name = f"{stub.name}/{ssd_name}"
-                self._backends_by_ssd[backend_name] = []
-                self.global_allocator.register_backend(
-                    backend_name, AddressRegion(0, exported)
+            self.targets.append(
+                coordinator.target_stub(
+                    f"jbof{jbof_index}",
+                    1 + jbof_index % shards,
+                    [f"ssd{i}" for i in range(config.ssds_per_jbof)],
                 )
-
-    # ------------------------------------------------------------------
-    # Scheme wiring
-    # ------------------------------------------------------------------
-    def _scheduler_factory(self):
-        return _scheduler_factory_for(self.config.scheme)
-
-    def _client_policy(self):
-        scheme = self.config.scheme
-        flow_control = self.config.flow_control
-        if flow_control is None:
-            flow_control = scheme == "gimbal"
-        if scheme == "gimbal" and flow_control:
-            return CreditClientPolicy()
-        if scheme == "parda":
-            return PardaClientPolicy()
-        return UnlimitedClientPolicy()
+            )
 
     def _ssd_load(self, backend_name: str) -> float:
         """Aggregate load of one SSD across every instance touching it."""
@@ -311,26 +263,20 @@ class KvCluster:
                     tenant_id=f"{name}@{backend_name}",
                     target=target,
                     ssd_name=ssd_name,
-                    policy=self._client_policy(),
+                    policy=self._policy(),
                     queue_depth=64,
                 )
                 backend = RemoteBackend(backend_name, session)
                 backends[backend_name] = backend
                 self._backends_by_ssd[backend_name].append(backend)
-        allocator = LocalBlobAllocator(self.global_allocator, self.config.micro_pages)
+        allocator = LocalBlobAllocator(self.global_allocator)
         store = Blobstore(
             allocator,
             backends,
             replicate=True,
             load_balance_reads=self.config.load_balance,
         )
-        tree = LsmTree(
-            name,
-            store,
-            self.sim,
-            config=self.config.lsm,
-            rng=self.rngs.stream(f"lsm:{name}"),
-        )
+        tree = LsmTree(name, store, self.sim, rng=self.rngs.stream(f"lsm:{name}"))
         runner = YcsbRunner(
             tree,
             YCSB_WORKLOADS[workload],
@@ -369,7 +315,6 @@ class KvCluster:
         self,
         name: str,
         on_done: Optional[Callable[[Dict[str, object]], None]] = None,
-        poll_us: Optional[float] = None,
     ) -> None:
         """Gracefully retire one DB instance (a tenant departure).
 
@@ -386,22 +331,21 @@ class KvCluster:
             raise ValueError(f"instance {name!r} is already departing")
         inst.departing = True
         inst.runner.stop()
-        interval = poll_us if poll_us is not None else self.config.depart_poll_us
         self._note_mega_occupancy()
 
         def wait_quiesce() -> None:
             if inst.tree.quiescent and inst.outstanding == 0:
                 for file in list(inst.store.files.values()):
                     inst.store.delete(file)
-                self.sim.schedule(interval, wait_trim_drain)
+                self.sim.schedule(DEPART_POLL_US, wait_trim_drain)
             else:
-                self.sim.schedule(interval, wait_quiesce)
+                self.sim.schedule(DEPART_POLL_US, wait_quiesce)
 
         def wait_trim_drain() -> None:
             if inst.outstanding == 0:
                 finalize()
             else:
-                self.sim.schedule(interval, wait_trim_drain)
+                self.sim.schedule(DEPART_POLL_US, wait_trim_drain)
 
         def finalize() -> None:
             result = inst.runner.results()
@@ -427,9 +371,7 @@ class KvCluster:
     # ------------------------------------------------------------------
     # Rack-scale population execution
     # ------------------------------------------------------------------
-    def run_population(
-        self, specs: List[TenantSpec], poll_us: Optional[float] = None
-    ) -> Dict[str, object]:
+    def run_population(self, specs: List[TenantSpec]) -> Dict[str, object]:
         """Execute a full tenant churn schedule and drain the rack.
 
         Every spec arrives at its ``arrival_us``, loads, runs its
@@ -459,9 +401,7 @@ class KvCluster:
                 self.sim.schedule(spec.lifetime_us, depart)
 
             def depart() -> None:
-                self.depart_instance(
-                    spec.name, on_done=lambda result: record(spec, result), poll_us=poll_us
-                )
+                self.depart_instance(spec.name, on_done=lambda result: record(spec, result))
 
             runner.load(loaded)
 

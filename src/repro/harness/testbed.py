@@ -2,23 +2,26 @@
 
 The paper's testbed (Section 5.1) is a rack of x86 clients and
 Stingray JBOFs behind a 100 Gbps switch.  :class:`Testbed` assembles
-the simulated equivalent for a chosen multi-tenancy scheme:
+the simulated equivalent for a chosen multi-tenancy scheme, each one a
+target-side scheduler plus a client-side policy (:data:`SCHEMES`, which
+:class:`~repro.harness.kvcluster.KvCluster` reads too):
 
 =========  =========================  ================================
 scheme     target-side scheduler      client-side policy
 =========  =========================  ================================
 gimbal     GimbalScheduler            CreditClientPolicy (Alg 3)
 reflex     ReflexScheduler            queue depth only
-flashfq    FlashFqScheduler           queue depth only
 parda      FifoScheduler (vanilla)    PardaClientPolicy
+flashfq    FlashFqScheduler           queue depth only
 vanilla    FifoScheduler              queue depth only
 =========  =========================  ================================
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.baselines.fifo import FifoScheduler
 from repro.baselines.flashfq import FlashFqScheduler
@@ -35,17 +38,22 @@ from repro.fabric.target import NvmeOfTarget
 from repro.obs.session import current_session
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngRegistry
-from repro.ssd.conditioning import age_device, precondition_clean, precondition_fragmented
+from repro.ssd.conditioning import CONDITIONS, condition_device
 from repro.ssd.device import NullDevice, SsdDevice
 from repro.ssd.geometry import SsdGeometry
 from repro.ssd.profiles import profile_by_name
 from repro.workloads.fio import FioSpec, FioWorker
 from repro.workloads.patterns import AddressRegion
 
-#: The multi-tenancy schemes the evaluation compares.
-SCHEMES = ("gimbal", "reflex", "parda", "flashfq", "vanilla")
-#: Device states a testbed can start from (``none``: no preconditioning).
-CONDITIONS = ("clean", "fragmented", "aged", "none")
+#: The multi-tenancy schemes the evaluation compares, in order:
+#: name -> (target-side scheduler class, client-side policy class).
+SCHEMES: Dict[str, Tuple[type, type]] = {
+    "gimbal": (GimbalScheduler, CreditClientPolicy),
+    "reflex": (ReflexScheduler, UnlimitedClientPolicy),
+    "parda": (FifoScheduler, PardaClientPolicy),
+    "flashfq": (FlashFqScheduler, UnlimitedClientPolicy),
+    "vanilla": (FifoScheduler, UnlimitedClientPolicy),
+}
 
 
 @dataclass
@@ -78,16 +86,16 @@ class TestbedConfig:
 
     def __post_init__(self) -> None:
         if self.scheme not in SCHEMES:
-            raise ValueError(f"unknown scheme {self.scheme!r}; pick one of {SCHEMES}")
+            raise ValueError(f"unknown scheme {self.scheme!r}; pick one of {tuple(SCHEMES)}")
         if self.condition not in CONDITIONS:
             raise ValueError(f"condition must be one of {CONDITIONS}, got {self.condition!r}")
         if not 0.0 <= self.device_age < 1.0:
             raise ValueError("device_age must be in [0, 1)")
         if self.num_ssds <= 0:
             raise ValueError("need at least one SSD")
-        if self.added_io_cost_us < 0:
+        if not (math.isfinite(self.added_io_cost_us) and self.added_io_cost_us >= 0):
             raise ValueError(
-                f"added_io_cost_us must be non-negative, got {self.added_io_cost_us}"
+                f"added_io_cost_us must be finite and non-negative, got {self.added_io_cost_us}"
             )
 
 
@@ -119,12 +127,7 @@ class Testbed:
                 device = SsdDevice(
                     self.sim, profile=profile, geometry=config.geometry, name=name
                 )
-                if config.condition == "clean":
-                    precondition_clean(device)
-                elif config.condition == "fragmented":
-                    precondition_fragmented(device)
-                elif config.condition == "aged":
-                    age_device(device, age=config.device_age, seed=config.seed)
+                condition_device(device, config.condition, config.device_age, config.seed)
             self.devices[name] = device
         self.target = NvmeOfTarget(
             sim=self.sim,
@@ -153,37 +156,22 @@ class Testbed:
     # Scheme wiring
     # ------------------------------------------------------------------
     def _scheduler_factory(self) -> Callable[[], object]:
-        if self.config.scheduler_factory is not None:
-            return self.config.scheduler_factory
-        scheme = self.config.scheme
-        if scheme == "gimbal":
-            params = self.config.gimbal_params
-            if params is None and self.config.condition == "aged":
-                # Aged devices have a worse worst case than the static
-                # config's fresh-device 9: derive it from the timing
-                # profile and aged geometry (Section 3.4's
-                # pre-calibration, re-run for the device's age).
-                worst = worst_case_write_cost(
-                    self._resolved_profile,
-                    self.config.geometry,
-                    age=self.config.device_age,
-                )
-                params = GimbalParams().with_overrides(write_cost_worst=worst)
+        config = self.config
+        if config.scheduler_factory is not None:
+            return config.scheduler_factory
+        params = config.gimbal_params
+        if config.scheme == "gimbal" and params is None and config.condition == "aged":
+            # Aged devices have a worse worst case than the static
+            # config's fresh-device 9: derive it from the timing
+            # profile and aged geometry (Section 3.4's
+            # pre-calibration, re-run for the device's age).
+            worst = worst_case_write_cost(
+                self._resolved_profile, config.geometry, age=config.device_age
+            )
+            params = GimbalParams().with_overrides(write_cost_worst=worst)
+        if config.scheme == "gimbal" and params is not None:
             return lambda: GimbalScheduler(params)
-        if scheme == "reflex":
-            return ReflexScheduler
-        if scheme == "flashfq":
-            return FlashFqScheduler
-        # parda and vanilla both run the pass-through target.
-        return FifoScheduler
-
-    def _client_policy(self):
-        scheme = self.config.scheme
-        if scheme == "gimbal":
-            return CreditClientPolicy()
-        if scheme == "parda":
-            return PardaClientPolicy()
-        return UnlimitedClientPolicy()
+        return SCHEMES[config.scheme][0]
 
     # ------------------------------------------------------------------
     # Workers
@@ -232,7 +220,7 @@ class Testbed:
             tenant_id=spec.name,
             target=self.target,
             ssd_name=ssd,
-            policy=self._client_policy(),
+            policy=SCHEMES[self.config.scheme][1](),
             queue_depth=queue_depth or max(spec.queue_depth, 4),
             namespace=namespace,
         )

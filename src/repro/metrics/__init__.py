@@ -5,5 +5,5 @@ observations and never touch the event loop, so they are equally usable
 from unit tests and from live pipelines.
 """
 
-# benchmarks/ledger imports this through the package; ROADMAP item 1 retires it.
+# benchmarks/ledger imports this through the package; ROADMAP item 3(c) retires it.
 from repro.metrics.fairness import jain_index  # noqa: F401

@@ -26,7 +26,7 @@ beyond that check.
 
 from repro.obs.session import current_session
 
-# benchmarks/ledger imports this through the package; ROADMAP item 1 retires it.
+# benchmarks/ledger imports this through the package; ROADMAP item 3(c) retires it.
 from repro.obs.session import capture  # noqa: F401
 
 

@@ -7,5 +7,5 @@ generator-based processes, and a registry of named, seeded random
 number streams so that every run is reproducible.
 """
 
-# benchmarks/ledger imports this through the package; ROADMAP item 1 retires it.
+# benchmarks/ledger imports this through the package; ROADMAP item 3(c) retires it.
 from repro.sim.engine import Simulator as make_simulator  # noqa: F401

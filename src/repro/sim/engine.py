@@ -579,5 +579,5 @@ class Simulator:
         return f"Simulator(now={self.now:.3f}us, pending={self.pending})"
 
 
-#: Imported by ``benchmarks/ledger/run.py`` only; ROADMAP item 1a deletes it.
+#: Imported by ``benchmarks/ledger/run.py`` only; ROADMAP item 1 deletes it.
 KERNEL_BACKEND_ENV = "REPRO_KERNEL_BACKEND"

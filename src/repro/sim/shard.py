@@ -37,7 +37,7 @@ Every shard runs in this process, stepped round-robin.  Results are
 *not* invariant to the shard count: the boundary charges fabric latency
 for control messages that are instant calls unsharded, and the perf
 ledger recorded that sharded and unsharded ``kv-rack`` runs count and
-steer operations differently (ROADMAP item 2 owns finding the cause and
+steer operations differently (ROADMAP item 1 owns finding the cause and
 the keep-or-delete verdict).  ``docs/architecture.md`` records why
 worker-process shards cannot pay.
 """

@@ -46,6 +46,10 @@ from repro.ssd.ftl import Ftl
 _MAX_SNAPSHOTS = 5
 _snapshot_cache: Dict[Tuple, dict] = {}
 
+#: Device states :func:`condition_device` accepts (``none``: leave the
+#: device unconditioned).
+CONDITIONS = ("clean", "fragmented", "aged", "none")
+
 
 def clear_conditioning_cache() -> None:
     """Drop cached FTL states (tests use this to force re-conditioning)."""
@@ -175,3 +179,19 @@ def age_device(
         ftl.advance_wear(deltas)
 
     _condition(device, build, "aged", age, wear_skew, overwrite_factor, seed)
+
+
+def condition_device(device: SsdDevice, condition: str, age: float = 0.5, seed: int = 1) -> None:
+    """Put ``device`` in one of the :data:`CONDITIONS`.
+
+    ``age`` and ``seed`` reach :func:`age_device` only: ``clean`` and
+    ``fragmented`` are each one fixed layout.
+    """
+    if condition == "clean":
+        precondition_clean(device)
+    elif condition == "fragmented":
+        precondition_fragmented(device)
+    elif condition == "aged":
+        age_device(device, age=age, seed=seed)
+    elif condition != "none":
+        raise ValueError(f"condition must be one of {CONDITIONS}, got {condition!r}")

@@ -38,6 +38,14 @@ class TestNicCore:
         with pytest.raises(ValueError):
             core.book(-1.0)
 
+    def test_nan_cost_rejected(self, sim):
+        # ``nan < 0`` is false: a sign check alone let NaN poison the
+        # core's horizon and every booking after it.
+        core = NicCore(sim)
+        with pytest.raises(ValueError):
+            core.book(float("nan"))
+        assert core.busy_until == 0.0
+
     def test_utilization(self, sim):
         core = NicCore(sim)
         core.book(25.0)
@@ -64,6 +72,21 @@ class TestAddedIoCostKnob:
         with pytest.raises(ValueError, match="added_io_cost_us"):
             TestbedConfig(added_io_cost_us=-5.0)
         assert TestbedConfig(added_io_cost_us=0.0).added_io_cost_us == 0.0
+
+    @pytest.mark.parametrize("cost", [float("nan"), float("inf")])
+    def test_config_refuses_a_non_finite_knob(self, cost):
+        # NaN used to die at the first event ("Cannot schedule at
+        # t=nan"); inf ran to 0 MB/s without a word.
+        with pytest.raises(ValueError, match="added_io_cost_us"):
+            TestbedConfig(added_io_cost_us=cost)
+
+    @pytest.mark.parametrize("cost", [float("nan"), float("inf")])
+    def test_pipeline_refuses_a_non_finite_knob(self, sim, cost):
+        target = NvmeOfTarget(sim, Network(sim), "j", {"ssd0": NullDevice(sim)}, FifoScheduler)
+        pipeline = target.pipelines["ssd0"]
+        with pytest.raises(ValueError, match="added_io_cost_us"):
+            pipeline.added_io_cost_us = cost
+        assert pipeline.added_io_cost_us == 0.0
 
     def test_pipeline_refuses_a_negative_knob(self, sim):
         devices = {"ssd0": NullDevice(sim)}

@@ -12,6 +12,7 @@ import them, so the test always runs exactly what the files record.
 from __future__ import annotations
 
 import hashlib
+import importlib
 import json
 import struct
 from pathlib import Path
@@ -30,7 +31,34 @@ GOLDEN_CONFIGS = {
         "standalone_measure_us": 100_000.0,
     },
     "table1": {"measure_us": 20_000.0},
+    # At this window the three client variants differ, so the golden
+    # sees both ``flow_control`` and ``load_balance``.
+    "fig13": {
+        "instances": 4,
+        "record_count": 256,
+        "warmup_us": 10_000.0,
+        "measure_us": 40_000.0,
+        "workloads": ("A",),
+    },
+    "fig14": {"duration_us": 20_000.0, "read_ratios": (0.0, 0.95, 1.0)},
+    "fig15": {"duration_us": 20_000.0, "io_sizes_kb": (4, 128)},
 }
+
+
+#: The driver under ``repro.harness.experiments`` each golden runs.
+GOLDEN_DRIVERS = {
+    "fig02": "fig02_unloaded_latency",
+    "fig07": "fig07_fairness",
+    "table1": "table1_overheads",
+    "fig13": "fig13_virtual_view",
+    "fig14": "fig14_read_ratio",
+    "fig15": "fig15_latency_scenarios",
+}
+
+
+def golden_module(name: str):
+    """The experiment module a ``GOLDEN_CONFIGS`` entry runs."""
+    return importlib.import_module(f"repro.harness.experiments.{GOLDEN_DRIVERS[name]}")
 
 
 #: The decision-identity rig (``tests/core/test_switch_identity.py``):
@@ -296,14 +324,9 @@ def _write(name: str, payload: dict) -> None:
 
 
 def main() -> None:
-    from repro.harness.experiments import fig02_unloaded_latency as fig02
-    from repro.harness.experiments import fig07_fairness as fig07
-    from repro.harness.experiments import table1_overheads as table1
-
-    modules = {"fig02": fig02, "fig07": fig07, "table1": table1}
     DATA_DIR.mkdir(parents=True, exist_ok=True)
     for name, kwargs in GOLDEN_CONFIGS.items():
-        _write(name, modules[name].run(**kwargs))
+        _write(name, golden_module(name).run(**kwargs))
     _write("switch_identity", switch_identity_digest())
     _write("conditioning_identity", conditioning_digest())
     _write("kv_identity", kv_identity_digest())

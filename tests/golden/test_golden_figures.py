@@ -1,7 +1,7 @@
 """Golden-figure regression tests.
 
-Each test regenerates one paper artefact (Figure 2, Figure 7, Table 1)
-at a small fixed configuration and seed, and compares every value
+Each test regenerates one paper artefact (Figures 2, 7, 13, 14 and 15,
+Table 1) at a small fixed configuration and seed, and compares every value
 against the checked-in golden JSON under ``tests/golden/data/``.
 
 Comparisons are tolerance-based, not byte-exact: the simulation itself
@@ -23,10 +23,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.harness.experiments import fig02_unloaded_latency as fig02
-from repro.harness.experiments import fig07_fairness as fig07
-from repro.harness.experiments import table1_overheads as table1
-from tests.golden.regenerate import GOLDEN_CONFIGS
+from tests.golden.regenerate import GOLDEN_CONFIGS, golden_module
 
 DATA_DIR = Path(__file__).resolve().parent / "data"
 
@@ -60,9 +57,8 @@ def _assert_close(actual, expected, path: str) -> None:
         assert actual == expected, f"{path}: {actual!r} != golden {expected!r}"
 
 
-@pytest.mark.parametrize("name", ["fig02", "fig07", "table1"])
+@pytest.mark.parametrize("name", list(GOLDEN_CONFIGS))
 def test_golden(name):
-    module = {"fig02": fig02, "fig07": fig07, "table1": table1}[name]
     kwargs = GOLDEN_CONFIGS[name]
-    results = json.loads(json.dumps(module.run(**kwargs)))  # normalise tuples
+    results = json.loads(json.dumps(golden_module(name).run(**kwargs)))  # normalise tuples
     _assert_close(results, _load(name), name)

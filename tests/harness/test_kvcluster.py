@@ -65,6 +65,15 @@ class TestKvCluster:
         assert isinstance(backend_fc.session.policy, CreditClientPolicy)
         assert isinstance(backend_nofc.session.policy, UnlimitedClientPolicy)
 
+    @pytest.mark.parametrize("scheme", ["reflex", "parda", "flashfq", "vanilla"])
+    def test_flow_control_is_refused_off_gimbal(self, scheme):
+        # It used to be ignored: reflex ran unlimited with flow_control
+        # on, and parda kept PARDA with it off.
+        for flow_control in (True, False):
+            with pytest.raises(ValueError, match="flow_control"):
+                KvClusterConfig(scheme=scheme, flow_control=flow_control)
+        assert KvClusterConfig(scheme=scheme).flow_control is None
+
     def test_load_balance_toggle(self):
         cluster = small_cluster(load_balance=False)
         runner = cluster.add_instance("db0", "A", record_count=64)

@@ -95,7 +95,7 @@ class TestPriorityTagging:
         testbed = Testbed(TestbedConfig(scheme="gimbal", condition="clean"))
         session = testbed.initiator("client").connect(
             "t0", testbed.target, "ssd0",
-            policy=testbed._client_policy(), queue_depth=256,
+            policy=SCHEMES["gimbal"][1](), queue_depth=256,
         )
         latencies = {0: [], 3: []}
         state = {"issued": 0}
