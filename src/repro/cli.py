@@ -121,6 +121,11 @@ def cmd_run(args: argparse.Namespace) -> int:
     if args.jobs < 1:
         print(f"--jobs must be >= 1, got {args.jobs}", file=sys.stderr)
         return 2
+    if args.jobs > 1 and (args.trace or args.stats):
+        # The session lives in this process; points on worker processes
+        # would simulate outside it and report nothing.
+        print("--trace and --stats need --jobs 1", file=sys.stderr)
+        return 2
     name = _resolve_experiment(args.experiment)
     if name is None:
         print(f"unknown experiment {args.experiment!r}; try: python -m repro list", file=sys.stderr)
@@ -128,7 +133,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     module, quick_kwargs = _load(name)
     kwargs = dict(quick_kwargs) if args.quick else {}
     # Every driver's run() is derived_run(sweep, finalize), so it takes
-    # jobs/cache/pool.
+    # jobs/cache.
     if args.jobs != 1:
         kwargs["jobs"] = args.jobs
     cache = kwargs["cache"] = _cache_from_args(args)
@@ -194,6 +199,13 @@ def cmd_suite(args: argparse.Namespace) -> int:
     except KeyError as exc:
         print(f"{exc.args[0]}; try: python -m repro list", file=sys.stderr)
         return 2
+    if args.json:
+        # Fail fast on an unwritable path instead of after the suite.
+        try:
+            open(args.json, "w", encoding="utf-8").close()
+        except OSError as exc:
+            print(f"cannot open suite results {args.json!r}: {exc}", file=sys.stderr)
+            return 2
     cache = _cache_from_args(args)
     started = time.perf_counter()
 
@@ -552,12 +564,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--trace",
         metavar="PATH",
         default=None,
-        help="stream a JSONL trace journal of simulation events to PATH",
+        help="stream a JSONL trace journal of simulation events to PATH (needs --jobs 1)",
     )
     run_parser.add_argument(
         "--stats",
         action="store_true",
-        help="print registry counters and kernel probe stats after the run",
+        help="print registry counters and kernel probe stats after the run (needs --jobs 1)",
     )
     _add_cache_args(run_parser)
     run_parser.set_defaults(fn=cmd_run)

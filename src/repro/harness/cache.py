@@ -63,7 +63,7 @@ import time
 import unicodedata
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Any, Callable, Dict, FrozenSet, List, Optional, Set, Tuple, Union
+from typing import Any, Callable, Dict, FrozenSet, List, Literal, Optional, Set, Tuple, Union
 
 #: Bump when the stored entry layout (or the meaning of results)
 #: changes; old entries simply stop matching.
@@ -449,8 +449,9 @@ class ResultCache:
         should merge.
 
         The returned value is the stored result round-tripped through
-        JSON, so a run that writes the cache merges exactly what a
-        later warm run will read back -- warm and cold outputs are
+        JSON with sorted keys, as the entry file is written, so a run
+        that writes the cache merges exactly what a later warm run will
+        read back, dict key order included -- warm and cold outputs are
         byte-identical.  Unserialisable results are passed through
         untouched (and simply never cached).
         """
@@ -460,7 +461,7 @@ class ResultCache:
             return result
         fingerprint, canonical_kwargs, code_fp = keyed
         try:
-            result_json = json.dumps(result, sort_keys=False)
+            result_json = json.dumps(result, sort_keys=True)
         except (TypeError, ValueError):
             self.stats.uncacheable += 1
             return result
@@ -742,11 +743,10 @@ class ResultCache:
 # ----------------------------------------------------------------------
 # Ambient configuration
 # ----------------------------------------------------------------------
-_configured: Optional[ResultCache] = None
 _env_cache: Optional[ResultCache] = None
 
 #: Accepted by ``run_sweep(cache=...)`` / ``Sweep.run(cache=...)``.
-CacheSpec = Union[None, bool, str, Path, ResultCache]
+CacheSpec = Union[None, Literal[False], str, Path, ResultCache]
 
 
 def cache_dir(explicit: Union[None, str, Path] = None) -> str:
@@ -755,22 +755,10 @@ def cache_dir(explicit: Union[None, str, Path] = None) -> str:
     return str(explicit or os.environ.get(ENV_DIR, "") or DEFAULT_CACHE_DIR)
 
 
-def configure(cache: CacheSpec = None) -> Optional[ResultCache]:
-    """Install (or clear, with ``False``) the process-wide default cache."""
-    global _configured
-    if cache is False or cache is None:
-        _configured = None
-    else:
-        _configured = resolve_cache(cache)
-    return _configured
-
-
 def active_cache() -> Optional[ResultCache]:
-    """The ambient cache: explicit :func:`configure` wins, then the
-    ``REPRO_CACHE`` environment toggle, else None (caching off)."""
+    """The ambient cache: on when the ``REPRO_CACHE`` environment toggle
+    is set (in ``REPRO_CACHE_DIR``, see :func:`cache_dir`), else None."""
     global _env_cache
-    if _configured is not None:
-        return _configured
     if os.environ.get(ENV_ENABLE, "") in ("", "0"):
         return None
     directory = cache_dir()
@@ -785,8 +773,6 @@ def resolve_cache(cache: CacheSpec) -> Optional[ResultCache]:
         return active_cache()
     if cache is False:
         return None
-    if cache is True:
-        return ResultCache(cache_dir())
     if isinstance(cache, (str, Path)):
         return ResultCache(cache)
     if isinstance(cache, ResultCache):

@@ -5,13 +5,10 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Tuple
 
 # Re-exported so drivers import their whole sweep API from one place.
-from repro.harness.cache import CacheSpec, ResultCache, resolve_cache  # noqa: F401
 from repro.harness.parallel import (
     Sweep,
     derived_run,  # noqa: F401
     merge_rows,  # noqa: F401
-    point_seed,  # noqa: F401
-    run_sweep,  # noqa: F401
     sweep_axes,
 )
 from repro.harness.testbed import Testbed, TestbedConfig

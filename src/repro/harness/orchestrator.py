@@ -10,7 +10,7 @@ experiment to :func:`repro.harness.parallel.run_groups` -- the one
 loop that keys, looks up, dispatches, stores and journals sweep points
 -- as one ``(name, points, finalize)`` group each, expanded lazily so
 the lookups of experiment *k+1* overlap the simulation of experiment
-*k* on one shared :class:`~repro.harness.parallel.WorkerPool`.  A
+*k* on one process pool for the whole run.  A
 driver's own ``run()`` enters the same loop as a suite of one
 (:func:`~repro.harness.parallel.run_sweep`).
 
@@ -33,7 +33,7 @@ functions, from which ``run`` is derived once
     def sweep(**kwargs) -> Sweep        # declare the points
     def finalize(results, **kwargs)     # merge ordered results
     def summarize(result) -> str        # print the paper's rows
-    run = derived_run(sweep, finalize)  # run(jobs=1, cache=None, pool=None, **kwargs)
+    run = derived_run(sweep, finalize)  # run(jobs=1, cache=None, **kwargs)
 
 ``python -m repro suite`` is the CLI entry point.
 """
@@ -47,14 +47,7 @@ from functools import partial
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence
 
 from repro.harness.cache import CacheSpec
-from repro.harness.parallel import (
-    Group,
-    SuiteResult,
-    WorkerPool,
-    _resolve_jobs,
-    run_groups,
-    split_kwargs,
-)
+from repro.harness.parallel import Group, SuiteResult, run_groups, split_kwargs
 
 
 # ----------------------------------------------------------------------
@@ -110,16 +103,15 @@ def run_suite(
     specs: Sequence[ExperimentSpec],
     jobs: Optional[int] = None,
     cache: CacheSpec = None,
-    pool: Optional[WorkerPool] = None,
     progress: Optional[Callable[[str, Dict[str, Any]], None]] = None,
 ) -> SuiteResult:
     """Run every experiment's sweep points as one
     :func:`~repro.harness.parallel.run_groups` call.
 
     ``jobs`` defaults to the machine's CPU count (``jobs <= 1`` runs
-    in-process, in declared order, still streaming).  ``pool`` lends
-    an existing :class:`WorkerPool`; otherwise one is created for the
-    run and torn down afterwards.  ``cache`` follows
+    in-process, in declared order, still streaming); more than one
+    worker gets a process pool created for the run and torn down
+    afterwards.  ``cache`` follows
     :func:`repro.harness.parallel.run_sweep` semantics, so results are
     byte-identical to the serial path.
     """
@@ -144,16 +136,7 @@ def run_suite(
 
     if jobs is None or jobs <= 0:
         jobs = os.cpu_count() or 1
-    requested, effective = _resolve_jobs(jobs, pool)
-    return run_groups(
-        groups(),
-        "suite",
-        jobs_requested=requested,
-        jobs=effective,
-        cache=cache,
-        pool=pool,
-        progress=progress,
-    )
+    return run_groups(groups(), "suite", jobs=jobs, cache=cache, progress=progress)
 
 
 def run_suite_serial(

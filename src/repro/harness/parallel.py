@@ -4,9 +4,9 @@ Every paper figure is a *sweep*: a list of independent simulation
 points (one testbed stood up per combination of scheme, condition,
 IO shape, ...), each fully determined by its inputs and its RNG seed.
 That independence is what this module exploits: points may run in this
-process or fan out across a :class:`WorkerPool`, and the results are
-merged back **in declared point order**, so a parallel run produces
-output byte-identical to the serial run.
+process or fan out across worker processes, and the results are merged
+back **in declared point order**, so a parallel run produces output
+byte-identical to the serial run.
 
 :func:`run_groups` is the only place points are keyed, looked up in
 the result cache, executed, stored and journaled.  It takes
@@ -14,12 +14,13 @@ the result cache, executed, stored and journaled.  It takes
 driver's ``run()``) is a suite of one group,
 :func:`repro.harness.orchestrator.run_suite` one group per experiment.
 Two executors sit behind it, chosen from the worker count alone: this
-process, or a :class:`WorkerPool` (lent by the caller, or created for
-the call when ``jobs > 1``).
+process, or a :class:`~concurrent.futures.ProcessPoolExecutor` created
+for the call when more than one worker is left after the clamp to the
+machine's cores.
 
 * **Declared order** -- missed points run in the order they were
-  declared: in this process when ``jobs <= 1``, otherwise one future
-  per point on the pool.
+  declared: in this process with one worker, otherwise one future per
+  point on the pool.
 * **Streaming execution** -- groups are expanded one after another
   while the pool is already computing earlier ones, completions are
   consumed via :func:`concurrent.futures.as_completed` (a failed point
@@ -59,7 +60,7 @@ from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from repro.harness.cache import CacheSpec, ResultCache, resolve_cache
+from repro.harness.cache import CacheSpec, resolve_cache
 from repro.obs import bump
 from repro.sim.rng import derive_seed
 
@@ -109,53 +110,6 @@ def _clamp_jobs(jobs: int) -> int:
         return jobs
     bump("sweep.jobs_clamped")
     return cpu_count
-
-
-class WorkerPool:
-    """A persistent process pool shared across sweeps.
-
-    Given only ``jobs > 1``, a sweep or suite creates one of these for
-    the call and tears it down afterwards; lending one is the
-    suite-scale alternative -- workers are created once and reused by
-    every sweep handed the pool::
-
-        with WorkerPool(jobs=8) as pool:
-            rows_a = sweep_a.run(pool=pool)
-            rows_b = sweep_b.run(pool=pool)
-
-    The executor is created lazily on first use, so building a pool is
-    free until something actually dispatches to it.  ``jobs`` defaults
-    to (and is clamped at) ``os.cpu_count()``.
-    """
-
-    def __init__(self, jobs: Optional[int] = None):
-        requested = jobs if jobs is not None and jobs > 0 else (os.cpu_count() or 1)
-        self.jobs = _clamp_jobs(requested)
-        self._executor: Optional[ProcessPoolExecutor] = None
-
-    @property
-    def executor(self) -> ProcessPoolExecutor:
-        if self._executor is None:
-            self._executor = ProcessPoolExecutor(max_workers=self.jobs)
-        return self._executor
-
-    def submit(self, fn: Callable[..., Any], *args: Any):
-        return self.executor.submit(fn, *args)
-
-    def close(self, cancel_pending: bool = False) -> None:
-        if self._executor is not None:
-            self._executor.shutdown(wait=True, cancel_futures=cancel_pending)
-            self._executor = None
-
-    def __enter__(self) -> "WorkerPool":
-        return self
-
-    def __exit__(self, exc_type, _exc, _tb) -> None:
-        self.close(cancel_pending=exc_type is not None)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "live" if self._executor is not None else "lazy"
-        return f"WorkerPool(jobs={self.jobs}, {state})"
 
 
 # ----------------------------------------------------------------------
@@ -248,26 +202,24 @@ class _GroupState:
 def run_groups(
     groups: Iterable[Group],
     name: Optional[str],
-    jobs_requested: int,
     jobs: int,
     cache: CacheSpec = None,
-    pool: Optional[WorkerPool] = None,
     progress: Optional[Callable[[str, Dict[str, Any]], None]] = None,
 ) -> SuiteResult:
     """Key, look up, run, store and journal every point of ``groups``.
 
     ``groups`` may be a generator: each group is expanded, looked up
     and dispatched before the next one is asked for.  ``jobs`` is the
-    effective worker count and ``jobs_requested`` what the caller asked
-    for (:func:`_resolve_jobs`; both land in the journal).  ``jobs <=
-    1`` runs every missed point in this process; otherwise points go
-    to ``pool``, or to a pool created for the call and torn down
-    afterwards.  Missed points are dispatched in declared order.
-    Lookups happen before dispatch, each point's
-    :meth:`ResultCache.key` is taken before it runs, computed values are
-    merged as read back from their JSON round-trip, and each group's
-    merge respects declared point order -- so results do not depend on
-    the executor, the completion order, or the cache's temperature.
+    requested worker count; it is clamped once (:func:`_clamp_jobs`,
+    never below one), and both counts land in the journal.  One worker
+    runs every missed point in this process; more go to a process pool
+    created for the call and torn down afterwards.  Missed points are
+    dispatched in declared order.  Lookups happen before dispatch, each
+    point's :meth:`ResultCache.key` is taken before it runs, computed
+    values are merged as read back from their JSON round-trip, and each
+    group's merge respects declared point order -- so results do not
+    depend on the executor, the completion order, or the cache's
+    temperature.
 
     ``progress`` (when given) receives ``(event, payload)`` pairs:
     ``point`` per computed point, ``experiment`` per finalized group,
@@ -277,14 +229,11 @@ def run_groups(
     store = resolve_cache(cache)
     stats_before = store.stats.snapshot() if store is not None else None
 
-    own_pool = pool is None and jobs > 1
-    if own_pool:
-        pool = WorkerPool(jobs)
-    elif jobs <= 1:
-        # One worker buys no parallelism, only per-point pickling and IPC
-        # round-trips: a lent one-worker pool is left untouched (its
-        # lazy executor is never spawned by us and never closed).
-        pool = None
+    jobs_requested = jobs
+    jobs = max(1, _clamp_jobs(jobs))
+    # One worker buys no parallelism, only per-point pickling and IPC
+    # round-trips: it runs in this process, with no executor at all.
+    pool = ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else None
 
     states: List[_GroupState] = []
     # future -> ordinal of the group its point belongs to
@@ -376,12 +325,13 @@ def run_groups(
         for future in as_completed(futures):
             account(futures[future], *future.result())
     except BaseException:
-        for future in futures:
-            future.cancel()  # unstarted siblings of a doomed run
+        if pool is not None:
+            # Unstarted siblings of a doomed run are cancelled, and the
+            # error does not wait out the ones already running.
+            pool.shutdown(wait=False, cancel_futures=True)
         raise
-    finally:
-        if own_pool:
-            pool.close(cancel_pending=True)
+    if pool is not None:
+        pool.shutdown()
 
     bump("suite.stolen_idle_sec", stolen_idle_s)
     result = SuiteResult(
@@ -417,52 +367,33 @@ def run_groups(
     return result
 
 
-def _resolve_jobs(jobs: int, pool: Optional[WorkerPool]) -> Tuple[int, int]:
-    """``(requested, effective)`` worker counts for one run: a lent
-    pool's size wins over ``jobs``; the effective count is clamped to
-    the machine (see :func:`_clamp_jobs`) and is never below one."""
-    requested = pool.jobs if pool is not None else jobs
-    return requested, max(1, _clamp_jobs(requested))
-
-
 def run_sweep(
     points: Sequence[SweepPoint],
     jobs: int = 1,
     cache: CacheSpec = None,
     name: Optional[str] = None,
-    pool: Optional[WorkerPool] = None,
 ) -> List[Any]:
     """Execute ``points`` and return their results in point order.
 
     ``jobs`` is the worker-process count; values <= 1 run in-process,
     and values above ``os.cpu_count()`` are clamped to it (see
-    :func:`_clamp_jobs`).  ``pool`` lends a persistent
-    :class:`WorkerPool` (its size then replaces ``jobs``); without one,
-    ``jobs > 1`` creates a pool for this call.  The returned list
-    always lines up with ``points`` by index, regardless of completion
-    order.
+    :func:`_clamp_jobs`); more than one worker creates a process pool
+    for this call.  The returned list always lines up with ``points``
+    by index, regardless of completion order.
 
-    ``cache`` selects the result cache: ``None`` uses the ambient
-    configuration (:func:`repro.harness.cache.active_cache`, off unless
-    configured or ``REPRO_CACHE`` is set), ``False`` disables caching,
-    ``True``/a path/a :class:`~repro.harness.cache.ResultCache` enable
-    it.  Cached points are looked up before dispatch and computed
-    points are written back afterwards; the merge happens in declared
-    point order either way, so warm, cold and mixed runs produce
-    byte-identical results.
+    ``cache`` selects the result cache: ``None`` uses the ambient one
+    (:func:`repro.harness.cache.active_cache`, off unless
+    ``REPRO_CACHE`` is set), ``False`` disables caching, and a path or
+    a :class:`~repro.harness.cache.ResultCache` enables it.  Cached
+    points are looked up before dispatch and computed points are
+    written back afterwards; the merge happens in declared point order
+    either way, so warm, cold and mixed runs produce byte-identical
+    results.
     """
     points = list(points)
     if len({point.index for point in points}) != len(points):
         raise ValueError("sweep points must have unique indices")
-    requested, effective = _resolve_jobs(jobs, pool)
-    suite = run_groups(
-        [(name or "", points, list)],
-        name,
-        jobs_requested=requested,
-        jobs=effective,
-        cache=cache,
-        pool=pool,
-    )
+    suite = run_groups([(name or "", points, list)], name, jobs=jobs, cache=cache)
     return suite.experiments[0].result
 
 
@@ -508,15 +439,8 @@ class Sweep:
     def points(self) -> List[SweepPoint]:
         return list(self._points)
 
-    def run(
-        self,
-        jobs: int = 1,
-        cache: CacheSpec = None,
-        pool: Optional[WorkerPool] = None,
-    ) -> List[Any]:
-        return run_sweep(
-            self._points, jobs=jobs, cache=cache, name=self.name, pool=pool
-        )
+    def run(self, jobs: int = 1, cache: CacheSpec = None) -> List[Any]:
+        return run_sweep(self._points, jobs=jobs, cache=cache, name=self.name)
 
     def __len__(self) -> int:
         return len(self._points)
@@ -556,24 +480,22 @@ def split_kwargs(
 
 
 def derived_run(sweep: Callable[..., "Sweep"], finalize: Callable[..., Any]) -> Callable[..., Any]:
-    """A driver's ``run()``: ``finalize(sweep(...).run(jobs, cache, pool))``.
+    """A driver's ``run()``: ``finalize(sweep(...).run(jobs, cache))``.
 
-    Every keyword other than ``jobs``/``cache``/``pool`` goes to
+    Every keyword other than ``jobs``/``cache`` goes to
     whichever of ``sweep``/``finalize`` declares it (both, if both do),
     with their defaults; one neither declares is a ``TypeError`` before
     any point is built.
     """
 
-    def run(
-        jobs: int = 1, cache: CacheSpec = None, pool: Optional[WorkerPool] = None, **kwargs: Any
-    ) -> Any:
+    def run(jobs: int = 1, cache: CacheSpec = None, **kwargs: Any) -> Any:
         sweep_kwargs, finalize_kwargs, unknown = split_kwargs(sweep, finalize, kwargs)
         if unknown:
             raise TypeError(
                 f"{sweep.__module__}.run() got unexpected keyword argument(s) "
                 + ", ".join(repr(key) for key in unknown)
             )
-        results = sweep(**sweep_kwargs).run(jobs=jobs, cache=cache, pool=pool)
+        results = sweep(**sweep_kwargs).run(jobs=jobs, cache=cache)
         return finalize(results, **finalize_kwargs)
 
     return run

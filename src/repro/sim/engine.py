@@ -8,10 +8,9 @@ are supported:
   ``fn(*args)`` after ``delay_us`` microseconds.  This is what the
   device and fabric models use.
 * **Process style** -- ``sim.process(generator)`` drives a generator
-  that yields either a float (sleep for that many microseconds) or a
-  :class:`Waiter` (park until someone triggers it).  This is what the
-  experiment scripts use for timeline control (e.g. "add one write
-  worker every five seconds").
+  that yields delays (an int or float: sleep for that many
+  microseconds).  This is what the experiment scripts use for timeline control (e.g.
+  "add one write worker every five seconds").
 
 Determinism: events that fire at the same timestamp execute in the
 order they were scheduled (a monotonically increasing sequence number
@@ -70,18 +69,6 @@ class Event:
     def time(self) -> float:
         return self._entry[0]
 
-    @property
-    def seq(self) -> int:
-        return self._entry[1]
-
-    @property
-    def fn(self):
-        return self._entry[2]
-
-    @property
-    def args(self):
-        return self._entry[3]
-
     def cancel(self) -> None:
         """Prevent the event from running.  Safe to call more than once."""
         if self.cancelled:
@@ -102,9 +89,6 @@ class Event:
         if sim._dead >= _COMPACT_MIN_DEAD and sim._dead * 2 > len(sim._heap):
             sim._compact()
 
-    def __lt__(self, other: "Event") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         if self.cancelled:
             state = "cancelled"
@@ -116,159 +100,25 @@ class Event:
         return f"Event(t={self.time:.3f}us, {getattr(fn, '__name__', fn)}, {state})"
 
 
-class Waiter:
-    """A one-shot synchronisation point for process-style code.
-
-    A process yields a ``Waiter`` to park itself; another component
-    calls :meth:`trigger` to resume the process, optionally passing a
-    value that becomes the result of the ``yield`` expression.
-    """
-
-    __slots__ = ("_process", "_triggered", "_value")
-
-    def __init__(self) -> None:
-        self._process: Optional["Process"] = None
-        self._triggered = False
-        self._value: Any = None
-
-    @property
-    def triggered(self) -> bool:
-        return self._triggered
-
-    def trigger(self, value: Any = None) -> None:
-        """Resume the process waiting on this waiter (if any)."""
-        if self._triggered:
-            raise SimulationError("Waiter triggered twice")
-        self._triggered = True
-        self._value = value
-        if self._process is not None:
-            process, self._process = self._process, None
-            process._resume(value)
-
-    def detach(self, process: "Process") -> None:
-        """Drop ``process``'s parked-waiter back-reference, if it is ours.
-
-        Called by :meth:`Process.stop` so a stopped process does not
-        linger as this waiter's resume target (and the waiter does not
-        keep the dead process alive).
-        """
-        if self._process is process:
-            self._process = None
-
-
-def all_of(sim: "Simulator", waiters: list) -> Waiter:
-    """A waiter that triggers once every input waiter has triggered.
-
-    The resume value is the list of the inputs' values in order.
-    """
-    combined = Waiter()
-    remaining = {"count": len(waiters)}
-    values = [None] * len(waiters)
-    if not waiters:
-        combined.trigger([])
-        return combined
-    for index, waiter in enumerate(waiters):
-        def chain(value, index=index):
-            values[index] = value
-            remaining["count"] -= 1
-            if remaining["count"] == 0:
-                combined.trigger(values)
-
-        _attach(sim, waiter, chain)
-    return combined
-
-
-def any_of(sim: "Simulator", waiters: list) -> Waiter:
-    """A waiter that triggers when the first input triggers.
-
-    The resume value is ``(index, value)`` of the winner; later
-    triggers of the other inputs are ignored.  The losing relays are
-    stopped as soon as the winner fires, so inputs that never trigger
-    do not keep parked relay processes alive for the rest of the run.
-    """
-    if not waiters:
-        raise SimulationError("any_of needs at least one waiter")
-    combined = Waiter()
-    relays: list = []
-
-    def chain(value, index):
-        if combined.triggered:
-            return
-        combined.trigger((index, value))
-        for loser, relay in enumerate(relays):
-            if loser != index and relay is not None:
-                relay.stop()
-
-    for index, waiter in enumerate(waiters):
-        relays.append(
-            _attach(sim, waiter, lambda value, index=index: chain(value, index))
-        )
-    return combined
-
-
-def _attach(sim: "Simulator", waiter: Waiter, callback) -> Optional["Process"]:
-    """Run ``callback(value)`` when ``waiter`` triggers.
-
-    Returns the relay process parked on ``waiter``, or None when the
-    waiter had already triggered (the callback is simply scheduled).
-    """
-    if waiter.triggered:
-        sim.schedule(0.0, callback, waiter._value)
-        return None
-
-    def relay():
-        value = yield waiter
-        callback(value)
-
-    return Process(sim, relay())
-
-
 class Process:
-    """Drives a generator as a cooperative simulation process."""
+    """Drives a generator that yields delays as a simulation process."""
 
-    __slots__ = ("sim", "_gen", "alive", "_pending_event", "_waiting_on")
+    __slots__ = ("sim", "_gen", "alive")
 
     def __init__(self, sim: "Simulator", gen: Generator[Any, Any, Any]):
         self.sim = sim
         self._gen = gen
         self.alive = True
-        self._pending_event: Optional[Event] = None
-        self._waiting_on: Optional[Waiter] = None
-        self._resume(None)
+        self._resume()
 
-    def stop(self) -> None:
-        """Terminate the process without running it further."""
-        if not self.alive:
-            return
-        self.alive = False
-        if self._pending_event is not None:
-            self._pending_event.cancel()
-            self._pending_event = None
-        if self._waiting_on is not None:
-            self._waiting_on.detach(self)
-            self._waiting_on = None
-        self._gen.close()
-
-    def _resume(self, value: Any) -> None:
-        if not self.alive:
-            return
-        self._pending_event = None
-        self._waiting_on = None
+    def _resume(self) -> None:
         try:
-            yielded = self._gen.send(value)
+            yielded = next(self._gen)
         except StopIteration:
             self.alive = False
             return
-        if isinstance(yielded, Waiter):
-            if yielded.triggered:
-                # Already satisfied; resume on the next event boundary so
-                # we do not recurse unboundedly through ready waiters.
-                self._pending_event = self.sim.schedule(0.0, self._resume, yielded._value)
-            else:
-                yielded._process = self
-                self._waiting_on = yielded
-        elif isinstance(yielded, (int, float)):
-            self._pending_event = self.sim.schedule(float(yielded), self._resume, None)
+        if isinstance(yielded, (int, float)):
+            self.sim.schedule(float(yielded), self._resume)
         else:
             self.alive = False
             raise SimulationError(f"Process yielded unsupported value: {yielded!r}")
@@ -401,36 +251,16 @@ class Simulator:
         """Start a generator-based process (see module docstring)."""
         return Process(self, gen)
 
-    def waiter(self) -> Waiter:
-        """Create a fresh :class:`Waiter` for process-style synchronisation."""
-        return Waiter()
-
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def step(self) -> bool:
-        """Execute the next pending event.  Returns False if none remain.
-
-        Like :meth:`run`, stepping is not reentrant: calling it from
-        inside an executing event callback would corrupt the loop.
-        """
-        if self._running:
-            raise SimulationError("Simulator.step() is not reentrant")
-        self._running = True
-        try:
-            return self._advance(None, 1, self.probe) > 0
-        finally:
-            self._running = False
-
-    def run(self, until_us: Optional[float] = None, max_events: Optional[int] = None) -> float:
-        """Run until the heap drains, ``until_us`` is reached, or ``max_events`` fire.
+    def run(self, until_us: Optional[float] = None) -> float:
+        """Run until the heap drains or ``until_us`` is reached.
 
         Events scheduled exactly at ``until_us`` do execute.  On return
         the clock is advanced to ``until_us`` when a deadline was given
         (even if the heap drained earlier), matching wall-clock style
-        measurement windows -- unless ``max_events`` stopped the run
-        with a live event at or before the deadline still queued: the
-        clock never passes an event that has yet to fire.
+        measurement windows.
         """
         if self._running:
             raise SimulationError("Simulator.run() is not reentrant")
@@ -440,29 +270,24 @@ class Simulator:
         if probe is not None:
             probe.begin_run(self.now)
         try:
-            if probe is None and max_events is None:
+            if probe is None:
                 self._drain_fast(until_us)
             else:
-                fired = self._advance(until_us, max_events, probe)
+                fired = self._advance(until_us, probe)
             # Advance to the deadline inside the try (not in the
             # finally) so a callback exception leaves the clock at the
             # failing event while the probe still accounts the full
             # window on success.
             if until_us is not None and self.now < until_us:
-                # Only an event cap can leave due work behind.
-                due = None if max_events is None else self.next_event_time()
-                if due is None or due > until_us:
-                    self.now = until_us
+                self.now = until_us
         finally:
             self._running = False
             if probe is not None:
                 probe.end_run(self.now, fired)
         return self.now
 
-    def _advance(
-        self, until_us: Optional[float], max_events: Optional[int], probe
-    ) -> int:
-        """The general loop: deadline, event cap, optional probe.
+    def _advance(self, until_us: Optional[float], probe) -> int:
+        """The probed loop: :meth:`_drain_fast` plus probe accounting.
 
         Returns the number of events fired.  The probe's heap
         high-water mark is sampled here rather than reported by the
@@ -472,12 +297,11 @@ class Simulator:
         """
         heap = self._heap
         until = _INF if until_us is None else until_us
-        budget = _INF if max_events is None else max_events
         fired = 0
         while True:
-            if probe is not None and len(heap) > probe.heap_high_water:
+            if len(heap) > probe.heap_high_water:
                 probe.heap_high_water = len(heap)
-            if not heap or fired >= budget:
+            if not heap:
                 return fired
             entry = heap[0]
             fn = entry[2]
@@ -489,8 +313,7 @@ class Simulator:
                 return fired
             heappop(heap)
             self.now = entry[0]
-            if probe is not None:
-                probe.count_fire(fn)
+            probe.count_fire(fn)
             fired += 1
             if entry[4] is None:
                 fn(entry[3])
@@ -501,7 +324,7 @@ class Simulator:
             fn(*args)
 
     def _drain_fast(self, until_us: Optional[float]) -> None:
-        """The hot loop: no probe, no event cap, locals bound."""
+        """The hot loop: no probe, locals bound."""
         heap = self._heap
         until = _INF if until_us is None else until_us
         while heap:

@@ -114,7 +114,10 @@ class TestRequestFlow:
         done = []
         request = session.submit(IoOp.READ, 0, 1, on_complete=done.append)
         while request.submit_time is None:
-            assert sim.step()
+            # One timestamp at a time, so the IO stops short of its response.
+            due = sim.next_event_time()
+            assert due is not None
+            sim.run(until_us=due)
         assert request._reply is not None
         assert (request._slot is not None) == (scheduler_factory is GimbalScheduler)
         with pytest.raises(RuntimeError, match=f"#{request.request_id} .*still owns it"):

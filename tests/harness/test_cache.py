@@ -34,7 +34,6 @@ from repro.harness.cache import (
     canonical_value,
     clear_fingerprint_caches,
     code_fingerprint,
-    configure,
     point_fingerprint,
     resolve_cache,
     transitive_sources,
@@ -72,9 +71,6 @@ def slow_point(x):
 @pytest.fixture(autouse=True)
 def _reset():
     CALLS.clear()
-    configure(False)
-    yield
-    configure(False)
 
 
 def make_point(fn, index=0, label="p", **kwargs):
@@ -1073,16 +1069,6 @@ class TestRunSweepIntegration:
         first = sweep.run(cache=tmp_path / "cache")
         second = sweep.run(cache=tmp_path / "cache")
         assert first == second
-
-    def test_ambient_configure(self, tmp_path):
-        configure(tmp_path / "ambient")
-        try:
-            run_sweep(self._points(2), name="amb")  # cache=None -> ambient
-            before = len(CALLS)
-            run_sweep(self._points(2), name="amb")
-            assert len(CALLS) == before
-        finally:
-            configure(False)
 
     def test_env_toggle(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE", "1")

@@ -1,9 +1,9 @@
 """Tests for the dispatch loop and the suite runner.
 
 The load-bearing contract: points may complete in any order (streamed
-across experiments, on a pool or in-process), but every experiment's
-result must stay byte-identical to the serial-experiment baseline
-``run_suite_serial`` -- whether it is entered as a suite
+across experiments, on worker processes or in-process), but every
+experiment's result must stay byte-identical to the serial-experiment
+baseline ``run_suite_serial`` -- whether it is entered as a suite
 (``run_suite``) or as a suite of one (``run_sweep``).
 """
 
@@ -25,7 +25,7 @@ from repro.harness.orchestrator import (
     run_suite_serial,
     suite_experiments,
 )
-from repro.harness.parallel import SweepPoint, WorkerPool, accepted_kwargs, run_sweep
+from repro.harness.parallel import SweepPoint, accepted_kwargs, run_sweep
 from repro.obs.session import capture
 from tests.golden.regenerate import GOLDEN_CONFIGS
 from tests.harness.fake_experiments import _negate
@@ -99,15 +99,26 @@ class TestRunSuite:
         assert suite.points_total == 8
         assert [run.name for run in suite.experiments] == ["alpha", "beta"]
 
-    def test_matches_serial_with_shared_pool(self, tmp_path):
+    def test_matches_serial_cold_and_warm(self, tmp_path):
         serial = run_suite_serial([ALPHA, BETA], cache=False)
-        with WorkerPool(1) as pool:
-            cold = run_suite([ALPHA, BETA], pool=pool, cache=tmp_path / "cache")
-            warm = run_suite([ALPHA, BETA], pool=pool, cache=tmp_path / "cache")
+        cold = run_suite([ALPHA, BETA], jobs=2, cache=tmp_path / "cache")
+        warm = run_suite([ALPHA, BETA], jobs=2, cache=tmp_path / "cache")
         assert _canonical(cold.results) == _canonical(serial)
         assert _canonical(warm.results) == _canonical(serial)
         assert cold.cache_hits == 0
         assert warm.cache_hits == warm.points_total
+
+    def test_cold_and_warm_results_share_key_order(self, tmp_path):
+        """A cold run merges what a warm hit returns, dict key order
+        included: the entry file is written with sorted keys, so the
+        value a cold run merges must be too."""
+        specs = suite_experiments(names=["table2"])
+        cold = run_suite(specs, jobs=1, cache=ResultCache(tmp_path / "cache"))
+        warm = run_suite(specs, jobs=1, cache=ResultCache(tmp_path / "cache"))
+        assert (cold.cache_hits, warm.cache_hits) == (0, warm.points_total)
+        checks = [suite.results["table2"]["checks"] for suite in (cold, warm)]
+        assert list(checks[0]) == list(checks[1])
+        assert json.dumps(cold.results) == json.dumps(warm.results)
 
     def test_report_and_journal(self, tmp_path):
         """A suite run is one ``"sweep"`` line in the cache's own
@@ -226,38 +237,25 @@ class TestSchedulingNeverChangesResults:
             cls.REFERENCE = _canonical(run_suite_serial([ALPHA, BETA], cache=False))
         return cls.REFERENCE
 
-    POOL = None
-
-    @classmethod
-    def setup_class(cls):
-        # Two workers, so the lent pool's executor really is reused
-        # wherever the machine has the cores (one worker never spawns).
-        cls.POOL = WorkerPool(2)
-
-    @classmethod
-    def teardown_class(cls):
-        cls.POOL.close()
-        cls.POOL = None
-
     @settings(max_examples=8, deadline=None)
     @given(specs=st.permutations([ALPHA, BETA]))
-    def test_pool_reuse_across_examples_preserves_results(self, specs):
-        suite = run_suite(specs, pool=self.POOL, cache=False)
+    def test_spec_order_keeps_results(self, specs):
+        suite = run_suite(specs, jobs=2, cache=False)
         assert _canonical(suite.results) == self._reference()
 
     @settings(max_examples=5, deadline=None)
     @given(n=st.integers(min_value=1, max_value=12), warm=st.booleans())
     def test_sweep_and_suite_entry_points_agree(self, n, warm):
         """One loop behind every entry point: a sweep in-process, on a
-        pool of its own, on a lent pool, and as a one-experiment suite
-        merge equal results -- cold, and over a warm journal (entries
+        pool of its own, and as a one-experiment suite merge equal
+        results -- cold, and over a warm journal (entries
         pruned, so every point misses)."""
         from tests.harness.fake_experiments import sweep
 
         points = sweep(n=n, scale=3).points
         spec = ExperimentSpec("alpha", ALPHA.module_path, {"n": n, "scale": 3})
         reference = run_sweep(points, jobs=1, cache=False)
-        with tempfile.TemporaryDirectory() as scratch, WorkerPool(2) as pool:
+        with tempfile.TemporaryDirectory() as scratch:
 
             def cache(tag):
                 if not warm:
@@ -269,31 +267,34 @@ class TestSchedulingNeverChangesResults:
 
             assert run_sweep(points, jobs=1, cache=cache("serial")) == reference
             assert run_sweep(points, jobs=2, cache=cache("jobs")) == reference
-            assert run_sweep(points, pool=pool, cache=cache("pool")) == reference
             suite = run_suite([spec], jobs=1, cache=cache("suite"))
         assert suite.results["alpha"]["rows"] == reference
         assert suite.cache_hits == 0
 
 
 class TestSingleWorkerBypass:
-    """jobs<=1 must never pay pool round-trips: the lazy executor stays
-    unspawned and results match the serial path exactly."""
+    """jobs<=1 must never pay pool round-trips: no executor is built and
+    results match the serial path exactly."""
 
-    def test_run_sweep_never_spawns_executor(self):
+    @pytest.fixture
+    def no_executor(self, monkeypatch):
+        import repro.harness.parallel as parallel_mod
+
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("a one-worker run built a ProcessPoolExecutor")
+
+        monkeypatch.setattr(parallel_mod, "ProcessPoolExecutor", refuse)
+
+    def test_run_sweep_never_spawns_executor(self, no_executor):
         from tests.harness.fake_experiments import sweep
 
-        pool = WorkerPool(1)
-        rows = sweep(n=4).run(pool=pool, cache=False)
-        assert pool._executor is None
-        assert rows == sweep(n=4).run(jobs=1, cache=False)
+        rows = sweep(n=4).run(jobs=1, cache=False)
+        assert [(row["value"], row["scaled"]) for row in rows] == [(i, i) for i in range(4)]
 
-    def test_run_suite_never_spawns_executor(self):
-        pool = WorkerPool(1)
-        suite = run_suite([ALPHA, BETA], pool=pool, cache=False)
-        assert pool._executor is None
+    def test_run_suite_never_spawns_executor(self, no_executor):
+        suite = run_suite([ALPHA, BETA], jobs=1, cache=False)
         serial = run_suite_serial([ALPHA, BETA], cache=False)
         assert _canonical(suite.results) == _canonical(serial)
-        pool.close()
 
     def test_single_worker_suite_costs_nothing_over_serial(self):
         """One worker cannot win, but with the in-process bypass it must

@@ -17,7 +17,6 @@ from repro.harness.experiments import fig14_read_ratio as fig14
 from repro.harness.parallel import (
     Sweep,
     SweepPoint,
-    WorkerPool,
     merge_rows,
     point_seed,
     run_sweep,
@@ -95,20 +94,10 @@ class TestRunSweep:
             ),
             SweepPoint(index=1, label="poisoned", fn=_boom, kwargs={"value": 13}),
         ]
-        with WorkerPool(2) as pool:
-            # Warm both workers so spawn cost stays out of the timing.
-            run_sweep(
-                [
-                    SweepPoint(index=i, label=f"warm{i}", fn=_sleep_then_square,
-                               kwargs={"value": i, "sleep_s": 0.2})
-                    for i in range(2)
-                ],
-                pool=pool,
-            )
-            started = time.perf_counter()
-            with pytest.raises(RuntimeError, match="point 13 exploded"):
-                run_sweep(points, pool=pool)
-            elapsed = time.perf_counter() - started
+        started = time.perf_counter()
+        with pytest.raises(RuntimeError, match="point 13 exploded"):
+            run_sweep(points, jobs=2)
+        elapsed = time.perf_counter() - started
         assert elapsed < slow_s, (
             f"error took {elapsed:.2f}s to surface -- it waited out the slow point"
         )
@@ -198,41 +187,6 @@ class TestSweepBuilder:
             {"x": 2, "y": "a"},
             {"x": 2, "y": "b"},
         ]
-
-
-class TestWorkerPool:
-    def test_pool_is_lazy_until_first_dispatch(self):
-        pool = WorkerPool(1)
-        assert pool._executor is None
-        pool.close()  # closing a never-used pool is a no-op
-
-    def test_sweeps_reusing_one_pool_match_serial(self):
-        points_a = [
-            SweepPoint(index=i, label=f"a{i}", fn=_square, kwargs={"value": i})
-            for i in range(4)
-        ]
-        points_b = [
-            SweepPoint(index=i, label=f"b{i}", fn=_square, kwargs={"value": i + 10})
-            for i in range(3)
-        ]
-        with WorkerPool(1) as pool:
-            pooled_a = run_sweep(points_a, pool=pool)
-            pooled_b = run_sweep(points_b, pool=pool)
-        assert pooled_a == run_sweep(points_a, jobs=1)
-        assert pooled_b == run_sweep(points_b, jobs=1)
-
-    def test_error_inside_pool_leaves_it_usable(self):
-        with WorkerPool(1) as pool:
-            with pytest.raises(RuntimeError, match="point 7 exploded"):
-                run_sweep(
-                    [SweepPoint(index=0, label="x", fn=_boom, kwargs={"value": 7})],
-                    pool=pool,
-                )
-            survivors = run_sweep(
-                [SweepPoint(index=0, label="ok", fn=_square, kwargs={"value": 2})],
-                pool=pool,
-            )
-        assert survivors == [{"value": 2, "squared": 4, "seed": 0}]
 
 
 class TestMergeHelpers:

@@ -111,23 +111,6 @@ class TestRunBounds:
         sim.run(until_us=150.0)
         assert fired == [100.0]
 
-    def test_max_events_bound(self, sim):
-        fired = []
-        for i in range(10):
-            sim.schedule(float(i + 1), fired.append, i)
-        sim.run(max_events=3)
-        assert fired == [0, 1, 2]
-
-    def test_step_returns_false_when_empty(self, sim):
-        assert sim.step() is False
-
-    def test_step_executes_one_event(self, sim):
-        fired = []
-        sim.schedule(1.0, fired.append, "a")
-        sim.schedule(2.0, fired.append, "b")
-        assert sim.step() is True
-        assert fired == ["a"]
-
 
 class TestProcesses:
     def test_process_sleeps(self, sim):
@@ -137,57 +120,12 @@ class TestProcesses:
             trace.append(sim.now)
             yield 10.0
             trace.append(sim.now)
-            yield 5.0
+            yield 5  # an int is a delay too
             trace.append(sim.now)
 
         sim.process(proc())
         sim.run()
         assert trace == [0.0, 10.0, 15.0]
-
-    def test_process_waits_on_waiter(self, sim):
-        trace = []
-        waiter = sim.waiter()
-
-        def proc():
-            value = yield waiter
-            trace.append((sim.now, value))
-
-        sim.process(proc())
-        sim.schedule(42.0, waiter.trigger, "done")
-        sim.run()
-        assert trace == [(42.0, "done")]
-
-    def test_already_triggered_waiter_resumes_promptly(self, sim):
-        waiter = sim.waiter()
-        waiter.trigger("early")
-        trace = []
-
-        def proc():
-            value = yield waiter
-            trace.append(value)
-
-        sim.process(proc())
-        sim.run()
-        assert trace == ["early"]
-
-    def test_waiter_double_trigger_rejected(self, sim):
-        waiter = sim.waiter()
-        waiter.trigger()
-        with pytest.raises(SimulationError):
-            waiter.trigger()
-
-    def test_process_stop_prevents_resumption(self, sim):
-        trace = []
-
-        def proc():
-            yield 10.0
-            trace.append("should not happen")
-
-        process = sim.process(proc())
-        process.stop()
-        sim.run()
-        assert trace == []
-        assert not process.alive
 
     def test_process_finishes_naturally(self, sim):
         def proc():
@@ -217,156 +155,6 @@ class TestDeterminism:
             return order
 
         assert build() == build()
-
-
-class TestWaiterCombinators:
-    def test_all_of_waits_for_everyone(self, sim):
-        from repro.sim.engine import all_of
-
-        waiters = [sim.waiter() for _ in range(3)]
-        got = []
-
-        def proc():
-            values = yield all_of(sim, waiters)
-            got.append((sim.now, values))
-
-        sim.process(proc())
-        sim.schedule(10.0, waiters[0].trigger, "a")
-        sim.schedule(30.0, waiters[2].trigger, "c")
-        sim.schedule(20.0, waiters[1].trigger, "b")
-        sim.run()
-        assert got == [(30.0, ["a", "b", "c"])]
-
-    def test_all_of_empty_is_immediate(self, sim):
-        from repro.sim.engine import all_of
-
-        got = []
-
-        def proc():
-            values = yield all_of(sim, [])
-            got.append(values)
-
-        sim.process(proc())
-        sim.run()
-        assert got == [[]]
-
-    def test_any_of_triggers_on_first(self, sim):
-        from repro.sim.engine import any_of
-
-        waiters = [sim.waiter() for _ in range(3)]
-        got = []
-
-        def proc():
-            winner = yield any_of(sim, waiters)
-            got.append((sim.now, winner))
-
-        sim.process(proc())
-        sim.schedule(20.0, waiters[0].trigger, "slow")
-        sim.schedule(5.0, waiters[1].trigger, "fast")
-        sim.run()
-        assert got == [(5.0, (1, "fast"))]
-
-    def test_any_of_ignores_later_triggers(self, sim):
-        from repro.sim.engine import any_of
-
-        waiters = [sim.waiter(), sim.waiter()]
-        combined = any_of(sim, waiters)
-        waiters[0].trigger("first")
-        waiters[1].trigger("second")
-        sim.run()
-        assert combined.triggered
-
-    def test_any_of_empty_rejected(self, sim):
-        from repro.sim.engine import any_of
-        from repro.sim.engine import SimulationError as SimError
-
-        with pytest.raises(SimError):
-            any_of(sim, [])
-
-    def test_all_of_with_pretriggered_waiter(self, sim):
-        from repro.sim.engine import all_of
-
-        ready = sim.waiter()
-        ready.trigger("early")
-        pending = sim.waiter()
-        got = []
-
-        def proc():
-            values = yield all_of(sim, [ready, pending])
-            got.append(values)
-
-        sim.process(proc())
-        sim.schedule(7.0, pending.trigger, "late")
-        sim.run()
-        assert got == [["early", "late"]]
-
-    def test_any_of_stops_loser_relays(self, sim):
-        """Regression: losing relay processes used to stay parked on
-        their waiters forever after the winner fired."""
-        from repro.sim.engine import any_of
-
-        waiters = [sim.waiter() for _ in range(3)]
-        combined = any_of(sim, waiters)
-        sim.schedule(5.0, waiters[1].trigger, "fast")
-        sim.run()
-        assert combined.triggered
-        # The losing waiters no longer hold a parked relay...
-        assert waiters[0]._process is None
-        assert waiters[2]._process is None
-        # ...so a late trigger is inert rather than a double-resume.
-        waiters[0].trigger("late")
-        sim.run()
-        assert combined._value == (1, "fast")
-
-    def test_any_of_leaves_no_pending_events_after_winner(self, sim):
-        from repro.sim.engine import any_of
-
-        waiters = [sim.waiter() for _ in range(4)]
-        any_of(sim, waiters)
-        sim.schedule(1.0, waiters[0].trigger, "win")
-        sim.run()
-        assert sim.pending == 0
-
-
-class TestProcessWaiterDetach:
-    def test_stop_detaches_parked_process(self, sim):
-        waiter = sim.waiter()
-
-        def proc():
-            yield waiter
-
-        process = sim.process(proc())
-        assert waiter._process is process
-        process.stop()
-        assert waiter._process is None
-
-    def test_trigger_after_stop_is_inert(self, sim):
-        trace = []
-        waiter = sim.waiter()
-
-        def proc():
-            value = yield waiter
-            trace.append(value)
-
-        process = sim.process(proc())
-        process.stop()
-        waiter.trigger("ghost")
-        sim.run()
-        assert trace == []
-
-    def test_detach_ignores_foreign_process(self, sim):
-        waiter = sim.waiter()
-
-        def parked():
-            yield waiter
-
-        def unrelated():
-            yield 100.0
-
-        owner = sim.process(parked())
-        other = sim.process(unrelated())
-        waiter.detach(other)
-        assert waiter._process is owner
 
 
 class TestLazyDeletion:
@@ -473,34 +261,6 @@ class TestHandleLifetime:
 
 
 class TestReentrancy:
-    def test_step_inside_callback_raises(self, sim):
-        errors = []
-
-        def reenter():
-            try:
-                sim.step()
-            except SimulationError as exc:
-                errors.append(str(exc))
-
-        sim.schedule(1.0, reenter)
-        sim.schedule(2.0, lambda: None)
-        sim.run()
-        assert len(errors) == 1
-        assert "reentrant" in errors[0]
-
-    def test_step_inside_step_raises(self, sim):
-        errors = []
-
-        def reenter():
-            try:
-                sim.step()
-            except SimulationError as exc:
-                errors.append(str(exc))
-
-        sim.schedule(1.0, reenter)
-        assert sim.step() is True
-        assert len(errors) == 1
-
     def test_run_inside_callback_raises(self, sim):
         errors = []
 
@@ -514,17 +274,19 @@ class TestReentrancy:
         sim.run()
         assert len(errors) == 1
 
-    def test_step_usable_after_callback_error(self, sim):
+    def test_run_usable_after_callback_error(self, sim):
         """The guard must reset even when a callback raises."""
+        fired = []
 
         def boom():
             raise ValueError("bang")
 
         sim.schedule(1.0, boom)
-        sim.schedule(2.0, lambda: None)
+        sim.schedule(2.0, fired.append, "after")
         with pytest.raises(ValueError):
-            sim.step()
-        assert sim.step() is True
+            sim.run()
+        assert sim.run() == 2.0
+        assert fired == ["after"]
 
 
 class TestPendingCounter:
@@ -551,7 +313,7 @@ class TestPendingCounter:
             event.cancel()
         ground_truth = sum(1 for e in sim._heap if e[2] is not None)
         assert sim.pending == ground_truth
-        sim.run(max_events=5)
+        sim.run(until_us=5.0)
         ground_truth = sum(1 for e in sim._heap if e[2] is not None)
         assert sim.pending == ground_truth
         sim.run()
@@ -561,51 +323,6 @@ class TestPendingCounter:
 # ----------------------------------------------------------------------
 # Bookkeeping the run loops derive or skip
 # ----------------------------------------------------------------------
-
-
-class TestCappedDeadlineRun:
-    """Regression: ``run(until_us, max_events)`` stopped by the cap used
-    to jump the clock to the deadline past events still due, so the
-    next run moved time backwards."""
-
-    def test_cap_does_not_jump_past_due_events(self, sim):
-        fired = []
-        sim.schedule(10.0, lambda: fired.append(("a", sim.now)))
-        sim.at_(20.0, lambda tag: fired.append((tag, sim.now)), "b")
-        assert sim.run(until_us=100.0, max_events=1) == 10.0
-        assert fired == [("a", 10.0)]
-        assert sim.pending == 1
-        assert sim.run() == 20.0
-        assert fired == [("a", 10.0), ("b", 20.0)]
-
-    def test_cap_with_population_entries(self, sim):
-        fired = []
-        pop = sim.population(lambda tag: fired.append((tag, sim.now)))
-        for index in range(100):
-            pop.add(10.0 + index, index)
-        sim.run(until_us=1000.0, max_events=3)
-        assert sim.now == 12.0
-        sim.run(until_us=1000.0, max_events=3)
-        assert fired == [(index, 10.0 + index) for index in range(6)]
-        assert sim.now == 15.0
-
-    def test_cap_reached_with_nothing_due_still_advances(self, sim):
-        sim.at_(10.0, lambda _: None, None)
-        sim.at_(200.0, lambda _: None, None)
-        assert sim.run(until_us=100.0, max_events=1) == 100.0
-        assert sim.pending == 1
-
-    def test_cancelled_due_event_does_not_hold_the_clock(self, sim):
-        sim.at_(10.0, lambda _: None, None)
-        ghost = sim.at(20.0, lambda: None)
-        ghost.cancel()
-        assert sim.run(until_us=100.0, max_events=1) == 100.0
-        assert sim.pending == 0
-
-    def test_zero_cap_holds_the_clock(self, sim):
-        sim.at_(10.0, lambda _: None, None)
-        assert sim.run(until_us=100.0, max_events=0) == 0.0
-        assert sim.run(until_us=100.0) == 100.0
 
 
 class TestOnePayloadContract:

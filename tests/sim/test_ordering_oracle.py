@@ -2,9 +2,8 @@
 
 Randomized programs mix population and bare ``at_`` completions
 (closed-loop re-adds included), cancellable ``at`` events and their
-cancellations, ``any_of`` relays racing two timed triggers, and
-self-rescheduling timers, run in capped slices (``until_us`` and ``max_events``
-together) before a final drain.  Every entry the program schedules is
+cancellations, and self-rescheduling timers, run in deadline slices
+(``until_us``) before a final drain.  Every entry the program schedules is
 numbered in scheduling order, which is the order of the kernel's
 ``seq``; an independent model of what the kernel promises then checks
 each fire and each slice:
@@ -14,9 +13,9 @@ each fire and each slice:
   increases along the fire log -- each at exactly its scheduled time;
 * a cancelled entry never fires, and every other one fires exactly
   once by the end of the run;
-* a capped run fires at most its cap and nothing after its deadline,
-  and never moves the clock past a live due entry: the clock lands on
-  the deadline only when nothing live is due by then;
+* a slice fires nothing after its deadline and leaves no live entry
+  due at or before it, and the clock lands on the deadline (or stays
+  put when the deadline is already behind it);
 * ``pending`` equals a count of the live heap entries after every
   slice.
 
@@ -31,7 +30,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.obs.probe import KernelProbe
-from repro.sim.engine import Simulator, any_of
+from repro.sim.engine import Simulator
 
 
 #: Times come from a coarse grid so exact timestamp ties are common --
@@ -64,11 +63,6 @@ program_strategy = st.fixed_dictionaries(
             st.tuples(grid_times(), st.integers(min_value=0, max_value=9)),
             max_size=4,
         ),
-        # any_of relays racing two timed triggers.
-        "relays": st.lists(
-            st.tuples(grid_times(), grid_times()),
-            max_size=3,
-        ),
         # Self-rescheduling timers: (start, period, count).
         "timers": st.lists(
             st.tuples(
@@ -78,12 +72,8 @@ program_strategy = st.fixed_dictionaries(
             ),
             max_size=4,
         ),
-        # Capped partial runs ahead of the final drain:
-        # (until_us, max_events).
-        "slices": st.lists(
-            st.tuples(grid_times(120), st.integers(min_value=0, max_value=40)),
-            max_size=4,
-        ),
+        # Deadlines of partial runs ahead of the final drain.
+        "slices": st.lists(grid_times(120), max_size=4),
     }
 )
 
@@ -169,22 +159,6 @@ def run_program(program) -> Oracle:
 
         sim.at(time_us, cancel, oracle.number(time_us))
 
-    for first_us, second_us in program["relays"]:
-        def relay(first_us=first_us, second_us=second_us):
-            left = sim.waiter()
-            right = sim.waiter()
-            for time_us, waiter, value in ((first_us, left, "L"), (second_us, right, "R")):
-                def trigger(ident, waiter=waiter, value=value):
-                    oracle.fire(ident)
-                    waiter.trigger(value)
-
-                sim.at(time_us, trigger, oracle.number(time_us))
-            winner = yield any_of(sim, [left, right])
-            # The left trigger was scheduled first, so it wins a tie.
-            assert winner == ((0, "L") if first_us <= second_us else (1, "R"))
-
-        sim.process(relay())
-
     for start_us, period_us, count in program["timers"]:
         def tick(ident, remaining, period_us=period_us):
             oracle.fire(ident)
@@ -193,18 +167,13 @@ def run_program(program) -> Oracle:
 
         sim.schedule(start_us, tick, oracle.number(start_us), count)
 
-    for until_us, cap in program["slices"]:
+    for until_us in program["slices"]:
         before = sim.now
-        fired_before = len(oracle.log)
         oracle.until = until_us
-        sim.run(until_us=until_us, max_events=cap)
-        assert len(oracle.log) - fired_before <= cap
+        sim.run(until_us=until_us)
         live = oracle.live_times()
-        due = min(live, default=None)
-        if due is None or due > until_us:
-            assert sim.now == max(before, until_us)
-        else:
-            assert before <= sim.now <= due, "a capped run moved the clock past a due entry"
+        assert all(time_us > until_us for time_us in live), "a due entry outlived its slice"
+        assert sim.now == max(before, until_us)
         assert sim.pending == len(live)
     oracle.until = None
     sim.run()
@@ -237,12 +206,11 @@ tracked_program = st.fixed_dictionaries(
             max_size=80,
         ),
         "upfront": st.integers(min_value=1, max_value=20),
-        # How the program is driven: capped/deadlined slices, single
-        # steps and next_event_time() peeks between them.
+        # How the program is driven: deadline slices, with pushes and
+        # next_event_time() peeks between them.
         "drive": st.lists(
             st.one_of(
-                st.tuples(st.just("run"), grid_times(60), st.integers(0, 30)),
-                st.tuples(st.just("step"), st.just(0.0), st.just(0)),
+                st.tuples(st.just("run"), grid_times(60), st.just(0)),
                 st.tuples(st.just("peek"), st.just(0.0), st.just(0)),
                 st.tuples(st.just("push"), st.just(0.0), st.integers(1, 5)),
             ),
@@ -292,9 +260,7 @@ def run_tracked(program):
     push(program["upfront"])
     for verb, until_us, count in program["drive"]:
         if verb == "run":
-            sim.run(until_us=sim.now + until_us, max_events=count or None)
-        elif verb == "step":
-            sim.step()
+            sim.run(until_us=sim.now + until_us)
         elif verb == "peek":
             sim.next_event_time()
         else:

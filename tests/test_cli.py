@@ -51,7 +51,9 @@ class TestCliRun:
             for attr in ("sweep", "finalize", "run", "summarize"):
                 assert callable(getattr(module, attr, None)), (name, attr)
             assert module.run.__code__ is derived_code, name
-            assert {"jobs", "cache", "pool"} <= set(inspect.signature(module.run).parameters), name
+            # jobs and cache are the only knobs run() adds.
+            params = set(inspect.signature(module.run).parameters)
+            assert params == {"jobs", "cache", "kwargs"}, name
             # Refused by name, before a single point is built or simulated.
             with pytest.raises(TypeError, match="no_such_kwarg"):
                 module.run(no_such_kwarg=1)
@@ -191,7 +193,7 @@ class TestCliCache:
 
     def test_cache_flags_honour_repro_cache_dir(self, tmp_path, capsys, monkeypatch):
         """``--cache`` without ``--cache-dir`` uses the directory that
-        ``REPRO_CACHE=1`` and ``run_sweep(cache=True)`` use:
+        ``REPRO_CACHE=1`` uses:
         ``REPRO_CACHE_DIR``, else ``.repro-cache``.  ``run``, ``suite``
         and ``cache`` used to ignore the variable."""
         monkeypatch.chdir(tmp_path)
@@ -307,10 +309,11 @@ class TestCliSimulate:
 
 
 class TestCliJobs:
-    """A worker count below what the command accepts is refused with one
-    line before anything runs.  ``run --jobs -3`` used to run and journal
-    -3 workers; ``suite -j -4`` silently ran on every core (on one with
-    ``--serial``)."""
+    """A worker count below what the command accepts, or one its other
+    flags cannot work with, is refused with one line before anything
+    runs -- as is a ``suite --json`` path that cannot be written.
+    ``run --jobs -3`` used to run and journal -3 workers; ``suite -j
+    -4`` silently ran on every core (on one with ``--serial``)."""
 
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_run_needs_at_least_one_worker(self, capsys, tmp_path, jobs):
@@ -321,6 +324,36 @@ class TestCliJobs:
         assert captured.out == ""
         assert captured.err == f"--jobs must be >= 1, got {jobs}\n"
         assert not cache_dir.exists()
+
+    @pytest.mark.parametrize("flag", ["--trace", "--stats"])
+    def test_trace_and_stats_need_one_worker(self, capsys, tmp_path, flag):
+        """The obs session lives in this process; with ``--jobs 2`` the
+        points simulated in worker processes and the session reported
+        nothing (``events_fired 0``, an empty trace journal)."""
+        trace = tmp_path / "out.jsonl"
+        argv = ["run", "table2", "--quick", "--jobs", "2", flag]
+        assert main(argv + ([str(trace)] if flag == "--trace" else [])) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "--trace and --stats need --jobs 1\n"
+        assert not trace.exists()
+
+    @pytest.mark.parametrize("mode", [[], ["--serial"]], ids=["orchestrated", "serial"])
+    def test_suite_refuses_an_unwritable_json_path(self, capsys, tmp_path, monkeypatch, mode):
+        """Checked before the suite runs, not after it (which ended in a
+        ``FileNotFoundError`` traceback)."""
+        import repro.harness.orchestrator as orchestrator
+
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("the suite ran")
+
+        monkeypatch.setattr(orchestrator, "run_suite", refuse)
+        monkeypatch.setattr(orchestrator, "run_suite_serial", refuse)
+        path = tmp_path / "missing" / "out.json"
+        assert main(["suite", "--quick", "-e", "table2", "--json", str(path)] + mode) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"cannot open suite results {str(path)!r}: ")
 
     @pytest.mark.parametrize("mode", [[], ["--serial"]], ids=["orchestrated", "serial"])
     def test_suite_refuses_a_negative_count(self, capsys, tmp_path, mode):
