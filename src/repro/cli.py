@@ -71,7 +71,6 @@ EXPERIMENTS: Dict[str, Tuple[str, dict]] = {
     "table2": ("repro.harness.experiments.table2_comparison", {}),
     "sec5.8": ("repro.harness.experiments.sec58_generalization", {"measure_us": 500_000.0, "warmup_us": 250_000.0, "workers_per_class": 4}),
     "ablations": ("repro.harness.experiments.ablations", {"measure_us": 400_000.0, "warmup_us": 200_000.0, "workers": 4}),
-    "aging": ("repro.harness.experiments.aging", {"measure_us": 150_000.0, "warmup_us": 75_000.0}),
     "ext-qlc": ("repro.harness.experiments.ext_qlc", {"measure_us": 400_000.0, "warmup_us": 200_000.0, "workers_per_class": 4}),
 }
 

@@ -15,7 +15,8 @@ drains on the simulated device.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass, fields, replace
 
 from repro.sim.units import KB, mbps
 
@@ -72,6 +73,12 @@ class GimbalParams:
     initial_slot_io_count: int = 8
 
     def __post_init__(self) -> None:
+        # NaN passes every ordered comparison below unrefused, and an
+        # infinite knob stalls the pacing pump, so refuse both first.
+        for knob in fields(self):
+            value = getattr(self, knob.name)
+            if not math.isfinite(value):
+                raise ValueError(f"{knob.name} must be finite, got {value!r}")
         if not 0 < self.thresh_min_us < self.thresh_max_us:
             raise ValueError("need 0 < thresh_min < thresh_max")
         for name in ("alpha_d", "alpha_t"):
@@ -82,6 +89,18 @@ class GimbalParams:
             raise ValueError("beta must be >= 1")
         if self.write_cost_worst < 1.0:
             raise ValueError("worst-case write cost must be >= 1")
+        if self.write_cost_delta <= 0:
+            raise ValueError("write_cost_delta must be positive")
+        if self.write_cost_period_us < 0:
+            raise ValueError("write_cost_period_us must be non-negative")
+        if self.completion_headroom < 1.0:
+            raise ValueError("completion_headroom must be >= 1")
+        if self.bucket_max_tokens <= 0:
+            raise ValueError("bucket_max_tokens must be positive")
+        if self.completion_rate_window_us <= 0:
+            raise ValueError("completion_rate_window_us must be positive")
+        if self.initial_slot_io_count < 1:
+            raise ValueError("initial_slot_io_count must be >= 1")
         if self.slot_bytes <= 0 or self.slot_threshold <= 0 or self.quantum_bytes <= 0:
             raise ValueError("slot/quantum sizes must be positive")
         if not 0 < self.min_rate_bytes_per_us <= self.initial_rate_bytes_per_us <= self.max_rate_bytes_per_us:

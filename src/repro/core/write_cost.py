@@ -18,90 +18,6 @@ from __future__ import annotations
 
 from repro.core.config import GimbalParams
 
-#: Floor on effective overprovisioning when deriving aged write
-#: amplification: a device whose slack has fully eroded would have an
-#: unbounded analytic WA, which no estimator should start from.
-_MIN_EFFECTIVE_OVERPROVISION = 0.02
-
-
-def steady_state_write_amplification(overprovision: float) -> float:
-    """Worst-case steady-state WA of a page-mapped FTL.
-
-    The classic uniform-random bound ``(1 + u) / (2 (1 - u))`` with
-    ``u = 1 - overprovision`` the steady-state utilisation.  Greedy
-    victim selection does better in expectation (the simulator settles
-    around 4-6 at 12% OP), but the *worst case* is what Section 3.4's
-    pre-calibrated ``write_cost_worst`` wants.
-    """
-    if not 0.0 < overprovision < 1.0:
-        raise ValueError("overprovision must be in (0, 1)")
-    u = 1.0 - overprovision
-    return (1.0 + u) / (2.0 * (1.0 - u))
-
-
-def aged_write_amplification(overprovision: float, age: float) -> float:
-    """Worst-case WA of a device ``age`` of the way through its life.
-
-    Wear-out consumes overprovisioning: retired blocks shrink the
-    spare pool GC plays with, so an aged device behaves like a fresh
-    one with less slack.  The model charges up to half the slack by
-    end of life (retirement clamps keep devices bootable, so the pool
-    never fully vanishes), floored at 2% effective OP.
-    """
-    if not 0.0 <= age < 1.0:
-        raise ValueError("age must be in [0, 1)")
-    effective = max(_MIN_EFFECTIVE_OVERPROVISION, overprovision * (1.0 - 0.5 * age))
-    return steady_state_write_amplification(effective)
-
-
-def worst_case_write_cost(profile, geometry, age: float = 0.0) -> float:
-    """Derive ``write_cost_worst`` from device timing + aged geometry.
-
-    Write cost is the paper's read-bandwidth / write-bandwidth ratio
-    at 4 KiB.  Reads are the cheaper of the controller and channel
-    bounds; worst-case writes pay the full amplified program +
-    relocation-read + amortised-erase channel time per host page.
-    """
-    wa = aged_write_amplification(geometry.overprovision, age)
-    per_page_busy_us = (
-        wa * profile.t_prog_us
-        + (wa - 1.0) * profile.t_read_xfer_us
-        + wa * profile.t_erase_us / geometry.pages_per_block
-    )
-    if per_page_busy_us <= 0.0:
-        return 1.0
-    write_pages_per_us = geometry.num_channels / per_page_busy_us
-    channel_read_rate = geometry.num_channels / profile.t_read_xfer_us
-    if profile.t_ctrl_cmd_us > 0.0:
-        read_pages_per_us = min(1.0 / profile.t_ctrl_cmd_us, channel_read_rate)
-    else:
-        read_pages_per_us = channel_read_rate
-    return max(1.0, read_pages_per_us / write_pages_per_us)
-
-
-def actual_write_cost(profile, ftl_stats, map_reads: int = 0, map_writes: int = 0) -> float:
-    """Measured write cost from FTL accounting (the estimator's oracle).
-
-    Converts the programs/relocation-reads/erases (plus any DFTL
-    translation-page traffic) a run actually performed into channel
-    time per host page, normalised by the read transfer time -- the
-    same read-equivalents unit :func:`worst_case_write_cost` predicts.
-    """
-    host = ftl_stats.host_programs
-    if host == 0:
-        return 1.0
-    programs = host + ftl_stats.gc_programs + ftl_stats.wl_programs + map_writes
-    relocation_reads = ftl_stats.gc_programs + ftl_stats.wl_programs + map_reads
-    busy_us = (
-        programs * profile.t_prog_us
-        + relocation_reads * profile.t_read_xfer_us
-        + ftl_stats.erases * profile.t_erase_us
-    )
-    if profile.t_read_xfer_us <= 0.0:
-        return 1.0
-    return max(1.0, busy_us / host / profile.t_read_xfer_us)
-
-
 class WriteCostEstimator:
     """Tracks the current write cost in [1.0, write_cost_worst]."""
 
@@ -111,20 +27,6 @@ class WriteCostEstimator:
         self.cost = params.write_cost_worst
         self._last_update_us = float("-inf")
         self.updates = 0
-
-    def recalibrate_worst(self, worst: float) -> None:
-        """Install a device-derived worst case (pre-run calibration).
-
-        Used when the testbed knows more about the device than the
-        static config does -- e.g. an aged device whose worst case
-        comes from :func:`worst_case_write_cost` on its conditioned
-        geometry.  The current cost restarts at the new worst, exactly
-        like construction.
-        """
-        if worst < 1.0:
-            raise ValueError("worst-case write cost cannot be below 1.0")
-        self.worst = float(worst)
-        self.cost = self.worst
 
     def observe_write_latency(self, now_us: float, write_ewma_latency_us: float) -> float:
         """Periodic ADMI update; returns the (possibly unchanged) cost."""

@@ -28,7 +28,6 @@ from repro.baselines.flashfq import FlashFqScheduler
 from repro.baselines.reflex import ReflexScheduler
 from repro.core.config import GimbalParams
 from repro.core.switch import GimbalScheduler
-from repro.core.write_cost import worst_case_write_cost
 from repro.fabric.initiator import NvmeOfInitiator
 from repro.fabric.namespace import Namespace
 from repro.fabric.network import Network
@@ -72,13 +71,6 @@ class TestbedConfig:
     cpu_model: CpuCostModel = SMARTNIC_CPU
     gimbal_params: Optional[GimbalParams] = None
     added_io_cost_us: float = 0.0
-    #: Device age for ``condition="aged"``: fraction of useful life
-    #: consumed, in [0, 1).
-    device_age: float = 0.5
-    #: Field overrides applied on top of the named device profile
-    #: (used by the aging study to switch on fidelity knobs such as
-    #: ``map_cache_pages`` or ``endurance_cycles`` per sweep point).
-    profile_overrides: Optional[dict] = None
     seed: int = 42
     #: Override the target-side scheduler construction (used by the
     #: ablation studies); the scheme still selects the client policy.
@@ -89,8 +81,6 @@ class TestbedConfig:
             raise ValueError(f"unknown scheme {self.scheme!r}; pick one of {tuple(SCHEMES)}")
         if self.condition not in CONDITIONS:
             raise ValueError(f"condition must be one of {CONDITIONS}, got {self.condition!r}")
-        if not 0.0 <= self.device_age < 1.0:
-            raise ValueError("device_age must be in [0, 1)")
         if self.num_ssds <= 0:
             raise ValueError("need at least one SSD")
         if not (math.isfinite(self.added_io_cost_us) and self.added_io_cost_us >= 0):
@@ -116,9 +106,6 @@ class Testbed:
         self.network = Network(self.sim)
         self.devices: Dict[str, object] = {}
         profile = profile_by_name(config.device_profile)
-        if config.profile_overrides:
-            profile = profile.with_overrides(**config.profile_overrides)
-        self._resolved_profile = profile
         for index in range(config.num_ssds):
             name = f"ssd{index}"
             if config.device_profile == "null":
@@ -127,7 +114,7 @@ class Testbed:
                 device = SsdDevice(
                     self.sim, profile=profile, geometry=config.geometry, name=name
                 )
-                condition_device(device, config.condition, config.device_age, config.seed)
+                condition_device(device, config.condition)
             self.devices[name] = device
         self.target = NvmeOfTarget(
             sim=self.sim,
@@ -160,15 +147,6 @@ class Testbed:
         if config.scheduler_factory is not None:
             return config.scheduler_factory
         params = config.gimbal_params
-        if config.scheme == "gimbal" and params is None and config.condition == "aged":
-            # Aged devices have a worse worst case than the static
-            # config's fresh-device 9: derive it from the timing
-            # profile and aged geometry (Section 3.4's
-            # pre-calibration, re-run for the device's age).
-            worst = worst_case_write_cost(
-                self._resolved_profile, config.geometry, age=config.device_age
-            )
-            params = GimbalParams().with_overrides(write_cost_worst=worst)
         if config.scheme == "gimbal" and params is not None:
             return lambda: GimbalScheduler(params)
         return SCHEMES[config.scheme][0]

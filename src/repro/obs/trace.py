@@ -37,9 +37,6 @@ class TraceType(str, enum.Enum):
     BUCKET_DENY = "bucket_deny"
     #: A refill wakeup fired and re-ran the pump.
     BUCKET_REFILL = "bucket_refill"
-    #: DFTL mapping-cache miss: translation-page reads (and dirty
-    #: writebacks) charged to a channel.
-    MAP_MISS = "ftl.map_miss"
     #: Garbage collection ran to make room for a host write.
     GC_START = "gc_start"
     #: The charged GC busy time drains at this timestamp.

@@ -19,16 +19,13 @@ under a second of wall-clock time.  Sequential passes go through
 go through ``Ftl.write_page``.
 
 Because many experiments re-condition identical devices, the resulting
-FTL state is cached per (geometry, GC watermarks, fidelity knobs,
-condition, parameters) and restored into fresh devices -- the two page
-maps are ``array('i')``s of 4 bytes a page, so a restore is two memcpys
-plus a few per-block list copies.
-The watermarks decide when GC runs, and the fidelity knobs
-(mapping-cache capacity, wear configuration) change what it does, so
-conditioning genuinely diverges across both: layout, cache residency,
-retirement and wear-level migrations all differ.  Only the
-few most recently used states are kept: a sweep that ages every point
-under its own seed stores snapshots it never reads back.
+FTL state is cached per (geometry, GC watermarks, condition,
+parameters) and restored into fresh devices -- the two page maps are
+``array('i')``s of 4 bytes a page, so a restore is two memcpys plus a
+few per-block list copies.  The watermarks decide when GC runs, so the
+layouts genuinely diverge across them.  Only the few most recently used
+states are kept: a caller that fragments under many seeds or factors
+stores snapshots it never reads back.
 """
 
 from __future__ import annotations
@@ -48,7 +45,7 @@ _snapshot_cache: Dict[Tuple, dict] = {}
 
 #: Device states :func:`condition_device` accepts (``none``: leave the
 #: device unconditioned).
-CONDITIONS = ("clean", "fragmented", "aged", "none")
+CONDITIONS = ("clean", "fragmented", "none")
 
 
 def clear_conditioning_cache() -> None:
@@ -59,7 +56,7 @@ def clear_conditioning_cache() -> None:
 def _condition(device: SsdDevice, build: Callable[[Ftl], None], kind: str, *params) -> None:
     """Restore the cached state for this target, or ``build`` and cache it."""
     ftl = device.ftl
-    key = (device.geometry, ftl.gc_low_water, ftl.gc_high_water, ftl.fidelity_key(), kind)
+    key = (device.geometry, ftl.gc_low_water, ftl.gc_high_water, kind)
     key += params
     snap = _snapshot_cache.pop(key, None)
     if snap is None:
@@ -72,7 +69,7 @@ def _condition(device: SsdDevice, build: Callable[[Ftl], None], kind: str, *para
     _snapshot_cache[key] = snap
     # Reset timing and *measurement* state, keep the layout:
     # preconditioning traffic must not pollute the measured write
-    # amplification (or mapping-cache hit rates).
+    # amplification.
     device.reset_time_state()
     ftl.reset_measurement()
 
@@ -133,65 +130,14 @@ def precondition_fragmented(
     _condition(device, build, "fragmented", overwrite_factor, seed)
 
 
-def age_device(
-    device: SsdDevice,
-    age: float,
-    wear_skew: float = 0.25,
-    overwrite_factor: float = 2.0,
-    seed: int = 1,
-) -> None:
-    """Fast-forward a device to a target wear/fragmentation state.
-
-    ``age`` is the fraction of the device's useful life consumed, in
-    [0, 1): 0.0 is a fresh (but fragmented) device, 0.8 a device near
-    end of life.  Aging composes two effects:
-
-    * **fragmentation** -- the same random-overwrite conditioning as
-      :func:`precondition_fragmented` (an old device's blocks hold
-      scattered valid pages);
-    * **wear** -- per-block erase counts fast-forwarded to ``age *
-      0.9 * endurance`` on average (the 0.9 leaves headroom so the
-      aged device boots alive and retires blocks *during* the
-      subsequent run), with a lognormal-ish spread controlled by
-      ``wear_skew`` (real fleets never wear uniformly -- that skew is
-      what makes static wear levelling and retirement observable).
-
-    Without a configured endurance limit the wear target falls back to
-    ``age * 3000`` cycles (a typical TLC rating), so wear statistics
-    stay meaningful on profiles that never retire blocks.
-    """
-    if not 0.0 <= age < 1.0:
-        raise ValueError("age must be in [0, 1)")
-    _check_factor("wear_skew", wear_skew)
-    _check_factor("overwrite_factor", overwrite_factor)
-
-    def build(ftl: Ftl) -> None:
-        _fill_then_overwrite(ftl, overwrite_factor, seed, "precondition:aged")
-        endurance = 3000
-        if ftl.wear is not None and ftl.wear.endurance_cycles is not None:
-            endurance = ftl.wear.endurance_cycles
-        mean_target = age * 0.9 * endurance
-        wear_rng = random.Random(derive_seed(seed, "precondition:wear"))
-        deltas = []
-        for _ in range(device.geometry.total_blocks):
-            factor = max(0.0, wear_rng.gauss(1.0, wear_skew))
-            deltas.append(int(mean_target * factor))
-        ftl.advance_wear(deltas)
-
-    _condition(device, build, "aged", age, wear_skew, overwrite_factor, seed)
-
-
-def condition_device(device: SsdDevice, condition: str, age: float = 0.5, seed: int = 1) -> None:
+def condition_device(device: SsdDevice, condition: str) -> None:
     """Put ``device`` in one of the :data:`CONDITIONS`.
 
-    ``age`` and ``seed`` reach :func:`age_device` only: ``clean`` and
-    ``fragmented`` are each one fixed layout.
+    ``clean`` and ``fragmented`` are each one fixed layout.
     """
     if condition == "clean":
         precondition_clean(device)
     elif condition == "fragmented":
         precondition_fragmented(device)
-    elif condition == "aged":
-        age_device(device, age=age, seed=seed)
     elif condition != "none":
         raise ValueError(f"condition must be one of {CONDITIONS}, got {condition!r}")

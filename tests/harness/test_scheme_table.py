@@ -63,5 +63,5 @@ def test_kvcluster_wires_the_table(scheme, shards):
 
 def test_condition_device_refuses_an_unknown_name():
     device = SsdDevice(Simulator())
-    with pytest.raises(ValueError, match="clean.*fragmented.*aged.*none"):
+    with pytest.raises(ValueError, match="clean.*fragmented.*none"):
         condition_device(device, "fragmentd")

@@ -1,25 +1,22 @@
 """Differential-testing kit for the SSD model.
 
 One randomized open-loop workload, generated once from a seed, is
-replayed through differently configured devices (reference idealized
-FTL vs DFTL-with-infinite-cache, wear dynamics on vs off, ...) and the
-device-visible behaviour is captured exactly: every command's
-completion time, the host-facing counters, the FTL's program/erase
-accounting, and the final logical-to-physical state.
+replayed through freshly built devices and the device-visible behaviour
+is captured exactly: every command's completion time, the host-facing
+counters, the FTL's program/erase accounting, the per-block erase
+counts (what least-worn-first block choice balances) and the final
+logical-to-physical state.
 
 ``replay`` is deliberately untolerant -- results compare with ``==``
 so any divergence, down to the last microsecond of a completion time,
-fails the differential tests.  This is what lets the fidelity layers
-(mapping cache, wear levelling) claim to be *strictly additive*: with
-an infinite cache and wear dynamics disabled they must reproduce the
-reference byte for byte.
+fails the differential tests.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, replace
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Tuple
 
 from repro.fabric.request import FabricRequest
 from repro.sim.engine import Simulator
@@ -27,7 +24,6 @@ from repro.ssd.commands import DeviceCommand, IoOp
 from repro.ssd.conditioning import precondition_clean, precondition_fragmented
 from repro.ssd.device import SsdDevice
 from repro.ssd.geometry import SsdGeometry
-from repro.ssd.profiles import profile_by_name
 
 #: Default geometry for differential runs: small enough to churn
 #: through GC in a few hundred operations, enough overprovisioning for
@@ -56,7 +52,6 @@ class ReplayResult:
     completions: Tuple[Tuple[int, str, int, int, float, float], ...]
     device_stats: object
     ftl_stats: object
-    wear: object
     page_map: Tuple[int, ...]
     erase_counts: Tuple[int, ...]
     final_time_us: float
@@ -67,7 +62,6 @@ class ReplayResult:
         for field in (
             "device_stats",
             "ftl_stats",
-            "wear",
             "page_map",
             "erase_counts",
             "final_time_us",
@@ -143,17 +137,12 @@ def replay(
     schedule: List[ReplayOp],
     *,
     geometry: SsdGeometry = DIFF_GEOMETRY,
-    profile_name: str = "dct983",
-    profile_overrides: Optional[dict] = None,
     condition: str = "fragmented",
     carrier: Callable[[ReplayOp], object] = as_device_command,
 ) -> ReplayResult:
     """Run one schedule through a freshly built device, capture everything."""
     sim = Simulator()
-    profile = profile_by_name(profile_name)
-    if profile_overrides:
-        profile = profile.with_overrides(**profile_overrides)
-    device = SsdDevice(sim, profile=profile, geometry=geometry)
+    device = SsdDevice(sim, geometry=geometry)
     if condition == "clean":
         precondition_clean(device)
     elif condition == "fragmented":
@@ -183,7 +172,6 @@ def replay(
         completions=tuple(completions),
         device_stats=replace(device.stats),
         ftl_stats=replace(ftl.stats),
-        wear=ftl.wear_stats(),
         page_map=tuple(ftl.page_map),
         erase_counts=tuple(ftl._erase_counts),
         final_time_us=sim.now,

@@ -5,14 +5,14 @@ preconditioning into a dict lookup, which makes its *key* a
 correctness surface: if two different conditioning targets collide,
 one experiment silently runs on another experiment's device.  These
 tests pin the key down across every axis -- kind, parameters, seed,
-geometry, the GC watermarks, and the FTL fidelity knobs introduced
-with the DFTL cache and wear dynamics.
+geometry and the GC watermarks.
 """
 
 from __future__ import annotations
 
 import tracemalloc
 from array import array
+from dataclasses import replace
 
 import pytest
 
@@ -20,7 +20,6 @@ from repro.sim.engine import Simulator
 from repro.ssd.conditioning import (
     _MAX_SNAPSHOTS,
     _snapshot_cache,
-    age_device,
     clear_conditioning_cache,
     precondition_clean,
     precondition_fragmented,
@@ -42,9 +41,7 @@ def fresh_cache():
 
 
 def make_device(geometry=GEOMETRY, **overrides):
-    profile = profile_by_name("dct983")
-    if overrides:
-        profile = profile.with_overrides(**overrides)
+    profile = replace(profile_by_name("dct983"), **overrides)
     return SsdDevice(Simulator(), profile=profile, geometry=geometry)
 
 
@@ -52,16 +49,7 @@ class TestKeySeparation:
     def test_kinds_never_collide(self):
         precondition_clean(make_device())
         precondition_fragmented(make_device())
-        age_device(make_device(), age=0.5)
-        assert len(_snapshot_cache) == 3
-
-    def test_aged_params_are_distinct_entries(self):
-        age_device(make_device(), age=0.2)
-        age_device(make_device(), age=0.8)
-        age_device(make_device(), age=0.8, wear_skew=0.5)
-        age_device(make_device(), age=0.8, seed=2)
-        age_device(make_device(), age=0.8, overwrite_factor=1.0)
-        assert len(_snapshot_cache) == 5
+        assert len(_snapshot_cache) == 2
 
     def test_fragmented_seed_and_factor_are_distinct(self):
         precondition_fragmented(make_device(), seed=1)
@@ -77,18 +65,6 @@ class TestKeySeparation:
         precondition_fragmented(make_device(geometry=other))
         assert len(_snapshot_cache) == 2
 
-    def test_fidelity_knobs_are_part_of_the_key(self):
-        """A DFTL device and a reference device condition differently
-        (cache residency, wear state) -- they must not share snapshots."""
-        precondition_fragmented(make_device())
-        precondition_fragmented(make_device(map_cache_pages=2))
-        precondition_fragmented(make_device(map_cache_pages=4))
-        precondition_fragmented(make_device(endurance_cycles=50))
-        precondition_fragmented(
-            make_device(endurance_cycles=50, static_wear_threshold=10)
-        )
-        assert len(_snapshot_cache) == 5
-
     def test_gc_watermarks_are_part_of_the_key(self):
         """The watermarks decide when GC runs, so a device with others
         must condition afresh rather than restore this layout."""
@@ -101,34 +77,34 @@ class TestKeySeparation:
         precondition_clean(fresh)
         assert restored.ftl.snapshot() == fresh.ftl.snapshot()
 
-    def test_two_aged_devices_same_params_share_one_entry(self):
+    def test_two_devices_same_params_share_one_entry(self):
         first = make_device()
-        age_device(first, age=0.5)
+        precondition_fragmented(first, seed=3)
         second = make_device()
-        age_device(second, age=0.5)
+        precondition_fragmented(second, seed=3)
         assert len(_snapshot_cache) == 1
         assert second.ftl.page_map == first.ftl.page_map
         assert second.ftl._erase_counts == first.ftl._erase_counts
 
 
 class TestCacheIsBounded:
-    def test_per_point_aged_keys_do_not_accumulate(self):
-        """A sweep that ages every point with its own seed stores
+    def test_per_point_keys_do_not_accumulate(self):
+        """A sweep that fragments every point with its own seed stores
         snapshots it never reads back; only the newest few may stay."""
         for seed in range(_MAX_SNAPSHOTS + 3):
-            age_device(make_device(), age=0.5, seed=seed)
+            precondition_fragmented(make_device(), seed=seed)
         assert len(_snapshot_cache) == _MAX_SNAPSHOTS
         newest = {key[-1] for key in _snapshot_cache}
         assert newest == set(range(3, _MAX_SNAPSHOTS + 3))
 
     def test_entries_in_use_survive_a_stream_of_one_shot_keys(self):
         """Eviction is by recency of *use*: the clean and fragmented
-        states every other point restores outlive the aged one-offs."""
+        states every other point restores outlive the one-off seeds."""
         precondition_clean(make_device())
         precondition_fragmented(make_device())
         stored = dict(_snapshot_cache)
-        for seed in range(3 * _MAX_SNAPSHOTS):
-            age_device(make_device(), age=0.5, seed=seed)
+        for seed in range(100, 100 + 3 * _MAX_SNAPSHOTS):
+            precondition_fragmented(make_device(), seed=seed)
             precondition_clean(make_device())
             precondition_fragmented(make_device())
         assert len(_snapshot_cache) == _MAX_SNAPSHOTS
@@ -142,32 +118,29 @@ class TestRestoredStateIsIsolated:
         """Mutating a restored device must not corrupt the cache entry
         the next device will restore from."""
         first = make_device()
-        age_device(first, age=0.5)
+        precondition_fragmented(first)
         for lpn in range(64):
             first.ftl.write_page(lpn)
         second = make_device()
-        age_device(second, age=0.5)
+        precondition_fragmented(second)
         assert second.ftl.page_map != first.ftl.page_map or first.ftl.stats != second.ftl.stats
         second.ftl.check_invariants()
 
     def test_warm_restore_matches_cold_conditioning(self):
-        cold = make_device(map_cache_pages=2)
-        age_device(cold, age=0.6)
-        warm = make_device(map_cache_pages=2)
-        age_device(warm, age=0.6)
-        assert warm.ftl.page_map == cold.ftl.page_map
-        assert warm.ftl._erase_counts == cold.ftl._erase_counts
-        assert warm.ftl.map_cache.snapshot() == cold.ftl.map_cache.snapshot()
+        cold = make_device()
+        precondition_fragmented(cold)
+        warm = make_device()
+        precondition_fragmented(warm)
+        assert warm.ftl.snapshot() == cold.ftl.snapshot()
 
     def test_settle_resets_measurement_not_layout(self):
-        device = make_device(map_cache_pages=2, endurance_cycles=3000)
-        age_device(device, age=0.7)
+        device = make_device()
+        precondition_fragmented(device)
         ftl = device.ftl
         assert ftl.stats.host_programs == 0  # conditioning traffic scrubbed
-        assert ftl.map_cache.misses == 0
+        assert ftl.stats.erases == 0
         assert ftl.mapped_pages > 0          # ...but the layout survived
-        assert ftl.wear_stats().mean_erases > 0
-        assert ftl.take_map_traffic() == (0, 0)
+        assert sum(ftl._erase_counts) > 0
 
 
 class TestFootprint:

@@ -4,13 +4,12 @@ from __future__ import annotations
 
 import math
 import random
-from functools import partial
 
 import pytest
 
 from repro.sim.engine import Simulator
 from repro.ssd.commands import DeviceCommand, IoOp
-from repro.ssd.conditioning import age_device, precondition_clean, precondition_fragmented
+from repro.ssd.conditioning import precondition_clean, precondition_fragmented
 from repro.ssd.device import NullDevice, SsdDevice
 
 
@@ -328,19 +327,15 @@ class TestConditioning:
     @pytest.mark.parametrize("value", [-1.0, math.nan, math.inf])
     @pytest.mark.parametrize(
         "condition, name",
-        [
-            (precondition_fragmented, "overwrite_factor"),
-            (partial(age_device, age=0.5), "overwrite_factor"),
-            (partial(age_device, age=0.5), "wear_skew"),
-        ],
-        ids=["fragmented-overwrite_factor", "aged-overwrite_factor", "aged-wear_skew"],
+        [(precondition_fragmented, "overwrite_factor")],
+        ids=["fragmented-overwrite_factor"],
     )
     def test_conditioning_factors_must_be_finite_and_non_negative(
         self, sim, condition, name, value
     ):
-        """Fragmented and aged conditioning refuse the same factors, by
-        name: a negative factor, NaN (which ``max(0.0, nan)`` and ``int()``
-        used to swallow or choke on) and infinity."""
+        """Fragmented conditioning refuses a bad factor by name: a
+        negative factor, NaN (which ``int()`` used to choke on) and
+        infinity."""
         with pytest.raises(ValueError, match=f"{name} must be finite and non-negative"):
             condition(SsdDevice(sim), **{name: value})
 

@@ -211,20 +211,57 @@ class TestSnapshotRestore:
         target.reset_measurement()
         assert target.stats.host_programs == 0
 
-    def test_restore_tolerates_pre_fidelity_snapshots(self, geometry):
-        """Snapshots without the new keys restore with default state."""
+
+def _churn(ftl, geometry, passes, seed=0):
+    """Fill the device, then ``passes`` capacities of uniform overwrites."""
+    rng = random.Random(seed)
+    for lpn in range(geometry.exported_pages):
+        ftl.write_page(lpn)
+    for _ in range(geometry.exported_pages * passes):
+        ftl.write_page(rng.randrange(geometry.exported_pages))
+
+
+class TestWearLevelling:
+    """Least-worn-first free-block choice, the FTL's one wear mechanism."""
+
+    def test_erase_counts_accumulate(self):
+        geometry = SsdGeometry(num_channels=2, blocks_per_channel=10, pages_per_block=32,
+                               overprovision=0.4)
+        ftl = Ftl(geometry)
+        _churn(ftl, geometry, passes=3)
+        assert sum(ftl._erase_counts) == ftl.stats.erases > 0
+
+    def test_wear_spread_stays_bounded_under_uniform_churn(self):
+        """Least-worn-first free-block selection keeps the erase-count
+        gap small relative to the mean."""
+        geometry = SsdGeometry(num_channels=2, blocks_per_channel=12, pages_per_block=32,
+                               overprovision=0.35)
+        ftl = Ftl(geometry)
+        _churn(ftl, geometry, passes=10)
+        counts = ftl._erase_counts
+        mean = sum(counts) / len(counts)
+        assert mean > 3
+        # Hot GC blocks inevitably cycle more, but the spread must not
+        # dwarf the mean (no block left permanently cold).
+        assert max(counts) - min(counts) <= max(6.0, 2.0 * mean)
+
+    def test_host_block_is_the_least_worn_free_block(self, ftl):
+        free = list(ftl._free[0])
+        for wear, block_id in enumerate(reversed(free)):
+            ftl._erase_counts[block_id] = 10 + wear
+        coldest = free[len(free) // 2]
+        ftl._erase_counts[coldest] = 1
+        ppn, _ = ftl.write_page(0)  # the first write opens channel 0's host block
+        assert ftl.geometry.block_of_page(ppn) == coldest
+
+    def test_wear_survives_snapshot_restore(self):
+        geometry = SsdGeometry(num_channels=2, blocks_per_channel=10, pages_per_block=32,
+                               overprovision=0.4)
         source = Ftl(geometry)
-        for lpn in range(geometry.exported_pages):
-            source.write_page(lpn)
-        snap = source.snapshot()
-        for key in ("stats", "retired", "retired_blocks", "map_reads_pending",
-                    "map_writes_pending", "map_cache"):
-            snap.pop(key)
+        _churn(source, geometry, passes=3)
         target = Ftl(geometry)
-        target.restore(snap)
-        assert target.stats.host_programs == 0
-        assert target.retired_blocks == 0
-        target.check_invariants()
+        target.restore(source.snapshot())
+        assert target._erase_counts == source._erase_counts
 
 
 class TestPropertyBased:

@@ -5,15 +5,14 @@ locals, and ``Ftl._relocate_block`` moves a victim's live pages with a
 few slice operations.  :class:`ReferenceFtl` below keeps the algorithm
 they replaced -- one ``_invalidate`` / ``_append`` / ``_map`` per page,
 a 256-slot walk per victim -- on top of the *same* block pools, victim
-selection, wear levelling and retirement code, so the two can only
+selection and least-worn-first block choice, so the two can only
 differ where the flattening went wrong.
 
 Hypothesis drives both with the same write/trim sequences over the
-four configurations of ``test_ftl_property.py``.  Every call must
-return the same physical page and the same GC work, and after every
-operation the complete state must be equal: mapping, reverse map,
-valid counts, block pools, open slots, wear, retirement, stats, pending
-translation traffic and the mapping cache (counters *and* LRU order).
+configurations of ``test_ftl_property.py``.  Every call must return
+the same physical page and the same GC work, and after every operation
+the complete state must be equal: mapping, reverse map, valid counts,
+block pools, open slots, erase counts and stats (``Ftl.snapshot()``).
 ``Ftl.write_run``, the segment-at-a-time sequential write that
 conditioning uses, is held to the reference's per-page loop the same
 way.
@@ -25,7 +24,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.ssd.ftl import _GC_STREAM, _HOST_STREAM, _UNMAPPED, Ftl, FtlError, GcWork, WearConfig
+from repro.ssd.ftl import _GC_STREAM, _HOST_STREAM, _UNMAPPED, Ftl, FtlError, GcWork
 from repro.ssd.geometry import SsdGeometry
 from tests.ssd.test_ftl_property import CONFIGS, EXPORTED, GEOMETRY, SETTINGS
 
@@ -37,8 +36,6 @@ class ReferenceFtl(Ftl):
         if not 0 <= lpn < len(self.page_map):
             raise ValueError(f"LPN {lpn} outside exported range")
         work = GcWork()
-        if self.map_cache is not None:
-            self._map_access(lpn, dirty=True)
         self._invalidate(lpn)
         channel = self._next_host_channel
         self._next_host_channel = (channel + 1) % self.geometry.num_channels
@@ -48,8 +45,6 @@ class ReferenceFtl(Ftl):
         return ppn, work
 
     def trim_page(self, lpn):
-        if self.map_cache is not None:
-            self._map_access(lpn, dirty=True)
         self._invalidate(lpn)
 
     def _map(self, lpn, ppn):
@@ -80,7 +75,7 @@ class ReferenceFtl(Ftl):
             self._open[channel][stream] = (block_id, offset)
         return ppn
 
-    def _relocate_block(self, victim, channel, work, wl=False):
+    def _relocate_block(self, victim, channel, work):
         base = victim * self.geometry.pages_per_block
         for offset in range(self.geometry.pages_per_block):
             ppn = base + offset
@@ -95,34 +90,17 @@ class ReferenceFtl(Ftl):
             self._valid_count[self.geometry.block_of_page(new_ppn)] += 1
             work.relocation_reads += 1
             work.relocation_programs += 1
-            if wl:
-                self.stats.wl_programs += 1
-            else:
-                self.stats.gc_programs += 1
-            if self.map_cache is not None:
-                self._map_access(lpn, dirty=True)
+            self.stats.gc_programs += 1
         assert self._valid_count[victim] == 0, "victim still holds valid pages"
         work.erases += 1
         self.stats.erases += 1
         self._erase_counts[victim] += 1
 
 
-#: ``test_ftl_property``'s geometry keeps exactly the blocks its data
-#: needs, so the retirement floor vetoes every endurance death there;
-#: this one has two blocks per channel to lose.
-ROOMY_GEOMETRY = SsdGeometry(
-    num_channels=2, blocks_per_channel=14, pages_per_block=16, overprovision=0.45
-)
-
-
-def _retiring():
-    return Ftl(ROOMY_GEOMETRY, wear=WearConfig(endurance_cycles=6, static_wear_threshold=3))
-
-
 def _pair(factory):
     """The flattened FTL and the reference, identically configured."""
     ftl = factory()
-    return ftl, ReferenceFtl(ftl.geometry, mapping_cache=factory().map_cache, wear=ftl.wear)
+    return ftl, ReferenceFtl(ftl.geometry)
 
 
 def _churn(ftl, reference, writes):
@@ -135,16 +113,6 @@ def _churn(ftl, reference, writes):
         ppn, work = ftl.write_page(lpn)
         ref_ppn, ref_work = reference.write_page(lpn)
         assert ppn == ref_ppn and _work(work) == _work(ref_work)
-
-
-def _state(ftl):
-    """Everything the FTL holds, in directly comparable form."""
-    state = ftl.snapshot()
-    state["retired_on_channel"] = list(ftl._retired_on_channel)
-    if ftl.map_cache is not None:
-        # Dict equality ignores order, and residency order is the LRU.
-        state["map_cache_lru"] = list(state["map_cache"]["resident"].items())
-    return state
 
 
 def _work(work):
@@ -168,9 +136,9 @@ ops_strategy = st.lists(
 def test_every_call_and_every_state_match(config, ops):
     ftl, reference = _pair(CONFIGS[config])
     # Start full and already collecting, so the drawn operations land
-    # on GC (and, in the worn configuration, on wear levelling).
+    # on GC.
     _churn(ftl, reference, 2 * EXPORTED)
-    assert _state(ftl) == _state(reference)
+    assert ftl.snapshot() == reference.snapshot()
     for op, lpn in ops:
         if op == "write":
             ppn, work = ftl.write_page(lpn)
@@ -181,20 +149,18 @@ def test_every_call_and_every_state_match(config, ops):
         else:
             ftl.trim_page(lpn)
             reference.trim_page(lpn)
-        assert _state(ftl) == _state(reference)
+        assert ftl.snapshot() == reference.snapshot()
     ftl.check_invariants()
 
 
-@pytest.mark.parametrize("config", sorted(CONFIGS) + ["retiring"])
-def test_sustained_overwrite_matches_through_gc_levelling_and_retirement(config):
-    ftl, reference = _pair(CONFIGS.get(config, _retiring))
+@pytest.mark.parametrize("config", sorted(CONFIGS))
+def test_sustained_overwrite_matches_through_gc_and_levelling(config):
+    ftl, reference = _pair(CONFIGS[config])
     _churn(ftl, reference, 12 * len(ftl.page_map))
     assert ftl.stats.gc_programs > 0 and ftl.stats.erases > 0
-    if config == "worn":
-        assert ftl.stats.wl_migrations > 0
-    if config == "retiring":
-        assert ftl.retired_blocks > 0
-    assert _state(ftl) == _state(reference)
+    # Least-worn-first block choice spread the erases over the blocks.
+    assert min(ftl._erase_counts) > 0
+    assert ftl.snapshot() == reference.snapshot()
     ftl.check_invariants()
 
 
@@ -208,7 +174,6 @@ SINGLE_PAGE_GEOMETRY = SsdGeometry(
 )
 RUN_CONFIGS = dict(
     CONFIGS,
-    retiring=_retiring,
     uneven=lambda: Ftl(UNEVEN_GEOMETRY),
     single_page=lambda: Ftl(SINGLE_PAGE_GEOMETRY),
 )
@@ -242,22 +207,22 @@ def test_write_run_matches_a_write_page_loop(config, churned, data):
         else:
             ftl.trim_page(first)
             reference.trim_page(first)
-        assert _state(ftl) == _state(reference)
+        assert ftl.snapshot() == reference.snapshot()
     ftl.check_invariants()
 
 
 def test_write_run_checks_its_arguments():
-    ftl = CONFIGS["dftl-tiny"]()
+    ftl = CONFIGS["reference"]()
     exported = len(ftl.page_map)
     ftl.write_run(0, exported // 2)
-    before = _state(ftl)
+    before = ftl.snapshot()
     ftl.write_run(3, 0)
     ftl.write_run(exported, 0)
-    assert _state(ftl) == before
+    assert ftl.snapshot() == before
     for first, count in ((0, -1), (-1, 2), (exported - 1, 2), (exported + 1, 0)):
         with pytest.raises(ValueError, match="outside exported range"):
             ftl.write_run(first, count)
-        assert _state(ftl) == before
+        assert ftl.snapshot() == before
 
 
 def test_write_run_fails_where_the_loop_fails_and_leaves_its_state():
@@ -273,7 +238,7 @@ def test_write_run_fails_where_the_loop_fails_and_leaves_its_state():
         for _ in range(2):
             for lpn in range(exported):
                 reference.write_page(lpn)
-    assert _state(ftl) == _state(reference)
+    assert ftl.snapshot() == reference.snapshot()
 
 
 def test_no_gc_work_cannot_be_altered_through_a_caller():
