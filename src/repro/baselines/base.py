@@ -11,6 +11,7 @@ policy admits an IO to the device.
 from __future__ import annotations
 
 import abc
+import math
 from typing import TYPE_CHECKING, Dict, Optional
 
 from repro.fabric.request import FabricRequest
@@ -55,8 +56,10 @@ class StorageScheduler(abc.ABC):
 
     def register_tenant(self, tenant_id: str, weight: float = 1.0) -> None:
         """Declare a tenant before its first IO arrives."""
-        if weight <= 0:
-            raise ValueError("tenant weight must be positive")
+        # Not ``weight <= 0``: NaN passes that test, and a NaN or
+        # infinite weight turns every deficit test true.
+        if not (weight > 0 and math.isfinite(weight)):
+            raise ValueError(f"tenant weight must be positive and finite, got {weight!r}")
         self.tenant_weights[tenant_id] = weight
 
     def unregister_tenant(self, tenant_id: str) -> None:

@@ -417,7 +417,7 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
 
     from repro.harness.report import format_table
     from repro.sim.engine import Simulator
-    from repro.ssd.commands import DeviceCommand, IoOp
+    from repro.ssd.commands import OP_READ, OP_WRITE, DeviceCommand
     from repro.ssd.conditioning import condition_device
     from repro.ssd.device import SsdDevice
     from repro.ssd.profiles import profile_by_name
@@ -457,11 +457,11 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
 
     rows = []
     for label, condition, qd, op, npages, seq in (
-        ("4K rand read QD128", "clean", 128, IoOp.READ, 1, False),
-        ("4K rand read QD1", "clean", 1, IoOp.READ, 1, False),
-        ("128K rand read QD8", "clean", 8, IoOp.READ, 32, False),
-        ("128K seq write QD4", "clean", 4, IoOp.WRITE, 32, True),
-        ("4K rand write QD32 (frag)", "fragmented", 32, IoOp.WRITE, 1, False),
+        ("4K rand read QD128", "clean", 128, OP_READ, 1, False),
+        ("4K rand read QD1", "clean", 1, OP_READ, 1, False),
+        ("128K rand read QD8", "clean", 8, OP_READ, 32, False),
+        ("128K seq write QD4", "clean", 4, OP_WRITE, 32, True),
+        ("4K rand write QD32 (frag)", "fragmented", 32, OP_WRITE, 1, False),
     ):
         mbps, iops, latency, wa = closed_loop(condition, qd, op, npages, seq)
         rows.append((label, mbps, iops / 1000.0, latency, wa))

@@ -23,10 +23,17 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.core.config import GimbalParams
-from repro.core.congestion import CongestionState, LatencyMonitor
+from repro.core.congestion import (
+    STATE_CONGESTED,
+    STATE_CONGESTION_AVOIDANCE,
+    STATE_OVERLOADED,
+    STATE_UNDERUTILIZED,
+    CongestionState,
+    LatencyMonitor,
+)
 from repro.core.rate_control import DualTokenBucket
 from repro.core.switch import GimbalScheduler
-from repro.ssd.commands import IoOp
+from repro.ssd.commands import OP_READ, OP_WRITE, IoOp
 
 
 class FixedThresholdMonitor(LatencyMonitor):
@@ -41,13 +48,13 @@ class FixedThresholdMonitor(LatencyMonitor):
         params = self.params
         ewma = self.ewma.update(latency_us)
         if ewma > params.thresh_max_us and params.thresh_max_us > self._fixed:
-            state = CongestionState.OVERLOADED
+            state = STATE_OVERLOADED
         elif ewma > self._fixed:
-            state = CongestionState.CONGESTED
+            state = STATE_CONGESTED
         elif ewma > params.thresh_min_us:
-            state = CongestionState.CONGESTION_AVOIDANCE
+            state = STATE_CONGESTION_AVOIDANCE
         else:
-            state = CongestionState.UNDERUTILIZED
+            state = STATE_UNDERUTILIZED
         if state is not self.state:
             self.transitions += 1
         self.state = state
@@ -65,8 +72,8 @@ class FixedThresholdGimbal(GimbalScheduler):
     ):
         super().__init__(params)
         self.monitors = {
-            IoOp.READ: FixedThresholdMonitor(self.params, fixed_threshold_us),
-            IoOp.WRITE: FixedThresholdMonitor(self.params, fixed_threshold_us),
+            OP_READ: FixedThresholdMonitor(self.params, fixed_threshold_us),
+            OP_WRITE: FixedThresholdMonitor(self.params, fixed_threshold_us),
         }
 
 

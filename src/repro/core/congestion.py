@@ -35,6 +35,14 @@ class CongestionState(enum.IntEnum):
     OVERLOADED = 3
 
 
+#: The members as module globals, for the reason ``repro.ssd.commands``
+#: gives for ``OP_*``: the switch tests a state several times per IO.
+STATE_UNDERUTILIZED = CongestionState.UNDERUTILIZED
+STATE_CONGESTION_AVOIDANCE = CongestionState.CONGESTION_AVOIDANCE
+STATE_CONGESTED = CongestionState.CONGESTED
+STATE_OVERLOADED = CongestionState.OVERLOADED
+
+
 class LatencyMonitor:
     """EWMA latency tracking plus dynamic threshold for one IO type."""
 
@@ -44,7 +52,7 @@ class LatencyMonitor:
         # Start mid-range: low enough to detect early congestion, high
         # enough not to cry wolf on the first samples.
         self.threshold = (params.thresh_min_us + params.thresh_max_us) / 2.0
-        self.state = CongestionState.UNDERUTILIZED
+        self.state = STATE_UNDERUTILIZED
         self.signals = {state: 0 for state in CongestionState}
         #: State changes observed (observability; transitions are also
         #: journalled by the switch when tracing is enabled).
@@ -75,16 +83,16 @@ class LatencyMonitor:
         threshold = self.threshold
         if ewma > thresh_max:
             threshold = thresh_max
-            state = CongestionState.OVERLOADED
+            state = STATE_OVERLOADED
         elif ewma > threshold:
             threshold = (threshold + thresh_max) / 2.0
-            state = CongestionState.CONGESTED
+            state = STATE_CONGESTED
         else:
             threshold -= params.alpha_t * (threshold - ewma)
             if ewma > thresh_min:
-                state = CongestionState.CONGESTION_AVOIDANCE
+                state = STATE_CONGESTION_AVOIDANCE
             else:
-                state = CongestionState.UNDERUTILIZED
+                state = STATE_UNDERUTILIZED
         if threshold < thresh_min:
             threshold = thresh_min
         elif threshold > thresh_max:

@@ -26,8 +26,13 @@ from collections import deque
 from typing import Deque, Tuple
 
 from repro.core.config import GimbalParams
-from repro.core.congestion import CongestionState
-from repro.ssd.commands import IoOp
+from repro.core.congestion import (
+    STATE_CONGESTED,
+    STATE_CONGESTION_AVOIDANCE,
+    STATE_OVERLOADED,
+    CongestionState,
+)
+from repro.ssd.commands import OP_READ, IoOp
 
 
 class CompletionRateMeter:
@@ -96,7 +101,7 @@ class DualTokenBucket:
     def consume(self, op: IoOp, nbytes: int) -> None:
         # Trims ride the write path (dataset management); reads have
         # their own bucket.
-        if op is IoOp.READ:
+        if op is OP_READ:
             if self.read_tokens < nbytes:
                 raise ValueError("insufficient tokens")
             self.read_tokens -= nbytes
@@ -162,21 +167,21 @@ class RateController:
         # window to give a rate delta of the same flavour (one window's
         # worth of that IO).
         step = nbytes / params.completion_rate_window_us
-        if state is CongestionState.OVERLOADED:
+        if state is STATE_OVERLOADED:
             # Snap below the device's measured service rate and kill
             # any buffered burst; incremental steps cannot converge
             # when the workload mix shifted under us.
             self.bucket.discard()
             target = meter._bytes_in_window / meter.window_us - step
-        elif state is CongestionState.CONGESTED:
+        elif state is STATE_CONGESTED:
             target = self.target_rate - step
-        elif state is CongestionState.CONGESTION_AVOIDANCE:
+        elif state is STATE_CONGESTION_AVOIDANCE:
             target = self.target_rate + step
         else:  # UNDERUTILIZED: probe aggressively.
             target = self.target_rate + params.beta * step
         # Keep the target tethered to reality: at most ``headroom`` x
         # the measured completion rate (see GimbalParams for rationale).
-        if overall_state >= CongestionState.CONGESTION_AVOIDANCE:
+        if overall_state >= STATE_CONGESTION_AVOIDANCE:
             measured = clamp_meter._bytes_in_window / clamp_meter.window_us
             if measured > 0:
                 ceiling = measured * params.completion_headroom

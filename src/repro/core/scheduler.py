@@ -18,6 +18,7 @@ clients prioritise latency-sensitive IOs over bulk traffic.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from typing import Callable, Deque, Dict, List, Optional, Tuple
 
@@ -25,7 +26,7 @@ from repro.core.config import GimbalParams
 from repro.core.rate_control import DualTokenBucket
 from repro.core.virtual_slot import SlotManager, VirtualSlot
 from repro.fabric.request import FabricRequest
-from repro.ssd.commands import IoOp
+from repro.ssd.commands import OP_READ, OP_TRIM, OP_WRITE, IoOp
 
 
 class GimbalTenant:
@@ -144,8 +145,10 @@ class DrrSlotScheduler:
     def add_tenant(self, tenant_id: str, weight: float = 1.0) -> GimbalTenant:
         if tenant_id in self.tenants:
             return self.tenants[tenant_id]
-        if weight <= 0:
-            raise ValueError("tenant weight must be positive")
+        # Not ``weight <= 0``: NaN passes that test, and a NaN or
+        # infinite weight turns every deficit test true.
+        if not (weight > 0 and math.isfinite(weight)):
+            raise ValueError(f"tenant weight must be positive and finite, got {weight!r}")
         tenant = GimbalTenant(tenant_id, weight, self.params.slot_bytes)
         self.tenants[tenant_id] = tenant
         self._recompute_slot_limit()
@@ -198,12 +201,12 @@ class DrrSlotScheduler:
                 tenant.in_active = False
                 continue
             op = request.op
-            if op is IoOp.TRIM:
+            if op is OP_TRIM:
                 token_bytes = 4096
                 weighted = 4096.0
             else:
                 token_bytes = request.npages * 4096
-                weighted = write_cost * token_bytes if op is IoOp.WRITE else float(token_bytes)
+                weighted = write_cost * token_bytes if op is OP_WRITE else float(token_bytes)
             if tenant.deficit < weighted:
                 # Weighted DRR: a tenant's quantum scales with its
                 # share weight, so weight-2 tenants accumulate service
@@ -211,7 +214,7 @@ class DrrSlotScheduler:
                 tenant.deficit += quantum * tenant.weight
                 active.rotate(-1)
                 continue
-            tokens = bucket.read_tokens if op is IoOp.READ else bucket.write_tokens
+            tokens = bucket.read_tokens if op is OP_READ else bucket.write_tokens
             if tokens < token_bytes:
                 bucket.denials += 1
                 return op, token_bytes - tokens

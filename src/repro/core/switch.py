@@ -31,7 +31,7 @@ from repro.core.write_cost import WriteCostEstimator
 from repro.fabric.request import FabricRequest
 from repro.obs.trace import TraceType
 from repro.sim.units import MBPS
-from repro.ssd.commands import IoOp
+from repro.ssd.commands import OP_READ, OP_TRIM, OP_WRITE, IoOp
 
 
 def expand_view(snapshot: tuple) -> dict:
@@ -64,8 +64,8 @@ class GimbalScheduler(StorageScheduler):
         super().__init__()
         self.params = params or GimbalParams()
         self.monitors: Dict[IoOp, LatencyMonitor] = {
-            IoOp.READ: LatencyMonitor(self.params),
-            IoOp.WRITE: LatencyMonitor(self.params),
+            OP_READ: LatencyMonitor(self.params),
+            OP_WRITE: LatencyMonitor(self.params),
         }
         self.rate = RateController(self.params)
         self.write_cost = WriteCostEstimator(self.params)
@@ -104,8 +104,8 @@ class GimbalScheduler(StorageScheduler):
         super().attach(pipeline)
         # Resolved here, not in __init__: ablation constructors swap
         # ``monitors`` after ours has run.
-        self._read_monitor = self.monitors[IoOp.READ]
-        self._write_monitor = self.monitors[IoOp.WRITE]
+        self._read_monitor = self.monitors[OP_READ]
+        self._write_monitor = self.monitors[OP_WRITE]
 
     def enqueue(self, request: FabricRequest) -> None:
         drr = self.drr
@@ -122,9 +122,9 @@ class GimbalScheduler(StorageScheduler):
         sim = self.sim
         now = sim.now
         op = request.op
-        if op is not IoOp.TRIM:
+        if op is not OP_TRIM:
             # Trims are metadata-only: they carry no congestion signal.
-            if op is IoOp.READ:
+            if op is OP_READ:
                 monitor, other = self._read_monitor, self._write_monitor
             else:
                 monitor, other = self._write_monitor, self._read_monitor
@@ -137,7 +137,7 @@ class GimbalScheduler(StorageScheduler):
             if state > overall:
                 overall = state
             self.rate.on_completion(now, op, request.npages * 4096, state, overall)
-            if op is IoOp.WRITE:
+            if op is OP_WRITE:
                 self.write_cost.observe_write_latency(now, monitor.ewma.value)
         slot = request._slot
         request._slot = None
@@ -168,7 +168,8 @@ class GimbalScheduler(StorageScheduler):
         if tenant is None:
             return 0
         per_slot = tenant.slots.last_drained_io_count or self.params.initial_slot_io_count
-        return max(1, self.drr.slot_limit * per_slot)
+        credit = self.drr.slot_limit * per_slot
+        return credit if credit > 1 else 1
 
     def view_snapshot(self) -> tuple:
         return (
@@ -209,12 +210,20 @@ class GimbalScheduler(StorageScheduler):
                 deficit_bytes=token_deficit,
             )
         # Wake the pump when the blocking bucket will have refilled.
-        if op is IoOp.READ:
+        if op is OP_READ:
             share = rate.target_rate * write_cost / (1.0 + write_cost)
         else:
             share = rate.target_rate / (1.0 + write_cost)
-        share = max(share, self.params.min_rate_bytes_per_us / (1.0 + write_cost))
-        delay = min(max(token_deficit / share, 1.0), 50_000.0)
+        # The clamps are comparisons: a ``max``/``min`` call costs more
+        # than the test itself on this per-denial path.
+        floor = self.params.min_rate_bytes_per_us / (1.0 + write_cost)
+        if floor > share:
+            share = floor
+        delay = token_deficit / share
+        if delay < 1.0:
+            delay = 1.0
+        elif delay > 50_000.0:
+            delay = 50_000.0
         if self._refill_wakeup is not None:
             self._refill_wakeup.cancel()
         self._refill_wakeup = sim.schedule(delay, self._on_refill_wakeup)

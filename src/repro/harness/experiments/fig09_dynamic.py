@@ -18,7 +18,7 @@ from repro.harness.experiments.common import Sweep, derived_run
 from repro.harness.report import format_series
 from repro.harness.testbed import Testbed, TestbedConfig
 from repro.metrics.throughput import IntervalSeries
-from repro.ssd.commands import IoOp
+from repro.ssd.commands import OP_READ
 from repro.workloads.fio import FioSpec
 
 
@@ -73,7 +73,7 @@ def _point(
 
         def tapped(request, worker=worker, original=original):
             bandwidth[worker.spec.name].record(sim.now, request.size_bytes)
-            key = "read" if request.op is IoOp.READ else "write"
+            key = "read" if request.op is OP_READ else "write"
             latency[key].record(sim.now, request.device_latency_us)
             write_cost_series.record(sim.now, scheduler.write_cost.cost)
             original(request)

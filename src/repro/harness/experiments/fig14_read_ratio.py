@@ -15,7 +15,7 @@ from typing import Dict
 from repro.harness.experiments.common import build_sweep, derived_run, merge_rows
 from repro.harness.report import format_table
 from repro.sim.engine import Simulator
-from repro.ssd.commands import DeviceCommand, IoOp
+from repro.ssd.commands import OP_READ, OP_WRITE, DeviceCommand
 from repro.ssd.conditioning import condition_device
 from repro.ssd.device import SsdDevice
 
@@ -37,7 +37,7 @@ def _closed_loop(
     state = {"read_bytes": 0, "write_bytes": 0, "ops": 0}
 
     def issue():
-        op = IoOp.READ if rng.random() < read_ratio else IoOp.WRITE
+        op = OP_READ if rng.random() < read_ratio else OP_WRITE
         device.submit(DeviceCommand(op, rng.randrange(exported - 1), 1), on_complete)
 
     def on_complete(cmd):

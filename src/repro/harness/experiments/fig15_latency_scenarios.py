@@ -15,7 +15,7 @@ from typing import Dict
 from repro.harness.experiments.common import Sweep, derived_run, merge_rows
 from repro.harness.report import format_table
 from repro.sim.engine import Simulator
-from repro.ssd.commands import DeviceCommand, IoOp
+from repro.ssd.commands import OP_READ, OP_WRITE, DeviceCommand
 from repro.ssd.conditioning import condition_device
 from repro.ssd.device import SsdDevice
 
@@ -35,7 +35,7 @@ def _scenario_latency(scenario: str, io_pages: int, duration_us: float) -> float
 
     def issue_probe():
         device.submit(
-            DeviceCommand(IoOp.READ, rng.randrange(exported - io_pages), io_pages),
+            DeviceCommand(OP_READ, rng.randrange(exported - io_pages), io_pages),
             probe_done,
         )
 
@@ -48,7 +48,7 @@ def _scenario_latency(scenario: str, io_pages: int, duration_us: float) -> float
     if scenario == "70/30-rw":
         # Background 70/30 4 KiB mix at QD16.
         def issue_background():
-            op = IoOp.READ if rng.random() < 0.7 else IoOp.WRITE
+            op = OP_READ if rng.random() < 0.7 else OP_WRITE
             device.submit(
                 DeviceCommand(op, rng.randrange(exported - 1), 1), background_done
             )

@@ -15,7 +15,7 @@ from repro.harness.experiments.common import Sweep, derived_run
 from repro.harness.report import format_series
 from repro.harness.testbed import Testbed, TestbedConfig
 from repro.metrics.throughput import IntervalSeries
-from repro.ssd.commands import IoOp
+from repro.ssd.commands import OP_READ
 from repro.workloads.fio import FioSpec
 
 
@@ -31,7 +31,7 @@ def _point(
         for i in range(steps)
     ]
     sim = testbed.sim
-    monitor = testbed.target.pipelines["ssd0"].scheduler.monitors[IoOp.READ]
+    monitor = testbed.target.pipelines["ssd0"].scheduler.monitors[OP_READ]
     ewma_series = IntervalSeries(sample_window_us, mode="last")
     threshold_series = IntervalSeries(sample_window_us, mode="last")
 

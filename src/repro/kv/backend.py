@@ -18,7 +18,7 @@ from typing import Callable, Optional
 from repro.core.switch import expand_view
 from repro.fabric.initiator import TenantSession
 from repro.fabric.request import FabricRequest
-from repro.ssd.commands import IoOp
+from repro.ssd.commands import OP_READ, OP_TRIM, OP_WRITE
 
 IoCallback = Callable[[FabricRequest], None]
 
@@ -65,20 +65,20 @@ class RemoteBackend:
         self.reads += 1
         self.read_bytes += npages * 4096
         self.session.submit(
-            IoOp.READ, lba, npages, priority=priority, on_complete=self._wrap(on_complete)
+            OP_READ, lba, npages, priority=priority, on_complete=self._wrap(on_complete)
         )
 
     def write(self, lba: int, npages: int, on_complete: IoCallback, priority: int = 0) -> None:
         self.writes += 1
         self.write_bytes += npages * 4096
         self.session.submit(
-            IoOp.WRITE, lba, npages, priority=priority, on_complete=self._wrap(on_complete)
+            OP_WRITE, lba, npages, priority=priority, on_complete=self._wrap(on_complete)
         )
 
     def trim(self, lba: int, npages: int) -> None:
         """Fire-and-forget deallocate of a freed blob's range."""
         self.trims += 1
-        self.session.submit(IoOp.TRIM, lba, npages, on_complete=self._wrap(lambda req: None))
+        self.session.submit(OP_TRIM, lba, npages, on_complete=self._wrap(lambda req: None))
 
     def _wrap(self, on_complete: IoCallback) -> IoCallback:
         def observe(request: FabricRequest) -> None:

@@ -14,7 +14,13 @@ from typing import Callable, Dict, Optional
 from repro.kv.lsm import LsmTree
 from repro.metrics.histogram import LatencyHistogram
 from repro.metrics.throughput import ThroughputMonitor
-from repro.workloads.ycsb import YcsbOp, YcsbSpec, YcsbWorkloadGenerator
+from repro.workloads.ycsb import (
+    YCSB_READ,
+    YCSB_READ_MODIFY_WRITE,
+    YCSB_SCAN,
+    YcsbSpec,
+    YcsbWorkloadGenerator,
+)
 
 
 class YcsbRunner:
@@ -95,7 +101,7 @@ class YcsbRunner:
         op, key = self.generator.next_op()
         sim = self.sim
         start = sim.now
-        is_read = op is YcsbOp.READ or op is YcsbOp.SCAN
+        is_read = op is YCSB_READ or op is YCSB_SCAN
 
         def done(_result=None) -> None:
             # The histogram is looked up now, not when the op was
@@ -106,11 +112,11 @@ class YcsbRunner:
             self.ops.record(now, 1)
             self._next_op()
 
-        if op is YcsbOp.READ:
+        if op is YCSB_READ:
             self.tree.get(key, done)
-        elif op is YcsbOp.SCAN:
+        elif op is YCSB_SCAN:
             self.tree.scan(key, self.generator.next_scan_length(), done)
-        elif op is YcsbOp.READ_MODIFY_WRITE:
+        elif op is YCSB_READ_MODIFY_WRITE:
             # A get whose completion chains the put.
             self.tree.get(key, lambda found: self.tree.put(key, done))
         else:  # update / insert

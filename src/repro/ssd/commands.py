@@ -32,15 +32,15 @@ class IoOp(enum.Enum):
 
     @property
     def is_read(self) -> bool:
-        return self is IoOp.READ
+        return self is OP_READ
 
     @property
     def is_write(self) -> bool:
-        return self is IoOp.WRITE
+        return self is OP_WRITE
 
     @property
     def is_trim(self) -> bool:
-        return self is IoOp.TRIM
+        return self is OP_TRIM
 
 
 #: The members as module globals.  Reading a member through its class

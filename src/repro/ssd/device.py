@@ -344,7 +344,12 @@ class SsdDevice:
                         drains_at_us=self.sim.now + gc_debt_us[channel],
                     )
             wr_before = wr_horizon[channel]
-            channel_start = max(admit_time, wr_before, fg_horizon[channel])
+            channel_start = admit_time
+            if wr_before > channel_start:
+                channel_start = wr_before
+            fg_before = fg_horizon[channel]
+            if fg_before > channel_start:
+                channel_start = fg_before
             # Garbage collection runs opportunistically: debt retired
             # while the write path sat idle is invisible to foreground
             # latency (background GC); only the remainder is charged to

@@ -14,6 +14,7 @@ are not counted.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from typing import Dict, Optional
@@ -46,8 +47,9 @@ class FioSpec:
             raise ValueError("read ratio must be in [0, 1]")
         if self.pattern not in ("random", "sequential"):
             raise ValueError("pattern must be 'random' or 'sequential'")
-        if self.rate_limit_mbps is not None and self.rate_limit_mbps <= 0:
-            raise ValueError("rate limit must be positive")
+        limit = self.rate_limit_mbps
+        if limit is not None and not (limit > 0 and math.isfinite(limit)):
+            raise ValueError(f"rate limit must be positive and finite, got {limit!r}")
 
     @property
     def io_bytes(self) -> int:

@@ -122,6 +122,15 @@ class YcsbOp(enum.Enum):
     SCAN = "scan"
 
 
+#: The members as module globals, for the reason ``repro.ssd.commands``
+#: gives for ``OP_*``: the generator and the KV client test one per op.
+YCSB_READ = YcsbOp.READ
+YCSB_UPDATE = YcsbOp.UPDATE
+YCSB_INSERT = YcsbOp.INSERT
+YCSB_READ_MODIFY_WRITE = YcsbOp.READ_MODIFY_WRITE
+YCSB_SCAN = YcsbOp.SCAN
+
+
 @dataclass(frozen=True)
 class YcsbSpec:
     """One core workload's operation mix."""
@@ -185,20 +194,20 @@ class YcsbWorkloadGenerator:
             if spec.distribution == "latest":
                 # Workload D: skew toward the most recent inserts.
                 offset = self.zipf.next_rank()
-                return (YcsbOp.READ, max(0, self._insert_cursor - 1 - offset))
-            return (YcsbOp.READ, self.zipf.next())
+                return (YCSB_READ, max(0, self._insert_cursor - 1 - offset))
+            return (YCSB_READ, self.zipf.next())
         roll -= spec.read
         if roll < spec.update:
-            return (YcsbOp.UPDATE, self.zipf.next())
+            return (YCSB_UPDATE, self.zipf.next())
         roll -= spec.update
         if roll < spec.insert:
             key = self._insert_cursor
             self._insert_cursor += 1
-            return (YcsbOp.INSERT, key)
+            return (YCSB_INSERT, key)
         roll -= spec.insert
         if roll < spec.scan:
-            return (YcsbOp.SCAN, self.zipf.next())
-        return (YcsbOp.READ_MODIFY_WRITE, self.zipf.next())
+            return (YCSB_SCAN, self.zipf.next())
+        return (YCSB_READ_MODIFY_WRITE, self.zipf.next())
 
     def next_scan_length(self) -> int:
         """Uniform scan length in [1, scan_max_length] (workload E)."""

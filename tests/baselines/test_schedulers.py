@@ -9,6 +9,7 @@ from repro.baselines.fifo import FifoScheduler
 from repro.baselines.flashfq import FlashFqScheduler
 from repro.baselines.reflex import ReflexScheduler
 from repro.fabric.request import FabricRequest
+from repro.harness.testbed import SCHEMES
 from repro.ssd.commands import IoOp
 
 
@@ -44,6 +45,16 @@ class TestBaseInterface:
         scheduler.attach(RecordingPipeline(sim))
         with pytest.raises(ValueError):
             scheduler.register_tenant("t", weight=0.0)
+
+    @pytest.mark.parametrize("scheme", sorted(SCHEMES))
+    @pytest.mark.parametrize("weight", [float("nan"), float("inf"), float("-inf"), 0.0, -1.0])
+    def test_non_positive_or_non_finite_weight_rejected(self, scheme, weight):
+        # ``weight <= 0`` is False for NaN, and a NaN or infinite weight
+        # would pass every DRR ``deficit < weighted`` test.
+        scheduler = SCHEMES[scheme][0]()
+        with pytest.raises(ValueError, match=repr(weight)):
+            scheduler.register_tenant("t", weight)
+        assert "t" not in scheduler.tenant_weights
 
     def test_default_hooks(self, sim):
         scheduler = FifoScheduler()

@@ -307,6 +307,14 @@ class TestDrrSlotScheduler:
         with _pytest.raises(ValueError):
             drr.add_tenant("bad", weight=0.0)
 
+    @pytest.mark.parametrize("weight", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_weight_rejected(self, drr, weight):
+        # ``weight <= 0`` is False for NaN; a NaN or infinite weight
+        # would pass every ``deficit < weighted`` test.
+        with pytest.raises(ValueError, match=repr(weight)):
+            drr.add_tenant("t", weight)
+        assert "t" not in drr.tenants
+
     def test_trim_requests_cost_one_page_of_tokens(self, drr, params):
         from repro.ssd.commands import IoOp as _IoOp
 

@@ -27,6 +27,10 @@ class TestFioSpec:
             {"io_pages": 1, "queue_depth": 1, "read_ratio": 1.5},
             {"io_pages": 1, "queue_depth": 1, "pattern": "zigzag"},
             {"io_pages": 1, "queue_depth": 1, "rate_limit_mbps": -5.0},
+            # ``limit <= 0`` is False for NaN, which would run unpaced.
+            {"io_pages": 1, "queue_depth": 1, "rate_limit_mbps": float("nan")},
+            {"io_pages": 1, "queue_depth": 1, "rate_limit_mbps": float("inf")},
+            {"io_pages": 1, "queue_depth": 1, "rate_limit_mbps": float("-inf")},
         ],
     )
     def test_invalid_specs_rejected(self, kwargs):
