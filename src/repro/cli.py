@@ -13,7 +13,7 @@ Commands:
   worker pool via :mod:`repro.harness.orchestrator` (declared-order
   dispatch, streaming execution; results identical to running each
   experiment serially);
-* ``cache {stats,journal,prune,clear}`` -- inspect or manage the
+* ``cache {stats,prune,clear}`` -- inspect or manage the
   sweep-point result cache that ``run --cache`` (or ``REPRO_CACHE=1``)
   populates;
 * ``profile <experiment>`` -- run one experiment under :mod:`cProfile`
@@ -24,6 +24,7 @@ Commands:
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import Dict, Optional, Tuple
 
@@ -218,14 +219,13 @@ def cmd_suite(args: argparse.Namespace) -> int:
         }
     else:
 
-        def progress(event: str, payload: dict) -> None:
-            if event == "experiment":
-                print(
-                    f"  done {payload['experiment']:10s} "
-                    f"{payload['points']:3d} points "
-                    f"({payload['cache_hits']} cached, {payload['wall_s']:.1f}s)",
-                    file=sys.stderr,
-                )
+        def progress(payload: dict) -> None:
+            print(
+                f"  done {payload['experiment']:10s} "
+                f"{payload['points']:3d} points "
+                f"({payload['cache_hits']} cached, {payload['wall_s']:.1f}s)",
+                file=sys.stderr,
+            )
 
         suite = run_suite(
             specs,
@@ -268,15 +268,17 @@ def cmd_cache(args: argparse.Namespace) -> int:
 
     from repro.harness.cache import ResultCache, cache_dir
 
-    for limit in ("max_records", "max_mb", "max_entries"):
+    for limit in ("max_mb", "max_entries"):
         value = getattr(args, limit, None)
-        if value is not None and value < 0:
-            flag = "--" + limit.replace("_", "-")
+        if value is None:
+            continue
+        flag = "--" + limit.replace("_", "-")
+        if not math.isfinite(value):
+            print(f"{flag} must be finite, got {value}", file=sys.stderr)
+            return 2
+        if value < 0:
             print(f"{flag} must be >= 0, got {value}", file=sys.stderr)
             return 2
-    if getattr(args, "max_records", None) is not None and not args.compact:
-        print("--max-records needs --compact", file=sys.stderr)
-        return 2
     cache = ResultCache(cache_dir(args.cache_dir))
     if args.cache_command == "stats":
         entries = cache.entries()
@@ -285,6 +287,7 @@ def cmd_cache(args: argparse.Namespace) -> int:
         by_fn: Dict[str, int] = {}
         for entry in entries:
             by_fn[entry["fn"]] = by_fn.get(entry["fn"], 0) + 1
+        # Journals of older caches also hold per-point lines without a "sweep".
         runs = [record for record in cache.read_journal() if "sweep" in record]
         if args.json:
             print(
@@ -296,7 +299,6 @@ def cmd_cache(args: argparse.Namespace) -> int:
                         "stored_compute_seconds": round(stored_seconds, 3),
                         "by_fn": by_fn,
                         "runs": runs,
-                        "point_records": len(cache.point_records()),
                     },
                     indent=2,
                     sort_keys=True,
@@ -318,44 +320,6 @@ def cmd_cache(args: argparse.Namespace) -> int:
                     f"hits={record.get('hits', 0)} misses={record.get('misses', 0)} "
                     f"saved={record.get('seconds_saved', 0.0):.1f}s"
                 )
-        return 0
-    if args.cache_command == "journal":
-        points = cache.point_records()
-        runs = [record for record in cache.read_journal() if "sweep" in record]
-        if args.compact:
-            stats = cache.compact_journal(max_records=args.max_records)
-            if args.json:
-                print(json.dumps(stats, indent=2, sort_keys=True))
-            else:
-                print(
-                    f"compacted journal: {stats['records_before']} -> "
-                    f"{stats['records_kept']} records "
-                    f"({stats['dropped_superseded']} superseded, "
-                    f"{stats['dropped_over_cap']} over cap)"
-                )
-            return 0
-        by_fn: Dict[str, int] = {}
-        for record in points:
-            by_fn[record.get("fn", "?")] = by_fn.get(record.get("fn", "?"), 0) + 1
-        if args.json:
-            print(
-                json.dumps(
-                    {
-                        "cache_dir": str(cache.root),
-                        "sweep_runs": len(runs),
-                        "point_records": len(points),
-                        "points_by_fn": by_fn,
-                    },
-                    indent=2,
-                    sort_keys=True,
-                )
-            )
-            return 0
-        print(f"cache dir     : {cache.root}")
-        print(f"sweep runs    : {len(runs)}")
-        print(f"point records : {len(points)} (per-point timings)")
-        for fn, count in sorted(by_fn.items()):
-            print(f"  {fn}  x{count}")
         return 0
     if args.cache_command == "prune":
         removed = cache.prune(
@@ -412,6 +376,9 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
     """Measure the device anchors the profiles are calibrated against."""
     if not args.duration_ms > 0:
         print(f"--duration-ms must be > 0, got {args.duration_ms:g}", file=sys.stderr)
+        return 2
+    if not math.isfinite(args.duration_ms):  # the closed loops would never stop
+        print(f"--duration-ms must be finite, got {args.duration_ms:g}", file=sys.stderr)
         return 2
     import random
 
@@ -478,6 +445,9 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
 def cmd_simulate(args: argparse.Namespace) -> int:
     if not args.seconds > 0:
         print(f"--seconds must be > 0, got {args.seconds:g}", file=sys.stderr)
+        return 2
+    if not math.isfinite(args.seconds):  # the closed loops would never stop
+        print(f"--seconds must be finite, got {args.seconds:g}", file=sys.stderr)
         return 2
     if args.queue_depth < 1:
         print(f"--queue-depth must be >= 1, got {args.queue_depth}", file=sys.stderr)
@@ -664,24 +634,6 @@ def build_parser() -> argparse.ArgumentParser:
     stats_parser = cache_sub.add_parser("stats", help="entry counts, sizes and recent runs")
     stats_parser.add_argument("--cache-dir", metavar="DIR", default=None)
     stats_parser.add_argument("--json", action="store_true", help="machine-readable output")
-    journal_parser = cache_sub.add_parser(
-        "journal", help="inspect or compact the per-point timing journal"
-    )
-    journal_parser.add_argument("--cache-dir", metavar="DIR", default=None)
-    journal_parser.add_argument(
-        "--compact",
-        action="store_true",
-        help="drop superseded per-point records (same fn+kwargs, older "
-        "code) and cap total journal growth",
-    )
-    journal_parser.add_argument(
-        "--max-records",
-        type=int,
-        default=None,
-        metavar="N",
-        help="with --compact: keep at most N records (oldest dropped first)",
-    )
-    journal_parser.add_argument("--json", action="store_true", help="machine-readable output")
     prune_parser = cache_sub.add_parser(
         "prune", help="evict least-recently-used entries beyond the limits"
     )

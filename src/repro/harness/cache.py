@@ -19,8 +19,8 @@ Editing ``src/repro/core/scheduler.py`` therefore invalidates exactly
 the points whose drivers transitively import it.  Package ``__init__``
 files re-export nothing (a re-export would put the re-exported module
 in the closure of every importer of the package), so a closure is the
-code the driver reaches: 57 of ``src/repro``'s 98 modules for 18 of
-the 19 testbed drivers (58 for ``ablations``), 69-70 for the four that
+code the driver reaches: 56 of ``src/repro``'s 96 modules for 17 of
+the 18 testbed drivers (57 for ``ablations``), 68-69 for the four that
 run the KV stack (fig10, fig11-12, fig13, rack).  An edit under
 ``kv/`` or to ``kvcluster.py``, ``ycsb.py``, ``population.py`` or
 ``fabric/boundary.py`` leaves every testbed figure warm, and an edit
@@ -38,18 +38,22 @@ each file once and a lookup costs one ``stat`` pass over the closure.
 A point function whose own module has no resolvable source (a script
 run as ``__main__``) is uncacheable: no edit could change its key.
 
-Entries are JSON files named ``<fingerprint>.json`` under the cache
-root (:func:`cache_dir`: ``--cache-dir``, else ``REPRO_CACHE_DIR``,
-else ``.repro-cache/``).  Writes go to a unique temporary file
-in the same directory followed by :func:`os.replace`, so concurrent
-runs sharing a cache directory can race on the same entry and readers
-still never observe a torn file.  Hits refresh the entry's mtime, which
-is what ``prune()``'s LRU ordering evicts on.
+The cache directory (:func:`cache_dir`: ``--cache-dir``, else
+``REPRO_CACHE_DIR``, else ``.repro-cache/``) holds one record of each
+kind: an entry file ``<fingerprint>.json`` per point -- its result,
+``fn``, ``label``, ``kwargs``, code fingerprint and ``elapsed_s`` --
+and one line in ``journal.jsonl`` per sweep or suite run
+(:meth:`ResultCache.record_run`).  Entry writes go to a unique
+temporary file in the same directory followed by :func:`os.replace`,
+so concurrent runs sharing a cache directory can race on the same entry
+and readers still never observe a torn file.  Hits refresh the entry's
+mtime, which is what ``prune()``'s LRU ordering evicts on.
 
-The cache is off unless asked for: pass ``cache=...`` to
-:func:`repro.harness.parallel.run_sweep` / ``Sweep.run``, use the CLI's
-``--cache`` / ``--cache-dir`` flags, or set ``REPRO_CACHE=1`` (and
-optionally ``REPRO_CACHE_DIR``) in the environment.
+The cache is off unless asked for: pass a :class:`ResultCache` as
+``cache=`` to :func:`repro.harness.parallel.run_sweep` / ``Sweep.run``,
+use the CLI's ``--cache`` / ``--cache-dir`` flags, or set
+``REPRO_CACHE=1`` (and optionally ``REPRO_CACHE_DIR``) in the
+environment.
 """
 
 from __future__ import annotations
@@ -77,7 +81,7 @@ ENV_ENABLE = "REPRO_CACHE"
 ENV_DIR = "REPRO_CACHE_DIR"
 
 #: Name of the per-cache-directory run journal (one JSON line per
-#: cached sweep execution).
+#: ``run_groups`` call with a cache).
 JOURNAL_NAME = "journal.jsonl"
 
 
@@ -319,10 +323,7 @@ def code_fingerprint(fn: Callable[..., Any], roots: Optional[Set[str]] = None) -
 
 
 def point_fingerprint(
-    fn: Callable[..., Any],
-    kwargs: Dict[str, Any],
-    schema_version: int = SCHEMA_VERSION,
-    roots: Optional[Set[str]] = None,
+    fn: Callable[..., Any], kwargs: Dict[str, Any]
 ) -> Tuple[str, Dict[str, Any], str]:
     """Content address of one sweep point.
 
@@ -334,14 +335,13 @@ def point_fingerprint(
     qualname = getattr(fn, "__qualname__", None)
     if not module or not qualname or "<locals>" in qualname:
         raise Uncacheable(f"{fn!r} is not a module-level function")
-    outside = roots is not None and module.partition(".")[0] not in roots
-    if outside or _module_file(module)[0] is None:  # fn's own body would be in no closure
-        raise Uncacheable(f"{fn!r}: module {module!r} has no source inside the fingerprinted roots")
+    if _module_file(module)[0] is None:  # fn's own body would be in no closure
+        raise Uncacheable(f"{fn!r}: module {module!r} has no resolvable source")
     canonical = canonical_value(kwargs)
-    code_fp = code_fingerprint(fn, roots=roots)
+    code_fp = code_fingerprint(fn)
     key_material = json.dumps(
         {
-            "schema": schema_version,
+            "schema": SCHEMA_VERSION,
             "fn": f"{module}:{qualname}",
             "kwargs": canonical,
             "code": code_fp,
@@ -387,15 +387,8 @@ class CacheStats:
 class ResultCache:
     """Content-addressed JSON store for sweep-point results."""
 
-    def __init__(
-        self,
-        root: Union[str, Path] = DEFAULT_CACHE_DIR,
-        schema_version: int = SCHEMA_VERSION,
-        roots: Optional[Set[str]] = None,
-    ):
+    def __init__(self, root: Union[str, Path] = DEFAULT_CACHE_DIR):
         self.root = Path(root)
-        self.schema_version = schema_version
-        self.roots = roots
         self.stats = CacheStats()
         self._tmp_serial = 0
 
@@ -407,9 +400,7 @@ class ResultCache:
         are filed under the code that was on disk when they were asked
         for, not whatever is there once they have been computed."""
         try:
-            return point_fingerprint(
-                point.fn, point.kwargs, self.schema_version, roots=self.roots
-            )
+            return point_fingerprint(point.fn, point.kwargs)
         except Uncacheable:
             return None
 
@@ -428,7 +419,7 @@ class ResultCache:
         try:  # anything but a well-formed entry for this key is a miss
             data = path.read_bytes()
             entry = json.loads(data)
-            valid = entry["schema"] == self.schema_version and entry["fingerprint"] == fingerprint
+            valid = entry["schema"] == SCHEMA_VERSION and entry["fingerprint"] == fingerprint
             result, saved_s = entry["result"], float(entry.get("elapsed_s", 0.0))
         except (OSError, ValueError, TypeError, LookupError):
             valid = False
@@ -466,7 +457,7 @@ class ResultCache:
             self.stats.uncacheable += 1
             return result
         entry = {
-            "schema": self.schema_version,
+            "schema": SCHEMA_VERSION,
             "fingerprint": fingerprint,
             "fn": f"{point.fn.__module__}:{point.fn.__qualname__}",
             "label": getattr(point, "label", ""),
@@ -481,39 +472,7 @@ class ResultCache:
         self._atomic_write(path, data)
         self.stats.writes += 1
         self.stats.bytes_written += len(data)
-        self._journal_point(entry)
         return entry["result"]
-
-    def _journal_point(self, entry: Dict[str, Any]) -> None:
-        """Append one per-point timing record to the run journal.
-
-        Unlike the entry files -- which LRU-prune and invalidate on
-        code changes -- the journal accumulates every point ever
-        computed with the seconds it took: the compute time a suite
-        spent, which ``repro cache journal`` and the perf ledger's
-        ``suite-replay`` workload read back (:meth:`point_records`).
-        Best-effort like every journal write.
-        """
-        record = {
-            "type": "point",
-            "at": round(float(entry["saved_at"]), 3),
-            "fingerprint": entry["fingerprint"],
-            "code_fingerprint": entry["code_fingerprint"],
-            "fn": entry["fn"],
-            "label": entry["label"],
-            "kwargs": entry["kwargs"],
-            "elapsed_s": entry["elapsed_s"],
-        }
-        try:
-            line = (json.dumps(record, sort_keys=True) + "\n").encode("utf-8")
-        except (TypeError, ValueError):
-            return
-        try:
-            self.root.mkdir(parents=True, exist_ok=True)
-            with open(self.root / JOURNAL_NAME, "ab") as handle:
-                handle.write(line)
-        except OSError:
-            pass
 
     def _atomic_write(self, path: Path, data: bytes) -> None:
         self.root.mkdir(parents=True, exist_ok=True)
@@ -530,8 +489,8 @@ class ResultCache:
 
     # -- journal -------------------------------------------------------
     def record_run(self, name: Optional[str], delta: Dict[str, Union[int, float]]) -> None:
-        """Append one line to the cache-dir run journal and mirror the
-        counters into the active observability session (if any)."""
+        """Append one line to the cache-dir run journal (best-effort:
+        a full or read-only disk costs the line, never the run)."""
         record = {"sweep": name or "", "at": round(time.time(), 3)}
         record.update(delta)
         line = (json.dumps(record, sort_keys=True) + "\n").encode("utf-8")
@@ -541,118 +500,38 @@ class ResultCache:
                 handle.write(line)
         except OSError:
             pass
-        from repro.obs import bump
-        from repro.obs.session import current_session
-
-        session = current_session()
-        if session is None:
-            return
-        for key in ("hits", "misses", "writes", "uncacheable", "bytes_read", "bytes_written"):
-            bump(f"cache.{key}", delta.get(key, 0))
-        bump("cache.seconds_saved", delta.get("seconds_saved", 0.0))
-        if session.tracer is not None:
-            from repro.obs.trace import TraceType
-
-            session.tracer.emit(
-                TraceType.CACHE, 0.0, "harness.cache", sweep=name or "", **delta
-            )
 
     def read_journal(self) -> List[dict]:
         """The run journal as a list of dicts (empty when absent).
 
-        Two record shapes share the file: per-sweep aggregate lines
-        (:meth:`record_run`) and per-point timing lines
-        (``"type": "point"``, written by :meth:`store`).  Torn or
-        corrupt lines (a crashed writer, a truncated disk) are skipped
-        rather than raised: journal consumers (stats output, the
-        journal report) must degrade to "no data", never fail a run.
+        Torn or corrupt lines (a crashed writer, a truncated disk, bytes
+        that are not UTF-8) are skipped rather than raised: journal
+        consumers (stats output) must degrade to "no data", never fail.
         """
-        path = self.root / JOURNAL_NAME
-        records = []
         try:
-            with open(path, "r", encoding="utf-8") as handle:
-                for line in handle:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    try:
-                        record = json.loads(line)
-                    except ValueError:
-                        continue
-                    if isinstance(record, dict):
-                        records.append(record)
+            data = (self.root / JOURNAL_NAME).read_bytes()
         except OSError:
-            pass
+            return []
+        records = []
+        for line in data.splitlines():
+            try:
+                record = json.loads(line.decode("utf-8"))
+            except ValueError:  # UnicodeDecodeError included
+                continue
+            if isinstance(record, dict):
+                records.append(record)
         return records
 
     def point_records(self) -> List[dict]:
-        """Only the per-point timing records, journal order."""
-        return [
-            record
-            for record in self.read_journal()
-            if record.get("type") == "point" and isinstance(record.get("kwargs"), dict)
-        ]
-
-    def compact_journal(self, max_records: Optional[int] = None) -> Dict[str, int]:
-        """Rewrite the journal, dropping superseded point records.
-
-        A point record is superseded when a *newer* record exists for
-        the same ``(fn, kwargs)`` -- the usual causes being an entry
-        recomputed after LRU pruning (duplicate fingerprint) or after
-        a code change (new ``code_fingerprint`` for the same point).
-        Only the newest survives, so the timings never mix
-        measurements of different code versions of one point.
-
-        ``max_records`` then caps the total journal length, oldest
-        lines first -- the journal's equivalent of :meth:`prune`'s
-        mtime-LRU entry eviction.  The rewrite is atomic (same
-        temp-file + ``os.replace`` dance as entry writes), so a reader
-        racing the compaction sees either the old or the new journal,
-        never a torn one.
-        """
-        if max_records is not None and max_records < 0:
-            raise ValueError(f"max_records must be >= 0, got {max_records}")
-        records = self.read_journal()
-        newest_by_key: Dict[str, int] = {}
-        for index, record in enumerate(records):
-            if record.get("type") != "point":
-                continue
-            key = json.dumps(
-                [record.get("fn"), record.get("kwargs")], sort_keys=True
-            )
-            newest_by_key[key] = index
-        keep_point_indices = set(newest_by_key.values())
-        kept: List[dict] = []
-        superseded = 0
-        for index, record in enumerate(records):
-            if record.get("type") == "point" and index not in keep_point_indices:
-                superseded += 1
-                continue
-            kept.append(record)
-        over_cap = 0
-        if max_records is not None and len(kept) > max_records:
-            over_cap = len(kept) - max_records
-            kept = kept[over_cap:]
-        stats = {
-            "records_before": len(records),
-            "records_kept": len(kept),
-            "dropped_superseded": superseded,
-            "dropped_over_cap": over_cap,
-        }
-        if not records and not (self.root / JOURNAL_NAME).exists():
-            return stats
-        data = "".join(
-            json.dumps(record, sort_keys=True) + "\n" for record in kept
-        ).encode("utf-8")
-        try:
-            self._atomic_write(self.root / JOURNAL_NAME, data)
-        except OSError:
-            pass
-        return stats
+        """What each stored point cost to compute: the entries, whose
+        files keep ``fn``, ``label``, ``kwargs``, ``code_fingerprint``
+        and ``elapsed_s`` beside the result."""
+        return self.entries()
 
     # -- maintenance ---------------------------------------------------
     def entries(self) -> List[dict]:
-        """Metadata for every entry: path, size, mtime, fn, elapsed."""
+        """Metadata for every entry: path, size, mtime, fn, label,
+        kwargs, code fingerprint, elapsed."""
         out = []
         try:
             paths = sorted(self.root.glob("*.json"))
@@ -662,25 +541,24 @@ class ResultCache:
             try:
                 stat = path.stat()
                 entry = json.loads(path.read_text(encoding="utf-8"))
-            except (OSError, ValueError):
-                continue
-            if not isinstance(entry, dict) or "fingerprint" not in entry:
-                continue
+                elapsed_s = float(entry.get("elapsed_s", 0.0))
+                fingerprint = entry["fingerprint"]
+            except (OSError, ValueError, TypeError, LookupError, AttributeError):
+                continue  # not an entry this cache wrote
             out.append(
                 {
                     "path": str(path),
-                    "fingerprint": entry["fingerprint"],
+                    "fingerprint": fingerprint,
                     "fn": entry.get("fn", "?"),
                     "label": entry.get("label", ""),
-                    "elapsed_s": float(entry.get("elapsed_s", 0.0)),
+                    "kwargs": entry.get("kwargs"),
+                    "code_fingerprint": entry.get("code_fingerprint"),
+                    "elapsed_s": elapsed_s,
                     "size_bytes": stat.st_size,
                     "mtime": stat.st_mtime,
                 }
             )
         return out
-
-    def total_bytes(self) -> int:
-        return sum(entry["size_bytes"] for entry in self.entries())
 
     def prune(
         self,
@@ -725,17 +603,6 @@ class ResultCache:
             pass
         return removed
 
-    # -- observability -------------------------------------------------
-    def register_metrics(self, registry, prefix: Optional[str] = None) -> None:
-        prefix = prefix or "cache"
-        registry.gauge(f"{prefix}.hits", lambda: self.stats.hits)
-        registry.gauge(f"{prefix}.misses", lambda: self.stats.misses)
-        registry.gauge(f"{prefix}.writes", lambda: self.stats.writes)
-        registry.gauge(f"{prefix}.uncacheable", lambda: self.stats.uncacheable)
-        registry.gauge(f"{prefix}.bytes_read", lambda: self.stats.bytes_read)
-        registry.gauge(f"{prefix}.bytes_written", lambda: self.stats.bytes_written)
-        registry.gauge(f"{prefix}.seconds_saved", lambda: self.stats.seconds_saved)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ResultCache({str(self.root)!r}, stats={self.stats})"
 
@@ -746,7 +613,7 @@ class ResultCache:
 _env_cache: Optional[ResultCache] = None
 
 #: Accepted by ``run_sweep(cache=...)`` / ``Sweep.run(cache=...)``.
-CacheSpec = Union[None, Literal[False], str, Path, ResultCache]
+CacheSpec = Union[None, Literal[False], ResultCache]
 
 
 def cache_dir(explicit: Union[None, str, Path] = None) -> str:
@@ -773,8 +640,6 @@ def resolve_cache(cache: CacheSpec) -> Optional[ResultCache]:
         return active_cache()
     if cache is False:
         return None
-    if isinstance(cache, (str, Path)):
-        return ResultCache(cache)
     if isinstance(cache, ResultCache):
         return cache
     raise TypeError(f"cannot interpret cache specification {cache!r}")

@@ -103,7 +103,7 @@ def run_suite(
     specs: Sequence[ExperimentSpec],
     jobs: Optional[int] = None,
     cache: CacheSpec = None,
-    progress: Optional[Callable[[str, Dict[str, Any]], None]] = None,
+    progress: Optional[Callable[[Dict[str, Any]], None]] = None,
 ) -> SuiteResult:
     """Run every experiment's sweep points as one
     :func:`~repro.harness.parallel.run_groups` call.

@@ -26,10 +26,12 @@ machine's cores.
   consumed via :func:`concurrent.futures.as_completed` (a failed point
   cancels its unstarted siblings), and each group is finalized the
   moment its last point lands.
-* **One journal** -- every call appends one run line (hits, misses,
-  worker counts, the :meth:`SuiteResult.report` fields) to the cache
-  directory's ``journal.jsonl`` and mirrors ``cache.*`` into the
-  active observability session.
+* **One journal line** -- every call with a cache appends one run
+  line (hits, misses, bytes, seconds saved, worker counts, the
+  :meth:`SuiteResult.report` fields) to the cache directory's
+  ``journal.jsonl``; the entry files keep each point's timing, so the
+  line is the only record of the run.  Nothing is mirrored into
+  :mod:`repro.obs`: the :class:`SuiteResult` carries the same numbers.
 
 Determinism contract
 --------------------
@@ -61,7 +63,6 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.harness.cache import CacheSpec, resolve_cache
-from repro.obs import bump
 from repro.sim.rng import derive_seed
 
 
@@ -94,22 +95,6 @@ def _execute_point_timed(point: SweepPoint) -> Tuple[int, float, Any]:
     start = time.perf_counter()
     value = point.execute()
     return point.index, time.perf_counter() - start, value
-
-
-def _clamp_jobs(jobs: int) -> int:
-    """Clamp a requested worker count to the machine's CPU count.
-
-    Oversubscribing a sweep with more worker processes than cores only
-    adds scheduler churn and memory pressure; results are unchanged
-    either way (the merge is order-independent), so the clamp is safe.
-    A clamp is surfaced through the active observability session (when
-    one is capturing) rather than stdout, so drivers stay quiet.
-    """
-    cpu_count = os.cpu_count() or 1
-    if jobs <= cpu_count:
-        return jobs
-    bump("sweep.jobs_clamped")
-    return cpu_count
 
 
 # ----------------------------------------------------------------------
@@ -204,16 +189,17 @@ def run_groups(
     name: Optional[str],
     jobs: int,
     cache: CacheSpec = None,
-    progress: Optional[Callable[[str, Dict[str, Any]], None]] = None,
+    progress: Optional[Callable[[Dict[str, Any]], None]] = None,
 ) -> SuiteResult:
     """Key, look up, run, store and journal every point of ``groups``.
 
     ``groups`` may be a generator: each group is expanded, looked up
     and dispatched before the next one is asked for.  ``jobs`` is the
-    requested worker count; it is clamped once (:func:`_clamp_jobs`,
-    never below one), and both counts land in the journal.  One worker
-    runs every missed point in this process; more go to a process pool
-    created for the call and torn down afterwards.  Missed points are
+    requested worker count; it is clamped once to the machine's cores
+    and never below one (more workers than cores only add churn, and
+    the merge is order-independent), and both counts land in the
+    journal.  One worker runs every missed point in this process; more
+    go to a process pool created for the call and torn down afterwards.  Missed points are
     dispatched in declared order.  Lookups happen before dispatch, each
     point's :meth:`ResultCache.key` is taken before it runs, computed
     values are merged as read back from their JSON round-trip, and each
@@ -221,16 +207,16 @@ def run_groups(
     depend on the executor, the completion order, or the cache's
     temperature.
 
-    ``progress`` (when given) receives ``(event, payload)`` pairs:
-    ``point`` per computed point, ``experiment`` per finalized group,
-    ``suite`` once at the end.  ``name`` labels the run's journal line.
+    ``progress`` (when given) is called once per finalized group with
+    its ``experiment`` name, ``points``, ``cache_hits`` and ``wall_s``.
+    ``name`` labels the run's journal line.
     """
     started = time.perf_counter()
     store = resolve_cache(cache)
     stats_before = store.stats.snapshot() if store is not None else None
 
     jobs_requested = jobs
-    jobs = max(1, _clamp_jobs(jobs))
+    jobs = max(1, min(jobs, os.cpu_count() or 1))
     # One worker buys no parallelism, only per-point pickling and IPC
     # round-trips: it runs in this process, with no executor at all.
     pool = ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else None
@@ -242,22 +228,17 @@ def run_groups(
     cache_hits = 0
     stolen_idle_s = 0.0
 
-    def emit(event: str, payload: Dict[str, Any]) -> None:
-        if progress is not None:
-            progress(event, payload)
-
     def finish(state: _GroupState) -> None:
         state.finalize()
-        bump("suite.experiments_done")
-        emit(
-            "experiment",
-            {
-                "experiment": state.name,
-                "points": len(state.points),
-                "cache_hits": state.hits,
-                "wall_s": state.finished_at - state.started_at,
-            },
-        )
+        if progress is not None:
+            progress(
+                {
+                    "experiment": state.name,
+                    "points": len(state.points),
+                    "cache_hits": state.hits,
+                    "wall_s": state.finished_at - state.started_at,
+                }
+            )
 
     def account(exp_ord: int, index: int, elapsed: float, value: Any) -> None:
         nonlocal stolen_idle_s
@@ -268,21 +249,11 @@ def run_groups(
         state.results[index] = value
         state.pending -= 1
         state.computed += 1
-        bump("suite.points_done")
         # Work on a later group while an earlier one is still in flight
         # is time the one-group-at-a-time baseline would have spent
         # with those cores idle.
         if any(not earlier.done for earlier in states[:exp_ord]):
             stolen_idle_s += elapsed
-        emit(
-            "point",
-            {
-                "experiment": state.name,
-                "label": point.label,
-                "elapsed_s": elapsed,
-                "remaining": state.pending,
-            },
-        )
         if state.pending == 0:
             finish(state)
 
@@ -302,8 +273,6 @@ def run_groups(
                         state.results[point.index] = value
                         state.hits += 1
                         cache_hits += 1
-                        bump("suite.cache_hits")
-                        bump("suite.points_done")
                         continue
                 state.keys[point.index] = key
                 missed.append(point)
@@ -318,7 +287,6 @@ def run_groups(
                     futures[pool.submit(_execute_point_timed, point)] = exp_ord
                 else:
                     account(exp_ord, *_execute_point_timed(point))
-        bump("suite.points_total", points_total)
 
         # -- consumption: completion order, so a failure surfaces as
         # soon as its future settles, not behind slower siblings -------
@@ -333,7 +301,6 @@ def run_groups(
     if pool is not None:
         pool.shutdown()
 
-    bump("suite.stolen_idle_sec", stolen_idle_s)
     result = SuiteResult(
         experiments=[
             ExperimentRun(
@@ -352,13 +319,11 @@ def run_groups(
         cache_hits=cache_hits,
         stolen_idle_s=stolen_idle_s,
     )
-    report = result.report()
-    emit("suite", report)
     if store is not None:
         store.record_run(
             name,
             {
-                **report,
+                **result.report(),
                 **store.stats.delta_since(stats_before),
                 "jobs_requested": jobs_requested,
                 "jobs_effective": jobs,
@@ -376,15 +341,14 @@ def run_sweep(
     """Execute ``points`` and return their results in point order.
 
     ``jobs`` is the worker-process count; values <= 1 run in-process,
-    and values above ``os.cpu_count()`` are clamped to it (see
-    :func:`_clamp_jobs`); more than one worker creates a process pool
-    for this call.  The returned list always lines up with ``points``
+    and values above ``os.cpu_count()`` are clamped to it; more than
+    one worker creates a process pool for this call.  The returned list always lines up with ``points``
     by index, regardless of completion order.
 
     ``cache`` selects the result cache: ``None`` uses the ambient one
     (:func:`repro.harness.cache.active_cache`, off unless
-    ``REPRO_CACHE`` is set), ``False`` disables caching, and a path or
-    a :class:`~repro.harness.cache.ResultCache` enables it.  Cached
+    ``REPRO_CACHE`` is set), ``False`` disables caching, and a
+    :class:`~repro.harness.cache.ResultCache` enables it.  Cached
     points are looked up before dispatch and computed points are
     written back afterwards; the merge happens in declared point order
     either way, so warm, cold and mixed runs produce byte-identical
@@ -417,9 +381,7 @@ class Sweep:
 
         Labels must be unique within the sweep: :func:`point_seed`
         derives each point's RNG seed from its label, so two points
-        sharing a label would silently share a random stream (and the
-        result cache's journal would file their timings under one
-        name).
+        sharing a label would silently share a random stream.
         """
         index = len(self._points)
         if label is None:

@@ -22,23 +22,13 @@ Tracing is zero-cost when disabled: components reach their tracer via
 ``sim.tracer`` which defaults to None, and every emit site is guarded
 by a None check, so an uninstrumented run executes no tracing code
 beyond that check.
-"""
 
-from repro.obs.session import current_session
+Only the simulation reports here.  The sweep runner, the result cache
+and the suite orchestrator import nothing from this package: a run's
+hits, misses and timings are its
+:class:`~repro.harness.parallel.SuiteResult` and its one line in the
+result cache's journal.
+"""
 
 # benchmarks/ledger imports this through the package; ROADMAP item 3(c) retires it.
 from repro.obs.session import capture  # noqa: F401
-
-
-def bump(name: str, amount=1) -> None:
-    """Increment a counter on the active session's registry, if any.
-
-    The harness layers (sweep runner, result cache, suite
-    orchestrator) run outside any simulator, so they cannot reach a
-    tracer through ``sim.tracer``; this is their equivalent one-liner
-    for counters.  A no-op when no session is capturing, so callers
-    never need their own ``current_session() is not None`` guard.
-    """
-    session = current_session()
-    if session is not None and amount:
-        session.registry.counter(name).inc(amount)

@@ -43,8 +43,6 @@ class TraceType(str, enum.Enum):
     GC_END = "gc_end"
     #: The credit grant piggybacked on completions changed.
     CREDIT = "credit"
-    #: A cached sweep finished: hit/miss/bytes/seconds-saved summary.
-    CACHE = "cache"
 
     def __str__(self) -> str:  # pragma: no cover - debugging aid
         return self.value

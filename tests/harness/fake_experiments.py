@@ -14,11 +14,17 @@ from typing import Dict
 from repro.harness.parallel import Sweep, derived_run, merge_rows
 
 
+#: ``(point function, value)`` per point this process computed, in order.
+EXECUTED = []
+
+
 def _calc(value: int, scale: int = 1, seed: int = 0) -> dict:
+    EXECUTED.append(("_calc", value))
     return {"value": value, "scaled": value * scale, "seed": seed}
 
 
 def _negate(value: int, seed: int = 0) -> dict:
+    EXECUTED.append(("_negate", value))
     return {"value": value, "negated": -value, "seed": seed}
 
 

@@ -38,9 +38,8 @@ from repro.harness.cache import (
     resolve_cache,
     transitive_sources,
 )
-from repro.harness.orchestrator import suite_experiments
+from repro.harness.orchestrator import ExperimentSpec, run_suite, suite_experiments
 from repro.harness.parallel import Sweep, SweepPoint, run_sweep
-from repro.obs.session import capture
 
 CALLS = []
 REPO = Path(repro.__file__).resolve().parents[2]
@@ -112,9 +111,12 @@ class TestFingerprints:
         c, _, _ = point_fingerprint(point_fn, {"x": 1, "seed": 8})
         assert len({a, b, c}) == 3
 
-    def test_schema_version_changes_key(self):
-        a, _, _ = point_fingerprint(point_fn, {"x": 1}, schema_version=1)
-        b, _, _ = point_fingerprint(point_fn, {"x": 1}, schema_version=2)
+    def test_schema_version_changes_key(self, monkeypatch):
+        import repro.harness.cache as cache_mod
+
+        a, _, _ = point_fingerprint(point_fn, {"x": 1})
+        monkeypatch.setattr(cache_mod, "SCHEMA_VERSION", SCHEMA_VERSION + 1)
+        b, _, _ = point_fingerprint(point_fn, {"x": 1})
         assert a != b
 
     def test_lambdas_are_uncacheable(self):
@@ -130,8 +132,6 @@ class TestFingerprints:
 
         with pytest.raises(Uncacheable):
             point_fingerprint(_Fn, {"x": 1})
-        with pytest.raises(Uncacheable):  # roots that leave the function's package out
-            point_fingerprint(point_fn, {"x": 1}, roots={"repro"})
         # The digest itself stays available (the ledger manifest takes it).
         assert code_fingerprint(_Fn) == hashlib.sha256().hexdigest()
 
@@ -199,14 +199,11 @@ SHARED_POINTS = {
 }
 
 #: The only imports a package ``__init__`` may hold: the names
-#: ``benchmarks/ledger`` imports by package path, and what ``bump`` calls.
+#: ``benchmarks/ledger`` imports by package path.
 INIT_IMPORTS = {
     "repro.core": {("repro.core.switch", "GimbalScheduler", None)},
     "repro.metrics": {("repro.metrics.fairness", "jain_index", None)},
-    "repro.obs": {
-        ("repro.obs.session", "capture", None),
-        ("repro.obs.session", "current_session", None),
-    },
+    "repro.obs": {("repro.obs.session", "capture", None)},
     "repro.sim": {("repro.sim.engine", "Simulator", "make_simulator")},
     "repro.ssd": {("repro.ssd.device", "SsdDevice", None)},
     "repro.workloads": {("repro.workloads.fio", "FioSpec", None)},
@@ -239,23 +236,33 @@ class TestClosurePins:
         """A re-export gives a name a second import path, and gives every
         importer of the package the re-exported module's closure.  Each
         ``__init__`` under ``src/repro`` is its docstring plus at most
-        the allow-listed imports and ``repro.obs.bump``."""
+        the allow-listed imports, and defines nothing."""
         inits = sorted((REPO / "src" / "repro").rglob("__init__.py"))
         assert len(inits) >= 11
         for init in inits:
             package = ".".join(init.parent.relative_to(REPO / "src").parts)
             tree = ast.parse(init.read_text(encoding="utf-8"))
             assert ast.get_docstring(tree), init
-            imports, defs = set(), set()
+            imports = set()
             for node in tree.body[1:]:
-                if isinstance(node, ast.ImportFrom):
-                    imports |= {(node.module, alias.name, alias.asname) for alias in node.names}
-                elif isinstance(node, ast.FunctionDef):
-                    defs.add(node.name)
-                else:
-                    pytest.fail(f"{init}:{node.lineno} is neither an import nor a def")
+                if not isinstance(node, ast.ImportFrom):
+                    pytest.fail(f"{init}:{node.lineno} is not an import")
+                imports |= {(node.module, alias.name, alias.asname) for alias in node.names}
             assert imports <= INIT_IMPORTS.get(package, set()), init
-            assert defs <= ({"bump"} if package == "repro.obs" else set()), init
+
+    @pytest.mark.parametrize("module", ["parallel", "cache", "orchestrator"])
+    def test_sweep_loop_and_cache_import_nothing_from_obs(self, module):
+        """A run's record is its ``SuiteResult`` and its journal line;
+        nothing of it is mirrored into an obs session."""
+        path = REPO / "src" / "repro" / "harness" / f"{module}.py"
+        imported = set()
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom):
+                imported.add(node.module or "")
+            elif isinstance(node, ast.Import):
+                imported |= {alias.name for alias in node.names}
+        assert imported, path
+        assert not [name for name in imported if name == "repro.obs" or name.startswith("repro.obs.")]
 
 
 # ----------------------------------------------------------------------
@@ -953,6 +960,8 @@ class TestResultCache:
         assert cache.lookup(point) == (False, None)
         delta = cache.stats.delta_since(before)
         assert delta.pop("misses") == 1 and not any(delta.values()), delta
+        # ``cache stats`` and ``point_records`` list or skip it, never raise.
+        assert all(isinstance(entry["elapsed_s"], float) for entry in cache.entries())
         cache.store(point, point_fn(1), elapsed_s=0.5)
         assert cache.lookup(point) == (True, {"x": 1, "seed": 0, "value": 2.5})
 
@@ -963,6 +972,22 @@ class TestResultCache:
             cache.store(point, point_fn(x), elapsed_s=0.0)
         assert cache.clear() == 3
         assert cache.entries() == []
+
+    def test_torn_and_undecodable_journal_lines_are_skipped(self, tmp_path):
+        """A line that is not UTF-8 used to raise ``UnicodeDecodeError``
+        out of ``read_journal`` (and so out of ``repro cache stats``)."""
+        cache = ResultCache(tmp_path / "cache")
+        cache.record_run("good", {"hits": 1})
+        with open(cache.root / "journal.jsonl", "ab") as handle:
+            handle.write(b"\xe2\x82\n{torn\n[1, 2]\n\n")
+        cache.record_run("later", {"hits": 2})
+        assert [record["sweep"] for record in cache.read_journal()] == ["good", "later"]
+
+    def test_paths_are_not_cache_specs(self, tmp_path):
+        """A cache is ``None``, ``False`` or a ``ResultCache``."""
+        for spec in (tmp_path, str(tmp_path)):
+            with pytest.raises(TypeError, match="cannot interpret"):
+                resolve_cache(spec)
 
 
 class TestPrune:
@@ -999,6 +1024,14 @@ class TestPrune:
         assert removed == 2
         assert cache.lookup(points[0])[0]  # survived thanks to the hit
         assert not cache.lookup(points[1])[0]
+
+    def test_negative_limits_are_refused(self, tmp_path):
+        cache, _ = self._filled(tmp_path)
+        with pytest.raises(ValueError, match="max_entries"):
+            cache.prune(max_entries=-1)
+        with pytest.raises(ValueError, match="max_bytes"):
+            cache.prune(max_bytes=-1)
+        assert len(cache.entries()) == 4
 
     def test_prune_by_bytes(self, tmp_path):
         cache, _ = self._filled(tmp_path)
@@ -1049,26 +1082,55 @@ class TestRunSweepIntegration:
         sweep_points = self._points(3)
         run_sweep(sweep_points, cache=cache, name="alpha")
         run_sweep(sweep_points, cache=cache, name="alpha")
-        journal = [record for record in cache.read_journal() if "sweep" in record]
+        journal = cache.read_journal()
         assert [record["sweep"] for record in journal] == ["alpha", "alpha"]
         assert journal[0]["misses"] == 3 and journal[0]["hits"] == 0
         assert journal[1]["hits"] == 3 and journal[1]["misses"] == 0
         assert journal[1]["seconds_saved"] >= 0.0
-        # Each computed point also journals a timing record (and no
-        # copy of its result); cache hits on the second sweep do not
-        # re-journal.
+        # Each computed point's timing is its entry file; the hits of
+        # the second sweep add none.
         points = cache.point_records()
-        assert len(points) == 3
-        assert all(record["type"] == "point" for record in points)
-        assert all("elapsed_s" in record and "outputs" not in record for record in points)
+        assert sorted(record["label"] for record in points) == ["x=0", "x=1", "x=2"]
+        assert all(record["elapsed_s"] >= 0.0 for record in points)
+
+    def test_one_journal_line_per_call(self, tmp_path):
+        specs = [
+            ExperimentSpec("alpha", "tests.harness.fake_experiments", {"n": 3}),
+            ExperimentSpec("beta", "tests.harness.fake_experiments_beta", {}),
+        ]
+        cache = ResultCache(tmp_path / "cache")
+        cold = run_suite(specs, jobs=1, cache=cache)
+        warm = run_suite(specs, jobs=1, cache=cache)
+        run_sweep(self._points(2), cache=cache, name="one")
+        journal = cache.read_journal()
+        assert [record["sweep"] for record in journal] == ["suite", "suite", "one"]
+        assert [(record["misses"], record["hits"]) for record in journal] == [
+            (cold.points_total, 0), (0, warm.points_total), (2, 0)
+        ]
+        lines = (cache.root / "journal.jsonl").read_bytes().splitlines()
+        assert len(lines) == 3
+
+    def test_point_records_are_the_entry_files(self, tmp_path):
+        cache = ResultCache(tmp_path / "cache")
+        run_sweep(self._points(3), cache=cache, name="t")
+        fields = ("fn", "label", "kwargs", "code_fingerprint", "elapsed_s")
+        stored = [
+            json.loads(path.read_text(encoding="utf-8"))
+            for path in sorted(cache.root.glob("*.json"))
+        ]
+        assert len(stored) == 3
+        assert [tuple(record[f] for f in fields) for record in cache.point_records()] == [
+            tuple(entry[f] for f in fields) for entry in stored
+        ]
 
     def test_sweep_run_accepts_cache(self, tmp_path):
         sweep = Sweep("mini")
         for x in (1, 2):
             sweep.point(point_fn, label=f"x={x}", x=x, seed=sweep.seed_for(f"x={x}"))
-        first = sweep.run(cache=tmp_path / "cache")
-        second = sweep.run(cache=tmp_path / "cache")
+        first = sweep.run(cache=ResultCache(tmp_path / "cache"))
+        second = sweep.run(cache=ResultCache(tmp_path / "cache"))
         assert first == second
+        assert CALLS.count(("point_fn", 1, sweep.seed_for("x=1"))) == 1
 
     def test_env_toggle(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE", "1")
@@ -1082,40 +1144,6 @@ class TestRunSweepIntegration:
         assert resolve_cache(None) is None
 
 
-class TestObsIntegration:
-    def test_counters_and_trace_event(self, tmp_path):
-        cache = ResultCache(tmp_path / "cache")
-        points = [
-            SweepPoint(index=i, label=f"x={i}", fn=point_fn, kwargs={"x": i})
-            for i in range(2)
-        ]
-        with capture(trace=True) as session:
-            run_sweep(points, cache=cache, name="obs-sweep")
-            run_sweep(points, cache=cache, name="obs-sweep")
-        snapshot = session.registry.snapshot()
-        assert snapshot["cache.misses"] == 2
-        assert snapshot["cache.hits"] == 2
-        assert snapshot["cache.writes"] == 2
-        events = session.tracer.of_type("cache")
-        assert len(events) == 2
-        assert events[0]["sweep"] == "obs-sweep"
-        assert events[1]["hits"] == 2
-
-    def test_register_metrics_gauges(self, tmp_path):
-        from repro.obs.registry import Registry
-
-        cache = ResultCache(tmp_path / "cache")
-        registry = Registry()
-        cache.register_metrics(registry)
-        point = make_point(point_fn, x=1)
-        cache.store(point, point_fn(1), elapsed_s=0.25)
-        cache.lookup(point)
-        snapshot = registry.snapshot()
-        assert snapshot["cache.writes"] == 1
-        assert snapshot["cache.hits"] == 1
-        assert snapshot["cache.seconds_saved"] == pytest.approx(0.25)
-
-
 class TestCacheStats:
     def test_delta_since(self):
         stats = CacheStats()
@@ -1126,88 +1154,3 @@ class TestCacheStats:
         assert delta["hits"] == 3
         assert delta["seconds_saved"] == pytest.approx(1.5)
         assert delta["misses"] == 0
-
-
-class TestCompactJournal:
-    def _fill(self, cache, n=3):
-        points = [make_point(point_fn, index=i, label=f"x={i}", x=i) for i in range(n)]
-        run_sweep(points, cache=cache, name="fill")
-
-    def test_superseded_points_dropped(self, tmp_path):
-        cache = ResultCache(tmp_path / "cache")
-        self._fill(cache)
-        # Recomputing after pruning appends duplicate (fn, kwargs)
-        # records; only the newest of each pair must survive.
-        cache.prune(max_entries=0)
-        self._fill(cache)
-        assert len(cache.point_records()) == 6
-        stats = cache.compact_journal()
-        assert stats["dropped_superseded"] == 3
-        assert len(cache.point_records()) == 3
-
-    def test_sweep_records_survive(self, tmp_path):
-        cache = ResultCache(tmp_path / "cache")
-        self._fill(cache)
-        sweeps_before = [r for r in cache.read_journal() if "sweep" in r]
-        cache.compact_journal()
-        sweeps_after = [r for r in cache.read_journal() if "sweep" in r]
-        assert sweeps_after == sweeps_before
-
-    def test_max_records_caps_oldest_first(self, tmp_path):
-        cache = ResultCache(tmp_path / "cache")
-        self._fill(cache, n=5)
-        stats = cache.compact_journal(max_records=2)
-        assert stats["dropped_over_cap"] > 0
-        records = cache.read_journal()
-        assert len(records) == 2
-        # The newest point records are the survivors.
-        kept = [r["kwargs"]["x"] for r in records if r.get("type") == "point"]
-        assert kept == sorted(kept) and kept[-1] == 4
-
-    def test_negative_limits_are_refused_and_zero_means_none(self, tmp_path):
-        # A negative cap used to slice ``kept[-cap:]``: it dropped the
-        # |cap| *oldest* lines and reported the rest as over cap; a cap
-        # of zero kept everything.
-        cache = ResultCache(tmp_path / "cache")
-        self._fill(cache, n=5)
-        before = cache.read_journal()
-        with pytest.raises(ValueError, match="max_records"):
-            cache.compact_journal(max_records=-3)
-        with pytest.raises(ValueError, match="max_entries"):
-            cache.prune(max_entries=-1)
-        with pytest.raises(ValueError, match="max_bytes"):
-            cache.prune(max_bytes=-1)
-        assert cache.read_journal() == before and len(cache.entries()) == 5
-        stats = cache.compact_journal(max_records=0)
-        assert stats["dropped_over_cap"] == len(before) and stats["records_kept"] == 0
-        assert cache.read_journal() == []
-
-    def test_stats_accounting(self, tmp_path):
-        cache = ResultCache(tmp_path / "cache")
-        self._fill(cache, n=4)
-        before = len(cache.read_journal())
-        stats = cache.compact_journal()
-        assert stats["records_before"] == before
-        assert stats["records_kept"] == before - stats["dropped_superseded"] - stats["dropped_over_cap"]
-
-    def test_missing_journal_is_noop(self, tmp_path):
-        cache = ResultCache(tmp_path / "cache")
-        stats = cache.compact_journal()
-        assert stats == {
-            "records_before": 0,
-            "records_kept": 0,
-            "dropped_superseded": 0,
-            "dropped_over_cap": 0,
-        }
-        assert not (cache.root / "journal.jsonl").exists()
-
-    def test_corrupt_lines_removed_by_rewrite(self, tmp_path):
-        cache = ResultCache(tmp_path / "cache")
-        self._fill(cache, n=2)
-        journal = cache.root / "journal.jsonl"
-        journal.write_text(
-            journal.read_text(encoding="utf-8") + "{torn line\n", encoding="utf-8"
-        )
-        cache.compact_journal()
-        for line in journal.read_text(encoding="utf-8").splitlines():
-            json.loads(line)

@@ -25,10 +25,10 @@ from repro.harness.orchestrator import (
     run_suite_serial,
     suite_experiments,
 )
-from repro.harness.parallel import SweepPoint, accepted_kwargs, run_sweep
+from repro.harness.parallel import accepted_kwargs, run_sweep
 from repro.obs.session import capture
 from tests.golden.regenerate import GOLDEN_CONFIGS
-from tests.harness.fake_experiments import _negate
+from tests.harness.fake_experiments import EXECUTED
 
 ALPHA = ExperimentSpec(
     name="alpha", module_path="tests.harness.fake_experiments", kwargs={"n": 5, "scale": 3}
@@ -101,8 +101,8 @@ class TestRunSuite:
 
     def test_matches_serial_cold_and_warm(self, tmp_path):
         serial = run_suite_serial([ALPHA, BETA], cache=False)
-        cold = run_suite([ALPHA, BETA], jobs=2, cache=tmp_path / "cache")
-        warm = run_suite([ALPHA, BETA], jobs=2, cache=tmp_path / "cache")
+        cold = run_suite([ALPHA, BETA], jobs=2, cache=ResultCache(tmp_path / "cache"))
+        warm = run_suite([ALPHA, BETA], jobs=2, cache=ResultCache(tmp_path / "cache"))
         assert _canonical(cold.results) == _canonical(serial)
         assert _canonical(warm.results) == _canonical(serial)
         assert cold.cache_hits == 0
@@ -122,79 +122,53 @@ class TestRunSuite:
 
     def test_report_and_journal(self, tmp_path):
         """A suite run is one ``"sweep"`` line in the cache's own
-        journal -- what ``repro cache stats`` lists -- and its cache
-        traffic reaches the capturing obs session."""
+        journal -- what ``repro cache stats`` lists -- and nothing in a
+        capturing obs session."""
         cache_dir = tmp_path / "cache"
         with capture() as session:
-            suite = run_suite([ALPHA], jobs=1, cache=cache_dir)
+            suite = run_suite([ALPHA], jobs=1, cache=ResultCache(cache_dir))
         report = suite.report()
         assert report["experiments"] == 1
         assert report["points_total"] == 5
         assert report["per_experiment"][0]["name"] == "alpha"
         assert "stolen_idle_s" in report
-        assert session.registry.counter("suite.points_done").value == 5
-        assert session.registry.counter("cache.misses").value == 5
-        assert session.registry.counter("cache.hits").value == 0
+        assert all(name.startswith("kernel.") for name in session.registry.snapshot())
         assert not (cache_dir / "suite.jsonl").exists()
-        [record] = [r for r in ResultCache(cache_dir).read_journal() if "sweep" in r]
+        [record] = ResultCache(cache_dir).read_journal()
         assert record["sweep"] == "suite"
         assert (record["hits"], record["misses"], record["writes"]) == (0, 5, 5)
         assert record["points_total"] == 5
         assert record["jobs_requested"] == record["jobs_effective"] == 1
 
-    def test_default_jobs_is_the_cpu_count_and_not_a_clamp(self, monkeypatch):
+    def test_default_jobs_is_the_cpu_count_and_not_a_clamp(self, monkeypatch, tmp_path):
         import repro.harness.parallel as parallel_mod
 
         monkeypatch.setattr(parallel_mod.os, "cpu_count", lambda: 1)
-        with capture() as session:
-            default = run_suite([ALPHA], cache=False)
-            assert session.registry.counter("sweep.jobs_clamped").value == 0
-            explicit = run_suite([ALPHA], jobs=64, cache=False)
-            assert session.registry.counter("sweep.jobs_clamped").value == 1
+        cache = ResultCache(tmp_path / "cache")
+        default = run_suite([ALPHA], cache=cache)
+        explicit = run_suite([ALPHA], jobs=64, cache=cache)
         assert default.jobs == explicit.jobs == 1
+        requested = [(r["jobs_requested"], r["jobs_effective"]) for r in cache.read_journal()]
+        assert requested == [(1, 1), (64, 1)]
 
     def test_progress_events_stream(self):
         events = []
-        run_suite(
-            [ALPHA, BETA],
-            jobs=1,
-            cache=False,
-            progress=lambda event, payload: events.append((event, payload)),
-        )
-        kinds = [event for event, _ in events]
-        assert kinds.count("point") == 8
-        assert kinds.count("experiment") == 2
-        assert kinds[-1] == "suite"
-        # Each experiment event fires after its last point, with its name.
-        exp_names = [p["experiment"] for e, p in events if e == "experiment"]
-        assert exp_names == ["alpha", "beta"]
+        run_suite([ALPHA, BETA], jobs=1, cache=False, progress=events.append)
+        # One call per experiment, after its last point, with its name.
+        assert [payload["experiment"] for payload in events] == ["alpha", "beta"]
+        assert [payload["points"] for payload in events] == [5, 3]
+        assert all(payload["cache_hits"] == 0 for payload in events)
 
     def test_missed_points_run_in_declared_order(self, tmp_path):
         """In-process, missed points run in the order they were
-        declared, also when the journal holds every point's timing."""
-
-        def point_order(cache):
-            order = []
-            run_suite(
-                [ALPHA, BETA],
-                jobs=1,
-                cache=cache,
-                progress=lambda event, payload: event == "point"
-                and order.append((payload["experiment"], payload["label"])),
-            )  # fmt: skip
-            return order
-
+        declared, across experiments; hits run nothing."""
         store = ResultCache(tmp_path / "cache")
-        declared = point_order(store)
-        assert declared == [("alpha", f"v={i}") for i in range(5)] + [
-            ("beta", f"neg={i}") for i in range(3)
-        ]
-        # A journal that says the last experiment's points are the slow
-        # ones changes nothing.
-        slow = SweepPoint(index=0, label="slow", fn=_negate, kwargs={"value": 99})
-        store.store(slow, {"value": 99}, elapsed_s=60.0)
-        store.prune(max_entries=0)  # entries gone, journal kept
-        assert point_order(store) == declared
+        EXECUTED.clear()
+        run_suite([ALPHA, BETA], jobs=1, cache=store)
+        assert EXECUTED == [("_calc", i) for i in range(5)] + [("_negate", i) for i in range(3)]
+        EXECUTED.clear()
+        run_suite([ALPHA, BETA], jobs=1, cache=store)
+        assert EXECUTED == []
 
     def test_legacy_module_without_sweep_rejected(self):
         with pytest.raises(TypeError, match="declarative sweep"):
@@ -205,18 +179,13 @@ class TestRunSuite:
             run_suite([ALPHA, POISONED], jobs=1, cache=False)
 
     def test_fully_cached_experiment_finalizes_without_dispatch(self, tmp_path):
-        cache_dir = tmp_path / "cache"
-        run_suite([ALPHA], jobs=1, cache=cache_dir)
+        cache = ResultCache(tmp_path / "cache")
+        run_suite([ALPHA], jobs=1, cache=cache)
         events = []
-        suite = run_suite(
-            [ALPHA],
-            jobs=1,
-            cache=cache_dir,
-            progress=lambda event, payload: events.append(event),
-        )
+        suite = run_suite([ALPHA], jobs=1, cache=cache, progress=events.append)
         assert suite.cache_hits == 5
         assert suite.experiments[0].computed == 0
-        assert events == ["experiment", "suite"]
+        assert [(payload["experiment"], payload["cache_hits"]) for payload in events] == [("alpha", 5)]
 
     def test_real_drivers_match_their_run_entrypoints(self):
         # Smallest real experiments: the property matrix and fig04 quick.
@@ -248,8 +217,8 @@ class TestSchedulingNeverChangesResults:
     def test_sweep_and_suite_entry_points_agree(self, n, warm):
         """One loop behind every entry point: a sweep in-process, on a
         pool of its own, and as a one-experiment suite merge equal
-        results -- cold, and over a warm journal (entries
-        pruned, so every point misses)."""
+        results -- cold, and over a cache whose entries were pruned
+        (every point misses)."""
         from tests.harness.fake_experiments import sweep
 
         points = sweep(n=n, scale=3).points

@@ -161,6 +161,7 @@ class TestCliCache:
         assert stats["entries"] > 0
         assert stats["total_bytes"] > 0
         assert stats["runs"][-1]["sweep"] == "fig02"
+        assert "point_records" not in stats
 
         assert main(["cache", "clear", "--cache-dir", cache_dir]) == 0
         assert "cleared" in capsys.readouterr().out
@@ -241,6 +242,19 @@ class TestCliCalibrate:
             assert captured.out == ""
             assert captured.err == f"--duration-ms must be > 0, got {duration}\n"
 
+    def test_infinite_duration_rejected(self, capsys, monkeypatch):
+        # The closed loops used to run to simulated time inf, i.e. forever.
+        from repro.sim.engine import Simulator
+
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("the simulation ran")
+
+        monkeypatch.setattr(Simulator, "run", refuse)
+        assert main(["calibrate", "--duration-ms", "inf"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "--duration-ms must be finite, got inf\n"
+
 
 class TestCliSimulate:
     def test_simulate_prints_tenants(self, capsys):
@@ -275,6 +289,21 @@ class TestCliSimulate:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"--seconds must be > 0, got {seconds}\n"
+
+    def test_infinite_seconds_rejected(self, capsys, monkeypatch):
+        # The closed loops used to run to simulated time inf, i.e. forever.
+        from repro.harness.testbed import Testbed
+        from repro.sim.engine import Simulator
+
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("the simulation ran")
+
+        monkeypatch.setattr(Testbed, "run", refuse)
+        monkeypatch.setattr(Simulator, "run", refuse)
+        assert main(["simulate", "--seconds", "inf"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "--seconds must be finite, got inf\n"
 
     @pytest.mark.parametrize("depth", ["0", "-3"])
     def test_queue_depth_below_one_rejected(self, capsys, depth):
@@ -367,52 +396,32 @@ class TestCliJobs:
 
 
 class TestCliCacheJournal:
-    def test_journal_summary_and_compact(self, tmp_path, capsys):
-        cache_dir = str(tmp_path / "cache")
-        assert main(["run", "fig02", "--quick", "--cache-dir", cache_dir]) == 0
-        capsys.readouterr()
-        assert main(["cache", "journal", "--cache-dir", cache_dir, "--json"]) == 0
-        summary = json.loads(capsys.readouterr().out)
-        assert summary["point_records"] > 0
-        assert summary["sweep_runs"] >= 1
-        # Recompute after pruning entries (prune keeps the journal,
-        # clear would drop it): journal doubles up, compact dedupes.
-        assert main(["cache", "prune", "--cache-dir", cache_dir, "--max-entries", "0"]) == 0
-        assert main(["run", "fig02", "--quick", "--cache-dir", cache_dir]) == 0
-        capsys.readouterr()
-        assert main(["cache", "journal", "--cache-dir", cache_dir, "--compact", "--json"]) == 0
-        stats = json.loads(capsys.readouterr().out)
-        assert stats["dropped_superseded"] == summary["point_records"]
-        assert main(["cache", "journal", "--cache-dir", cache_dir, "--json"]) == 0
-        after = json.loads(capsys.readouterr().out)
-        assert after["point_records"] == summary["point_records"]
-
     def test_negative_limits_rejected(self, tmp_path, capsys):
-        # ``--max-records -3`` used to drop the three oldest records.
         cache_dir = str(tmp_path / "cache")
         assert main(["run", "table2", "--quick", "--cache-dir", cache_dir]) == 0
         journal = (tmp_path / "cache" / "journal.jsonl").read_text(encoding="utf-8")
         capsys.readouterr()
         for argv, message in (
-            (["journal", "--compact", "--max-records", "-3"], "--max-records must be >= 0, got -3"),
             (["prune", "--max-mb", "-1"], "--max-mb must be >= 0, got -1.0"),
             (["prune", "--max-entries", "-1"], "--max-entries must be >= 0, got -1"),
+            # ``nan`` ended in a ValueError traceback, ``inf`` in an OverflowError.
+            (["prune", "--max-mb", "nan"], "--max-mb must be finite, got nan"),
+            (["prune", "--max-mb", "inf"], "--max-mb must be finite, got inf"),
         ):
             assert main(["cache", *argv, "--cache-dir", cache_dir]) == 2
             captured = capsys.readouterr()
             assert captured.out == "" and captured.err == message + "\n"
         assert (tmp_path / "cache" / "journal.jsonl").read_text(encoding="utf-8") == journal
 
-    def test_max_records_without_compact_is_refused(self, tmp_path, capsys):
-        # The cap only applies to a compaction: alone it is refused,
-        # not ignored, and the journal is left as it was.
+    def test_undecodable_journal_line_is_skipped_by_stats(self, tmp_path, capsys):
+        # A line that is not UTF-8 made ``cache stats`` exit 1 with a traceback.
         cache_dir = str(tmp_path / "cache")
         assert main(["run", "table2", "--quick", "--cache-dir", cache_dir]) == 0
-        journal = (tmp_path / "cache" / "journal.jsonl").read_text(encoding="utf-8")
+        with open(tmp_path / "cache" / "journal.jsonl", "ab") as handle:
+            handle.write(b"\xe2\x82\n")
         capsys.readouterr()
-        argv = ["cache", "journal", "--max-records", "1", "--cache-dir", cache_dir]
-        assert main(argv) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == "--max-records needs --compact\n"
-        assert (tmp_path / "cache" / "journal.jsonl").read_text(encoding="utf-8") == journal
+        assert main(["cache", "stats", "--cache-dir", cache_dir, "--json"]) == 0
+        [run] = json.loads(capsys.readouterr().out)["runs"]
+        assert run["sweep"] == "table2"
+        assert main(["cache", "stats", "--cache-dir", cache_dir]) == 0
+        assert "last 1 runs:\n  table2" in capsys.readouterr().out
