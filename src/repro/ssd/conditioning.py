@@ -15,8 +15,8 @@ machinery directly (so the resulting block layout and the steady-state
 write amplification are real) and then zeroes the device's timing
 horizons.  That reproduces "multiple hours" of preconditioning in well
 under a second of wall-clock time.  Sequential passes go through
-``Ftl.write_run``, one open-block segment at a time; random overwrites
-go through ``Ftl.write_page``.
+``Ftl.write_run``, one open-block segment at a time; the random
+overwrites go through one ``Ftl.write_pages`` call over the draws.
 
 Because many experiments re-condition identical devices, the resulting
 FTL state is cached per (geometry, GC watermarks, condition,
@@ -84,17 +84,20 @@ def _fill_then_overwrite(ftl: Ftl, overwrite_factor: float, seed: int, stream: s
     """Sequential fill, then ``overwrite_factor`` capacities of random 4 KiB overwrites."""
     exported = len(ftl.page_map)
     ftl.write_run(0, exported)
-    write_page = ftl.write_page
     # ``randrange(exported)`` unrolled to the rejection loop it ends in
     # (``Random._randbelow_with_getrandbits``): the same draws in the
     # same order, as in ``RandomPattern.next_lba``.
     getrandbits = random.Random(derive_seed(seed, stream)).getrandbits
     bits = exported.bit_length()
-    for _ in range(int(exported * overwrite_factor)):
-        lpn = getrandbits(bits)
-        while lpn >= exported:
+
+    def draws():
+        for _ in range(int(exported * overwrite_factor)):
             lpn = getrandbits(bits)
-        write_page(lpn)
+            while lpn >= exported:
+                lpn = getrandbits(bits)
+            yield lpn
+
+    ftl.write_pages(draws())
 
 
 def precondition_clean(device: SsdDevice) -> None:

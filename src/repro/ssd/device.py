@@ -140,7 +140,7 @@ class SsdDevice:
                 # 4 KiB reads dominate the paper's workloads: the whole
                 # booking (buffer probe, channel lookup, one horizon
                 # touch, completion scheduling) runs inline here with
-                # ``Ftl.channel_of_lpn`` and ``_finalize`` unrolled.
+                # the channel lookup and ``_finalize`` unrolled.
                 profile = self.profile
                 lpn = cmd.lpn
                 if lpn in self._buffered_lpns:
@@ -232,7 +232,9 @@ class SsdDevice:
         profile = self.profile
         buffered = self._buffered_lpns
         fg_horizon = self._fg_horizon
-        channel_of_lpn = self.ftl.channel_of_lpn
+        page_map = self.ftl.page_map
+        pages_per_block = self._pages_per_block
+        num_channels = self._num_channels
         t_buf_read_us = profile.t_buf_read_us
         t_read_xfer_us = profile.t_read_xfer_us
         done = start
@@ -243,7 +245,11 @@ class SsdDevice:
                 page_done = start + t_buf_read_us
                 hits += 1
             else:
-                channel = channel_of_lpn(lpn)
+                ppn = page_map[lpn]
+                if ppn < 0:
+                    channel = lpn % num_channels
+                else:
+                    channel = ppn // pages_per_block % num_channels
                 # Reads queue behind raw read/program occupancy only;
                 # GC work is suspended in their favour.
                 horizon = fg_horizon[channel]
@@ -287,8 +293,8 @@ class SsdDevice:
         # Per-LPN loop below is the write hot path: hoist every
         # attribute load (profile costs, horizon lists, tracer) into
         # locals once, and keep ``lpns`` a range -- it is only ever
-        # iterated (here, by the buffer, and by the release callback),
-        # never indexed, so nothing needs materialising.
+        # iterated (here, by the FTL, by the buffer and by the release
+        # callback), never indexed, so nothing needs materialising.
         profile = self.profile
         t_prog_us = profile.t_prog_us
         t_read_xfer_us = profile.t_read_xfer_us
@@ -298,7 +304,7 @@ class SsdDevice:
         gc_debt_us = self._gc_debt_us
         wr_horizon = self._wr_horizon
         fg_horizon = self._fg_horizon
-        write_page = self.ftl.write_page
+        page_map = self.ftl.page_map
         pages_per_block = self._pages_per_block
         num_channels = self._num_channels
         tracer = self.sim.tracer
@@ -311,10 +317,13 @@ class SsdDevice:
         # rises beyond the write buffer serving capability".
         self._finalize(cmd, admit_time + profile.t_buf_write_us)
         last_program_done = admit_time
-        for lpn in lpns:
-            ppn, work = write_page(lpn)
-            channel = ppn // pages_per_block % num_channels
-            if not work.empty:
+        # Each page's channel is read back from the mapping: a later
+        # page's GC may have moved it, but never off its channel.
+        gc_work = dict(self.ftl.write_pages(lpns))
+        for index, lpn in enumerate(lpns):
+            channel = page_map[lpn] // pages_per_block % num_channels
+            if gc_work and index in gc_work:
+                work = gc_work[index]
                 gc_busy_us = (
                     work.relocation_reads * t_read_xfer_us
                     + work.relocation_programs * t_prog_us

@@ -18,9 +18,10 @@ time.
 
 from __future__ import annotations
 
+import sys
 from array import array
 from dataclasses import dataclass, replace
-from typing import List, Optional, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 from repro.ssd.geometry import SsdGeometry
 
@@ -36,18 +37,6 @@ class GcWork:
     @property
     def empty(self) -> bool:
         return not (self.relocation_reads or self.relocation_programs or self.erases)
-
-
-class _NoGcWork(GcWork):
-    """What a write that took no new block returns: shared, so read-only."""
-
-    empty = True
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("the shared empty GcWork is read-only")
-
-
-_NO_GC_WORK = object.__new__(_NoGcWork)  # not __init__, which assigns: fields read the defaults
 
 
 @dataclass
@@ -93,6 +82,23 @@ def _identity(n: int) -> array:
     if len(_IDENTITY) < n:
         _IDENTITY = array("i", range(n))
     return _IDENTITY
+
+
+def _live_lpns(entries: array) -> array:
+    """The live entries of a reverse-map slice (the caller's copy), in order.
+
+    One C-level pass drops every aligned all-``0xff`` int32 (-1).  A
+    live entry's most significant byte is at most ``0x7f``; in
+    little-endian order every unaligned window covers one, so the
+    left-to-right scan meets a dead entry's aligned window first.
+    """
+    swap = sys.byteorder == "big"
+    if swap:
+        entries.byteswap()
+    live = array("i", entries.tobytes().replace(b"\xff\xff\xff\xff", b""))
+    if swap:
+        live.byteswap()
+    return live
 
 
 class Ftl:
@@ -158,13 +164,6 @@ class Ftl:
         """Physical page of ``lpn``, or -1 if never written."""
         return self.page_map[lpn]
 
-    def channel_of_lpn(self, lpn: int) -> int:
-        """Channel holding ``lpn``; unmapped pages hash to a stable channel."""
-        ppn = self.page_map[lpn]
-        if ppn == _UNMAPPED:
-            return lpn % self.geometry.num_channels
-        return self.geometry.channel_of_page(ppn)
-
     def free_blocks_on_channel(self, channel: int) -> int:
         return len(self._free[channel])
 
@@ -175,62 +174,79 @@ class Ftl:
     # ------------------------------------------------------------------
     # Writes
     # ------------------------------------------------------------------
-    def write_page(self, lpn: int) -> Tuple[int, GcWork]:
-        """Map ``lpn`` to a fresh physical page.
+    def write_pages(self, lpns: Iterable[int]) -> List[Tuple[int, GcWork]]:
+        """Map each LPN of ``lpns`` to a fresh physical page, in order.
 
-        Returns the new PPN and the garbage-collection work (if any)
-        that had to run on the destination channel to make room.  The
-        caller charges that work to the channel's timeline.
+        Channels go round-robin; only a page that finds its channel's
+        host block full opens another, and only there can GC run.
+        Returns the GC work as ``(index in lpns, work)`` pairs, one per
+        page whose block-open collected.  An LPN out of range raises
+        where it stands, after the pages before it were written.
         """
         page_map = self.page_map
-        if not 0 <= lpn < len(page_map):
-            raise ValueError(f"LPN {lpn} outside exported range")
+        exported = len(page_map)
+        rmap = self._rmap
+        valid_count = self._valid_count
         pages_per_block = self._pages_per_block
-        # The old copy dies before GC can run, or GC would relocate it.
-        old_ppn = page_map[lpn]
-        if old_ppn != _UNMAPPED:
-            page_map[lpn] = _UNMAPPED
-            self._rmap[old_ppn] = _UNMAPPED
-            self._valid_count[old_ppn // pages_per_block] -= 1
+        num_channels = self._num_channels
+        open_slots = self._open
+        closed = self._closed
         channel = self._next_host_channel
-        self._next_host_channel = (channel + 1) % self._num_channels
-        slots = self._open[channel]
-        slot = slots[_HOST_STREAM]
-        work = _NO_GC_WORK
-        if slot is None:
-            work = GcWork()
-            slot = (self._take_free_block(channel, work, allow_gc=True), 0)
-        block_id, offset = slot
-        ppn = block_id * pages_per_block + offset
-        offset += 1
-        if offset == pages_per_block:
-            self._closed[channel].append(block_id)
-            slots[_HOST_STREAM] = None
-        else:
-            slots[_HOST_STREAM] = (block_id, offset)
-        page_map[lpn] = ppn
-        self._rmap[ppn] = lpn
-        self._valid_count[block_id] += 1
-        self.stats.host_programs += 1
-        return ppn, work
+        gc_work: List[Tuple[int, GcWork]] = []
+        written = 0
+        try:
+            for lpn in lpns:
+                if not 0 <= lpn < exported:
+                    raise ValueError(f"LPN {lpn} outside exported range")
+                # The old copy dies before GC can run, or GC would relocate it.
+                old_ppn = page_map[lpn]
+                if old_ppn >= 0:
+                    rmap[old_ppn] = _UNMAPPED
+                    valid_count[old_ppn // pages_per_block] -= 1
+                # Advanced first, should the channel be exhausted.
+                host = channel
+                channel = (channel + 1) % num_channels
+                slots = open_slots[host]
+                slot = slots[_HOST_STREAM]
+                if slot is None:
+                    page_map[lpn] = _UNMAPPED  # what an exhausted channel leaves
+                    work = GcWork()
+                    block_id = self._take_free_block(host, work, allow_gc=True)
+                    if not work.empty:
+                        gc_work.append((written, work))
+                    offset = 0
+                else:
+                    block_id, offset = slot
+                ppn = block_id * pages_per_block + offset
+                offset += 1
+                if offset == pages_per_block:
+                    closed[host].append(block_id)
+                    slots[_HOST_STREAM] = None
+                else:
+                    slots[_HOST_STREAM] = (block_id, offset)
+                page_map[lpn] = ppn
+                rmap[ppn] = lpn
+                valid_count[block_id] += 1
+                written += 1
+        finally:
+            self._next_host_channel = channel
+            self.stats.host_programs += written
+        return gc_work
 
     def write_run(self, first_lpn: int, count: int) -> None:
         """Write the ``count`` LPNs from ``first_lpn`` on, in order.
 
-        Leaves exactly the state that ``write_page`` called once per LPN
-        leaves, but works once per open-block segment rather than once
-        per page.  Pages take channels round-robin, so the next page
-        that finds its channel's host slot empty -- a block-open event,
-        the only place GC can run -- is known in advance.  At an event
-        the head page's old copy dies before ``_take_free_block`` runs,
-        as in ``write_page``.  Up to the next event no GC runs and no
-        LPN repeats, so the
-        segment's old copies die in one loop (read from ``page_map``
-        only now: GC may have moved them) and each channel's share lands
-        with one extended-slice store per map, copied from slices of the
-        shared identity array.  Preconditioning uses
-        this; ``SsdDevice`` keeps ``write_page``, whose per-page PPN and
-        ``GcWork`` it charges to channel time.
+        Leaves exactly the state that ``write_pages(range(first_lpn,
+        first_lpn + count))`` leaves, but works once per open-block
+        segment rather than once per page.  Pages take channels
+        round-robin, so the next page that finds its channel's host
+        slot empty -- a block-open event, the only place GC can run --
+        is known in advance, and that page alone goes through
+        ``write_pages``.  Up to the next event no GC runs and no LPN
+        repeats, so each channel's lane of the segment retires its old
+        copies with ``_retire`` and lands with one extended-slice store
+        per map, copied from slices of the shared identity array.
+        Preconditioning's sequential passes use this.
         """
         page_map = self.page_map
         stop_lpn = first_lpn + count
@@ -245,18 +261,10 @@ class Ftl:
         lpn = first_lpn
         while lpn < stop_lpn:
             head = self._next_host_channel
-            start = lpn
             if open_slots[head][_HOST_STREAM] is None:
-                old_ppn = page_map[lpn]
-                if old_ppn != _UNMAPPED:
-                    page_map[lpn] = _UNMAPPED
-                    rmap[old_ppn] = _UNMAPPED
-                    valid_count[old_ppn // pages_per_block] -= 1
-                # Advanced first, as in write_page, should the channel be exhausted.
-                self._next_host_channel = (head + 1) % num_channels
-                block_id = self._take_free_block(head, GcWork(), allow_gc=True)
-                open_slots[head][_HOST_STREAM] = (block_id, 0)
-                start += 1
+                self.write_pages((lpn,))
+                lpn += 1
+                continue
             # The segment ends at the next page that finds its slot empty.
             stop = stop_lpn
             for step in range(num_channels):
@@ -266,14 +274,10 @@ class Ftl:
                     event += (pages_per_block - slot[1]) * num_channels
                 if event < stop:
                     stop = event
-            old_ppns = page_map[start:stop]
-            if old_ppns.count(_UNMAPPED) != len(old_ppns):
-                for old_ppn in old_ppns:
-                    if old_ppn != _UNMAPPED:
-                        rmap[old_ppn] = _UNMAPPED
-                        valid_count[old_ppn // pages_per_block] -= 1
             for step in range(min(num_channels, stop - lpn)):
                 channel = (head + step) % num_channels
+                # Read from page_map only now: GC may have moved them.
+                self._retire(page_map[lpn + step : stop : num_channels], ident)
                 slots = open_slots[channel]
                 block_id, offset = slots[_HOST_STREAM]
                 lpns = ident[lpn + step : stop : num_channels]
@@ -305,6 +309,38 @@ class Ftl:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
+    def _retire(self, old_ppns: array, ident: array) -> None:
+        """Kill ``old_ppns``, one lane's old copies in a ``write_run`` segment.
+
+        Walked a block-piece at a time: a piece that is one run of PPNs
+        (a C-level compare with the identity slice) dies with one
+        blank-slice store and one valid-count subtraction, any other
+        piece page by page.  A clean device's second pass is all runs.
+        """
+        count = len(old_ppns)
+        blank = self._blank_block
+        if old_ppns == blank[:count]:  # all unmapped (no lane outgrows a block)
+            return
+        rmap = self._rmap
+        valid_count = self._valid_count
+        pages_per_block = self._pages_per_block
+        index = 0
+        while index < count:
+            first = old_ppns[index]
+            # An unmapped entry (-1) is a piece of one that is not a run.
+            end = min(count, index + pages_per_block - first % pages_per_block)
+            piece = old_ppns[index:end]
+            taken = end - index
+            if piece == ident[first : first + taken]:
+                rmap[first : first + taken] = blank[:taken]
+                valid_count[first // pages_per_block] -= taken
+            else:
+                for old_ppn in piece:
+                    if old_ppn >= 0:
+                        rmap[old_ppn] = _UNMAPPED
+                        valid_count[old_ppn // pages_per_block] -= 1
+            index = end
+
     def _take_free_block(self, channel: int, work: GcWork, allow_gc: bool) -> int:
         free = self._free[channel]
         if allow_gc and len(free) <= self.gc_low_water:
@@ -364,7 +400,7 @@ class Ftl:
         rmap = self._rmap
         page_map = self.page_map
         base = victim * pages_per_block
-        lpns = array("i", [lpn for lpn in rmap[base : base + pages_per_block] if lpn != _UNMAPPED])
+        lpns = _live_lpns(rmap[base : base + pages_per_block])
         rmap[base : base + pages_per_block] = self._blank_block
         moved = len(lpns)
         self._valid_count[victim] -= moved
@@ -442,40 +478,3 @@ class Ftl:
         runs report only their own programs and erases.
         """
         self.stats = FtlStats()
-
-    # ------------------------------------------------------------------
-    # Integrity checking (used by tests)
-    # ------------------------------------------------------------------
-    def check_invariants(self) -> None:
-        """Verify map/reverse-map/valid-count consistency.  O(total pages)."""
-        for lpn, ppn in enumerate(self.page_map):
-            if ppn != _UNMAPPED and self._rmap[ppn] != lpn:
-                raise AssertionError(f"map mismatch: lpn={lpn} ppn={ppn} rmap={self._rmap[ppn]}")
-        counted = [0] * self.geometry.total_blocks
-        for ppn, lpn in enumerate(self._rmap):
-            if lpn != _UNMAPPED:
-                if self.page_map[lpn] != ppn:
-                    raise AssertionError(f"rmap mismatch: ppn={ppn} lpn={lpn}")
-                counted[ppn // self._pages_per_block] += 1
-        if counted != self._valid_count:
-            raise AssertionError("valid counts inconsistent with reverse map")
-        # Pool accounting: every block is in exactly one of the
-        # free/closed/open pools.
-        seen = [0] * self.geometry.total_blocks
-        for pool in self._free:
-            for block_id in pool:
-                seen[block_id] += 1
-        for pool in self._closed:
-            for block_id in pool:
-                seen[block_id] += 1
-        for slots in self._open:
-            for slot in slots:
-                if slot is not None:
-                    seen[slot[0]] += 1
-        for block_id, count in enumerate(seen):
-            if count != 1:
-                raise AssertionError(
-                    f"block {block_id} appears {count} times across free/closed/open pools"
-                )
-        if any(count < 0 for count in self._erase_counts):
-            raise AssertionError("negative erase count")

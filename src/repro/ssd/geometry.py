@@ -59,9 +59,6 @@ class SsdGeometry:
     def block_of_page(self, ppn: int) -> int:
         return ppn // self.pages_per_block
 
-    def channel_of_page(self, ppn: int) -> int:
-        return self.channel_of_block(self.block_of_page(ppn))
-
     def __str__(self) -> str:
         return (
             f"{self.num_channels}ch x {self.blocks_per_channel}blk x "

@@ -24,6 +24,7 @@ large-read tail latency.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 
@@ -77,9 +78,11 @@ class DeviceProfile:
             "t_erase_us",
             "t_buf_write_us",
             "t_buf_read_us",
+            "gc_installment_us",
         ):
-            if getattr(self, field_name) < 0:
-                raise ValueError(f"{field_name} must be non-negative")
+            value = getattr(self, field_name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{field_name} must be finite and non-negative, got {value!r}")
 
 
 #: Samsung DCT983-like TLC device (the paper's primary SSD).

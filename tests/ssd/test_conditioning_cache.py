@@ -27,6 +27,7 @@ from repro.ssd.conditioning import (
 from repro.ssd.device import SsdDevice
 from repro.ssd.geometry import SsdGeometry
 from repro.ssd.profiles import profile_by_name
+from tests.ssd.invariants import check_invariants
 
 GEOMETRY = SsdGeometry(
     num_channels=2, blocks_per_channel=14, pages_per_block=32, overprovision=0.4
@@ -119,12 +120,11 @@ class TestRestoredStateIsIsolated:
         the next device will restore from."""
         first = make_device()
         precondition_fragmented(first)
-        for lpn in range(64):
-            first.ftl.write_page(lpn)
+        first.ftl.write_pages(range(64))
         second = make_device()
         precondition_fragmented(second)
         assert second.ftl.page_map != first.ftl.page_map or first.ftl.stats != second.ftl.stats
-        second.ftl.check_invariants()
+        check_invariants(second.ftl)
 
     def test_warm_restore_matches_cold_conditioning(self):
         cold = make_device()

@@ -7,7 +7,7 @@ leave behind is hashed and compared against a digest frozen under
 ``tests/golden/data/`` (first generated at commit 99b8e82, before the
 FTL's write and GC path was flattened).  A write-path change that
 places one page in a different slot or closes a block one write late
-fails here.  Each rig's FTL must also pass ``Ftl.check_invariants()``
+fails here.  Each rig's FTL must also pass ``check_invariants``
 as built and as restored from the conditioning cache.
 
 Regenerate (after an *intentional* behaviour change only)::
@@ -30,6 +30,7 @@ from repro.ssd.conditioning import (
 from repro.ssd.device import SsdDevice
 from tests.golden.regenerate import conditioning_digest
 from tests.golden.test_golden_figures import _load
+from tests.ssd.invariants import check_invariants
 
 
 def test_conditioned_layouts_match_frozen_digest():
@@ -54,12 +55,12 @@ def test_conditioned_and_restored_ftls_keep_their_invariants(condition):
     try:
         built = SsdDevice(Simulator())
         condition(built)
-        built.ftl.check_invariants()
+        check_invariants(built.ftl)
         restored = SsdDevice(Simulator())
         condition(restored)
     finally:
         clear_conditioning_cache()
-    restored.ftl.check_invariants()
+    check_invariants(restored.ftl)
     snap = built.ftl.snapshot()
     assert restored.ftl.snapshot() == snap
     _assert_flat(restored.ftl)
@@ -69,4 +70,4 @@ def test_conditioned_and_restored_ftls_keep_their_invariants(condition):
     legacy.restore(listed)
     _assert_flat(legacy)
     assert legacy.snapshot() == snap
-    legacy.check_invariants()
+    check_invariants(legacy)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -11,6 +12,7 @@ from repro.sim.engine import Simulator
 from repro.ssd.commands import DeviceCommand, IoOp
 from repro.ssd.conditioning import precondition_clean, precondition_fragmented
 from repro.ssd.device import NullDevice, SsdDevice
+from repro.ssd.profiles import DCT983_PROFILE
 
 
 def run_closed_loop(sim, device, queue_depth, op, npages, duration_us, seed=0, sequential=False):
@@ -338,6 +340,34 @@ class TestConditioning:
         infinity."""
         with pytest.raises(ValueError, match=f"{name} must be finite and non-negative"):
             condition(SsdDevice(sim), **{name: value})
+
+
+#: Every timing field of ``DeviceProfile``, in microseconds.
+TIMING_FIELDS = (
+    "t_ctrl_cmd_us",
+    "t_read_xfer_us",
+    "t_sense_us",
+    "t_prog_us",
+    "t_erase_us",
+    "t_buf_write_us",
+    "t_buf_read_us",
+    "gc_installment_us",
+)
+
+
+class TestProfileValidation:
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, -1.0])
+    @pytest.mark.parametrize("field", TIMING_FIELDS)
+    def test_timings_must_be_finite_and_non_negative(self, field, value):
+        """A NaN timing used to end a run in the kernel (``Cannot add at
+        t=nan``), an infinite one never completed it, and a negative GC
+        installment grew every channel's GC debt without any GC."""
+        with pytest.raises(ValueError, match=f"{field} must be finite and non-negative, got"):
+            replace(DCT983_PROFILE, **{field: value})
+
+    @pytest.mark.parametrize("field", TIMING_FIELDS)
+    def test_zero_timings_are_accepted(self, field):
+        assert getattr(replace(DCT983_PROFILE, **{field: 0.0}), field) == 0.0
 
 
 class TestNullDevice:

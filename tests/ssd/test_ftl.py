@@ -8,8 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.sim.engine import Simulator
+from repro.ssd.commands import DeviceCommand, IoOp
+from repro.ssd.device import SsdDevice
 from repro.ssd.ftl import Ftl
 from repro.ssd.geometry import SsdGeometry
+from tests.ssd.invariants import check_invariants
 
 
 @pytest.fixture
@@ -26,24 +30,24 @@ class TestMapping:
     def test_unwritten_lpn_is_unmapped(self, ftl):
         assert ftl.lookup(0) == -1
 
-    def test_write_maps_lpn(self, ftl):
-        ppn, _ = ftl.write_page(5)
-        assert ftl.lookup(5) == ppn
+    def test_write_maps_lpn(self, ftl, geometry):
+        assert ftl.write_pages([5]) == []
+        assert 0 <= ftl.lookup(5) < geometry.total_pages
 
     def test_overwrite_remaps(self, ftl):
-        first, _ = ftl.write_page(5)
-        second, _ = ftl.write_page(5)
-        assert first != second
-        assert ftl.lookup(5) == second
+        ftl.write_pages([5])
+        first = ftl.lookup(5)
+        ftl.write_pages([5])
+        assert ftl.lookup(5) not in (first, -1)
 
     def test_out_of_range_lpn_rejected(self, ftl, geometry):
         with pytest.raises(ValueError):
-            ftl.write_page(geometry.exported_pages)
+            ftl.write_pages([geometry.exported_pages])
         with pytest.raises(ValueError):
-            ftl.write_page(-1)
+            ftl.write_pages([-1])
 
     def test_trim_unmaps(self, ftl):
-        ftl.write_page(7)
+        ftl.write_pages([7])
         ftl.trim_page(7)
         assert ftl.lookup(7) == -1
 
@@ -52,19 +56,26 @@ class TestMapping:
         assert ftl.lookup(3) == -1
 
     def test_sequential_writes_stripe_across_channels(self, ftl, geometry):
-        channels = set()
-        for lpn in range(geometry.num_channels):
-            ppn, _ = ftl.write_page(lpn)
-            channels.add(geometry.channel_of_page(ppn))
+        ftl.write_pages(range(geometry.num_channels))
+        channels = {
+            geometry.block_of_page(ftl.lookup(lpn)) % geometry.num_channels
+            for lpn in range(geometry.num_channels)
+        }
         assert channels == set(range(geometry.num_channels))
 
-    def test_channel_of_unmapped_lpn_is_stable(self, ftl):
-        assert ftl.channel_of_lpn(11) == ftl.channel_of_lpn(11)
+    def test_channel_of_unmapped_lpn_is_stable(self, geometry):
+        """A read of a never-written page books channel ``lpn % num_channels``,
+        in a single-page command and in a multi-page one alike."""
+        for lpn, npages in ((11, 1), (11, 2), (10, 3)):
+            device = SsdDevice(Simulator(), geometry=geometry)
+            device.submit(DeviceCommand(IoOp.READ, lpn, npages), lambda cmd: None)
+            touched = {ch for ch, horizon in enumerate(device._fg_horizon) if horizon > 0}
+            assert touched == {page % geometry.num_channels for page in range(lpn, lpn + npages)}
 
     def test_no_two_lpns_share_a_physical_page(self, ftl, geometry):
         rng = random.Random(0)
         for _ in range(geometry.exported_pages * 2):
-            ftl.write_page(rng.randrange(geometry.exported_pages))
+            ftl.write_pages([rng.randrange(geometry.exported_pages)])
         seen = {}
         for lpn in range(geometry.exported_pages):
             ppn = ftl.lookup(lpn)
@@ -75,25 +86,22 @@ class TestMapping:
 
 class TestGarbageCollection:
     def test_fill_entire_device_succeeds(self, ftl, geometry):
-        for lpn in range(geometry.exported_pages):
-            ftl.write_page(lpn)
+        ftl.write_pages(range(geometry.exported_pages))
         assert ftl.mapped_pages == geometry.exported_pages
 
     def test_sustained_overwrite_never_exhausts(self, ftl, geometry):
         rng = random.Random(1)
-        for lpn in range(geometry.exported_pages):
-            ftl.write_page(lpn)
-        for _ in range(geometry.exported_pages * 3):
-            ftl.write_page(rng.randrange(geometry.exported_pages))
-        ftl.check_invariants()
+        ftl.write_pages(range(geometry.exported_pages))
+        ftl.write_pages(
+            rng.randrange(geometry.exported_pages) for _ in range(geometry.exported_pages * 3)
+        )
+        check_invariants(ftl)
 
     def test_sequential_overwrite_has_low_write_amplification(self, ftl, geometry):
         for _ in range(2):
-            for lpn in range(geometry.exported_pages):
-                ftl.write_page(lpn)
+            ftl.write_pages(range(geometry.exported_pages))
         ftl.stats.host_programs = ftl.stats.gc_programs = 0
-        for lpn in range(geometry.exported_pages):
-            ftl.write_page(lpn)
+        ftl.write_pages(range(geometry.exported_pages))
         assert ftl.stats.write_amplification < 1.3
 
     def test_random_overwrite_amplifies_more_than_sequential(self):
@@ -106,22 +114,21 @@ class TestGarbageCollection:
         def steady_state_wa(random_pattern):
             ftl = Ftl(geometry)
             rng = random.Random(2)
-            for lpn in range(geometry.exported_pages):
-                ftl.write_page(lpn)
-            for _ in range(geometry.exported_pages * 2):
-                if random_pattern:
-                    ftl.write_page(rng.randrange(geometry.exported_pages))
-                else:
-                    pass
-            if not random_pattern:
-                for lpn in range(geometry.exported_pages):
-                    ftl.write_page(lpn)
+            ftl.write_pages(range(geometry.exported_pages))
+            if random_pattern:
+                ftl.write_pages(
+                    rng.randrange(geometry.exported_pages)
+                    for _ in range(geometry.exported_pages * 2)
+                )
+            else:
+                ftl.write_pages(range(geometry.exported_pages))
             ftl.stats.host_programs = ftl.stats.gc_programs = 0
-            for i in range(geometry.exported_pages):
-                if random_pattern:
-                    ftl.write_page(rng.randrange(geometry.exported_pages))
-                else:
-                    ftl.write_page(i)
+            if random_pattern:
+                ftl.write_pages(
+                    rng.randrange(geometry.exported_pages) for _ in range(geometry.exported_pages)
+                )
+            else:
+                ftl.write_pages(range(geometry.exported_pages))
             return ftl.stats.write_amplification
 
         random_wa = steady_state_wa(random_pattern=True)
@@ -135,19 +142,19 @@ class TestGarbageCollection:
         shadow = {}
         for _ in range(geometry.exported_pages * 4):
             lpn = rng.randrange(geometry.exported_pages)
-            ppn, _ = ftl.write_page(lpn)
+            ftl.write_pages([lpn])
             shadow[lpn] = True
         for lpn in shadow:
             assert ftl.lookup(lpn) != -1
-        ftl.check_invariants()
+        check_invariants(ftl)
 
     def test_gc_work_reported(self, ftl, geometry):
         rng = random.Random(4)
-        for lpn in range(geometry.exported_pages):
-            ftl.write_page(lpn)
+        ftl.write_pages(range(geometry.exported_pages))
         total_relocations = 0
-        for _ in range(geometry.exported_pages):
-            _, work = ftl.write_page(rng.randrange(geometry.exported_pages))
+        draws = [rng.randrange(geometry.exported_pages) for _ in range(geometry.exported_pages)]
+        for index, work in ftl.write_pages(draws):
+            assert 0 <= index < len(draws) and not work.empty
             assert work.relocation_reads == work.relocation_programs
             total_relocations += work.relocation_programs
         assert total_relocations > 0
@@ -155,14 +162,13 @@ class TestGarbageCollection:
 
     def test_erases_counted(self, ftl, geometry):
         for _ in range(3):
-            for lpn in range(geometry.exported_pages):
-                ftl.write_page(lpn)
+            ftl.write_pages(range(geometry.exported_pages))
         assert ftl.stats.erases > 0
 
     def test_free_blocks_stay_above_zero(self, ftl, geometry):
         rng = random.Random(5)
         for _ in range(geometry.exported_pages * 3):
-            ftl.write_page(rng.randrange(geometry.exported_pages))
+            ftl.write_pages([rng.randrange(geometry.exported_pages)])
             for channel in range(geometry.num_channels):
                 assert ftl.free_blocks_on_channel(channel) >= 0
 
@@ -171,30 +177,31 @@ class TestSnapshotRestore:
     def test_restore_reproduces_mappings(self, geometry):
         source = Ftl(geometry)
         rng = random.Random(6)
-        for _ in range(geometry.exported_pages * 2):
-            source.write_page(rng.randrange(geometry.exported_pages))
+        source.write_pages(
+            rng.randrange(geometry.exported_pages) for _ in range(geometry.exported_pages * 2)
+        )
         snap = source.snapshot()
         target = Ftl(geometry)
         target.restore(snap)
         assert target.page_map == source.page_map
-        target.check_invariants()
+        check_invariants(target)
 
     def test_restored_ftl_keeps_working(self, geometry):
         source = Ftl(geometry)
-        for lpn in range(geometry.exported_pages):
-            source.write_page(lpn)
+        source.write_pages(range(geometry.exported_pages))
         target = Ftl(geometry)
         target.restore(source.snapshot())
         rng = random.Random(7)
-        for _ in range(geometry.exported_pages):
-            target.write_page(rng.randrange(geometry.exported_pages))
-        target.check_invariants()
+        target.write_pages(
+            rng.randrange(geometry.exported_pages) for _ in range(geometry.exported_pages)
+        )
+        check_invariants(target)
 
     def test_snapshot_is_isolated_from_source_mutation(self, geometry):
         source = Ftl(geometry)
-        source.write_page(0)
+        source.write_pages([0])
         snap = source.snapshot()
-        source.write_page(1)
+        source.write_pages([1])
         target = Ftl(geometry)
         target.restore(snap)
         assert target.lookup(1) == -1
@@ -202,8 +209,7 @@ class TestSnapshotRestore:
     def test_restore_round_trips_stats(self, geometry):
         """Stats survive a snapshot/restore (they used to be dropped)."""
         source = Ftl(geometry)
-        for lpn in range(geometry.exported_pages):
-            source.write_page(lpn)
+        source.write_pages(range(geometry.exported_pages))
         target = Ftl(geometry)
         target.restore(source.snapshot())
         assert target.stats == source.stats
@@ -215,10 +221,10 @@ class TestSnapshotRestore:
 def _churn(ftl, geometry, passes, seed=0):
     """Fill the device, then ``passes`` capacities of uniform overwrites."""
     rng = random.Random(seed)
-    for lpn in range(geometry.exported_pages):
-        ftl.write_page(lpn)
-    for _ in range(geometry.exported_pages * passes):
-        ftl.write_page(rng.randrange(geometry.exported_pages))
+    ftl.write_pages(range(geometry.exported_pages))
+    ftl.write_pages(
+        rng.randrange(geometry.exported_pages) for _ in range(geometry.exported_pages * passes)
+    )
 
 
 class TestWearLevelling:
@@ -251,8 +257,8 @@ class TestWearLevelling:
             ftl._erase_counts[block_id] = 10 + wear
         coldest = free[len(free) // 2]
         ftl._erase_counts[coldest] = 1
-        ppn, _ = ftl.write_page(0)  # the first write opens channel 0's host block
-        assert ftl.geometry.block_of_page(ppn) == coldest
+        ftl.write_pages([0])  # the first write opens channel 0's host block
+        assert ftl.geometry.block_of_page(ftl.lookup(0)) == coldest
 
     def test_wear_survives_snapshot_restore(self):
         geometry = SsdGeometry(num_channels=2, blocks_per_channel=10, pages_per_block=32,
@@ -273,9 +279,8 @@ class TestPropertyBased:
             num_channels=2, blocks_per_channel=8, pages_per_block=16, overprovision=0.4
         )
         ftl = Ftl(geometry, gc_low_water=0, gc_high_water=1)
-        for lpn in lpns:
-            ftl.write_page(lpn % geometry.exported_pages)
-        ftl.check_invariants()
+        ftl.write_pages(lpn % geometry.exported_pages for lpn in lpns)
+        check_invariants(ftl)
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -295,11 +300,11 @@ class TestPropertyBased:
         for is_write, raw in ops:
             lpn = raw % geometry.exported_pages
             if is_write:
-                ftl.write_page(lpn)
+                ftl.write_pages([lpn])
                 live.add(lpn)
             else:
                 ftl.trim_page(lpn)
                 live.discard(lpn)
-        ftl.check_invariants()
+        check_invariants(ftl)
         for lpn in live:
             assert ftl.lookup(lpn) != -1

@@ -13,7 +13,8 @@ page-mapped FTL must keep under any interleaving:
 * **monotone erase counts** -- erases only accumulate.
 
 ``CONFIGS`` names the FTLs the properties run on (the reference FTL;
-``test_ftl_reference.py`` adds geometries for ``write_run``).
+``test_ftl_reference.py`` adds geometries for ``write_run`` and
+``write_pages``).
 ``derandomize`` keeps the suite deterministic in CI.
 """
 
@@ -25,6 +26,7 @@ from hypothesis import strategies as st
 
 from repro.ssd.ftl import Ftl
 from repro.ssd.geometry import SsdGeometry
+from tests.ssd.invariants import check_invariants
 
 GEOMETRY = SsdGeometry(
     num_channels=2, blocks_per_channel=12, pages_per_block=16, overprovision=0.4
@@ -62,8 +64,8 @@ def _run_ops(ftl: Ftl, ops) -> dict:
     last_total_erases = 0
     for op, lpn in ops:
         if op == "write":
-            ppn, _work = ftl.write_page(lpn)
-            assert ppn >= 0
+            ftl.write_pages([lpn])
+            assert ftl.lookup(lpn) >= 0
             model.add(lpn)
         elif op == "trim":
             ftl.trim_page(lpn)
@@ -71,7 +73,7 @@ def _run_ops(ftl: Ftl, ops) -> dict:
         else:
             ppn = ftl.lookup(lpn)
             assert (ppn != -1) == (lpn in model)
-        ftl.check_invariants()
+        check_invariants(ftl)
         total = sum(ftl._erase_counts)
         assert total >= last_total_erases, "erase counts went backwards"
         last_total_erases = total
@@ -116,7 +118,7 @@ class TestFtlProperties:
         _run_ops(ftl, ops)
         clone = CONFIGS[config]()
         clone.restore(ftl.snapshot())
-        clone.check_invariants()
+        check_invariants(clone)
         assert clone.page_map == ftl.page_map
         assert clone.stats == ftl.stats
         assert clone._erase_counts == ftl._erase_counts

@@ -1,31 +1,40 @@
 """The flattened FTL against its per-page reference model.
 
-``Ftl.write_page`` claims the next slot of the channel's open block on
-locals, and ``Ftl._relocate_block`` moves a victim's live pages with a
-few slice operations.  :class:`ReferenceFtl` below keeps the algorithm
-they replaced -- one ``_invalidate`` / ``_append`` / ``_map`` per page,
-a 256-slot walk per victim -- on top of the *same* block pools, victim
-selection and least-worn-first block choice, so the two can only
-differ where the flattening went wrong.
+``Ftl.write_pages`` runs the host write over a whole sequence of LPNs
+on hoisted locals, ``Ftl.write_run`` lands a sequential run one
+open-block segment at a time and retires the old copies a block-run at
+a time, and ``Ftl._relocate_block`` reads a victim's live LPNs in one
+C-level pass (``_live_lpns``) and moves them with a few slice
+operations.  :class:`ReferenceFtl` below keeps the algorithm they
+replaced -- a ``write_page`` of one ``_invalidate`` / ``_append`` /
+``_map`` per page, a 256-slot walk per victim -- on top of the *same*
+block pools, victim selection and least-worn-first block choice, so
+the two can only differ where the flattening went wrong.
 
 Hypothesis drives both with the same write/trim sequences over the
-configurations of ``test_ftl_property.py``.  Every call must return
-the same physical page and the same GC work, and after every operation
-the complete state must be equal: mapping, reverse map, valid counts,
-block pools, open slots, erase counts and stats (``Ftl.snapshot()``).
-``Ftl.write_run``, the segment-at-a-time sequential write that
-conditioning uses, is held to the reference's per-page loop the same
-way.
+configurations of ``test_ftl_property.py``, plus an uneven-stripe and
+a one-page-per-block geometry.  ``write_pages`` must report GC work at
+exactly the page indexes where the reference's ``write_page`` loop
+returned non-empty work, with the same counts, and raise where the
+loop raises; after every call the complete state must be equal:
+mapping, reverse map, valid counts, block pools, open slots, erase
+counts and stats (``Ftl.snapshot()``).  ``write_run``, the
+segment-at-a-time sequential write that conditioning uses, is held to
+the reference's per-page loop the same way, and ``_live_lpns`` to the
+list comprehension it replaced.
 """
 
 from __future__ import annotations
 
+from array import array
+
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from repro.ssd.ftl import _GC_STREAM, _HOST_STREAM, _UNMAPPED, Ftl, FtlError, GcWork
+from repro.ssd.ftl import _GC_STREAM, _HOST_STREAM, _UNMAPPED, Ftl, FtlError, GcWork, _live_lpns
 from repro.ssd.geometry import SsdGeometry
+from tests.ssd.invariants import check_invariants
 from tests.ssd.test_ftl_property import CONFIGS, EXPORTED, GEOMETRY, SETTINGS
 
 
@@ -103,20 +112,38 @@ def _pair(factory):
     return ftl, ReferenceFtl(ftl.geometry)
 
 
+def _work(work):
+    return (work.relocation_reads, work.relocation_programs, work.erases)
+
+
+def _loop(reference, lpns):
+    """The reference's per-page loop, its GC work listed as ``write_pages``
+    reports it: ``(index, counts)`` wherever a write returned work."""
+    reported = []
+    for index, lpn in enumerate(lpns):
+        _, work = reference.write_page(lpn)
+        if not work.empty:
+            reported.append((index, _work(work)))
+    return reported
+
+
+def _write_both(ftl, reference, lpns):
+    """``write_pages`` and the reference loop over ``lpns``: the same GC
+    work at the same page indexes."""
+    reported = [(index, _work(work)) for index, work in ftl.write_pages(iter(lpns))]
+    assert reported == _loop(reference, lpns)
+    return reported
+
+
 def _churn(ftl, reference, writes):
-    """Fixed overwrite traffic (a hot half plus a cold stripe), checking
-    every write's return value."""
+    """Fixed overwrite traffic (a hot half plus a cold stripe)."""
     exported = len(ftl.page_map)
+    lpns = []
     lpn = 0
     for step in range(writes):
         lpn = (lpn * 5 + 3) % (exported // 2) if step % 7 else step % exported
-        ppn, work = ftl.write_page(lpn)
-        ref_ppn, ref_work = reference.write_page(lpn)
-        assert ppn == ref_ppn and _work(work) == _work(ref_work)
-
-
-def _work(work):
-    return (work.relocation_reads, work.relocation_programs, work.erases)
+        lpns.append(lpn)
+    _write_both(ftl, reference, lpns)
 
 
 ops_strategy = st.lists(
@@ -141,16 +168,12 @@ def test_every_call_and_every_state_match(config, ops):
     assert ftl.snapshot() == reference.snapshot()
     for op, lpn in ops:
         if op == "write":
-            ppn, work = ftl.write_page(lpn)
-            ref_ppn, ref_work = reference.write_page(lpn)
-            assert ppn == ref_ppn
-            assert _work(work) == _work(ref_work)
-            assert work.empty == ref_work.empty
+            _write_both(ftl, reference, [lpn])
         else:
             ftl.trim_page(lpn)
             reference.trim_page(lpn)
         assert ftl.snapshot() == reference.snapshot()
-    ftl.check_invariants()
+    check_invariants(ftl)
 
 
 @pytest.mark.parametrize("config", sorted(CONFIGS))
@@ -161,7 +184,7 @@ def test_sustained_overwrite_matches_through_gc_and_levelling(config):
     # Least-worn-first block choice spread the erases over the blocks.
     assert min(ftl._erase_counts) > 0
     assert ftl.snapshot() == reference.snapshot()
-    ftl.check_invariants()
+    check_invariants(ftl)
 
 
 #: ``write_run`` also runs where the channels do not divide the exported
@@ -179,6 +202,23 @@ RUN_CONFIGS = dict(
 )
 
 
+def _lanes_of_a_full_pass(ftl):
+    """The old-copy lanes ``_retire`` gets when ``write_run`` rewrites
+    every LPN of a copy of ``ftl``."""
+    copy = Ftl(ftl.geometry, ftl.gc_low_water, ftl.gc_high_water)
+    copy.restore(ftl.snapshot())
+    lanes = []
+    retire = copy._retire
+
+    def spy(old_ppns, ident):
+        lanes.append(old_ppns.tolist())
+        retire(old_ppns, ident)
+
+    copy._retire = spy
+    copy.write_run(0, len(copy.page_map))
+    return lanes
+
+
 @pytest.mark.parametrize("churned", [False, True], ids=["empty", "churned"])
 @pytest.mark.parametrize("config", sorted(RUN_CONFIGS))
 @given(data=st.data())
@@ -190,6 +230,14 @@ def test_write_run_matches_a_write_page_loop(config, churned, data):
     exported = len(ftl.page_map)
     if churned:
         _churn(ftl, reference, 2 * exported)
+    pages_per_block = ftl.geometry.pages_per_block
+    if churned and pages_per_block > 1:
+        # A full pass over the churned layout retires lanes both ways:
+        # some straddle a block boundary, some are not one run of PPNs.
+        # (With one page a block, every page is its own segment.)
+        lanes = [[ppn for ppn in lane if ppn >= 0] for lane in _lanes_of_a_full_pass(ftl)]
+        assert any(len({ppn // pages_per_block for ppn in lane}) > 1 for lane in lanes)
+        assert any(lane != list(range(lane[0], lane[0] + len(lane))) for lane in lanes if lane)
     for _ in range(data.draw(st.integers(min_value=1, max_value=6), label="calls")):
         op = data.draw(st.sampled_from(["run", "run", "write", "trim"]), label="op")
         first = data.draw(st.integers(min_value=0, max_value=exported - 1), label="first")
@@ -202,13 +250,32 @@ def test_write_run_matches_a_write_page_loop(config, churned, data):
             for lpn in range(first, first + count):
                 reference.write_page(lpn)
         elif op == "write":
-            ftl.write_page(first)
-            reference.write_page(first)
+            _write_both(ftl, reference, [first])
         else:
             ftl.trim_page(first)
             reference.trim_page(first)
         assert ftl.snapshot() == reference.snapshot()
-    ftl.check_invariants()
+    check_invariants(ftl)
+
+
+def test_write_run_splits_a_lane_at_a_block_boundary():
+    """A lane whose old copies are consecutive PPNs across a block
+    boundary dies as two block-runs, one valid-count subtraction per
+    block.  Writes alternate between the two channels, so LPN 0 lands
+    on block 0's last page and LPN 2 on block 1's first; rewriting LPNs
+    0-2 retires both in lane 0 of one segment."""
+    ftl, reference = _pair(CONFIGS["reference"])
+    pages_per_block = GEOMETRY.pages_per_block
+    assert GEOMETRY.num_channels == 2
+    # Two full blocks, then one page on each channel's next block.
+    lpns = [10 + index for index in range(2 * pages_per_block + 2)]
+    lpns[2 * pages_per_block - 2] = 0
+    lpns[1] = 2
+    _write_both(ftl, reference, lpns)
+    assert (ftl.lookup(0), ftl.lookup(2)) == (pages_per_block - 1, pages_per_block)
+    ftl.write_run(0, 3)
+    _loop(reference, range(3))
+    assert ftl.snapshot() == reference.snapshot()
 
 
 def test_write_run_checks_its_arguments():
@@ -241,17 +308,93 @@ def test_write_run_fails_where_the_loop_fails_and_leaves_its_state():
     assert ftl.snapshot() == reference.snapshot()
 
 
+def test_write_pages_fails_where_the_loop_fails_and_leaves_its_state():
+    """The same exhaustion through ``write_pages``: it raises at the same
+    page, and the pages before it stay written and counted."""
+    ftl = Ftl(GEOMETRY, gc_low_water=0, gc_high_water=0)
+    reference = ReferenceFtl(GEOMETRY, gc_low_water=0, gc_high_water=0)
+    lpns = list(range(len(ftl.page_map))) * 2
+    with pytest.raises(FtlError):
+        ftl.write_pages(lpns)
+    with pytest.raises(FtlError):
+        _loop(reference, lpns)
+    assert ftl.snapshot() == reference.snapshot()
+    assert 0 < ftl.stats.host_programs < len(lpns)
+
+
 def test_no_gc_work_cannot_be_altered_through_a_caller():
-    """Writes that took no new block share one empty ``GcWork``; a caller
-    scribbling on it must not change what a later write reports."""
-    ftl = CONFIGS["reference"]()
-    for lpn in range(ftl.geometry.num_channels):
-        ftl.write_page(lpn)  # opens every channel's host block
-    _, work = ftl.write_page(0)
-    assert work.empty
-    for field in ("relocation_reads", "relocation_programs", "erases"):
-        with pytest.raises(AttributeError):
-            setattr(work, field, 99)
-    _, later = ftl.write_page(1)
-    assert _work(later) == (0, 0, 0)
-    assert later.empty
+    """Writes that collected nothing report nothing, and every reported
+    ``GcWork`` is the caller's own: scribbling on one must not change
+    what a later write reports."""
+    fresh = CONFIGS["reference"]()
+    # Opens every channel's host block from a full free pool: no GC.
+    assert fresh.write_pages(range(fresh.geometry.num_channels)) == []
+    assert fresh.write_pages([0, 1]) == []
+    ftl, reference = _pair(CONFIGS["reference"])
+    _churn(ftl, reference, 2 * len(ftl.page_map))
+    lpns = list(range(0, len(ftl.page_map), 3)) * 2
+    first = ftl.write_pages(lpns)
+    assert [(index, _work(work)) for index, work in first] == _loop(reference, lpns) != []
+    for _, work in first:
+        work.relocation_reads = work.relocation_programs = work.erases = 99
+    assert _write_both(ftl, reference, lpns) != []
+    assert ftl.snapshot() == reference.snapshot()
+
+
+@pytest.mark.parametrize("config", sorted(RUN_CONFIGS))
+@given(data=st.data())
+@SETTINGS
+def test_write_pages_matches_the_loop(config, data):
+    """``write_pages`` over arbitrary LPN sequences -- a few hot LPNs
+    repeat -- against the reference's per-page loop from a churned FTL
+    that is already collecting.  An out-of-range LPN inside a sequence
+    raises where the loop raises and leaves the loop's state."""
+    ftl, reference = _pair(RUN_CONFIGS[config])
+    exported = len(ftl.page_map)
+    _churn(ftl, reference, 2 * exported)
+    lpn = st.one_of(st.integers(0, exported - 1), st.integers(0, 3))
+    for _ in range(data.draw(st.integers(min_value=1, max_value=4), label="calls")):
+        lpns = data.draw(st.lists(lpn, max_size=3 * exported), label="lpns")
+        bad = data.draw(
+            st.none()
+            | st.tuples(st.integers(0, len(lpns)), st.sampled_from([-1, exported, exported + 7])),
+            label="bad",
+        )
+        if bad is None:
+            _write_both(ftl, reference, lpns)
+        else:
+            at, value = bad
+            lpns.insert(at, value)
+            with pytest.raises(ValueError, match=f"LPN {value} outside exported range"):
+                ftl.write_pages(iter(lpns))
+            with pytest.raises(ValueError, match=f"LPN {value} outside exported range"):
+                _loop(reference, lpns)
+        assert ftl.snapshot() == reference.snapshot()
+    check_invariants(ftl)
+
+
+#: Live LPNs whose low bytes are ``0xff``: next to a dead slot, an
+#: unaligned ``0xff`` window is four bytes away at most.
+ADVERSARIAL_LPNS = (255, 0xFFFF, 0xFFFFFF, 2**31 - 1)
+live_lpn = st.one_of(st.sampled_from(ADVERSARIAL_LPNS), st.integers(0, 2**31 - 1))
+
+
+@given(
+    entries=st.one_of(
+        st.lists(st.one_of(st.just(_UNMAPPED), live_lpn), max_size=512),
+        st.lists(st.just(_UNMAPPED), max_size=512),
+        st.lists(live_lpn, max_size=512),
+    )
+)
+@example(entries=[lpn for live in ADVERSARIAL_LPNS for lpn in (_UNMAPPED, live, _UNMAPPED)])
+@example(entries=[_UNMAPPED, *ADVERSARIAL_LPNS, _UNMAPPED, _UNMAPPED, *reversed(ADVERSARIAL_LPNS)])
+@example(entries=[_UNMAPPED] * 256)
+@example(entries=list(ADVERSARIAL_LPNS) * 64)
+@SETTINGS
+def test_victim_filter_matches_the_comprehension(entries):
+    """``_live_lpns`` drops exactly the unmapped slots, in order, on
+    slices of dead slots next to live LPNs whose low bytes are
+    ``0xff``, all-dead slices and all-live ones."""
+    live = _live_lpns(array("i", entries))
+    assert live.typecode == "i"
+    assert live.tolist() == [lpn for lpn in entries if lpn != _UNMAPPED]

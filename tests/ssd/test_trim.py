@@ -11,6 +11,7 @@ from repro.ssd.commands import DeviceCommand, IoOp
 from repro.ssd.conditioning import precondition_clean
 from repro.ssd.device import SsdDevice
 from repro.ssd.geometry import SsdGeometry
+from tests.ssd.invariants import check_invariants
 
 
 class TestDeviceTrim:
@@ -65,18 +66,15 @@ class TestDeviceTrim:
             device = SsdDevice(sim, geometry=geometry)
             exported = device.exported_pages
             ftl = device.ftl
-            for lpn in range(exported):
-                ftl.write_page(lpn)
+            ftl.write_pages(range(exported))
             rng = random.Random(3)
-            for _ in range(exported):
-                ftl.write_page(rng.randrange(exported // 2))
+            ftl.write_pages(rng.randrange(exported // 2) for _ in range(exported))
             if trim_first:
                 # Declare the upper half dead before further churn.
                 for lpn in range(exported // 2, exported):
                     ftl.trim_page(lpn)
             ftl.stats.host_programs = ftl.stats.gc_programs = 0
-            for _ in range(exported):
-                ftl.write_page(rng.randrange(exported // 2))
+            ftl.write_pages(rng.randrange(exported // 2) for _ in range(exported))
             return ftl.stats.write_amplification
 
         assert steady_wa(trim_first=True) < steady_wa(trim_first=False)
@@ -89,12 +87,12 @@ class TestFtlTrimRange:
         device = SsdDevice(Simulator())
         ftl = device.ftl
         exported = device.exported_pages
-        ftl.write_page(exported - 1)
+        ftl.write_pages([exported - 1])
         for lpn in (-1, exported):
             with pytest.raises(ValueError, match="outside exported range"):
                 ftl.trim_page(lpn)
         assert ftl.lookup(exported - 1) != -1
-        ftl.check_invariants()
+        check_invariants(ftl)
 
 
 class TestFabricTrim:
