@@ -382,6 +382,7 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
         return 2
     import random
 
+    from repro.harness.experiments.common import closed_loop
     from repro.harness.report import format_table
     from repro.sim.engine import Simulator
     from repro.ssd.commands import OP_READ, OP_WRITE, DeviceCommand
@@ -389,7 +390,7 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
     from repro.ssd.device import SsdDevice
     from repro.ssd.profiles import profile_by_name
 
-    def closed_loop(condition, queue_depth, op, npages, sequential=False):
+    def anchor(condition, queue_depth, op, npages, sequential=False):
         sim = Simulator()
         device = SsdDevice(sim, profile=profile_by_name(args.profile))
         condition_device(device, condition)
@@ -397,22 +398,20 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
         state = {"bytes": 0, "ops": 0, "latency": 0.0, "next": 0}
         duration = args.duration_ms * 1000.0
 
-        def next_lpn():
+        def next_command():
             if sequential:
                 lpn = state["next"]
                 state["next"] = (state["next"] + npages) % (device.exported_pages - npages)
-                return lpn
-            return rng.randrange(device.exported_pages - npages)
+            else:
+                lpn = rng.randrange(device.exported_pages - npages)
+            return DeviceCommand(op, lpn, npages)
 
         def on_complete(cmd):
             state["bytes"] += cmd.size_bytes
             state["ops"] += 1
             state["latency"] += cmd.latency_us
-            if sim.now < duration:
-                device.submit(DeviceCommand(op, next_lpn(), npages), on_complete)
 
-        for _ in range(queue_depth):
-            device.submit(DeviceCommand(op, next_lpn(), npages), on_complete)
+        closed_loop(device, queue_depth, next_command, duration, on_complete)
         sim.run(until_us=duration)
         seconds = duration / 1e6
         return (
@@ -430,7 +429,7 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
         ("128K seq write QD4", "clean", 4, OP_WRITE, 32, True),
         ("4K rand write QD32 (frag)", "fragmented", 32, OP_WRITE, 1, False),
     ):
-        mbps, iops, latency, wa = closed_loop(condition, qd, op, npages, seq)
+        mbps, iops, latency, wa = anchor(condition, qd, op, npages, seq)
         rows.append((label, mbps, iops / 1000.0, latency, wa))
     print(
         format_table(

@@ -16,7 +16,7 @@ drains on the simulated device.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 from repro.sim.units import KB, mbps
 
@@ -105,10 +105,6 @@ class GimbalParams:
             raise ValueError("slot/quantum sizes must be positive")
         if not 0 < self.min_rate_bytes_per_us <= self.initial_rate_bytes_per_us <= self.max_rate_bytes_per_us:
             raise ValueError("need min_rate <= initial_rate <= max_rate")
-
-    def with_overrides(self, **kwargs) -> "GimbalParams":
-        """A copy with some parameters replaced (e.g. P3600 retuning)."""
-        return replace(self, **kwargs)
 
 
 #: Section 5.8: the Intel P3600 shows higher (and more variable) read

@@ -241,11 +241,6 @@ class GimbalScheduler(StorageScheduler):
             )
         self._pump()
 
-    @property
-    def congestion_state(self) -> CongestionState:
-        """The more loaded of the two monitors (for dashboards/tests)."""
-        return max(monitor.state for monitor in self.monitors.values())
-
     # ------------------------------------------------------------------
     # Observability
     # ------------------------------------------------------------------

@@ -90,11 +90,8 @@ class TenantSession:
         # Wire-path shortcut: command capsules are delivered straight
         # into the owning pipeline's ``handle_arrival``, carrying this
         # session's bound ``deliver_completion`` as their reply route
-        # (``request._reply``) -- the per-IO work of
-        # :meth:`NvmeOfTarget.receive_command` (pipeline lookup,
-        # bound-method creation) is paid once here.  ``receive_command``
-        # remains the entry point for external callers that are not
-        # sessions.
+        # (``request._reply``) -- the per-IO pipeline lookup and
+        # bound-method creation are paid once here.
         self._arrive = target.pipeline(ssd_name).handle_arrival
         self._deliver = self.deliver_completion
         # Closed-loop resubmits all land on the same arrival callback,

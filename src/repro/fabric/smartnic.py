@@ -165,12 +165,6 @@ class NicCore:
         """Booking counts per component tag (fresh snapshot)."""
         return {tag: record[1] for tag, record in self._by_tag.items()}
 
-    def utilization(self, elapsed_us: float) -> float:
-        """Fraction of ``elapsed_us`` this core spent busy."""
-        if elapsed_us <= 0:
-            return 0.0
-        return min(1.0, self.busy_us_total / elapsed_us)
-
     def mean_cycles_by_tag(self) -> Dict[str, float]:
         """Average cycles per event per tag (paper Table 1a's unit)."""
         return {

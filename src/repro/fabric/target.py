@@ -13,7 +13,6 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
 from repro.fabric.network import Network
 from repro.fabric.pipeline import SsdPipeline
-from repro.fabric.request import FabricRequest
 from repro.fabric.smartnic import SMARTNIC_CPU, CpuCostModel, NicCore
 from repro.sim.engine import Simulator
 
@@ -82,22 +81,6 @@ class NvmeOfTarget:
             weight,
             namespace=getattr(session, "namespace", None),
         )
-
-    def receive_command(
-        self, request: FabricRequest, session: "TenantSession", on_complete=None
-    ) -> None:
-        """Entry point for command capsules delivered by the network.
-
-        The application callback and the reply route both ride on the
-        request itself (``_on_complete``; ``_reply`` is the session's
-        bound ``deliver_completion``) -- no per-IO closure.  The
-        ``on_complete`` parameter remains for callers that drive this
-        entry point directly.
-        """
-        if on_complete is not None:
-            request._on_complete = on_complete
-        request._reply = session.deliver_completion
-        self.pipeline(session.ssd_name).handle_arrival(request)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"NvmeOfTarget({self.name}, ssds={self.ssd_names})"

@@ -13,6 +13,7 @@ from repro.harness.parallel import (
 )
 from repro.harness.testbed import Testbed, TestbedConfig
 from repro.metrics.fairness import f_util
+from repro.ssd.commands import DeviceCommand
 from repro.workloads.fio import FioSpec
 
 #: Default measurement windows (microseconds of simulated time).  The
@@ -66,6 +67,30 @@ def run_workers(
     results = testbed.run(warmup_us=warmup_us, measure_us=measure_us)
     results["testbed"] = testbed
     return results
+
+
+def closed_loop(
+    device,
+    depth: int,
+    next_command: Callable[[], DeviceCommand],
+    until_us: float,
+    on_complete: Optional[Callable[[DeviceCommand], None]] = None,
+) -> None:
+    """Keep ``depth`` commands from ``next_command()`` in flight on a
+    bare device: each completion goes to ``on_complete`` (if any) and,
+    while the clock is before ``until_us``, is replaced by the next
+    command.  Starts the loop; the caller runs the simulator."""
+    sim = device.sim
+    submit = device.submit
+
+    def done(cmd: DeviceCommand) -> None:
+        if on_complete is not None:
+            on_complete(cmd)
+        if sim.now < until_us:
+            submit(next_command(), done)
+
+    for _ in range(depth):
+        submit(next_command(), done)
 
 
 def build_sweep(

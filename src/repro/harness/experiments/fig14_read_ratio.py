@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from typing import Dict
 
-from repro.harness.experiments.common import build_sweep, derived_run, merge_rows
+from repro.harness.experiments.common import build_sweep, closed_loop, derived_run, merge_rows
 from repro.harness.report import format_table
 from repro.sim.engine import Simulator
 from repro.ssd.commands import OP_READ, OP_WRITE, DeviceCommand
@@ -36,9 +36,9 @@ def _closed_loop(
     exported = device.exported_pages
     state = {"read_bytes": 0, "write_bytes": 0, "ops": 0}
 
-    def issue():
+    def next_command():
         op = OP_READ if rng.random() < read_ratio else OP_WRITE
-        device.submit(DeviceCommand(op, rng.randrange(exported - 1), 1), on_complete)
+        return DeviceCommand(op, rng.randrange(exported - 1), 1)
 
     def on_complete(cmd):
         if cmd.op.is_read:
@@ -46,11 +46,8 @@ def _closed_loop(
         else:
             state["write_bytes"] += cmd.size_bytes
         state["ops"] += 1
-        if sim.now < duration_us:
-            issue()
 
-    for _ in range(queue_depth):
-        issue()
+    closed_loop(device, queue_depth, next_command, duration_us, on_complete)
     sim.run(until_us=duration_us)
     seconds = duration_us / 1e6
     mib = 1024 * 1024

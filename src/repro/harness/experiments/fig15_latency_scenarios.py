@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from typing import Dict
 
-from repro.harness.experiments.common import Sweep, derived_run, merge_rows
+from repro.harness.experiments.common import Sweep, closed_loop, derived_run, merge_rows
 from repro.harness.report import format_table
 from repro.sim.engine import Simulator
 from repro.ssd.commands import OP_READ, OP_WRITE, DeviceCommand
@@ -31,37 +31,22 @@ def _scenario_latency(scenario: str, io_pages: int, duration_us: float) -> float
     exported = device.exported_pages
     state = {"latency": 0.0, "count": 0}
 
-    probe_depth = 8 if scenario == "qd8" else 1
-
-    def issue_probe():
-        device.submit(
-            DeviceCommand(OP_READ, rng.randrange(exported - io_pages), io_pages),
-            probe_done,
-        )
+    def probe():
+        return DeviceCommand(OP_READ, rng.randrange(exported - io_pages), io_pages)
 
     def probe_done(cmd):
         state["latency"] += cmd.latency_us
         state["count"] += 1
-        if sim.now < duration_us:
-            issue_probe()
 
     if scenario == "70/30-rw":
-        # Background 70/30 4 KiB mix at QD16.
-        def issue_background():
+        # Background 70/30 4 KiB mix at QD16.  It starts before the probes,
+        # so its first 16 commands take the first random draws.
+        def background():
             op = OP_READ if rng.random() < 0.7 else OP_WRITE
-            device.submit(
-                DeviceCommand(op, rng.randrange(exported - 1), 1), background_done
-            )
+            return DeviceCommand(op, rng.randrange(exported - 1), 1)
 
-        def background_done(cmd):
-            if sim.now < duration_us:
-                issue_background()
-
-        for _ in range(16):
-            issue_background()
-
-    for _ in range(probe_depth):
-        issue_probe()
+        closed_loop(device, 16, background, duration_us)
+    closed_loop(device, 8 if scenario == "qd8" else 1, probe, duration_us, probe_done)
     sim.run(until_us=duration_us)
     return state["latency"] / max(state["count"], 1)
 

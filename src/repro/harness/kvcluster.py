@@ -32,12 +32,13 @@ from repro.fabric.initiator import NvmeOfInitiator
 from repro.fabric.network import Network
 from repro.fabric.policies import UnlimitedClientPolicy
 from repro.fabric.target import NvmeOfTarget
-from repro.harness.testbed import SCHEMES
+from repro.harness.testbed import SCHEMES, register_targets
 from repro.kv.allocator import GlobalBlobAllocator, LocalBlobAllocator
 from repro.kv.backend import RemoteBackend
 from repro.kv.blobstore import Blobstore
 from repro.kv.lsm import LsmTree
 from repro.kv.runner import YcsbRunner
+from repro.obs.session import current_session
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngRegistry
 from repro.sim.shard import ShardExecutor, ShardKernel
@@ -181,6 +182,7 @@ class KvCluster:
             self._build_sharded(shards)
         else:
             self.targets = build_targets(config, self.sim, self.network, range(config.num_jbofs))
+            register_targets(self.targets, self.network, qualify_devices=True)
         for target in self.targets:
             for ssd_name in target.ssd_names:
                 backend_name = f"{target.name}/{ssd_name}"
@@ -197,6 +199,9 @@ class KvCluster:
         self.peak_megas_in_use = 0
         self._departed_reads_to_primary = 0
         self._departed_reads_to_shadow = 0
+        session = current_session()
+        if session is not None:
+            session.register(self)
 
     # ------------------------------------------------------------------
     # Topology build
@@ -270,12 +275,7 @@ class KvCluster:
                 backends[backend_name] = backend
                 self._backends_by_ssd[backend_name].append(backend)
         allocator = LocalBlobAllocator(self.global_allocator)
-        store = Blobstore(
-            allocator,
-            backends,
-            replicate=True,
-            load_balance_reads=self.config.load_balance,
-        )
+        store = Blobstore(allocator, backends, load_balance_reads=self.config.load_balance)
         tree = LsmTree(name, store, self.sim, rng=self.rngs.stream(f"lsm:{name}"))
         runner = YcsbRunner(
             tree,

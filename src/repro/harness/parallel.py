@@ -43,10 +43,8 @@ Determinism contract
 * Per-point seeds are derived with :func:`repro.sim.rng.derive_seed`
   from the sweep's root seed and the point's label, so they are stable
   across processes, Python versions and point orderings.
-* Merging happens in point-declaration order using order-free
-  reducers: list results concatenate, and metric objects fold with
-  :meth:`LatencyHistogram.merge() <repro.metrics.histogram.LatencyHistogram.merge>` and
-  :meth:`IntervalSeries.merge() <repro.metrics.throughput.IntervalSeries.merge>`.
+* Merging happens in point-declaration order: list results
+  concatenate.
 
 ``jobs <= 1`` runs the points in-process (no executor, no pickling),
 which is also what the experiment drivers default to.

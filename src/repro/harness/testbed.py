@@ -20,7 +20,7 @@ vanilla    FifoScheduler              queue depth only
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.baselines.fifo import FifoScheduler
@@ -39,7 +39,6 @@ from repro.sim.engine import Simulator
 from repro.sim.rng import RngRegistry
 from repro.ssd.conditioning import CONDITIONS, condition_device
 from repro.ssd.device import NullDevice, SsdDevice
-from repro.ssd.geometry import SsdGeometry
 from repro.ssd.profiles import profile_by_name
 from repro.workloads.fio import FioSpec, FioWorker
 from repro.workloads.patterns import AddressRegion
@@ -55,6 +54,34 @@ SCHEMES: Dict[str, Tuple[type, type]] = {
 }
 
 
+def register_targets(
+    targets: List[NvmeOfTarget], network: Network, qualify_devices: bool
+) -> None:
+    """Register the targets' devices, cores and pipelines, then the
+    network, with the active ``repro.obs.session.capture()`` session.
+
+    Experiment drivers build their racks internally, so observability
+    arrives ambiently: the Simulator constructor already hooked itself
+    to the session (if any).  A registry replaces a gauge whose name it
+    already holds, so a rack whose JBOFs each have an ``ssd0`` names
+    every device after its pipeline (``ssd.jbof1/ssd0``) with
+    ``qualify_devices``.
+    """
+    session = current_session()
+    if session is None:
+        return
+    pipelines = [pipeline for target in targets for pipeline in target.pipelines.values()]
+    for pipeline in pipelines:
+        prefix = f"ssd.{pipeline.name}" if qualify_devices else None
+        session.register(pipeline.device, prefix)
+    for target in targets:
+        for core in target.cores:
+            session.register(core)
+    for pipeline in pipelines:
+        session.register(pipeline)
+    session.register(network)
+
+
 @dataclass
 class TestbedConfig:
     """Everything needed to stand up one storage node plus clients."""
@@ -67,7 +94,6 @@ class TestbedConfig:
     num_ssds: int = 1
     num_cores: Optional[int] = None
     device_profile: str = "dct983"
-    geometry: SsdGeometry = field(default_factory=SsdGeometry)
     cpu_model: CpuCostModel = SMARTNIC_CPU
     gimbal_params: Optional[GimbalParams] = None
     added_io_cost_us: float = 0.0
@@ -97,11 +123,6 @@ class Testbed:
     def __init__(self, config: TestbedConfig):
         self.config = config
         self.sim = Simulator()
-        # Experiment drivers build testbeds internally, so observability
-        # arrives ambiently: the Simulator constructor already hooked
-        # itself to the active ``repro.obs.session.capture()`` session (if any);
-        # the testbed's part is registering component metrics below.
-        session = current_session()
         self.rngs = RngRegistry(config.seed)
         self.network = Network(self.sim)
         self.devices: Dict[str, object] = {}
@@ -111,9 +132,7 @@ class Testbed:
             if config.device_profile == "null":
                 device = NullDevice(self.sim, name=name)
             else:
-                device = SsdDevice(
-                    self.sim, profile=profile, geometry=config.geometry, name=name
-                )
+                device = SsdDevice(self.sim, profile=profile, name=name)
                 condition_device(device, config.condition)
             self.devices[name] = device
         self.target = NvmeOfTarget(
@@ -130,14 +149,7 @@ class Testbed:
         self.workers: List[FioWorker] = []
         self._region_cursor: Dict[str, int] = {name: 0 for name in self.devices}
         self._namespace_count = 0
-        if session is not None:
-            for device in self.devices.values():
-                session.register(device)
-            for core in self.target.cores:
-                session.register(core)
-            for pipeline in self.target.pipelines.values():
-                session.register(pipeline)
-            session.register(self.network)
+        register_targets([self.target], self.network, qualify_devices=False)
 
     # ------------------------------------------------------------------
     # Scheme wiring

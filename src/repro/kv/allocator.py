@@ -172,9 +172,7 @@ class LocalBlobAllocator:
             free_lbas.add(lba)
             self._mega_of[(mega.backend, lba)] = key
 
-    def allocate_micro(
-        self, exclude_backends: Optional[set] = None, prefer_least_loaded: bool = True
-    ) -> BlobAddress:
+    def allocate_micro(self, exclude_backends: Optional[set] = None) -> BlobAddress:
         """One micro blob, optionally avoiding some backends (replica
         placement needs two *different* backends)."""
         exclude = exclude_backends or set()
@@ -184,10 +182,7 @@ class LocalBlobAllocator:
             candidates = [
                 name for name, pool in self._free.items() if pool and name not in exclude
             ]
-        if prefer_least_loaded:
-            best = min(candidates, key=self.global_allocator.load_of)
-        else:
-            best = candidates[0]
+        best = min(candidates, key=self.global_allocator.load_of)
         micro = self._free[best].pop()
         self._free_in_mega[self._mega_of[(micro.backend, micro.lba)]].discard(micro.lba)
         return micro

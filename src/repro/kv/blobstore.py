@@ -1,16 +1,16 @@
 """Blobstore filesystem with replication and a read load balancer.
 
-Files are sequences of micro blobs.  With replication enabled (paper
-Section 4.3) every file keeps a primary and a shadow copy whose micro
-blobs live on *different* backends: a write completes when both
-replicas are written; a read is steered to the replica whose SSD
-currently advertises the most credit (the least load).
+Files are sequences of micro blobs.  As in the paper (Section 4.3)
+every file keeps a primary and a shadow copy whose micro blobs live on
+*different* backends: a write completes when both replicas are
+written; a read is steered to the replica whose SSD currently
+advertises the most credit (the least load).
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Tuple
 
 from repro.fabric.request import FabricRequest
 from repro.kv.allocator import BlobAddress, LocalBlobAllocator
@@ -24,11 +24,10 @@ DoneCallback = Callable[[], None]
 class BlobFile:
     """One file: parallel lists of primary/shadow micro blobs."""
 
-    def __init__(self, name: str, micro_pages: int, replicated: bool):
+    def __init__(self, name: str, micro_pages: int):
         self.name = name
         self.file_id = next(_file_ids)
         self.micro_pages = micro_pages
-        self.replicated = replicated
         self.primary: List[BlobAddress] = []
         self.shadow: List[BlobAddress] = []
 
@@ -37,7 +36,7 @@ class BlobFile:
         return len(self.primary) * self.micro_pages
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"BlobFile({self.name}, {self.size_pages} pages, replicated={self.replicated})"
+        return f"BlobFile({self.name}, {self.size_pages} pages)"
 
 
 class Blobstore:
@@ -47,14 +46,12 @@ class Blobstore:
         self,
         allocator: LocalBlobAllocator,
         backends: Dict[str, RemoteBackend],
-        replicate: bool = True,
         load_balance_reads: bool = True,
     ):
-        if replicate and len(backends) < 2:
+        if len(backends) < 2:
             raise ValueError("replication needs at least two backends")
         self.allocator = allocator
         self.backends = backends
-        self.replicate = replicate
         self.load_balance_reads = load_balance_reads
         self.files: Dict[str, BlobFile] = {}
         self.reads_to_shadow = 0
@@ -66,7 +63,7 @@ class Blobstore:
     def create(self, name: str) -> BlobFile:
         if name in self.files:
             raise ValueError(f"file {name!r} already exists")
-        file = BlobFile(name, self.allocator.micro_pages, self.replicate)
+        file = BlobFile(name, self.allocator.micro_pages)
         self.files[name] = file
         return file
 
@@ -91,9 +88,7 @@ class Blobstore:
         while file.size_pages < npages:
             primary = self.allocator.allocate_micro()
             file.primary.append(primary)
-            if self.replicate:
-                shadow = self.allocator.allocate_micro(exclude_backends={primary.backend})
-                file.shadow.append(shadow)
+            file.shadow.append(self.allocator.allocate_micro(exclude_backends={primary.backend}))
 
     # ------------------------------------------------------------------
     # IO
@@ -127,8 +122,7 @@ class Blobstore:
     ) -> None:
         """Write a range; completes when every replica write finishes."""
         segments = self._segments(file, page_offset, npages)
-        copies = 2 if self.replicate else 1
-        pending = {"count": len(segments) * copies}
+        pending = {"count": 2 * len(segments)}
 
         def one_done(request: FabricRequest) -> None:
             pending["count"] -= 1
@@ -140,11 +134,8 @@ class Blobstore:
             self.backends[primary.backend].write(
                 primary.lba + within, take, one_done, priority
             )
-            if self.replicate:
-                shadow = file.shadow[blob_index]
-                self.backends[shadow.backend].write(
-                    shadow.lba + within, take, one_done, priority
-                )
+            shadow = file.shadow[blob_index]
+            self.backends[shadow.backend].write(shadow.lba + within, take, one_done, priority)
 
     def read(
         self, file: BlobFile, page_offset: int, npages: int, on_done: DoneCallback,
@@ -165,7 +156,7 @@ class Blobstore:
 
     def _pick_replica(self, file: BlobFile, blob_index: int) -> BlobAddress:
         primary = file.primary[blob_index]
-        if not (self.replicate and self.load_balance_reads):
+        if not self.load_balance_reads:
             self.reads_to_primary += 1
             return primary
         shadow = file.shadow[blob_index]

@@ -3,9 +3,7 @@
 Section 5.1 defines *fair utilisation* (f-Util): a worker's achieved
 bandwidth divided by its fair share of its own standalone maximum.
 An ideal multi-tenancy mechanism drives every worker's f-Util to 1.
-Section 5.3 additionally uses the *utilisation deviation*
-``|actual - ideal| / ideal`` with ideal = 1.  Jain's index is included
-as the standard cross-check.
+Jain's index is included as the standard cross-check.
 """
 
 from __future__ import annotations
@@ -26,13 +24,6 @@ def f_util(per_worker_bw: float, standalone_max_bw: float, total_workers: int) -
         raise ValueError("worker count must be positive")
     fair_share = standalone_max_bw / total_workers
     return per_worker_bw / fair_share
-
-
-def utilization_deviation(actual_util: float, ideal_util: float = 1.0) -> float:
-    """``|actual - ideal| / ideal`` -- Section 5.3's deviation metric."""
-    if ideal_util <= 0:
-        raise ValueError("ideal utilisation must be positive")
-    return abs(actual_util - ideal_util) / ideal_util
 
 
 def jain_index(allocations: Sequence[float]) -> float:

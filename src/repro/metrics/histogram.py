@@ -10,7 +10,7 @@ and exact means.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Sequence
+from typing import Dict, Sequence
 
 
 class LatencyHistogram:
@@ -131,14 +131,6 @@ class LatencyHistogram:
             "p999": self.percentile(99.9),
             "max": self.max if self.count else 0.0,
         }
-
-    def nonzero_buckets(self) -> List[tuple]:
-        """(midpoint, count) pairs for plotting distributions."""
-        return [
-            (self._bucket_midpoint(index), bucket_count)
-            for index, bucket_count in enumerate(self._counts)
-            if bucket_count
-        ]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"LatencyHistogram(n={self.count}, mean={self.mean:.1f}us)"

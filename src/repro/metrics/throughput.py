@@ -147,26 +147,6 @@ class IntervalSeries:
             points.append((index * self.window_us, value))
         return points
 
-    def merge(self, other: "IntervalSeries") -> None:
-        """Fold another series (same window and mode) into this one.
-
-        Used by the parallel sweep runner to reduce per-shard series:
-        merging the shards of a partitioned observation stream yields
-        exactly the series of the concatenated stream for ``sum`` and
-        ``mean`` modes (both are order-free per window).  ``last`` mode
-        depends on within-window observation order, which shards do not
-        preserve, so merging it is refused.
-        """
-        if other.window_us != self.window_us or other.mode != self.mode:
-            raise ValueError("cannot merge series with different window/mode")
-        if self.mode == "last":
-            raise ValueError("'last' mode is order-dependent and cannot be merged")
-        self._flush()
-        other._flush()
-        for index, value in other._sums.items():
-            self._sums[index] = self._sums.get(index, 0.0) + value
-            self._counts[index] = self._counts.get(index, 0) + other._counts[index]
-
     def bandwidth_series_mbps(self) -> List[tuple]:
         """For ``sum``-of-bytes series: (window_start_us, MB/s) pairs."""
         if self.mode != "sum":

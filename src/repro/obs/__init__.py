@@ -7,9 +7,9 @@ run can be audited rather than trusted:
 * :mod:`repro.obs.trace` -- a :class:`TraceBuffer` of typed trace
   events (IO submit/dispatch/complete, congestion-state transitions,
   threshold moves, token-bucket refills/denials, GC start/end, credit
-  grants) with JSONL export or streaming;
-* :mod:`repro.obs.registry` -- a :class:`Registry` of named
-  counters/gauges that components register into;
+  grants), retained in memory or streamed as JSONL;
+* :mod:`repro.obs.registry` -- a :class:`Registry` of named gauges
+  that components register into;
 * :mod:`repro.obs.probe` -- a :class:`KernelProbe` profiling the event
   loop itself (per-callback fire counts, heap high-water mark,
   wall-clock per simulated second);
@@ -30,5 +30,5 @@ hits, misses and timings are its
 result cache's journal.
 """
 
-# benchmarks/ledger imports this through the package; ROADMAP item 3(c) retires it.
+# benchmarks/ledger imports this through the package; ROADMAP item 5(c) retires it.
 from repro.obs.session import capture  # noqa: F401

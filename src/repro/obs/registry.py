@@ -1,16 +1,12 @@
-"""Named counters and gauges, registered per component.
+"""Named gauges, registered per component.
 
 A :class:`Registry` is the stats side of the observability layer: the
 trace journal answers "what happened, in order"; the registry answers
 "where does the system stand now".  Components expose a
-``register_metrics(registry, prefix)`` method that installs:
-
-* :class:`Counter` -- a monotonically increasing count the component
-  increments on its hot path (kept as a plain attribute increment, so
-  the cost exists whether or not anyone reads it -- use sparingly);
-* :class:`Gauge` -- a *pull* metric: a zero-argument callable sampled
-  only when the registry is read, so registering gauges adds nothing
-  to the simulation hot path.
+``register_metrics(registry, prefix)`` method that installs gauges
+(:class:`Gauge`) -- *pull* metrics: zero-argument callables sampled
+only when the registry is read, so registering them adds nothing to
+the simulation hot path.
 
 Names are dotted paths (``ssd.ssd0.write_amplification``); rendering
 groups them by their first segment.
@@ -18,23 +14,7 @@ groups them by their first segment.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
-
-
-class Counter:
-    """A named monotonic counter."""
-
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str):
-        self.name = name
-        self.value = 0
-
-    def inc(self, amount: int = 1) -> None:
-        self.value += amount
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Counter({self.name}={self.value})"
+from typing import Callable, Dict, List, Tuple
 
 
 class Gauge:
@@ -54,25 +34,14 @@ class Gauge:
 
 
 class Registry:
-    """A namespace of counters and gauges."""
+    """A namespace of gauges."""
 
     def __init__(self) -> None:
-        self._counters: Dict[str, Counter] = {}
         self._gauges: Dict[str, Gauge] = {}
 
     # ------------------------------------------------------------------
     # Registration
     # ------------------------------------------------------------------
-    def counter(self, name: str) -> Counter:
-        """Return (creating on first use) the counter called ``name``."""
-        existing = self._counters.get(name)
-        if existing is None:
-            if name in self._gauges:
-                raise ValueError(f"{name!r} is already registered as a gauge")
-            existing = Counter(name)
-            self._counters[name] = existing
-        return existing
-
     def gauge(self, name: str, fn: Callable[[], object]) -> Gauge:
         """Register ``fn`` as the gauge called ``name``.
 
@@ -80,8 +49,6 @@ class Registry:
         component rebuilt mid-session (e.g. a fresh testbed) simply
         takes over its names.
         """
-        if name in self._counters:
-            raise ValueError(f"{name!r} is already registered as a counter")
         created = Gauge(name, fn)
         self._gauges[name] = created
         return created
@@ -90,16 +57,11 @@ class Registry:
     # Reading
     # ------------------------------------------------------------------
     def names(self) -> List[str]:
-        return sorted(list(self._counters) + list(self._gauges))
+        return sorted(self._gauges)
 
     def snapshot(self) -> Dict[str, object]:
-        """All metrics as ``{name: value}``; gauges are sampled now."""
-        values: Dict[str, object] = {
-            name: counter.value for name, counter in self._counters.items()
-        }
-        for name, gauge in self._gauges.items():
-            values[name] = gauge.read()
-        return values
+        """All gauges as ``{name: value}``, sampled now."""
+        return {name: gauge.read() for name, gauge in self._gauges.items()}
 
     def render(self, title: str = "metrics") -> str:
         """A grouped, aligned plain-text dump of every metric."""
@@ -117,10 +79,10 @@ class Registry:
         return "\n".join(lines)
 
     def __len__(self) -> int:
-        return len(self._counters) + len(self._gauges)
+        return len(self._gauges)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Registry({len(self._counters)} counters, {len(self._gauges)} gauges)"
+        return f"Registry({len(self._gauges)} gauges)"
 
 
 def _format(value: object) -> str:

@@ -39,12 +39,7 @@ def current_session() -> Optional["ObsSession"]:
 class ObsSession:
     """Bundles the three observability facets for one capture window."""
 
-    def __init__(
-        self,
-        trace_path: Optional[str] = None,
-        trace: bool = False,
-        limit: Optional[int] = None,
-    ):
+    def __init__(self, trace_path: Optional[str] = None, trace: bool = False):
         self.registry = Registry()
         self.probe = KernelProbe()
         self.probe.register_metrics(self.registry)
@@ -54,9 +49,9 @@ class ObsSession:
         if trace_path is not None:
             # Stream to disk; keep memory flat on multi-second runs.
             self._sink = open(trace_path, "w", encoding="utf-8")
-            self.tracer = TraceBuffer(sink=self._sink, retain=trace, limit=limit)
+            self.tracer = TraceBuffer(sink=self._sink, retain=trace)
         elif trace:
-            self.tracer = TraceBuffer(limit=limit)
+            self.tracer = TraceBuffer()
 
     # ------------------------------------------------------------------
     # Wiring
@@ -103,18 +98,14 @@ class ObsSession:
 
 
 @contextmanager
-def capture(
-    trace_path: Optional[str] = None,
-    trace: bool = False,
-    limit: Optional[int] = None,
-) -> Iterator[ObsSession]:
+def capture(trace_path: Optional[str] = None, trace: bool = False) -> Iterator[ObsSession]:
     """Make a fresh session current for the duration of the block.
 
     Sessions nest: an inner capture shadows the outer one and restores
     it on exit, so a capturing test can run inside a capturing CLI.
     """
     global _current
-    session = ObsSession(trace_path=trace_path, trace=trace, limit=limit)
+    session = ObsSession(trace_path=trace_path, trace=trace)
     previous = _current
     _current = session
     try:

@@ -3,8 +3,7 @@
 A trace event is a flat record: timestamp, event type, emitting
 component, optional tenant, plus event-specific fields.  Components
 emit through :meth:`TraceBuffer.emit`; the buffer either retains the
-records in memory (bounded by ``limit``), streams them straight to a
-JSONL sink, or both.  Streaming keeps memory flat on multi-second
+records in memory, streams them straight to a JSONL sink, or both.  Streaming keeps memory flat on multi-second
 runs that produce millions of events.
 
 Event types are closed: :class:`TraceType` enumerates every event the
@@ -16,7 +15,6 @@ from __future__ import annotations
 
 import enum
 import json
-from collections import deque
 from typing import IO, Dict, List, Optional
 
 
@@ -56,9 +54,6 @@ class TraceBuffer:
 
     Parameters
     ----------
-    limit:
-        Retain at most this many events in memory (oldest dropped).
-        None keeps everything.
     sink:
         Optional text file object; events are written to it as JSON
         lines the moment they are emitted.
@@ -67,15 +62,8 @@ class TraceBuffer:
         only the per-type counters survive.
     """
 
-    def __init__(
-        self,
-        limit: Optional[int] = None,
-        sink: Optional[IO[str]] = None,
-        retain: bool = True,
-    ):
-        if limit is not None and limit <= 0:
-            raise ValueError("limit must be positive")
-        self._events: deque = deque(maxlen=limit)
+    def __init__(self, sink: Optional[IO[str]] = None, retain: bool = True):
+        self._events: List[dict] = []
         self._sink = sink
         self._retain = retain
         self.emitted = 0
@@ -109,7 +97,7 @@ class TraceBuffer:
             self._sink.write(json.dumps(record, separators=(",", ":")) + "\n")
 
     # ------------------------------------------------------------------
-    # Access / export
+    # Access
     # ------------------------------------------------------------------
     def __len__(self) -> int:
         return len(self._events)
@@ -119,26 +107,12 @@ class TraceBuffer:
         """Retained events, oldest first."""
         return list(self._events)
 
-    def of_type(self, type: "TraceType | str") -> List[dict]:
-        key = type.value if isinstance(type, TraceType) else type
-        return [event for event in self._events if event["ev"] == key]
-
-    def export_jsonl(self, path: str) -> int:
-        """Write the retained events to ``path``; returns the count."""
-        with open(path, "w", encoding="utf-8") as handle:
-            for event in self._events:
-                handle.write(json.dumps(event, separators=(",", ":")) + "\n")
-        return len(self._events)
-
-    def clear(self) -> None:
-        self._events.clear()
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"TraceBuffer(emitted={self.emitted}, retained={len(self._events)})"
 
 
 def read_jsonl(path: str) -> List[dict]:
-    """Load a journal written by :meth:`TraceBuffer.export_jsonl` or a sink."""
+    """Load a journal a :class:`TraceBuffer` sink wrote."""
     events = []
     with open(path, "r", encoding="utf-8") as handle:
         for line in handle:

@@ -21,5 +21,5 @@ is scheduled -- no per-page events -- which keeps simulated hundreds of
 KIOPS tractable in pure Python.
 """
 
-# benchmarks/ledger imports this through the package; ROADMAP item 3(c) retires it.
+# benchmarks/ledger imports this through the package; ROADMAP item 5(c) retires it.
 from repro.ssd.device import SsdDevice  # noqa: F401

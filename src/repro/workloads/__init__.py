@@ -8,5 +8,5 @@ workloads (A/B/C/D/F) over a Zipfian request distribution for the
 RocksDB case study.
 """
 
-# benchmarks/ledger imports this through the package; ROADMAP item 3(c) retires it.
+# benchmarks/ledger imports this through the package; ROADMAP item 5(c) retires it.
 from repro.workloads.fio import FioSpec  # noqa: F401

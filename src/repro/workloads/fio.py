@@ -51,10 +51,6 @@ class FioSpec:
         if limit is not None and not (limit > 0 and math.isfinite(limit)):
             raise ValueError(f"rate limit must be positive and finite, got {limit!r}")
 
-    @property
-    def io_bytes(self) -> int:
-        return self.io_pages * 4096
-
 
 class FioWorker:
     """Closed-loop generator bound to one tenant session."""

@@ -58,13 +58,13 @@ class RandomPattern:
 class SequentialPattern:
     """Strided sequential addressing with wrap-around."""
 
-    def __init__(self, region: AddressRegion, io_pages: int, start_offset: int = 0):
+    def __init__(self, region: AddressRegion, io_pages: int):
         if io_pages <= 0 or io_pages > region.npages:
             raise ValueError("IO size must fit in the region")
         self.region = region
         self.io_pages = io_pages
         self._slots = region.npages // io_pages
-        self._cursor = (start_offset // io_pages) % self._slots
+        self._cursor = 0
 
     def next_lba(self) -> int:
         lba = self.region.start + self._cursor * self.io_pages

@@ -158,10 +158,6 @@ class TestParams:
         with pytest.raises(ValueError, match=knob):
             GimbalParams(**{knob: value})
 
-    def test_with_overrides(self):
-        params = GimbalParams().with_overrides(thresh_max_us=3000.0)
-        assert params.thresh_max_us == 3000.0
-
     def test_p3600_retuning(self):
         from repro.core.config import P3600_PARAMS
 

@@ -14,7 +14,7 @@ from repro.fabric.network import Network
 from repro.fabric.policies import CreditClientPolicy
 from repro.fabric.target import NvmeOfTarget
 from repro.ssd.commands import IoOp
-from repro.ssd.conditioning import precondition_clean
+from repro.ssd.conditioning import condition_device
 from repro.ssd.device import NullDevice, SsdDevice
 
 
@@ -81,7 +81,7 @@ class TestDisconnect:
         """Pending IO inside the switch blocks disconnect too."""
         network = Network(sim)
         device = SsdDevice(sim)
-        precondition_clean(device)
+        condition_device(device, "clean")
         target = NvmeOfTarget(sim, network, "j", {"ssd0": device}, GimbalScheduler)
         session = NvmeOfInitiator(sim, network, "c").connect(
             "t", target, "ssd0", policy=CreditClientPolicy()

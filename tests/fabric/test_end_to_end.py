@@ -16,7 +16,7 @@ from repro.fabric.policies import (
 )
 from repro.fabric.target import NvmeOfTarget
 from repro.ssd.commands import IoOp
-from repro.ssd.conditioning import precondition_clean
+from repro.ssd.conditioning import condition_device
 from repro.ssd.device import NullDevice, SsdDevice
 from tests.core.test_switch import build_gimbal_rig
 
@@ -66,7 +66,7 @@ class TestRequestFlow:
 
     def test_real_device_latency_dominates(self, sim):
         device = SsdDevice(sim)
-        precondition_clean(device)
+        condition_device(device, "clean")
         _, _, _, session = build_rig(sim, device=device)
         done = []
         session.submit(IoOp.READ, 0, 1, on_complete=done.append)

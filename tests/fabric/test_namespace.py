@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.fabric.namespace import Namespace, NamespaceError
-from repro.ssd.conditioning import precondition_clean
+from repro.ssd.conditioning import condition_device
 from repro.ssd.device import NullDevice, SsdDevice
 
 
@@ -42,7 +42,7 @@ class TestFabricNamespaceIntegration:
 
         network = Network(sim)
         device = SsdDevice(sim)
-        precondition_clean(device)
+        condition_device(device, "clean")
         target = NvmeOfTarget(sim, network, "j", {"ssd0": device}, FifoScheduler)
         initiator = NvmeOfInitiator(sim, network, "c")
         session = initiator.connect("t", target, "ssd0")

@@ -24,7 +24,7 @@ from repro.fabric.policies import CreditClientPolicy, WindowClientPolicy
 from repro.fabric.target import NvmeOfTarget
 from repro.sim.engine import Simulator
 from repro.ssd.commands import IoOp
-from repro.ssd.conditioning import precondition_clean
+from repro.ssd.conditioning import condition_device
 from repro.ssd.device import SsdDevice
 from tests.fabric import reference
 
@@ -65,7 +65,7 @@ def _drive(side, scheduler_factory, namespace, small_geometry):
     """Run :data:`SCRIPT` on one side; everything comparable, as data."""
     sim, fabric = _side(side)
     device = SsdDevice(sim, geometry=small_geometry)
-    precondition_clean(device)
+    condition_device(device, "clean")
     network = Network(sim)
     policy = (
         CreditClientPolicy()

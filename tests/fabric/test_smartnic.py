@@ -46,12 +46,6 @@ class TestNicCore:
             core.book(float("nan"))
         assert core.busy_until == 0.0
 
-    def test_utilization(self, sim):
-        core = NicCore(sim)
-        core.book(25.0)
-        assert core.utilization(100.0) == pytest.approx(0.25)
-        assert core.utilization(0.0) == 0.0
-
     def test_tag_accounting(self, sim):
         core = NicCore(sim)
         core.book(2.0, tag="submit")

@@ -13,7 +13,7 @@ from repro.fabric.network import Network
 from repro.fabric.policies import UnlimitedClientPolicy
 from repro.fabric.target import NvmeOfTarget
 from repro.ssd.commands import IoOp
-from repro.ssd.conditioning import precondition_clean
+from repro.ssd.conditioning import condition_device
 from repro.ssd.device import NullDevice, SsdDevice
 from repro.ssd.geometry import SsdGeometry
 
@@ -74,7 +74,7 @@ class TestTrimResponse:
             num_channels=4, blocks_per_channel=12, pages_per_block=64, overprovision=0.35
         )
         device = SsdDevice(sim, geometry=geometry)
-        precondition_clean(device)
+        condition_device(device, "clean")
         _, pipeline, session = build_rig(sim, device=device)
         done = []
         session.submit(IoOp.TRIM, 0, 32, on_complete=done.append)

@@ -150,16 +150,15 @@ def conditioning_digest() -> dict:
     from repro.ssd.conditioning import (
         _snapshot_cache,
         clear_conditioning_cache,
-        precondition_clean,
-        precondition_fragmented,
+        condition_device,
     )
     from repro.ssd.device import SsdDevice
 
-    rigs = {"clean": precondition_clean, "fragmented": precondition_fragmented}
+    rigs = ("clean", "fragmented")
     digests = {}
-    for name, condition in rigs.items():
+    for name in rigs:
         clear_conditioning_cache()
-        condition(SsdDevice(Simulator()))
+        condition_device(SsdDevice(Simulator()), name)
         (snap,) = _snapshot_cache.values()
         stats = snap["stats"]
         state = dict(

@@ -16,7 +16,7 @@ from repro.ssd.device import NullDevice
 from repro.workloads.patterns import AddressRegion
 
 
-def build_store(sim, num_backends=2, replicate=True, load_balance=True):
+def build_store(sim, num_backends=2, load_balance=True):
     network = Network(sim)
     devices = {f"ssd{i}": NullDevice(sim, name=f"ssd{i}") for i in range(num_backends)}
     target = NvmeOfTarget(sim, network, "jbof", devices, FifoScheduler)
@@ -31,7 +31,7 @@ def build_store(sim, num_backends=2, replicate=True, load_balance=True):
         )
         backends[backend_name] = RemoteBackend(backend_name, session)
     local = LocalBlobAllocator(global_allocator, micro_pages=64)
-    return Blobstore(local, backends, replicate=replicate, load_balance_reads=load_balance)
+    return Blobstore(local, backends, load_balance_reads=load_balance)
 
 
 class TestFiles:
@@ -57,7 +57,7 @@ class TestFiles:
 
     def test_replication_needs_two_backends(self, sim):
         with pytest.raises(ValueError):
-            build_store(sim, num_backends=1, replicate=True)
+            build_store(sim, num_backends=1)
 
     def test_delete_frees_blobs(self, sim):
         store = build_store(sim)
@@ -99,15 +99,6 @@ class TestIo:
         shadow_backend = store.backends[file.shadow[0].backend]
         assert primary_backend.writes == 1
         assert shadow_backend.writes == 1
-
-    def test_unreplicated_write_touches_one_backend(self, sim):
-        store = build_store(sim, replicate=False)
-        file = store.create("f")
-        store.extend(file, 64)
-        store.write(file, 0, 32, lambda: None)
-        sim.run()
-        total_writes = sum(backend.writes for backend in store.backends.values())
-        assert total_writes == 1
 
     def test_read_crossing_blob_boundary_splits(self, sim):
         store = build_store(sim, load_balance=False)

@@ -1,4 +1,4 @@
-"""Tests for the fairness metrics (f-Util, deviation, Jain's index)."""
+"""Tests for the fairness metrics (f-Util, Jain's index)."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.metrics.fairness import f_util, jain_index, utilization_deviation
+from repro.metrics.fairness import f_util, jain_index
 
 
 class TestFUtil:
@@ -25,18 +25,6 @@ class TestFUtil:
             f_util(1.0, 0.0, 4)
         with pytest.raises(ValueError):
             f_util(1.0, 100.0, 0)
-
-
-class TestUtilizationDeviation:
-    def test_ideal_is_zero(self):
-        assert utilization_deviation(1.0) == 0.0
-
-    def test_symmetric_around_ideal(self):
-        assert utilization_deviation(0.5) == pytest.approx(utilization_deviation(1.5))
-
-    def test_invalid_ideal_rejected(self):
-        with pytest.raises(ValueError):
-            utilization_deviation(1.0, ideal_util=0.0)
 
 
 class TestJainIndex:

@@ -236,7 +236,6 @@ def observable(histogram):
         histogram.min,
         histogram.max,
         histogram.summary(),
-        histogram.nonzero_buckets(),
     )
 
 

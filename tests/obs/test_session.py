@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from repro.harness.kvcluster import KvCluster, KvClusterConfig
 from repro.harness.testbed import Testbed, TestbedConfig
 from repro.obs.session import capture, current_session
 from repro.obs.trace import read_jsonl
@@ -92,6 +93,18 @@ class TestTestbedIntegration:
         assert any(name.startswith("core.") for name in snapshot)
         assert any(name.startswith("net.") for name in snapshot)
 
+    def test_registry_names_by_group(self):
+        """One SSD, one core, one Gimbal pipeline and the target's port."""
+        with capture() as session:
+            tiny_testbed()
+        groups = {}
+        for name in session.registry.snapshot():
+            head = name.partition(".")[0]
+            groups[head] = groups.get(head, 0) + 1
+        assert groups == {
+            "kernel": 5, "ssd": 13, "core": 5, "pipeline": 6, "switch": 28, "net": 2
+        }
+
     def test_stats_report_renders(self):
         with capture(trace=True) as session:
             testbed = tiny_testbed()
@@ -115,3 +128,36 @@ class TestTestbedIntegration:
             return results["total_bandwidth_mbps"]
 
         assert total_bandwidth(True) == total_bandwidth(False)
+
+
+def small_rack(**kwargs):
+    config = KvClusterConfig(scheme="gimbal", condition="clean", num_jbofs=2, ssds_per_jbof=1)
+    return KvCluster(config, **kwargs)
+
+
+class TestKvClusterIntegration:
+    def test_unsharded_rack_registers_every_device_and_itself(self):
+        """Both JBOFs have an ``ssd0``: each must keep its own gauges."""
+        with capture() as session:
+            cluster = small_rack()
+            cluster.add_instance("db0", "A", record_count=64)
+            cluster.load_all()
+            snapshot = session.registry.snapshot()
+        assert snapshot["rack.active_tenants"] == 1
+        for target in cluster.targets:
+            device = target.pipeline("ssd0").device
+            assert device.stats.write_commands > 0
+            name = f"ssd.{target.name}/ssd0.write_commands"
+            assert snapshot[name] == device.stats.write_commands
+        assert "ssd.ssd0.write_commands" not in snapshot
+        assert snapshot["core.jbof1/core0.busy_us"] > 0
+        assert snapshot["net.jbof1.bytes_sent"] > 0
+
+    def test_sharded_rack_registers_itself_and_its_executor(self):
+        with capture() as session:
+            cluster = small_rack(shards=2)
+            cluster.add_instance("db0", "A", record_count=64)
+            cluster.load_all()
+            snapshot = session.registry.snapshot()
+        assert snapshot["rack.active_tenants"] == 1
+        assert snapshot["shard.windows"] > 0

@@ -40,26 +40,8 @@ class TestEmission:
         assert buffer.counts_by_type == {"io_complete": 3, "congestion": 1}
         assert buffer.emitted == 4
 
-    def test_of_type_filters(self):
-        buffer = TraceBuffer()
-        buffer.emit(TraceType.IO_SUBMIT, 1.0, "a")
-        buffer.emit(TraceType.IO_COMPLETE, 2.0, "a")
-        buffer.emit(TraceType.IO_SUBMIT, 3.0, "b")
-        assert [e["comp"] for e in buffer.of_type(TraceType.IO_SUBMIT)] == ["a", "b"]
-
 
 class TestRetention:
-    def test_limit_drops_oldest(self):
-        buffer = TraceBuffer(limit=2)
-        for t in (1.0, 2.0, 3.0):
-            buffer.emit(TraceType.IO_SUBMIT, t, "pipe0")
-        assert [e["t"] for e in buffer.events] == [2.0, 3.0]
-        assert buffer.emitted == 3  # counters see everything
-
-    def test_invalid_limit_rejected(self):
-        with pytest.raises(ValueError):
-            TraceBuffer(limit=0)
-
     def test_retain_false_keeps_nothing_in_memory(self):
         sink = io.StringIO()
         buffer = TraceBuffer(sink=sink, retain=False)
@@ -67,12 +49,6 @@ class TestRetention:
         assert len(buffer) == 0
         assert buffer.emitted == 1
         assert sink.getvalue().count("\n") == 1
-
-    def test_clear_empties_retained_events(self):
-        buffer = TraceBuffer()
-        buffer.emit(TraceType.IO_SUBMIT, 1.0, "pipe0")
-        buffer.clear()
-        assert buffer.events == []
 
 
 class TestJournal:
@@ -84,12 +60,13 @@ class TestJournal:
         assert line == '{"t":5.0,"ev":"gc_start","comp":"ssd0","erases":2}'
 
     def test_export_and_read_roundtrip(self, tmp_path):
-        buffer = TraceBuffer()
-        buffer.emit(TraceType.IO_SUBMIT, 1.0, "pipe0", tenant="t0", bytes=4096)
-        buffer.emit(TraceType.CREDIT, 2.0, "pipe0", tenant="t0", credit=8)
         path = str(tmp_path / "journal.jsonl")
-        assert buffer.export_jsonl(path) == 2
+        with open(path, "w", encoding="utf-8") as sink:
+            buffer = TraceBuffer(sink=sink)
+            buffer.emit(TraceType.IO_SUBMIT, 1.0, "pipe0", tenant="t0", bytes=4096)
+            buffer.emit(TraceType.CREDIT, 2.0, "pipe0", tenant="t0", credit=8)
         assert read_jsonl(path) == buffer.events
+        assert len(buffer) == 2
 
     def test_read_jsonl_skips_blank_lines(self, tmp_path):
         path = tmp_path / "j.jsonl"

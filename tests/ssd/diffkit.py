@@ -21,7 +21,7 @@ from typing import Callable, List, Tuple
 from repro.fabric.request import FabricRequest
 from repro.sim.engine import Simulator
 from repro.ssd.commands import DeviceCommand, IoOp
-from repro.ssd.conditioning import precondition_clean, precondition_fragmented
+from repro.ssd.conditioning import condition_device
 from repro.ssd.device import SsdDevice
 from repro.ssd.geometry import SsdGeometry
 
@@ -144,9 +144,9 @@ def replay(
     sim = Simulator()
     device = SsdDevice(sim, geometry=geometry)
     if condition == "clean":
-        precondition_clean(device)
+        condition_device(device, "clean")
     elif condition == "fragmented":
-        precondition_fragmented(device)
+        condition_device(device, "fragmented")
     elif condition != "none":
         raise ValueError(f"unknown condition {condition!r}")
 

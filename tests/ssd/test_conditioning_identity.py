@@ -2,8 +2,8 @@
 
 The golden figures and the ledger's digests pin what runs *on* a
 conditioned device; this pins the device itself.  Every field of the
-FTL snapshot that ``precondition_clean`` and ``precondition_fragmented``
-leave behind is hashed and compared against a digest frozen under
+FTL snapshot that ``condition_device`` leaves behind for ``clean`` and
+``fragmented`` is hashed and compared against a digest frozen under
 ``tests/golden/data/`` (first generated at commit 99b8e82, before the
 FTL's write and GC path was flattened).  A write-path change that
 places one page in a different slot or closes a block one write late
@@ -22,11 +22,7 @@ from array import array
 import pytest
 
 from repro.sim.engine import Simulator
-from repro.ssd.conditioning import (
-    clear_conditioning_cache,
-    precondition_clean,
-    precondition_fragmented,
-)
+from repro.ssd.conditioning import clear_conditioning_cache, condition_device
 from repro.ssd.device import SsdDevice
 from tests.golden.regenerate import conditioning_digest
 from tests.golden.test_golden_figures import _load
@@ -45,19 +41,17 @@ def _assert_flat(ftl):
         assert isinstance(pages, array) and pages.itemsize == 4
 
 
-@pytest.mark.parametrize(
-    "condition", [precondition_clean, precondition_fragmented], ids=["clean", "fragmented"]
-)
+@pytest.mark.parametrize("condition", ["clean", "fragmented"])
 def test_conditioned_and_restored_ftls_keep_their_invariants(condition):
     """Each rig's FTL is consistent as built and as restored from the
     cache, and a list-format snapshot restores to the same arrays."""
     clear_conditioning_cache()
     try:
         built = SsdDevice(Simulator())
-        condition(built)
+        condition_device(built, condition)
         check_invariants(built.ftl)
         restored = SsdDevice(Simulator())
-        condition(restored)
+        condition_device(restored, condition)
     finally:
         clear_conditioning_cache()
     check_invariants(restored.ftl)

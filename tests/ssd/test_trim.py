@@ -8,7 +8,7 @@ import pytest
 
 from repro.sim.engine import Simulator
 from repro.ssd.commands import DeviceCommand, IoOp
-from repro.ssd.conditioning import precondition_clean
+from repro.ssd.conditioning import condition_device
 from repro.ssd.device import SsdDevice
 from repro.ssd.geometry import SsdGeometry
 from tests.ssd.invariants import check_invariants
@@ -17,7 +17,7 @@ from tests.ssd.invariants import check_invariants
 class TestDeviceTrim:
     def test_trim_unmaps_range(self, sim):
         device = SsdDevice(sim)
-        precondition_clean(device)
+        condition_device(device, "clean")
         done = []
         device.submit(DeviceCommand(IoOp.TRIM, 100, 16), done.append)
         sim.run()
@@ -30,7 +30,7 @@ class TestDeviceTrim:
 
     def test_trim_is_fast(self, sim):
         device = SsdDevice(sim)
-        precondition_clean(device)
+        condition_device(device, "clean")
         done = []
         device.submit(DeviceCommand(IoOp.TRIM, 0, 64), done.append)
         sim.run()
@@ -39,7 +39,7 @@ class TestDeviceTrim:
 
     def test_trim_counted_in_stats(self, sim):
         device = SsdDevice(sim)
-        precondition_clean(device)
+        condition_device(device, "clean")
         device.submit(DeviceCommand(IoOp.TRIM, 0, 8), lambda cmd: None)
         sim.run()
         assert device.stats.trim_commands == 1
@@ -47,7 +47,7 @@ class TestDeviceTrim:
 
     def test_trim_skips_buffered_pages(self, sim):
         device = SsdDevice(sim)
-        precondition_clean(device)
+        condition_device(device, "clean")
         device.submit(DeviceCommand(IoOp.WRITE, 200, 1), lambda cmd: None)
         device.submit(DeviceCommand(IoOp.TRIM, 200, 1), lambda cmd: None)
         sim.run()
@@ -104,7 +104,7 @@ class TestFabricTrim:
 
         network = Network(sim)
         device = SsdDevice(sim)
-        precondition_clean(device)
+        condition_device(device, "clean")
         target = NvmeOfTarget(sim, network, "j", {"ssd0": device}, FifoScheduler)
         session = NvmeOfInitiator(sim, network, "c").connect("t", target, "ssd0")
         done = []
@@ -123,7 +123,7 @@ class TestFabricTrim:
 
         network = Network(sim)
         device = SsdDevice(sim)
-        precondition_clean(device)
+        condition_device(device, "clean")
         target = NvmeOfTarget(sim, network, "j", {"ssd0": device}, GimbalScheduler)
         session = NvmeOfInitiator(sim, network, "c").connect(
             "t", target, "ssd0", policy=CreditClientPolicy()

@@ -227,12 +227,24 @@ class TestCliCache:
         assert json.loads(capsys.readouterr().out)["entries"] == 1
 
 
+CALIBRATE_60MS = [
+    'Device anchors (dct983 profile)',
+    'workload                   MB/s   KIOPS  avg latency us  WA  ',
+    '-------------------------  -----  -----  --------------  ----',
+    '4K rand read QD128         1625   416    307             1.00',
+    '4K rand read QD1           50.78  13.00  76.90           1.00',
+    '128K rand read QD8         3285   26.28  304             1.00',
+    '128K seq write QD4         1144   9.15   436             1.00',
+    '4K rand write QD32 (frag)  242    61.92  516             4.02',
+]
+
+
 class TestCliCalibrate:
     def test_calibrate_prints_anchors(self, capsys):
+        # The whole table, pinned: every anchor is a deterministic
+        # closed loop on a freshly conditioned device.
         assert main(["calibrate", "--duration-ms", "60"]) == 0
-        out = capsys.readouterr().out
-        assert "Device anchors" in out
-        assert "4K rand read QD128" in out
+        assert capsys.readouterr().out.splitlines() == CALIBRATE_60MS
 
     def test_non_positive_duration_rejected(self, capsys):
         # Used to die in closed_loop with a ZeroDivisionError traceback.

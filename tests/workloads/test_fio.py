@@ -16,9 +16,6 @@ def build(scheme="vanilla", condition="clean", **spec_kwargs):
 
 
 class TestFioSpec:
-    def test_io_bytes(self):
-        assert FioSpec("w", io_pages=32, queue_depth=4).io_bytes == 131072
-
     @pytest.mark.parametrize(
         "kwargs",
         [

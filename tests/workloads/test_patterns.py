@@ -59,10 +59,6 @@ class TestSequentialPattern:
         lbas = [pattern.next_lba() for _ in range(4)]
         assert lbas == [0, 32, 0, 32]
 
-    def test_start_offset(self):
-        pattern = SequentialPattern(AddressRegion(0, 96), io_pages=32, start_offset=32)
-        assert pattern.next_lba() == 32
-
     @settings(max_examples=30, deadline=None)
     @given(st.integers(min_value=1, max_value=16), st.integers(min_value=16, max_value=512))
     def test_never_escapes_region(self, io_pages, region_pages):
