@@ -56,6 +56,9 @@ class Network:
         self.propagation_us = propagation_us
         self.per_message_us = per_message_us
         self._ports: dict[str, NetworkPort] = {}
+        #: ``(registry, prefix)`` of every ``register_metrics`` call: a
+        #: port created later (a client connecting) registers there too.
+        self._registries: list = []
         # Wire deliveries all land on one trampoline, pre-bound by the
         # population; each delivery carries its own ``(target function,
         # arguments)`` pair as the event's one payload.
@@ -67,6 +70,8 @@ class Network:
         if existing is None:
             existing = NetworkPort(name)
             self._ports[name] = existing
+            for registry, prefix in self._registries:
+                _register_port(registry, prefix, existing)
         return existing
 
     def send(
@@ -97,12 +102,13 @@ class Network:
         deliver(*args)
 
     def register_metrics(self, registry, prefix: str = "net") -> None:
-        """Expose per-port link counters for every port created so far."""
-        for name, port in self._ports.items():
-            registry.gauge(
-                f"{prefix}.{name}.bytes_sent", lambda port=port: port.bytes_sent
-            )
-            registry.gauge(
-                f"{prefix}.{name}.messages_sent",
-                lambda port=port: port.messages_sent,
-            )
+        """Expose per-port link counters, for the ports created so far
+        and for every port created from now on."""
+        self._registries.append((registry, prefix))
+        for port in self._ports.values():
+            _register_port(registry, prefix, port)
+
+
+def _register_port(registry, prefix: str, port: NetworkPort) -> None:
+    registry.gauge(f"{prefix}.{port.name}.bytes_sent", lambda: port.bytes_sent)
+    registry.gauge(f"{prefix}.{port.name}.messages_sent", lambda: port.messages_sent)

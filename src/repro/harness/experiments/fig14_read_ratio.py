@@ -33,28 +33,39 @@ def _closed_loop(
     device = SsdDevice(sim)
     condition_device(device, condition)
     rng = random.Random(seed)
-    exported = device.exported_pages
-    state = {"read_bytes": 0, "write_bytes": 0, "ops": 0}
+    random_ = rng.random
+    # ``rng.randrange(slots)`` unrolled to the rejection loop it ends
+    # in (``Random._randbelow_with_getrandbits``): the same
+    # ``getrandbits(k)`` draws in the same order, as in
+    # ``RandomPattern.next_lba``.
+    getrandbits = rng.getrandbits
+    slots = device.exported_pages - 1
+    bits = slots.bit_length()
+    # Every command is one 4 KiB page.
+    read_bytes = write_bytes = 0
 
     def next_command():
-        op = OP_READ if rng.random() < read_ratio else OP_WRITE
-        return DeviceCommand(op, rng.randrange(exported - 1), 1)
+        op = OP_READ if random_() < read_ratio else OP_WRITE
+        lpn = getrandbits(bits)
+        while lpn >= slots:
+            lpn = getrandbits(bits)
+        return DeviceCommand(op, lpn, 1)
 
     def on_complete(cmd):
-        if cmd.op.is_read:
-            state["read_bytes"] += cmd.size_bytes
+        nonlocal read_bytes, write_bytes
+        if cmd.op is OP_READ:
+            read_bytes += 4096
         else:
-            state["write_bytes"] += cmd.size_bytes
-        state["ops"] += 1
+            write_bytes += 4096
 
     closed_loop(device, queue_depth, next_command, duration_us, on_complete)
     sim.run(until_us=duration_us)
     seconds = duration_us / 1e6
     mib = 1024 * 1024
     return {
-        "read_mbps": state["read_bytes"] / seconds / mib,
-        "write_mbps": state["write_bytes"] / seconds / mib,
-        "kiops": state["ops"] / seconds / 1000.0,
+        "read_mbps": read_bytes / seconds / mib,
+        "write_mbps": write_bytes / seconds / mib,
+        "kiops": (read_bytes + write_bytes) // 4096 / seconds / 1000.0,
     }
 
 

@@ -29,7 +29,7 @@ from typing import Callable, Deque, Dict, List, Optional, Tuple
 from repro.obs.trace import TraceType
 from repro.sim.engine import Simulator
 from repro.ssd.commands import OP_READ, OP_TRIM, DeviceCommand
-from repro.ssd.ftl import Ftl
+from repro.ssd.ftl import Ftl, GcWork
 from repro.ssd.geometry import SsdGeometry
 from repro.ssd.profiles import DCT983_PROFILE, DeviceProfile
 from repro.ssd.write_buffer import WriteBuffer
@@ -100,9 +100,10 @@ class SsdDevice:
         self._t_ctrl_cmd_us = profile.t_ctrl_cmd_us
         self._num_channels = self.geometry.num_channels
         self._pages_per_block = self.geometry.pages_per_block
-        # The buffered-LPN multiset survives buffer.clear(), so the
-        # read path can probe it without a method call per page.
-        self._buffered_lpns = self.buffer._lpn_counts
+        # The buffered-LPN multiset survives buffer.clear(): the read
+        # path probes it and the write path admits into and releases
+        # from it in place, without a method call per page.
+        self._buffered_lpns = self.buffer.lpn_counts
         self.outstanding = 0
         self.stats = DeviceStats()
 
@@ -167,17 +168,26 @@ class SsdDevice:
             # work, acknowledged once the controller processes it.
             stats.trim_commands += 1
             stats.trimmed_pages += npages
+            buffered = self._buffered_lpns
             for lpn in range(cmd.lpn, cmd.lpn + npages):
-                if not self.buffer.contains(lpn):
+                if lpn not in buffered:
                     self.ftl.trim_page(lpn)
             self._finalize(cmd, ctrl_done)
         else:
-            if npages > self.buffer.capacity:
+            buffer = self.buffer
+            if npages > buffer.capacity:
                 raise ValueError(f"write of {npages} pages exceeds buffer capacity")
             stats.write_commands += 1
             stats.write_bytes += npages * 4096
-            self._pending_writes.append((cmd, ctrl_done))
-            self._admit_pending_writes()
+            # Admission is FIFO: a write waits while an earlier one
+            # does, so a big write cannot be starved by smaller ones
+            # arriving behind it.  A queued head never fits (the drain
+            # that frees space admits all it can), so with none queued
+            # only room decides.  ``ctrl_done`` is never before now.
+            if self._pending_writes or buffer.occupied + npages > buffer.capacity:
+                self._pending_writes.append((cmd, ctrl_done))
+            else:
+                self._admit_write(cmd, ctrl_done)
 
     def reset_time_state(self) -> None:
         """Zero the timing horizons (used right after untimed conditioning)."""
@@ -270,35 +280,29 @@ class SsdDevice:
     # ------------------------------------------------------------------
     # Write path
     # ------------------------------------------------------------------
-    def _admit_pending_writes(self) -> None:
-        """Admit the whole eligible prefix of the pending-write queue.
-
-        FIFO admission: the loop stops at the first command the buffer
-        cannot hold, so a big write cannot be starved by smaller ones
-        arriving behind it.
-        """
-        pending = self._pending_writes
-        if not pending:
-            return
-        buffer = self.buffer
-        now = self.sim.now
-        while pending:
-            cmd, ready_time = pending[0]
-            if not buffer.has_space(cmd.npages):
-                return
-            pending.popleft()
-            self._admit_write(cmd, ready_time if ready_time > now else now)
-
     def _admit_write(self, cmd: DeviceCommand, admit_time: float) -> None:
-        # Per-LPN loop below is the write hot path: hoist every
-        # attribute load (profile costs, horizon lists, tracer) into
-        # locals once, and keep ``lpns`` a range -- it is only ever
-        # iterated (here, by the FTL, by the buffer and by the release
-        # callback), never indexed, so nothing needs materialising.
+        # The write hot path: one call per admitted command, and one
+        # loop over its pages that buffers each page and books its
+        # program.  The pages stay a range -- only ever iterated (here,
+        # by the FTL and by the drain), never indexed, so nothing is
+        # materialised.
+        first_lpn = cmd.lpn
+        npages = cmd.npages
+        lpns = range(first_lpn, first_lpn + npages)
+        buffer = self.buffer
+        buffer.occupied += npages
+        if buffer.occupied > buffer.capacity:
+            raise RuntimeError("write buffer overcommitted")
         profile = self.profile
+        # The host sees the write complete once it is safely buffered;
+        # admission (and therefore host-visible write latency) backs up
+        # only when the buffer is full, i.e. when the offered write
+        # rate exceeds the NAND drain rate -- Section 3.4's "write rate
+        # rises beyond the write buffer serving capability".
+        done = admit_time + profile.t_buf_write_us
+        cmd.complete_time = done
+        self._complete_pop.add(done, cmd)
         t_prog_us = profile.t_prog_us
-        t_read_xfer_us = profile.t_read_xfer_us
-        t_erase_us = profile.t_erase_us
         gc_installment_us = profile.gc_installment_us
         gc_read_visible_fraction = profile.gc_read_visible_fraction
         gc_debt_us = self._gc_debt_us
@@ -307,51 +311,20 @@ class SsdDevice:
         page_map = self.ftl.page_map
         pages_per_block = self._pages_per_block
         num_channels = self._num_channels
-        tracer = self.sim.tracer
-        lpns = range(cmd.lpn, cmd.lpn + cmd.npages)
-        self.buffer.admit(lpns)
-        # The host sees the write complete once it is safely buffered;
-        # admission (and therefore host-visible write latency) backs up
-        # only when the buffer is full, i.e. when the offered write
-        # rate exceeds the NAND drain rate -- Section 3.4's "write rate
-        # rises beyond the write buffer serving capability".
-        self._finalize(cmd, admit_time + profile.t_buf_write_us)
+        buffered = self._buffered_lpns
         last_program_done = admit_time
-        # Each page's channel is read back from the mapping: a later
-        # page's GC may have moved it, but never off its channel.
-        gc_work = dict(self.ftl.write_pages(lpns))
-        for index, lpn in enumerate(lpns):
+        # ``write_pages`` lists the pages whose block-open collected,
+        # in page order; ``gc_lpn`` is the next of them (-1: none left).
+        gc_work = self.ftl.write_pages(lpns)
+        gc_lpn = first_lpn + gc_work[0][0] if gc_work else -1
+        for lpn in lpns:
+            buffered[lpn] = buffered.get(lpn, 0) + 1
+            # Each page's channel is read back from the mapping: a later
+            # page's GC may have moved it, but never off its channel.
             channel = page_map[lpn] // pages_per_block % num_channels
-            if gc_work and index in gc_work:
-                work = gc_work[index]
-                gc_busy_us = (
-                    work.relocation_reads * t_read_xfer_us
-                    + work.relocation_programs * t_prog_us
-                    + work.erases * t_erase_us
-                )
-                gc_debt_us[channel] += gc_busy_us
-                if tracer is not None:
-                    # The FTL collects synchronously and the device
-                    # charges the busy time as channel debt, so GC
-                    # "starts" at the admit and logically "ends" once
-                    # the charged debt has drained.
-                    tracer.emit(
-                        TraceType.GC_START,
-                        self.sim.now,
-                        f"ssd.{self.name}",
-                        channel=channel,
-                        relocation_reads=work.relocation_reads,
-                        relocation_programs=work.relocation_programs,
-                        erases=work.erases,
-                        busy_us=gc_busy_us,
-                    )
-                    tracer.emit(
-                        TraceType.GC_END,
-                        self.sim.now,
-                        f"ssd.{self.name}",
-                        channel=channel,
-                        drains_at_us=self.sim.now + gc_debt_us[channel],
-                    )
+            if lpn == gc_lpn:
+                self._charge_gc(channel, gc_work.pop(0)[1])
+                gc_lpn = first_lpn + gc_work[0][0] if gc_work else -1
             wr_before = wr_horizon[channel]
             channel_start = admit_time
             if wr_before > channel_start:
@@ -362,22 +335,26 @@ class SsdDevice:
             # Garbage collection runs opportunistically: debt retired
             # while the write path sat idle is invisible to foreground
             # latency (background GC); only the remainder is charged to
-            # this program, in bounded installments.
+            # this program, in bounded installments.  Without debt the
+            # installment is zero and adds nothing.
             debt = gc_debt_us[channel]
-            idle_gap = channel_start - wr_before
-            if idle_gap > 0 and debt > 0:
-                debt = debt - idle_gap
-                if debt < 0.0:
-                    debt = 0.0
-            debt_installment = debt if debt < gc_installment_us else gc_installment_us
-            gc_debt_us[channel] = debt - debt_installment
-            page_done = channel_start + t_prog_us + debt_installment
+            if debt:
+                idle_gap = channel_start - wr_before
+                if idle_gap > 0:
+                    debt = debt - idle_gap
+                    if debt < 0.0:
+                        debt = 0.0
+                debt_installment = debt if debt < gc_installment_us else gc_installment_us
+                gc_debt_us[channel] = debt - debt_installment
+                page_done = channel_start + t_prog_us + debt_installment
+                # Reads queue behind the raw program plus the share of
+                # GC that suspension cannot hide from them.
+                fg_horizon[channel] = (
+                    channel_start + t_prog_us + gc_read_visible_fraction * debt_installment
+                )
+            else:
+                page_done = fg_horizon[channel] = channel_start + t_prog_us
             wr_horizon[channel] = page_done
-            # Reads queue behind the raw program plus the share of GC
-            # that suspension cannot hide from them.
-            fg_horizon[channel] = (
-                channel_start + t_prog_us + gc_read_visible_fraction * debt_installment
-            )
             if page_done > last_program_done:
                 last_program_done = page_done
         # Commands whose programs drain at the same instant share one
@@ -393,12 +370,68 @@ class SsdDevice:
         else:
             batch.append(lpns)
 
+    def _charge_gc(self, channel: int, work: GcWork) -> None:
+        """Charge one block-open's GC work to ``channel`` as debt."""
+        profile = self.profile
+        gc_busy_us = (
+            work.relocation_reads * profile.t_read_xfer_us
+            + work.relocation_programs * profile.t_prog_us
+            + work.erases * profile.t_erase_us
+        )
+        self._gc_debt_us[channel] += gc_busy_us
+        tracer = self.sim.tracer
+        if tracer is not None:
+            # The FTL collects synchronously and the device charges the
+            # busy time as channel debt, so GC "starts" at the admit and
+            # logically "ends" once the charged debt has drained.
+            now = self.sim.now
+            tracer.emit(
+                TraceType.GC_START,
+                now,
+                f"ssd.{self.name}",
+                channel=channel,
+                relocation_reads=work.relocation_reads,
+                relocation_programs=work.relocation_programs,
+                erases=work.erases,
+                busy_us=gc_busy_us,
+            )
+            tracer.emit(
+                TraceType.GC_END,
+                now,
+                f"ssd.{self.name}",
+                channel=channel,
+                drains_at_us=now + self._gc_debt_us[channel],
+            )
+
     def _on_channel_drain(self, time_key: float) -> None:
+        """Release the batch's buffer pages, then admit the eligible
+        prefix of the pending-write queue (FIFO: it stops at the first
+        write the buffer cannot hold)."""
         self._drain_events.pop(time_key, None)
-        release = self.buffer.release
+        buffer = self.buffer
+        buffered = self._buffered_lpns
         for lpns in self._drain_schedule.pop(time_key):
-            release(lpns)
-        self._admit_pending_writes()
+            # One C pass pops every page; only an LPN that another
+            # in-flight write also buffered goes back, one copy fewer.
+            try:
+                counts = list(map(buffered.pop, lpns))
+            except KeyError as missing:
+                raise RuntimeError(
+                    f"releasing LPN {missing.args[0]} that is not buffered"
+                ) from None
+            if counts.count(1) != len(counts):
+                for lpn, count in zip(lpns, counts):
+                    if count > 1:
+                        buffered[lpn] = count - 1
+            buffer.occupied -= len(lpns)
+        pending = self._pending_writes
+        while pending:
+            cmd, ready_time = pending[0]
+            if buffer.occupied + cmd.npages > buffer.capacity:
+                return
+            pending.popleft()
+            now = self.sim.now
+            self._admit_write(cmd, ready_time if ready_time > now else now)
 
     # ------------------------------------------------------------------
     # Completion

@@ -80,7 +80,23 @@ def _identity(n: int) -> array:
     """
     global _IDENTITY
     if len(_IDENTITY) < n:
-        _IDENTITY = array("i", range(n))
+        # Built from its little-endian bytes rather than from
+        # ``range(n)``, which would box every int: byte plane ``shift``
+        # holds each value of ``(i >> 8 * shift) & 0xff`` for ``run``
+        # entries in a row, one extended-slice store per plane.
+        raw = bytearray(4 * n)
+        for shift in range(4):
+            run = 1 << (8 * shift)
+            if run >= n:
+                break  # this plane and the ones above stay zero
+            count = -(-n // run)
+            plane = b"".join(bytes((value,)) * run for value in range(min(count, 256)))
+            if count > 256:
+                plane *= -(-count // 256)
+            raw[shift::4] = plane[:n]
+        _IDENTITY = array("i", raw)
+        if sys.byteorder == "big":
+            _IDENTITY.byteswap()
     return _IDENTITY
 
 
@@ -351,12 +367,10 @@ class Ftl:
             raise FtlError(f"channel {channel} exhausted during GC relocation")
         # Wear levelling: program into the least-worn free block so
         # erase cycles stay balanced across the channel's blocks.
-        best_index = 0
-        best_erases = self._erase_counts[free[0]]
-        for index in range(1, len(free)):
-            erases = self._erase_counts[free[index]]
-            if erases < best_erases:
-                best_index, best_erases = index, erases
+        # Two C passes; of equally worn blocks the earliest in the pool
+        # wins (``index`` finds the first minimum).
+        erases = list(map(self._erase_counts.__getitem__, free))
+        best_index = erases.index(min(erases))
         block_id = free[best_index]
         free[best_index] = free[-1]
         free.pop()
@@ -366,15 +380,12 @@ class Ftl:
         closed = self._closed[channel]
         if not closed:
             return None
-        best_index = 0
-        best_valid = self._valid_count[closed[0]]
-        for index in range(1, len(closed)):
-            valid = self._valid_count[closed[index]]
-            if valid < best_valid:
-                best_index, best_valid = index, valid
-        if best_valid >= self.geometry.pages_per_block:
+        valid = list(map(self._valid_count.__getitem__, closed))
+        best_valid = min(valid)
+        if best_valid >= self._pages_per_block:
             # Every closed block is fully valid: erasing buys nothing.
             return None
+        best_index = valid.index(best_valid)  # the first minimum
         victim = closed[best_index]
         closed[best_index] = closed[-1]
         closed.pop()

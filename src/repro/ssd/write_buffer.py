@@ -4,13 +4,14 @@ The paper leans on this behaviour twice: the write-cost estimator
 drops the cost to 1 while writes are absorbed by the buffer
 (Section 3.4), and the rate controller must not let a buffer-absorbed
 burst inflate the window (Section 3.3).  The buffer here is pure
-bookkeeping -- occupancy plus a multiset of buffered LPNs so reads can
-be served from DRAM -- while the device model owns all timing.
+state -- occupancy plus a multiset of buffered LPNs so reads can be
+served from DRAM -- that the device model admits into and releases
+from on its per-command write path, where it also owns all timing.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable
+from typing import Dict
 
 
 class WriteBuffer:
@@ -21,48 +22,14 @@ class WriteBuffer:
             raise ValueError("buffer capacity must be positive")
         self.capacity = capacity_pages
         self.occupied = 0
-        self._lpn_counts: Dict[int, int] = {}
-
-    @property
-    def available(self) -> int:
-        return self.capacity - self.occupied
-
-    def has_space(self, npages: int) -> bool:
-        return self.available >= npages
-
-    def contains(self, lpn: int) -> bool:
-        """True when ``lpn`` has an in-flight (not yet programmed) copy."""
-        return lpn in self._lpn_counts
-
-    def admit(self, lpns: Iterable[int]) -> None:
-        """Absorb the pages of one write command; caller checked space."""
-        count = 0
-        for lpn in lpns:
-            self._lpn_counts[lpn] = self._lpn_counts.get(lpn, 0) + 1
-            count += 1
-        self.occupied += count
-        if self.occupied > self.capacity:
-            raise RuntimeError("write buffer overcommitted")
-
-    def release(self, lpns: Iterable[int]) -> None:
-        """Free the pages of one command once its NAND programs complete."""
-        count = 0
-        for lpn in lpns:
-            remaining = self._lpn_counts.get(lpn)
-            if remaining is None:
-                raise RuntimeError(f"releasing LPN {lpn} that is not buffered")
-            if remaining == 1:
-                del self._lpn_counts[lpn]
-            else:
-                self._lpn_counts[lpn] = remaining - 1
-            count += 1
-        self.occupied -= count
-        if self.occupied < 0:
-            raise RuntimeError("write buffer occupancy went negative")
+        #: Buffered (not yet programmed) copies per LPN.  The dict
+        #: object lives as long as the buffer: ``clear`` empties it in
+        #: place, so the device may hold it directly.
+        self.lpn_counts: Dict[int, int] = {}
 
     def clear(self) -> None:
         self.occupied = 0
-        self._lpn_counts.clear()
+        self.lpn_counts.clear()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"WriteBuffer({self.occupied}/{self.capacity} pages)"

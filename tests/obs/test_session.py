@@ -94,7 +94,8 @@ class TestTestbedIntegration:
         assert any(name.startswith("net.") for name in snapshot)
 
     def test_registry_names_by_group(self):
-        """One SSD, one core, one Gimbal pipeline and the target's port."""
+        """One SSD, one core, one Gimbal pipeline and three ports: the
+        target's and the two clients'."""
         with capture() as session:
             tiny_testbed()
         groups = {}
@@ -102,8 +103,19 @@ class TestTestbedIntegration:
             head = name.partition(".")[0]
             groups[head] = groups.get(head, 0) + 1
         assert groups == {
-            "kernel": 5, "ssd": 13, "core": 5, "pipeline": 6, "switch": 28, "net": 2
+            "kernel": 5, "ssd": 13, "core": 5, "pipeline": 6, "switch": 28, "net": 6
         }
+
+    def test_ports_created_after_registration_register_too(self):
+        """The network registers before any client connects; the client
+        ports it creates afterwards still get their gauges."""
+        with capture() as session:
+            testbed = tiny_testbed()
+            testbed.run(warmup_us=2000.0, measure_us=4000.0)
+            snapshot = session.registry.snapshot()
+        for client in ("client-r0", "client-w0"):
+            assert snapshot[f"net.{client}.bytes_sent"] > 0
+            assert snapshot[f"net.{client}.messages_sent"] > 0
 
     def test_stats_report_renders(self):
         with capture(trace=True) as session:

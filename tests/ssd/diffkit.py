@@ -4,8 +4,8 @@ One randomized open-loop workload, generated once from a seed, is
 replayed through freshly built devices and the device-visible behaviour
 is captured exactly: every command's completion time, the host-facing
 counters, the FTL's program/erase accounting, the per-block erase
-counts (what least-worn-first block choice balances) and the final
-logical-to-physical state.
+counts (what least-worn-first block choice balances), the final
+logical-to-physical state and how many events the run scheduled.
 
 ``replay`` is deliberately untolerant -- results compare with ``==``
 so any divergence, down to the last microsecond of a completion time,
@@ -16,9 +16,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, replace
-from typing import Callable, List, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from repro.fabric.request import FabricRequest
+from repro.obs.trace import TraceBuffer
 from repro.sim.engine import Simulator
 from repro.ssd.commands import DeviceCommand, IoOp
 from repro.ssd.conditioning import condition_device
@@ -55,6 +56,8 @@ class ReplayResult:
     page_map: Tuple[int, ...]
     erase_counts: Tuple[int, ...]
     final_time_us: float
+    #: The kernel's sequence counter at the end: every event scheduled.
+    scheduled_events: int
 
     def diff(self, other: "ReplayResult") -> List[str]:
         """Human-readable list of fields that differ (empty == identical)."""
@@ -65,6 +68,7 @@ class ReplayResult:
             "page_map",
             "erase_counts",
             "final_time_us",
+            "scheduled_events",
         ):
             if getattr(self, field) != getattr(other, field):
                 lines.append(f"{field}: {getattr(self, field)!r} != {getattr(other, field)!r}")
@@ -139,9 +143,15 @@ def replay(
     geometry: SsdGeometry = DIFF_GEOMETRY,
     condition: str = "fragmented",
     carrier: Callable[[ReplayOp], object] = as_device_command,
+    tracer: Optional[TraceBuffer] = None,
 ) -> ReplayResult:
-    """Run one schedule through a freshly built device, capture everything."""
+    """Run one schedule through a freshly built device, capture everything.
+
+    A ``tracer`` is attached before the device is built, so it sees
+    every GC event the device emits.
+    """
     sim = Simulator()
+    sim.tracer = tracer
     device = SsdDevice(sim, geometry=geometry)
     if condition == "clean":
         condition_device(device, "clean")
@@ -175,4 +185,5 @@ def replay(
         page_map=tuple(ftl.page_map),
         erase_counts=tuple(ftl._erase_counts),
         final_time_us=sim.now,
+        scheduled_events=sim._seq,
     )

@@ -252,6 +252,26 @@ class TestWriteBufferBehaviour:
         assert clean_device.stats.buffer_read_hits == hits_before + 1
         assert done[0].latency_us < 30.0
 
+    def test_page_written_twice_stays_buffered_until_both_copies_drain(
+        self, sim, clean_device
+    ):
+        clean_device.submit(DeviceCommand(IoOp.WRITE, 96, 8), lambda cmd: None)
+        clean_device.submit(DeviceCommand(IoOp.WRITE, 100, 1), lambda cmd: None)
+        assert clean_device._buffered_lpns[100] == 2
+        assert len(clean_device._drain_events) == 2
+        sim.run(until_us=min(clean_device._drain_events))
+        assert clean_device._buffered_lpns == {100: 1}
+        assert clean_device.buffer.occupied == 1
+        sim.run()
+        assert clean_device._buffered_lpns == {}
+        assert clean_device.buffer.occupied == 0
+
+    def test_releasing_a_page_that_is_not_buffered_raises(self, sim, clean_device):
+        clean_device.submit(DeviceCommand(IoOp.WRITE, 100, 4), lambda cmd: None)
+        del clean_device._buffered_lpns[102]
+        with pytest.raises(RuntimeError, match="releasing LPN 102 that is not buffered"):
+            sim.run()
+
     def test_reset_time_state_rejected_with_inflight(self, sim, clean_device):
         clean_device.submit(DeviceCommand(IoOp.READ, 0, 1), lambda cmd: None)
         with pytest.raises(RuntimeError):

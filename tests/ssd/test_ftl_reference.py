@@ -21,7 +21,8 @@ mapping, reverse map, valid counts, block pools, open slots, erase
 counts and stats (``Ftl.snapshot()``).  ``write_run``, the
 segment-at-a-time sequential write that conditioning uses, is held to
 the reference's per-page loop the same way, and ``_live_lpns`` to the
-list comprehension it replaced.
+list comprehension it replaced.  ``_identity``, the shared page-number
+array ``write_run`` copies from, is held to ``array("i", range(n))``.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from repro.ssd import ftl as ftl_module
 from repro.ssd.ftl import _GC_STREAM, _HOST_STREAM, _UNMAPPED, Ftl, FtlError, GcWork, _live_lpns
 from repro.ssd.geometry import SsdGeometry
 from tests.ssd.invariants import check_invariants
@@ -398,3 +400,14 @@ def test_victim_filter_matches_the_comprehension(entries):
     live = _live_lpns(array("i", entries))
     assert live.typecode == "i"
     assert live.tolist() == [lpn for lpn in entries if lpn != _UNMAPPED]
+
+
+@pytest.mark.parametrize("n", [1, 255, 257, 65_537, 73_728])
+def test_identity_matches_the_range_array(monkeypatch, n):
+    """``_identity`` builds from byte planes the array ``range`` gives:
+    sizes on both sides of a plane's 256- and 65,536-entry runs, and
+    the default geometry's page count."""
+    monkeypatch.setattr(ftl_module, "_IDENTITY", array("i"))
+    built = ftl_module._identity(n)
+    assert built.typecode == "i"
+    assert built == array("i", range(n))
