@@ -1,7 +1,7 @@
 """Content-addressed on-disk cache for sweep-point results.
 
-Reproducing the paper means re-running the same figure sweeps over and
-over while only a few points change: a scheduler tweak re-runs fig07,
+Reproducing the paper means re-running the same figure sweeps while
+little changes between runs: an edit to fig07's driver re-runs fig07,
 not fig02.  Every :class:`~repro.harness.parallel.SweepPoint` is a pure
 function of ``(fn, kwargs, seed)`` by the determinism contract, so its
 result is cacheable by construction.  This module stores those results
@@ -10,33 +10,22 @@ on disk, keyed by a fingerprint of
 * the point function's fully qualified name,
 * its canonicalised keyword arguments (the derived per-point seed is
   one of them),
-* a *code fingerprint* -- a hash over the sources of every module the
-  point function transitively imports from the instrumented packages
-  (``repro.*`` plus the function's own top-level package), and
+* a *code fingerprint*: a sha256 over ``(path relative to src/repro,
+  sha256 of the bytes)`` for every ``.py`` file under ``src/repro``
+  except the drivers in ``harness/experiments/`` (``__init__`` and
+  ``common`` are in), plus the point function's own file, labelled by
+  its module name, and
 * the result-schema version.
 
-Editing ``src/repro/core/scheduler.py`` therefore invalidates exactly
-the points whose drivers transitively import it.  Package ``__init__``
-files re-export nothing (a re-export would put the re-exported module
-in the closure of every importer of the package), so a closure is the
-code the driver reaches: 56 of ``src/repro``'s 96 modules for 17 of
-the 18 testbed drivers (57 for ``ablations``), 68-69 for the four that
-run the KV stack (fig10, fig11-12, fig13, rack).  An edit under
-``kv/`` or to ``kvcluster.py``, ``ycsb.py``, ``population.py`` or
-``fabric/boundary.py`` leaves every testbed figure warm, and an edit
-to one driver recomputes that driver alone (plus fig11-12 for fig10,
-whose point function it calls).  Imports are
-discovered statically, so the fingerprint never depends on import
-order or runtime state, and without a parse: a keyword scan takes
-every whole-word ``import`` in the text as a candidate, a superset of
-what the parser finds (a docstring that reads like an import adds a
-name; one that resolves to a module costs a spurious recompute, never
-a stale hit), and a file with a syntax error still contributes its
-imports.  A file's hash and scan are memoised per
-path and the closure's digest per point function, so a process reads
-each file once and a lookup costs one ``stat`` pass over the closure.
-A point function whose own module has no resolvable source (a script
-run as ``__main__``) is uncacheable: no edit could change its key.
+So an edit to a shared module recomputes every figure, and an edit to
+one driver only that driver's points (no driver imports another).  A
+point function outside ``repro`` (a test's) is keyed by the tree and
+its own file: an edit to a helper it imports from outside ``repro`` is
+not seen.  One whose module has no resolvable source (a script run as
+``__main__``) is uncacheable: no edit to it could change its key.  A
+process reads each file once per version and lists the tree once (again
+only if a directory's stamp moves); a repeat key costs one ``stat`` per
+directory and file and reads nothing.
 
 The cache directory (:func:`cache_dir`: ``--cache-dir``, else
 ``REPRO_CACHE_DIR``, else ``.repro-cache/``) holds one record of each
@@ -62,12 +51,10 @@ import hashlib
 import importlib.util
 import json
 import os
-import re
 import time
-import unicodedata
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Any, Callable, Dict, FrozenSet, List, Literal, Optional, Set, Tuple, Union
+from typing import Any, Callable, Dict, List, Literal, Optional, Tuple, Union
 
 #: Bump when the stored entry layout (or the meaning of results)
 #: changes; old entries simply stop matching.
@@ -116,210 +103,99 @@ def canonical_value(value: Any) -> Any:
 # ----------------------------------------------------------------------
 # Code fingerprinting
 # ----------------------------------------------------------------------
-# path -> (mtime_ns, size, sha256 hexdigest of the bytes, scanned
-# imports): one read serves hash and scan, and an edit replaces the
-# file's record, so the table is bounded by the number of files.
-_source_memo: Dict[str, Tuple[int, int, str, FrozenSet[Tuple[str, str]]]] = {}
-# module name -> (source path or None, is_package); resolution is
-# stable for the life of the process.
-_module_file_memo: Dict[str, Tuple[Optional[str], bool]] = {}
-# (module name, roots) -> ([(path, source hash)] of the closure, digest).
-_closure_memo: Dict[Tuple[str, FrozenSet[str]], Tuple[List[Tuple[str, Optional[str]]], str]] = {}
+_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))  # src/repro
 
-# ``import`` is a hard keyword and no import statement holds a string,
-# so every real one has the whole word outside any.  Its left boundary
-# is tested behind the literal: a leading ``\b`` searches 20x slower.
-_IMPORT_KEYWORD = re.compile(r"import\b(?<!\wimport)")
-# The last ``from`` on the logical line with no statement boundary
-# (``;`` or ``:``) between it and the keyword.
-_FROM_CLAUSE = re.compile(r".*\bfrom\b([^;:]*)$")
-# After the keyword: a parenthesised list up to the first ``)`` outside
-# a comment, or names up to a comment, a ``;`` or the end of the line.
-_IMPORT_TAIL = re.compile(r"[ \t\f\r]*\(((?:[^#)]+|#[^\r\n]*)*)|([^#;\n]*)")
-_COMMENT = re.compile(r"#[^\r\n]*")
+# path -> ((mtime_ns, size), sha256 of the bytes): one record per file.
+_sha_memo: Dict[str, Tuple[Tuple[int, int], str]] = {}
+# The tree listing, at most one: ([(directory, stamp)], {path: label}).
+_tree_memo: List[Tuple[list, Dict[str, str]]] = []
+# module -> (own source path or None, [(path, stamp)] it was made from, key).
+_key_memo: Dict[str, Tuple[Optional[str], list, str]] = {}
 
 
 def clear_fingerprint_caches() -> None:
-    """Drop every memo table of the closure walk: what tests do between
-    cases, and the perf ledger to make a warm pass pay a fresh process's walk."""
-    _source_memo.clear()
-    _module_file_memo.clear()
-    _closure_memo.clear()
+    """Drop the file hashes, the tree listing and the per-module keys
+    (tests between cases; the perf ledger before each warm pass)."""
+    _sha_memo.clear()
+    _tree_memo.clear()
+    _key_memo.clear()
 
 
-def _identifier(words: List[str]) -> str:
-    """Join the tokens of a dotted name as the parser would read it."""
-    name = "".join(words)
-    return name if name.isascii() else unicodedata.normalize("NFKC", name)
-
-
-def _scan_imports(text: str) -> FrozenSet[Tuple[str, str]]:
-    """``(module, name)`` per imported name in ``text``, unresolved:
-    ``module`` is ``""`` for a plain ``import name`` and keeps the dots
-    of a relative ``from``; ``name`` is ``""`` for ``*``.  Import-like
-    text in strings and comments adds pairs; no real import is missed.
-    """
-    # Backslash-newline joins lines.  ``decode_source`` left no "\r", so
-    # it marks the joins: a comment still ends there, and a ``from``
-    # clause spanning one may be a comment's tail (kept both ways).
-    text = text.replace("\\\n", "\r")
-    found: Set[Tuple[str, str]] = set()
-    for keyword in _IMPORT_KEYWORD.finditer(text):
-        start, end = keyword.span()
-        clause = _FROM_CLAUSE.match(text, text.rfind("\n", 0, start) + 1, start)
-        modules = [_identifier(clause.group(1).split())] if clause else [""]
-        if clause and "\r" in clause.group(1):
-            modules.append("")
-        listed, plain = _IMPORT_TAIL.match(text, end).groups()
-        for item in (plain if listed is None else _COMMENT.sub(" ", listed)).split(","):
-            words = item.split()
-            name = _identifier(words[: words.index("as")] if "as" in words else words)
-            if name:
-                found.update((module, name.strip("*")) for module in modules)
-    return frozenset(found)
-
-
-def _source(path: str) -> Tuple[Optional[str], FrozenSet[Tuple[str, str]]]:
-    """``(sha256, scanned imports)`` of the file at ``path``: one
-    ``stat`` per call, one read and decode per version of the file.
-    An undecodable file has a hash and no imports, an unreadable one neither."""
+def _stamp(path: str) -> Optional[Tuple[int, int]]:
+    """``(mtime_ns, size)`` of ``path``, None when it cannot be stat'ed."""
     try:
         stat = os.stat(path)
-        record = _source_memo.get(path)
-        if record is None or record[0] != stat.st_mtime_ns or record[1] != stat.st_size:
-            with open(path, "rb") as handle:
-                data = handle.read()
-            try:
-                imports = _scan_imports(importlib.util.decode_source(data))
-            except (SyntaxError, UnicodeDecodeError, LookupError):  # bad bytes, cookie, codec
-                imports = frozenset()
-            record = (stat.st_mtime_ns, stat.st_size, hashlib.sha256(data).hexdigest(), imports)
-            _source_memo[path] = record
     except OSError:
-        return None, frozenset()
-    return record[2], record[3]
+        return None
+    return stat.st_mtime_ns, stat.st_size
 
 
-def _module_file(name: str) -> Tuple[Optional[str], bool]:
-    """Resolve a module name to ``(source path, is_package)``.
+def _unchanged(stamps: list) -> bool:
+    return all(_stamp(path) == stamp for path, stamp in stamps)
 
-    Returns ``(None, False)`` for names that are not importable modules
-    with Python source (attributes, extension modules, builtins).
-    """
-    cached = _module_file_memo.get(name)
-    if cached is not None:
-        return cached
-    parent = name.rpartition(".")[0]
-    parent_path, parent_is_package = _module_file(parent) if parent else (None, False)
-    if parent_path is not None and not parent_is_package:
-        # ``from a.b import C`` with ``a.b`` a plain module: ``C`` is an
-        # attribute.  ``find_spec`` would *import* ``a.b`` to say so --
-        # and with it whatever a lazily imported module drags in.
-        spec = None
-    else:
+
+def _sha(path: str) -> Optional[str]:
+    """sha256 of the file at ``path``, None when it cannot be read: one
+    ``stat`` per call, one read per version of the file."""
+    stamp = _stamp(path)
+    record = _sha_memo.get(path)
+    if record is None or record[0] != stamp:
         try:
-            spec = importlib.util.find_spec(name)
-        except (ImportError, AttributeError, ValueError):
-            spec = None
-    if spec is None or spec.origin is None or not spec.origin.endswith(".py"):
-        result: Tuple[Optional[str], bool] = (None, False)
-    else:
-        result = (spec.origin, bool(spec.submodule_search_locations))
-    _module_file_memo[name] = result
-    return result
+            with open(path, "rb") as handle:
+                record = (stamp, hashlib.sha256(handle.read()).hexdigest())
+        except OSError:
+            return None
+        _sha_memo[path] = record
+    return record[1]
 
 
-def _absolute_names(imports: FrozenSet[Tuple[str, str]], package: str) -> Set[str]:
-    """Absolute module names the scanned ``imports`` mention.
-
-    ``from X import y`` contributes both ``X`` and ``X.y`` (``y`` may be
-    a submodule or a mere attribute; non-modules are filtered out later
-    by :func:`_module_file`).  Relative imports are resolved against
-    ``package``.
-    """
-    parts = package.split(".") if package else []
-    names: Set[str] = set()
-    for module, name in imports:
-        level = len(module) - len(module.lstrip("."))
-        if level:
-            if level - 1 > len(parts):
-                continue
-            kept = parts[: len(parts) - (level - 1)]
-            module = ".".join(kept + [module[level:]] if module[level:] else kept)
-            if not module:
-                continue
-        names.add(module or name)
-        if module and name:
-            names.add(f"{module}.{name}")
-    return names
+def _tree() -> Tuple[list, Dict[str, str]]:
+    """Stamps of every directory under ``src/repro``, and ``{path: path
+    relative to src/repro}`` of every ``.py`` file but the drivers.
+    Listed again only when a directory's stamp moves: adding, removing or
+    renaming an entry moves its mtime (the import system's own rule)."""
+    if not _tree_memo or not _unchanged(_tree_memo[0][0]):
+        drivers = os.path.join(_ROOT, "harness", "experiments")
+        directories, files = [], {}
+        for directory, subdirectories, names in os.walk(_ROOT):
+            subdirectories[:] = [name for name in subdirectories if name != "__pycache__"]
+            directories.append((directory, _stamp(directory)))
+            for name in names:
+                if name.endswith(".py") and (directory != drivers or name in ("__init__.py", "common.py")):
+                    path = os.path.join(directory, name)
+                    files[path] = os.path.relpath(path, _ROOT).replace(os.sep, "/")
+        _tree_memo[:] = [(directories, files)]
+    return _tree_memo[0]
 
 
-def _parents_of(name: str) -> List[str]:
-    parts = name.split(".")
-    return [".".join(parts[:i]) for i in range(1, len(parts))]
-
-
-def transitive_sources(
-    module_name: str, roots: FrozenSet[str]
-) -> Dict[str, Optional[str]]:
-    """Map every ``roots``-rooted module transitively imported by
-    ``module_name`` (including itself and parent packages) to the
-    sha256 of its source file."""
-    seen: Dict[str, Optional[str]] = {}
-    queue: List[str] = [module_name] + _parents_of(module_name)
-    while queue:
-        name = queue.pop()
-        if name in seen or name.partition(".")[0] not in roots:
-            continue
-        path, is_package = _module_file(name)
-        if path is None:
-            continue
-        seen[name], imports = _source(path)
-        package = name if is_package else name.rpartition(".")[0]
-        for imported in _absolute_names(imports, package):
-            if imported.partition(".")[0] not in roots:
-                continue
-            if imported not in seen:
-                queue.append(imported)
-                for parent in _parents_of(imported):
-                    if parent not in seen:
-                        queue.append(parent)
-    return seen
-
-
-def code_fingerprint(fn: Callable[..., Any], roots: Optional[Set[str]] = None) -> str:
-    """Hash the transitive module sources ``fn`` depends on.
-
-    ``roots`` limits which top-level packages are followed; by default
-    the instrumented ``repro`` package plus ``fn``'s own top-level
-    package (so test-local point functions fingerprint correctly too).
-
-    The closure is walked once per ``(module, roots)``; later calls
-    re-hash nothing and re-walk nothing while every file of that closure
-    still has the source hash the walk saw (one ``stat`` per file).  The
-    closure is a function of those files' contents, so any edit, deletion
-    or new import inside it shows up as a changed hash and a fresh walk.
-    """
-    module = getattr(fn, "__module__", "") or ""
-    if roots is None:
-        roots = {"repro"}
-        if module:
-            roots.add(module.partition(".")[0])
-    key = (module, frozenset(roots))
-    memo = _closure_memo.get(key)
-    if memo is not None and all(_source(path)[0] == sha for path, sha in memo[0]):
-        return memo[1]
-    sources = transitive_sources(module, key[1])
+def _code_key(module: str) -> Tuple[Optional[str], str]:
+    """``(own source path or None, code key)`` of a point function in
+    ``module``: sha256 over ``(label, sha256 of the bytes)`` for the files
+    of :func:`_tree`, and for the module's own file, labelled ``module``,
+    when the tree leaves it out (a driver, or a module outside ``repro``).
+    Memoised while no directory or file it was made from has a new stamp."""
+    record = _key_memo.get(module)
+    if record is not None and _unchanged(record[1]):
+        return record[0], record[2]
+    directories, labels = _tree()
+    try:
+        spec = importlib.util.find_spec(module)
+    except (ImportError, AttributeError, ValueError):
+        spec = None
+    own = os.path.abspath(spec.origin) if spec and spec.origin and spec.origin.endswith(".py") else None
+    if own is not None and own not in labels:
+        labels = {**labels, own: module}
     digest = hashlib.sha256()
-    for name in sorted(sources):
-        digest.update(name.encode("utf-8"))
-        digest.update(b"\x00")
-        digest.update((sources[name] or "missing").encode("utf-8"))
-        digest.update(b"\n")
-    fingerprint = digest.hexdigest()
-    files = [(_module_file(name)[0], sha) for name, sha in sources.items()]
-    _closure_memo[key] = (files, fingerprint)
-    return fingerprint
+    for label, sha in sorted((label, _sha(path)) for path, label in labels.items()):
+        digest.update(f"{label}\x00{sha or 'missing'}\n".encode("utf-8"))
+    stamps = directories + [(path, _sha_memo.get(path, (None,))[0]) for path in labels]
+    _key_memo[module] = record = (own, stamps, digest.hexdigest())
+    return own, record[2]
+
+
+def code_fingerprint(fn: Callable[..., Any]) -> str:
+    """The code key of ``fn``: see :func:`_code_key`."""
+    return _code_key(getattr(fn, "__module__", "") or "")[1]
 
 
 def point_fingerprint(
@@ -335,22 +211,13 @@ def point_fingerprint(
     qualname = getattr(fn, "__qualname__", None)
     if not module or not qualname or "<locals>" in qualname:
         raise Uncacheable(f"{fn!r} is not a module-level function")
-    if _module_file(module)[0] is None:  # fn's own body would be in no closure
-        raise Uncacheable(f"{fn!r}: module {module!r} has no resolvable source")
     canonical = canonical_value(kwargs)
-    code_fp = code_fingerprint(fn)
-    key_material = json.dumps(
-        {
-            "schema": SCHEMA_VERSION,
-            "fn": f"{module}:{qualname}",
-            "kwargs": canonical,
-            "code": code_fp,
-        },
-        sort_keys=True,
-        separators=(",", ":"),
-    )
-    fingerprint = hashlib.sha256(key_material.encode("utf-8")).hexdigest()
-    return fingerprint, canonical, code_fp
+    own, code_fp = _code_key(module)
+    if own is None:  # no edit to fn's own body could change the key
+        raise Uncacheable(f"{fn!r}: module {module!r} has no resolvable source")
+    material = {"schema": SCHEMA_VERSION, "fn": f"{module}:{qualname}", "kwargs": canonical, "code": code_fp}
+    encoded = json.dumps(material, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    return hashlib.sha256(encoded).hexdigest(), canonical, code_fp
 
 
 # ----------------------------------------------------------------------
@@ -414,7 +281,7 @@ class ResultCache:
         if keyed is None:
             self.stats.uncacheable += 1
             return False, None
-        fingerprint, _, _ = keyed
+        fingerprint = keyed[0]
         path = self._entry_path(fingerprint)
         try:  # anything but a well-formed entry for this key is a miss
             data = path.read_bytes()
@@ -468,8 +335,7 @@ class ResultCache:
             "result": json.loads(result_json),
         }
         data = (json.dumps(entry, sort_keys=True) + "\n").encode("utf-8")
-        path = self._entry_path(fingerprint)
-        self._atomic_write(path, data)
+        self._atomic_write(self._entry_path(fingerprint), data)
         self.stats.writes += 1
         self.stats.bytes_written += len(data)
         return entry["result"]
@@ -523,9 +389,7 @@ class ResultCache:
         return records
 
     def point_records(self) -> List[dict]:
-        """What each stored point cost to compute: the entries, whose
-        files keep ``fn``, ``label``, ``kwargs``, ``code_fingerprint``
-        and ``elapsed_s`` beside the result."""
+        """What each stored point cost to compute: :meth:`entries`."""
         return self.entries()
 
     # -- maintenance ---------------------------------------------------
@@ -560,11 +424,7 @@ class ResultCache:
             )
         return out
 
-    def prune(
-        self,
-        max_bytes: Optional[int] = None,
-        max_entries: Optional[int] = None,
-    ) -> int:
+    def prune(self, max_bytes: Optional[int] = None, max_entries: Optional[int] = None) -> int:
         """Evict least-recently-used entries (by mtime; hits refresh it)
         until the cache fits both limits.  Returns the eviction count."""
         for name, limit in (("max_bytes", max_bytes), ("max_entries", max_entries)):
@@ -590,21 +450,12 @@ class ResultCache:
 
     def clear(self) -> int:
         """Delete every entry (and the journal). Returns entries removed."""
-        removed = 0
-        for entry in self.entries():
-            try:
-                os.unlink(entry["path"])
-                removed += 1
-            except OSError:
-                pass
+        removed = self.prune(max_entries=0)
         try:
             os.unlink(self.root / JOURNAL_NAME)
         except OSError:
             pass
         return removed
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"ResultCache({str(self.root)!r}, stats={self.stats})"
 
 
 # ----------------------------------------------------------------------

@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import Dict, Sequence
 
 from repro.harness.experiments.common import Sweep, derived_run, merge_rows
-from repro.harness.experiments.fig10_rocksdb import run_one
+from repro.harness.kvcluster import run_one
 from repro.harness.report import format_table
 
 DEFAULT_SWEEP = (1, 2, 4, 6)

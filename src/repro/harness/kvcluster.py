@@ -569,3 +569,27 @@ class KvCluster:
         if shard is not None:
             out["shard"] = shard
         return out
+
+
+def run_one(
+    scheme: str,
+    workload: str,
+    instances: int = 6,
+    num_jbofs: int = 1,
+    record_count: int = 2048,
+    warmup_us: float = 300_000.0,
+    measure_us: float = 700_000.0,
+) -> Dict[str, object]:
+    """One fragmented-cluster YCSB cell: the point figs 10 and 11-12 sweep."""
+    cluster = KvCluster(KvClusterConfig(scheme=scheme, condition="fragmented", num_jbofs=num_jbofs))
+    for index in range(instances):
+        cluster.add_instance(f"db{index}", workload, record_count=record_count)
+    cluster.load_all()
+    results = cluster.run(warmup_us=warmup_us, measure_us=measure_us)
+    return {
+        "scheme": scheme,
+        "workload": workload,
+        "kops": results["total_kops"],
+        "read_avg_us": results["read_avg_us"],
+        "read_p999_us": results["read_p999_us"],
+    }
