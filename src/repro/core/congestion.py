@@ -104,17 +104,17 @@ class LatencyMonitor:
         self.signals[state] += 1
         return state
 
-    def register_metrics(self, registry, prefix: str) -> None:
-        """Expose this monitor's live state as pull gauges."""
-        registry.gauge(f"{prefix}.ewma_us", lambda: self.ewma.value)
-        registry.gauge(f"{prefix}.threshold_us", lambda: self.threshold)
-        registry.gauge(f"{prefix}.state", lambda: self.state.name)
-        registry.gauge(f"{prefix}.transitions", lambda: self.transitions)
+    def metrics(self) -> dict:
+        """This monitor's live state."""
+        out = {
+            "ewma_us": self.ewma.value,
+            "threshold_us": self.threshold,
+            "state": self.state.name,
+            "transitions": self.transitions,
+        }
         for state in CongestionState:
-            registry.gauge(
-                f"{prefix}.signals.{state.name.lower()}",
-                lambda state=state: self.signals[state],
-            )
+            out[f"signals.{state.name.lower()}"] = self.signals[state]
+        return out
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

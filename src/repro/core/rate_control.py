@@ -193,10 +193,13 @@ class RateController:
             target = params.max_rate_bytes_per_us
         self.target_rate = target
 
-    def register_metrics(self, registry, prefix: str) -> None:
-        """Expose the pacing engine's live state as pull gauges."""
-        registry.gauge(f"{prefix}.target_bytes_per_us", lambda: self.target_rate)
-        registry.gauge(f"{prefix}.read_tokens", lambda: self.bucket.read_tokens)
-        registry.gauge(f"{prefix}.write_tokens", lambda: self.bucket.write_tokens)
-        registry.gauge(f"{prefix}.bucket_denials", lambda: self.bucket.denials)
-        registry.gauge(f"{prefix}.bucket_discards", lambda: self.bucket.discards)
+    def metrics(self) -> dict:
+        """The pacing engine's live state."""
+        bucket = self.bucket
+        return {
+            "target_bytes_per_us": self.target_rate,
+            "read_tokens": bucket.read_tokens,
+            "write_tokens": bucket.write_tokens,
+            "bucket_denials": bucket.denials,
+            "bucket_discards": bucket.discards,
+        }

@@ -278,22 +278,21 @@ class GimbalScheduler(StorageScheduler):
                 ewma_us=monitor.ewma_latency_us,
             )
 
-    def register_metrics(self, registry, prefix: Optional[str] = None) -> None:
-        """Expose the switch's live state as pull gauges."""
-        prefix = prefix or self._component_name
-        registry.gauge(f"{prefix}.target_rate_mbps", lambda: self.rate.target_rate / MBPS)
-        registry.gauge(f"{prefix}.write_cost", lambda: self.write_cost.cost)
-        registry.gauge(
-            f"{prefix}.inflight",
-            lambda: sum(tenant.slots.outstanding_ios for tenant in self.drr.tenants.values()),
-        )
-        registry.gauge(f"{prefix}.active_tenants", lambda: len(self.drr.active))
-        registry.gauge(f"{prefix}.slot_limit", lambda: self.drr.slot_limit)
-        registry.gauge(f"{prefix}.slot_deferrals", lambda: self.drr.deferrals)
-        registry.gauge(
-            f"{prefix}.pending",
-            lambda: sum(tenant.pending for tenant in self.drr.tenants.values()),
-        )
-        for op, monitor in self.monitors.items():
-            monitor.register_metrics(registry, f"{prefix}.{op.name.lower()}")
-        self.rate.register_metrics(registry, f"{prefix}.rate")
+    def metrics(self) -> dict:
+        """The switch's live state, its monitors' and its rate controller's."""
+        drr = self.drr
+        tenants = drr.tenants.values()
+        out = {
+            "target_rate_mbps": self.rate.target_rate / MBPS,
+            "write_cost": self.write_cost.cost,
+            "inflight": sum(tenant.slots.outstanding_ios for tenant in tenants),
+            "active_tenants": len(drr.active),
+            "slot_limit": drr.slot_limit,
+            "slot_deferrals": drr.deferrals,
+            "pending": sum(tenant.pending for tenant in tenants),
+        }
+        parts = [(op.name.lower(), monitor) for op, monitor in self.monitors.items()]
+        for part, source in parts + [("rate", self.rate)]:
+            for name, value in source.metrics().items():
+                out[f"{part}.{name}"] = value
+        return out

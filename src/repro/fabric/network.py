@@ -56,9 +56,6 @@ class Network:
         self.propagation_us = propagation_us
         self.per_message_us = per_message_us
         self._ports: dict[str, NetworkPort] = {}
-        #: ``(registry, prefix)`` of every ``register_metrics`` call: a
-        #: port created later (a client connecting) registers there too.
-        self._registries: list = []
         # Wire deliveries all land on one trampoline, pre-bound by the
         # population; each delivery carries its own ``(target function,
         # arguments)`` pair as the event's one payload.
@@ -70,8 +67,6 @@ class Network:
         if existing is None:
             existing = NetworkPort(name)
             self._ports[name] = existing
-            for registry, prefix in self._registries:
-                _register_port(registry, prefix, existing)
         return existing
 
     def send(
@@ -101,14 +96,10 @@ class Network:
         deliver, args = delivery
         deliver(*args)
 
-    def register_metrics(self, registry, prefix: str = "net") -> None:
-        """Expose per-port link counters, for the ports created so far
-        and for every port created from now on."""
-        self._registries.append((registry, prefix))
+    def metrics(self) -> dict:
+        """Link counters of every port that exists now."""
+        out = {}
         for port in self._ports.values():
-            _register_port(registry, prefix, port)
-
-
-def _register_port(registry, prefix: str, port: NetworkPort) -> None:
-    registry.gauge(f"{prefix}.{port.name}.bytes_sent", lambda: port.bytes_sent)
-    registry.gauge(f"{prefix}.{port.name}.messages_sent", lambda: port.messages_sent)
+            out[f"{port.name}.bytes_sent"] = port.bytes_sent
+            out[f"{port.name}.messages_sent"] = port.messages_sent
+        return out

@@ -418,18 +418,17 @@ class SsdPipeline:
     # ------------------------------------------------------------------
     # Observability
     # ------------------------------------------------------------------
-    def register_metrics(self, registry, prefix: Optional[str] = None) -> None:
-        """Expose throughput counters; cascades to the scheduler."""
-        prefix = prefix or f"pipeline.{self.name}"
-        registry.gauge(f"{prefix}.reads", lambda: self.stats.reads)
-        registry.gauge(f"{prefix}.writes", lambda: self.stats.writes)
-        registry.gauge(f"{prefix}.trims", lambda: self.stats.trims)
-        registry.gauge(f"{prefix}.read_bytes", lambda: self.stats.read_bytes)
-        registry.gauge(f"{prefix}.write_bytes", lambda: self.stats.write_bytes)
-        registry.gauge(f"{prefix}.inflight_replies", lambda: self._inflight_replies)
-        register = getattr(self.scheduler, "register_metrics", None)
-        if register is not None:
-            register(registry)
+    def metrics(self) -> dict:
+        """Throughput counters."""
+        stats = self.stats
+        return {
+            "reads": stats.reads,
+            "writes": stats.writes,
+            "trims": stats.trims,
+            "read_bytes": stats.read_bytes,
+            "write_bytes": stats.write_bytes,
+            "inflight_replies": self._inflight_replies,
+        }
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"SsdPipeline({self.name}, scheduler={self.scheduler.name})"

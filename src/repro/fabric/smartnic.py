@@ -173,19 +173,16 @@ class NicCore:
             if record[1]
         }
 
-    def register_metrics(self, registry, prefix: str = None) -> None:
-        """Expose core occupancy as pull gauges."""
-        prefix = prefix or f"core.{self.name}"
-        registry.gauge(f"{prefix}.busy_us", lambda: self.busy_us_total)
-        registry.gauge(
-            f"{prefix}.bookings",
-            lambda: sum(record[1] for record in self._by_tag.values()),
-        )
+    def metrics(self) -> Dict[str, float]:
+        """Core occupancy."""
+        by_tag = self._by_tag
+        out = {
+            "busy_us": self.busy_us_total,
+            "bookings": sum(record[1] for record in by_tag.values()),
+        }
         for tag in ("submit", "datapath", "complete"):
-            registry.gauge(
-                f"{prefix}.busy_us.{tag}",
-                lambda tag=tag: self._by_tag[tag][0] if tag in self._by_tag else 0.0,
-            )
+            out[f"busy_us.{tag}"] = by_tag[tag][0] if tag in by_tag else 0.0
+        return out
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"NicCore({self.name}, busy={self.busy_us_total:.0f}us)"

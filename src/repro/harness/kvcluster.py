@@ -192,7 +192,7 @@ class KvCluster:
                 )
         self.runners: List[YcsbRunner] = []
         self.instances: Dict[str, KvInstance] = {}
-        # Rack-lifecycle accounting (see register_metrics).
+        # Rack-lifecycle accounting (see metrics).
         self.tenants_arrived = 0
         self.tenants_departed = 0
         self.peak_tenants = 0
@@ -201,7 +201,9 @@ class KvCluster:
         self._departed_reads_to_shadow = 0
         session = current_session()
         if session is not None:
-            session.register(self)
+            session.registry.add("rack", self)
+            if self.shard_executor is not None:
+                session.registry.add("shard", self.shard_executor)
 
     # ------------------------------------------------------------------
     # Topology build
@@ -456,30 +458,22 @@ class KvCluster:
             inst.store.reads_to_shadow for inst in self.instances.values()
         )
 
-    def register_metrics(self, registry, prefix: str = "rack") -> None:
-        """Install rack occupancy/reclamation/steering gauges.
-
-        Gauges are pull metrics (sampled at read time), so registering
-        them costs the simulation hot path nothing.
-        """
+    def metrics(self) -> dict:
+        """Rack occupancy, reclamation and read steering."""
         allocator = self.global_allocator
-        registry.gauge(f"{prefix}.active_tenants", lambda: len(self.instances))
-        registry.gauge(f"{prefix}.peak_tenants", lambda: self.peak_tenants)
-        registry.gauge(f"{prefix}.tenants_arrived", lambda: self.tenants_arrived)
-        registry.gauge(f"{prefix}.tenants_departed", lambda: self.tenants_departed)
-        registry.gauge(f"{prefix}.megas_total", lambda: allocator.total_megas)
-        registry.gauge(
-            f"{prefix}.megas_available", lambda: allocator.total_available_megas
-        )
-        registry.gauge(f"{prefix}.megas_allocated", lambda: allocator.megas_allocated)
-        registry.gauge(f"{prefix}.megas_freed", lambda: allocator.megas_freed)
-        registry.gauge(
-            f"{prefix}.peak_megas_in_use", lambda: self.peak_megas_in_use
-        )
-        registry.gauge(f"{prefix}.reads_to_primary", lambda: self.reads_to_primary)
-        registry.gauge(f"{prefix}.reads_to_shadow", lambda: self.reads_to_shadow)
-        if self.shard_executor is not None:
-            self.shard_executor.register_metrics(registry)
+        return {
+            "active_tenants": len(self.instances),
+            "peak_tenants": self.peak_tenants,
+            "tenants_arrived": self.tenants_arrived,
+            "tenants_departed": self.tenants_departed,
+            "megas_total": allocator.total_megas,
+            "megas_available": allocator.total_available_megas,
+            "megas_allocated": allocator.megas_allocated,
+            "megas_freed": allocator.megas_freed,
+            "peak_megas_in_use": self.peak_megas_in_use,
+            "reads_to_primary": self.reads_to_primary,
+            "reads_to_shadow": self.reads_to_shadow,
+        }
 
     # ------------------------------------------------------------------
     # Execution

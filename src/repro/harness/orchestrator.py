@@ -125,9 +125,7 @@ def run_suite(
                     f"experiment {spec.name!r} ({spec.module_path}) does not expose "
                     "the declarative sweep()/finalize() protocol"
                 )
-            # Lenient on purpose: every driver is handed the same registry
-            # kwargs and takes what it understands.
-            sweep_kwargs, finalize_kwargs, _ = split_kwargs(
+            sweep_kwargs, finalize_kwargs = split_kwargs(
                 sweep_fn, module.finalize, spec.kwargs
             )
             yield spec.name, sweep_fn(**sweep_kwargs).points, partial(
@@ -155,7 +153,7 @@ def run_suite_serial(
     results: Dict[str, Any] = {}
     for spec in specs:
         module = spec.load()
-        sweep_kwargs, finalize_kwargs, _ = split_kwargs(
+        sweep_kwargs, finalize_kwargs = split_kwargs(
             module.sweep, module.finalize, spec.kwargs
         )
         results[spec.name] = module.run(

@@ -423,20 +423,23 @@ def accepted_kwargs(fn: Callable[..., Any], kwargs: Mapping[str, Any]) -> Dict[s
 
 def split_kwargs(
     sweep: Callable[..., "Sweep"], finalize: Callable[..., Any], kwargs: Mapping[str, Any]
-) -> Tuple[Dict[str, Any], Dict[str, Any], List[str]]:
+) -> Tuple[Dict[str, Any], Dict[str, Any]]:
     """Split ``kwargs`` between a driver's ``sweep()`` and ``finalize()``.
 
     Driver signatures list only the knobs they use, so the signatures
-    decide: returns ``(sweep_kwargs, finalize_kwargs, unknown)`` where
-    ``unknown`` names the keywords neither function takes.  A suite
-    hands every driver the same registry kwargs and ignores ``unknown``
-    (each driver takes what it understands); a driver's own ``run()``
-    refuses them.
+    decide: returns ``(sweep_kwargs, finalize_kwargs)``.  A keyword
+    neither function takes is a ``TypeError`` naming it, for a driver's
+    own ``run()`` and for a suite alike.
     """
     sweep_kwargs = accepted_kwargs(sweep, kwargs)
     finalize_kwargs = accepted_kwargs(finalize, kwargs)
     unknown = [key for key in kwargs if key not in sweep_kwargs and key not in finalize_kwargs]
-    return sweep_kwargs, finalize_kwargs, unknown
+    if unknown:
+        raise TypeError(
+            f"{sweep.__module__}.run() got unexpected keyword argument(s) "
+            + ", ".join(repr(key) for key in unknown)
+        )
+    return sweep_kwargs, finalize_kwargs
 
 
 def derived_run(sweep: Callable[..., "Sweep"], finalize: Callable[..., Any]) -> Callable[..., Any]:
@@ -449,12 +452,7 @@ def derived_run(sweep: Callable[..., "Sweep"], finalize: Callable[..., Any]) -> 
     """
 
     def run(jobs: int = 1, cache: CacheSpec = None, **kwargs: Any) -> Any:
-        sweep_kwargs, finalize_kwargs, unknown = split_kwargs(sweep, finalize, kwargs)
-        if unknown:
-            raise TypeError(
-                f"{sweep.__module__}.run() got unexpected keyword argument(s) "
-                + ", ".join(repr(key) for key in unknown)
-            )
+        sweep_kwargs, finalize_kwargs = split_kwargs(sweep, finalize, kwargs)
         results = sweep(**sweep_kwargs).run(jobs=jobs, cache=cache)
         return finalize(results, **finalize_kwargs)
 

@@ -57,29 +57,33 @@ SCHEMES: Dict[str, Tuple[type, type]] = {
 def register_targets(
     targets: List[NvmeOfTarget], network: Network, qualify_devices: bool
 ) -> None:
-    """Register the targets' devices, cores and pipelines, then the
-    network, with the active ``repro.obs.session.capture()`` session.
+    """Add the targets' devices, cores, pipelines and switches, then the
+    network, as metrics sources of the active
+    ``repro.obs.session.capture()`` session.
 
     Experiment drivers build their racks internally, so observability
     arrives ambiently: the Simulator constructor already hooked itself
-    to the session (if any).  A registry replaces a gauge whose name it
-    already holds, so a rack whose JBOFs each have an ``ssd0`` names
-    every device after its pipeline (``ssd.jbof1/ssd0``) with
+    to the session (if any).  A registry replaces the source under a
+    prefix it already holds, so a rack whose JBOFs each have an ``ssd0``
+    names every device after its pipeline (``ssd.jbof1/ssd0``) with
     ``qualify_devices``.
     """
     session = current_session()
     if session is None:
         return
+    registry = session.registry
     pipelines = [pipeline for target in targets for pipeline in target.pipelines.values()]
     for pipeline in pipelines:
-        prefix = f"ssd.{pipeline.name}" if qualify_devices else None
-        session.register(pipeline.device, prefix)
+        device = pipeline.device
+        registry.add(f"ssd.{pipeline.name if qualify_devices else device.name}", device)
     for target in targets:
         for core in target.cores:
-            session.register(core)
+            registry.add(f"core.{core.name}", core)
     for pipeline in pipelines:
-        session.register(pipeline)
-    session.register(network)
+        registry.add(f"pipeline.{pipeline.name}", pipeline)
+        if hasattr(pipeline.scheduler, "metrics"):
+            registry.add(f"switch.{pipeline.name}", pipeline.scheduler)
+    registry.add("net", network)
 
 
 @dataclass

@@ -8,8 +8,8 @@ run can be audited rather than trusted:
   events (IO submit/dispatch/complete, congestion-state transitions,
   threshold moves, token-bucket refills/denials, GC start/end, credit
   grants), retained in memory or streamed as JSONL;
-* :mod:`repro.obs.registry` -- a :class:`Registry` of named gauges
-  that components register into;
+* :mod:`repro.obs.registry` -- a :class:`Registry` of metrics sources,
+  each a component whose ``metrics()`` is read when the registry is;
 * :mod:`repro.obs.probe` -- a :class:`KernelProbe` profiling the event
   loop itself (per-callback fire counts, heap high-water mark,
   wall-clock per simulated second);

@@ -25,10 +25,12 @@ class KernelProbe:
     """Counters the :class:`~repro.sim.engine.Simulator` feeds when attached."""
 
     def __init__(self) -> None:
-        # Keyed by the callback object itself (bound methods hash and
-        # compare by (instance, function) in C): the hot counting path
-        # skips the __qualname__ attribute walk and aggregates to names
-        # only when somebody reads :attr:`fired_by_callback`.
+        # Keyed by the callback's function (a bound method's __func__),
+        # not by the bound method: a key holding its instance would keep
+        # every component whose event fired alive for the session.  The
+        # hot counting path skips the __qualname__ attribute walk and
+        # aggregates to names only when somebody reads
+        # :attr:`fired_by_callback`.
         self._fired_by_fn: Dict[object, int] = {}
         self.fired_total = 0
         self.heap_high_water = 0
@@ -44,6 +46,7 @@ class KernelProbe:
     def count_fire(self, fn) -> None:
         """One event callback fired."""
         self.fired_total += 1
+        fn = getattr(fn, "__func__", fn)
         by_fn = self._fired_by_fn
         count = by_fn.get(fn)
         if count is None:
@@ -64,7 +67,7 @@ class KernelProbe:
         self._run_wall_start = time.perf_counter()
         self._run_sim_start = sim_now_us
 
-    def end_run(self, sim_now_us: float, fired: int) -> None:
+    def end_run(self, sim_now_us: float) -> None:
         self.runs += 1
         self.wall_seconds += time.perf_counter() - self._run_wall_start
         self.sim_us += sim_now_us - self._run_sim_start
@@ -84,14 +87,14 @@ class KernelProbe:
         ranked = sorted(self.fired_by_callback.items(), key=lambda kv: -kv[1])
         return ranked[:n]
 
-    def register_metrics(self, registry, prefix: str = "kernel") -> None:
-        registry.gauge(f"{prefix}.events_fired", lambda: self.fired_total)
-        registry.gauge(f"{prefix}.heap_high_water", lambda: self.heap_high_water)
-        registry.gauge(f"{prefix}.runs", lambda: self.runs)
-        registry.gauge(f"{prefix}.wall_seconds", lambda: self.wall_seconds)
-        registry.gauge(
-            f"{prefix}.wall_s_per_sim_s", lambda: self.wall_seconds_per_sim_second
-        )
+    def metrics(self) -> Dict[str, object]:
+        return {
+            "events_fired": self.fired_total,
+            "heap_high_water": self.heap_high_water,
+            "runs": self.runs,
+            "wall_seconds": self.wall_seconds,
+            "wall_s_per_sim_s": self.wall_seconds_per_sim_second,
+        }
 
     def summary(self) -> str:
         lines = [

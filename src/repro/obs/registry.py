@@ -1,12 +1,13 @@
-"""Named gauges, registered per component.
+"""Named metrics, read off their sources.
 
 A :class:`Registry` is the stats side of the observability layer: the
 trace journal answers "what happened, in order"; the registry answers
-"where does the system stand now".  Components expose a
-``register_metrics(registry, prefix)`` method that installs gauges
-(:class:`Gauge`) -- *pull* metrics: zero-argument callables sampled
-only when the registry is read, so registering them adds nothing to
-the simulation hot path.
+"where does the system stand now".  It holds *sources*: components
+with a ``metrics()`` method returning ``{name: value}``, each added
+under a prefix.  Nothing is sampled until the registry is read, so
+adding a source costs the simulation hot path nothing, and a source
+reports whatever it holds at read time (a port created after the add,
+a stats object swapped by a reset).
 
 Names are dotted paths (``ssd.ssd0.write_amplification``); rendering
 groups them by their first segment.
@@ -14,54 +15,31 @@ groups them by their first segment.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Tuple
-
-
-class Gauge:
-    """A named pull metric; ``fn`` is sampled at read time."""
-
-    __slots__ = ("name", "fn")
-
-    def __init__(self, name: str, fn: Callable[[], object]):
-        self.name = name
-        self.fn = fn
-
-    def read(self) -> object:
-        return self.fn()
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Gauge({self.name})"
+from typing import Dict, List, Tuple
 
 
 class Registry:
-    """A namespace of gauges."""
+    """Sources of metrics, keyed by the prefix of their names."""
 
     def __init__(self) -> None:
-        self._gauges: Dict[str, Gauge] = {}
+        self._sources: Dict[str, object] = {}
 
-    # ------------------------------------------------------------------
-    # Registration
-    # ------------------------------------------------------------------
-    def gauge(self, name: str, fn: Callable[[], object]) -> Gauge:
-        """Register ``fn`` as the gauge called ``name``.
+    def add(self, prefix: str, source) -> None:
+        """Read ``source.metrics()`` under ``prefix`` from now on.
 
-        Re-registering an existing name replaces the callable: a
-        component rebuilt mid-session (e.g. a fresh testbed) simply
-        takes over its names.
+        A later source under a prefix already held replaces the earlier
+        one: a component rebuilt mid-session (a fresh testbed) takes
+        over its prefix.
         """
-        created = Gauge(name, fn)
-        self._gauges[name] = created
-        return created
-
-    # ------------------------------------------------------------------
-    # Reading
-    # ------------------------------------------------------------------
-    def names(self) -> List[str]:
-        return sorted(self._gauges)
+        self._sources[prefix] = source
 
     def snapshot(self) -> Dict[str, object]:
-        """All gauges as ``{name: value}``, sampled now."""
-        return {name: gauge.read() for name, gauge in self._gauges.items()}
+        """Every source's metrics as ``{prefix.name: value}``, read now."""
+        return {
+            f"{prefix}.{name}": value
+            for prefix, source in self._sources.items()
+            for name, value in source.metrics().items()
+        }
 
     def render(self, title: str = "metrics") -> str:
         """A grouped, aligned plain-text dump of every metric."""
@@ -78,11 +56,8 @@ class Registry:
                 lines.append(f"    {key.ljust(width)}  {_format(value)}")
         return "\n".join(lines)
 
-    def __len__(self) -> int:
-        return len(self._gauges)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Registry({len(self._gauges)} gauges)"
+        return f"Registry({list(self._sources)})"
 
 
 def _format(value: object) -> str:

@@ -6,8 +6,8 @@ signatures without touching every driver.  Instead a session installs
 itself as the *current* session; any simulator stood up while it is
 active gets the session's tracer and probe attached (the
 :class:`~repro.sim.engine.Simulator` constructor checks
-:func:`current_session`), and the Testbed constructor additionally
-registers its components into the session's metrics registry.
+:func:`current_session`), and the Testbed and KvCluster constructors
+add their components to the session's metrics registry as sources.
 
 Typical use -- exactly what ``python -m repro run <exp> --trace
 out.jsonl --stats`` does::
@@ -42,7 +42,7 @@ class ObsSession:
     def __init__(self, trace_path: Optional[str] = None, trace: bool = False):
         self.registry = Registry()
         self.probe = KernelProbe()
-        self.probe.register_metrics(self.registry)
+        self.registry.add("kernel", self.probe)
         self.trace_path = trace_path
         self._sink = None
         self.tracer: Optional[TraceBuffer] = None
@@ -60,15 +60,6 @@ class ObsSession:
         """Install the tracer and kernel probe on ``sim``."""
         sim.tracer = self.tracer
         sim.probe = self.probe
-
-    def register(self, component, prefix: Optional[str] = None) -> None:
-        """Register a component's metrics, if it exposes any."""
-        register = getattr(component, "register_metrics", None)
-        if register is not None:
-            if prefix is None:
-                register(self.registry)
-            else:
-                register(self.registry, prefix)
 
     # ------------------------------------------------------------------
     # Results
@@ -94,7 +85,7 @@ class ObsSession:
             self._sink = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"ObsSession(trace={self.trace_path!r}, metrics={len(self.registry)})"
+        return f"ObsSession(trace={self.trace_path!r}, metrics={self.registry!r})"
 
 
 @contextmanager

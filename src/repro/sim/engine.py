@@ -266,14 +266,13 @@ class Simulator:
             raise SimulationError("Simulator.run() is not reentrant")
         self._running = True
         probe = self.probe
-        fired = 0
         if probe is not None:
             probe.begin_run(self.now)
         try:
             if probe is None:
                 self._drain_fast(until_us)
             else:
-                fired = self._advance(until_us, probe)
+                self._advance(until_us, probe)
             # Advance to the deadline inside the try (not in the
             # finally) so a callback exception leaves the clock at the
             # failing event while the probe still accounts the full
@@ -283,26 +282,24 @@ class Simulator:
         finally:
             self._running = False
             if probe is not None:
-                probe.end_run(self.now, fired)
+                probe.end_run(self.now)
         return self.now
 
-    def _advance(self, until_us: Optional[float], probe) -> int:
+    def _advance(self, until_us: Optional[float], probe) -> None:
         """The probed loop: :meth:`_drain_fast` plus probe accounting.
 
-        Returns the number of events fired.  The probe's heap
-        high-water mark is sampled here rather than reported by the
+        The probe's heap high-water mark is sampled here rather than reported by the
         scheduling calls: depth only grows between one pop and the
         next, so a sample at the top of every iteration (and one at
         exit) sees every peak a per-push check would.
         """
         heap = self._heap
         until = _INF if until_us is None else until_us
-        fired = 0
         while True:
             if len(heap) > probe.heap_high_water:
                 probe.heap_high_water = len(heap)
             if not heap:
-                return fired
+                return
             entry = heap[0]
             fn = entry[2]
             if fn is None:
@@ -310,11 +307,10 @@ class Simulator:
                 self._dead -= 1
                 continue
             if entry[0] > until:
-                return fired
+                return
             heappop(heap)
             self.now = entry[0]
             probe.count_fire(fn)
-            fired += 1
             if entry[4] is None:
                 fn(entry[3])
                 continue

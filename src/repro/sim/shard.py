@@ -328,15 +328,15 @@ class ShardExecutor:
             "events_fired": sum(self.shard_events),
         }
 
-    def register_metrics(self, registry, prefix: str = "shard") -> None:
-        """Install ``shard.*`` gauges, merging per-shard event counts."""
-        registry.gauge(f"{prefix}.shards", lambda: self.shards)
-        registry.gauge(f"{prefix}.lookahead_us", lambda: self.lookahead_us)
-        registry.gauge(f"{prefix}.windows", lambda: self.windows)
-        registry.gauge(f"{prefix}.messages", lambda: self.messages)
-        registry.gauge(f"{prefix}.events_fired", lambda: sum(self.shard_events))
+    def metrics(self) -> dict:
+        """Window counters, merging per-shard event counts."""
+        out = {
+            "shards": self.shards,
+            "lookahead_us": self.lookahead_us,
+            "windows": self.windows,
+            "messages": self.messages,
+            "events_fired": sum(self.shard_events),
+        }
         for index in range(self.shards):
-            registry.gauge(
-                f"{prefix}.events.{index}",
-                lambda index=index: self.shard_events[index],
-            )
+            out[f"events.{index}"] = self.shard_events[index]
+        return out

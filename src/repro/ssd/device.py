@@ -214,24 +214,25 @@ class SsdDevice:
     def write_amplification(self) -> float:
         return self.ftl.stats.write_amplification
 
-    def register_metrics(self, registry, prefix: Optional[str] = None) -> None:
-        """Expose device, buffer and FTL state as pull gauges."""
-        prefix = prefix or f"ssd.{self.name}"
-        # Gauges close over self (not self.stats): reset_time_state
-        # replaces the stats object and the gauges must follow it.
-        registry.gauge(f"{prefix}.read_commands", lambda: self.stats.read_commands)
-        registry.gauge(f"{prefix}.write_commands", lambda: self.stats.write_commands)
-        registry.gauge(f"{prefix}.trim_commands", lambda: self.stats.trim_commands)
-        registry.gauge(f"{prefix}.read_bytes", lambda: self.stats.read_bytes)
-        registry.gauge(f"{prefix}.write_bytes", lambda: self.stats.write_bytes)
-        registry.gauge(f"{prefix}.buffer_read_hits", lambda: self.stats.buffer_read_hits)
-        registry.gauge(f"{prefix}.outstanding", lambda: self.outstanding)
-        registry.gauge(f"{prefix}.write_amplification", lambda: self.write_amplification)
-        registry.gauge(f"{prefix}.buffer_occupied_pages", lambda: self.buffer.occupied)
-        registry.gauge(f"{prefix}.gc_debt_us", lambda: sum(self._gc_debt_us))
-        registry.gauge(f"{prefix}.ftl.host_programs", lambda: self.ftl.stats.host_programs)
-        registry.gauge(f"{prefix}.ftl.gc_programs", lambda: self.ftl.stats.gc_programs)
-        registry.gauge(f"{prefix}.ftl.erases", lambda: self.ftl.stats.erases)
+    def metrics(self) -> dict:
+        """Device, buffer and FTL state."""
+        stats = self.stats
+        ftl_stats = self.ftl.stats
+        return {
+            "read_commands": stats.read_commands,
+            "write_commands": stats.write_commands,
+            "trim_commands": stats.trim_commands,
+            "read_bytes": stats.read_bytes,
+            "write_bytes": stats.write_bytes,
+            "buffer_read_hits": stats.buffer_read_hits,
+            "outstanding": self.outstanding,
+            "write_amplification": self.write_amplification,
+            "buffer_occupied_pages": self.buffer.occupied,
+            "gc_debt_us": sum(self._gc_debt_us),
+            "ftl.host_programs": ftl_stats.host_programs,
+            "ftl.gc_programs": ftl_stats.gc_programs,
+            "ftl.erases": ftl_stats.erases,
+        }
 
     # ------------------------------------------------------------------
     # Read path
@@ -486,12 +487,14 @@ class NullDevice:
     def write_amplification(self) -> float:
         return 1.0
 
-    def register_metrics(self, registry, prefix: Optional[str] = None) -> None:
-        prefix = prefix or f"ssd.{self.name}"
-        registry.gauge(f"{prefix}.read_commands", lambda: self.stats.read_commands)
-        registry.gauge(f"{prefix}.write_commands", lambda: self.stats.write_commands)
-        registry.gauge(f"{prefix}.trim_commands", lambda: self.stats.trim_commands)
-        registry.gauge(f"{prefix}.outstanding", lambda: self.outstanding)
+    def metrics(self) -> dict:
+        stats = self.stats
+        return {
+            "read_commands": stats.read_commands,
+            "write_commands": stats.write_commands,
+            "trim_commands": stats.trim_commands,
+            "outstanding": self.outstanding,
+        }
 
     def reset_time_state(self) -> None:
         self.stats = DeviceStats()

@@ -172,7 +172,7 @@ class TestChurn:
 
         cluster = small_cluster()
         registry = Registry()
-        cluster.register_metrics(registry)
+        registry.add("rack", cluster)
         drain_population(cluster, tenants=2, horizon_us=80_000.0)
         sample = registry.snapshot()
         assert sample["rack.active_tenants"] == 0

@@ -170,6 +170,20 @@ class TestRunSuite:
         run_suite([ALPHA, BETA], jobs=1, cache=store)
         assert EXECUTED == []
 
+    def test_unknown_keyword_refused_by_name(self):
+        """A suite splits kwargs by the rule a driver's run() uses: a
+        keyword neither sweep() nor finalize() takes is a TypeError
+        naming it, raised before any point runs."""
+        typo = ExperimentSpec(
+            name="alpha", module_path=ALPHA.module_path, kwargs={"n": 2, "no_such_kwarg": 1}
+        )
+        EXECUTED.clear()
+        with pytest.raises(TypeError, match="no_such_kwarg"):
+            run_suite([typo], jobs=1, cache=False)
+        with pytest.raises(TypeError, match="no_such_kwarg"):
+            run_suite_serial([typo], cache=False)
+        assert EXECUTED == []
+
     def test_legacy_module_without_sweep_rejected(self):
         with pytest.raises(TypeError, match="declarative sweep"):
             run_suite([LEGACY], jobs=1, cache=False)

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 from repro.obs.probe import KernelProbe
 from repro.obs.registry import Registry
 from repro.sim.engine import Simulator
@@ -50,6 +53,25 @@ class TestFireCounts:
         probe.count_fire(rarely)
         names = [name for name, _ in probe.top_callbacks(2)]
         assert names[0] == often.__qualname__
+
+    def test_counted_methods_keep_no_instance_alive(self):
+        """A session's probe outlives the components it counted: keyed
+        by bound method, it would hold every instance whose event fired."""
+        sim, probe = probed_sim()
+
+        class Component:
+            def tick(self):
+                pass
+
+        components = [Component(), Component()]
+        for component in components:
+            sim.schedule(1.0, component.tick)
+        sim.run()
+        refs = [weakref.ref(component) for component in components]
+        del components, component
+        gc.collect()
+        assert [ref() for ref in refs] == [None, None]
+        assert probe.fired_by_callback == {Component.tick.__qualname__: 2}
 
 
 class TestHeapHighWater:
@@ -110,7 +132,7 @@ class TestRunAccounting:
     def test_register_metrics_exposes_gauges(self):
         sim, probe = probed_sim()
         registry = Registry()
-        probe.register_metrics(registry)
+        registry.add("kernel", probe)
         sim.schedule(1.0, lambda: None)
         sim.run()
         snapshot = registry.snapshot()

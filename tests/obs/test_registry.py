@@ -5,25 +5,37 @@ from __future__ import annotations
 from repro.obs.registry import Registry
 
 
+class Source:
+    """A component stand-in whose ``metrics()`` reports ``values``."""
+
+    def __init__(self, **values):
+        self.values = values
+
+    def metrics(self):
+        return dict(self.values)
+
+
 class TestGauges:
     def test_gauge_sampled_at_read_time(self):
         registry = Registry()
-        state = {"value": 1}
-        registry.gauge("x", lambda: state["value"])
-        state["value"] = 7
-        assert registry.snapshot()["x"] == 7
+        source = Source(x=1)
+        registry.add("a", source)
+        source.values["x"] = 7
+        source.values["y"] = 2
+        assert registry.snapshot() == {"a.x": 7, "a.y": 2}
 
     def test_gauge_reregistration_replaces(self):
+        """A later source under a held prefix replaces the earlier one,
+        names and all."""
         registry = Registry()
-        registry.gauge("x", lambda: 1)
-        registry.gauge("x", lambda: 2)
-        assert registry.snapshot()["x"] == 2
-        assert len(registry) == 1
+        registry.add("a", Source(x=1, old=0))
+        registry.add("a", Source(x=2))
+        assert registry.snapshot() == {"a.x": 2}
 
     def test_snapshot_keeps_registration_order(self):
         registry = Registry()
-        registry.gauge("sched.deferrals", lambda: 5)
-        registry.gauge("kernel.events", lambda: 3)
+        registry.add("sched", Source(deferrals=5))
+        registry.add("kernel", Source(events=3))
         assert list(registry.snapshot().items()) == [
             ("sched.deferrals", 5),
             ("kernel.events", 3),
@@ -33,15 +45,14 @@ class TestGauges:
 class TestReading:
     def test_names_sorted(self):
         registry = Registry()
-        registry.gauge("b", lambda: 0)
-        registry.gauge("a", lambda: 0)
-        assert registry.names() == ["a", "b"]
+        registry.add("g", Source(b=0, a=1))
+        lines = registry.render().splitlines()
+        assert lines[1:] == ["  [g]", "    a  1", "    b  0"]
 
     def test_render_groups_by_first_segment(self):
         registry = Registry()
-        registry.gauge("ssd.ssd0.wa", lambda: 2.5)
-        registry.gauge("ssd.ssd0.reads", lambda: 10)
-        registry.gauge("kernel.events", lambda: 3)
+        registry.add("ssd.ssd0", Source(wa=2.5, reads=10))
+        registry.add("kernel", Source(events=3))
         text = registry.render(title="run metrics")
         assert text.splitlines()[0] == "run metrics"
         assert "[ssd]" in text

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 from repro.harness.kvcluster import KvCluster, KvClusterConfig
 from repro.harness.testbed import Testbed, TestbedConfig
 from repro.obs.session import capture, current_session
@@ -116,6 +119,19 @@ class TestTestbedIntegration:
         for client in ("client-r0", "client-w0"):
             assert snapshot[f"net.{client}.bytes_sent"] > 0
             assert snapshot[f"net.{client}.messages_sent"] > 0
+
+    def test_a_dropped_testbed_is_freed(self):
+        """The session keeps the latest topology's sources, nothing of a
+        testbed built before it."""
+        with capture() as session:
+            first = tiny_testbed()
+            first.run(warmup_us=1000.0, measure_us=2000.0)
+            dropped = weakref.ref(first.network)
+            del first
+            tiny_testbed().run(warmup_us=1000.0, measure_us=2000.0)
+            gc.collect()
+            assert dropped() is None
+            assert session.registry.snapshot()["kernel.runs"] == 4
 
     def test_stats_report_renders(self):
         with capture(trace=True) as session:

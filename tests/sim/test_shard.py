@@ -292,7 +292,7 @@ class TestExecutorWindows:
         executor.run()
         executor.finish()
         registry = Registry()
-        executor.register_metrics(registry)
+        registry.add("shard", executor)
         snap = registry.snapshot()
         assert snap["shard.shards"] == 2
         assert snap["shard.windows"] == executor.windows

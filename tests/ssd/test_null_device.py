@@ -65,10 +65,10 @@ class TestNullDeviceStats:
         assert device.stats.commands == 0
 
     def test_register_metrics_follows_reset(self, sim):
-        """Gauges must read through to the *current* stats object."""
+        """Metrics must read through to the *current* stats object."""
         device = NullDevice(sim)
         registry = Registry()
-        device.register_metrics(registry)
+        registry.add("ssd.null0", device)
         device.submit(DeviceCommand(IoOp.READ, 0, 1), lambda c: None)
         sim.run()
         assert registry.snapshot()["ssd.null0.read_commands"] == 1

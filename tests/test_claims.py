@@ -47,9 +47,9 @@ def test_every_figure_is_a_registered_experiment():
 
 @pytest.mark.parametrize("figure", sorted({claim.figure for claim in claims.CLAIMS}))
 def test_window_is_accepted_strictly(figure):
-    # run_suite drops keywords a driver does not take, so a renamed
-    # parameter would silently run the claim at the driver's default.
+    # A renamed parameter fails the claims run by name; this catches it
+    # without simulating anything.
     module = importlib.import_module(EXPERIMENTS[figure][0])
     for claim in claims.CLAIMS:
         if claim.figure == figure:
-            assert split_kwargs(module.sweep, module.finalize, claim.window)[2] == []
+            split_kwargs(module.sweep, module.finalize, claim.window)
