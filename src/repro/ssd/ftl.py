@@ -214,25 +214,23 @@ class Ftl:
             for lpn in lpns:
                 if not 0 <= lpn < exported:
                     raise ValueError(f"LPN {lpn} outside exported range")
-                # The old copy dies before GC can run, or GC would relocate it.
-                old_ppn = page_map[lpn]
-                if old_ppn >= 0:
-                    rmap[old_ppn] = _UNMAPPED
-                    valid_count[old_ppn // pages_per_block] -= 1
                 # Advanced first, should the channel be exhausted.
                 host = channel
                 channel = (channel + 1) % num_channels
                 slots = open_slots[host]
                 slot = slots[_HOST_STREAM]
                 if slot is None:
-                    page_map[lpn] = _UNMAPPED  # what an exhausted channel leaves
                     work = GcWork()
-                    block_id = self._take_free_block(host, work, allow_gc=True)
+                    self._open_host_block(lpn, host, work)
                     if not work.empty:
                         gc_work.append((written, work))
-                    offset = 0
-                else:
-                    block_id, offset = slot
+                    written += 1
+                    continue
+                old_ppn = page_map[lpn]
+                if old_ppn >= 0:
+                    rmap[old_ppn] = _UNMAPPED
+                    valid_count[old_ppn // pages_per_block] -= 1
+                block_id, offset = slot
                 ppn = block_id * pages_per_block + offset
                 offset += 1
                 if offset == pages_per_block:
@@ -255,14 +253,18 @@ class Ftl:
         Leaves exactly the state that ``write_pages(range(first_lpn,
         first_lpn + count))`` leaves, but works once per open-block
         segment rather than once per page.  Pages take channels
-        round-robin, so the next page that finds its channel's host
-        slot empty -- a block-open event, the only place GC can run --
-        is known in advance, and that page alone goes through
-        ``write_pages``.  Up to the next event no GC runs and no LPN
-        repeats, so each channel's lane of the segment retires its old
-        copies with ``_retire`` and lands with one extended-slice store
-        per map, copied from slices of the shared identity array.
-        Preconditioning's sequential passes use this.
+        round-robin, so each channel's next block-open event -- the
+        next of its pages to find its host slot empty, the only place
+        GC can run -- is an LPN known in advance.  The run keeps one
+        per channel; the page at an event goes through
+        ``_open_host_block``, the block-open step ``write_pages`` uses,
+        and moves only its own channel's event one block of pages on
+        (GC never touches a host slot).  Between events no GC runs and
+        no LPN repeats, so each channel's lane of the segment reads its
+        old copies once, hands them to ``_retire`` only when any is
+        mapped, and lands with one extended-slice store per map, copied
+        from slices of the shared identity array.  Preconditioning's
+        sequential passes use this.
         """
         page_map = self.page_map
         stop_lpn = first_lpn + count
@@ -270,46 +272,60 @@ class Ftl:
             raise ValueError(f"run of {count} pages from LPN {first_lpn} outside exported range")
         rmap = self._rmap
         ident = _identity(len(rmap))
+        blank = self._blank_block
         valid_count = self._valid_count
         pages_per_block = self._pages_per_block
         num_channels = self._num_channels
         open_slots = self._open
+        closed = self._closed
+        stats = self.stats
+        work = GcWork()  # the block-opens' GC work, which no caller reads
         lpn = first_lpn
+        head = self._next_host_channel
+        # ``events[channel]``: the LPN of the channel's next block-open.
+        events = [0] * num_channels
+        stride = pages_per_block * num_channels  # between a channel's block-opens
+        for step in range(num_channels):
+            channel = (head + step) % num_channels
+            slot = open_slots[channel][_HOST_STREAM]
+            events[channel] = lpn + step
+            if slot is not None:
+                events[channel] += stride - slot[1] * num_channels
         while lpn < stop_lpn:
-            head = self._next_host_channel
-            if open_slots[head][_HOST_STREAM] is None:
-                self.write_pages((lpn,))
+            stop = min(events)
+            if stop == lpn:  # only the head channel's event can be here
+                self._open_host_block(lpn, head, work)
+                stats.host_programs += 1
+                events[head] += stride
+                head = self._next_host_channel
                 lpn += 1
                 continue
-            # The segment ends at the next page that finds its slot empty.
-            stop = stop_lpn
-            for step in range(num_channels):
-                slot = open_slots[(head + step) % num_channels][_HOST_STREAM]
-                event = lpn + step
-                if slot is not None:
-                    event += (pages_per_block - slot[1]) * num_channels
-                if event < stop:
-                    stop = event
+            if stop > stop_lpn:
+                stop = stop_lpn
             for step in range(min(num_channels, stop - lpn)):
                 channel = (head + step) % num_channels
+                lane = slice(lpn + step, stop, num_channels)
+                lpns = ident[lane]
+                taken = len(lpns)
                 # Read from page_map only now: GC may have moved them.
-                self._retire(page_map[lpn + step : stop : num_channels], ident)
+                old_ppns = page_map[lane]
+                if old_ppns != blank[:taken]:  # no lane outgrows a block
+                    self._retire(old_ppns, ident)
                 slots = open_slots[channel]
                 block_id, offset = slots[_HOST_STREAM]
-                lpns = ident[lpn + step : stop : num_channels]
                 ppn = block_id * pages_per_block + offset
-                taken = len(lpns)
-                page_map[lpn + step : stop : num_channels] = ident[ppn : ppn + taken]
+                page_map[lane] = ident[ppn : ppn + taken]
                 rmap[ppn : ppn + taken] = lpns
                 valid_count[block_id] += taken
                 offset += taken
                 if offset == pages_per_block:
-                    self._closed[channel].append(block_id)
+                    closed[channel].append(block_id)
                     slots[_HOST_STREAM] = None
                 else:
                     slots[_HOST_STREAM] = (block_id, offset)
-            self.stats.host_programs += stop - lpn
-            self._next_host_channel = (head + stop - lpn) % num_channels
+            stats.host_programs += stop - lpn
+            head = (head + stop - lpn) % num_channels
+            self._next_host_channel = head
             lpn = stop
 
     def trim_page(self, lpn: int) -> None:
@@ -332,11 +348,10 @@ class Ftl:
         (a C-level compare with the identity slice) dies with one
         blank-slice store and one valid-count subtraction, any other
         piece page by page.  A clean device's second pass is all runs.
+        ``write_run`` skips the call for a lane that was never mapped.
         """
         count = len(old_ppns)
         blank = self._blank_block
-        if old_ppns == blank[:count]:  # all unmapped (no lane outgrows a block)
-            return
         rmap = self._rmap
         valid_count = self._valid_count
         pages_per_block = self._pages_per_block
@@ -356,6 +371,35 @@ class Ftl:
                         rmap[old_ppn] = _UNMAPPED
                         valid_count[old_ppn // pages_per_block] -= 1
             index = end
+
+    def _open_host_block(self, lpn: int, channel: int, work: GcWork) -> None:
+        """Write ``lpn`` as the first page of a new host block on ``channel``.
+
+        The block-open step of ``write_pages`` and ``write_run``, the
+        only place a host write can collect; the GC work of the take is
+        added to ``work``.  ``lpn``'s old copy dies before GC can run
+        (or GC would relocate it), and ``page_map`` leaves it unmapped,
+        which is what an exhausted channel leaves; the host cursor moves
+        past ``channel`` before the block is taken.  The caller counts
+        the host program.
+        """
+        page_map = self.page_map
+        old_ppn = page_map[lpn]
+        if old_ppn >= 0:
+            page_map[lpn] = _UNMAPPED
+            self._rmap[old_ppn] = _UNMAPPED
+            self._valid_count[old_ppn // self._pages_per_block] -= 1
+        self._next_host_channel = (channel + 1) % self._num_channels
+        block_id = self._take_free_block(channel, work, allow_gc=True)
+        pages_per_block = self._pages_per_block
+        ppn = block_id * pages_per_block
+        page_map[lpn] = ppn
+        self._rmap[ppn] = lpn
+        self._valid_count[block_id] += 1
+        if pages_per_block == 1:
+            self._closed[channel].append(block_id)
+        else:
+            self._open[channel][_HOST_STREAM] = (block_id, 1)
 
     def _take_free_block(self, channel: int, work: GcWork, allow_gc: bool) -> int:
         free = self._free[channel]
@@ -405,41 +449,43 @@ class Ftl:
         """Relocate every valid page off ``victim`` and erase it.
 
         The live LPNs move, in victim order, one slice per destination
-        block.
+        block.  A victim with no valid page has a blank reverse map
+        already, so it is only erased, without reading it.
         """
-        pages_per_block = self._pages_per_block
-        rmap = self._rmap
-        page_map = self.page_map
-        base = victim * pages_per_block
-        lpns = _live_lpns(rmap[base : base + pages_per_block])
-        rmap[base : base + pages_per_block] = self._blank_block
-        moved = len(lpns)
-        self._valid_count[victim] -= moved
-        slots = self._open[channel]
-        start = 0
-        while start < moved:
-            slot = slots[_GC_STREAM]
-            if slot is None:
-                slot = (self._take_free_block(channel, work, allow_gc=False), 0)
-            block_id, offset = slot
-            chunk = lpns[start : start + pages_per_block - offset]
-            count = len(chunk)
-            ppn = block_id * pages_per_block + offset
-            rmap[ppn : ppn + count] = chunk
-            for ppn, lpn in enumerate(chunk, ppn):
-                page_map[lpn] = ppn
-            self._valid_count[block_id] += count
-            offset += count
-            if offset == pages_per_block:
-                self._closed[channel].append(block_id)
-                slots[_GC_STREAM] = None
-            else:
-                slots[_GC_STREAM] = (block_id, offset)
-            start += count
-        work.relocation_reads += moved
-        work.relocation_programs += moved
-        self.stats.gc_programs += moved
-        assert self._valid_count[victim] == 0, "victim still holds valid pages"
+        if self._valid_count[victim]:
+            pages_per_block = self._pages_per_block
+            rmap = self._rmap
+            page_map = self.page_map
+            base = victim * pages_per_block
+            lpns = _live_lpns(rmap[base : base + pages_per_block])
+            rmap[base : base + pages_per_block] = self._blank_block
+            moved = len(lpns)
+            self._valid_count[victim] -= moved
+            slots = self._open[channel]
+            start = 0
+            while start < moved:
+                slot = slots[_GC_STREAM]
+                if slot is None:
+                    slot = (self._take_free_block(channel, work, allow_gc=False), 0)
+                block_id, offset = slot
+                chunk = lpns[start : start + pages_per_block - offset]
+                count = len(chunk)
+                ppn = block_id * pages_per_block + offset
+                rmap[ppn : ppn + count] = chunk
+                for ppn, lpn in enumerate(chunk, ppn):
+                    page_map[lpn] = ppn
+                self._valid_count[block_id] += count
+                offset += count
+                if offset == pages_per_block:
+                    self._closed[channel].append(block_id)
+                    slots[_GC_STREAM] = None
+                else:
+                    slots[_GC_STREAM] = (block_id, offset)
+                start += count
+            work.relocation_reads += moved
+            work.relocation_programs += moved
+            self.stats.gc_programs += moved
+            assert self._valid_count[victim] == 0, "victim still holds valid pages"
         work.erases += 1
         self.stats.erases += 1
         self._erase_counts[victim] += 1

@@ -3,9 +3,11 @@
 ``Ftl.write_pages`` runs the host write over a whole sequence of LPNs
 on hoisted locals, ``Ftl.write_run`` lands a sequential run one
 open-block segment at a time and retires the old copies a block-run at
-a time, and ``Ftl._relocate_block`` reads a victim's live LPNs in one
-C-level pass (``_live_lpns``) and moves them with a few slice
-operations.  :class:`ReferenceFtl` below keeps the algorithm they
+a time, both opening blocks through one shared step
+(``Ftl._open_host_block``), and ``Ftl._relocate_block`` erases a
+victim with nothing live without reading it, and otherwise reads its
+live LPNs in one C-level pass (``_live_lpns``) and moves them with a
+few slice operations.  :class:`ReferenceFtl` below keeps the algorithm they
 replaced -- a ``write_page`` of one ``_invalidate`` / ``_append`` /
 ``_map`` per page, a 256-slot walk per victim -- on top of the *same*
 block pools, victim selection and least-worn-first block choice, so
@@ -20,9 +22,15 @@ loop raises; after every call the complete state must be equal:
 mapping, reverse map, valid counts, block pools, open slots, erase
 counts and stats (``Ftl.snapshot()``).  ``write_run``, the
 segment-at-a-time sequential write that conditioning uses, is held to
-the reference's per-page loop the same way, and ``_live_lpns`` to the
-list comprehension it replaced.  ``_identity``, the shared page-number
-array ``write_run`` copies from, is held to ``array("i", range(n))``.
+the reference's per-page loop the same way, also over runs that begin
+with block-opens on several channels in a row and passes whose
+block-opens collect victims with and without live pages; an empty
+victim's erase is held to the reference's slot-by-slot scan, and a
+call census pins that a clean build opens its blocks without
+``write_pages`` and scans no victim.  ``_live_lpns`` is held to the
+list comprehension it replaced, and ``_identity``, the shared
+page-number array ``write_run`` copies from, to ``array("i",
+range(n))``.
 """
 
 from __future__ import annotations
@@ -34,6 +42,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from repro.ssd import ftl as ftl_module
+from repro.ssd.conditioning import _clean
 from repro.ssd.ftl import _GC_STREAM, _HOST_STREAM, _UNMAPPED, Ftl, FtlError, GcWork, _live_lpns
 from repro.ssd.geometry import SsdGeometry
 from tests.ssd.invariants import check_invariants
@@ -278,6 +287,137 @@ def test_write_run_splits_a_lane_at_a_block_boundary():
     ftl.write_run(0, 3)
     _loop(reference, range(3))
     assert ftl.snapshot() == reference.snapshot()
+
+
+def _spy_opens(ftl):
+    """Record ``(lpn, channel)`` for every block-open ``ftl`` makes."""
+    opens = []
+    open_host_block = ftl._open_host_block
+
+    def spy(lpn, channel, work):
+        opens.append((lpn, channel))
+        open_host_block(lpn, channel, work)
+
+    ftl._open_host_block = spy
+    return opens
+
+
+@pytest.mark.parametrize("config", sorted(RUN_CONFIGS))
+def test_write_run_opens_blocks_on_several_channels_in_a_row(config):
+    """Runs that begin where every channel's host slot is empty (a fresh
+    FTL; every block exactly full) or all but the first one's, so their
+    first pages are block-opens on consecutive channels; later passes
+    open blocks through GC.  Held to the reference's per-page loop on
+    every state field after every call."""
+    ftl, reference = _pair(RUN_CONFIGS[config])
+    num_channels = ftl.geometry.num_channels
+    stripe = num_channels * ftl.geometry.pages_per_block
+    exported = len(ftl.page_map)
+    opens = _spy_opens(ftl)
+    # (first, count, block-opens the run must begin with)
+    runs = [
+        (0, stripe, num_channels),
+        (0, stripe + 1, num_channels),
+        (stripe + 1, exported - stripe - 1, num_channels - 1),
+        (0, exported, 0),
+        (0, exported, 0),
+        (3, exported - 3, 0),
+    ]
+    for first, count, leading in runs:
+        head = ftl._next_host_channel
+        before = len(opens)
+        ftl.write_run(first, count)
+        _loop(reference, range(first, first + count))
+        assert ftl.snapshot() == reference.snapshot()
+        expected = [(first + step, (head + step) % num_channels) for step in range(leading)]
+        assert opens[before : before + leading] == expected
+    assert ftl.stats.erases > 0
+    check_invariants(ftl)
+
+
+def _spy_victims(ftl):
+    """Record the valid count of every victim ``ftl`` relocates."""
+    victims = []
+    relocate_block = ftl._relocate_block
+
+    def spy(victim, channel, work):
+        victims.append(ftl._valid_count[victim])
+        relocate_block(victim, channel, work)
+
+    ftl._relocate_block = spy
+    return victims
+
+
+@pytest.mark.parametrize("config", ["reference", "uneven"])
+def test_write_run_block_opens_collect_empty_and_live_victims(config):
+    """From a churned FTL, sequential passes whose block-opens collect:
+    the first meets victims that still hold live pages, later ones
+    victims with nothing live, which are erased without a scan."""
+    ftl, reference = _pair(RUN_CONFIGS[config])
+    exported = len(ftl.page_map)
+    _churn(ftl, reference, 3 * exported)
+    victims = _spy_victims(ftl)
+    for _ in range(3):
+        ftl.write_run(0, exported)
+        _loop(reference, range(exported))
+        assert ftl.snapshot() == reference.snapshot()
+    assert 0 in victims and any(victims)
+    check_invariants(ftl)
+
+
+@pytest.mark.parametrize("config", sorted(RUN_CONFIGS))
+def test_relocating_an_empty_victim_matches_the_scan(monkeypatch, config):
+    """A victim with no valid page is erased without reading its reverse
+    map, with the counters, erase count and ``GcWork`` of the
+    reference's slot-by-slot scan."""
+    ftl, reference = _pair(RUN_CONFIGS[config])
+    stripe = ftl.geometry.num_channels * ftl.geometry.pages_per_block
+    # The second stripe kills the first: every channel closes a block
+    # with nothing live.
+    for _ in range(2):
+        ftl.write_run(0, stripe)
+        _loop(reference, range(stripe))
+    scans = []
+    monkeypatch.setattr(
+        ftl_module, "_live_lpns", lambda entries: scans.append(entries) or _live_lpns(entries)
+    )
+    for channel in range(ftl.geometry.num_channels):
+        victim = ftl._pick_victim(channel)
+        assert victim == reference._pick_victim(channel) is not None
+        assert ftl._valid_count[victim] == 0
+        work, reference_work = GcWork(), GcWork()
+        ftl._relocate_block(victim, channel, work)
+        reference._relocate_block(victim, channel, reference_work)
+        assert _work(work) == _work(reference_work) == (0, 0, 1)
+        assert ftl.snapshot() == reference.snapshot()
+    assert scans == []
+
+
+def test_a_clean_build_opens_blocks_without_write_pages_and_scans_no_victim(monkeypatch):
+    """Call census of one clean build on the default geometry: its
+    512 block-opens go through ``_open_host_block``, never through
+    ``write_pages``, and the 232 victims its second pass collects are
+    empty, so no reverse map is read."""
+    ftl = Ftl(SsdGeometry())
+    calls = {"write_pages": 0, "_live_lpns": 0}
+    write_pages, live_lpns = Ftl.write_pages, ftl_module._live_lpns
+
+    def count_write_pages(self, lpns):
+        calls["write_pages"] += 1
+        return write_pages(self, lpns)
+
+    def count_live_lpns(entries):
+        calls["_live_lpns"] += 1
+        return live_lpns(entries)
+
+    monkeypatch.setattr(Ftl, "write_pages", count_write_pages)
+    monkeypatch.setattr(ftl_module, "_live_lpns", count_live_lpns)
+    opens = _spy_opens(ftl)
+    victims = _spy_victims(ftl)
+    _clean(ftl)
+    assert calls == {"write_pages": 0, "_live_lpns": 0}
+    assert (len(opens), len(victims), set(victims)) == (512, 232, {0})
+    assert (ftl.stats.erases, ftl.stats.gc_programs) == (232, 0)
 
 
 def test_write_run_checks_its_arguments():
