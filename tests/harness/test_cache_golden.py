@@ -18,7 +18,7 @@ import pytest
 from repro.harness.cache import ResultCache
 from repro.harness.experiments import fig02_unloaded_latency as fig02
 from repro.harness.experiments import fig07_fairness as fig07
-from tests.golden.regenerate import GOLDEN_CONFIGS
+from tests.golden.records import GOLDEN_CONFIGS
 
 MIN_WARM_SPEEDUP = 5.0
 

@@ -27,7 +27,7 @@ from repro.harness.orchestrator import (
 )
 from repro.harness.parallel import accepted_kwargs, run_sweep
 from repro.obs.session import capture
-from tests.golden.regenerate import GOLDEN_CONFIGS
+from tests.golden.records import GOLDEN_CONFIGS
 from tests.harness.fake_experiments import EXECUTED
 
 ALPHA = ExperimentSpec(

@@ -1,8 +1,10 @@
 """The docs name only code that exists.
 
 Every dotted ``repro.*`` name in the prose docs must import as a module
-or resolve as an attribute of one, so deleting a module the docs still
-describe fails here rather than leaving the docs to rot.
+or resolve as an attribute of one, and every ``tests/...py`` or
+``tools/...py`` path they name must be a file, so deleting a module or
+a test the docs still describe fails here rather than leaving the docs
+to rot.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 DOCS = ("docs/architecture.md", "docs/reproducing.md", "DESIGN.md", "README.md")
 _DOTTED = re.compile(r"\brepro(?:\.[A-Za-z_][A-Za-z0-9_]*)+")
+_SCRIPT = re.compile(r"(?<![\w/.-])(?:tests|tools)/[\w/]+\.py\b")
 
 
 def _names(doc: str) -> list:
@@ -45,3 +48,14 @@ def test_every_dotted_repro_name_resolves(doc):
     assert names, f"{doc} names no repro.* module: is the pattern still right?"
     missing = [name for name in names if not _resolves(name)]
     assert not missing, f"{doc} names code that does not exist: {missing}"
+
+
+def test_every_named_test_or_tool_file_exists():
+    named = {
+        path: doc
+        for doc in DOCS
+        for path in _SCRIPT.findall((ROOT / doc).read_text(encoding="utf-8"))
+    }
+    assert "tests/golden/records.py" in named, "is the pattern still right?"
+    missing = sorted(f"{doc}: {path}" for path, doc in named.items() if not (ROOT / path).is_file())
+    assert not missing, f"the docs name files that do not exist: {missing}"
