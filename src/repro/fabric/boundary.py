@@ -144,8 +144,8 @@ class CoordinatorFabric:
             request_id,
             t_target_arrival,
             t_sched_enqueue,
-            t_device_submit,
-            t_device_complete,
+            submit_time,
+            complete_time,
             credit_grant,
             virtual_view,
         ) = msg.payload
@@ -153,8 +153,8 @@ class CoordinatorFabric:
         request = session._parked.pop(request_id)
         request.t_target_arrival = t_target_arrival
         request.t_sched_enqueue = t_sched_enqueue
-        request.submit_time = t_device_submit
-        request.complete_time = t_device_complete
+        request.submit_time = submit_time
+        request.complete_time = complete_time
         request.credit_grant = credit_grant
         request.virtual_view = virtual_view
         # The response has landed: what ``_send_response`` does to the

@@ -10,7 +10,7 @@ plain queue depth) and puts command capsules on the wire.
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, Callable, Deque, Dict, Optional
+from typing import TYPE_CHECKING, Callable, Deque, Dict, List, Optional
 
 from repro.fabric.network import Network
 from repro.fabric.policies import ClientPolicy, UnlimitedClientPolicy
@@ -19,6 +19,8 @@ from repro.fabric.request import (
     FabricRequest,
     next_request_id,
 )
+from repro.metrics.histogram import LatencyHistogram
+from repro.obs.session import current_session
 from repro.sim.engine import Simulator
 from repro.ssd.commands import IoOp
 
@@ -26,6 +28,19 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.fabric.target import NvmeOfTarget
 
 CompletionCallback = Callable[[FabricRequest], None]
+
+#: Where one IO's latency accrues, in flow order: each stage is the gap
+#: between two consecutive stamps of its request, so the six sum to the
+#: end-to-end latency.  The ordinal keeps a sorted listing in flow order.
+STAGES = (
+    "1_client_queue",  # t_client_submit -> t_wire_submit
+    "2_command_wire",  # t_wire_submit -> t_target_arrival
+    "3_target_submit",  # t_target_arrival -> t_sched_enqueue (a write's RDMA_READ too)
+    "4_scheduler_queue",  # t_sched_enqueue -> submit_time
+    "5_device",  # submit_time -> complete_time
+    "6_response",  # complete_time -> t_client_complete
+)
+
 
 class NvmeOfInitiator:
     """One client host: a network port plus its tenant sessions."""
@@ -36,6 +51,15 @@ class NvmeOfInitiator:
         self.name = name
         self.port = network.port(name)
         self.sessions: list["TenantSession"] = []
+        #: ``{op: one histogram per stage, then the end-to-end one}``,
+        #: filled at completion; None outside an obs session.  Whether a
+        #: session observes this host is read once, here, as the
+        #: Simulator reads it, so an unobserved IO pays one None test.
+        self.stages: Optional[Dict[IoOp, List[LatencyHistogram]]] = None
+        session = current_session()
+        if session is not None:
+            self.stages = {}
+            session.registry.add(f"client.{name}", self)
 
     def connect(
         self,
@@ -64,6 +88,21 @@ class NvmeOfInitiator:
         target.accept_connection(session, weight)
         self.sessions.append(session)
         return session
+
+    def metrics(self) -> dict:
+        """The latency waterfall: per op, each stage's mean and p99 in
+        flow order, then the IO count and the end-to-end latency."""
+        values: dict = {}
+        for op, histograms in (self.stages or {}).items():
+            *stages, e2e = histograms
+            for stage, histogram in zip(STAGES, stages):
+                values[f"{op.value}.{stage}.mean_us"] = histogram.mean
+                values[f"{op.value}.{stage}.p99_us"] = histogram.percentile(99.0)
+            values[f"{op.value}.count"] = e2e.count
+            values[f"{op.value}.e2e.mean_us"] = e2e.mean
+            values[f"{op.value}.e2e.p99_us"] = e2e.percentile(99.0)
+            values[f"{op.value}.e2e.max_us"] = e2e.max
+        return values
 
 
 class TenantSession:
@@ -94,6 +133,7 @@ class TenantSession:
         # bound-method creation are paid once here.
         self._arrive = target.pipeline(ssd_name).handle_arrival
         self._deliver = self.deliver_completion
+        self._stages = initiator.stages
         # Closed-loop resubmits all land on the same arrival callback,
         # pre-bound by the population; each carries one payload (the
         # request).  The shard boundary swaps this object for a queue
@@ -286,6 +326,8 @@ class TenantSession:
         if request._reply is not None or request._slot is not None:
             raise RuntimeError(f"{request!r} completed while the target still owns it")
         request.t_client_complete = self.sim.now
+        if self._stages is not None:
+            self._fold_stages(request)
         self.inflight -= 1
         self.completed += 1
         if self._policy_observes_complete:
@@ -298,6 +340,26 @@ class TenantSession:
         # here and the issue loop has nothing to do.
         if self._pending_count:
             self._try_issue()
+
+    def _fold_stages(self, request: FabricRequest) -> None:
+        """File the request's six stage gaps and its end-to-end latency."""
+        histograms = self._stages.get(request.op)
+        if histograms is None:
+            histograms = self._stages[request.op] = [
+                LatencyHistogram() for _ in range(len(STAGES) + 1)
+            ]
+        stamps = (
+            request.t_client_submit,
+            request.t_wire_submit,
+            request.t_target_arrival,
+            request.t_sched_enqueue,
+            request.submit_time,
+            request.complete_time,
+            request.t_client_complete,
+        )
+        for histogram, start, end in zip(histograms, stamps, stamps[1:]):
+            histogram.record(end - start)
+        histograms[-1].record(stamps[-1] - stamps[0])
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -224,16 +224,6 @@ class SsdPipeline:
         now = sim.now
         request.t_target_arrival = now
         self._inflight_replies += 1
-        tracer = sim.tracer
-        if tracer is not None:
-            tracer.emit(
-                TraceType.IO_SUBMIT,
-                now,
-                self.name,
-                tenant=request.tenant_id,
-                op=request.op.name,
-                bytes=request.npages * 4096,
-            )
         # Inlined NicCore.book(submit_cost, "submit"): the cost is a
         # per-pipeline constant >= 0 (the ``added_io_cost_us`` setter
         # refuses a negative knob), so only the horizon arithmetic and
@@ -280,20 +270,9 @@ class SsdPipeline:
     # ------------------------------------------------------------------
     def device_submit(self, request: FabricRequest) -> None:
         """Step 3: the scheduler admits this IO to the SSD now."""
-        sim = self.sim
         if request.t_sched_enqueue is None:
             # Pass-through: enqueued and admitted in the same instant.
-            request.t_sched_enqueue = sim.now
-        tracer = sim.tracer
-        if tracer is not None:
-            tracer.emit(
-                TraceType.IO_DISPATCH,
-                sim.now,
-                self.name,
-                tenant=request.tenant_id,
-                op=request.op.name,
-                queued_us=sim.now - request.t_sched_enqueue,
-            )
+            request.t_sched_enqueue = self.sim.now
         namespace = self._namespaces.get(request.tenant_id)
         if namespace is None:
             request.lpn = request.lba
@@ -310,17 +289,6 @@ class SsdPipeline:
     def _device_completed(self, request: FabricRequest) -> None:
         """Step 4: completion-path processing, then the response."""
         sim = self.sim
-        tracer = sim.tracer
-        if tracer is not None:
-            tracer.emit(
-                TraceType.IO_COMPLETE,
-                sim.now,
-                self.name,
-                tenant=request.tenant_id,
-                op=request.op.name,
-                bytes=request.npages * 4096,
-                device_lat_us=request.device_latency_us,
-            )
         if self._sched_notifies:
             self.scheduler.notify_completion(request)
         if request.op is OP_READ:

@@ -60,7 +60,8 @@ class FabricRequest:
     # -- device-command face --
     #: ``lba`` after namespace translation, set by the pipeline.
     lpn: Optional[int] = None
-    #: Stamped by the device alone (``t_device_submit`` / ``_complete``).
+    #: Stamped by the device alone, when it accepts the command and when
+    #: it completes it.
     submit_time: Optional[float] = None
     complete_time: Optional[float] = None
 
@@ -96,14 +97,6 @@ class FabricRequest:
     @property
     def size_bytes(self) -> int:
         return self.npages * 4096
-
-    @property
-    def t_device_submit(self) -> Optional[float]:
-        return self.submit_time
-
-    @property
-    def t_device_complete(self) -> Optional[float]:
-        return self.complete_time
 
     @property
     def device_latency_us(self) -> float:

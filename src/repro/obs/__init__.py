@@ -5,23 +5,26 @@ the metrics layer; this package makes those internals *visible* so a
 run can be audited rather than trusted:
 
 * :mod:`repro.obs.trace` -- a :class:`TraceBuffer` of typed trace
-  events (IO submit/dispatch/complete, congestion-state transitions,
-  threshold moves, token-bucket refills/denials, GC start/end, credit
-  grants), retained in memory or streamed as JSONL;
+  events (congestion-state transitions, threshold moves, token-bucket
+  refills/denials, GC start/end, credit grants), retained in memory or
+  streamed as JSONL;
 * :mod:`repro.obs.registry` -- a :class:`Registry` of metrics sources,
   each a component whose ``metrics()`` is read when the registry is;
+  each client host (``client.<host>``) reports the per-op latency
+  waterfall its completed requests' stamps add up to;
 * :mod:`repro.obs.probe` -- a :class:`KernelProbe` profiling the event
   loop itself (per-callback fire counts, heap high-water mark,
   wall-clock per simulated second);
 * :mod:`repro.obs.session` -- :func:`capture`, the one-call wiring
   used by the CLI's ``--trace``/``--stats`` flags;
 * :mod:`repro.obs.report` -- summarises a JSONL run journal into
-  per-tenant and per-component tables (``python -m repro.obs.report``).
+  per-type and per-component tables (``python -m repro.obs.report``).
 
-Tracing is zero-cost when disabled: components reach their tracer via
-``sim.tracer`` which defaults to None, and every emit site is guarded
-by a None check, so an uninstrumented run executes no tracing code
-beyond that check.
+Observation is near zero-cost when disabled: components reach their
+tracer via ``sim.tracer`` which defaults to None, every emit site is
+guarded by a None check, and a client folds latency stages only if it
+was built inside a session, so an uninstrumented run executes nothing
+of this package beyond those checks.
 
 Only the simulation reports here.  The sweep runner, the result cache
 and the suite orchestrator import nothing from this package: a run's

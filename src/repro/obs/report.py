@@ -1,4 +1,4 @@
-"""Summarise a JSONL run journal into per-tenant / per-component tables.
+"""Summarise a JSONL run journal into per-type and per-component tables.
 
 Usage::
 
@@ -6,10 +6,11 @@ Usage::
     python -m repro.obs.report out.jsonl
 
 The report aggregates the journal written by :class:`repro.obs.trace.
-TraceBuffer`: per-tenant IO/bytes/latency, per-component event counts,
-congestion-state residency, token-bucket pressure and garbage
-collection work.  It only reads the journal -- rerunning it never
-changes an experiment's results.
+TraceBuffer`: event counts by type and by component, congestion-state
+residency, token-bucket pressure and garbage collection work.  Per-IO
+latency is not journalled: ``--stats`` prints each client's stage
+waterfall, folded from the requests' own stamps.  The report only reads
+the journal -- rerunning it never changes an experiment's results.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ class JournalSummary:
         self.events = events
         self.counts_by_type: Dict[str, int] = {}
         self.counts_by_component: Dict[str, Dict[str, int]] = {}
-        self.tenants: Dict[str, dict] = {}
         self.state_residency: Dict[str, Dict[str, float]] = {}
         self.bucket: Dict[str, int] = {"denials": 0, "refills": 0}
         self.gc = {"collections": 0, "erases": 0, "relocations": 0, "busy_us": 0.0}
@@ -42,20 +42,6 @@ class JournalSummary:
     # ------------------------------------------------------------------
     # Folding
     # ------------------------------------------------------------------
-    def _tenant(self, name: str) -> dict:
-        record = self.tenants.get(name)
-        if record is None:
-            record = {
-                "submitted": 0,
-                "dispatched": 0,
-                "completed": 0,
-                "bytes": 0,
-                "latency_sum": 0.0,
-                "latency_max": 0.0,
-            }
-            self.tenants[name] = record
-        return record
-
     def _fold(self, event: dict) -> None:
         kind = event["ev"]
         t = event["t"]
@@ -66,20 +52,7 @@ class JournalSummary:
         self.counts_by_type[kind] = self.counts_by_type.get(kind, 0) + 1
         per_comp = self.counts_by_component.setdefault(comp, {})
         per_comp[kind] = per_comp.get(kind, 0) + 1
-        tenant = event.get("tenant")
-        if kind == TraceType.IO_SUBMIT.value and tenant:
-            self._tenant(tenant)["submitted"] += 1
-        elif kind == TraceType.IO_DISPATCH.value and tenant:
-            self._tenant(tenant)["dispatched"] += 1
-        elif kind == TraceType.IO_COMPLETE.value and tenant:
-            record = self._tenant(tenant)
-            record["completed"] += 1
-            record["bytes"] += event.get("bytes", 0)
-            latency = event.get("device_lat_us", 0.0)
-            record["latency_sum"] += latency
-            if latency > record["latency_max"]:
-                record["latency_max"] = latency
-        elif kind == TraceType.CONGESTION.value:
+        if kind == TraceType.CONGESTION.value:
             monitor = f"{comp}/{event.get('io', '?')}"
             previous = self._last_state.get(monitor)
             if previous is not None:
@@ -124,33 +97,6 @@ class JournalSummary:
                 title="events by type",
             )
         )
-        if self.tenants:
-            rows = []
-            for name in sorted(self.tenants):
-                record = self.tenants[name]
-                completed = record["completed"]
-                mean_lat = record["latency_sum"] / completed if completed else 0.0
-                mbps = (record["bytes"] / span_us) / (1 << 20) * 1e6 if span_us else 0.0
-                rows.append(
-                    (
-                        name,
-                        record["submitted"],
-                        record["dispatched"],
-                        completed,
-                        record["bytes"] // 1024,
-                        mbps,
-                        mean_lat,
-                        record["latency_max"],
-                    )
-                )
-            parts.append(
-                format_table(
-                    ["tenant", "submit", "dispatch", "complete", "KiB", "MB/s",
-                     "avg dev us", "max dev us"],
-                    rows,
-                    title="per-tenant IO",
-                )
-            )
         if self.state_residency:
             rows = []
             for monitor in sorted(self.state_residency):

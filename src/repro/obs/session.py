@@ -6,8 +6,9 @@ signatures without touching every driver.  Instead a session installs
 itself as the *current* session; any simulator stood up while it is
 active gets the session's tracer and probe attached (the
 :class:`~repro.sim.engine.Simulator` constructor checks
-:func:`current_session`), and the Testbed and KvCluster constructors
-add their components to the session's metrics registry as sources.
+:func:`current_session`), the Testbed and KvCluster constructors
+add their components to the session's metrics registry as sources, and
+each client initiator adds itself.
 
 Typical use -- exactly what ``python -m repro run <exp> --trace
 out.jsonl --stats`` does::

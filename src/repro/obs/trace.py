@@ -21,12 +21,6 @@ from typing import IO, Dict, List, Optional
 class TraceType(str, enum.Enum):
     """Every event type the instrumented simulator can emit."""
 
-    #: Command capsule arrived at the target pipeline.
-    IO_SUBMIT = "io_submit"
-    #: Scheduler admitted the IO to the SSD.
-    IO_DISPATCH = "io_dispatch"
-    #: Device completion observed (carries the device latency).
-    IO_COMPLETE = "io_complete"
     #: A latency monitor changed congestion state.
     CONGESTION = "congestion"
     #: A latency monitor's dynamic threshold moved.

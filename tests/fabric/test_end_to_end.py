@@ -44,8 +44,8 @@ class TestRequestFlow:
         request = done[0]
         assert request.e2e_latency_us > 0
         assert request.t_target_arrival > request.t_client_submit
-        assert request.t_device_submit >= request.t_target_arrival
-        assert request.t_client_complete > request.t_device_complete
+        assert request.submit_time >= request.t_target_arrival
+        assert request.t_client_complete > request.complete_time
 
     def test_write_fetches_data_before_device(self, sim):
         """Writes RDMA_READ their payload, adding a client->target data
@@ -60,8 +60,8 @@ class TestRequestFlow:
         write_req = write_done[0]
         read_req = read_done[0]
         # The write's target->device gap includes the payload transfer.
-        write_gap = write_req.t_device_submit - write_req.t_target_arrival
-        read_gap = read_req.t_device_submit - read_req.t_target_arrival
+        write_gap = write_req.submit_time - write_req.t_target_arrival
+        read_gap = read_req.submit_time - read_req.t_target_arrival
         assert write_gap > read_gap
 
     def test_real_device_latency_dominates(self, sim):

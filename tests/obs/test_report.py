@@ -11,14 +11,12 @@ from repro.obs.report import JournalSummary, main, summarize_journal
 
 def synthetic_events():
     return [
-        {"t": 0.0, "ev": "io_submit", "comp": "p0", "tenant": "t0", "op": "READ",
-         "bytes": 4096},
-        {"t": 1.0, "ev": "io_dispatch", "comp": "p0", "tenant": "t0", "op": "READ",
-         "queued_us": 1.0},
+        {"t": 0.0, "ev": "credit", "comp": "p0", "tenant": "t0", "credit": 32},
+        {"t": 1.0, "ev": "threshold", "comp": "switch.p0", "io": "READ",
+         "threshold_us": 250.0, "ewma_us": 180.0},
         {"t": 5.0, "ev": "congestion", "comp": "switch.p0", "io": "READ",
          "from": "UNDERUTILIZED", "to": "CONGESTED"},
-        {"t": 9.0, "ev": "io_complete", "comp": "p0", "tenant": "t0", "op": "READ",
-         "bytes": 4096, "device_lat_us": 8.0},
+        {"t": 9.0, "ev": "gc_end", "comp": "ssd0", "channel": 0, "drains_at_us": 40.0},
         {"t": 10.0, "ev": "bucket_deny", "comp": "switch.p0", "io": "WRITE",
          "deficit_bytes": 4096},
         {"t": 12.0, "ev": "bucket_refill", "comp": "switch.p0", "read_tokens": 100.0,
@@ -27,26 +25,15 @@ def synthetic_events():
          "from": "CONGESTED", "to": "UNDERUTILIZED"},
         {"t": 20.0, "ev": "gc_start", "comp": "ssd0", "erases": 2,
          "relocation_programs": 64, "busy_us": 500.0},
-        {"t": 25.0, "ev": "io_complete", "comp": "p0", "tenant": "t1", "op": "WRITE",
-         "bytes": 8192, "device_lat_us": 20.0},
+        {"t": 25.0, "ev": "credit", "comp": "p0", "tenant": "t1", "credit": 8},
     ]
 
 
 class TestAggregation:
     def test_counts_by_type(self):
         summary = JournalSummary(synthetic_events())
-        assert summary.counts_by_type["io_complete"] == 2
+        assert summary.counts_by_type["credit"] == 2
         assert summary.counts_by_type["congestion"] == 2
-
-    def test_per_tenant_rollup(self):
-        summary = JournalSummary(synthetic_events())
-        t0 = summary.tenants["t0"]
-        assert t0["submitted"] == 1
-        assert t0["dispatched"] == 1
-        assert t0["completed"] == 1
-        assert t0["bytes"] == 4096
-        assert t0["latency_max"] == 8.0
-        assert summary.tenants["t1"]["bytes"] == 8192
 
     def test_state_residency_charged_between_transitions(self):
         summary = JournalSummary(synthetic_events())
@@ -74,14 +61,13 @@ class TestRendering:
     def test_render_includes_all_tables(self):
         text = JournalSummary(synthetic_events()).render()
         assert "events by type" in text
-        assert "per-tenant IO" in text
         assert "congestion-state residency" in text
         assert "token bucket" in text
         assert "garbage collection" in text
         assert "events by component" in text
 
     def test_tables_elided_when_no_data(self):
-        events = [{"t": 0.0, "ev": "io_submit", "comp": "p0", "tenant": "t0"}]
+        events = [{"t": 0.0, "ev": "credit", "comp": "p0", "tenant": "t0", "credit": 8}]
         text = JournalSummary(events).render()
         assert "garbage collection" not in text
         assert "token bucket" not in text
@@ -104,4 +90,4 @@ class TestCli:
         path = self.write_journal(tmp_path)
         assert main([path]) == 0
         out = capsys.readouterr().out
-        assert "per-tenant IO" in out
+        assert "congestion-state residency" in out

@@ -68,16 +68,13 @@ class TestTestbedIntegration:
         assert testbed.sim.tracer is None
         assert testbed.sim.probe is None
 
-    def test_journal_contains_io_congestion_and_bucket_events(self, tmp_path):
+    def test_journal_contains_congestion_and_bucket_events(self, tmp_path):
         path = str(tmp_path / "journal.jsonl")
         with capture(trace_path=path) as session:
             testbed = tiny_testbed()
             assert testbed.sim.tracer is session.tracer
             testbed.run(warmup_us=2000.0, measure_us=10000.0)
         counts = session.tracer.counts_by_type
-        assert counts["io_submit"] > 0
-        assert counts["io_dispatch"] > 0
-        assert counts["io_complete"] > 0
         assert counts["congestion"] > 0
         assert counts["bucket_deny"] > 0
         events = read_jsonl(path)
@@ -97,16 +94,19 @@ class TestTestbedIntegration:
         assert any(name.startswith("net.") for name in snapshot)
 
     def test_registry_names_by_group(self):
-        """One SSD, one core, one Gimbal pipeline and three ports: the
-        target's and the two clients'."""
+        """One SSD, one core, one Gimbal pipeline, three ports (the
+        target's and the two clients') and two clients, each with one
+        op's waterfall: six stages x (mean, p99), the count and three
+        e2e figures."""
         with capture() as session:
-            tiny_testbed()
+            tiny_testbed().run(warmup_us=0.0, measure_us=1000.0)
         groups = {}
         for name in session.registry.snapshot():
             head = name.partition(".")[0]
             groups[head] = groups.get(head, 0) + 1
         assert groups == {
-            "kernel": 5, "ssd": 13, "core": 5, "pipeline": 6, "switch": 28, "net": 6
+            "kernel": 5, "ssd": 13, "core": 5, "pipeline": 6, "switch": 28, "net": 6,
+            "client": 2 * 16,
         }
 
     def test_ports_created_after_registration_register_too(self):

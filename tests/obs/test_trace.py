@@ -12,9 +12,9 @@ from repro.obs.trace import TraceBuffer, TraceType, read_jsonl
 class TestEmission:
     def test_emit_records_flat_event(self):
         buffer = TraceBuffer()
-        buffer.emit(TraceType.IO_SUBMIT, 12.5, "pipe0", tenant="t0", bytes=4096)
+        buffer.emit(TraceType.CREDIT, 12.5, "pipe0", tenant="t0", credit=8)
         assert buffer.events == [
-            {"t": 12.5, "ev": "io_submit", "comp": "pipe0", "tenant": "t0", "bytes": 4096}
+            {"t": 12.5, "ev": "credit", "comp": "pipe0", "tenant": "t0", "credit": 8}
         ]
 
     def test_tenant_omitted_when_none(self):
@@ -32,12 +32,22 @@ class TestEmission:
         with pytest.raises(ValueError):
             buffer.emit("io_sumbit", 0.0, "pipe0")  # typo must not pass
 
+    def test_per_io_events_are_gone(self):
+        """Per-IO latency comes from the requests' stamps (the clients'
+        stage waterfall), not from the journal."""
+        assert len(TraceType) == 7
+        buffer = TraceBuffer()
+        for kind in ("io_submit", "io_dispatch", "io_complete"):
+            with pytest.raises(ValueError):
+                buffer.emit(kind, 0.0, "pipe0")
+        assert buffer.emitted == 0
+
     def test_counts_by_type_accumulate(self):
         buffer = TraceBuffer()
         for _ in range(3):
-            buffer.emit(TraceType.IO_COMPLETE, 1.0, "pipe0")
+            buffer.emit(TraceType.BUCKET_DENY, 1.0, "switch")
         buffer.emit(TraceType.CONGESTION, 2.0, "switch")
-        assert buffer.counts_by_type == {"io_complete": 3, "congestion": 1}
+        assert buffer.counts_by_type == {"bucket_deny": 3, "congestion": 1}
         assert buffer.emitted == 4
 
 
@@ -45,7 +55,7 @@ class TestRetention:
     def test_retain_false_keeps_nothing_in_memory(self):
         sink = io.StringIO()
         buffer = TraceBuffer(sink=sink, retain=False)
-        buffer.emit(TraceType.IO_SUBMIT, 1.0, "pipe0")
+        buffer.emit(TraceType.BUCKET_REFILL, 1.0, "switch")
         assert len(buffer) == 0
         assert buffer.emitted == 1
         assert sink.getvalue().count("\n") == 1
@@ -63,7 +73,7 @@ class TestJournal:
         path = str(tmp_path / "journal.jsonl")
         with open(path, "w", encoding="utf-8") as sink:
             buffer = TraceBuffer(sink=sink)
-            buffer.emit(TraceType.IO_SUBMIT, 1.0, "pipe0", tenant="t0", bytes=4096)
+            buffer.emit(TraceType.GC_START, 1.0, "ssd0", erases=2)
             buffer.emit(TraceType.CREDIT, 2.0, "pipe0", tenant="t0", credit=8)
         assert read_jsonl(path) == buffer.events
         assert len(buffer) == 2

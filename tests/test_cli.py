@@ -94,14 +94,30 @@ class TestCliObservability:
         events = read_jsonl(path)
         assert events
         kinds = {event["ev"] for event in events}
-        assert "io_submit" in kinds
-        assert "io_complete" in kinds
+        assert not [kind for kind in kinds if kind.startswith("io_")]
 
     def test_run_with_stats_prints_report(self, capsys):
         assert main(["run", "fig15", "--quick", "--stats"]) == 0
         out = capsys.readouterr().out
         assert "run metrics" in out
         assert "kernel probe" in out
+
+    def test_run_with_stats_prints_the_stage_waterfall(self, capsys):
+        """Each client's per-op stages, in flow order, then its e2e."""
+        from repro.fabric.initiator import STAGES
+
+        assert main(["run", "fig09", "--quick", "--stats"]) == 0
+        out = capsys.readouterr().out
+        assert "  [client]" in out
+        prefix = "client-rd0.read."
+        keys = [
+            line.split()[0][len(prefix):]
+            for line in out.splitlines()
+            if line.strip().startswith(prefix)
+        ]
+        means = [key for key in keys if key.endswith(".mean_us")]
+        assert means == [f"{stage}.mean_us" for stage in STAGES] + ["e2e.mean_us"]
+        assert keys.index("count") < keys.index("e2e.mean_us")
 
     def test_no_session_left_behind(self, tmp_path):
         from repro.obs.session import current_session
