@@ -26,6 +26,7 @@ from typing import Deque, Dict
 
 from repro.baselines.base import StorageScheduler
 from repro.fabric.request import FabricRequest
+from repro.ssd.commands import OP_WRITE
 
 
 class ReflexScheduler(StorageScheduler):
@@ -69,7 +70,7 @@ class ReflexScheduler(StorageScheduler):
     # ------------------------------------------------------------------
     def request_cost(self, request: FabricRequest) -> float:
         """Tokens one request consumes under the offline model."""
-        per_page = self.write_cost_tokens if request.op.is_write else 1.0
+        per_page = self.write_cost_tokens if request.op is OP_WRITE else 1.0
         return per_page * request.npages
 
     # ------------------------------------------------------------------

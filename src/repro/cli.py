@@ -2,7 +2,8 @@
 
 Commands:
 
-* ``list`` -- show every reproducible table/figure and its driver;
+* ``list`` -- show every reproducible table/figure and its driver
+  (the registry is :data:`repro.harness.orchestrator.EXPERIMENTS`);
 * ``run <experiment> [--quick]`` -- regenerate one table/figure and
   print the same rows/series the paper reports;
 * ``calibrate`` -- measure the simulated device's anchor numbers
@@ -11,22 +12,26 @@ Commands:
   condition and a worker mix, get bandwidth/latency per tenant;
 * ``suite [--quick]`` -- regenerate *every* table/figure on one shared
   worker pool via :mod:`repro.harness.orchestrator` (declared-order
-  dispatch, streaming execution; results identical to running each
-  experiment serially);
+  dispatch, streaming execution; results identical to each driver's
+  own ``run()``, whatever ``--jobs``);
 * ``cache {stats,prune,clear}`` -- inspect or manage the
   sweep-point result cache that ``run --cache`` (or ``REPRO_CACHE=1``)
-  populates;
-* ``profile <experiment>`` -- run one experiment under :mod:`cProfile`
-  and print the hottest functions, the first stop when a figure takes
-  longer to regenerate than expected.
+  populates.
+
+To profile one experiment, run it under :mod:`cProfile`::
+
+    python -m cProfile -s cumulative -m repro run fig07 --quick --no-cache
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import sys
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
+
+from repro.harness.orchestrator import EXPERIMENTS, suite_experiments
 
 
 def _add_cache_args(parser: argparse.ArgumentParser) -> None:
@@ -47,51 +52,6 @@ def _add_cache_args(parser: argparse.ArgumentParser) -> None:
         default=None,
         help="cache directory (default: REPRO_CACHE_DIR, else .repro-cache; implies --cache)",
     )
-
-
-#: experiment name -> (module path, quick-mode kwargs).
-EXPERIMENTS: Dict[str, Tuple[str, dict]] = {
-    "fig02": ("repro.harness.experiments.fig02_unloaded_latency", {"measure_us": 100_000.0}),
-    "fig03": ("repro.harness.experiments.fig03_core_scaling", {"measure_us": 100_000.0, "core_counts": (1, 2, 4)}),
-    "fig04": ("repro.harness.experiments.fig04_interference", {"measure_us": 200_000.0}),
-    "fig06": ("repro.harness.experiments.fig06_utilization", {"measure_us": 400_000.0, "warmup_us": 200_000.0, "num_workers": 8}),
-    "fig07": ("repro.harness.experiments.fig07_fairness", {"measure_us": 500_000.0, "warmup_us": 300_000.0, "workers_per_class": 8}),
-    "fig08": ("repro.harness.experiments.fig08_latency", {"measure_us": 500_000.0, "warmup_us": 300_000.0, "workers_per_class": 8}),
-    "fig09": ("repro.harness.experiments.fig09_dynamic", {"phase_us": 250_000.0}),
-    "fig10": ("repro.harness.experiments.fig10_rocksdb", {"instances": 4, "measure_us": 300_000.0, "workloads": ("A", "C")}),
-    "fig11-12": ("repro.harness.experiments.fig11_12_scaling", {"instance_counts": (1, 2, 4), "measure_us": 300_000.0}),
-    "fig13": ("repro.harness.experiments.fig13_virtual_view", {"instances": 4, "measure_us": 300_000.0, "workloads": ("A", "B")}),
-    "fig14": ("repro.harness.experiments.fig14_read_ratio", {"duration_us": 200_000.0}),
-    "fig15": ("repro.harness.experiments.fig15_latency_scenarios", {"duration_us": 150_000.0}),
-    "fig16": ("repro.harness.experiments.fig16_processing_cost", {"measure_us": 150_000.0, "added_costs": (0.0, 5.0, 40.0, 320.0)}),
-    "fig17": ("repro.harness.experiments.fig17_congestion_dynamics", {"phase_us": 200_000.0, "steps": 4}),
-    "fig18": ("repro.harness.experiments.fig18_threshold_trace", {"phase_us": 150_000.0, "steps": 8}),
-    "fig19-23": ("repro.harness.experiments.fig19_23_appendix_d", {"measure_us": 200_000.0}),
-    "rack": ("repro.harness.experiments.rack", {"tenants": 16, "rack": (2,), "ssds_per_jbof": 2, "horizon_us": 200_000.0}),
-    "table1": ("repro.harness.experiments.table1_overheads", {"measure_us": 100_000.0}),
-    "table2": ("repro.harness.experiments.table2_comparison", {}),
-    "sec5.8": ("repro.harness.experiments.sec58_generalization", {"measure_us": 500_000.0, "warmup_us": 250_000.0, "workers_per_class": 4}),
-    "ablations": ("repro.harness.experiments.ablations", {"measure_us": 400_000.0, "warmup_us": 200_000.0, "workers": 4}),
-    "ext-qlc": ("repro.harness.experiments.ext_qlc", {"measure_us": 400_000.0, "warmup_us": 200_000.0, "workers_per_class": 4}),
-}
-
-
-def _resolve_experiment(name: str) -> Optional[str]:
-    """Accept either the short key (``fig09``) or the driver module's
-    basename (``fig09_dynamic``)."""
-    if name in EXPERIMENTS:
-        return name
-    for key, (module_path, _) in EXPERIMENTS.items():
-        if module_path.rsplit(".", 1)[-1] == name:
-            return key
-    return None
-
-
-def _load(name: str):
-    import importlib
-
-    module_path, quick_kwargs = EXPERIMENTS[name]
-    return importlib.import_module(module_path), quick_kwargs
 
 
 def cmd_list(_args: argparse.Namespace) -> int:
@@ -126,36 +86,13 @@ def cmd_run(args: argparse.Namespace) -> int:
         # would simulate outside it and report nothing.
         print("--trace and --stats need --jobs 1", file=sys.stderr)
         return 2
-    name = _resolve_experiment(args.experiment)
-    if name is None:
-        print(f"unknown experiment {args.experiment!r}; try: python -m repro list", file=sys.stderr)
+    try:
+        [spec] = suite_experiments(quick=args.quick, names=[args.experiment])
+    except KeyError as exc:
+        print(f"{exc.args[0]}; try: python -m repro list", file=sys.stderr)
         return 2
-    module, quick_kwargs = _load(name)
-    kwargs = dict(quick_kwargs) if args.quick else {}
-    # Every driver's run() is derived_run(sweep, finalize), so it takes
-    # jobs/cache.
-    if args.jobs != 1:
-        kwargs["jobs"] = args.jobs
-    cache = kwargs["cache"] = _cache_from_args(args)
-
-    def report_cache() -> None:
-        store = cache if cache not in (None, False) else None
-        if store is None:
-            return
-        stats = store.stats
-        print(
-            f"cache: {stats.hits} hits, {stats.misses} misses, "
-            f"{stats.seconds_saved:.1f}s saved ({store.root})",
-            file=sys.stderr,
-        )
-
-    if not args.trace and not args.stats:
-        results = module.run(**kwargs)
-        print(module.summarize(results))
-        report_cache()
-        return 0
-    from repro.obs.session import capture
-
+    module = spec.load()
+    cache = _cache_from_args(args)
     if args.trace:
         # Fail fast on an unwritable journal path instead of after a
         # potentially minutes-long experiment.
@@ -164,8 +101,17 @@ def cmd_run(args: argparse.Namespace) -> int:
         except OSError as exc:
             print(f"cannot open trace journal {args.trace!r}: {exc}", file=sys.stderr)
             return 2
-    with capture(trace_path=args.trace) as session:
-        results = module.run(**kwargs)
+    if args.trace or args.stats:
+        from repro.obs.session import capture
+
+        observed = capture(trace_path=args.trace)
+    else:
+        # An unobserved run builds no session and no probe.
+        observed = contextlib.nullcontext()
+    with observed as session:
+        # Every driver's run() is derived_run(sweep, finalize), so it
+        # takes jobs/cache.
+        results = module.run(jobs=args.jobs, cache=cache, **spec.kwargs)
         print(module.summarize(results))
         if args.stats:
             print()
@@ -177,16 +123,21 @@ def cmd_run(args: argparse.Namespace) -> int:
             f"`python -m repro.obs.report {args.trace}`",
             file=sys.stderr,
         )
-    report_cache()
+    if cache:
+        stats = cache.stats
+        print(
+            f"cache: {stats.hits} hits, {stats.misses} misses, "
+            f"{stats.seconds_saved:.1f}s saved ({cache.root})",
+            file=sys.stderr,
+        )
     return 0
 
 
 def cmd_suite(args: argparse.Namespace) -> int:
     """``repro suite`` -- regenerate the whole evaluation in one go."""
     import json
-    import time
 
-    from repro.harness.orchestrator import run_suite, run_suite_serial, suite_experiments
+    from repro.harness.orchestrator import run_suite
 
     if args.jobs < 0:
         print(f"--jobs must be >= 0 (0 = every core), got {args.jobs}", file=sys.stderr)
@@ -207,51 +158,31 @@ def cmd_suite(args: argparse.Namespace) -> int:
             print(f"cannot open suite results {args.json!r}: {exc}", file=sys.stderr)
             return 2
     cache = _cache_from_args(args)
-    started = time.perf_counter()
 
-    if args.serial:
-        results = run_suite_serial(specs, jobs=max(1, args.jobs), cache=cache)
-        report = {
-            "mode": "serial",
-            "jobs": max(1, args.jobs),
-            "wall_s": round(time.perf_counter() - started, 3),
-            "experiments": len(specs),
-        }
-    else:
-
-        def progress(payload: dict) -> None:
-            print(
-                f"  done {payload['experiment']:10s} "
-                f"{payload['points']:3d} points "
-                f"({payload['cache_hits']} cached, {payload['wall_s']:.1f}s)",
-                file=sys.stderr,
-            )
-
-        suite = run_suite(
-            specs,
-            jobs=args.jobs if args.jobs > 0 else None,
-            cache=cache,
-            progress=progress if not args.quiet else None,
+    def progress(payload: dict) -> None:
+        print(
+            f"  done {payload['experiment']:10s} "
+            f"{payload['points']:3d} points "
+            f"({payload['cache_hits']} cached, {payload['wall_s']:.1f}s)",
+            file=sys.stderr,
         )
-        results = suite.results
-        report = {"mode": "orchestrated", **suite.report()}
 
+    suite = run_suite(
+        specs,
+        jobs=args.jobs if args.jobs > 0 else None,
+        cache=cache,
+        progress=progress if not args.quiet else None,
+    )
+    results = suite.results
+    report = suite.report()
     if not args.quiet:
-        import importlib
-
         for spec in specs:
-            module = importlib.import_module(spec.module_path)
-            print(module.summarize(results[spec.name]))
+            print(spec.load().summarize(results[spec.name]))
             print()
     print(
         f"suite: {report['experiments']} experiments in {report['wall_s']:.1f}s "
-        f"({report['mode']}, jobs={report['jobs']})"
-        + (
-            f"; {report['points_total']} points, {report['cache_hits']} cached, "
-            f"{report['stolen_idle_s']:.1f}s overlapped"
-            if report["mode"] == "orchestrated"
-            else ""
-        ),
+        f"(jobs={report['jobs']}); {report['points_total']} points, "
+        f"{report['cache_hits']} cached, {report['stolen_idle_s']:.1f}s overlapped",
         file=sys.stderr,
     )
     if args.json:
@@ -333,43 +264,6 @@ def cmd_cache(args: argparse.Namespace) -> int:
         print(f"cleared {removed} entries from {cache.root}")
         return 0
     return 2
-
-
-def cmd_profile(args: argparse.Namespace) -> int:
-    """``repro profile <experiment>`` -- cProfile one experiment driver.
-
-    Runs the driver exactly as ``repro run`` would (quick-mode windows
-    by default, since profiles rarely need full-length runs) and prints
-    the top functions by the chosen sort key.  ``--output`` dumps the
-    raw stats for ``snakeviz``/``pstats`` post-processing.
-    """
-    import cProfile
-    import pstats
-
-    name = _resolve_experiment(args.experiment)
-    if name is None:
-        print(f"unknown experiment {args.experiment!r}; try: python -m repro list", file=sys.stderr)
-        return 2
-    module, quick_kwargs = _load(name)
-    kwargs = dict(quick_kwargs) if not args.full else {}
-    # Never the result cache (ambient REPRO_CACHE included): a warm hit
-    # would profile a lookup, not the experiment.
-    kwargs["cache"] = False
-
-    profiler = cProfile.Profile()
-    profiler.enable()
-    results = module.run(**kwargs)
-    profiler.disable()
-
-    if not args.quiet:
-        print(module.summarize(results))
-        print()
-    stats = pstats.Stats(profiler, stream=sys.stdout)
-    stats.strip_dirs().sort_stats(args.sort).print_stats(args.top)
-    if args.output:
-        stats.dump_stats(args.output)
-        print(f"raw profile: {args.output} (inspect with python -m pstats)", file=sys.stderr)
-    return 0
 
 
 def cmd_calibrate(args: argparse.Namespace) -> int:
@@ -556,7 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=0,
         metavar="N",
         help="worker processes shared by the whole suite (default 0: the "
-        "machine's CPU count, one with --serial; results are identical either way)",
+        "machine's CPU count; results are identical for every count)",
     )
     suite_parser.add_argument(
         "--experiments",
@@ -564,12 +458,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="append",
         metavar="NAME[,NAME...]",
         help="restrict to these experiments (repeatable; registry order is kept)",
-    )
-    suite_parser.add_argument(
-        "--serial",
-        action="store_true",
-        help="run each experiment to completion in turn (the pre-orchestrator "
-        "baseline; useful for timing comparisons and identity checks)",
     )
     suite_parser.add_argument(
         "--quiet", action="store_true", help="suppress per-experiment summaries"
@@ -582,35 +470,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_cache_args(suite_parser)
     suite_parser.set_defaults(fn=cmd_suite)
-
-    profile_parser = sub.add_parser(
-        "profile", help="run one experiment under cProfile and print hot functions"
-    )
-    profile_parser.add_argument("experiment", help="e.g. fig07, table1 (see `list`)")
-    profile_parser.add_argument(
-        "--top", type=int, default=25, metavar="N", help="rows to print (default 25)"
-    )
-    profile_parser.add_argument(
-        "--sort",
-        default="cumulative",
-        choices=["cumulative", "tottime", "ncalls", "calls", "time"],
-        help="pstats sort key (default cumulative)",
-    )
-    profile_parser.add_argument(
-        "--full",
-        action="store_true",
-        help="profile the full-length run instead of quick-mode windows",
-    )
-    profile_parser.add_argument(
-        "--output",
-        metavar="PATH",
-        default=None,
-        help="also dump raw pstats data to PATH",
-    )
-    profile_parser.add_argument(
-        "--quiet", action="store_true", help="suppress the experiment's own summary"
-    )
-    profile_parser.set_defaults(fn=cmd_profile)
 
     calibrate_parser = sub.add_parser("calibrate", help="measure device anchor numbers")
     calibrate_parser.add_argument("--profile", default="dct983", choices=["dct983", "p3600"])

@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from repro.harness.experiments.common import (
-    Sweep,
+    build_sweep,
     derived_run,
     f_utils_for,
     merge_rows,
@@ -104,24 +104,17 @@ def sweep(
     root_seed: int = 42,
     standalone_measure_us: Optional[float] = None,
 ):
-    # Not build_sweep: the scheme axis is a parameter, so the sweep is
-    # declared point by point to keep labels seed-stable.
-    sw = Sweep("fig07", root_seed=root_seed)
-    for sub in SUBEXPERIMENTS:
-        for scheme in schemes:
-            label = f"sub={sub},scheme={scheme}"
-            sw.point(
-                _point,
-                label=label,
-                sub=sub,
-                scheme=scheme,
-                workers_per_class=workers_per_class,
-                warmup_us=warmup_us,
-                measure_us=measure_us,
-                seed=sw.seed_for(label),
-                standalone_measure_us=standalone_measure_us,
-            )
-    return sw
+    """Declare one point per (sub-experiment, scheme) cell."""
+    return build_sweep(
+        "fig07",
+        {"sub": SUBEXPERIMENTS, "scheme": schemes},
+        _point,
+        root_seed=root_seed,
+        workers_per_class=workers_per_class,
+        warmup_us=warmup_us,
+        measure_us=measure_us,
+        standalone_measure_us=standalone_measure_us,
+    )
 
 
 def finalize(results) -> Dict[str, object]:

@@ -30,18 +30,6 @@ class IoOp(enum.Enum):
     #: creating pre-invalidated pages that cheapen future GC.
     TRIM = "trim"
 
-    @property
-    def is_read(self) -> bool:
-        return self is OP_READ
-
-    @property
-    def is_write(self) -> bool:
-        return self is OP_WRITE
-
-    @property
-    def is_trim(self) -> bool:
-        return self is OP_TRIM
-
 
 #: The members as module globals.  Reading a member through its class
 #: (``IoOp.READ``) falls back to the enum metaclass's ``__getattr__`` on

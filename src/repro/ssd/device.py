@@ -467,10 +467,10 @@ class NullDevice:
         cmd._on_device_complete = on_complete
         cmd.submit_time = self.sim.now
         cmd.complete_time = self.sim.now
-        if cmd.op.is_read:
+        if cmd.op is OP_READ:
             self.stats.read_commands += 1
             self.stats.read_bytes += cmd.size_bytes
-        elif cmd.op.is_trim:
+        elif cmd.op is OP_TRIM:
             self.stats.trim_commands += 1
             self.stats.trimmed_pages += cmd.npages
         else:

@@ -258,8 +258,8 @@ class TestDrrSlotScheduler:
 
         drr.pump(3.0, bucket, submit)
         window = submitted[:16]
-        reads = sum(1 for r in window if r.op.is_read)
-        writes = sum(1 for r in window if r.op.is_write)
+        reads = sum(1 for r in window if r.op is IoOp.READ)
+        writes = sum(1 for r in window if r.op is IoOp.WRITE)
         assert reads >= 2.5 * writes
 
     def test_token_shortage_reported(self, drr, params):

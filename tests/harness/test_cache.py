@@ -21,7 +21,6 @@ import pytest
 
 import repro
 import repro.harness.cache as cache_module
-from repro.cli import EXPERIMENTS
 from repro.harness.cache import (
     SCHEMA_VERSION,
     CacheStats,
@@ -33,7 +32,7 @@ from repro.harness.cache import (
     point_fingerprint,
     resolve_cache,
 )
-from repro.harness.orchestrator import ExperimentSpec, run_suite
+from repro.harness.orchestrator import EXPERIMENTS, ExperimentSpec, run_suite
 from repro.harness.parallel import Sweep, SweepPoint, run_sweep
 
 CALLS = []
@@ -213,14 +212,36 @@ class TestLayering:
         """A run's record is its ``SuiteResult`` and its journal line;
         nothing of it is mirrored into an obs session."""
         path = REPO / "src" / "repro" / "harness" / f"{module}.py"
-        imported = set()
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.ImportFrom):
-                imported.add(node.module or "")
-            elif isinstance(node, ast.Import):
-                imported |= {alias.name for alias in node.names}
+        imported = _imports(path)
         assert imported, path
         assert not [name for name in imported if name == "repro.obs" or name.startswith("repro.obs.")]
+
+    def test_harness_imports_nothing_from_the_cli(self):
+        """The experiment registry lives beside the suite runner; the CLI
+        reads it, never the other way round -- at module level or in a
+        function body."""
+        modules = sorted((REPO / "src" / "repro" / "harness").rglob("*.py"))
+        assert len(modules) > 20
+        offenders = [
+            (path.name, name)
+            for path in modules
+            for name in _imports(path)
+            if name == "repro.cli" or name.startswith("repro.cli.")
+        ]
+        assert not offenders
+
+
+def _imports(path):
+    """Every module ``path`` imports, wherever the import statement
+    sits; ``from a import b`` counts as ``a`` and ``a.b``."""
+    imported = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom):
+            imported.add(node.module or "")
+            imported |= {f"{node.module}.{alias.name}" for alias in node.names}
+        elif isinstance(node, ast.Import):
+            imported |= {alias.name for alias in node.names}
+    return imported
 
 
 #: ``src/repro`` as the cache keys it.

@@ -2,9 +2,9 @@
 
 The load-bearing contract: points may complete in any order (streamed
 across experiments, on worker processes or in-process), but every
-experiment's result must stay byte-identical to the serial-experiment
-baseline ``run_suite_serial`` -- whether it is entered as a suite
-(``run_suite``) or as a suite of one (``run_sweep``).
+experiment's result must stay byte-identical to calling each driver's
+own ``run()`` in turn (:func:`_serial`) -- whether it is entered as a
+suite (``run_suite``) or as a suite of one (``run_sweep``).
 """
 
 from __future__ import annotations
@@ -19,12 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.harness.cache import ResultCache
-from repro.harness.orchestrator import (
-    ExperimentSpec,
-    run_suite,
-    run_suite_serial,
-    suite_experiments,
-)
+from repro.harness.orchestrator import ExperimentSpec, run_suite, suite_experiments
 from repro.harness.parallel import accepted_kwargs, run_sweep
 from repro.obs.session import capture
 from tests.golden.records import GOLDEN_CONFIGS
@@ -44,6 +39,11 @@ LEGACY = ExperimentSpec(
 
 def _canonical(obj) -> str:
     return json.dumps(obj, sort_keys=True)
+
+
+def _serial(specs):
+    """The identity oracle: each driver's own ``run()``, one at a time."""
+    return {spec.name: spec.load().run(cache=False, **spec.kwargs) for spec in specs}
 
 
 class TestAcceptedKwargs:
@@ -94,13 +94,13 @@ class TestSuiteExperiments:
 class TestRunSuite:
     def test_matches_serial_baseline(self):
         suite = run_suite([ALPHA, BETA], jobs=1, cache=False)
-        serial = run_suite_serial([ALPHA, BETA], cache=False)
+        serial = _serial([ALPHA, BETA])
         assert _canonical(suite.results) == _canonical(serial)
         assert suite.points_total == 8
         assert [run.name for run in suite.experiments] == ["alpha", "beta"]
 
     def test_matches_serial_cold_and_warm(self, tmp_path):
-        serial = run_suite_serial([ALPHA, BETA], cache=False)
+        serial = _serial([ALPHA, BETA])
         cold = run_suite([ALPHA, BETA], jobs=2, cache=ResultCache(tmp_path / "cache"))
         warm = run_suite([ALPHA, BETA], jobs=2, cache=ResultCache(tmp_path / "cache"))
         assert _canonical(cold.results) == _canonical(serial)
@@ -181,7 +181,7 @@ class TestRunSuite:
         with pytest.raises(TypeError, match="no_such_kwarg"):
             run_suite([typo], jobs=1, cache=False)
         with pytest.raises(TypeError, match="no_such_kwarg"):
-            run_suite_serial([typo], cache=False)
+            _serial([typo])
         assert EXECUTED == []
 
     def test_legacy_module_without_sweep_rejected(self):
@@ -205,7 +205,7 @@ class TestRunSuite:
         # Smallest real experiments: the property matrix and fig04 quick.
         specs = suite_experiments(names=["table2"])
         suite = run_suite(specs, jobs=1, cache=False)
-        serial = run_suite_serial(specs, cache=False)
+        serial = _serial(specs)
         assert _canonical(suite.results) == _canonical(serial)
 
 
@@ -217,7 +217,7 @@ class TestSchedulingNeverChangesResults:
     @classmethod
     def _reference(cls):
         if cls.REFERENCE is None:
-            cls.REFERENCE = _canonical(run_suite_serial([ALPHA, BETA], cache=False))
+            cls.REFERENCE = _canonical(_serial([ALPHA, BETA]))
         return cls.REFERENCE
 
     @settings(max_examples=8, deadline=None)
@@ -276,7 +276,7 @@ class TestSingleWorkerBypass:
 
     def test_run_suite_never_spawns_executor(self, no_executor):
         suite = run_suite([ALPHA, BETA], jobs=1, cache=False)
-        serial = run_suite_serial([ALPHA, BETA], cache=False)
+        serial = _serial([ALPHA, BETA])
         assert _canonical(suite.results) == _canonical(serial)
 
     def test_single_worker_suite_costs_nothing_over_serial(self):
@@ -297,7 +297,7 @@ class TestSingleWorkerBypass:
         ]
 
         def serial():
-            return run_suite_serial(specs, jobs=1, cache=False)
+            return _serial(specs)
 
         def orchestrated():
             return run_suite(specs, jobs=1, cache=False).results

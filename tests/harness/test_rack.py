@@ -67,7 +67,7 @@ class TestRun:
         assert "gimbal" in text
 
     def test_registered_in_cli(self):
-        from repro.cli import EXPERIMENTS
+        from repro.harness.orchestrator import EXPERIMENTS
 
         module_path, quick = EXPERIMENTS["rack"]
         assert module_path == "repro.harness.experiments.rack"

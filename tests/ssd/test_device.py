@@ -9,7 +9,7 @@ from dataclasses import replace
 import pytest
 
 from repro.sim.engine import Simulator
-from repro.ssd.commands import DeviceCommand, IoOp
+from repro.ssd.commands import OP_READ, OP_TRIM, OP_WRITE, DeviceCommand, IoOp
 from repro.ssd.conditioning import condition_device
 from repro.ssd.device import NullDevice, SsdDevice
 from repro.ssd.profiles import DCT983_PROFILE
@@ -403,5 +403,6 @@ class TestCommandValidation:
             _ = DeviceCommand(IoOp.READ, 0, 1).latency_us
 
     def test_op_predicates(self):
-        assert IoOp.READ.is_read and not IoOp.READ.is_write
-        assert IoOp.WRITE.is_write and not IoOp.WRITE.is_read
+        """Per-IO code tests an op with ``op is OP_*``: the module
+        globals are the members themselves."""
+        assert [OP_READ, OP_WRITE, OP_TRIM] == list(IoOp)

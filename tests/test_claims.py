@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.cli import EXPERIMENTS
+from repro.harness.orchestrator import EXPERIMENTS
 from repro.harness.parallel import split_kwargs
 
 ROOT = Path(__file__).resolve().parents[1]

@@ -6,7 +6,8 @@ import json
 
 import pytest
 
-from repro.cli import EXPERIMENTS, build_parser, main
+from repro.cli import build_parser, main
+from repro.harness.orchestrator import EXPERIMENTS
 
 
 class TestCliList:
@@ -42,7 +43,7 @@ class TestCliRun:
         from pathlib import Path
 
         from repro.harness import experiments
-        from repro.harness.orchestrator import run_suite, run_suite_serial, suite_experiments
+        from repro.harness.orchestrator import run_suite, suite_experiments
         from repro.harness.parallel import derived_run
 
         derived_code = derived_run(None, None).__code__
@@ -65,17 +66,16 @@ class TestCliRun:
         for spec in suite_experiments(quick=True, names=["table2", "fig02"]):
             direct = spec.load().run(**spec.kwargs)
             assert run_suite([spec], jobs=1, cache=False).results[spec.name] == direct
-            assert run_suite_serial([spec], cache=False)[spec.name] == direct
 
 
 class TestCliAliases:
     def test_module_basename_resolves(self):
-        from repro.cli import _resolve_experiment
+        from repro.harness.orchestrator import resolve_experiment
 
-        assert _resolve_experiment("fig09") == "fig09"
-        assert _resolve_experiment("fig09_dynamic") == "fig09"
-        assert _resolve_experiment("fig06_utilization") == "fig06"
-        assert _resolve_experiment("no_such_thing") is None
+        assert resolve_experiment("fig09") == "fig09"
+        assert resolve_experiment("fig09_dynamic") == "fig09"
+        assert resolve_experiment("fig06_utilization") == "fig06"
+        assert resolve_experiment("no_such_thing") is None
 
     def test_run_accepts_module_basename(self, capsys):
         assert main(["run", "table2_comparison", "--quick"]) == 0
@@ -146,12 +146,14 @@ class TestCliCache:
         assert not (tmp_path / "envcache").exists()
 
     def test_profile_never_profiles_a_cache_hit(self, tmp_path, capsys, monkeypatch):
-        """``repro profile`` under an ambient ``REPRO_CACHE=1``: the second
-        run must simulate as much as the first, not look its points up.
-        Each profile starts without the process's conditioned-device
-        snapshots, so neither reuses work the other paid for, whatever
-        ran earlier in this process."""
-        import re
+        """The documented profile, ``python -m cProfile -s cumulative -m
+        repro run fig15 --quick --no-cache``, under an ambient
+        ``REPRO_CACHE=1``: the second run must simulate as much as the
+        first, not look its points up.  Each profile starts without the
+        process's conditioned-device snapshots, so neither reuses work
+        the other paid for, whatever ran earlier in this process."""
+        import cProfile
+        import pstats
 
         from repro.ssd.conditioning import clear_conditioning_cache
 
@@ -160,8 +162,10 @@ class TestCliCache:
         calls = []
         for _ in range(2):
             clear_conditioning_cache()
-            assert main(["profile", "fig15", "--quiet", "--top", "1"]) == 0
-            calls.append(int(re.search(r"(\d+) function calls", capsys.readouterr().out).group(1)))
+            profiler = cProfile.Profile()
+            assert profiler.runcall(main, ["run", "fig15", "--quick", "--no-cache"]) == 0
+            calls.append(pstats.Stats(profiler).total_calls)
+        assert "Figure 15" in capsys.readouterr().out
         assert calls[1] > 0.9 * calls[0], calls
         assert not (tmp_path / "envcache").exists()
 
@@ -370,7 +374,7 @@ class TestCliJobs:
     flags cannot work with, is refused with one line before anything
     runs -- as is a ``suite --json`` path that cannot be written.
     ``run --jobs -3`` used to run and journal -3 workers; ``suite -j
-    -4`` silently ran on every core (on one with ``--serial``)."""
+    -4`` silently ran on every core."""
 
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_run_needs_at_least_one_worker(self, capsys, tmp_path, jobs):
@@ -395,8 +399,7 @@ class TestCliJobs:
         assert captured.err == "--trace and --stats need --jobs 1\n"
         assert not trace.exists()
 
-    @pytest.mark.parametrize("mode", [[], ["--serial"]], ids=["orchestrated", "serial"])
-    def test_suite_refuses_an_unwritable_json_path(self, capsys, tmp_path, monkeypatch, mode):
+    def test_suite_refuses_an_unwritable_json_path(self, capsys, tmp_path, monkeypatch):
         """Checked before the suite runs, not after it (which ended in a
         ``FileNotFoundError`` traceback)."""
         import repro.harness.orchestrator as orchestrator
@@ -405,18 +408,16 @@ class TestCliJobs:
             raise AssertionError("the suite ran")
 
         monkeypatch.setattr(orchestrator, "run_suite", refuse)
-        monkeypatch.setattr(orchestrator, "run_suite_serial", refuse)
         path = tmp_path / "missing" / "out.json"
-        assert main(["suite", "--quick", "-e", "table2", "--json", str(path)] + mode) == 2
+        assert main(["suite", "--quick", "-e", "table2", "--json", str(path)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(f"cannot open suite results {str(path)!r}: ")
 
-    @pytest.mark.parametrize("mode", [[], ["--serial"]], ids=["orchestrated", "serial"])
-    def test_suite_refuses_a_negative_count(self, capsys, tmp_path, mode):
+    def test_suite_refuses_a_negative_count(self, capsys, tmp_path):
         cache_dir = tmp_path / "cache"
         argv = ["suite", "--quick", "-e", "table2", "-j", "-4", "--cache-dir", str(cache_dir)]
-        assert main(argv + mode) == 2
+        assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "--jobs must be >= 0 (0 = every core), got -4\n"

@@ -7,7 +7,7 @@
     python tools/claims.py --quick SUITE_JSON
 
 Each row of :data:`CLAIMS` is one shape the evaluation asserts (who
-wins, by roughly what factor): a figure (a ``repro.cli.EXPERIMENTS``
+wins, by roughly what factor): a figure (a ``repro.harness.orchestrator.EXPERIMENTS``
 key), the window it is measured at (the driver keywords), an extractor
 over the driver's ``finalize`` output, and a predicate over the
 extracted values.  The first form builds one ``ExperimentSpec`` per
@@ -39,7 +39,7 @@ from typing import Any, Callable, Dict, List, Mapping, Optional
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
-from repro.cli import EXPERIMENTS  # noqa: E402
+from repro.harness.orchestrator import EXPERIMENTS  # noqa: E402
 
 RECORD = ROOT / "benchmarks" / "claims.json"
 DOC = ROOT / "EXPERIMENTS.md"
