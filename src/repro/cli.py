@@ -28,6 +28,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import math
+import os
 import sys
 from typing import Dict, Optional
 
@@ -513,7 +514,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[list] = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        code = args.fn(args)
+        # Flush here so a closed pipe raises inside the handler, not at exit.
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader went away (``repro list | head -1``).  Point stdout
+        # at devnull so the interpreter's own exit flush cannot raise
+        # again, and exit as Python does on EPIPE.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return code
 
 
 if __name__ == "__main__":  # pragma: no cover

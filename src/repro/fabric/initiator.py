@@ -138,9 +138,7 @@ class TenantSession:
         # pre-bound by the population; each carries one payload (the
         # request).  The shard boundary swaps this object for a queue
         # that routes arrivals across shards.
-        self._arrive_pop = self.sim.population(
-            self._arrive, label=f"{tenant_id}.arrive"
-        )
+        self._arrive_pop = self.sim.population(self._arrive)
         # The serialisation arithmetic of ``Network.send`` is inlined
         # into the issue paths below; every network parameter is fixed
         # after construction, so the scalars are hoisted here.  The
@@ -191,14 +189,13 @@ class TenantSession:
         npages: int,
         priority: int = 0,
         on_complete: Optional[CompletionCallback] = None,
-        context=None,
     ) -> FabricRequest:
         """Queue one IO; it goes on the wire when the policy allows."""
         # All positional: a keyword argument makes the type call build a
         # kwargs dict on every IO.  The id is the one the field's default
         # factory would draw.
         request = FabricRequest(
-            self.tenant_id, op, lba, npages, priority, next_request_id(), context
+            self.tenant_id, op, lba, npages, priority, next_request_id()
         )
         now = self.sim.now
         request.t_client_submit = now

@@ -59,7 +59,7 @@ class Network:
         # Wire deliveries all land on one trampoline, pre-bound by the
         # population; each delivery carries its own ``(target function,
         # arguments)`` pair as the event's one payload.
-        self._deliver_pop = sim.population(self._run_delivery, label="net.deliver")
+        self._deliver_pop = sim.population(self._run_delivery)
 
     def port(self, name: str) -> NetworkPort:
         """Return (creating on first use) the port for host ``name``."""

@@ -44,9 +44,6 @@ class FabricRequest:
     npages: int
     priority: int = 0
     request_id: int = field(default_factory=next_request_id)
-    #: Opaque cookie for the submitting application (the KV store keeps
-    #: its own context here).
-    context: Any = None
 
     # -- timestamps (microseconds, stamped as the request progresses) --
     t_client_submit: Optional[float] = None

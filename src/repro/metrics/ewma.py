@@ -20,11 +20,11 @@ class Ewma:
 
     __slots__ = ("alpha", "_value")
 
-    def __init__(self, alpha: float = 0.5, initial: Optional[float] = None):
+    def __init__(self, alpha: float = 0.5):
         if not 0.0 < alpha <= 1.0:
             raise ValueError(f"alpha must be in (0, 1], got {alpha}")
         self.alpha = alpha
-        self._value = initial
+        self._value: Optional[float] = None
 
     @property
     def value(self) -> float:
@@ -42,9 +42,6 @@ class Ewma:
         else:
             self._value += self.alpha * (sample - self._value)
         return self._value
-
-    def reset(self, value: Optional[float] = None) -> None:
-        self._value = value
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Ewma(alpha={self.alpha}, value={self.value:.3f})"

@@ -5,47 +5,39 @@ can record hundreds of thousands of completions, so we keep a
 geometric-bucket histogram (HdrHistogram-style) rather than raw
 samples: constant memory, ~2% relative quantile error, exact counts
 and exact means.
+
+Every histogram shares one bucket table: bucket 0 holds samples at or
+below 1 us, bucket ``k >= 1`` those in ``(GROWTH**(k-1), GROWTH**k]``
+up to ``MAX_VALUE`` (10 s), and the last bucket everything above.
+A growth of 1.02 bounds the relative error of percentile estimates at
+about 2%.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, Sequence
+from typing import Dict
+
+#: Ratio between consecutive bucket boundaries; the lowest is 1.0 us.
+GROWTH = 1.02
+#: Samples above this (us) land in the last bucket, still counted
+#: exactly in the mean.
+MAX_VALUE = 1e7
+_LOG_GROWTH = math.log(GROWTH)
+_NUM_BUCKETS = int(math.log(MAX_VALUE) / _LOG_GROWTH) + 2
+_LAST = _NUM_BUCKETS - 1
+_HALF_STEP = math.sqrt(GROWTH)
 
 
 class LatencyHistogram:
-    """Histogram over positive values with geometrically spaced buckets.
+    """Histogram over non-negative values on the shared bucket table."""
 
-    Parameters
-    ----------
-    min_value, max_value:
-        Range covered with full resolution.  Samples below ``min_value``
-        land in the first bucket; samples above ``max_value`` land in
-        the last one (and are still counted exactly in the mean).
-    growth:
-        Ratio between consecutive bucket boundaries.  1.02 bounds the
-        relative error of percentile estimates at about 2%.
-    """
-
-    def __init__(self, min_value: float = 1.0, max_value: float = 1e7, growth: float = 1.02):
-        if min_value <= 0 or max_value <= min_value or growth <= 1.0:
-            raise ValueError("invalid histogram configuration")
-        self.min_value = min_value
-        self.max_value = max_value
-        self._log_growth = math.log(growth)
-        self._num_buckets = int(math.log(max_value / min_value) / self._log_growth) + 2
-        self._counts = [0] * self._num_buckets
-        self._growth = growth
+    def __init__(self) -> None:
+        self._counts = [0] * _NUM_BUCKETS
         self.count = 0
         self.total = 0.0
         self.min = math.inf
         self.max = -math.inf
-
-    def _bucket_midpoint(self, index: int) -> float:
-        if index == 0:
-            return self.min_value
-        low = self.min_value * math.exp(self._log_growth * (index - 1))
-        return low * math.sqrt(self._growth)
 
     def record(self, value: float) -> None:
         """Add one observation (e.g. a completion latency in microseconds)."""
@@ -54,13 +46,12 @@ class LatencyHistogram:
         # Computed per sample on purpose: latencies are sums of float
         # horizons and seldom repeat (a value -> index memo measured a
         # 37 % miss rate), so a cache costs more than the log it saves.
-        min_value = self.min_value
-        if value <= min_value:
+        if value <= 1.0:
             index = 0
         else:
-            index = int(math.log(value / min_value) / self._log_growth) + 1
-            if index >= self._num_buckets:
-                index = self._num_buckets - 1
+            index = int(math.log(value) / _LOG_GROWTH) + 1
+            if index > _LAST:
+                index = _LAST
         self._counts[index] += 1
         self.count += 1
         self.total += value
@@ -68,11 +59,6 @@ class LatencyHistogram:
             self.min = value
         if value > self.max:
             self.max = value
-
-    @property
-    def growth(self) -> float:
-        """Configured bucket-boundary growth ratio (construction arg)."""
-        return self._growth
 
     @property
     def mean(self) -> float:
@@ -93,27 +79,15 @@ class LatencyHistogram:
         for index, bucket_count in enumerate(self._counts):
             cumulative += bucket_count
             if cumulative >= target:
-                estimate = self._bucket_midpoint(index)
+                # The bucket's geometric midpoint (bucket 0: its 1.0 top).
+                estimate = 1.0
+                if index:
+                    estimate = math.exp(_LOG_GROWTH * (index - 1)) * _HALF_STEP
                 return min(max(estimate, self.min), self.max)
         return self.max
 
-    def percentiles(self, pcts: Sequence[float]) -> Dict[float, float]:
-        """Batch percentile query returning ``{pct: value}``."""
-        return {pct: self.percentile(pct) for pct in pcts}
-
     def merge(self, other: "LatencyHistogram") -> None:
-        """Fold another histogram (with identical configuration) into this one."""
-        if (
-            other.min_value != self.min_value
-            or other.max_value != self.max_value
-            or other._growth != self._growth
-            or other._num_buckets != self._num_buckets
-        ):
-            # Bucket count alone is not enough: e.g. (min=1, max=1e7,
-            # growth=1.02) and a histogram with a different max/growth
-            # pair can coincide in _num_buckets while binning the same
-            # value into different buckets.
-            raise ValueError("cannot merge histograms with different configurations")
+        """Fold another histogram into this one."""
         for index, bucket_count in enumerate(other._counts):
             self._counts[index] += bucket_count
         self.count += other.count

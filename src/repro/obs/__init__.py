@@ -4,10 +4,10 @@ Every figure this repo regenerates flows through the event kernel and
 the metrics layer; this package makes those internals *visible* so a
 run can be audited rather than trusted:
 
-* :mod:`repro.obs.trace` -- a :class:`TraceBuffer` of typed trace
-  events (congestion-state transitions, threshold moves, token-bucket
-  refills/denials, GC start/end, credit grants), retained in memory or
-  streamed as JSONL;
+* :mod:`repro.obs.trace` -- a :class:`TraceBuffer` that streams typed
+  trace events (congestion-state transitions, threshold moves,
+  token-bucket refills/denials, GC start/end, credit grants) to a JSONL
+  journal;
 * :mod:`repro.obs.registry` -- a :class:`Registry` of metrics sources,
   each a component whose ``metrics()`` is read when the registry is;
   each client host (``client.<host>``) reports the per-op latency

@@ -164,10 +164,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(summary.render())
         sys.stdout.flush()
     except BrokenPipeError:
-        # Reader went away (`report x.jsonl | head`); not an error.
+        # Reader went away (`report x.jsonl | head`): exit as `repro.cli.main`
+        # does, with stdout on devnull so the exit flush cannot raise again.
         import os
 
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     return 0
 
 

@@ -40,7 +40,7 @@ def current_session() -> Optional["ObsSession"]:
 class ObsSession:
     """Bundles the three observability facets for one capture window."""
 
-    def __init__(self, trace_path: Optional[str] = None, trace: bool = False):
+    def __init__(self, trace_path: Optional[str] = None):
         self.registry = Registry()
         self.probe = KernelProbe()
         self.registry.add("kernel", self.probe)
@@ -48,11 +48,8 @@ class ObsSession:
         self._sink = None
         self.tracer: Optional[TraceBuffer] = None
         if trace_path is not None:
-            # Stream to disk; keep memory flat on multi-second runs.
             self._sink = open(trace_path, "w", encoding="utf-8")
-            self.tracer = TraceBuffer(sink=self._sink, retain=trace)
-        elif trace:
-            self.tracer = TraceBuffer()
+            self.tracer = TraceBuffer(self._sink)
 
     # ------------------------------------------------------------------
     # Wiring
@@ -90,14 +87,14 @@ class ObsSession:
 
 
 @contextmanager
-def capture(trace_path: Optional[str] = None, trace: bool = False) -> Iterator[ObsSession]:
+def capture(trace_path: Optional[str] = None) -> Iterator[ObsSession]:
     """Make a fresh session current for the duration of the block.
 
     Sessions nest: an inner capture shadows the outer one and restores
     it on exit, so a capturing test can run inside a capturing CLI.
     """
     global _current
-    session = ObsSession(trace_path=trace_path, trace=trace)
+    session = ObsSession(trace_path=trace_path)
     previous = _current
     _current = session
     try:

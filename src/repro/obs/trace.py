@@ -2,9 +2,10 @@
 
 A trace event is a flat record: timestamp, event type, emitting
 component, optional tenant, plus event-specific fields.  Components
-emit through :meth:`TraceBuffer.emit`; the buffer either retains the
-records in memory, streams them straight to a JSONL sink, or both.  Streaming keeps memory flat on multi-second
-runs that produce millions of events.
+emit through :meth:`TraceBuffer.emit`; the buffer streams each record
+straight to a JSONL sink and keeps only per-type counters, so memory
+stays flat on multi-second runs that produce millions of events.
+:func:`read_jsonl` loads a journal back.
 
 Event types are closed: :class:`TraceType` enumerates every event the
 simulator knows how to emit, and ``emit`` rejects unknown types so a
@@ -44,28 +45,17 @@ _VALID_TYPES = frozenset(member.value for member in TraceType)
 
 
 class TraceBuffer:
-    """Collects (and/or streams) trace events.
+    """Streams trace events to a JSONL sink and counts them by type.
 
-    Parameters
-    ----------
-    sink:
-        Optional text file object; events are written to it as JSON
-        lines the moment they are emitted.
-    retain:
-        With ``retain=False`` (and a sink) nothing is kept in memory;
-        only the per-type counters survive.
+    ``sink`` is a text file object; each event is written to it as one
+    JSON line the moment it is emitted.
     """
 
-    def __init__(self, sink: Optional[IO[str]] = None, retain: bool = True):
-        self._events: List[dict] = []
+    def __init__(self, sink: IO[str]):
         self._sink = sink
-        self._retain = retain
         self.emitted = 0
         self.counts_by_type: Dict[str, int] = {}
 
-    # ------------------------------------------------------------------
-    # Emission
-    # ------------------------------------------------------------------
     def emit(
         self,
         type: "TraceType | str",
@@ -85,24 +75,10 @@ class TraceBuffer:
             record.update(fields)
         self.emitted += 1
         self.counts_by_type[key] = self.counts_by_type.get(key, 0) + 1
-        if self._retain:
-            self._events.append(record)
-        if self._sink is not None:
-            self._sink.write(json.dumps(record, separators=(",", ":")) + "\n")
-
-    # ------------------------------------------------------------------
-    # Access
-    # ------------------------------------------------------------------
-    def __len__(self) -> int:
-        return len(self._events)
-
-    @property
-    def events(self) -> List[dict]:
-        """Retained events, oldest first."""
-        return list(self._events)
+        self._sink.write(json.dumps(record, separators=(",", ":")) + "\n")
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"TraceBuffer(emitted={self.emitted}, retained={len(self._events)})"
+        return f"TraceBuffer(emitted={self.emitted})"
 
 
 def read_jsonl(path: str) -> List[dict]:

@@ -135,12 +135,11 @@ class _HeapPopulation:
     that routes each entry across shards.
     """
 
-    __slots__ = ("_sim", "fn", "label")
+    __slots__ = ("_sim", "fn")
 
-    def __init__(self, sim: "Simulator", fn: Callable[..., Any], label: Optional[str]):
+    def __init__(self, sim: "Simulator", fn: Callable[..., Any]):
         self._sim = sim
         self.fn = fn
-        self.label = label
 
     def add(self, time_us: float, payload: Any) -> None:
         """Register one pending completion: ``fn(payload)`` at ``time_us``."""
@@ -151,7 +150,7 @@ class _HeapPopulation:
         heappush(sim._heap, [time_us, seq, self.fn, payload, None])
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"_HeapPopulation({self.label or self.fn!r})"
+        return f"_HeapPopulation({self.fn!r})"
 
 
 class Simulator:
@@ -232,7 +231,7 @@ class Simulator:
         self._seq = seq = self._seq + 1
         heappush(self._heap, [time_us, seq, fn, payload, None])
 
-    def population(self, fn: Callable[..., Any], *, label: Optional[str] = None):
+    def population(self, fn: Callable[..., Any]):
         """Pre-bind ``fn`` for a producer of never-cancelled completions.
 
         A population is a producer that schedules many never-cancelled
@@ -245,7 +244,7 @@ class Simulator:
         fires ``fn(payload)`` in exact ``(time, seq)`` order interleaved
         with the heap.
         """
-        return _HeapPopulation(self, fn, label)
+        return _HeapPopulation(self, fn)
 
     def process(self, gen: Generator[Any, Any, Any]) -> Process:
         """Start a generator-based process (see module docstring)."""

@@ -71,7 +71,7 @@ class SsdDevice:
         # Command completions all land on ``_complete``: the population
         # pre-binds it, so each completion is one heap push carrying one
         # payload (the command).
-        self._complete_pop = sim.population(self._complete, label=f"{name}.complete")
+        self._complete_pop = sim.population(self._complete)
         self.ftl = Ftl(
             self.geometry,
             gc_low_water=profile.gc_low_water_blocks,
@@ -456,10 +456,12 @@ class NullDevice:
     core -- not the storage -- must be the bottleneck.
     """
 
-    def __init__(self, sim: Simulator, name: str = "null0", exported_pages: int = 1 << 30):
+    #: Large enough that no testbed region runs out.
+    exported_pages = 1 << 30
+
+    def __init__(self, sim: Simulator, name: str = "null0"):
         self.sim = sim
         self.name = name
-        self.exported_pages = exported_pages
         self.outstanding = 0
         self.stats = DeviceStats()
 

@@ -2,7 +2,7 @@
 
 :mod:`repro.workloads.fio` reimplements the slice of fio the paper's
 microbenchmarks use -- closed-loop workers with a queue depth, an IO
-size, a read/write mix, random or sequential addressing, and optional
+size, reads or writes, random or sequential addressing, and optional
 rate caps.  :mod:`repro.workloads.ycsb` provides the YCSB core
 workloads (A/B/C/D/F) over a Zipfian request distribution for the
 RocksDB case study.

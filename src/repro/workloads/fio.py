@@ -2,10 +2,11 @@
 
 A :class:`FioWorker` keeps ``queue_depth`` IOs outstanding against one
 tenant session, draws addresses from a random or sequential pattern,
-mixes reads and writes by ratio, and (optionally) caps its own rate --
+either only reads or only writes, and (optionally) caps its own rate --
 the configuration surface the paper's microbenchmarks use
 (Section 5.1: QD32 for 4 KiB, QD4 for 128 KiB; random reads,
-sequential 128 KiB writes, random 4 KiB writes).
+sequential 128 KiB writes, random 4 KiB writes).  A read/write mix is
+several workers on one SSD.
 
 Measurement follows fio's ramp-time convention: call
 :meth:`begin_measurement` once the system is warm; earlier completions
@@ -24,7 +25,7 @@ from repro.fabric.request import FabricRequest
 from repro.metrics.histogram import LatencyHistogram
 from repro.metrics.throughput import ThroughputMonitor
 from repro.sim.units import MBPS
-from repro.ssd.commands import OP_READ, OP_WRITE, IoOp
+from repro.ssd.commands import OP_READ, OP_WRITE
 from repro.workloads.patterns import AddressRegion, RandomPattern, SequentialPattern
 
 
@@ -35,16 +36,18 @@ class FioSpec:
     name: str
     io_pages: int
     queue_depth: int
+    #: 1.0 for a reader, 0.0 for a writer.
     read_ratio: float = 1.0
     pattern: str = "random"
     rate_limit_mbps: Optional[float] = None
-    priority: int = 0
 
     def __post_init__(self) -> None:
         if self.io_pages <= 0 or self.queue_depth <= 0:
             raise ValueError("io size and queue depth must be positive")
-        if not 0.0 <= self.read_ratio <= 1.0:
-            raise ValueError("read ratio must be in [0, 1]")
+        if self.read_ratio not in (0.0, 1.0):
+            raise ValueError(
+                f"read_ratio must be 1.0 (reader) or 0.0 (writer), got {self.read_ratio!r}"
+            )
         if self.pattern not in ("random", "sequential"):
             raise ValueError("pattern must be 'random' or 'sequential'")
         limit = self.rate_limit_mbps
@@ -66,7 +69,6 @@ class FioWorker:
         self.sim = session.sim
         self.spec = spec
         self.region = region
-        self.rng = rng
         if spec.pattern == "random":
             self._pattern = RandomPattern(region, spec.io_pages, rng)
         else:
@@ -84,24 +86,17 @@ class FioWorker:
         self._rate = (
             spec.rate_limit_mbps * MBPS if spec.rate_limit_mbps is not None else None
         )
-        # Per-IO constants, resolved once.  A pure read or pure write
-        # mix needs no RNG draw per IO; an unpaced worker needs no rate
-        # check, so its issue path IS ``_issue_now`` (the instance
+        # Per-IO constants, resolved once.  An unpaced worker needs no
+        # rate check, so its issue path IS ``_issue_now`` (the instance
         # attribute shadows the method).  ``_on_complete`` is shadowed
         # by its own binding so handing it to every submit allocates
         # nothing; a tap assigned on the instance later still replaces
         # it.
         self._io_pages = spec.io_pages
         self._io_bytes = spec.io_pages * 4096
-        self._priority = spec.priority
+        self._op = OP_READ if spec.read_ratio == 1.0 else OP_WRITE
         self._next_lba = self._pattern.next_lba
         self._on_complete = self._on_complete  # type: ignore[method-assign]
-        if spec.read_ratio >= 1.0:
-            self._fixed_op: Optional[IoOp] = OP_READ
-        elif spec.read_ratio <= 0.0:
-            self._fixed_op = OP_WRITE
-        else:
-            self._fixed_op = None
         if self._rate is None:
             self._issue = self._issue_now  # type: ignore[method-assign]
 
@@ -132,13 +127,6 @@ class FioWorker:
     # ------------------------------------------------------------------
     # IO issue path
     # ------------------------------------------------------------------
-    def _next_op(self) -> IoOp:
-        if self.spec.read_ratio >= 1.0:
-            return OP_READ
-        if self.spec.read_ratio <= 0.0:
-            return OP_WRITE
-        return OP_READ if self.rng.random() < self.spec.read_ratio else OP_WRITE
-
     def _issue(self) -> None:
         if not self.running:
             return
@@ -158,12 +146,7 @@ class FioWorker:
     def _issue_now(self) -> None:
         if not self.running:
             return
-        op = self._fixed_op
-        if op is None:
-            op = self._next_op()
-        self.session.submit(
-            op, self._next_lba(), self._io_pages, self._priority, self._on_complete
-        )
+        self.session.submit(self._op, self._next_lba(), self._io_pages, 0, self._on_complete)
 
     def _on_complete(self, request: FabricRequest) -> None:
         # Latencies computed from the timestamps directly: the request

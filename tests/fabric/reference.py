@@ -63,7 +63,7 @@ class ReferenceSimulator(Simulator):
     def at_(self, time_us: float, fn: Callable[..., Any], *args: Any) -> None:
         Simulator.at_(self, time_us, _apply, (fn, args))
 
-    def population(self, fn: Callable[..., Any], *, label=None):
+    def population(self, fn: Callable[..., Any]):
         return _VarargsPopulation(self, fn)
 
 
@@ -71,14 +71,13 @@ class ReferenceSimulator(Simulator):
 # Session
 # ----------------------------------------------------------------------
 class ReferenceSession(TenantSession):
-    def submit(self, op, lba, npages, priority=0, on_complete=None, context=None):
+    def submit(self, op, lba, npages, priority=0, on_complete=None):
         request = FabricRequest(
             tenant_id=self.tenant_id,
             op=op,
             lba=lba,
             npages=npages,
             priority=priority,
-            context=context,
         )
         now = self.sim.now
         request.t_client_submit = now

@@ -20,8 +20,10 @@ import hashlib
 import importlib
 import json
 import math
+import os
 import struct
 import sys
+import tempfile
 from dataclasses import asdict
 from pathlib import Path
 from typing import Any, Callable, NamedTuple
@@ -379,17 +381,21 @@ def device_replay_digest() -> dict:
     drain early, charges one GC installment to the wrong page or
     schedules one drain event more fails.
     """
-    from repro.obs.trace import TraceBuffer, TraceType
+    from repro.obs.trace import TraceBuffer, TraceType, read_jsonl
     from repro.ssd.profiles import DCT983_PROFILE
     from tests.ssd.diffkit import generate_workload, replay
 
-    tracer = TraceBuffer()
-    result = replay(
-        generate_workload(**DEVICE_REPLAY_WORKLOAD), condition="fragmented", tracer=tracer
-    )
+    with tempfile.TemporaryDirectory() as scratch:
+        journal = os.path.join(scratch, "journal.jsonl")
+        with open(journal, "w", encoding="utf-8") as sink:
+            result = replay(
+                generate_workload(**DEVICE_REPLAY_WORKLOAD),
+                condition="fragmented",
+                tracer=TraceBuffer(sink),
+            )
+        events = read_jsonl(journal)
     # The fastest a write completes: controller plus buffer write.
     unqueued_us = DCT983_PROFILE.t_ctrl_cmd_us + DCT983_PROFILE.t_buf_write_us
-    events = tracer.events
     digest = {
         "workload": DEVICE_REPLAY_WORKLOAD,
         "writes": result.device_stats.write_commands,

@@ -21,7 +21,7 @@ class TestConservation:
         workers = [
             testbed.add_worker(
                 FioSpec(f"w{i}", io_pages=1 if i % 2 else 32,
-                        queue_depth=8, read_ratio=0.5)
+                        queue_depth=8, read_ratio=float(i < 2))
             )
             for i in range(4)
         ]
@@ -47,7 +47,7 @@ class TestConservation:
                     f"w{index}",
                     io_pages=rng.choice([1, 8, 32]),
                     queue_depth=rng.randint(1, 16),
-                    read_ratio=rng.choice([0.0, 0.5, 1.0]),
+                    read_ratio=rng.choice([0.0, 1.0]),
                     pattern=rng.choice(["random", "sequential"]),
                 )
             )
@@ -68,11 +68,13 @@ class TestDeterminism:
             testbed = Testbed(TestbedConfig(scheme="gimbal", condition="fragmented", seed=11))
             for index in range(3):
                 testbed.add_worker(
-                    FioSpec(f"w{index}", io_pages=1, queue_depth=16, read_ratio=0.7)
+                    FioSpec(f"w{index}", io_pages=1, queue_depth=16,
+                            read_ratio=float(index < 2))
                 )
             results = testbed.run(warmup_us=20_000, measure_us=100_000)
             return [
-                (w["bandwidth_mbps"], w["iops"], w["read_latency"]["mean"])
+                (w["bandwidth_mbps"], w["iops"], w["read_latency"]["mean"],
+                 w["write_latency"]["mean"])
                 for w in results["workers"]
             ]
 
@@ -81,7 +83,8 @@ class TestDeterminism:
     def test_different_seed_changes_results(self):
         def run_once(seed):
             testbed = Testbed(TestbedConfig(scheme="vanilla", condition="clean", seed=seed))
-            testbed.add_worker(FioSpec("w0", io_pages=1, queue_depth=8, read_ratio=0.5))
+            testbed.add_worker(FioSpec("r0", io_pages=1, queue_depth=4, read_ratio=1.0))
+            testbed.add_worker(FioSpec("w0", io_pages=1, queue_depth=4, read_ratio=0.0))
             results = testbed.run(warmup_us=10_000, measure_us=50_000)
             return results["workers"][0]["read_latency"]["mean"]
 

@@ -21,13 +21,16 @@ class TestEwma:
         assert Ewma(alpha=0.5).value == 0.0
 
     def test_update_formula(self):
-        ewma = Ewma(alpha=0.5, initial=100.0)
+        ewma = Ewma(alpha=0.5)
+        ewma.update(100.0)
         assert ewma.update(200.0) == pytest.approx(150.0)
         assert ewma.update(150.0) == pytest.approx(150.0)
 
     def test_alpha_weights_new_sample(self):
-        fast = Ewma(alpha=0.9, initial=0.0)
-        slow = Ewma(alpha=0.1, initial=0.0)
+        fast = Ewma(alpha=0.9)
+        slow = Ewma(alpha=0.1)
+        for ewma in (fast, slow):
+            ewma.update(0.0)
         fast.update(100.0)
         slow.update(100.0)
         assert fast.value > slow.value
@@ -38,20 +41,14 @@ class TestEwma:
             ewma.update(42.0)
         assert ewma.value == pytest.approx(42.0)
 
-    def test_reset(self):
-        ewma = Ewma(alpha=0.5, initial=10.0)
-        ewma.reset()
-        assert not ewma.initialized
-        ewma.reset(5.0)
-        assert ewma.value == 5.0
-
     @pytest.mark.parametrize("alpha", [0.0, -0.5, 1.5])
     def test_invalid_alpha_rejected(self, alpha):
         with pytest.raises(ValueError):
             Ewma(alpha=alpha)
 
     def test_alpha_one_tracks_latest_sample(self):
-        ewma = Ewma(alpha=1.0, initial=0.0)
+        ewma = Ewma(alpha=1.0)
+        ewma.update(0.0)
         ewma.update(7.0)
         assert ewma.value == 7.0
 

@@ -50,12 +50,10 @@ class TestBasics:
             histogram.percentile(-0.1)
 
     def test_invalid_configuration_rejected(self):
-        with pytest.raises(ValueError):
-            LatencyHistogram(min_value=0.0)
-        with pytest.raises(ValueError):
-            LatencyHistogram(min_value=10.0, max_value=5.0)
-        with pytest.raises(ValueError):
-            LatencyHistogram(growth=1.0)
+        """Every histogram shares one bucket table: none takes a shape."""
+        for config in ({"min_value": 0.0}, {"max_value": 5.0}, {"growth": 1.0}):
+            with pytest.raises(TypeError):
+                LatencyHistogram(**config)
 
 
 class TestAccuracy:
@@ -72,8 +70,9 @@ class TestAccuracy:
             assert abs(estimate - exact) / exact < 0.05
 
     def test_values_above_range_clamped_but_counted(self):
-        histogram = LatencyHistogram(min_value=1.0, max_value=100.0)
+        histogram = LatencyHistogram()
         histogram.record(1e9)
+        assert histogram._counts[-1] == 1
         assert histogram.count == 1
         assert histogram.mean == pytest.approx(1e9)
 
@@ -96,12 +95,6 @@ class TestMerge:
         assert a.count == 4
         assert a.mean == pytest.approx(25.0)
         assert a.max == 40.0
-
-    def test_merge_rejects_mismatched_configuration(self):
-        a = LatencyHistogram(min_value=1.0)
-        b = LatencyHistogram(min_value=2.0)
-        with pytest.raises(ValueError):
-            a.merge(b)
 
 
 class TestProperties:
@@ -126,68 +119,113 @@ class TestProperties:
 
 
 class TestMergeConfiguration:
-    """Regression: merge() used to compare only bucket count and
-    min_value, so differently-shaped histograms whose bucket counts
-    coincided merged silently into nonsense percentiles."""
-
-    def test_merge_rejects_same_bucket_count_different_growth(self):
-        a = LatencyHistogram(min_value=1.0, max_value=1e7, growth=1.02)
-        # Squaring the growth and the range keeps log(max/min)/log(growth)
-        # identical, so the bucket counts collide while the bucket
-        # boundaries differ everywhere.
-        b = LatencyHistogram(min_value=1.0, max_value=1e14, growth=1.02**2)
-        assert a._num_buckets == b._num_buckets
-        with pytest.raises(ValueError):
-            a.merge(b)
-
-    def test_merge_rejects_different_max_value(self):
-        a = LatencyHistogram(min_value=1.0, max_value=1e7, growth=1.02)
-        b = LatencyHistogram(min_value=1.0, max_value=2e7, growth=1.02)
-        with pytest.raises(ValueError):
-            a.merge(b)
+    """Every histogram has the one bucket table, so any two merge."""
 
     def test_merge_accepts_identical_configuration(self):
-        a = LatencyHistogram(min_value=2.0, max_value=1e6, growth=1.05)
-        b = LatencyHistogram(min_value=2.0, max_value=1e6, growth=1.05)
+        a = LatencyHistogram()
+        b = LatencyHistogram()
         b.record(10.0)
         a.merge(b)
         assert a.count == 1
 
 
-class MemoisedHistogram(LatencyHistogram):
-    """Reference model: ``record`` as it stood before the memo was
-    removed -- a bounded value -> bucket-index dict in front of
-    ``_bucket_index``, dropped whole when full."""
+# ----------------------------------------------------------------------
+# Reference: the configurable histogram this one replaced, at the only
+# shape any caller built (min 1.0, max 1e7, growth 1.02).
+# ----------------------------------------------------------------------
+REF_MIN, REF_MAX, REF_GROWTH = 1.0, 1e7, 1.02
+_REF_LOG_GROWTH = math.log(REF_GROWTH)
+REF_BUCKETS = int(math.log(REF_MAX / REF_MIN) / _REF_LOG_GROWTH) + 2
 
-    _INDEX_CACHE_CAP = 32768
 
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._index_cache = {}
+def reference_index(value: float) -> int:
+    """The bucket the configurable histogram gave ``value``."""
+    if value <= REF_MIN:
+        return 0
+    index = int(math.log(value / REF_MIN) / _REF_LOG_GROWTH) + 1
+    return min(index, REF_BUCKETS - 1)
 
-    def _bucket_index(self, value: float) -> int:
-        if value <= self.min_value:
-            return 0
-        index = int(math.log(value / self.min_value) / self._log_growth) + 1
-        return min(index, self._num_buckets - 1)
+
+class ReferenceHistogram:
+    """``record``, ``percentile`` and ``summary`` as the configurable
+    histogram computed them."""
+
+    def __init__(self):
+        self._counts = [0] * REF_BUCKETS
+        self.count = 0
+        self.total = 0.0
+        self.min = math.inf
+        self.max = -math.inf
+
+    def _index(self, value: float) -> int:
+        return reference_index(value)
 
     def record(self, value: float) -> None:
         if value < 0:
             raise ValueError(f"negative latency: {value}")
-        cache = self._index_cache
-        index = cache.get(value)
-        if index is None:
-            index = self._bucket_index(value)
-            if len(cache) >= self._INDEX_CACHE_CAP:
-                cache.clear()
-            cache[value] = index
-        self._counts[index] += 1
+        self._counts[self._index(value)] += 1
         self.count += 1
         self.total += value
         if value < self.min:
             self.min = value
         if value > self.max:
             self.max = value
+
+    def _bucket_midpoint(self, index: int) -> float:
+        if index == 0:
+            return REF_MIN
+        low = REF_MIN * math.exp(_REF_LOG_GROWTH * (index - 1))
+        return low * math.sqrt(REF_GROWTH)
+
+    def percentile(self, pct: float) -> float:
+        if self.count == 0:
+            return 0.0
+        target = pct / 100.0 * self.count
+        cumulative = 0
+        for index, bucket_count in enumerate(self._counts):
+            cumulative += bucket_count
+            if cumulative >= target:
+                return min(max(self._bucket_midpoint(index), self.min), self.max)
+        return self.max
+
+    def merge(self, other: "ReferenceHistogram") -> None:
+        for index, bucket_count in enumerate(other._counts):
+            self._counts[index] += bucket_count
+        self.count += other.count
+        self.total += other.total
+        self.min = min(self.min, other.min)
+        self.max = max(self.max, other.max)
+
+    def summary(self):
+        return {
+            "count": float(self.count),
+            "mean": self.total / self.count if self.count else 0.0,
+            "p50": self.percentile(50.0),
+            "p99": self.percentile(99.0),
+            "p999": self.percentile(99.9),
+            "max": self.max if self.count else 0.0,
+        }
+
+
+class MemoisedHistogram(ReferenceHistogram):
+    """The reference with the value -> bucket-index memo ``record`` once
+    kept: a bounded dict, dropped whole when full."""
+
+    _INDEX_CACHE_CAP = 32768
+
+    def __init__(self):
+        super().__init__()
+        self._index_cache = {}
+
+    def _index(self, value: float) -> int:
+        cache = self._index_cache
+        index = cache.get(value)
+        if index is None:
+            index = reference_index(value)
+            if len(cache) >= self._INDEX_CACHE_CAP:
+                cache.clear()
+            cache[value] = index
+        return index
 
 
 class TinyMemoHistogram(MemoisedHistogram):
@@ -196,36 +234,20 @@ class TinyMemoHistogram(MemoisedHistogram):
     _INDEX_CACHE_CAP = 4
 
 
-CONFIGS = [
-    {},
-    {"min_value": 0.5, "max_value": 2e4, "growth": 1.1},
-    {"min_value": 3.0, "max_value": 50.0, "growth": 1.005},
-]
-
-
-@st.composite
-def sample_streams(draw):
-    """A configuration plus a stream that leans on the awkward values:
-    at or under ``min_value``, at or over ``max_value``, exact bucket
-    boundaries ``min_value * growth**k``, and heavy repeats."""
-    config = draw(st.sampled_from(CONFIGS))
-    shape = LatencyHistogram(**config)
-    low, high, growth = shape.min_value, shape.max_value, shape.growth
-    boundary = st.integers(min_value=0, max_value=shape._num_buckets + 2).map(
-        lambda k: low * growth**k
-    )
-    value = st.one_of(
-        st.floats(min_value=0.0, max_value=low),
-        st.floats(min_value=high, max_value=high * 1e3),
-        st.floats(min_value=low, max_value=high),
-        boundary,
-        boundary.map(lambda v: math.nextafter(v, math.inf)),
-        boundary.map(lambda v: math.nextafter(v, 0.0)),
-        st.sampled_from([0.0, low, high, 75.2, 75.2, 75.2, 91.0625]),
-    )
-    stream = draw(st.lists(value, max_size=200))
-    repeats = draw(st.integers(min_value=1, max_value=4))
-    return config, stream * repeats
+#: Every bucket boundary of the reference, ``REF_GROWTH**k``, past the top.
+boundaries = st.integers(min_value=0, max_value=REF_BUCKETS + 2).map(
+    lambda k: REF_MIN * REF_GROWTH**k
+)
+#: Latency-like values plus the awkward ones: each boundary and its
+#: neighbours one ulp either side, 0, 1.0, 1e7 and values above 1e7.
+values = st.one_of(
+    st.floats(min_value=0.0, max_value=2e7),
+    boundaries,
+    boundaries.map(lambda v: math.nextafter(v, math.inf)),
+    boundaries.map(lambda v: math.nextafter(v, 0.0)),
+    st.sampled_from([0.0, REF_MIN, REF_MAX, 75.2, 91.0625]),
+    st.floats(min_value=REF_MAX, max_value=1e12, exclude_min=True),
+)
 
 
 def observable(histogram):
@@ -239,17 +261,47 @@ def observable(histogram):
     )
 
 
+class TestBinningMatchesReference:
+    """The fixed bucket table bins, and summarises, exactly as the
+    configurable histogram did at its default shape."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(value=values)
+    def test_record_picks_the_reference_bucket(self, value):
+        histogram = LatencyHistogram()
+        histogram.record(value)
+        assert len(histogram._counts) == REF_BUCKETS
+        assert histogram._counts.index(1) == reference_index(value)
+
+    def test_summary_of_a_fixed_stream_matches(self):
+        rng = random.Random(49)
+        stream = [rng.lognormvariate(5.0, 1.5) for _ in range(5_000)]
+        stream += [0.0, 0.5, REF_MIN, REF_MAX, 3e7, 1e9]
+        stream += [REF_GROWTH**k for k in range(0, REF_BUCKETS + 2, 7)]
+        live, model = LatencyHistogram(), ReferenceHistogram()
+        for value in stream:
+            live.record(value)
+            model.record(value)
+        assert observable(live) == observable(model)
+        for pct in (0.0, 1.0, 25.0, 50.0, 90.0, 99.0, 99.9, 100.0):
+            assert live.percentile(pct) == model.percentile(pct)
+
+
 class TestMatchesMemoisedReference:
     """The inline index computation bins every sample exactly as the
     memoised ``record`` it replaced: identical buckets, count, total,
     min, max, percentiles -- before and after ``merge``."""
 
     @settings(max_examples=150, deadline=None)
-    @given(first=sample_streams(), second_seed=st.integers(0, 2**16))
+    @given(
+        stream=st.lists(values, max_size=200),
+        repeats=st.integers(min_value=1, max_value=4),
+        second_seed=st.integers(0, 2**16),
+    )
     @pytest.mark.parametrize("reference", [MemoisedHistogram, TinyMemoHistogram])
-    def test_streams_bin_identically(self, reference, first, second_seed):
-        config, stream = first
-        live, model = LatencyHistogram(**config), reference(**config)
+    def test_streams_bin_identically(self, reference, stream, repeats, second_seed):
+        stream = stream * repeats
+        live, model = LatencyHistogram(), reference()
         for value in stream:
             live.record(value)
             model.record(value)
@@ -257,7 +309,7 @@ class TestMatchesMemoisedReference:
         # A second, shuffled pass through both, merged into the first.
         shuffled = list(stream)
         random.Random(second_seed).shuffle(shuffled)
-        live_other, model_other = LatencyHistogram(**config), reference(**config)
+        live_other, model_other = LatencyHistogram(), reference()
         for value in shuffled[: len(shuffled) // 2 + 1]:
             live_other.record(value)
             model_other.record(value)
@@ -265,11 +317,10 @@ class TestMatchesMemoisedReference:
         model.merge(model_other)
         assert observable(live) == observable(model)
 
-    @pytest.mark.parametrize("config", CONFIGS)
-    def test_every_bucket_boundary(self, config):
-        live, model = LatencyHistogram(**config), MemoisedHistogram(**config)
-        for k in range(live._num_buckets + 3):
-            edge = live.min_value * live.growth**k
+    def test_every_bucket_boundary(self):
+        live, model = LatencyHistogram(), MemoisedHistogram()
+        for k in range(REF_BUCKETS + 3):
+            edge = REF_MIN * REF_GROWTH**k
             for value in (math.nextafter(edge, 0.0), edge, math.nextafter(edge, math.inf)):
                 live.record(value)
                 model.record(value)

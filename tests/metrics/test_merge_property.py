@@ -53,8 +53,3 @@ def test_histogram_shard_merge_equals_direct(stream, n_shards, assignment):
     # Percentiles depend only on bucket counts and min/max -- exact.
     for pct in (0.0, 50.0, 99.0, 100.0):
         assert merged.percentile(pct) == direct.percentile(pct)
-
-
-def test_mismatched_configuration_merges_are_refused():
-    with pytest.raises(ValueError):
-        LatencyHistogram(1.0, 1e7).merge(LatencyHistogram(1.0, 1e6))

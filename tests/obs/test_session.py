@@ -44,11 +44,13 @@ class TestSessionLifecycle:
             assert sim.probe is session.probe
             assert session.trace_events_emitted == 0
 
-    def test_in_memory_trace_session(self):
-        with capture(trace=True) as session:
+    def test_journal_trace_session(self, tmp_path):
+        path = str(tmp_path / "journal.jsonl")
+        with capture(trace_path=path) as session:
             sim = Simulator()
-            session.attach_simulator(sim)
             assert sim.tracer is session.tracer
+            sim.tracer.emit("credit", 0.0, "pipe0", credit=4)
+        assert read_jsonl(path) == [{"t": 0.0, "ev": "credit", "comp": "pipe0", "credit": 4}]
 
 
 def tiny_testbed():
@@ -133,8 +135,8 @@ class TestTestbedIntegration:
             assert dropped() is None
             assert session.registry.snapshot()["kernel.runs"] == 4
 
-    def test_stats_report_renders(self):
-        with capture(trace=True) as session:
+    def test_stats_report_renders(self, tmp_path):
+        with capture(trace_path=str(tmp_path / "journal.jsonl")) as session:
             testbed = tiny_testbed()
             testbed.run(warmup_us=1000.0, measure_us=5000.0)
             report = session.stats_report()
@@ -142,12 +144,12 @@ class TestTestbedIntegration:
         assert "kernel probe" in report
         assert "trace events" in report
 
-    def test_tracing_identical_simulation_outcome(self):
+    def test_tracing_identical_simulation_outcome(self, tmp_path):
         """Observability must not perturb the simulation itself."""
 
         def total_bandwidth(traced):
             if traced:
-                with capture(trace=True):
+                with capture(trace_path=str(tmp_path / "journal.jsonl")):
                     testbed = tiny_testbed()
                     results = testbed.run(warmup_us=2000.0, measure_us=10000.0)
             else:

@@ -134,7 +134,7 @@ def run_program(program) -> Oracle:
     # take bare ``at_`` instead.
     adds = []
     for index in range(program["npops"]):
-        pop = sim.population(lambda payload, i=index: complete(adds[i], payload), label=f"p{index}")
+        pop = sim.population(lambda payload, i=index: complete(adds[i], payload))
         adds.append(pop.add)
 
     def fire_at(payload):

@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +20,28 @@ class TestCliList:
         out = capsys.readouterr().out
         for name in EXPERIMENTS:
             assert name in out
+
+    def test_closed_stdout_exits_without_a_traceback(self):
+        """``repro list | head -1``: the reader leaves before the child
+        writes, and the child exits non-zero with nothing on stderr."""
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        paths = [src, os.environ.get("PYTHONPATH")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            child = subprocess.run(
+                [sys.executable, "-m", "repro", "list"],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                env=env,
+                text=True,
+                timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert child.returncode == 1
+        assert child.stderr == ""
 
 
 class TestCliRun:

@@ -28,11 +28,17 @@ class TestFioSpec:
             {"io_pages": 1, "queue_depth": 1, "rate_limit_mbps": float("nan")},
             {"io_pages": 1, "queue_depth": 1, "rate_limit_mbps": float("inf")},
             {"io_pages": 1, "queue_depth": 1, "rate_limit_mbps": float("-inf")},
+            # A worker is a reader or a writer; a mix is two workers.
+            {"io_pages": 1, "queue_depth": 1, "read_ratio": 0.5},
         ],
     )
     def test_invalid_specs_rejected(self, kwargs):
         with pytest.raises(ValueError):
             FioSpec("w", **kwargs)
+
+    def test_mixed_ratio_error_names_the_value(self):
+        with pytest.raises(ValueError, match="read_ratio .*got 0.7"):
+            FioSpec("w", io_pages=1, queue_depth=1, read_ratio=0.7)
 
 
 class TestFioWorker:
@@ -64,10 +70,12 @@ class TestFioWorker:
         assert bandwidth > 30.0
 
     def test_mixed_workload_records_both_ops(self):
-        testbed, worker = build(io_pages=1, queue_depth=8, read_ratio=0.5)
+        """A mix is a reader beside a writer, each recording its own op."""
+        testbed, reader = build(io_pages=1, queue_depth=8, read_ratio=1.0)
+        writer = testbed.add_worker(FioSpec("w1", io_pages=1, queue_depth=8, read_ratio=0.0))
         testbed.run(warmup_us=10_000, measure_us=100_000)
-        assert worker.read_latency.count > 0
-        assert worker.write_latency.count > 0
+        assert reader.read_latency.count > 0 and reader.write_latency.count == 0
+        assert writer.write_latency.count > 0 and writer.read_latency.count == 0
 
     def test_write_only_records_no_reads(self):
         testbed, worker = build(io_pages=1, queue_depth=4, read_ratio=0.0)
