@@ -10,8 +10,8 @@ on the wire.  Three of the paper's mechanisms live here:
 * :class:`PardaClientPolicy` -- PARDA's latency-driven window control
   (the comparison scheme): a FAST-TCP-style window update from the
   observed average end-to-end IO latency.
-* :class:`WindowClientPolicy` / :class:`UnlimitedClientPolicy` -- the
-  fixed queue-depth and uncontrolled cases.
+* :class:`UnlimitedClientPolicy` -- the uncontrolled case: the
+  session's queue depth is the only limit.
 """
 
 from __future__ import annotations
@@ -53,19 +53,6 @@ class UnlimitedClientPolicy(ClientPolicy):
 
     def allow(self) -> bool:
         return True
-
-
-class WindowClientPolicy(ClientPolicy):
-    """A fixed window of outstanding IOs."""
-
-    def __init__(self, window: int):
-        super().__init__()
-        if window <= 0:
-            raise ValueError("window must be positive")
-        self.window = window
-
-    def allow(self) -> bool:
-        return self.session.inflight < self.window
 
 
 class CreditClientPolicy(ClientPolicy):

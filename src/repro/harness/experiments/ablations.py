@@ -16,12 +16,12 @@ from typing import Dict
 
 from repro.core.ablations import ABLATIONS
 from repro.harness.experiments.common import (
-    Sweep,
+    build_sweep,
     derived_run,
     merge_rows,
-    read_spec,
+    mixed_size_specs,
+    mixed_type_specs,
     run_workers,
-    write_spec,
 )
 from repro.harness.report import format_table
 from repro.harness.testbed import TestbedConfig
@@ -32,17 +32,10 @@ DEFAULT_VARIANTS = ("full", "fixed-threshold", "single-bucket", "no-slots", "sta
 
 def _case_specs(case: str, workers: int):
     if case == "sizes-clean":
-        specs = [read_spec(f"small{i}", 1) for i in range(workers)]
-        specs += [read_spec(f"large{i}", 32) for i in range(max(1, workers // 4))]
-        return "clean", specs, ["4KB"] * workers + ["128KB"] * max(1, workers // 4)
+        return "clean", *mixed_size_specs(workers, max(1, workers // 4))
     if case == "rw-clean":
-        specs = [read_spec(f"rd{i}", 32) for i in range(workers)]
-        specs += [write_spec(f"wr{i}", 32) for i in range(workers)]
-    else:  # rw-frag
-        specs = [read_spec(f"rd{i}", 1) for i in range(workers)]
-        specs += [write_spec(f"wr{i}", 1) for i in range(workers)]
-    condition = "clean" if case == "rw-clean" else "fragmented"
-    return condition, specs, ["read"] * workers + ["write"] * workers
+        return "clean", *mixed_type_specs(32, workers)
+    return "fragmented", *mixed_type_specs(1, workers)  # rw-frag
 
 
 def _point(
@@ -85,19 +78,14 @@ def sweep(
     variants=DEFAULT_VARIANTS,
 ):
     """One point per (case, variant) in the original loop order."""
-    sw = Sweep("ablations")
-    for case in ("sizes-clean", "rw-clean", "rw-frag"):
-        for variant in variants:
-            sw.point(
-                _point,
-                label=f"case={case},variant={variant}",
-                case=case,
-                variant=variant,
-                measure_us=measure_us,
-                warmup_us=warmup_us,
-                workers=workers,
-            )
-    return sw
+    return build_sweep(
+        "ablations",
+        {"case": ("sizes-clean", "rw-clean", "rw-frag"), "variant": variants},
+        _point,
+        measure_us=measure_us,
+        warmup_us=warmup_us,
+        workers=workers,
+    )
 
 
 def finalize(results) -> Dict[str, object]:

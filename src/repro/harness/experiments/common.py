@@ -1,7 +1,16 @@
-"""Shared helpers for the experiment drivers."""
+"""Shared helpers for the experiment drivers.
+
+A driver whose points are a cartesian product of axes (schemes x
+device conditions x IO shapes, ...) declares them with one
+:func:`build_sweep` call; the tenant mixes the figures share (readers
+beside writers, small reads beside large ones) are built by
+:func:`mixed_type_specs` and :func:`mixed_size_specs`.
+"""
 
 from __future__ import annotations
 
+import inspect
+import itertools
 from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Tuple
 
 # Re-exported so drivers import their whole sweep API from one place.
@@ -9,7 +18,6 @@ from repro.harness.parallel import (
     Sweep,
     derived_run,  # noqa: F401
     merge_rows,  # noqa: F401
-    sweep_axes,
 )
 from repro.harness.testbed import Testbed, TestbedConfig
 from repro.metrics.fairness import f_util
@@ -51,6 +59,22 @@ def write_spec(name: str, io_pages: int, queue_depth: Optional[int] = None) -> F
         read_ratio=0.0,
         pattern="sequential" if io_pages >= 32 else "random",
     )
+
+
+def mixed_type_specs(io_pages: int, n_each: int) -> Tuple[List[FioSpec], List[str]]:
+    """``n_each`` readers (``rd{i}``) beside ``n_each`` writers
+    (``wr{i}``) of ``io_pages`` pages, and each worker's class."""
+    specs = [read_spec(f"rd{i}", io_pages) for i in range(n_each)]
+    specs += [write_spec(f"wr{i}", io_pages) for i in range(n_each)]
+    return specs, ["read"] * n_each + ["write"] * n_each
+
+
+def mixed_size_specs(n_small: int, n_large: int) -> Tuple[List[FioSpec], List[str]]:
+    """``n_small`` 4 KiB readers (``small{i}``) beside ``n_large``
+    128 KiB readers (``large{i}``), and each worker's class."""
+    specs = [read_spec(f"small{i}", 1) for i in range(n_small)]
+    specs += [read_spec(f"large{i}", 32) for i in range(n_large)]
+    return specs, ["4KB"] * n_small + ["128KB"] * n_large
 
 
 def run_workers(
@@ -102,17 +126,20 @@ def build_sweep(
 ) -> Sweep:
     """Declare one sweep point per combination of the named axes.
 
-    Axes expand in nested-loop order (last axis fastest), matching the
-    open-coded loops the drivers used before, so row order is stable.
-    ``point_fn`` receives the axis values, the ``fixed`` kwargs, and a
-    per-point ``seed`` derived from ``root_seed`` and the point label.
+    Axes expand in nested-loop order (last axis fastest), so row order
+    is the declared order.  Each point is labelled ``key=value,...`` in
+    axis order and receives the axis values and the ``fixed`` kwargs;
+    when ``point_fn`` declares a ``seed`` parameter it also receives the
+    per-point seed derived from ``root_seed`` and the label.
     """
     sweep = Sweep(name, root_seed=root_seed)
-    for combo in sweep_axes(axes):
-        label = ",".join(f"{key}={combo[key]}" for key in combo)
-        sweep.point(
-            point_fn, label=label, seed=sweep.seed_for(label), **fixed, **combo
-        )
+    seeded = "seed" in inspect.signature(point_fn).parameters
+    names = list(axes)
+    for values in itertools.product(*(axes[key] for key in names)):
+        combo = dict(zip(names, values))
+        label = ",".join(f"{key}={value}" for key, value in combo.items())
+        seed = {"seed": sweep.seed_for(label)} if seeded else {}
+        sweep.point(point_fn, label, **seed, **fixed, **combo)
     return sweep
 
 

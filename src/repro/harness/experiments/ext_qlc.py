@@ -19,12 +19,11 @@ from typing import Dict
 
 from repro.core.config import GimbalParams
 from repro.harness.experiments.common import (
-    Sweep,
+    build_sweep,
     derived_run,
     merge_rows,
-    read_spec,
+    mixed_type_specs,
     run_workers,
-    write_spec,
 )
 from repro.harness.report import format_table
 from repro.harness.testbed import TestbedConfig
@@ -41,8 +40,7 @@ def _point(
     scheme: str, measure_us: float, warmup_us: float, workers_per_class: int
 ) -> dict:
     """One scheme's fragmented mixed read/write run on the QLC profile."""
-    specs = [read_spec(f"rd{i}", 1) for i in range(workers_per_class)]
-    specs += [write_spec(f"wr{i}", 1) for i in range(workers_per_class)]
+    specs, _classes = mixed_type_specs(1, workers_per_class)
     results = run_workers(
         TestbedConfig(
             scheme=scheme,
@@ -76,17 +74,14 @@ def sweep(
     schemes=("gimbal", "vanilla", "flashfq"),
 ):
     """One point per scheme."""
-    sw = Sweep("ext-qlc")
-    for scheme in schemes:
-        sw.point(
-            _point,
-            label=f"scheme={scheme}",
-            scheme=scheme,
-            measure_us=measure_us,
-            warmup_us=warmup_us,
-            workers_per_class=workers_per_class,
-        )
-    return sw
+    return build_sweep(
+        "ext-qlc",
+        {"scheme": schemes},
+        _point,
+        measure_us=measure_us,
+        warmup_us=warmup_us,
+        workers_per_class=workers_per_class,
+    )
 
 
 def finalize(results) -> Dict[str, object]:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Dict
 
 from repro.fabric.smartnic import SERVER_CPU, SMARTNIC_CPU
-from repro.harness.experiments.common import Sweep, derived_run, merge_rows
+from repro.harness.experiments.common import build_sweep, derived_run, merge_rows
 from repro.harness.report import format_table
 from repro.harness.testbed import Testbed, TestbedConfig
 from repro.workloads.fio import FioSpec
@@ -22,17 +22,16 @@ WORKERS_PER_SSD = 2
 
 _CPU_MODELS = {"server": SERVER_CPU, "smartnic": SMARTNIC_CPU}
 
-_OPS = (
-    ("rnd-read", 1.0, "random"),
-    ("seq-write", 0.0, "sequential"),
-)
+#: op -> (read_ratio, pattern)
+_OPS = {
+    "rnd-read": (1.0, "random"),
+    "seq-write": (0.0, "sequential"),
+}
 
 
 def _point(host: str, cores: int, op: str, measure_us: float) -> dict:
     """One (host CPU, core count, op) throughput measurement."""
-    read_ratio, pattern = next(
-        (ratio, pat) for name, ratio, pat in _OPS if name == op
-    )
+    read_ratio, pattern = _OPS[op]
     testbed = Testbed(
         TestbedConfig(
             scheme="vanilla",
@@ -59,19 +58,12 @@ def _point(host: str, cores: int, op: str, measure_us: float) -> dict:
 
 def sweep(measure_us: float = 300_000.0, core_counts=CORE_COUNTS):
     """One point per (host, cores, op) in the original loop order."""
-    sw = Sweep("fig03")
-    for host in ("server", "smartnic"):
-        for cores in core_counts:
-            for op, _ratio, _pattern in _OPS:
-                sw.point(
-                    _point,
-                    label=f"host={host},cores={cores},op={op}",
-                    host=host,
-                    cores=cores,
-                    op=op,
-                    measure_us=measure_us,
-                )
-    return sw
+    return build_sweep(
+        "fig03",
+        {"host": ("server", "smartnic"), "cores": core_counts, "op": _OPS},
+        _point,
+        measure_us=measure_us,
+    )
 
 
 def finalize(results) -> Dict[str, object]:

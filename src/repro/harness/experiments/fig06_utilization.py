@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Dict
 
 from repro.harness.experiments.common import (
-    Sweep,
+    build_sweep,
     derived_run,
     merge_rows,
     read_spec,
@@ -24,15 +24,13 @@ from repro.harness.experiments.common import (
 from repro.harness.report import format_table
 from repro.harness.testbed import SCHEMES, TestbedConfig
 
-#: (label, condition, io_pages, is_read)
-CASES = (
-    ("C-R", "clean", 32, True),
-    ("C-W", "clean", 32, False),
-    ("F-R", "fragmented", 1, True),
-    ("F-W", "fragmented", 1, False),
-)
-
-_CASE_BY_LABEL = {label: (condition, io_pages, is_read) for label, condition, io_pages, is_read in CASES}
+#: case -> (condition, io_pages, is_read)
+CASES = {
+    "C-R": ("clean", 32, True),
+    "C-W": ("clean", 32, False),
+    "F-R": ("fragmented", 1, True),
+    "F-W": ("fragmented", 1, False),
+}
 
 NUM_WORKERS = 16
 
@@ -41,7 +39,7 @@ def _point(
     case: str, scheme: str, num_workers: int, warmup_us: float, measure_us: float
 ) -> dict:
     """One (case, scheme) run of ``num_workers`` identical tenants."""
-    condition, io_pages, is_read = _CASE_BY_LABEL[case]
+    condition, io_pages, is_read = CASES[case]
     make = read_spec if is_read else write_spec
     specs = [make(f"w{i}", io_pages) for i in range(num_workers)]
     results = run_workers(
@@ -74,19 +72,14 @@ def sweep(
     num_workers: int = NUM_WORKERS,
 ):
     """One point per (case, scheme) in the original loop order."""
-    sw = Sweep("fig06")
-    for label, _condition, _io_pages, _is_read in CASES:
-        for scheme in schemes:
-            sw.point(
-                _point,
-                label=f"case={label},scheme={scheme}",
-                case=label,
-                scheme=scheme,
-                num_workers=num_workers,
-                warmup_us=warmup_us,
-                measure_us=measure_us,
-            )
-    return sw
+    return build_sweep(
+        "fig06",
+        {"case": CASES, "scheme": schemes},
+        _point,
+        num_workers=num_workers,
+        warmup_us=warmup_us,
+        measure_us=measure_us,
+    )
 
 
 def finalize(results) -> Dict[str, object]:

@@ -22,32 +22,18 @@ from repro.harness.experiments.common import (
     derived_run,
     f_utils_for,
     merge_rows,
-    read_spec,
+    mixed_size_specs,
+    mixed_type_specs,
     run_workers,
-    write_spec,
 )
 from repro.harness.report import format_table
 from repro.harness.testbed import SCHEMES, TestbedConfig
 
 
-def _mixed_size_specs(n_small: int, n_large: int):
-    specs = [read_spec(f"small{i}", 1) for i in range(n_small)]
-    specs += [read_spec(f"large{i}", 32) for i in range(n_large)]
-    groups = ["4KB"] * n_small + ["128KB"] * n_large
-    return specs, groups
-
-
-def _mixed_type_specs(io_pages: int, n_each: int):
-    specs = [read_spec(f"rd{i}", io_pages) for i in range(n_each)]
-    specs += [write_spec(f"wr{i}", io_pages) for i in range(n_each)]
-    groups = ["read"] * n_each + ["write"] * n_each
-    return specs, groups
-
-
 SUBEXPERIMENTS = {
-    "a": ("clean", "mixed sizes: 16x4KB + 4x128KB read", lambda s: _mixed_size_specs(16 * s // 16, max(1, 4 * s // 16))),
-    "b": ("clean", "mixed types: 128KB read vs write", lambda s: _mixed_type_specs(32, s)),
-    "c": ("fragmented", "mixed types: 4KB read vs write", lambda s: _mixed_type_specs(1, s)),
+    "a": ("clean", "mixed sizes: 16x4KB + 4x128KB read", lambda s: mixed_size_specs(16 * s // 16, max(1, 4 * s // 16))),
+    "b": ("clean", "mixed types: 128KB read vs write", lambda s: mixed_type_specs(32, s)),
+    "c": ("fragmented", "mixed types: 4KB read vs write", lambda s: mixed_type_specs(1, s)),
 }
 
 

@@ -13,32 +13,29 @@ from __future__ import annotations
 from typing import Dict, List
 
 from repro.harness.experiments.common import (
-    Sweep,
+    build_sweep,
     derived_run,
     merge_rows,
-    read_spec,
+    mixed_type_specs,
     run_workers,
-    write_spec,
 )
 from repro.harness.report import format_table
 from repro.harness.testbed import SCHEMES, TestbedConfig
 from repro.metrics.histogram import LatencyHistogram
 
-CASES = (
-    ("clean-128KB", "clean", 32),
-    ("frag-4KB", "fragmented", 1),
-)
-
-_CASE_BY_LABEL = {label: (condition, io_pages) for label, condition, io_pages in CASES}
+#: case -> (condition, io_pages)
+CASES = {
+    "clean-128KB": ("clean", 32),
+    "frag-4KB": ("fragmented", 1),
+}
 
 
 def _point(
     case: str, scheme: str, workers_per_class: int, warmup_us: float, measure_us: float
 ) -> List[dict]:
     """One (case, scheme) run; returns the read row then the write row."""
-    condition, io_pages = _CASE_BY_LABEL[case]
-    specs = [read_spec(f"rd{i}", io_pages) for i in range(workers_per_class)]
-    specs += [write_spec(f"wr{i}", io_pages) for i in range(workers_per_class)]
+    condition, io_pages = CASES[case]
+    specs, _classes = mixed_type_specs(io_pages, workers_per_class)
     results = run_workers(
         TestbedConfig(scheme=scheme, condition=condition),
         specs,
@@ -74,19 +71,14 @@ def sweep(
     workers_per_class: int = 16,
 ):
     """One point per (case, scheme); each yields a read and a write row."""
-    sw = Sweep("fig08")
-    for label, _condition, _io_pages in CASES:
-        for scheme in schemes:
-            sw.point(
-                _point,
-                label=f"case={label},scheme={scheme}",
-                case=label,
-                scheme=scheme,
-                workers_per_class=workers_per_class,
-                warmup_us=warmup_us,
-                measure_us=measure_us,
-            )
-    return sw
+    return build_sweep(
+        "fig08",
+        {"case": CASES, "scheme": schemes},
+        _point,
+        workers_per_class=workers_per_class,
+        warmup_us=warmup_us,
+        measure_us=measure_us,
+    )
 
 
 def finalize(results) -> Dict[str, object]:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Dict
 
-from repro.harness.experiments.common import Sweep, derived_run, merge_rows
+from repro.harness.experiments.common import build_sweep, derived_run, merge_rows
 from repro.harness.kvcluster import run_one
 from repro.harness.report import format_table
 
@@ -29,17 +29,7 @@ def sweep(
     **kwargs,
 ):
     """One point per (workload, scheme) in the original loop order."""
-    sw = Sweep("fig10")
-    for workload in workloads:
-        for scheme in schemes:
-            sw.point(
-                run_one,
-                label=f"workload={workload},scheme={scheme}",
-                scheme=scheme,
-                workload=workload,
-                **kwargs,
-            )
-    return sw
+    return build_sweep("fig10", {"workload": workloads, "scheme": schemes}, run_one, **kwargs)
 
 
 def finalize(results) -> Dict[str, object]:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Dict, Sequence
 
-from repro.harness.experiments.common import Sweep, derived_run, merge_rows
+from repro.harness.experiments.common import build_sweep, derived_run, merge_rows
 from repro.harness.kvcluster import run_one
 from repro.harness.report import format_table
 
@@ -38,17 +38,9 @@ def sweep(
     **kwargs,
 ):
     """One point per (workload, instance count) in the original loop order."""
-    sw = Sweep("fig11-12")
-    for workload in workloads:
-        for count in instance_counts:
-            sw.point(
-                _point,
-                label=f"workload={workload},instances={count}",
-                workload=workload,
-                instances=count,
-                **kwargs,
-            )
-    return sw
+    return build_sweep(
+        "fig11-12", {"workload": workloads, "instances": instance_counts}, _point, **kwargs
+    )
 
 
 def finalize(results) -> Dict[str, object]:

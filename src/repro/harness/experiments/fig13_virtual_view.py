@@ -16,17 +16,16 @@ from __future__ import annotations
 
 from typing import Dict
 
-from repro.harness.experiments.common import Sweep, derived_run, merge_rows
+from repro.harness.experiments.common import build_sweep, derived_run, merge_rows
 from repro.harness.kvcluster import KvCluster, KvClusterConfig
 from repro.harness.report import format_table
 
-VARIANTS = (
-    ("vanilla", dict(flow_control=False, load_balance=False)),
-    ("+FC", dict(flow_control=True, load_balance=False)),
-    ("+FC+LB", dict(flow_control=True, load_balance=True)),
-)
-
-_TOGGLES_BY_VARIANT = dict(VARIANTS)
+#: variant -> the client toggles it sets
+VARIANTS = {
+    "vanilla": dict(flow_control=False, load_balance=False),
+    "+FC": dict(flow_control=True, load_balance=False),
+    "+FC+LB": dict(flow_control=True, load_balance=True),
+}
 
 
 def _point(
@@ -43,7 +42,7 @@ def _point(
             scheme="gimbal",
             condition="fragmented",
             num_jbofs=1,
-            **_TOGGLES_BY_VARIANT[variant],
+            **VARIANTS[variant],
         )
     )
     for index in range(instances):
@@ -66,20 +65,15 @@ def sweep(
     measure_us: float = 700_000.0,
 ):
     """One point per (workload, variant) in the original loop order."""
-    sw = Sweep("fig13")
-    for workload in workloads:
-        for label, _toggles in VARIANTS:
-            sw.point(
-                _point,
-                label=f"workload={workload},variant={label}",
-                workload=workload,
-                variant=label,
-                instances=instances,
-                record_count=record_count,
-                warmup_us=warmup_us,
-                measure_us=measure_us,
-            )
-    return sw
+    return build_sweep(
+        "fig13",
+        {"workload": workloads, "variant": VARIANTS},
+        _point,
+        instances=instances,
+        record_count=record_count,
+        warmup_us=warmup_us,
+        measure_us=measure_us,
+    )
 
 
 def finalize(results) -> Dict[str, object]:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from typing import Dict
 
-from repro.harness.experiments.common import Sweep, closed_loop, derived_run, merge_rows
+from repro.harness.experiments.common import build_sweep, closed_loop, derived_run, merge_rows
 from repro.harness.report import format_table
 from repro.sim.engine import Simulator
 from repro.ssd.commands import OP_READ, OP_WRITE, DeviceCommand
@@ -58,17 +58,9 @@ def _point(scenario: str, size_kb: int, duration_us: float) -> dict:
 
 def sweep(duration_us: float = 300_000.0, io_sizes_kb=IO_SIZES_KB):
     """One point per (scenario, IO size) in the original loop order."""
-    sw = Sweep("fig15")
-    for scenario in SCENARIOS:
-        for size_kb in io_sizes_kb:
-            sw.point(
-                _point,
-                label=f"scenario={scenario},size_kb={size_kb}",
-                scenario=scenario,
-                size_kb=size_kb,
-                duration_us=duration_us,
-            )
-    return sw
+    return build_sweep(
+        "fig15", {"scenario": SCENARIOS, "size_kb": io_sizes_kb}, _point, duration_us=duration_us
+    )
 
 
 def finalize(results) -> Dict[str, object]:

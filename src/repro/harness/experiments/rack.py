@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Dict
 
-from repro.harness.experiments.common import Sweep, derived_run, merge_rows
+from repro.harness.experiments.common import build_sweep, derived_run, merge_rows
 from repro.harness.kvcluster import KvCluster, KvClusterConfig
 from repro.harness.report import format_table
 from repro.metrics.fairness import jain_index
@@ -106,26 +106,16 @@ def sweep(
     root_seed: int = 42,
 ):
     """One point per (scheme, rack size, churn, skew) combination."""
-    sw = Sweep("rack", root_seed=root_seed)
-    for scheme in schemes:
-        for jbofs in rack:
-            for churn in churns:
-                for skew in skews:
-                    label = f"scheme={scheme},jbofs={jbofs},churn={churn},skew={skew}"
-                    sw.point(
-                        _point,
-                        label=label,
-                        scheme=scheme,
-                        jbofs=jbofs,
-                        ssds_per_jbof=ssds_per_jbof,
-                        tenants=tenants,
-                        churn=churn,
-                        skew=skew,
-                        horizon_us=horizon_us,
-                        condition=condition,
-                        seed=sw.seed_for(label),
-                    )
-    return sw
+    return build_sweep(
+        "rack",
+        {"scheme": schemes, "jbofs": rack, "churn": churns, "skew": skews},
+        _point,
+        root_seed=root_seed,
+        ssds_per_jbof=ssds_per_jbof,
+        tenants=tenants,
+        horizon_us=horizon_us,
+        condition=condition,
+    )
 
 
 def finalize(results) -> Dict[str, object]:

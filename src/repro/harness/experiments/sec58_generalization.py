@@ -14,31 +14,28 @@ from typing import Dict
 
 from repro.core.config import P3600_PARAMS
 from repro.harness.experiments.common import (
-    Sweep,
+    build_sweep,
     derived_run,
     f_utils_for,
     merge_rows,
-    read_spec,
+    mixed_type_specs,
     run_workers,
-    write_spec,
 )
 from repro.harness.report import format_table
 from repro.harness.testbed import TestbedConfig
 
-#: (condition, io_pages) pairs matching the Figure 7 b/c workloads.
-CONDITIONS = (("clean", 32), ("fragmented", 1))
+#: condition -> io_pages, matching the Figure 7 b/c workloads.
+CONDITIONS = {"clean": 32, "fragmented": 1}
 
 
 def _point(
     condition: str,
-    io_pages: int,
     measure_us: float,
     warmup_us: float,
     workers_per_class: int,
 ) -> dict:
     """One mixed read/write run on the P3600 profile."""
-    specs = [read_spec(f"rd{i}", io_pages) for i in range(workers_per_class)]
-    specs += [write_spec(f"wr{i}", io_pages) for i in range(workers_per_class)]
+    specs, _classes = mixed_type_specs(CONDITIONS[condition], workers_per_class)
     results = run_workers(
         TestbedConfig(
             scheme="gimbal",
@@ -73,18 +70,14 @@ def sweep(
     workers_per_class: int = 8,
 ):
     """One point per device condition."""
-    sw = Sweep("sec5.8")
-    for condition, io_pages in CONDITIONS:
-        sw.point(
-            _point,
-            label=f"condition={condition}",
-            condition=condition,
-            io_pages=io_pages,
-            measure_us=measure_us,
-            warmup_us=warmup_us,
-            workers_per_class=workers_per_class,
-        )
-    return sw
+    return build_sweep(
+        "sec5.8",
+        {"condition": CONDITIONS},
+        _point,
+        measure_us=measure_us,
+        warmup_us=warmup_us,
+        workers_per_class=workers_per_class,
+    )
 
 
 def finalize(results) -> Dict[str, object]:

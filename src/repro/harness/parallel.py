@@ -42,7 +42,9 @@ Determinism contract
   derived from those arguments, never from execution order.
 * Per-point seeds are derived with :func:`repro.sim.rng.derive_seed`
   from the sweep's root seed and the point's label, so they are stable
-  across processes, Python versions and point orderings.
+  across processes, Python versions and point orderings.  Every point
+  is therefore declared with its label, and labels are unique within a
+  sweep; ``build_sweep`` labels a product's points ``key=value,...``.
 * Merging happens in point-declaration order: list results
   concatenate.
 
@@ -53,7 +55,6 @@ which is also what the experiment drivers default to.
 from __future__ import annotations
 
 import inspect
-import itertools
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
@@ -364,8 +365,11 @@ class Sweep:
 
     >>> sweep = Sweep("fig0")
     >>> for size in (4, 128):
-    ...     sweep.point(_one_size, label=f"size-{size}", size_kb=size)
+    ...     sweep.point(_one_size, f"size-{size}", size_kb=size)
     >>> rows = sweep.run(jobs=4)      # == sweep.run(jobs=1), point order
+
+    A driver whose points are a product of axes declares them with
+    :func:`repro.harness.experiments.common.build_sweep` instead.
     """
 
     def __init__(self, name: str, root_seed: int = 42):
@@ -374,23 +378,20 @@ class Sweep:
         self._points: List[SweepPoint] = []
         self._labels: set = set()
 
-    def point(self, fn: Callable[..., Any], label: Optional[str] = None, **kwargs: Any) -> None:
-        """Declare the next point; ``label`` defaults to the kwargs.
+    def point(self, fn: Callable[..., Any], label: str, **kwargs: Any) -> None:
+        """Declare the next point.
 
         Labels must be unique within the sweep: :func:`point_seed`
         derives each point's RNG seed from its label, so two points
         sharing a label would silently share a random stream.
         """
-        index = len(self._points)
-        if label is None:
-            label = ",".join(f"{k}={kwargs[k]}" for k in sorted(kwargs)) or str(index)
         if label in self._labels:
             raise ValueError(
                 f"duplicate sweep point label {label!r} in sweep {self.name!r}: "
                 "labels derive per-point seeds, so they must be unique"
             )
         self._labels.add(label)
-        self._points.append(SweepPoint(index=index, label=label, fn=fn, kwargs=kwargs))
+        self._points.append(SweepPoint(index=len(self._points), label=label, fn=fn, kwargs=kwargs))
 
     def seed_for(self, label: str) -> int:
         return point_seed(self.root_seed, label)
@@ -401,12 +402,6 @@ class Sweep:
 
     def run(self, jobs: int = 1, cache: CacheSpec = None) -> List[Any]:
         return run_sweep(self._points, jobs=jobs, cache=cache, name=self.name)
-
-    def __len__(self) -> int:
-        return len(self._points)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Sweep({self.name!r}, points={len(self._points)})"
 
 
 # ----------------------------------------------------------------------
@@ -457,19 +452,6 @@ def derived_run(sweep: Callable[..., "Sweep"], finalize: Callable[..., Any]) -> 
         return finalize(results, **finalize_kwargs)
 
     return run
-
-
-def sweep_axes(axes: Mapping[str, Iterable[Any]]) -> List[Dict[str, Any]]:
-    """Expand named axes into the cartesian product of point kwargs.
-
-    The product iterates in the axes' declared order with the last
-    axis varying fastest -- exactly the nested-loop order the serial
-    drivers used, so porting a driver to a sweep preserves its row
-    order.
-    """
-    names = list(axes)
-    combos = itertools.product(*(list(axes[name]) for name in names))
-    return [dict(zip(names, combo)) for combo in combos]
 
 
 # ----------------------------------------------------------------------

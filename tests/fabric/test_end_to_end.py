@@ -12,7 +12,6 @@ from repro.fabric.policies import (
     CreditClientPolicy,
     PardaClientPolicy,
     UnlimitedClientPolicy,
-    WindowClientPolicy,
 )
 from repro.fabric.target import NvmeOfTarget
 from repro.ssd.commands import IoOp
@@ -130,7 +129,9 @@ class TestRequestFlow:
 
 class TestClientPolicies:
     def test_window_policy_limits_inflight(self, sim):
-        _, _, _, session = build_rig(sim, policy=WindowClientPolicy(window=2))
+        """A FIFO target grants no credit, so the initial credit is a
+        fixed window of outstanding IOs."""
+        _, _, _, session = build_rig(sim, policy=CreditClientPolicy(initial_credit=2))
         for _ in range(10):
             session.submit(IoOp.READ, 0, 1)
         assert session.inflight == 2
@@ -185,7 +186,7 @@ class TestClientPolicies:
         assert policy.window > 8.0
 
     def test_policy_cannot_be_rebound(self, sim):
-        policy = WindowClientPolicy(window=2)
+        policy = CreditClientPolicy(initial_credit=2)
         build_rig(sim, policy=policy)
         with pytest.raises(RuntimeError):
             build_rig(sim, policy=policy)

@@ -8,7 +8,6 @@ from repro.fabric.policies import (
     CreditClientPolicy,
     PardaClientPolicy,
     UnlimitedClientPolicy,
-    WindowClientPolicy,
 )
 
 
@@ -28,20 +27,6 @@ class FakeRequest:
     @property
     def e2e_latency_us(self):
         return self._latency
-
-
-class TestWindowPolicy:
-    def test_allow_tracks_inflight(self, sim):
-        policy = WindowClientPolicy(window=2)
-        session = FakeSession(sim)
-        policy.bind(session)
-        assert policy.allow()
-        session.inflight = 2
-        assert not policy.allow()
-
-    def test_invalid_window_rejected(self):
-        with pytest.raises(ValueError):
-            WindowClientPolicy(window=0)
 
 
 class TestCreditPolicy:

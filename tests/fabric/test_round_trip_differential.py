@@ -20,7 +20,7 @@ from repro.core.switch import GimbalScheduler
 from repro.fabric.initiator import NvmeOfInitiator
 from repro.fabric.namespace import Namespace, NamespaceError
 from repro.fabric.network import Network
-from repro.fabric.policies import CreditClientPolicy, WindowClientPolicy
+from repro.fabric.policies import CreditClientPolicy
 from repro.fabric.target import NvmeOfTarget
 from repro.sim.engine import Simulator
 from repro.ssd.commands import IoOp
@@ -67,11 +67,9 @@ def _drive(side, scheduler_factory, namespace, small_geometry):
     device = SsdDevice(sim, geometry=small_geometry)
     condition_device(device, "clean")
     network = Network(sim)
-    policy = (
-        CreditClientPolicy()
-        if scheduler_factory is GimbalScheduler
-        else WindowClientPolicy(4)
-    )
+    # A FIFO target grants no credit, so there the initial credit is a
+    # fixed window of four outstanding IOs.
+    policy = CreditClientPolicy(8 if scheduler_factory is GimbalScheduler else 4)
     with fabric:
         target = NvmeOfTarget(sim, network, "jbof", {"ssd0": device}, scheduler_factory)
         session = NvmeOfInitiator(sim, network, "client").connect(

@@ -432,6 +432,46 @@ def device_replay_digest() -> dict:
     return digest
 
 
+def sweep_points_digest() -> dict:
+    """Hash the points every registered driver declares.
+
+    For each experiment of ``EXPERIMENTS``, at its quick and at its full
+    kwargs: the point count and a sha256 over each point's ``(index,
+    label, module:qualname, canonical kwargs)``.  A label seeds its
+    point, so a renamed label reseeds a figure with no golden window to
+    notice; this fails first.  Only ``sweep()`` is called: no point
+    runs, and no sweep either.
+    """
+    from repro.harness.cache import canonical_value
+    from repro.harness.orchestrator import EXPERIMENTS, suite_experiments
+    from repro.harness.parallel import split_kwargs
+
+    digest = {}
+    for name in EXPERIMENTS:
+        digest[name] = {}
+        for mode in ("quick", "full"):
+            (spec,) = suite_experiments(quick=mode == "quick", names=[name])
+            module = spec.load()
+            sweep_kwargs, _ = split_kwargs(module.sweep, module.finalize, spec.kwargs)
+            points = module.sweep(**sweep_kwargs).points
+            digest[name][mode] = {
+                "points": len(points),
+                "sha256": _sha(
+                    [
+                        (
+                            point.index,
+                            point.label,
+                            f"{point.fn.__module__}:{point.fn.__qualname__}",
+                            canonical_value(point.kwargs),
+                        )
+                        for point in points
+                    ]
+                ),
+            }
+    assert all(leg["points"] for legs in digest.values() for leg in legs.values())
+    return digest
+
+
 #: Keys stay string literals: ``tests/test_ci_node_ids.py`` reads them
 #: without importing this module.
 RECORDS = {
@@ -446,6 +486,7 @@ RECORDS = {
     "kv_identity": Record(kv_identity_digest),
     "snapshots": Record(metrics_snapshots),
     "device_replay": Record(device_replay_digest),
+    "sweep_points": Record(sweep_points_digest),
 }
 
 

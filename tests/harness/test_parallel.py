@@ -14,13 +14,13 @@ import time
 import pytest
 
 from repro.harness.experiments import fig14_read_ratio as fig14
+from repro.harness.experiments.common import build_sweep
 from repro.harness.parallel import (
     Sweep,
     SweepPoint,
     merge_rows,
     point_seed,
     run_sweep,
-    sweep_axes,
 )
 from repro.obs.session import capture
 
@@ -28,6 +28,10 @@ from repro.obs.session import capture
 # Module-level so points pickle by reference into worker processes.
 def _square(value: int, seed: int = 0) -> dict:
     return {"value": value, "squared": value * value, "seed": seed}
+
+
+def _unseeded(value: int, scale: int = 1) -> dict:
+    return {"value": value * scale}
 
 
 def _boom(value: int) -> dict:
@@ -152,11 +156,11 @@ class TestJobsClamp:
 class TestSweepBuilder:
     def test_points_get_sequential_indices_and_labels(self):
         sweep = Sweep("s")
-        sweep.point(_square, value=3)
+        sweep.point(_square, "first", value=3)
         sweep.point(_square, label="named", value=4)
         assert [p.index for p in sweep.points] == [0, 1]
-        assert sweep.points[0].label == "value=3"
-        assert sweep.points[1].label == "named"
+        assert [p.label for p in sweep.points] == ["first", "named"]
+        assert sweep.points[0].kwargs == {"value": 3}
 
     def test_seeds_are_stable_and_label_dependent(self):
         sweep = Sweep("s", root_seed=7)
@@ -172,19 +176,46 @@ class TestSweepBuilder:
             sweep.point(_square, label="same", value=2)
 
     def test_duplicate_default_labels_rejected(self):
-        sweep = Sweep("s")
-        sweep.point(_square, value=3)
-        with pytest.raises(ValueError, match="duplicate"):
-            sweep.point(_square, value=3)
+        """``build_sweep`` labels a point by its axis values, so an axis
+        that repeats a value repeats a label, and is refused."""
+        with pytest.raises(ValueError, match="duplicate sweep point label 'value=3'"):
+            build_sweep("s", {"value": (3, 4, 3)}, _square)
 
-    def test_sweep_axes_nested_loop_order(self):
-        combos = sweep_axes({"x": (1, 2), "y": ("a", "b")})
-        assert combos == [
-            {"x": 1, "y": "a"},
-            {"x": 1, "y": "b"},
-            {"x": 2, "y": "a"},
-            {"x": 2, "y": "b"},
+
+class TestBuildSweep:
+    """``build_sweep`` declares what the drivers' nested loops did:
+    the same order, labels, kwargs and seeds."""
+
+    def test_nested_loop_order_last_axis_fastest(self):
+        sweep = build_sweep("s", {"value": (1, 2), "scale": (10, 20, 30)}, _unseeded)
+        expected = [
+            {"value": value, "scale": scale} for value in (1, 2) for scale in (10, 20, 30)
         ]
+        assert [point.kwargs for point in sweep.points] == expected
+        assert [point.index for point in sweep.points] == list(range(6))
+
+    def test_labels_join_key_value_in_axis_order(self):
+        sweep = build_sweep("s", {"value": (1,), "scale": ("a", 0.5)}, _unseeded)
+        assert [point.label for point in sweep.points] == [
+            "value=1,scale=a",
+            "value=1,scale=0.5",
+        ]
+
+    def test_seeded_point_gets_the_labels_point_seed(self):
+        sweep = build_sweep("s", {"value": (1, 2)}, _square, root_seed=9, extra=None)
+        for point in sweep.points:
+            assert point.fn is _square
+            assert point.kwargs["seed"] == point_seed(9, point.label)
+            assert point.kwargs["extra"] is None
+        assert sweep.points[0].kwargs["seed"] != sweep.points[1].kwargs["seed"]
+
+    def test_unseeded_point_gets_no_seed(self):
+        sweep = build_sweep("s", {"value": (1, 2)}, _unseeded, root_seed=9, scale=3)
+        assert [point.kwargs for point in sweep.points] == [
+            {"scale": 3, "value": 1},
+            {"scale": 3, "value": 2},
+        ]
+        assert run_sweep(sweep.points) == [{"value": 3}, {"value": 6}]
 
 
 class TestMergeHelpers:

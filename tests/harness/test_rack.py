@@ -26,7 +26,7 @@ class TestSweepShape:
             churns=(0.5, 0.8),
             skews=(0.9,),
         )
-        assert len(sw) == 8
+        assert len(sw.points) == 8
         labels = [point.label for point in sw.points]
         assert len(set(labels)) == 8
         assert labels[0] == "scheme=gimbal,jbofs=2,churn=0.5,skew=0.9"
