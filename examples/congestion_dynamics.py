@@ -42,14 +42,14 @@ def main() -> None:
     def report(phase: str) -> None:
         read_monitor = scheduler.monitors[IoOp.READ]
         write_monitor = scheduler.monitors[IoOp.WRITE]
-        view = scheduler.virtual_view()
+        metrics = scheduler.metrics()
         print(
             f"t={sim.now / 1e6:5.2f}s {phase:<22} "
             f"read ewma {read_monitor.ewma_latency_us:6.0f}us "
             f"(thresh {read_monitor.threshold:6.0f}) | "
             f"write ewma {write_monitor.ewma_latency_us:6.0f}us | "
             f"write cost {scheduler.write_cost.cost:4.1f} | "
-            f"target {view['target_rate_mbps']:6.0f} MB/s"
+            f"target {metrics['target_rate_mbps']:6.0f} MB/s"
         )
 
     print("6 readers @200MB/s cap; writers @60MB/s cap arrive one per phase.\n")

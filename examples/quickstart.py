@@ -4,7 +4,8 @@
 Builds the smallest interesting deployment -- one SmartNIC JBOF with a
 single simulated NVMe SSD, two tenants with different IO shapes -- runs
 it for a simulated second, and prints each tenant's bandwidth, latency
-percentiles, and the per-SSD virtual view Gimbal exposes to clients.
+percentiles, the switch's live state, and the credit each tenant last
+received: the per-SSD virtual view Gimbal exposes to clients.
 
 Run:  python examples/quickstart.py
 """
@@ -48,9 +49,14 @@ def main() -> None:
         )
 
     scheduler = testbed.target.pipelines["ssd0"].scheduler
-    print("\nGimbal's per-SSD virtual view (what clients see piggybacked on completions):")
-    for key, value in scheduler.virtual_view().items():
-        print(f"  {key:>20}: {value if isinstance(value, str) else round(value, 2)}")
+    metrics = scheduler.metrics()
+    print("\nGimbal switch state:")
+    for key in ("target_rate_mbps", "write_cost", "read.state", "write.state"):
+        value = metrics[key]
+        print(f"  {key:>20}: {round(value, 2) if isinstance(value, float) else value}")
+    print("\nCredit each tenant last received (piggybacked on its completions):")
+    for worker in testbed.workers:
+        print(f"  {worker.spec.name:>12}: {worker.session.policy.credit_total}")
 
     print(f"\nDevice write amplification: {results['write_amplification']['ssd0']:.2f}")
 

@@ -87,14 +87,6 @@ class StorageScheduler(abc.ABC):
         """
         return 0
 
-    def view_snapshot(self) -> Optional[tuple]:
-        """The live values behind :meth:`virtual_view`, as a response carries them."""
-        return None
-
-    def virtual_view(self) -> Optional[dict]:
-        """Per-SSD headroom view for clients, or None."""
-        return None
-
     # ------------------------------------------------------------------
     # Helpers for subclasses
     # ------------------------------------------------------------------

@@ -18,7 +18,8 @@ The switch is assembled from four mechanisms, one module each:
 :class:`~repro.core.switch.GimbalScheduler` wires them together behind
 the generic :class:`~repro.baselines.base.StorageScheduler` interface
 and adds the credit computation for the end-to-end flow control
-(Section 3.6) plus the per-SSD virtual view (Section 3.7).
+(Section 3.6), whose grant is the per-SSD virtual view (Section 3.7)
+clients see.
 """
 
 # benchmarks/ledger imports this through the package; ROADMAP item 5(c) retires it.

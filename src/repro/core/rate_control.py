@@ -55,13 +55,6 @@ class CompletionRateMeter:
         while events[0][0] < horizon:
             self._bytes_in_window -= events.popleft()[1]
 
-    def rate_bytes_per_us(self, now_us: float) -> float:
-        events = self._events
-        horizon = now_us - self.window_us
-        while events and events[0][0] < horizon:
-            self._bytes_in_window -= events.popleft()[1]
-        return self._bytes_in_window / self.window_us
-
 
 class DualTokenBucket:
     """Separate read/write buckets fed from one target rate (Algorithm 4)."""

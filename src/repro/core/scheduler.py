@@ -71,10 +71,6 @@ class GimbalTenant:
             else:
                 self._select(restart=True)
 
-    def peek(self) -> Optional[FabricRequest]:
-        """The request :meth:`pop` would return, without removing it."""
-        return self.head
-
     def pop(self) -> FabricRequest:
         request = self.head
         if request is None:

@@ -12,7 +12,9 @@ DRR + virtual slots   inter-tenant fairness (Section 3.5)
 ====================  ============================================
 
 plus the credit grants the end-to-end flow control piggybacks on
-completions (Section 3.6) and the per-SSD virtual view (Section 3.7).
+completions (Section 3.6).  That grant is the per-SSD virtual view
+(Section 3.7) clients act on; :meth:`GimbalScheduler.metrics` reports
+the live rate, write cost and monitor states behind it.
 The whole switch is self-clocked: work is pumped on request arrival
 and on IO completion; a timer fires only when the pump blocked on
 token-bucket refill.
@@ -32,22 +34,6 @@ from repro.fabric.request import FabricRequest
 from repro.obs.trace import TraceType
 from repro.sim.units import MBPS
 from repro.ssd.commands import OP_READ, OP_TRIM, OP_WRITE, IoOp
-
-
-def expand_view(snapshot: tuple) -> dict:
-    """Section 3.7's managed view (current headroom and cost) from the
-    ``(target_rate, write_cost, read_state, write_state)`` snapshot a
-    response carries."""
-    target_rate, write_cost, read_state, write_state = snapshot
-    rate_mbps = target_rate / MBPS
-    return {
-        "target_rate_mbps": rate_mbps,
-        "read_headroom_mbps": rate_mbps * write_cost / (1.0 + write_cost),
-        "write_headroom_mbps": rate_mbps / (1.0 + write_cost),
-        "write_cost": write_cost,
-        "read_state": read_state._name_,
-        "write_state": write_state._name_,
-    }
 
 
 class GimbalScheduler(StorageScheduler):
@@ -170,17 +156,6 @@ class GimbalScheduler(StorageScheduler):
         per_slot = tenant.slots.last_drained_io_count or self.params.initial_slot_io_count
         credit = self.drr.slot_limit * per_slot
         return credit if credit > 1 else 1
-
-    def view_snapshot(self) -> tuple:
-        return (
-            self.rate.target_rate,
-            self.write_cost.cost,
-            self._read_monitor.state,
-            self._write_monitor.state,
-        )
-
-    def virtual_view(self) -> dict:
-        return expand_view(self.view_snapshot())
 
     # ------------------------------------------------------------------
     # Internals

@@ -16,7 +16,7 @@ replaced here by typed cross-shard messages:
 ``complete``
     The response capsule coming back.  Emitted by the pipeline's
     ``_reply_boundary`` hook at response-delivery time, carrying the
-    target-side timestamps, credit grant, and virtual view; the
+    target-side timestamps and credit grant; the
     coordinator restores them onto the parked request and runs the
     normal :meth:`TenantSession.deliver_completion`.
 ``connect`` / ``disconnect``
@@ -147,7 +147,6 @@ class CoordinatorFabric:
             submit_time,
             complete_time,
             credit_grant,
-            virtual_view,
         ) = msg.payload
         session = self.sessions[tenant_id]
         request = session._parked.pop(request_id)
@@ -156,7 +155,6 @@ class CoordinatorFabric:
         request.submit_time = submit_time
         request.complete_time = complete_time
         request.credit_grant = credit_grant
-        request.virtual_view = virtual_view
         # The response has landed: what ``_send_response`` does to the
         # replica on the JBOF shard happens to the original here.
         request._reply = None
@@ -322,7 +320,6 @@ class JbofShardHost:
                 request.submit_time,
                 request.complete_time,
                 request.credit_grant,
-                request.virtual_view,
             ),
         )
 

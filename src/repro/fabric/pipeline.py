@@ -111,7 +111,6 @@ class SsdPipeline:
         # for them: the flags below are resolved once per pipeline.
         self._sched_notifies = _overrides_base(scheduler, "notify_completion")
         self._sched_grants_credit = _overrides_base(scheduler, "credit_for")
-        self._sched_has_view = _overrides_base(scheduler, "view_snapshot")
         #: Pass-through schedulers (vanilla FIFO) admit every request
         #: the moment it is enqueued, so the scheduler hop is skipped:
         #: :meth:`device_submit` runs as the event handler and stamps
@@ -337,8 +336,6 @@ class SsdPipeline:
                     tenant=tenant_id,
                     credit=request.credit_grant,
                 )
-        if self._sched_has_view:
-            request.virtual_view = self.scheduler.view_snapshot()
         op = request.op
         stats = self.stats
         if op is OP_READ:

@@ -25,6 +25,20 @@ from repro.fabric.request import FabricRequest
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.fabric.initiator import TenantSession
 
+#: Credit a Gimbal session starts with, before its first grant arrives.
+INITIAL_CREDIT = 8
+
+#: PARDA's operating point: the end-to-end latency the window steers to.
+PARDA_LATENCY_THRESHOLD_US = 1200.0
+#: Weight of the proposed window against the current one.
+PARDA_GAMMA = 0.5
+#: Additive growth per epoch (IOs).
+PARDA_ALPHA = 2.0
+#: How often the window is recomputed.
+PARDA_EPOCH_US = 5000.0
+PARDA_INITIAL_WINDOW = 8.0
+PARDA_MAX_WINDOW = 512.0
+
 
 class ClientPolicy(abc.ABC):
     """Per-tenant-session admission gate at the initiator."""
@@ -63,11 +77,9 @@ class CreditClientPolicy(ClientPolicy):
     completion through the response capsule's reservation field.
     """
 
-    def __init__(self, initial_credit: int = 8):
+    def __init__(self) -> None:
         super().__init__()
-        if initial_credit <= 0:
-            raise ValueError("initial credit must be positive")
-        self.credit_total = initial_credit
+        self.credit_total = INITIAL_CREDIT
 
     def allow(self) -> bool:
         return self.credit_total > self.session.inflight
@@ -84,30 +96,17 @@ class PardaClientPolicy(ClientPolicy):
 
         w <- min(2w, (1 - gamma) * w + gamma * (L / L_avg * w + alpha))
 
-    where ``L`` is the latency threshold (the operating point the
-    storage should sit at) and ``L_avg`` the EWMA of observed
-    end-to-end latencies.  The window grows while latency sits below
-    the threshold and shrinks multiplicatively once it exceeds it.
+    where ``L`` is :data:`PARDA_LATENCY_THRESHOLD_US` (the operating
+    point the storage should sit at), ``gamma`` and ``alpha`` are
+    :data:`PARDA_GAMMA` and :data:`PARDA_ALPHA`, and ``L_avg`` the EWMA
+    of observed end-to-end latencies.  The window grows while latency
+    sits below the threshold and shrinks multiplicatively once it
+    exceeds it, within ``[1, PARDA_MAX_WINDOW]``.
     """
 
-    def __init__(
-        self,
-        latency_threshold_us: float = 1200.0,
-        gamma: float = 0.5,
-        alpha: float = 2.0,
-        epoch_us: float = 5000.0,
-        initial_window: float = 8.0,
-        max_window: float = 512.0,
-    ):
+    def __init__(self) -> None:
         super().__init__()
-        if latency_threshold_us <= 0 or not 0 < gamma <= 1 or epoch_us <= 0:
-            raise ValueError("invalid PARDA parameters")
-        self.latency_threshold_us = latency_threshold_us
-        self.gamma = gamma
-        self.alpha = alpha
-        self.epoch_us = epoch_us
-        self.window = initial_window
-        self.max_window = max_window
+        self.window = PARDA_INITIAL_WINDOW
         self._latency = Ewma(alpha=0.25)
         self._next_update_at = 0.0
 
@@ -118,13 +117,13 @@ class PardaClientPolicy(ClientPolicy):
         self._latency.update(request.e2e_latency_us)
         now = self.session.sim.now
         if now >= self._next_update_at:
-            self._next_update_at = now + self.epoch_us
+            self._next_update_at = now + PARDA_EPOCH_US
             self._update_window()
 
     def _update_window(self) -> None:
         if not self._latency.initialized:
             return
-        ratio = self.latency_threshold_us / max(self._latency.value, 1.0)
-        proposed = (1 - self.gamma) * self.window + self.gamma * (ratio * self.window + self.alpha)
-        self.window = min(2 * self.window, proposed, self.max_window)
+        ratio = PARDA_LATENCY_THRESHOLD_US / max(self._latency.value, 1.0)
+        proposed = (1 - PARDA_GAMMA) * self.window + PARDA_GAMMA * (ratio * self.window + PARDA_ALPHA)
+        self.window = min(2 * self.window, proposed, PARDA_MAX_WINDOW)
         self.window = max(self.window, 1.0)

@@ -5,7 +5,7 @@ itself, the tenant identity and priority tag (paper Section 3.5's
 per-tenant priority queues), every timestamp the latency figures
 report, and -- on the way back -- the credit grant that Gimbal
 piggybacks in the NVMe-oF completion's first reservation field
-(Section 3.6).
+(Section 3.6), the one switch signal a response carries.
 
 It is the only per-IO carrier: the pipeline hands the request itself
 to ``device.submit`` (see :mod:`repro.ssd.commands` for what a device
@@ -65,9 +65,6 @@ class FabricRequest:
     #: Credit grant piggybacked on the completion (Gimbal's flow
     #: control); 0 means "no credit information".
     credit_grant: int = 0
-    #: The scheduler's ``view_snapshot()`` at completion time, if it
-    #: exposes one (Gimbal: see :func:`repro.core.switch.expand_view`).
-    virtual_view: Optional[tuple] = None
 
     # -- transport plumbing (owned by the fabric layers, not callers) --
     # Every event of the round trip carries the request and nothing

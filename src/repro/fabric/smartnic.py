@@ -46,17 +46,6 @@ class CpuCostModel:
     #: zero against a NULL backend.
     device_extra_us: float
 
-    @property
-    def fixed_total_us(self) -> float:
-        return self.submit_fixed_us + self.complete_fixed_us
-
-    def io_cost_us(self, npages: int, real_device: bool) -> float:
-        """Total core time one IO of ``npages`` consumes on this host."""
-        cost = self.fixed_total_us + self.per_page_us * npages
-        if real_device:
-            cost += self.device_extra_us
-        return cost
-
     # -- precomputed pipeline costs -----------------------------------
     # The pipeline's per-IO booking costs depend only on construction-
     # time inputs (scheduler overheads, the Figure 16 knob, whether the
@@ -159,11 +148,6 @@ class NicCore:
             record[0] += cost_us
             record[1] += 1
         return done
-
-    @property
-    def events_by_tag(self) -> Dict[str, int]:
-        """Booking counts per component tag (fresh snapshot)."""
-        return {tag: record[1] for tag, record in self._by_tag.items()}
 
     def mean_cycles_by_tag(self) -> Dict[str, float]:
         """Average cycles per event per tag (paper Table 1a's unit)."""

@@ -122,9 +122,6 @@ class GlobalBlobAllocator:
         self._pools[address.backend].release(address.lba)
         self.megas_freed += 1
 
-    def available_megas(self, backend: str) -> int:
-        return self._pools[backend].available
-
     @property
     def total_available_megas(self) -> int:
         """Rack-wide mega blobs still unallocated (occupancy gauge)."""
@@ -236,10 +233,6 @@ class LocalBlobAllocator:
             self._release_mega(key)
             released += 1
         return released
-
-    @property
-    def free_micros(self) -> int:
-        return sum(len(pool) for pool in self._free.values())
 
     @property
     def held_megas(self) -> int:

@@ -1,9 +1,9 @@
 """Client-side handle to one remote SSD (NVMe-oF backend).
 
 A :class:`RemoteBackend` wraps a tenant session, translates page-level
-blob IO into fabric requests, and keeps the latest credit grant and
-virtual view the target piggybacked on completions -- the signals the
-allocator and the read load balancer consume (paper Sections 3.7/4.3).
+blob IO into fabric requests, and keeps the latest credit grant the
+target piggybacked on completions -- the virtual view the allocator
+and the read load balancer consume (paper Sections 3.7/4.3).
 
 An optional outstanding-IO cap provides the explicit *IO rate limiter*
 for configurations whose client policy does not already do flow
@@ -13,9 +13,8 @@ bars enable it via the credit policy).
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable
 
-from repro.core.switch import expand_view
 from repro.fabric.initiator import TenantSession
 from repro.fabric.request import FabricRequest
 from repro.ssd.commands import OP_READ, OP_TRIM, OP_WRITE
@@ -31,19 +30,11 @@ class RemoteBackend:
         self.session = session
         #: Last credit amount granted by the target (0 = unknown).
         self.credit = 0
-        #: Last per-SSD virtual view snapshot (None = not exposed).
-        self._view_snapshot: Optional[tuple] = None
         self.reads = 0
         self.writes = 0
         self.trims = 0
         self.read_bytes = 0
         self.write_bytes = 0
-
-    @property
-    def virtual_view(self) -> Optional[dict]:
-        """The target's latest virtual view, expanded on access."""
-        snapshot = self._view_snapshot
-        return None if snapshot is None else expand_view(snapshot)
 
     @property
     def outstanding(self) -> int:
@@ -84,8 +75,6 @@ class RemoteBackend:
         def observe(request: FabricRequest) -> None:
             if request.credit_grant > 0:
                 self.credit = request.credit_grant
-            if request.virtual_view is not None:
-                self._view_snapshot = request.virtual_view
             on_complete(request)
 
         return observe

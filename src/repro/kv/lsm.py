@@ -491,18 +491,6 @@ class LsmTree:
             or self.immutable is not None
         )
 
-    @property
-    def total_tables(self) -> int:
-        return sum(len(level) for level in self.levels)
-
-    def contains(self, key: int) -> bool:
-        """Synchronous membership check (tests/verification only)."""
-        if key in self.memtable:
-            return True
-        if self.immutable is not None and key in self.immutable:
-            return True
-        return any(key in table.keyset for level in self.levels for table in level)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         shape = "/".join(str(len(level)) for level in self.levels)
         return f"LsmTree({self.name}, mem={len(self.memtable)} keys, levels={shape})"

@@ -47,9 +47,5 @@ class RngRegistry:
             self._streams[name] = stream
         return stream
 
-    def fork(self, name: str) -> "RngRegistry":
-        """Create a child registry whose streams are independent of this one."""
-        return RngRegistry(derive_seed(self.seed, f"fork:{name}"))
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"RngRegistry(seed={self.seed}, streams={sorted(self._streams)})"

@@ -24,10 +24,3 @@ GBPS = GB / SEC
 def mbps(value: float) -> float:
     """Convert a rate in MB/s to the internal bytes-per-microsecond unit."""
     return value * MBPS
-
-
-def bytes_per_us(value_bytes: float, duration_us: float) -> float:
-    """Average rate in MB/s for ``value_bytes`` moved over ``duration_us``."""
-    if duration_us <= 0:
-        return 0.0
-    return (value_bytes / duration_us) / MBPS

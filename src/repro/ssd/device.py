@@ -49,10 +49,6 @@ class DeviceStats:
     trimmed_pages: int = 0
     buffer_read_hits: int = 0
 
-    @property
-    def commands(self) -> int:
-        return self.read_commands + self.write_commands + self.trim_commands
-
 
 class SsdDevice:
     """One simulated NVMe SSD."""

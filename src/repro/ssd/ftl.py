@@ -180,13 +180,6 @@ class Ftl:
         """Physical page of ``lpn``, or -1 if never written."""
         return self.page_map[lpn]
 
-    def free_blocks_on_channel(self, channel: int) -> int:
-        return len(self._free[channel])
-
-    @property
-    def mapped_pages(self) -> int:
-        return len(self.page_map) - self.page_map.count(_UNMAPPED)
-
     # ------------------------------------------------------------------
     # Writes
     # ------------------------------------------------------------------

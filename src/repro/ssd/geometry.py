@@ -56,9 +56,6 @@ class SsdGeometry:
     def channel_of_block(self, block_id: int) -> int:
         return block_id % self.num_channels
 
-    def block_of_page(self, ppn: int) -> int:
-        return ppn // self.pages_per_block
-
     def __str__(self) -> str:
         return (
             f"{self.num_channels}ch x {self.blocks_per_channel}blk x "

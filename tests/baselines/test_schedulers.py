@@ -60,7 +60,6 @@ class TestBaseInterface:
         scheduler = FifoScheduler()
         scheduler.attach(RecordingPipeline(sim))
         assert scheduler.credit_for("t") == 0
-        assert scheduler.virtual_view() is None
 
 
 class TestFifo:

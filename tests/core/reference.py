@@ -129,6 +129,16 @@ class ReferenceLatencyMonitor(LatencyMonitor):
         return state
 
 
+def meter_rate(meter, now_us: float) -> float:
+    """A completion-rate meter's reading at ``now_us``: drop the samples
+    older than its window, then bytes in the window over its length."""
+    events = meter._events
+    horizon = now_us - meter.window_us
+    while events and events[0][0] < horizon:
+        meter._bytes_in_window -= events.popleft()[1]
+    return meter._bytes_in_window / meter.window_us
+
+
 class ReferenceRateController(RateController):
     """Algorithm 1's ``Completion`` with one ``record`` per meter, a
     rate query per use and ``min(max())`` clamps."""
@@ -141,7 +151,7 @@ class ReferenceRateController(RateController):
         self.clamp_meter.record(now_us, nbytes)
         step = nbytes / params.completion_rate_window_us
         if state is CongestionState.OVERLOADED:
-            self.target_rate = self.meter.rate_bytes_per_us(now_us)
+            self.target_rate = meter_rate(self.meter, now_us)
             self.bucket.discard()
             self.target_rate -= step
         elif state is CongestionState.CONGESTED:
@@ -151,7 +161,7 @@ class ReferenceRateController(RateController):
         else:
             self.target_rate += params.beta * step
         if overall_state >= CongestionState.CONGESTION_AVOIDANCE:
-            measured = self.clamp_meter.rate_bytes_per_us(now_us)
+            measured = meter_rate(self.clamp_meter, now_us)
             if measured > 0:
                 self.target_rate = min(
                     self.target_rate, measured * params.completion_headroom

@@ -10,7 +10,7 @@ from repro.core.config import GimbalParams
 from repro.core.congestion import CongestionState, LatencyMonitor
 from repro.core.rate_control import CompletionRateMeter, DualTokenBucket, RateController
 from repro.ssd.commands import IoOp
-from tests.core.reference import ReferenceLatencyMonitor, ReferenceRateController
+from tests.core.reference import ReferenceLatencyMonitor, ReferenceRateController, meter_rate
 
 
 @pytest.fixture
@@ -23,12 +23,12 @@ class TestCompletionRateMeter:
         meter = CompletionRateMeter(window_us=1000.0)
         meter.record(100.0, 4096)
         meter.record(200.0, 4096)
-        assert meter.rate_bytes_per_us(500.0) == pytest.approx(8192 / 1000.0)
+        assert meter_rate(meter, 500.0) == pytest.approx(8192 / 1000.0)
 
     def test_old_events_evicted(self):
         meter = CompletionRateMeter(window_us=1000.0)
         meter.record(0.0, 4096)
-        assert meter.rate_bytes_per_us(2000.0) == 0.0
+        assert meter_rate(meter, 2000.0) == 0.0
 
     def test_invalid_window_rejected(self):
         with pytest.raises(ValueError):
@@ -171,7 +171,7 @@ class TestRateController:
                 CongestionState.CONGESTION_AVOIDANCE,
                 overall_state=CongestionState.CONGESTION_AVOIDANCE,
             )
-        measured = controller.clamp_meter.rate_bytes_per_us(1.0)
+        measured = meter_rate(controller.clamp_meter, 1.0)
         assert controller.target_rate <= measured * params.completion_headroom + 1e-6
 
     def test_no_clamp_while_underutilized(self):

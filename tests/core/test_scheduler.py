@@ -35,10 +35,10 @@ class TestGimbalTenant:
         second = make_request("t")
         tenant.push(first)
         tenant.push(second)
-        assert tenant.peek() is first
+        assert tenant.head is first
         assert tenant.pop() is first
         assert tenant.pop() is second
-        assert tenant.peek() is None
+        assert tenant.head is None
 
     def test_pop_empty_rejected(self):
         tenant = GimbalTenant("t", 1.0, 128 * 1024)
@@ -70,7 +70,7 @@ class TestGimbalTenant:
         for index in range(20):
             tenant.push(make_request("t", priority=index % 3))
         while tenant.pending:
-            peeked = tenant.peek()
+            peeked = tenant.head
             popped = tenant.pop()
             assert peeked is popped
 
@@ -131,12 +131,10 @@ class TestGimbalTenantMatchesReference:
         tenant = GimbalTenant("t", 1.0, 128 * 1024)
         reference = _RebuildingWrr()
         for step in steps:
-            if step == "peek":
-                assert tenant.peek() is reference.peek()
-            elif step == "pop":
+            if step == "pop":
                 if tenant.pending:
                     assert tenant.pop() is reference.pop()
-            else:
+            elif step != "peek":  # every step ends in the peek check below
                 request = make_request("t", priority=step)
                 tenant.push(request)
                 reference.push(request)
@@ -157,12 +155,10 @@ class TestGimbalTenantMatchesReference:
         reference = _RebuildingWrr()
         steps = [first if step == "push" else step for step in alone] + mixed
         for step in steps:
-            if step == "peek":
-                assert tenant.peek() is reference.peek()
-            elif step == "pop":
+            if step == "pop":
                 if tenant.pending:
                     assert tenant.pop() is reference.pop()
-            else:
+            elif step != "peek":  # every step ends in the peek check below
                 request = make_request("t", priority=step)
                 tenant.push(request)
                 reference.push(request)
@@ -417,7 +413,7 @@ class TestConservation:
             drr.pump(write_cost, bucket, submit)
             check_invariants()
         assert sorted(map(id, submitted)) == sorted(map(id, enqueued))
-        assert all(tenant.pending == 0 and tenant.peek() is None for tenant in tenants)
+        assert all(tenant.pending == 0 and tenant.head is None for tenant in tenants)
         assert all(tenant.slots.outstanding_ios == 0 for tenant in tenants)
         # Tokens spent = tokens the admitted IOs were charged, per pool
         # (trims ride the write pool at one page); 4 KiB multiples are

@@ -69,21 +69,6 @@ class TestGimbalScheduler:
         sim.run()
         assert done[0].credit_grant >= 1
 
-    def test_virtual_view_has_headroom_fields(self, sim):
-        scheduler, sessions = build_gimbal_rig(sim)
-        sessions[0].submit(IoOp.READ, 0, 1)
-        sim.run()
-        view = scheduler.virtual_view()
-        assert set(view) >= {
-            "target_rate_mbps",
-            "read_headroom_mbps",
-            "write_headroom_mbps",
-            "write_cost",
-        }
-        assert view["read_headroom_mbps"] + view["write_headroom_mbps"] == pytest.approx(
-            view["target_rate_mbps"]
-        )
-
     def test_write_cost_decays_on_buffered_writes(self, sim):
         scheduler, sessions = build_gimbal_rig(sim)
         run_buffered_writes(sim, sessions[0], until_us=300_000.0)

@@ -238,8 +238,6 @@ class ReferencePipeline(SsdPipeline):
     def _send_response(self, request: FabricRequest) -> None:
         if self._sched_grants_credit:
             request.credit_grant = self.scheduler.credit_for(request.tenant_id)
-        if self._sched_has_view:
-            request.virtual_view = self.scheduler.view_snapshot()
         op = request.op
         stats = self.stats
         if op is IoOp.READ:

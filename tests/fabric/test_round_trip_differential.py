@@ -67,9 +67,11 @@ def _drive(side, scheduler_factory, namespace, small_geometry):
     device = SsdDevice(sim, geometry=small_geometry)
     condition_device(device, "clean")
     network = Network(sim)
-    # A FIFO target grants no credit, so there the initial credit is a
-    # fixed window of four outstanding IOs.
-    policy = CreditClientPolicy(8 if scheduler_factory is GimbalScheduler else 4)
+    # A FIFO target grants no credit, so there the credit stays a fixed
+    # window of four outstanding IOs.
+    policy = CreditClientPolicy()
+    if scheduler_factory is not GimbalScheduler:
+        policy.credit_total = 4
     with fabric:
         target = NvmeOfTarget(sim, network, "jbof", {"ssd0": device}, scheduler_factory)
         session = NvmeOfInitiator(sim, network, "client").connect(

@@ -98,20 +98,28 @@ class TestAddedIoCostKnob:
         assert pipeline._submit_cost_us == pytest.approx(before + 2.0)
 
 
+def _read_io_cost_us(model, npages, real_device):
+    """Core time one read of ``npages`` books: submission plus completion."""
+    return (
+        model.submit_cost_us(real_device=real_device)
+        + model.read_complete_cost_table(real_device=real_device)[npages]
+    )
+
+
 class TestCpuCostModel:
     def test_io_cost_composition(self):
         model = CpuCostModel("m", 1.0, 0.5, 0.1, 2.0)
-        assert model.io_cost_us(npages=4, real_device=False) == pytest.approx(1.9)
-        assert model.io_cost_us(npages=4, real_device=True) == pytest.approx(3.9)
+        assert _read_io_cost_us(model, 4, real_device=False) == pytest.approx(1.9)
+        assert _read_io_cost_us(model, 4, real_device=True) == pytest.approx(3.9)
 
     def test_smartnic_slower_than_server(self):
-        smartnic = SMARTNIC_CPU.io_cost_us(npages=1, real_device=True)
-        server = SERVER_CPU.io_cost_us(npages=1, real_device=True)
+        smartnic = _read_io_cost_us(SMARTNIC_CPU, 1, real_device=True)
+        server = _read_io_cost_us(SERVER_CPU, 1, real_device=True)
         assert smartnic > 2 * server
 
     def test_null_device_iops_anchor(self):
         """Vanilla SPDK drives ~937 KIOPS on one SmartNIC core against
         a NULL device (Table 1b): fixed cost ~1.07 us."""
-        per_io = SMARTNIC_CPU.io_cost_us(npages=1, real_device=False)
+        per_io = _read_io_cost_us(SMARTNIC_CPU, 1, real_device=False)
         iops = 1e6 / per_io
         assert 800_000 < iops < 1_100_000

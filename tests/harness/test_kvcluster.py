@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.harness.kvcluster import KvCluster, KvClusterConfig
+from tests.kv.test_lsm import holds
 
 
 def small_cluster(**kwargs):
@@ -44,7 +45,7 @@ class TestKvCluster:
         runner = cluster.add_instance("db0", "C", record_count=128, concurrency=2)
         cluster.load_all()
         for key in range(128):
-            assert runner.tree.contains(key)
+            assert holds(runner.tree, key)
 
     def test_multiple_instances_share_backends(self):
         cluster = small_cluster()

@@ -168,22 +168,7 @@ class TestRemoteBackend:
         done = []
         backend.read(0, 1, done.append)
         sim.run()
-        assert backend.credit > 0
-        # The response carried a 4-field snapshot; the backend expands it
-        # on access into the switch's own six-key view.  Nothing has
-        # completed since, so the switch reads the same at this instant.
-        scheduler = target.pipelines["s"].scheduler
-        assert done[0].virtual_view == scheduler.view_snapshot()
-        view = backend.virtual_view
-        assert list(view) == [
-            "target_rate_mbps",
-            "read_headroom_mbps",
-            "write_headroom_mbps",
-            "write_cost",
-            "read_state",
-            "write_state",
-        ]
-        assert view == scheduler.virtual_view()
+        assert backend.credit == done[0].credit_grant > 0
 
     def test_load_score_prefers_credit_headroom(self, sim):
         store = build_store(sim)

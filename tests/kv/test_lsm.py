@@ -47,6 +47,12 @@ def put_sync(sim, tree, key):
     assert done
 
 
+def holds(tree, key):
+    """``key`` sits in the memtable, the immutable memtable or a table."""
+    tables = [table.keyset for level in tree.levels for table in level]
+    return any(key in keys for keys in [tree.memtable, tree.immutable or ()] + tables)
+
+
 def get_sync(sim, tree, key):
     result = []
     tree.get(key, result.append)
@@ -106,7 +112,7 @@ class TestFlushAndCompaction:
         for key in range(40):
             put_sync(sim, tree, key)
         assert tree.stats.flushes >= 1
-        assert tree.total_tables >= 1
+        assert any(tree.levels)
 
     def test_flushed_keys_remain_readable(self, sim, small_config):
         tree = build_tree(sim, small_config)
@@ -121,7 +127,7 @@ class TestFlushAndCompaction:
             put_sync(sim, tree, key % 80)
         assert tree.stats.compactions >= 1
         for key in range(80):
-            assert tree.contains(key), f"compaction lost key {key}"
+            assert holds(tree, key), f"compaction lost key {key}"
 
     def test_l0_bounded_by_compaction(self, sim, small_config):
         tree = build_tree(sim, small_config)
@@ -159,7 +165,7 @@ class TestYcsbRunner:
         sim.run()
         assert loaded
         for key in range(64):
-            assert runner.tree.contains(key)
+            assert holds(runner.tree, key)
 
     def test_run_measures_ops(self, sim):
         runner = self._runner(sim)

@@ -33,7 +33,7 @@ class TestScan:
             put_sync(sim, tree, key)
         result = scan_sync(sim, tree, 10, 5)
         assert result == [10, 12, 14, 16, 18]
-        assert tree.total_tables >= 1
+        assert any(tree.levels)
 
     def test_scan_past_end_returns_partial(self, sim):
         tree = build_tree(sim)

@@ -41,13 +41,3 @@ class TestRngRegistry:
         a = RngRegistry(seed=1).stream("x").random()
         b = RngRegistry(seed=2).stream("x").random()
         assert a != b
-
-    def test_fork_is_independent(self):
-        parent = RngRegistry(seed=5)
-        child = parent.fork("child")
-        assert parent.stream("x").random() != child.stream("x").random()
-
-    def test_fork_is_deterministic(self):
-        a = RngRegistry(seed=5).fork("c").stream("x").random()
-        b = RngRegistry(seed=5).fork("c").stream("x").random()
-        assert a == b

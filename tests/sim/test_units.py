@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.sim.units import GB, GBPS, KB, MB, MBPS, MS, SEC, US, bytes_per_us, mbps
+from repro.sim.units import GB, GBPS, KB, MB, MBPS, MS, SEC, US, mbps
 
 
 class TestUnits:
@@ -26,8 +26,3 @@ class TestUnits:
         rate = mbps(1600.0)
         # 1600 MB/s moves 1600 MiB in one simulated second.
         assert rate * SEC == pytest.approx(1600 * MB)
-
-    def test_bytes_per_us(self):
-        assert bytes_per_us(100 * MB, SEC) == pytest.approx(100.0)
-        assert bytes_per_us(0, SEC) == 0.0
-        assert bytes_per_us(100, 0.0) == 0.0

@@ -101,7 +101,7 @@ class TestRestoredStateIsIsolated:
         ftl = device.ftl
         assert ftl.stats.host_programs == 0  # conditioning traffic scrubbed
         assert ftl.stats.erases == 0
-        assert ftl.mapped_pages > 0          # ...but the layout survived
+        assert max(ftl.page_map) >= 0        # ...but the layout survived
         assert sum(ftl._erase_counts) > 0
 
 

@@ -322,13 +322,14 @@ class TestConditioning:
     def test_clean_preconditioning_maps_everything(self, sim):
         dev = SsdDevice(sim)
         condition_device(dev, "clean")
-        assert dev.ftl.mapped_pages == dev.geometry.exported_pages
+        assert -1 not in dev.ftl.page_map
 
     def test_conditioning_resets_counters(self, sim):
         dev = SsdDevice(sim)
         condition_device(dev, "fragmented")
         assert dev.ftl.stats.host_programs == 0
-        assert dev.stats.commands == 0
+        stats = dev.stats
+        assert stats.read_commands == stats.write_commands == stats.trim_commands == 0
         assert dev.write_amplification == 1.0
 
     def test_cached_conditioning_matches_fresh(self, small_geometry):

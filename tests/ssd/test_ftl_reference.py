@@ -70,7 +70,7 @@ class ReferenceFtl(Ftl):
     def _map(self, lpn, ppn):
         self.page_map[lpn] = ppn
         self._rmap[ppn] = lpn
-        self._valid_count[self.geometry.block_of_page(ppn)] += 1
+        self._valid_count[ppn // self.geometry.pages_per_block] += 1
 
     def _invalidate(self, lpn):
         old_ppn = self.page_map[lpn]
@@ -78,7 +78,7 @@ class ReferenceFtl(Ftl):
             return
         self.page_map[lpn] = _UNMAPPED
         self._rmap[old_ppn] = _UNMAPPED
-        self._valid_count[self.geometry.block_of_page(old_ppn)] -= 1
+        self._valid_count[old_ppn // self.geometry.pages_per_block] -= 1
 
     def _append(self, channel, stream, work):
         slot = self._open[channel][stream]
@@ -107,7 +107,7 @@ class ReferenceFtl(Ftl):
             self._valid_count[victim] -= 1
             self.page_map[lpn] = new_ppn
             self._rmap[new_ppn] = lpn
-            self._valid_count[self.geometry.block_of_page(new_ppn)] += 1
+            self._valid_count[new_ppn // self.geometry.pages_per_block] += 1
             work.relocation_reads += 1
             work.relocation_programs += 1
             self.stats.gc_programs += 1

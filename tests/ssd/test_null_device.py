@@ -50,7 +50,6 @@ class TestNullDeviceStats:
         assert device.stats.read_bytes == 2 * 4096
         assert device.stats.write_bytes == 3 * 4096
         assert device.stats.trimmed_pages == 5
-        assert device.stats.commands == 3
 
     def test_write_amplification_is_unity(self, sim):
         assert NullDevice(sim).write_amplification == 1.0
@@ -62,7 +61,6 @@ class TestNullDeviceStats:
         assert device.stats.read_commands == 1
         device.reset_time_state()
         assert device.stats.read_commands == 0
-        assert device.stats.commands == 0
 
     def test_register_metrics_follows_reset(self, sim):
         """Metrics must read through to the *current* stats object."""
