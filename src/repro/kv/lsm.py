@@ -147,6 +147,7 @@ class LsmTree:
         self.store = store
         self.sim = sim
         self.config = config or LsmConfig()
+        self._mem_read_us = self.config.mem_read_us
         self.rng = rng or random.Random(0)
         self.memtable: Dict[int, bool] = {}
         self._memtable_bytes = 0
@@ -363,7 +364,7 @@ class LsmTree:
             # Nobody keeps (or could cancel) an in-memory completion, so
             # it is scheduled without a handle, like the datapath's.
             sim = self.sim
-            sim.at_(sim.now + self.config.mem_read_us, on_done, True)
+            sim.at_(sim.now + self._mem_read_us, on_done, True)
             return
         candidates = self._candidate_tables(key)
         self._probe(key, candidates, 0, on_done)
@@ -403,7 +404,7 @@ class LsmTree:
             )
             return
         sim = self.sim
-        sim.at_(sim.now + self.config.mem_read_us, on_done, False)
+        sim.at_(sim.now + self._mem_read_us, on_done, False)
 
     # ------------------------------------------------------------------
     # Range scans (YCSB-E)
@@ -439,7 +440,7 @@ class LsmTree:
         result = sorted(candidates)[:count]
         if not result:
             sim = self.sim
-            sim.at_(sim.now + self.config.mem_read_us, on_done, [])
+            sim.at_(sim.now + self._mem_read_us, on_done, [])
             return
         # Read the page span each contributing table covers.
         pending = {"count": 0}
@@ -468,7 +469,7 @@ class LsmTree:
         started["all"] = True
         if pending["count"] == 0:
             sim = self.sim
-            sim.at_(sim.now + self.config.mem_read_us, on_done, result)
+            sim.at_(sim.now + self._mem_read_us, on_done, result)
 
     # ------------------------------------------------------------------
     # Introspection

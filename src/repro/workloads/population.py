@@ -133,7 +133,7 @@ class TenantPopulation:
         self.min_lifetime_us = min_lifetime_us
         self.rng = rng or random.Random(seed)
         self._class_zipf = (
-            ZipfianGenerator(len(self.classes), theta=skew, rng=self.rng, scrambled=False)
+            ZipfianGenerator(len(self.classes), theta=skew, rng=self.rng)
             if len(self.classes) > 1
             else None
         )
@@ -147,7 +147,7 @@ class TenantPopulation:
     def generate(self) -> List[TenantSpec]:
         """The full population, sorted by arrival time."""
         rng = self.rng
-        option_zipf = ZipfianGenerator(64, theta=self.skew, rng=rng, scrambled=False)
+        option_zipf = ZipfianGenerator(64, theta=self.skew, rng=rng)
         arrival_window = self.churn * self.horizon_us
         rate = self.tenants / arrival_window if arrival_window > 0 else 0.0
         clock = 0.0

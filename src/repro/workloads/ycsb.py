@@ -4,8 +4,9 @@ The RocksDB evaluation (Section 5.6) uses YCSB with 10M 1 KiB
 key-value pairs and Zipfian skew 0.99.  This module provides:
 
 * :class:`ZipfianGenerator` -- the standard YCSB rejection-free
-  Zipfian sampler (Gray et al.), plus the scrambled variant that
-  decorrelates popularity from key order;
+  Zipfian sampler (Gray et al.): the rank, and the scrambled key that
+  decorrelates popularity from key order, read from a rank -> key
+  table each generator hashes once (one YCSB op draws one key);
 * the five core workload mixes the paper runs (A, B, C, D, F);
 * :class:`YcsbWorkloadGenerator` -- an operation stream
   (op, key) suitable for driving the KV store.
@@ -46,9 +47,10 @@ def fnv_hash64(value: int) -> int:
 class ZipfianGenerator:
     """Samples {0, ..., n-1} with P(i) proportional to 1/(i+1)^theta.
 
-    Implements the Gray et al. constant-time method YCSB uses, so the
-    hottest item is rank 0.  ``scrambled=True`` applies YCSB's FNV
-    scrambling so popular items spread over the key space.
+    Implements the Gray et al. constant-time method YCSB uses:
+    :meth:`next_rank` draws the rank (0 = hottest), :meth:`next` the
+    key YCSB's FNV scrambling maps that rank to, so popular items
+    spread over the key space.
     """
 
     def __init__(
@@ -56,24 +58,20 @@ class ZipfianGenerator:
         item_count: int,
         theta: float = 0.99,
         rng: random.Random | None = None,
-        scrambled: bool = True,
     ):
         if item_count <= 0:
             raise ValueError("item count must be positive")
         if not 0.0 < theta < 1.0:
             raise ValueError("theta must be in (0, 1)")
         self.item_count = item_count
-        self.theta = theta
         self.rng = rng or random.Random(0)
-        self.scrambled = scrambled
         self._zetan = self._zeta(item_count, theta)
-        self._zeta2 = self._zeta(2, theta)
         self._alpha = 1.0 / (1.0 - theta)
         if item_count > 2:
             # u * zetan in [1, this) is rank 1.
             self._rank1_below = 1.0 + 0.5 ** theta
             self._eta = (1.0 - (2.0 / item_count) ** (1.0 - theta)) / (
-                1.0 - self._zeta2 / self._zetan
+                1.0 - self._zeta(2, theta) / self._zetan
             )
         else:
             # Ranks 0 and 1 are the whole range, so the general branch
@@ -81,6 +79,9 @@ class ZipfianGenerator:
             # which is 0 at n = 2.
             self._rank1_below = math.inf
             self._eta = 0.0
+        # The scrambled key of every rank; the rank formula gives
+        # item_count itself when its base rounds to 1.0, so it has one too.
+        self._keys = [fnv_hash64(rank) % item_count for rank in range(item_count + 1)]
 
     @staticmethod
     def _zeta(n: int, theta: float) -> float:
@@ -97,19 +98,15 @@ class ZipfianGenerator:
         return int(self.item_count * (self._eta * u - self._eta + 1.0) ** self._alpha)
 
     def next(self) -> int:
-        """The next item: :meth:`next_rank` inline (this is the per-op
-        key draw), then YCSB's scrambling."""
+        """The next key: :meth:`next_rank` inline (this is the per-op
+        key draw), then the rank's scrambled key."""
         u = self.rng.random()
         uz = u * self._zetan
         if uz < 1.0:
-            rank = 0
-        elif uz < self._rank1_below:
-            rank = 1
-        else:
-            rank = int(self.item_count * (self._eta * u - self._eta + 1.0) ** self._alpha)
-        if not self.scrambled:
-            return rank
-        return fnv_hash64(rank) % self.item_count
+            return self._keys[0]
+        if uz < self._rank1_below:
+            return self._keys[1]
+        return self._keys[int(self.item_count * (self._eta * u - self._eta + 1.0) ** self._alpha)]
 
 
 class YcsbOp(enum.Enum):
@@ -171,41 +168,39 @@ YCSB_WORKLOADS: Dict[str, YcsbSpec] = {
 class YcsbWorkloadGenerator:
     """Generates (op, key) pairs for one DB instance."""
 
-    def __init__(
-        self,
-        spec: YcsbSpec,
-        record_count: int,
-        rng: random.Random,
-        theta: float = 0.99,
-    ):
+    def __init__(self, spec: YcsbSpec, record_count: int, rng: random.Random):
         if record_count <= 0:
             raise ValueError("record count must be positive")
         self.spec = spec
-        self.record_count = record_count
         self.rng = rng
-        self.zipf = ZipfianGenerator(record_count, theta=theta, rng=rng)
+        self.zipf = ZipfianGenerator(record_count, rng=rng)
         self._insert_cursor = record_count
+        # The mix, read on every op.
+        self._read = spec.read
+        self._update = spec.update
+        self._insert = spec.insert
+        self._scan = spec.scan
+        self._latest = spec.distribution == "latest"
 
     def next_op(self) -> Tuple[YcsbOp, int]:
         """Draw the next operation and its key."""
-        spec = self.spec
         roll = self.rng.random()
-        if roll < spec.read:
-            if spec.distribution == "latest":
+        if roll < self._read:
+            if self._latest:
                 # Workload D: skew toward the most recent inserts.
                 offset = self.zipf.next_rank()
                 return (YCSB_READ, max(0, self._insert_cursor - 1 - offset))
             return (YCSB_READ, self.zipf.next())
-        roll -= spec.read
-        if roll < spec.update:
+        roll -= self._read
+        if roll < self._update:
             return (YCSB_UPDATE, self.zipf.next())
-        roll -= spec.update
-        if roll < spec.insert:
+        roll -= self._update
+        if roll < self._insert:
             key = self._insert_cursor
             self._insert_cursor += 1
             return (YCSB_INSERT, key)
-        roll -= spec.insert
-        if roll < spec.scan:
+        roll -= self._insert
+        if roll < self._scan:
             return (YCSB_SCAN, self.zipf.next())
         return (YCSB_READ_MODIFY_WRITE, self.zipf.next())
 

@@ -113,24 +113,24 @@ class TestFnvHash:
 
 class TestZipfian:
     def test_ranks_in_range(self):
-        zipf = ZipfianGenerator(1000, rng=random.Random(0), scrambled=False)
+        zipf = ZipfianGenerator(1000, rng=random.Random(0))
         for _ in range(2000):
-            assert 0 <= zipf.next() < 1000
+            assert 0 <= zipf.next_rank() < 1000
 
     def test_unscrambled_is_head_heavy(self):
-        zipf = ZipfianGenerator(10_000, rng=random.Random(1), scrambled=False)
-        counts = Counter(zipf.next() for _ in range(20_000))
+        zipf = ZipfianGenerator(10_000, rng=random.Random(1))
+        counts = Counter(zipf.next_rank() for _ in range(20_000))
         top10 = sum(counts[i] for i in range(10))
         # Zipf(0.99): the 10 hottest of 10k items draw a large share.
         assert top10 > 0.2 * 20_000
 
     def test_rank_zero_most_popular(self):
-        zipf = ZipfianGenerator(1000, rng=random.Random(2), scrambled=False)
+        zipf = ZipfianGenerator(1000, rng=random.Random(2))
         counts = Counter(zipf.next_rank() for _ in range(20_000))
         assert counts[0] == max(counts.values())
 
     def test_scrambling_spreads_hot_keys(self):
-        zipf = ZipfianGenerator(10_000, rng=random.Random(3), scrambled=True)
+        zipf = ZipfianGenerator(10_000, rng=random.Random(3))
         counts = Counter(zipf.next() for _ in range(20_000))
         hottest = counts.most_common(1)[0][0]
         # The hottest key is (almost surely) not rank 0 after scrambling.
@@ -151,16 +151,16 @@ class TestZipfian:
     @pytest.mark.parametrize("scrambled", [False, True])
     def test_tiny_item_counts(self, item_count, scrambled):
         # n = 2 used to divide by 1 - zeta(2)/zeta(n) = 0 at construction.
-        zipf = ZipfianGenerator(item_count, rng=random.Random(4), scrambled=scrambled)
-        draws = Counter(zipf.next() for _ in range(3000))
-        assert set(draws) <= set(range(item_count))
-        assert set(Counter(zipf.next_rank() for _ in range(3000))) <= set(range(item_count))
+        zipf = ZipfianGenerator(item_count, rng=random.Random(4))
+        draw = zipf.next if scrambled else zipf.next_rank
+        assert {draw() for _ in range(3000)} <= set(range(item_count))
+        assert {zipf.next_rank() for _ in range(3000)} <= set(range(item_count))
 
     def test_two_items_split_one_to_half_power_theta(self):
         theta = 0.99
-        zipf = ZipfianGenerator(2, theta=theta, rng=random.Random(9), scrambled=False)
+        zipf = ZipfianGenerator(2, theta=theta, rng=random.Random(9))
         n = 40_000
-        counts = Counter(zipf.next() for _ in range(n))
+        counts = Counter(zipf.next_rank() for _ in range(n))
         expected = 1.0 / (1.0 + 0.5 ** theta)  # P(rank 0)
         # Binomial sd is ~0.0025 here; allow four.
         assert abs(counts[0] / n - expected) < 0.01
@@ -179,6 +179,29 @@ class TestZipfian:
         reference = ReferenceZipfian(item_count, 0.99, random.Random(12))
         assert [live.next() for _ in range(5000)] == [reference.next() for _ in range(5000)]
         assert live.rng.getstate() == reference.rng.getstate()
+
+    @pytest.mark.parametrize("item_count", [64, 512])
+    def test_long_stream_matches_reference_chain(self, item_count):
+        # The key table is built once and read for every draw: a long
+        # stream reaches the tail ranks a short one misses.
+        live = ZipfianGenerator(item_count, rng=random.Random(13))
+        reference = ReferenceZipfian(item_count, 0.99, random.Random(13))
+        draws = 50_000
+        assert [live.next() for _ in range(draws)] == [reference.next() for _ in range(draws)]
+        assert live.rng.getstate() == reference.rng.getstate()
+
+    @pytest.mark.parametrize("item_count", [3, 64, 512])
+    def test_largest_uniform_draw_matches_reference(self, item_count):
+        # At u = 1 - 2**-53 the rank formula's base rounds to 1.0 and
+        # the rank is item_count itself, which must still have a key.
+        class TopDraw:
+            def random(self):
+                return 1.0 - 2.0 ** -53
+
+        live = ZipfianGenerator(item_count, rng=TopDraw())
+        reference = ReferenceZipfian(item_count, 0.99, TopDraw())
+        assert live.next_rank() == reference.next_rank() == item_count
+        assert live.next() == reference.next()
 
 
 class TestWorkloadSpecs:
